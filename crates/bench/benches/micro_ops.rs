@@ -4,9 +4,7 @@
 //! uncached (paper-faithful workload) and with the frozen-feature cache.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use fedft_core::entropy::{
-    sample_entropies, sample_entropies_batch, sample_entropies_from_boundary,
-};
+use fedft_core::entropy::{sample_entropies, sample_entropies_from_boundary};
 use fedft_core::{Client, ClientUpdate, FlConfig, SelectionStrategy, Server};
 use fedft_data::Dataset;
 use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel, ParamVector};
@@ -40,62 +38,12 @@ fn bench_matmul(c: &mut Criterion) {
     });
 }
 
-/// Batched small GEMM against one shared right-hand side — the per-round
-/// suffix shape (every client's activations times the same global weight
-/// matrix). The `_batch` form packs `B` once for the whole batch; the
-/// `_individual` form is the same arithmetic as N separate `matmul` calls.
-fn bench_matmul_batch(c: &mut Criterion) {
-    let shared_b = random_matrix(64, 64, 8);
-    let batch: Vec<Matrix> = (0..32).map(|i| random_matrix(50, 64, 100 + i)).collect();
-    let refs: Vec<&Matrix> = batch.iter().collect();
-    c.bench_function("matmul_batch_shared_b_32x_50x64x64", |bencher| {
-        bencher.iter(|| shared_b.matmul_batch(&refs).unwrap())
-    });
-    c.bench_function("matmul_individual_32x_50x64x64", |bencher| {
-        bencher.iter(|| {
-            refs.iter()
-                .map(|a| a.matmul(&shared_b).unwrap())
-                .collect::<Vec<_>>()
-        })
-    });
-}
-
 fn bench_softmax_entropy(c: &mut Criterion) {
     let logits = random_matrix(256, 100, 3);
     // The selector's scoring pass: fused softmax+entropy, bit-identical to
     // the two-pass softmax-then-row_entropies form it replaced.
     c.bench_function("hardened_softmax_entropy_256x100", |bencher| {
         bencher.iter(|| stats::softmax_entropy_rows(&logits, 0.1).unwrap())
-    });
-}
-
-/// One round's worth of suffix-side entropy scoring over many clients
-/// sharing the global suffix: the `_batch` form drives
-/// `sample_entropies_batch` (each suffix layer packs its weights once per
-/// round), the `_individual` form is the same scoring client by client.
-fn bench_suffix_round_batch(c: &mut Criterion) {
-    let model = BlockNet::new(&BlockNetConfig::new(48, 10).with_hidden(64, 64, 64), 1);
-    let freeze = FreezeLevel::Moderate;
-    let boundaries: Vec<Matrix> = (0..32)
-        .map(|i| {
-            let features = random_matrix(50, 48, 200 + i);
-            model.forward_frozen(freeze, &features).unwrap()
-        })
-        .collect();
-    let refs: Vec<&Matrix> = boundaries.iter().collect();
-    let suffix = model.trainable_suffix(freeze);
-    c.bench_function("suffix_round_batch_32_clients_50_samples", |bencher| {
-        bencher.iter(|| sample_entropies_batch(&suffix, &refs, 0.1).unwrap())
-    });
-    let mut suffix_individual = model.trainable_suffix(freeze);
-    c.bench_function("suffix_round_individual_32_clients_50_samples", |bencher| {
-        bencher.iter(|| {
-            refs.iter()
-                .map(|boundary| {
-                    sample_entropies_from_boundary(&mut suffix_individual, boundary, 0.1).unwrap()
-                })
-                .collect::<Vec<_>>()
-        })
     });
 }
 
@@ -243,9 +191,7 @@ criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20);
     targets = bench_matmul,
-        bench_matmul_batch,
         bench_softmax_entropy,
-        bench_suffix_round_batch,
         bench_entropy_selection,
         bench_aggregation,
         bench_pool_dispatch,

@@ -421,6 +421,7 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn parser_handles_the_artifact_shapes() {
@@ -472,6 +473,39 @@ mod tests {
         assert!(baseline_min_ns("{}").is_err());
     }
 
+    /// Every name `benches/micro_ops.rs` passes to `bench_function`, read
+    /// from its source: a string literal, or a `&format!("…{workers}…")`
+    /// template expanded over that file's `for workers in [...]` list.
+    fn micro_ops_bench_names() -> BTreeSet<String> {
+        let src = include_str!("../benches/micro_ops.rs");
+        let list = src
+            .split_once("for workers in [")
+            .and_then(|(_, rest)| rest.split_once(']'))
+            .expect("worker-count list present")
+            .0;
+        let workers: Vec<&str> = list
+            .split(',')
+            .map(|w| w.trim().trim_end_matches("_usize"))
+            .collect();
+        let mut names = BTreeSet::new();
+        for call in src.split("bench_function(").skip(1) {
+            let arg = call.trim_start();
+            let arg = arg.strip_prefix("&format!(").unwrap_or(arg);
+            let name = arg
+                .strip_prefix('"')
+                .and_then(|lit| lit.split_once('"'))
+                .expect("bench name is a string literal or a format! of one")
+                .0;
+            if name.contains("{workers}") {
+                names.extend(workers.iter().map(|w| name.replace("{workers}", w)));
+            } else {
+                assert!(!name.contains('{'), "unknown placeholder in {name}");
+                names.insert(name.to_string());
+            }
+        }
+        names
+    }
+
     #[test]
     fn committed_baseline_document_parses() {
         let doc = std::fs::read_to_string(concat!(
@@ -480,16 +514,12 @@ mod tests {
         ))
         .expect("committed baseline readable");
         let base = baseline_min_ns(&doc).unwrap();
-        assert!(base.contains_key("matmul_512x512x512"));
-        // The batched-GEMM and worker-pool entries must stay in the
-        // baseline: a fresh run that silently drops them would otherwise
-        // pass as `NewBench`.
-        assert!(base.contains_key("suffix_round_batch_32_clients_50_samples"));
-        assert!(base.contains_key("matmul_batch_shared_b_32x_50x64x64"));
-        assert!(base.contains_key("pool_dispatch_noop_2_workers"));
-        assert!(base.contains_key("scoped_spawn_noop_8_workers"));
-        assert!(base.contains_key("aggregate_200_clients_10k_params"));
-        assert!(base.len() >= 21);
+        // A bench added or deleted without touching the baseline (or the
+        // other way round) must fail here, not only in CI's bench-smoke
+        // job, where a dropped bench reads `MISSING` and an unrecorded one
+        // passes as `NewBench`.
+        let recorded: BTreeSet<String> = base.keys().cloned().collect();
+        assert_eq!(recorded, micro_ops_bench_names());
         assert!(base.values().all(|&ns| ns > 0.0));
     }
 

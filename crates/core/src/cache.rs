@@ -43,10 +43,10 @@
 //!   invalidated entirely under one shard lock; no cross-shard scan exists
 //!   anywhere on the insert path.
 //! * **Evict-before-insert under a split budget.** A global byte budget
-//!   ([`CacheRegistry::with_budget`], [`CacheRegistry::sharded`]) is split
-//!   across shards — `budget / shards` each, remainder to the first shards,
-//!   so the slices sum exactly to the budget — and each shard evicts its own
-//!   least-recently-used entries *before* inserting. Per-shard peaks never
+//!   ([`CacheRegistry::sharded`]) is split across shards — `budget / shards`
+//!   each, remainder to the first shards, so the slices sum exactly to the
+//!   budget — and each shard evicts its own least-recently-used entries
+//!   *before* inserting. Per-shard peaks never
 //!   exceed the per-shard slice, hence the summed
 //!   [`CacheStats::peak_bytes`] never exceeds the global budget. An entry
 //!   larger than its shard's slice is built and served but never retained
@@ -371,14 +371,6 @@ impl CacheRegistry {
     /// [`CacheRegistry::sharded`].
     pub fn new() -> Self {
         CacheRegistry::default()
-    }
-
-    /// Creates an empty single-shard registry that evicts
-    /// least-recently-used entries to keep its total bytes at or below
-    /// `budget_bytes`. (The single shard makes the LRU order global —
-    /// exactly the pre-sharding behaviour.)
-    pub fn with_budget(budget_bytes: usize) -> Self {
-        CacheRegistry::sharded(1, Some(budget_bytes))
     }
 
     /// Creates an empty registry with `shards` lock shards and an optional
@@ -1009,7 +1001,7 @@ mod tests {
         let (a, b, c) = (shard(0.5), shard(0.25), shard(0.75));
         let entry_bytes = matrix_bytes(&m.forward_frozen(freeze, &a).unwrap());
         // Single shard: the LRU order below is global, as pre-sharding.
-        let registry = CacheRegistry::with_budget(2 * entry_bytes);
+        let registry = CacheRegistry::sharded(1, Some(2 * entry_bytes));
         assert_eq!(registry.budget_bytes(), Some(2 * entry_bytes));
 
         let built_a = registry.get_or_build(&m, freeze, &a).unwrap();
@@ -1041,7 +1033,7 @@ mod tests {
         let freeze = FreezeLevel::Moderate;
         let x = features();
         let entry_bytes = matrix_bytes(&m.forward_frozen(freeze, &x).unwrap());
-        let registry = CacheRegistry::with_budget(entry_bytes - 1);
+        let registry = CacheRegistry::sharded(1, Some(entry_bytes - 1));
         let first = registry.get_or_build(&m, freeze, &x).unwrap();
         assert_eq!(*first, m.forward_frozen(freeze, &x).unwrap());
         assert!(registry.is_empty(), "oversized entry must not be stored");

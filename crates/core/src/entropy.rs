@@ -58,36 +58,6 @@ pub fn sample_entropies_from_boundary(
     Ok(stats::softmax_entropy_rows(&logits, temperature)?)
 }
 
-/// Computes per-sample entropies for a **batch** of boundary-activation
-/// matrices (one per client, typically) against one shared suffix.
-///
-/// Each suffix layer packs its shared weight matrix once and sweeps every
-/// client's activations through it
-/// ([`fedft_nn::SuffixNet::forward_inference_batch`]), amortising work the
-/// per-client [`sample_entropies_from_boundary`] pays repeatedly. Every
-/// result is bit-identical to the per-client call on the same boundary —
-/// batching is a scheduling optimisation, never an arithmetic change.
-///
-/// # Errors
-///
-/// Returns an error when any boundary matrix is empty, the temperature is
-/// not a positive finite number, or shapes mismatch. Nothing is computed in
-/// that case.
-pub fn sample_entropies_batch(
-    suffix: &SuffixNet,
-    boundaries: &[&Matrix],
-    temperature: f32,
-) -> Result<Vec<Vec<f32>>> {
-    for boundary in boundaries {
-        validate_entropy_inputs(boundary, temperature)?;
-    }
-    suffix
-        .forward_inference_batch(boundaries)?
-        .iter()
-        .map(|logits| Ok(stats::softmax_entropy_rows(logits, temperature)?))
-        .collect()
-}
-
 /// Computes the per-sample cross-entropy loss `−ln softmax(z)[y]` (softmax at
 /// temperature 1) from **precomputed boundary activations**, the score behind
 /// the loss-proportional data-selection policy (Shi & Radu 2021).
@@ -390,49 +360,6 @@ mod tests {
         assert!(sample_entropies_from_boundary(&mut suffix, &Matrix::zeros(0, 12), 0.1).is_err());
         let boundary = m.forward_frozen(FreezeLevel::Moderate, &x).unwrap();
         assert!(sample_entropies_from_boundary(&mut suffix, &boundary, 0.0).is_err());
-    }
-
-    #[test]
-    fn batch_entropies_are_bit_identical_to_per_client_scoring() {
-        use fedft_nn::FreezeLevel;
-        let m = model();
-        // Ragged batch: clients hold different numbers of samples.
-        let feature_sets: Vec<Matrix> = [12usize, 1, 40, 7]
-            .iter()
-            .enumerate()
-            .map(|(i, &rows)| random_features(rows, 8, 10 + i as u64))
-            .collect();
-        for freeze in FreezeLevel::all() {
-            let mut suffix = m.trainable_suffix(freeze);
-            let boundaries: Vec<Matrix> = feature_sets
-                .iter()
-                .map(|x| m.forward_frozen(freeze, x).unwrap())
-                .collect();
-            let refs: Vec<&Matrix> = boundaries.iter().collect();
-            let batched = sample_entropies_batch(&suffix, &refs, 0.1).unwrap();
-            assert_eq!(batched.len(), feature_sets.len());
-            let as_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            for (i, boundary) in boundaries.iter().enumerate() {
-                let individual =
-                    sample_entropies_from_boundary(&mut suffix, boundary, 0.1).unwrap();
-                assert_eq!(
-                    as_bits(&batched[i]),
-                    as_bits(&individual),
-                    "freeze {freeze}, client {i}"
-                );
-            }
-        }
-        // Validation covers every batch member before anything is computed.
-        let suffix = m.trainable_suffix(FreezeLevel::Moderate);
-        let good = m
-            .forward_frozen(FreezeLevel::Moderate, &random_features(3, 8, 20))
-            .unwrap();
-        let empty = Matrix::zeros(0, 12);
-        assert!(sample_entropies_batch(&suffix, &[&good, &empty], 0.1).is_err());
-        assert!(sample_entropies_batch(&suffix, &[&good], 0.0).is_err());
-        assert!(sample_entropies_batch(&suffix, &[], 0.1)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

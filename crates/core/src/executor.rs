@@ -8,11 +8,12 @@
 //! * [`SequentialExecutor`] — one client after another on the calling
 //!   thread. The reference behaviour.
 //! * [`ParallelExecutor`] — participants are split into contiguous chunks
-//!   across scoped OS threads. Every client update is an independent, pure
-//!   function of `(global model, client data, config, round)`, and updates
-//!   are returned in participant order regardless of which thread finished
-//!   first, so round histories are **bit-identical** to the sequential
-//!   backend's for the same [`FlConfig`] seed.
+//!   across the persistent worker pool ([`fedft_tensor::pool`]). Every
+//!   client update is an independent, pure function of `(global model,
+//!   client data, config, round)`, and updates are returned in participant
+//!   order regardless of which thread finished first, so round histories
+//!   are **bit-identical** to the sequential backend's for the same
+//!   [`FlConfig`] seed.
 //! * [`DeadlineExecutor`] — a virtual-clock scheduler for heterogeneous
 //!   device populations: each sampled client's simulated round time is
 //!   predicted from the cost model and its
@@ -44,9 +45,9 @@
 //!
 //! The backend is selected by the [`ExecutionBackend`] knob on
 //! [`FlConfig`]; simulation code only sees the trait, and
-//! [`ExecutionBackend::executor`] is the single construction point for all
-//! five (the scheduling executors expose only `over(..)` for wrapping a
-//! custom inner executor in tests).
+//! [`ExecutionBackend::executor_with_workers`] is the single construction
+//! point for all five (the scheduling executors expose only `over(..)` for
+//! wrapping a custom inner executor in tests).
 //!
 //! Every backend passes the [`FlConfig`] through to the clients untouched,
 //! so the [`FlConfig::feature_cache`] knob behaves identically under each:
@@ -76,11 +77,12 @@
 //!   them; combined with every local update being a pure function of
 //!   `(global model, client data, config, round)`, this is what makes the
 //!   parallel backends reproducible.
-//! * **Uniform construction and timing.** [`ExecutionBackend::executor`] is
-//!   the only construction point; scheduling executors are `over(inner)`
-//!   wrappers around an inner training executor and report through the one
-//!   shared [`RoundTiming`]/[`UpdateTiming`] surface rather than
-//!   backend-specific side channels.
+//! * **Uniform construction and timing.**
+//!   [`ExecutionBackend::executor_with_workers`] is the only construction
+//!   point; scheduling executors are `over(inner)` wrappers around an inner
+//!   training executor and report through the one shared
+//!   [`RoundTiming`]/[`UpdateTiming`] surface rather than backend-specific
+//!   side channels.
 //! * **Cache transparency.** Executors never touch the cache registry
 //!   directly — clients do, through their [`crate::cache::FeatureCache`]
 //!   handles — and the per-round cache counters on
@@ -160,11 +162,8 @@ impl ExecutionBackend {
     /// point the simulation (and everything above it) goes through. The
     /// scheduling backends (`Deadline`, `Async`, `Streaming`) train their
     /// survivors through a [`ParallelExecutor`].
-    pub fn executor(&self) -> Box<dyn RoundExecutor> {
-        self.executor_with_workers(None)
-    }
-
-    /// [`ExecutionBackend::executor`] with an optional worker cap (the
+    ///
+    /// `worker_threads` is the optional worker cap (the
     /// [`crate::FlConfig::with_worker_threads`] knob). `None` uses every
     /// hardware thread; the cap only affects backends that train through a
     /// [`ParallelExecutor`] — `Sequential` ignores it by construction.
@@ -573,6 +572,26 @@ fn resolve_or_drop_offline(
     Ok(profile)
 }
 
+/// Simulated wall clock of a synchronous round, from the survivors'
+/// device-adjusted round seconds: the slowest survivor — unless someone
+/// dropped under a finite deadline. A synchronous server cannot tell an
+/// offline device from a straggler, so any drop means it waited out the full
+/// deadline; without one there is nothing to wait for, and drop-only rounds
+/// fall back to the slowest survivor. Shared by [`DeadlineExecutor`] and the
+/// simulation's accounting for the plain backends, so neutral-knob deadline
+/// histories stay bit-identical to `Sequential`.
+pub(crate) fn synchronous_round_wall_seconds(
+    survivor_seconds: impl Iterator<Item = f64>,
+    any_dropped: bool,
+    deadline_seconds: f64,
+) -> f64 {
+    if any_dropped && deadline_seconds.is_finite() {
+        deadline_seconds
+    } else {
+        survivor_seconds.fold(0.0_f64, f64::max)
+    }
+}
+
 /// Deadline-based straggler scheduling over a heterogeneous device
 /// population (virtual clock).
 ///
@@ -595,8 +614,8 @@ fn resolve_or_drop_offline(
 /// device, or the full deadline when someone missed a finite one) is
 /// attached to the outcome as a [`RoundTiming`].
 ///
-/// Construct via [`ExecutionBackend::executor`]; `over(..)` exists for
-/// wrapping a custom inner executor in tests.
+/// Construct via [`ExecutionBackend::executor_with_workers`]; `over(..)`
+/// exists for wrapping a custom inner executor in tests.
 #[derive(Debug)]
 pub struct DeadlineExecutor {
     inner: Box<dyn RoundExecutor>,
@@ -678,40 +697,30 @@ impl RoundExecutor for DeadlineExecutor {
                 .run_round(&survivors, global_model, config, round)?
         };
         // Attach the synchronous round timing: every update trained on the
-        // freshest model (staleness 0, offset 0), the wall clock is the
-        // slowest survivor's *post-hoc* device-adjusted time — derived from
-        // the measured `compute_seconds`, exactly the fold the simulation
-        // applies to the plain backends, so neutral-knob histories stay
-        // bit-identical to `Sequential`.
-        let mut slowest = 0.0_f64;
+        // freshest model (staleness 0, offset 0), and the wall clock comes
+        // from the survivors' *post-hoc* device-adjusted times — derived
+        // from the measured `compute_seconds`, like the simulation's
+        // accounting for the plain backends.
         let per_update: Vec<UpdateTiming> = outcome
             .updates
             .iter()
             .zip(&profiles)
-            .map(|(update, profile)| {
-                let effective = hetero.simulated_round_seconds(
+            .map(|(update, profile)| UpdateTiming {
+                client_id: update.client_id,
+                staleness: 0,
+                dispatch_offset_seconds: 0.0,
+                simulated_seconds: hetero.simulated_round_seconds(
                     profile,
                     update.compute_seconds,
                     &tier_traffic[profile.tier_index],
-                );
-                slowest = slowest.max(effective);
-                UpdateTiming {
-                    client_id: update.client_id,
-                    staleness: 0,
-                    dispatch_offset_seconds: 0.0,
-                    simulated_seconds: effective,
-                }
+                ),
             })
             .collect();
-        // A synchronous server cannot tell an offline device from a
-        // straggler: any drop means it waited out the full (finite)
-        // deadline. Without a deadline there is nothing to wait for, so
-        // drop-only rounds fall back to the slowest survivor.
-        let round_wall_seconds = if !drops.is_empty() && config.deadline_seconds.is_finite() {
-            config.deadline_seconds
-        } else {
-            slowest
-        };
+        let round_wall_seconds = synchronous_round_wall_seconds(
+            per_update.iter().map(|t| t.simulated_seconds),
+            !drops.is_empty(),
+            config.deadline_seconds,
+        );
         outcome.drops = drops;
         outcome.timing = Some(RoundTiming {
             per_update,
@@ -722,7 +731,8 @@ impl RoundExecutor for DeadlineExecutor {
     }
 }
 
-/// Internal clock state of the [`AsyncExecutor`], advanced once per round.
+/// Event-clock state shared by [`AsyncExecutor`] and [`StreamingExecutor`],
+/// advanced once per round.
 ///
 /// Version `v` is the global model after `v` aggregations; `version_open[v]`
 /// is the simulated time at which it became available (`version_open[0] =
@@ -734,7 +744,7 @@ impl RoundExecutor for DeadlineExecutor {
 /// `O(|θ|)` snapshot per version instead of a full `O(|ϕ| + |θ|)` model
 /// clone, mirroring what a real client downloads.
 #[derive(Debug, Default)]
-struct AsyncClock {
+struct EventClock {
     /// Simulated opening time of every global-model version so far.
     version_open: Vec<f64>,
     /// Retained `(version, θ)` snapshots, ascending by version; only
@@ -746,6 +756,69 @@ struct AsyncClock {
     /// The round index the executor expects next (rounds must be executed
     /// in order — the clock is cumulative).
     next_round: usize,
+    /// The streaming backend's server-side buffer of updates still awaiting
+    /// aggregation; always empty under async.
+    pending: Vec<PendingUpdate>,
+}
+
+impl EventClock {
+    /// Opens `round` on the clock and returns its simulated opening time.
+    /// Round 0 resets the clock (dropping any buffered updates of a previous
+    /// run); any other round must be the one the clock expects next.
+    ///
+    /// Retains only the versions a round ≥ `round` may still dispatch
+    /// against, then snapshots this round's θ as version `round` — except at
+    /// `max_staleness = 0`, where no later round can ever read the snapshot
+    /// (the current version is always `global_model`), so the per-round
+    /// snapshot is skipped entirely. Only θ is stored: the frozen backbone
+    /// never changes between versions (the server aggregates the trainable
+    /// part alone), so a stale model is the current backbone plus the
+    /// snapshotted θ.
+    fn open_round(
+        &mut self,
+        executor: &'static str,
+        round: usize,
+        max_staleness: usize,
+        global_model: &BlockNet,
+        config: &FlConfig,
+    ) -> Result<f64> {
+        if round == 0 {
+            *self = EventClock::default();
+            self.version_open.push(0.0);
+        } else if round != self.next_round {
+            return Err(FlError::InvalidConfig {
+                what: format!(
+                    "{executor} executor expected round {}, got {round}: event-clock \
+                     rounds must run in order on one executor",
+                    self.next_round
+                ),
+            });
+        }
+        self.history.retain(|(v, _)| v + max_staleness >= round);
+        if max_staleness > 0 {
+            self.history
+                .push((round, global_model.trainable_vector(config.freeze)));
+        }
+        Ok(self.version_open[round])
+    }
+
+    /// The freshest version in `earliest_version..=round` already published
+    /// at `dispatch_at`. Dispatch never happens before `earliest_version`
+    /// opens, so that version always qualifies: the search cannot fail and
+    /// dispatch staleness never exceeds the bound.
+    fn freshest_version(&self, earliest_version: usize, round: usize, dispatch_at: f64) -> usize {
+        (earliest_version..=round)
+            .rev()
+            .find(|&v| self.version_open[v] <= dispatch_at)
+            .unwrap_or(earliest_version)
+    }
+
+    /// Closes `round` after `round_wall` simulated seconds, publishing
+    /// version `round + 1`.
+    fn close_round(&mut self, round: usize, round_open: f64, round_wall: f64) {
+        self.version_open.push(round_open + round_wall);
+        self.next_round = round + 1;
+    }
 }
 
 /// Asynchronous bounded-staleness scheduling over a heterogeneous device
@@ -794,13 +867,13 @@ struct AsyncClock {
 /// preinstalled backbone with a downloaded `θ`. Calling round 0 resets the
 /// clock, so one executor can serve consecutive runs.
 ///
-/// Construct via [`ExecutionBackend::executor`]; `over(..)` exists for
-/// wrapping a custom inner executor in tests.
+/// Construct via [`ExecutionBackend::executor_with_workers`]; `over(..)`
+/// exists for wrapping a custom inner executor in tests.
 #[derive(Debug)]
 pub struct AsyncExecutor {
     max_staleness: usize,
     inner: Box<dyn RoundExecutor>,
-    clock: Mutex<AsyncClock>,
+    clock: Mutex<EventClock>,
 }
 
 impl AsyncExecutor {
@@ -810,7 +883,7 @@ impl AsyncExecutor {
         AsyncExecutor {
             max_staleness,
             inner: Box::new(inner),
-            clock: Mutex::new(AsyncClock::default()),
+            clock: Mutex::new(EventClock::default()),
         }
     }
 
@@ -902,35 +975,8 @@ impl RoundExecutor for AsyncExecutor {
             return Err(FlError::NoParticipants { round });
         }
         let mut clock = self.clock.lock().expect("async clock lock poisoned");
-        if round == 0 {
-            *clock = AsyncClock::default();
-            clock.version_open.push(0.0);
-        } else if round != clock.next_round {
-            return Err(FlError::InvalidConfig {
-                what: format!(
-                    "async executor expected round {}, got {round}: bounded-staleness \
-                     rounds must run in order on one executor",
-                    clock.next_round
-                ),
-            });
-        }
-        let round_open = clock.version_open[round];
-        // Retain only the versions a round ≥ `round` may still dispatch
-        // against, then snapshot this round's θ as version `round` — except
-        // at max_staleness = 0, where no later round can ever read the
-        // snapshot (the current version is always `global_model`), so the
-        // per-round snapshot is skipped entirely. Only θ is stored: the
-        // frozen backbone never changes between versions (the server
-        // aggregates the trainable part alone), so a stale model is the
-        // current backbone plus the snapshotted θ.
-        clock
-            .history
-            .retain(|(v, _)| v + self.max_staleness >= round);
-        if self.max_staleness > 0 {
-            clock
-                .history
-                .push((round, global_model.trainable_vector(config.freeze)));
-        }
+        let round_open =
+            clock.open_round(self.name(), round, self.max_staleness, global_model, config)?;
 
         let hetero = &config.heterogeneity;
         // Client-invariant inputs of the duration prediction, once per round.
@@ -954,13 +1000,7 @@ impl RoundExecutor for AsyncExecutor {
             let earliest_version = round.saturating_sub(self.max_staleness);
             let free_at = clock.busy_until.get(&client.id()).copied().unwrap_or(0.0);
             let dispatch_at = clock.version_open[earliest_version].max(free_at);
-            // Train on the freshest version already published at dispatch
-            // time; `earliest_version` always qualifies, so the search
-            // cannot fail and staleness never exceeds the bound.
-            let version = (earliest_version..=round)
-                .rev()
-                .find(|&v| clock.version_open[v] <= dispatch_at)
-                .unwrap_or(earliest_version);
+            let version = clock.freshest_version(earliest_version, round, dispatch_at);
             let duration = hetero.predicted_seconds_from_parts(
                 &profile,
                 &flops,
@@ -1011,8 +1051,7 @@ impl RoundExecutor for AsyncExecutor {
             })
             .collect();
 
-        clock.version_open.push(round_open + round_wall);
-        clock.next_round = round + 1;
+        clock.close_round(round, round_open, round_wall);
         Ok(RoundOutcome {
             updates,
             drops,
@@ -1045,17 +1084,6 @@ struct PendingUpdate {
     dispatch_offset: f64,
     /// Simulated training + transfer duration.
     duration: f64,
-}
-
-/// Internal clock state of the [`StreamingExecutor`]: the async event clock
-/// plus the server-side buffer of updates still awaiting aggregation.
-#[derive(Debug, Default)]
-struct StreamingClock {
-    version_open: Vec<f64>,
-    history: Vec<(usize, ParamVector)>,
-    busy_until: HashMap<usize, f64>,
-    next_round: usize,
-    pending: Vec<PendingUpdate>,
 }
 
 /// Streaming serving mode: continuous buffered aggregation over a client
@@ -1103,13 +1131,13 @@ struct StreamingClock {
 /// Like [`AsyncExecutor`]: rounds must run in order, successive models may
 /// differ only in θ, and round 0 resets the clock (dropping any buffered
 /// updates of a previous run). Construct via
-/// [`ExecutionBackend::executor`]; `over(..)` exists for wrapping a custom
-/// inner executor in tests.
+/// [`ExecutionBackend::executor_with_workers`]; `over(..)` exists for
+/// wrapping a custom inner executor in tests.
 #[derive(Debug)]
 pub struct StreamingExecutor {
     params: StreamingParams,
     inner: Box<dyn RoundExecutor>,
-    clock: Mutex<StreamingClock>,
+    clock: Mutex<EventClock>,
 }
 
 impl StreamingExecutor {
@@ -1119,7 +1147,7 @@ impl StreamingExecutor {
         StreamingExecutor {
             params,
             inner: Box::new(inner),
-            clock: Mutex::new(StreamingClock::default()),
+            clock: Mutex::new(EventClock::default()),
         }
     }
 
@@ -1145,30 +1173,13 @@ impl RoundExecutor for StreamingExecutor {
             return Err(FlError::NoParticipants { round });
         }
         let mut clock = self.clock.lock().expect("streaming clock lock poisoned");
-        if round == 0 {
-            *clock = StreamingClock::default();
-            clock.version_open.push(0.0);
-        } else if round != clock.next_round {
-            return Err(FlError::InvalidConfig {
-                what: format!(
-                    "streaming executor expected round {}, got {round}: buffered \
-                     aggregation rounds must run in order on one executor",
-                    clock.next_round
-                ),
-            });
-        }
-        let round_open = clock.version_open[round];
-        // Same retention discipline as the async clock; the snapshot is
-        // skipped at max_staleness = 0, where every dispatch reads the
-        // current model.
-        clock
-            .history
-            .retain(|(v, _)| v + self.params.max_staleness >= round);
-        if self.params.max_staleness > 0 {
-            clock
-                .history
-                .push((round, global_model.trainable_vector(config.freeze)));
-        }
+        let round_open = clock.open_round(
+            self.name(),
+            round,
+            self.params.max_staleness,
+            global_model,
+            config,
+        )?;
 
         let hetero = &config.heterogeneity;
         let flops = global_model.flops_per_sample(config.freeze);
@@ -1177,7 +1188,8 @@ impl RoundExecutor for StreamingExecutor {
         // Phase 1 — dispatch this round's arrivals.
         let mut drops: Vec<DroppedClient> = Vec::new();
         let mut dispatches: Vec<AsyncDispatch> = Vec::with_capacity(participants.len());
-        let invite_at = clock.version_open[round.saturating_sub(self.params.max_staleness)];
+        let earliest_version = round.saturating_sub(self.params.max_staleness);
+        let invite_at = clock.version_open[earliest_version];
         for &client in participants {
             let profile = match resolve_or_drop_offline(hetero, client, round, config.seed) {
                 Ok(profile) => profile,
@@ -1196,14 +1208,7 @@ impl RoundExecutor for StreamingExecutor {
                     .arrival_offset_seconds(client.id(), round, config.seed);
             let free_at = clock.busy_until.get(&client.id()).copied().unwrap_or(0.0);
             let dispatch_at = (invite_at + arrival_offset).max(free_at);
-            // Freshest version already published at dispatch time; the
-            // invitation version always qualifies, so dispatch staleness
-            // never exceeds the bound.
-            let earliest_version = round.saturating_sub(self.params.max_staleness);
-            let version = (earliest_version..=round)
-                .rev()
-                .find(|&v| clock.version_open[v] <= dispatch_at)
-                .unwrap_or(earliest_version);
+            let version = clock.freshest_version(earliest_version, round, dispatch_at);
             let duration = hetero.predicted_seconds_from_parts(
                 &profile,
                 &flops,
@@ -1326,8 +1331,7 @@ impl RoundExecutor for StreamingExecutor {
         let updates: Vec<ClientUpdate> = flushed.into_iter().map(|p| p.update).collect();
         let round_wall = flush_offset;
 
-        clock.version_open.push(round_open + round_wall);
-        clock.next_round = round + 1;
+        clock.close_round(round, round_open, round_wall);
         Ok(RoundOutcome {
             updates,
             drops,
@@ -1382,19 +1386,16 @@ mod tests {
             ExecutionBackend::Streaming(StreamingParams::new(8)).short_name(),
             "stream"
         );
-        assert_eq!(ExecutionBackend::Sequential.executor().name(), "sequential");
-        assert_eq!(ExecutionBackend::Parallel.executor().name(), "parallel");
-        assert_eq!(ExecutionBackend::Deadline.executor().name(), "deadline");
+        let executor_name = |backend: ExecutionBackend| backend.executor_with_workers(None).name();
+        assert_eq!(executor_name(ExecutionBackend::Sequential), "sequential");
+        assert_eq!(executor_name(ExecutionBackend::Parallel), "parallel");
+        assert_eq!(executor_name(ExecutionBackend::Deadline), "deadline");
         assert_eq!(
-            ExecutionBackend::Async { max_staleness: 2 }
-                .executor()
-                .name(),
+            executor_name(ExecutionBackend::Async { max_staleness: 2 }),
             "async"
         );
         assert_eq!(
-            ExecutionBackend::Streaming(StreamingParams::new(8))
-                .executor()
-                .name(),
+            executor_name(ExecutionBackend::Streaming(StreamingParams::new(8))),
             "streaming"
         );
     }

@@ -5,6 +5,7 @@ use crate::cache::{CacheRegistry, CacheScope, CacheStats, FeatureCache};
 use crate::client::Client;
 use crate::comm::{round_traffic, RoundTraffic};
 use crate::config::FlConfig;
+use crate::executor::synchronous_round_wall_seconds;
 use crate::metrics::{RoundRecord, RunResult};
 use crate::participation::ParticipationModel;
 use crate::server::Server;
@@ -304,25 +305,18 @@ impl Simulation {
                 // Simulated wall-clock of a plain synchronous round
                 // (sequential/parallel backends): the slowest surviving
                 // device, or the full deadline when someone missed it.
-                let mut slowest = 0.0_f64;
-                for update in updates {
-                    let profile = &profiles[update.client_id];
-                    let effective = hetero.simulated_round_seconds(
-                        profile,
-                        update.compute_seconds,
-                        &tier_traffic[profile.tier_index],
-                    );
-                    slowest = slowest.max(effective);
-                }
-                // A synchronous server cannot tell an offline device from a
-                // straggler: any drop means it waited out the full (finite)
-                // deadline. Without a deadline there is nothing to wait for,
-                // so drop-only rounds fall back to the slowest survivor.
-                if !outcome.drops.is_empty() && self.config.deadline_seconds.is_finite() {
-                    self.config.deadline_seconds
-                } else {
-                    slowest
-                }
+                synchronous_round_wall_seconds(
+                    updates.iter().map(|update| {
+                        let profile = &profiles[update.client_id];
+                        hetero.simulated_round_seconds(
+                            profile,
+                            update.compute_seconds,
+                            &tier_traffic[profile.tier_index],
+                        )
+                    }),
+                    !outcome.drops.is_empty(),
+                    self.config.deadline_seconds,
+                )
             };
             cumulative_wall += round_wall_seconds;
             // Cache activity of this round: monotone counters differenced

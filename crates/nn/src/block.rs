@@ -289,26 +289,6 @@ impl BlockNet {
         Ok(current)
     }
 
-    /// Runs [`BlockNet::forward_frozen`] over a batch of independent feature
-    /// matrices (one per client, typically), producing each one's boundary
-    /// activations.
-    ///
-    /// Layer-major across the batch, so every frozen dense layer packs its
-    /// weight matrix once for all clients. Each output is bit-identical to
-    /// the per-client [`BlockNet::forward_frozen`] call.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any input width differs from
-    /// [`BlockNet::input_dim`].
-    pub fn forward_frozen_batch(
-        &self,
-        freeze: FreezeLevel,
-        inputs: &[&Matrix],
-    ) -> Result<Vec<Matrix>> {
-        suffix::forward_blocks_inference_batch(&self.blocks[..freeze.frozen_blocks()], inputs)
-    }
-
     /// Forward pass through the **trainable suffix**, starting from boundary
     /// activations produced by [`BlockNet::forward_frozen`] (or a cached
     /// copy of them).
@@ -688,34 +668,6 @@ mod tests {
             let split = net.forward_trainable(freeze, &boundary, false).unwrap();
             assert_eq!(full, split, "freeze {freeze}");
         }
-    }
-
-    #[test]
-    fn forward_frozen_batch_is_bit_identical_to_per_item_calls() {
-        let net = BlockNet::new(&config(), 9);
-        let inputs: Vec<Matrix> = (0..5)
-            .map(|i| {
-                Matrix::from_rows(&[
-                    vec![0.4, -0.2 * i as f32, 1.0, 0.0, -1.0, 0.6],
-                    vec![-0.4, 0.2, -1.0, 0.5 + i as f32, 1.0, -0.6],
-                ])
-                .unwrap()
-            })
-            .collect();
-        let refs: Vec<&Matrix> = inputs.iter().collect();
-        for freeze in FreezeLevel::all() {
-            let batched = net.forward_frozen_batch(freeze, &refs).unwrap();
-            for (i, input) in inputs.iter().enumerate() {
-                assert_eq!(
-                    batched[i],
-                    net.forward_frozen(freeze, input).unwrap(),
-                    "freeze {freeze}, item {i}"
-                );
-            }
-        }
-        // No frozen prefix: the batch comes back unchanged.
-        let identity = net.forward_frozen_batch(FreezeLevel::Full, &refs).unwrap();
-        assert_eq!(identity, inputs);
     }
 
     #[test]

@@ -43,24 +43,6 @@ pub trait Layer: Send + Sync {
     /// Returns an error if the input shape is incompatible with the layer.
     fn forward_frozen(&self, input: &Matrix) -> Result<Matrix>;
 
-    /// Runs [`Layer::forward_frozen`] over a batch of independent inputs.
-    ///
-    /// The default is a plain loop; layers whose frozen pass is dominated by
-    /// a product against a shared parameter matrix (dense) override this to
-    /// amortise work across the batch. Every override must keep each output
-    /// **bit-identical** to `forward_frozen(inputs[i])` — batching is a
-    /// scheduling optimisation, never an arithmetic change.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first per-input error encountered.
-    fn forward_frozen_batch(&self, inputs: &[&Matrix]) -> Result<Vec<Matrix>> {
-        inputs
-            .iter()
-            .map(|input| self.forward_frozen(input))
-            .collect()
-    }
-
     /// Runs the backward pass for the most recent `forward` call.
     ///
     /// Accumulates parameter gradients internally and returns the gradient of

@@ -86,18 +86,6 @@ impl Layer for Dense {
         Ok(input.matmul(&self.weight)?.add_row_broadcast(&self.bias)?)
     }
 
-    fn forward_frozen_batch(&self, inputs: &[&Matrix]) -> Result<Vec<Matrix>> {
-        // The weight matrix is shared across the whole batch, so it is packed
-        // once and swept by every input (`Matrix::matmul_batch`) instead of
-        // being re-read column-strided per call. Each product is
-        // byte-identical to the per-input `matmul`.
-        let products = self.weight.matmul_batch(inputs)?;
-        products
-            .into_iter()
-            .map(|p| Ok(p.add_row_broadcast(&self.bias)?))
-            .collect()
-    }
-
     fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
         let input = self
             .cached_input

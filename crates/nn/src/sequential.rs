@@ -83,28 +83,6 @@ impl Sequential {
         Ok(current)
     }
 
-    /// Runs the frozen forward pass over a batch of independent inputs,
-    /// layer-major: each layer processes the whole batch before the next
-    /// layer starts, so layers with shared parameters (dense) amortise their
-    /// packing across the batch ([`crate::Layer::forward_frozen_batch`]).
-    /// Every output is bit-identical to [`Sequential::forward_frozen`] on the
-    /// corresponding input.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first layer error encountered.
-    pub fn forward_frozen_batch(&self, inputs: &[&Matrix]) -> Result<Vec<Matrix>> {
-        let Some((first, rest)) = self.layers.split_first() else {
-            return Ok(inputs.iter().map(|&m| m.clone()).collect());
-        };
-        let mut current = first.forward_frozen_batch(inputs)?;
-        for layer in rest {
-            let refs: Vec<&Matrix> = current.iter().collect();
-            current = layer.forward_frozen_batch(&refs)?;
-        }
-        Ok(current)
-    }
-
     /// Runs the backward pass through every layer in reverse order.
     ///
     /// # Errors

@@ -31,23 +31,6 @@ pub(crate) fn forward_blocks(
     Ok(current)
 }
 
-/// Inference forward pass through a run of blocks over a batch of
-/// independent boundary-activation matrices, layer-major so shared
-/// parameters are packed once per layer (see
-/// [`Sequential::forward_frozen_batch`]). Bit-identical per item to
-/// [`forward_blocks`] with `training = false`.
-pub(crate) fn forward_blocks_inference_batch(
-    blocks: &[Sequential],
-    inputs: &[&Matrix],
-) -> Result<Vec<Matrix>> {
-    let mut current: Vec<Matrix> = inputs.iter().map(|&m| m.clone()).collect();
-    for block in blocks {
-        let refs: Vec<&Matrix> = current.iter().collect();
-        current = block.forward_frozen_batch(&refs)?;
-    }
-    Ok(current)
-}
-
 /// One training step on a run of blocks: forward from the boundary
 /// activations, loss, backward through every block, optimiser step.
 ///
@@ -140,40 +123,6 @@ impl SuffixNet {
     pub fn predict_proba(&mut self, boundary: &Matrix, temperature: f32) -> Result<Matrix> {
         let logits = self.forward(boundary, false)?;
         Ok(stats::softmax_with_temperature(&logits, temperature)?)
-    }
-
-    /// Inference forward pass over a **batch** of independent boundary
-    /// matrices (one per client, typically), producing each one's logits.
-    ///
-    /// Layer-major: every dense layer packs its shared weight matrix once
-    /// and sweeps the whole batch, amortising packing cost the per-client
-    /// `forward` cannot recover. Each output is bit-identical to
-    /// [`SuffixNet::forward`] with `training = false` on the same boundary.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any boundary width does not match the first
-    /// trainable block.
-    pub fn forward_inference_batch(&self, boundaries: &[&Matrix]) -> Result<Vec<Matrix>> {
-        forward_blocks_inference_batch(&self.blocks, boundaries)
-    }
-
-    /// Class probabilities for a batch of boundary matrices, using a softmax
-    /// with the given temperature. Bit-identical per item to
-    /// [`SuffixNet::predict_proba`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatch.
-    pub fn predict_proba_batch(
-        &self,
-        boundaries: &[&Matrix],
-        temperature: f32,
-    ) -> Result<Vec<Matrix>> {
-        self.forward_inference_batch(boundaries)?
-            .iter()
-            .map(|logits| Ok(stats::softmax_with_temperature(logits, temperature)?))
-            .collect()
     }
 
     /// One training step on a batch of boundary activations; returns the
@@ -278,53 +227,6 @@ mod tests {
             assert_eq!(loss_full.to_bits(), loss_suffix.to_bits());
         }
         assert_eq!(model.trainable_vector(freeze), suffix.trainable_vector());
-    }
-
-    #[test]
-    fn batch_inference_is_bit_identical_to_per_item_forward() {
-        let model = net();
-        let boundaries: Vec<Matrix> = (0..4)
-            .map(|i| {
-                Matrix::from_rows(&[
-                    vec![0.1 * i as f32, -0.5, 1.0, 0.2, -0.3, 0.7],
-                    vec![1.5, 0.3 - i as f32, -0.7, 0.0, 0.9, -0.2],
-                    vec![-0.4, 0.8, 0.6, -1.1, 0.5, 0.3 * i as f32],
-                ])
-                .unwrap()
-            })
-            .collect();
-        for freeze in FreezeLevel::all() {
-            let mut suffix = model.trainable_suffix(freeze);
-            let inputs: Vec<Matrix> = boundaries
-                .iter()
-                .map(|x| model.forward_frozen(freeze, x).unwrap())
-                .collect();
-            let refs: Vec<&Matrix> = inputs.iter().collect();
-            let batched = suffix.forward_inference_batch(&refs).unwrap();
-            let proba_batched = suffix.predict_proba_batch(&refs, 0.1).unwrap();
-            for (i, input) in inputs.iter().enumerate() {
-                assert_eq!(
-                    batched[i],
-                    suffix.forward(input, false).unwrap(),
-                    "freeze {freeze}, item {i}"
-                );
-                assert_eq!(
-                    proba_batched[i],
-                    suffix.predict_proba(input, 0.1).unwrap(),
-                    "freeze {freeze}, item {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_inference_propagates_shape_errors() {
-        let model = net();
-        let suffix = model.trainable_suffix(FreezeLevel::Classifier);
-        let good = Matrix::zeros(2, 8);
-        let bad = Matrix::zeros(2, 5);
-        assert!(suffix.forward_inference_batch(&[&good, &bad]).is_err());
-        assert!(suffix.forward_inference_batch(&[]).unwrap().is_empty());
     }
 
     #[test]

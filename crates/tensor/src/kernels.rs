@@ -42,10 +42,8 @@ const NR: usize = 16;
 /// dispatch overhead. Historically set against the ~10 µs/thread cost of a
 /// fresh `thread::scope` spawn; the pooled wake is far cheaper, but the
 /// threshold also guards the cache-sharing cost of splitting a product that
-/// one core's private caches could serve, so it stays. Shared with the
-/// batch entry in `packed.rs`, which gates its per-item fan-out on the
-/// batch's *total* multiply-adds.
-pub(crate) const PARALLEL_FLOP_THRESHOLD: usize = 1 << 22;
+/// one core's private caches could serve, so it stays.
+const PARALLEL_FLOP_THRESHOLD: usize = 1 << 22;
 
 /// One multiply-accumulate step.
 ///

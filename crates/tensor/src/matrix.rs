@@ -1,6 +1,6 @@
 //! Row-major dense `f32` matrix.
 
-use crate::{kernels, packed, Result, TensorError};
+use crate::{kernels, Result, TensorError};
 use serde::{Deserialize, Serialize};
 
 /// A dense, row-major matrix of `f32` values.
@@ -359,48 +359,6 @@ impl Matrix {
             &mut out.data,
         );
         Ok(out)
-    }
-
-    /// Batched matrix product against one shared right-hand side:
-    /// `result[i] = batch[i] · self` for every operand in `batch`.
-    ///
-    /// The shared `self` is packed into cache-friendly column panels **once**
-    /// and reused across the whole batch (see `packed.rs`), which amortises
-    /// the packing cost that a per-call `matmul` at these (typically small)
-    /// shapes cannot recover. This is the per-round suffix shape of the
-    /// federated workload: every client applies the same global layer
-    /// weights to its own activations. Large batches additionally fan the
-    /// items out across the persistent worker pool over the shared packed
-    /// panels.
-    ///
-    /// Each result is byte-identical to `batch[i].matmul(self)` — both paths
-    /// accumulate every output element in strictly ascending `k` order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if any operand's column count
-    /// differs from `self.rows()`. Nothing is computed in that case.
-    pub fn matmul_batch(&self, batch: &[&Matrix]) -> Result<Vec<Matrix>> {
-        for a in batch {
-            if a.cols != self.rows {
-                return Err(TensorError::ShapeMismatch {
-                    op: "matmul_batch",
-                    lhs: a.shape(),
-                    rhs: self.shape(),
-                });
-            }
-        }
-        let mut outs: Vec<Matrix> = batch
-            .iter()
-            .map(|a| Matrix::zeros(a.rows, self.cols))
-            .collect();
-        let mut items: Vec<(usize, &[f32], &mut [f32])> = batch
-            .iter()
-            .zip(outs.iter_mut())
-            .map(|(a, out)| (a.rows, a.data.as_slice(), out.data.as_mut_slice()))
-            .collect();
-        packed::gemm_batch_shared_b(self.rows, self.cols, &mut items, &self.data);
-        Ok(outs)
     }
 
     /// Matrix product `self * other` via the reference triple loop.

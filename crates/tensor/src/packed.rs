@@ -1,23 +1,22 @@
-//! Packed-panel (BLIS-style GEBP) GEMM core for large products, and a
-//! batched small-GEMM path that shares one packed `B` across many `A`s.
+//! Packed-panel (BLIS-style GEBP) GEMM core for large products.
 //!
 //! The direct kernel in [`crate::kernels`] streams `B` straight from the
-//! row-major operand: each `MR×NR` output tile re-reads its `B` columns with
+//! row-major operand: each output tile re-reads its `B` columns with
 //! an `n`-element stride, so once the working set leaves L1/L2 the kernel is
 //! memory-bound. This module removes that wall the standard way:
 //!
-//! * `B` is repacked into **column panels** — `NR`-wide, `KC`-deep slabs
+//! * `B` is repacked into **column panels** — [`NR_P`]-wide, `KC`-deep slabs
 //!   laid out so the micro-kernel reads them contiguously;
-//! * `A` is repacked into **row panels** — `MR`-tall, `KC`-deep slabs in
+//! * `A` is repacked into **row panels** — [`MR_P`]-tall, `KC`-deep slabs in
 //!   reduction-major order, so the broadcast loads are contiguous too;
 //! * the reduction is blocked by `KC` and the output by `MC`/`NC`, all three
 //!   chosen at runtime from the detected cache sizes ([`crate::cache`]).
 //!
-//! The micro-tile shape is a const-generic parameter: the large-product path
-//! uses the deep [`MR_P`]`×`[`NR_P`] tile (maximum register reuse), while the
-//! shared-`B` batch path uses the squat [`MR_B`]`×`[`NR_B`] tile (minimum
-//! edge waste on short per-client row counts). Tile shape never affects
-//! results — only which registers hold which partial sums.
+//! There is one micro-tile, [`MR_P`]`×`[`NR_P`], and one route into this
+//! module: `kernels::gemm_nn` sends products at or above
+//! [`PACKED_FLOP_THRESHOLD`] here and keeps the rest on the direct kernel.
+//! Tile shape never affects results — only which registers hold which
+//! partial sums.
 //!
 //! # Determinism contract
 //!
@@ -61,17 +60,6 @@ pub(crate) const MR_P: usize = 12;
 /// Columns per packed micro-tile (two 512-bit lanes of `f32`).
 pub(crate) const NR_P: usize = 32;
 
-/// Batch-path micro-tile rows. The per-item `A`s in the shared-`B` batch
-/// path are short (tens of rows — one client's sample batch), so the tall
-/// 12-row tile wastes up to a fifth of its flops on edge padding there; a
-/// squat 4×64 tile keeps edge waste small while still filling the vector
-/// registers (8 accumulators × 4 lanes + 4 `B` vectors). Measured on the
-/// benchmark host: 4×64 wins the 50-row batch shapes that lose under 12×32.
-pub(crate) const MR_B: usize = 4;
-
-/// Batch-path micro-tile columns (four 512-bit lanes of `f32`).
-pub(crate) const NR_B: usize = 64;
-
 /// Minimum multiply-add count before the packed path beats the direct
 /// kernel. Below this the packing traffic and wider edge tiles cost more
 /// than the panel locality buys: the measured crossover on the tuned host
@@ -86,8 +74,8 @@ thread_local! {
     static B_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A once-claimable `(rows, A slice, C slice)` slot for one pool chunk or
-/// batch item of a row-partitioned product.
+/// A once-claimable `(A rows, C rows)` slot for one pool chunk of a
+/// row-partitioned product.
 type PackedSlot<'a> = Mutex<Option<(&'a [f32], &'a mut [f32])>>;
 
 /// Resizes a grow-only scratch buffer. Contents are overwritten by packing
@@ -98,33 +86,25 @@ fn ensure_len(buf: &mut Vec<f32>, len: usize) {
     }
 }
 
-/// Packs the `B` block `rows kc0..kc0+kc × cols nc0..nc0+ncw` into `NR`-wide
-/// column panels: panel `jp` holds columns `nc0 + jp*NR ..`, laid out
-/// reduction-major (`panel[kk*NR + l]`). The last panel zero-pads its
+/// Packs the `B` block `rows kc0..kc0+kc × cols nc0..nc0+ncw` into `NR_P`-wide
+/// column panels: panel `jp` holds columns `nc0 + jp*NR_P ..`, laid out
+/// reduction-major (`panel[kk*NR_P + l]`). The last panel zero-pads its
 /// missing columns so the micro-kernel always reads full vectors; padded
 /// lanes never reach `C`.
-fn pack_b<const NR: usize>(
-    b: &[f32],
-    n: usize,
-    kc0: usize,
-    kc: usize,
-    nc0: usize,
-    ncw: usize,
-    out: &mut [f32],
-) {
-    let npanels = ncw.div_ceil(NR);
+fn pack_b(b: &[f32], n: usize, kc0: usize, kc: usize, nc0: usize, ncw: usize, out: &mut [f32]) {
+    let npanels = ncw.div_ceil(NR_P);
     for jp in 0..npanels {
-        let j0 = nc0 + jp * NR;
-        let jw = NR.min(nc0 + ncw - j0);
-        let panel = &mut out[jp * kc * NR..(jp + 1) * kc * NR];
-        if jw == NR {
-            for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
+        let j0 = nc0 + jp * NR_P;
+        let jw = NR_P.min(nc0 + ncw - j0);
+        let panel = &mut out[jp * kc * NR_P..(jp + 1) * kc * NR_P];
+        if jw == NR_P {
+            for (kk, dst) in panel.chunks_exact_mut(NR_P).enumerate() {
                 let src = (kc0 + kk) * n + j0;
-                dst.copy_from_slice(&b[src..src + NR]);
+                dst.copy_from_slice(&b[src..src + NR_P]);
             }
         } else {
             panel.fill(0.0);
-            for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
+            for (kk, dst) in panel.chunks_exact_mut(NR_P).enumerate() {
                 let src = (kc0 + kk) * n + j0;
                 dst[..jw].copy_from_slice(&b[src..src + jw]);
             }
@@ -132,30 +112,22 @@ fn pack_b<const NR: usize>(
     }
 }
 
-/// Packs the `A` block `rows i0..i0+mw × cols kc0..kc0+kc` into `MR`-tall
-/// row panels, reduction-major (`panel[kk*MR + r]`). The last panel zero-pads
+/// Packs the `A` block `rows i0..i0+mw × cols kc0..kc0+kc` into `MR_P`-tall
+/// row panels, reduction-major (`panel[kk*MR_P + r]`). The last panel zero-pads
 /// its missing rows; the padded rows' results are computed but never stored.
-fn pack_a<const MR: usize>(
-    a: &[f32],
-    k: usize,
-    i0: usize,
-    mw: usize,
-    kc0: usize,
-    kc: usize,
-    out: &mut [f32],
-) {
-    let mpanels = mw.div_ceil(MR);
+fn pack_a(a: &[f32], k: usize, i0: usize, mw: usize, kc0: usize, kc: usize, out: &mut [f32]) {
+    let mpanels = mw.div_ceil(MR_P);
     for ip in 0..mpanels {
-        let r0 = i0 + ip * MR;
-        let rw = MR.min(i0 + mw - r0);
-        let panel = &mut out[ip * kc * MR..(ip + 1) * kc * MR];
-        if rw < MR {
+        let r0 = i0 + ip * MR_P;
+        let rw = MR_P.min(i0 + mw - r0);
+        let panel = &mut out[ip * kc * MR_P..(ip + 1) * kc * MR_P];
+        if rw < MR_P {
             panel.fill(0.0);
         }
         for r in 0..rw {
             let row = &a[(r0 + r) * k + kc0..(r0 + r) * k + kc0 + kc];
             for (kk, &v) in row.iter().enumerate() {
-                panel[kk * MR + r] = v;
+                panel[kk * MR_P + r] = v;
             }
         }
     }
@@ -171,8 +143,8 @@ fn mac(acc: f32, s: f32, b: f32) -> f32 {
     }
 }
 
-/// The packed register micro-kernel: a full `MR × NR` output tile at
-/// `out[0..MR rows × n stride]`, accumulated over one `kc`-deep reduction
+/// The packed register micro-kernel: a full `MR_P × NR_P` output tile at
+/// `out[0..MR_P rows × n stride]`, accumulated over one `kc`-deep reduction
 /// block from contiguous panels. `first` selects zero-init (first reduction
 /// block) versus reloading the partial sums from `C` — the store/reload
 /// keeps the per-element FMA chain identical to an unblocked reduction.
@@ -181,7 +153,7 @@ fn mac(acc: f32, s: f32, b: f32) -> f32 {
 /// compiler promotes it to vector registers; passing it by reference
 /// defeats that promotion and is ~15× slower.
 #[inline]
-fn micro_kernel<const MR: usize, const NR: usize>(
+fn micro_kernel(
     kc: usize,
     a_panel: &[f32],
     b_panel: &[f32],
@@ -189,42 +161,42 @@ fn micro_kernel<const MR: usize, const NR: usize>(
     out: &mut [f32],
     first: bool,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
+    let mut acc = [[0.0f32; NR_P]; MR_P];
     if !first {
         for (r, acc_row) in acc.iter_mut().enumerate() {
-            let src: &[f32; NR] = out[r * n..r * n + NR]
+            let src: &[f32; NR_P] = out[r * n..r * n + NR_P]
                 .try_into()
-                .expect("slice length is NR by construction");
+                .expect("slice length is NR_P by construction");
             *acc_row = *src;
         }
     }
     for kk in 0..kc {
-        let bv: &[f32; NR] = b_panel[kk * NR..(kk + 1) * NR]
+        let bv: &[f32; NR_P] = b_panel[kk * NR_P..(kk + 1) * NR_P]
             .try_into()
-            .expect("slice length is NR by construction");
-        let av: &[f32; MR] = a_panel[kk * MR..(kk + 1) * MR]
+            .expect("slice length is NR_P by construction");
+        let av: &[f32; MR_P] = a_panel[kk * MR_P..(kk + 1) * MR_P]
             .try_into()
-            .expect("slice length is MR by construction");
-        for r in 0..MR {
+            .expect("slice length is MR_P by construction");
+        for r in 0..MR_P {
             let s = av[r];
-            for l in 0..NR {
+            for l in 0..NR_P {
                 acc[r][l] = mac(acc[r][l], s, bv[l]);
             }
         }
     }
     for (r, acc_row) in acc.iter().enumerate() {
-        out[r * n..r * n + NR].copy_from_slice(acc_row);
+        out[r * n..r * n + NR_P].copy_from_slice(acc_row);
     }
 }
 
-/// Edge variant for partial tiles (`mw < MR` and/or `nw < NR`): loads
+/// Edge variant for partial tiles (`mw < MR_P` and/or `nw < NR_P`): loads
 /// and stores only the valid `mw × nw` corner while computing the full
 /// padded tile (the panels' zero padding makes the extra lanes inert — they
 /// are discarded, so even a NaN-producing `0 × ∞` in a padded lane cannot
 /// leak into `C`).
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn micro_kernel_edge<const MR: usize, const NR: usize>(
+fn micro_kernel_edge(
     kc: usize,
     a_panel: &[f32],
     b_panel: &[f32],
@@ -234,22 +206,22 @@ fn micro_kernel_edge<const MR: usize, const NR: usize>(
     out: &mut [f32],
     first: bool,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
+    let mut acc = [[0.0f32; NR_P]; MR_P];
     if !first {
         for (r, acc_row) in acc.iter_mut().enumerate().take(mw) {
             acc_row[..nw].copy_from_slice(&out[r * n..r * n + nw]);
         }
     }
     for kk in 0..kc {
-        let bv: &[f32; NR] = b_panel[kk * NR..(kk + 1) * NR]
+        let bv: &[f32; NR_P] = b_panel[kk * NR_P..(kk + 1) * NR_P]
             .try_into()
-            .expect("slice length is NR by construction");
-        let av: &[f32; MR] = a_panel[kk * MR..(kk + 1) * MR]
+            .expect("slice length is NR_P by construction");
+        let av: &[f32; MR_P] = a_panel[kk * MR_P..(kk + 1) * MR_P]
             .try_into()
-            .expect("slice length is MR by construction");
-        for r in 0..MR {
+            .expect("slice length is MR_P by construction");
+        for r in 0..MR_P {
             let s = av[r];
-            for l in 0..NR {
+            for l in 0..NR_P {
                 acc[r][l] = mac(acc[r][l], s, bv[l]);
             }
         }
@@ -263,7 +235,7 @@ fn micro_kernel_edge<const MR: usize, const NR: usize>(
 /// one packed `B` block (columns `nc0..nc0+ncw`), accumulating into `out`
 /// (full `m × n`, absolute indices).
 #[allow(clippy::too_many_arguments)]
-fn sweep_block<const MR: usize, const NR: usize>(
+fn sweep_block(
     a_pack: &[f32],
     b_pack: &[f32],
     kc: usize,
@@ -275,21 +247,21 @@ fn sweep_block<const MR: usize, const NR: usize>(
     out: &mut [f32],
     first: bool,
 ) {
-    let mpanels = mw.div_ceil(MR);
-    let npanels = ncw.div_ceil(NR);
+    let mpanels = mw.div_ceil(MR_P);
+    let npanels = ncw.div_ceil(NR_P);
     for ip in 0..mpanels {
-        let r0 = i0 + ip * MR;
-        let rw = MR.min(i0 + mw - r0);
-        let a_panel = &a_pack[ip * kc * MR..(ip + 1) * kc * MR];
+        let r0 = i0 + ip * MR_P;
+        let rw = MR_P.min(i0 + mw - r0);
+        let a_panel = &a_pack[ip * kc * MR_P..(ip + 1) * kc * MR_P];
         for jp in 0..npanels {
-            let j0 = nc0 + jp * NR;
-            let jw = NR.min(nc0 + ncw - j0);
-            let b_panel = &b_pack[jp * kc * NR..(jp + 1) * kc * NR];
+            let j0 = nc0 + jp * NR_P;
+            let jw = NR_P.min(nc0 + ncw - j0);
+            let b_panel = &b_pack[jp * kc * NR_P..(jp + 1) * kc * NR_P];
             let tile = &mut out[r0 * n + j0..];
-            if rw == MR && jw == NR {
-                micro_kernel::<MR, NR>(kc, a_panel, b_panel, n, tile, first);
+            if rw == MR_P && jw == NR_P {
+                micro_kernel(kc, a_panel, b_panel, n, tile, first);
             } else {
-                micro_kernel_edge::<MR, NR>(kc, a_panel, b_panel, n, rw, jw, tile, first);
+                micro_kernel_edge(kc, a_panel, b_panel, n, rw, jw, tile, first);
             }
         }
     }
@@ -300,7 +272,7 @@ fn sweep_block<const MR: usize, const NR: usize>(
 /// `rows × n` of `C`, and `b_pack` the full externally packed `B` (per
 /// `(NC, KC)` block, in this function's loop order). `a_scratch` is this
 /// worker's grow-only `A` scratch.
-fn gemm_rows_packed<const MR: usize, const NR: usize>(
+fn gemm_rows_packed(
     k: usize,
     n: usize,
     a_rows: &[f32],
@@ -312,21 +284,21 @@ fn gemm_rows_packed<const MR: usize, const NR: usize>(
     let rows = out.len() / n;
     ensure_len(
         a_scratch,
-        sizes.mc.min(rows).next_multiple_of(MR) * sizes.kc.min(k).max(1),
+        sizes.mc.min(rows).next_multiple_of(MR_P) * sizes.kc.min(k).max(1),
     );
     let mut b_off = 0;
     for nc0 in (0..n).step_by(sizes.nc) {
         let ncw = sizes.nc.min(n - nc0);
-        let b_block_panels = ncw.div_ceil(NR) * NR;
+        let b_block_panels = ncw.div_ceil(NR_P) * NR_P;
         for kc0 in (0..k).step_by(sizes.kc) {
             let kc = sizes.kc.min(k - kc0);
             let b_block = &b_pack[b_off..b_off + b_block_panels * kc];
             b_off += b_block_panels * kc;
             for i0 in (0..rows).step_by(sizes.mc) {
                 let mw = sizes.mc.min(rows - i0);
-                let a_block_len = mw.div_ceil(MR) * MR * kc;
-                pack_a::<MR>(a_rows, k, i0, mw, kc0, kc, &mut a_scratch[..a_block_len]);
-                sweep_block::<MR, NR>(
+                let a_block_len = mw.div_ceil(MR_P) * MR_P * kc;
+                pack_a(a_rows, k, i0, mw, kc0, kc, &mut a_scratch[..a_block_len]);
+                sweep_block(
                     &a_scratch[..a_block_len],
                     b_block,
                     kc,
@@ -345,14 +317,14 @@ fn gemm_rows_packed<const MR: usize, const NR: usize>(
 
 /// Total length of the packed-`B` buffer for a `k × n` operand under the
 /// current blocking.
-fn packed_b_len<const NR: usize>(k: usize, n: usize) -> usize {
+fn packed_b_len(k: usize, n: usize) -> usize {
     let sizes = cache::block_sizes();
     let mut len = 0;
     for nc0 in (0..n).step_by(sizes.nc) {
         let ncw = sizes.nc.min(n - nc0);
         for kc0 in (0..k).step_by(sizes.kc) {
             let kc = sizes.kc.min(k - kc0);
-            len += ncw.div_ceil(NR) * NR * kc;
+            len += ncw.div_ceil(NR_P) * NR_P * kc;
         }
     }
     len
@@ -360,15 +332,15 @@ fn packed_b_len<const NR: usize>(k: usize, n: usize) -> usize {
 
 /// Packs all of `B` (every `(NC, KC)` block, in the loop order
 /// [`gemm_rows_packed`] consumes them) into `out`.
-fn pack_b_full<const NR: usize>(b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+fn pack_b_full(b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     let sizes = cache::block_sizes();
     let mut off = 0;
     for nc0 in (0..n).step_by(sizes.nc) {
         let ncw = sizes.nc.min(n - nc0);
-        let block_len = ncw.div_ceil(NR) * NR;
+        let block_len = ncw.div_ceil(NR_P) * NR_P;
         for kc0 in (0..k).step_by(sizes.kc) {
             let kc = sizes.kc.min(k - kc0);
-            pack_b::<NR>(b, n, kc0, kc, nc0, ncw, &mut out[off..off + block_len * kc]);
+            pack_b(b, n, kc0, kc, nc0, ncw, &mut out[off..off + block_len * kc]);
             off += block_len * kc;
         }
     }
@@ -392,12 +364,12 @@ pub(crate) fn gemm_packed(
 ) {
     B_SCRATCH.with(|cell| {
         let b_scratch = &mut *cell.borrow_mut();
-        ensure_len(b_scratch, packed_b_len::<NR_P>(k, n));
-        pack_b_full::<NR_P>(b, k, n, b_scratch);
+        ensure_len(b_scratch, packed_b_len(k, n));
+        pack_b_full(b, k, n, b_scratch);
         let b_pack: &[f32] = b_scratch;
         if threads <= 1 {
             pool::with_scratch(|a_scratch| {
-                gemm_rows_packed::<MR_P, NR_P>(k, n, a, b_pack, out, a_scratch);
+                gemm_rows_packed(k, n, a, b_pack, out, a_scratch);
             });
             return;
         }
@@ -418,102 +390,8 @@ pub(crate) fn gemm_packed(
                 .take()
                 .expect("each row chunk is claimed exactly once");
             pool::with_scratch(|a_scratch| {
-                gemm_rows_packed::<MR_P, NR_P>(k, n, a_chunk, b_pack, out_chunk, a_scratch);
+                gemm_rows_packed(k, n, a_chunk, b_pack, out_chunk, a_scratch);
             });
-        });
-    });
-}
-
-/// Batched GEMM against one shared right-hand side: computes
-/// `outs[i] = as[i] · B` for every operand pair, packing `B` **once** and
-/// reusing it across the whole batch. Each `as[i]` holds `ms[i] × k` values
-/// and `outs[i]` must be zero-initialised `ms[i] × n`.
-///
-/// This is the per-round suffix shape of the paper's workload: every
-/// participating client runs the same global suffix weights over its own
-/// activations, so `B` (the layer weights) is shared while `A` (the batch
-/// activations) varies. Packing cost is amortised `batch`-fold, which is
-/// where the win over per-call dispatch lives — the per-item products are
-/// usually far below [`PACKED_FLOP_THRESHOLD`].
-///
-/// When the batch's *total* multiply-add count crosses the parallel
-/// threshold, the items fan out per-item over the persistent pool
-/// ([`crate::pool`]): the packed `B` is shared read-only, each item is
-/// computed whole by exactly one thread (into that thread's persistent `A`
-/// arena), and item order within the output is fixed by the slot layout —
-/// so the fan-out cannot change a bit of any result.
-///
-/// Per-element accumulation order is ascending-`k`, the same as every other
-/// path, so each `outs[i]` is byte-identical to `matmul` on the same pair.
-///
-/// # Panics
-///
-/// Debug-asserts the buffer lengths; callers validate shapes.
-pub(crate) fn gemm_batch_shared_b(
-    k: usize,
-    n: usize,
-    batch: &mut [(usize, &[f32], &mut [f32])],
-    b: &[f32],
-) {
-    debug_assert_eq!(b.len(), k * n);
-    if k == 0 || n == 0 || batch.is_empty() {
-        return;
-    }
-    // A narrow output (n well under one NR_B panel) pads most of the
-    // micro-tile with zero columns, so the packed sweep does several times
-    // the useful flops — the direct kernel's slimmer tile wins there, and
-    // both paths are bit-identical, so routing is purely a speed choice.
-    if n < NR_B / 2 {
-        for (m, a_rows, out) in batch.iter_mut() {
-            debug_assert_eq!(a_rows.len(), *m * k);
-            debug_assert_eq!(out.len(), *m * n);
-            crate::kernels::gemm_nn_direct(*m, k, n, a_rows, b, out);
-        }
-        return;
-    }
-    let total_flops: usize = batch
-        .iter()
-        .map(|(m, ..)| m.saturating_mul(k).saturating_mul(n))
-        .fold(0usize, usize::saturating_add);
-    B_SCRATCH.with(|cell| {
-        let b_scratch = &mut *cell.borrow_mut();
-        ensure_len(b_scratch, packed_b_len::<NR_B>(k, n));
-        pack_b_full::<NR_B>(b, k, n, b_scratch);
-        let b_pack: &[f32] = b_scratch;
-        if batch.len() >= 2 && total_flops >= crate::kernels::PARALLEL_FLOP_THRESHOLD {
-            // Per-item fan-out over the shared packed B. `run_chunks`
-            // itself falls back to an in-order inline loop when the pool
-            // is unavailable (single core, single_threaded scope, nested
-            // job), which is exactly the sequential path below.
-            let slots: Vec<PackedSlot> = batch
-                .iter_mut()
-                .map(|(m, a_rows, out)| {
-                    debug_assert_eq!(a_rows.len(), *m * k);
-                    debug_assert_eq!(out.len(), *m * n);
-                    Mutex::new(Some((*a_rows, &mut **out)))
-                })
-                .collect();
-            let workers = pool::hardware_threads().min(slots.len());
-            pool::run_chunks(slots.len(), workers, |items| {
-                for index in items {
-                    let (a_rows, out) = slots[index]
-                        .lock()
-                        .expect("batch item slot lock")
-                        .take()
-                        .expect("each batch item is claimed exactly once");
-                    pool::with_scratch(|a_scratch| {
-                        gemm_rows_packed::<MR_B, NR_B>(k, n, a_rows, b_pack, out, a_scratch);
-                    });
-                }
-            });
-            return;
-        }
-        pool::with_scratch(|a_scratch| {
-            for (m, a_rows, out) in batch.iter_mut() {
-                debug_assert_eq!(a_rows.len(), *m * k);
-                debug_assert_eq!(out.len(), *m * n);
-                gemm_rows_packed::<MR_B, NR_B>(k, n, a_rows, b_pack, out, a_scratch);
-            }
         });
     });
 }
@@ -563,9 +441,9 @@ mod tests {
         out
     }
 
-    /// Shapes chosen to straddle every packing remainder: coprime with both
-    /// micro-tiles (12×32 large-path, 4×64 batch-path) and the smallest KC
-    /// (64), degenerate rows/columns, and reductions of depth 0 and 1.
+    /// Shapes chosen to straddle every packing remainder: coprime with the
+    /// 12×32 micro-tile and the smallest KC (64), degenerate rows/columns,
+    /// and reductions of depth 0 and 1.
     const AWKWARD: &[(usize, usize, usize)] = &[
         (1, 1, 1),
         (3, 5, 7),
@@ -643,70 +521,6 @@ mod tests {
         kernels::gemm_nn_direct(m, k, n, &a, &b, &mut direct);
         assert_eq!(packed, direct);
         assert_close(&packed, &gemm_naive(m, k, n, &a, &b), "multi-KC");
-    }
-
-    #[test]
-    fn batch_shared_b_is_bit_identical_to_individual_products() {
-        let (k, n) = (37, 66);
-        let b = pattern(k * n, 9);
-        let ms = [1usize, 4, 7, 32, 3];
-        let a_bufs: Vec<Vec<f32>> = ms
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| pattern(m * k, 10 + i as u32))
-            .collect();
-        let mut outs: Vec<Vec<f32>> = ms.iter().map(|&m| vec![0.0f32; m * n]).collect();
-        {
-            let mut items: Vec<(usize, &[f32], &mut [f32])> = ms
-                .iter()
-                .zip(a_bufs.iter())
-                .zip(outs.iter_mut())
-                .map(|((&m, a), out)| (m, a.as_slice(), out.as_mut_slice()))
-                .collect();
-            gemm_batch_shared_b(k, n, &mut items, &b);
-        }
-        for ((&m, a), out) in ms.iter().zip(a_bufs.iter()).zip(outs.iter()) {
-            let mut individual = vec![0.0f32; m * n];
-            kernels::gemm_nn(m, k, n, a, &b, &mut individual);
-            assert_eq!(out, &individual, "batch item m={m}");
-        }
-    }
-
-    #[test]
-    fn narrow_batch_routes_match_individual_products() {
-        // n below NR_P/2 takes the direct-kernel route inside the batch
-        // entry point; the outputs must stay identical to per-item matmul.
-        let (k, n) = (64, 10);
-        let b = pattern(k * n, 21);
-        let ms = [1usize, 5, 50];
-        let a_bufs: Vec<Vec<f32>> = ms
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| pattern(m * k, 22 + i as u32))
-            .collect();
-        let mut outs: Vec<Vec<f32>> = ms.iter().map(|&m| vec![0.0f32; m * n]).collect();
-        {
-            let mut items: Vec<(usize, &[f32], &mut [f32])> = ms
-                .iter()
-                .zip(a_bufs.iter())
-                .zip(outs.iter_mut())
-                .map(|((&m, a), out)| (m, a.as_slice(), out.as_mut_slice()))
-                .collect();
-            gemm_batch_shared_b(k, n, &mut items, &b);
-        }
-        for ((&m, a), out) in ms.iter().zip(a_bufs.iter()).zip(outs.iter()) {
-            let mut individual = vec![0.0f32; m * n];
-            kernels::gemm_nn(m, k, n, a, &b, &mut individual);
-            assert_eq!(out, &individual, "narrow batch item m={m}");
-        }
-    }
-
-    #[test]
-    fn batch_degenerate_inputs_are_noops() {
-        gemm_batch_shared_b(0, 4, &mut [], &[]);
-        let mut out = vec![0.0f32; 0];
-        let mut items: Vec<(usize, &[f32], &mut [f32])> = vec![(0, &[], out.as_mut_slice())];
-        gemm_batch_shared_b(4, 4, &mut items, &pattern(16, 1));
     }
 
     #[test]

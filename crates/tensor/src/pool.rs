@@ -394,6 +394,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn chunk_boundaries_match_the_historic_splits() {
@@ -556,19 +557,26 @@ mod tests {
     #[test]
     fn parked_workers_actually_participate() {
         let pool = test_pool();
-        let threads: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        // Many short dispatches: over 200 jobs of 4 chunks each, at least
-        // one chunk lands on a parked worker with overwhelming likelihood
-        // (workers race the dispatching thread for the claim cursor).
-        for _ in 0..200 {
-            run_on(pool, 4, 1, &|_range: Range<usize>| {
-                threads.lock().unwrap().insert(std::thread::current().id());
-            });
-        }
-        assert!(
-            threads.into_inner().unwrap().len() > 1,
-            "no parked worker ever claimed a chunk"
-        );
+        // Forced, not probable: chunk 0 refuses to finish until a chunk has
+        // been entered on another thread. Whoever claims chunk 0 — the
+        // dispatcher or a worker — the job can only complete if a parked
+        // worker wakes and claims a chunk, however loaded the host is.
+        let entered: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+        let another_entered = Condvar::new();
+        run_on(pool, 4, 1, &|range: Range<usize>| {
+            let mut threads = entered.lock().unwrap();
+            threads.insert(std::thread::current().id());
+            another_entered.notify_all();
+            if range.start == 0 {
+                let (_threads, wait) = another_entered
+                    .wait_timeout_while(threads, Duration::from_secs(30), |t| t.len() < 2)
+                    .unwrap();
+                assert!(
+                    !wait.timed_out(),
+                    "no parked worker claimed a chunk within 30 s"
+                );
+            }
+        });
     }
 
     #[test]
