@@ -12,6 +12,7 @@ use crate::server::Server;
 use crate::{FlError, Result};
 use fedft_data::{Dataset, FederatedDataset};
 use fedft_nn::BlockNet;
+use fedft_tensor::Matrix;
 use std::sync::Arc;
 
 /// The run's client population: `N` logical clients mapped onto the
@@ -187,9 +188,19 @@ impl Simulation {
         initial_model: &BlockNet,
     ) -> Result<RunResult> {
         let label = label.into();
-        if data.test().is_empty() {
+        let test = data.test();
+        if test.is_empty() {
             return Err(FlError::InvalidConfig {
                 what: "the federated dataset has an empty test set".into(),
+            });
+        }
+        if test.feature_dim() != initial_model.input_dim() {
+            return Err(FlError::InvalidConfig {
+                what: format!(
+                    "test set feature dim {} does not match model input dim {}",
+                    test.feature_dim(),
+                    initial_model.input_dim()
+                ),
             });
         }
         for (k, shard) in data.clients().iter().enumerate() {
@@ -242,6 +253,18 @@ impl Simulation {
         let shards: Vec<Arc<Dataset>> = clients.iter().map(|c| Arc::clone(c.shard())).collect();
         let client_selection = self.config.client_selection.policy(&tier_compute, &shards);
         let mut cache_stats_before = pool.cache_stats();
+        // ϕ(x_test), once: aggregation only ever writes the blocks above
+        // `config.freeze` (validation keeps every `tier_freeze` entry at
+        // least that deep), so the test set's boundary activations are
+        // fixed for the run and each round evaluates the suffix on them.
+        // With no frozen prefix the boundary is the test features themselves.
+        let frozen_test: Matrix;
+        let test_boundary: &Matrix = if self.config.freeze.frozen_blocks() == 0 {
+            test.features()
+        } else {
+            frozen_test = global_model.forward_frozen(self.config.freeze, test.features())?;
+            &frozen_test
+        };
 
         for round in 0..self.config.rounds {
             let participant_ids =
@@ -278,10 +301,8 @@ impl Simulation {
             // deadline) leaves the global model unchanged but is still a
             // round: the server waited for it.
 
-            let test_accuracy =
-                global_model.evaluate_accuracy(data.test().features(), data.test().labels())?;
-            let test_loss =
-                global_model.evaluate_loss(data.test().features(), data.test().labels())?;
+            let test_eval =
+                global_model.evaluate_from(self.config.freeze, test_boundary, test.labels())?;
             let round_client_seconds: f64 = updates.iter().map(|u| u.compute_seconds).sum();
             cumulative_seconds += round_client_seconds;
             let round_client_seconds_cached: f64 =
@@ -328,8 +349,8 @@ impl Simulation {
 
             rounds.push(RoundRecord {
                 round: round + 1,
-                test_accuracy,
-                test_loss,
+                test_accuracy: test_eval.accuracy,
+                test_loss: test_eval.loss,
                 mean_train_loss,
                 participants: updates.len(),
                 dropped_clients: outcome.dropped(),
@@ -730,6 +751,26 @@ mod tests {
             FederatedDataset::from_shards(shards, fed.test().clone(), PartitionScheme::Iid)
                 .unwrap();
         assert!(sim.run(&bad_fed, &model).is_err());
+    }
+
+    #[test]
+    fn mismatched_test_set_is_rejected_before_any_round_runs() {
+        let (fed, model) = tiny_setup(2);
+        let narrow_test = Dataset::new(Matrix::zeros(4, 5), vec![0, 1, 2, 3], 10).unwrap();
+        let bad_fed = FederatedDataset::from_shards(
+            fed.clients().to_vec(),
+            narrow_test,
+            PartitionScheme::Iid,
+        )
+        .unwrap();
+        let err = Simulation::new(quick_config(1))
+            .unwrap()
+            .run(&bad_fed, &model)
+            .unwrap_err();
+        assert!(
+            matches!(&err, FlError::InvalidConfig { what } if what.contains("test set feature dim 5")),
+            "expected a typed test-set error, got {err:?}"
+        );
     }
 
     #[test]

@@ -118,6 +118,18 @@ impl BlockNetConfig {
     }
 }
 
+/// Evaluation summary produced by [`BlockNet::evaluate_from`] and
+/// [`crate::Trainer::evaluate`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct EvalReport {
+    /// Top-1 accuracy in `[0, 1]`.
+    pub accuracy: f32,
+    /// Mean cross-entropy loss.
+    pub loss: f32,
+    /// Number of evaluated samples.
+    pub samples: usize,
+}
+
 /// A four-block feed-forward network: low → mid → up → classifier.
 ///
 /// The lower blocks play the role of the paper's pretrained feature extractor
@@ -190,47 +202,41 @@ impl BlockNet {
         self.config.input_dim
     }
 
-    /// Inference forward pass producing logits.
+    /// Inference forward pass producing logits:
+    /// [`BlockNet::forward_from`] the raw input. Takes `&mut self` only for
+    /// source compatibility; it changes nothing in the model.
     ///
     /// # Errors
     ///
     /// Returns an error if the input width differs from
     /// [`BlockNet::input_dim`].
     pub fn forward(&mut self, input: &Matrix) -> Result<Matrix> {
-        self.forward_internal(input, false)
+        self.forward_from(FreezeLevel::Full, input)
     }
 
-    /// Training-mode forward pass producing logits.
+    /// Training-mode forward pass producing logits, keeping every block's
+    /// activations for a backward pass.
     ///
     /// # Errors
     ///
     /// Returns an error if the input width differs from
     /// [`BlockNet::input_dim`].
     pub fn forward_training(&mut self, input: &Matrix) -> Result<Matrix> {
-        self.forward_internal(input, true)
+        suffix::forward_blocks(&mut self.blocks, input, true)
     }
 
-    fn forward_internal(&mut self, input: &Matrix, training: bool) -> Result<Matrix> {
-        let mut current = input.clone();
-        for block in &mut self.blocks {
-            current = block.forward(&current, training)?;
-        }
-        Ok(current)
-    }
-
-    /// Forward pass that also returns the activation at the output of every
-    /// block, used by the CKA analysis.
+    /// Inference forward pass that also returns the activation at the output
+    /// of every block, used by the CKA analysis.
     ///
     /// # Errors
     ///
     /// Returns an error if the input width differs from
     /// [`BlockNet::input_dim`].
     pub fn forward_collect(&mut self, input: &Matrix) -> Result<Vec<(BlockId, Matrix)>> {
-        let mut current = input.clone();
-        let mut collected = Vec::with_capacity(self.blocks.len());
-        for (id, block) in BlockId::all().iter().zip(self.blocks.iter_mut()) {
-            current = block.forward(&current, false)?;
-            collected.push((*id, current.clone()));
+        let mut collected: Vec<(BlockId, Matrix)> = Vec::with_capacity(self.blocks.len());
+        for (id, block) in BlockId::all().into_iter().zip(&self.blocks) {
+            let current = collected.last().map_or(input, |(_, activation)| activation);
+            collected.push((id, block.forward_frozen(current)?));
         }
         Ok(collected)
     }
@@ -271,9 +277,8 @@ impl BlockNet {
     /// Inference forward pass through the **frozen prefix** only, producing
     /// the boundary activations the trainable suffix consumes.
     ///
-    /// Works through a shared reference (frozen blocks are never
-    /// back-propagated through, so no activation caching is needed), which
-    /// is what lets one global model serve every client's frozen pass
+    /// Works through a shared reference (inference stores no activations),
+    /// which is what lets one global model serve every client's frozen pass
     /// concurrently. At [`FreezeLevel::Full`] there is no frozen prefix and
     /// the input is returned unchanged.
     ///
@@ -282,11 +287,49 @@ impl BlockNet {
     /// Returns an error if the input width differs from
     /// [`BlockNet::input_dim`].
     pub fn forward_frozen(&self, freeze: FreezeLevel, input: &Matrix) -> Result<Matrix> {
-        let mut current = input.clone();
-        for block in &self.blocks[..freeze.frozen_blocks()] {
-            current = block.forward_frozen(&current)?;
-        }
-        Ok(current)
+        suffix::infer_blocks(&self.blocks[..freeze.frozen_blocks()], input)
+    }
+
+    /// Inference forward pass through the blocks **above** a boundary, from
+    /// boundary activations to logits: the other half of
+    /// [`BlockNet::forward_frozen`], through the same shared reference, so
+    /// `forward_from(f, &forward_frozen(f, x)?)` equals
+    /// `forward_from(FreezeLevel::Full, x)` bit for bit at every level `f`.
+    /// This is the one inference pass behind [`BlockNet::forward`],
+    /// [`BlockNet::predict_proba`] and the `evaluate_*` family.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the boundary width does not match the first block
+    /// above the boundary.
+    pub fn forward_from(&self, from: FreezeLevel, boundary: &Matrix) -> Result<Matrix> {
+        suffix::infer_blocks(&self.blocks[from.frozen_blocks()..], boundary)
+    }
+
+    /// Accuracy **and** loss on `(boundary, labels)` from one set of logits,
+    /// where `boundary` is [`BlockNet::forward_frozen`]`(from, features)`
+    /// (the raw features themselves at [`FreezeLevel::Full`]). Equal bit for
+    /// bit to [`BlockNet::evaluate_accuracy`] and
+    /// [`BlockNet::evaluate_loss`] on those features, at one forward pass
+    /// through the blocks above the boundary instead of two through all of
+    /// them — which is what a caller whose frozen prefix never changes (the
+    /// federated round loop) wants to pay per evaluation.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on shape mismatch or invalid labels.
+    pub fn evaluate_from(
+        &self,
+        from: FreezeLevel,
+        boundary: &Matrix,
+        labels: &[usize],
+    ) -> Result<EvalReport> {
+        let logits = self.forward_from(from, boundary)?;
+        Ok(EvalReport {
+            accuracy: stats::accuracy(&logits, labels)?,
+            loss: self.loss.loss(&logits, labels)?,
+            samples: labels.len(),
+        })
     }
 
     /// Forward pass through the **trainable suffix**, starting from boundary
@@ -360,7 +403,9 @@ impl BlockNet {
 
     /// Clones the trainable suffix `θ` into a standalone [`SuffixNet`] —
     /// the `O(|θ|)` model snapshot a client needs for local training when
-    /// the frozen backbone is shared.
+    /// the frozen backbone is shared. `O(|θ|)` holds whatever the model has
+    /// been evaluated on, because inference never stores activations (see
+    /// [`crate::Layer::forward`]).
     pub fn trainable_suffix(&self, freeze: FreezeLevel) -> SuffixNet {
         SuffixNet::from_blocks(self.blocks[freeze.frozen_blocks()..].to_vec(), freeze)
     }
@@ -668,6 +713,38 @@ mod tests {
             let split = net.forward_trainable(freeze, &boundary, false).unwrap();
             assert_eq!(full, split, "freeze {freeze}");
         }
+    }
+
+    #[test]
+    fn boundary_evaluation_equals_two_pass_evaluation_bit_for_bit() {
+        let mut net = BlockNet::new(&config(), 4);
+        let x = Matrix::from_rows(&[
+            vec![0.4, -0.2, 1.0, 0.0, -1.0, 0.6],
+            vec![-0.4, 0.2, -1.0, 0.5, 1.0, -0.6],
+            vec![1.0, 0.0, 0.5, -0.5, 0.2, 0.1],
+        ])
+        .unwrap();
+        let labels = [2usize, 0, 1];
+        // Move θ off its initial value so the logits are not near-uniform.
+        let mut sgd = Sgd::new(SgdConfig::default()).unwrap();
+        for _ in 0..3 {
+            net.train_batch(&x, &labels, &mut sgd, FreezeLevel::Full)
+                .unwrap();
+        }
+        let accuracy = net.evaluate_accuracy(&x, &labels).unwrap();
+        let loss = net.evaluate_loss(&x, &labels).unwrap();
+        for freeze in FreezeLevel::all() {
+            let boundary = net.forward_frozen(freeze, &x).unwrap();
+            let report = net.evaluate_from(freeze, &boundary, &labels).unwrap();
+            assert_eq!(report.accuracy.to_bits(), accuracy.to_bits(), "{freeze}");
+            assert_eq!(report.loss.to_bits(), loss.to_bits(), "{freeze}");
+            assert_eq!(report.samples, 3);
+        }
+        // A boundary of the wrong level is a shape error, not a wrong answer.
+        let shallow = net.forward_frozen(FreezeLevel::Full, &x).unwrap();
+        assert!(net
+            .evaluate_from(FreezeLevel::Classifier, &shallow, &labels)
+            .is_err());
     }
 
     #[test]

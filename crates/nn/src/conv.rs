@@ -165,9 +165,11 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&mut self, input: &Matrix, _training: bool) -> Result<Matrix> {
+    fn forward(&mut self, input: &Matrix, training: bool) -> Result<Matrix> {
         let out = self.compute_forward(input)?;
-        self.cached_input = Some(input.clone());
+        if training {
+            self.cached_input = Some(input.clone());
+        }
         Ok(out)
     }
 
@@ -347,10 +349,12 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&mut self, input: &Matrix, _training: bool) -> Result<Matrix> {
+    fn forward(&mut self, input: &Matrix, training: bool) -> Result<Matrix> {
         let (out, argmax) = self.compute_forward(input)?;
-        self.argmax = Some(argmax);
-        self.cached_rows = input.rows();
+        if training {
+            self.argmax = Some(argmax);
+            self.cached_rows = input.rows();
+        }
         Ok(out)
     }
 
@@ -485,6 +489,30 @@ mod tests {
     fn conv_backward_requires_forward() {
         let mut conv = Conv2d::new(VolumeShape::new(1, 3, 3), 1, 2, 0, 0).unwrap();
         assert!(conv.backward(&Matrix::zeros(1, 4)).is_err());
+    }
+
+    #[test]
+    fn inference_forward_stores_nothing_for_backward() {
+        let mut conv = Conv2d::new(VolumeShape::new(1, 3, 3), 1, 2, 0, 0).unwrap();
+        let x = Matrix::full(1, 9, 0.5);
+        assert_eq!(
+            conv.forward(&x, false).unwrap(),
+            conv.forward_frozen(&x).unwrap()
+        );
+        assert!(matches!(
+            conv.backward(&Matrix::zeros(1, 4)),
+            Err(NnError::BackwardBeforeForward { layer: "conv2d" })
+        ));
+        let mut pool = MaxPool2d::new(VolumeShape::new(1, 2, 2), 2).unwrap();
+        let x = Matrix::from_vec(1, 4, vec![1.0, 5.0, 2.0, 3.0]).unwrap();
+        assert_eq!(
+            pool.forward(&x, false).unwrap(),
+            pool.forward_frozen(&x).unwrap()
+        );
+        assert!(matches!(
+            pool.backward(&Matrix::zeros(1, 1)),
+            Err(NnError::BackwardBeforeForward { layer: "maxpool2d" })
+        ));
     }
 
     #[test]

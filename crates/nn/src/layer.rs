@@ -6,9 +6,12 @@ use fedft_tensor::Matrix;
 /// A differentiable network layer with manually implemented forward and
 /// backward passes.
 ///
-/// Layers cache whatever they need from the forward pass (inputs, masks,
-/// normalisation statistics) so that `backward` can compute parameter
-/// gradients and the gradient with respect to the layer input.
+/// A **training** forward pass stores whatever `backward` needs (inputs,
+/// masks, normalisation statistics) to compute parameter gradients and the
+/// gradient with respect to the layer input. Inference never stores
+/// activations, so a layer that has only been evaluated holds its parameters
+/// and gradient buffers and nothing else, and cloning it — which is what a
+/// model snapshot does — costs `O(parameters)` whatever it was evaluated on.
 ///
 /// The trait is object safe; models store layers as `Box<dyn Layer>`.
 /// Layers must be `Send + Sync` so that client models can be trained on
@@ -20,7 +23,10 @@ pub trait Layer: Send + Sync {
     /// Runs the forward pass.
     ///
     /// `training` toggles behaviour that differs between training and
-    /// inference (dropout masks, batch-norm statistics).
+    /// inference (dropout masks, batch-norm statistics) and is the only
+    /// mode that writes the activation cache [`Layer::backward`] reads.
+    /// With `training == false` the output is that of
+    /// [`Layer::forward_frozen`], bit for bit, and no activation is stored.
     ///
     /// # Errors
     ///
@@ -30,28 +36,29 @@ pub trait Layer: Send + Sync {
     /// Runs the forward pass through a shared reference, without caching
     /// anything for a later backward pass.
     ///
-    /// This is the inference-mode forward used for **frozen** blocks: they
-    /// are never back-propagated through, so the activation caches written
-    /// by [`Layer::forward`] would be dead weight, and the shared-reference
-    /// signature lets one model serve many clients concurrently. For
-    /// stateless-at-inference layers (dense, convolution, activations) the
-    /// arithmetic is identical to [`Layer::forward`], so the two paths
-    /// produce bit-identical outputs on the same input.
+    /// This is the inference forward: frozen blocks, evaluation and
+    /// selection scoring all run it. None of them back-propagates, so the
+    /// activation caches a training [`Layer::forward`] writes would be dead
+    /// weight, and the shared-reference signature lets one model serve many
+    /// clients concurrently. For stateless-at-inference layers (dense,
+    /// convolution, activations) the arithmetic is identical to
+    /// [`Layer::forward`], so the two paths produce bit-identical outputs on
+    /// the same input.
     ///
     /// # Errors
     ///
     /// Returns an error if the input shape is incompatible with the layer.
     fn forward_frozen(&self, input: &Matrix) -> Result<Matrix>;
 
-    /// Runs the backward pass for the most recent `forward` call.
+    /// Runs the backward pass for the most recent training `forward` call.
     ///
     /// Accumulates parameter gradients internally and returns the gradient of
     /// the loss with respect to the layer input.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::NnError::BackwardBeforeForward`] when called before
-    /// `forward`, or a tensor error on shape mismatch.
+    /// Returns [`crate::NnError::BackwardBeforeForward`] when no training
+    /// `forward` has run, or a tensor error on shape mismatch.
     fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix>;
 
     /// Immutable views of the layer's learnable parameter tensors.

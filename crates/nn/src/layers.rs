@@ -76,9 +76,11 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward(&mut self, input: &Matrix, _training: bool) -> Result<Matrix> {
+    fn forward(&mut self, input: &Matrix, training: bool) -> Result<Matrix> {
         let out = self.forward_frozen(input)?;
-        self.cached_input = Some(input.clone());
+        if training {
+            self.cached_input = Some(input.clone());
+        }
         Ok(out)
     }
 
@@ -148,8 +150,10 @@ impl Layer for Relu {
         "relu"
     }
 
-    fn forward(&mut self, input: &Matrix, _training: bool) -> Result<Matrix> {
-        self.cached_input = Some(input.clone());
+    fn forward(&mut self, input: &Matrix, training: bool) -> Result<Matrix> {
+        if training {
+            self.cached_input = Some(input.clone());
+        }
         self.forward_frozen(input)
     }
 
@@ -735,6 +739,26 @@ mod tests {
             bn.forward(&x, false).unwrap()
         );
         assert!(bn.forward_frozen(&Matrix::zeros(1, 5)).is_err());
+    }
+
+    #[test]
+    fn inference_forward_stores_nothing_for_backward() {
+        let x = Matrix::from_rows(&[vec![0.5, -1.0, 2.0], vec![1.5, 0.3, -0.7]]).unwrap();
+        let mut dense = Dense::new(3, 4, 1);
+        dense.forward(&x, false).unwrap();
+        assert!(matches!(
+            dense.backward(&Matrix::zeros(2, 4)),
+            Err(NnError::BackwardBeforeForward { layer: "dense" })
+        ));
+        let mut relu = Relu::new(3);
+        relu.forward(&x, false).unwrap();
+        assert!(matches!(
+            relu.backward(&x),
+            Err(NnError::BackwardBeforeForward { layer: "relu" })
+        ));
+        // A training forward is what arms the backward pass.
+        dense.forward(&x, true).unwrap();
+        assert!(dense.backward(&Matrix::zeros(2, 4)).is_ok());
     }
 
     #[test]

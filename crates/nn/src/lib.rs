@@ -49,7 +49,7 @@ pub mod sequential;
 pub mod suffix;
 pub mod trainer;
 
-pub use block::{BlockId, BlockNet, BlockNetConfig};
+pub use block::{BlockId, BlockNet, BlockNetConfig, EvalReport};
 pub use error::NnError;
 pub use freeze::FreezeLevel;
 pub use layer::Layer;
@@ -59,7 +59,7 @@ pub use optimizer::{ProximalTerm, Sgd, SgdConfig};
 pub use params::ParamVector;
 pub use sequential::Sequential;
 pub use suffix::SuffixNet;
-pub use trainer::{EvalReport, Trainer, TrainerConfig};
+pub use trainer::{Trainer, TrainerConfig};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, NnError>;

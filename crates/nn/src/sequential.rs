@@ -4,6 +4,24 @@ use crate::layer::Layer;
 use crate::Result;
 use fedft_tensor::Matrix;
 
+/// Threads `input` through `stages` in order, handing each stage the
+/// previous stage's output.
+///
+/// The first stage reads the borrowed `input` itself, so a pass over a large
+/// matrix (a test set, a client shard) copies it only when there is no stage
+/// at all and the copy *is* the result.
+pub(crate) fn chain<S>(
+    stages: impl IntoIterator<Item = S>,
+    input: &Matrix,
+    mut step: impl FnMut(S, &Matrix) -> Result<Matrix>,
+) -> Result<Matrix> {
+    let mut current: Option<Matrix> = None;
+    for stage in stages {
+        current = Some(step(stage, current.as_ref().unwrap_or(input))?);
+    }
+    Ok(current.unwrap_or_else(|| input.clone()))
+}
+
 /// An ordered stack of layers applied one after another.
 ///
 /// `Sequential` is used both directly (for simple models) and as the building
@@ -53,34 +71,33 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Runs the forward pass through every layer.
+    /// Runs the forward pass through every layer. Only a `training` pass
+    /// leaves activations behind for [`Sequential::backward`]; with
+    /// `training == false` the result and the stored state are those of
+    /// [`Sequential::forward_frozen`] (see [`crate::Layer::forward`]).
     ///
     /// # Errors
     ///
     /// Propagates the first layer error encountered.
     pub fn forward(&mut self, input: &Matrix, training: bool) -> Result<Matrix> {
-        let mut current = input.clone();
-        for layer in &mut self.layers {
-            current = layer.forward(&current, training)?;
-        }
-        Ok(current)
+        chain(&mut self.layers, input, |layer, x| {
+            layer.forward(x, training)
+        })
     }
 
     /// Runs the inference forward pass through every layer via a shared
     /// reference, without caching activations for a backward pass.
     ///
-    /// Used for frozen blocks ([`crate::BlockNet::forward_frozen`]); see
+    /// This is the inference pass of the whole crate: frozen blocks
+    /// ([`crate::BlockNet::forward_frozen`]) and every evaluation or scoring
+    /// entry point ([`crate::BlockNet::forward_from`]) lower to it; see
     /// [`crate::Layer::forward_frozen`] for the exact semantics.
     ///
     /// # Errors
     ///
     /// Propagates the first layer error encountered.
     pub fn forward_frozen(&self, input: &Matrix) -> Result<Matrix> {
-        let mut current = input.clone();
-        for layer in &self.layers {
-            current = layer.forward_frozen(&current)?;
-        }
-        Ok(current)
+        chain(&self.layers, input, |layer, x| layer.forward_frozen(x))
     }
 
     /// Runs the backward pass through every layer in reverse order.

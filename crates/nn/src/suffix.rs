@@ -14,21 +14,29 @@ use crate::freeze::FreezeLevel;
 use crate::loss::SoftmaxCrossEntropy;
 use crate::optimizer::Sgd;
 use crate::params::ParamVector;
-use crate::sequential::Sequential;
+use crate::sequential::{chain, Sequential};
 use crate::Result;
 use fedft_tensor::{stats, Matrix};
 
-/// Forward pass through a run of blocks, starting from boundary activations.
+/// Forward pass through a run of blocks, starting from boundary activations:
+/// the activation-storing pass when `training`, [`infer_blocks`] otherwise.
 pub(crate) fn forward_blocks(
     blocks: &mut [Sequential],
     input: &Matrix,
     training: bool,
 ) -> Result<Matrix> {
-    let mut current = input.clone();
-    for block in blocks {
-        current = block.forward(&current, training)?;
+    if !training {
+        return infer_blocks(blocks, input);
     }
-    Ok(current)
+    chain(blocks, input, |block, x| block.forward(x, true))
+}
+
+/// Inference pass through a run of blocks via a shared reference: the one
+/// read-only forward behind [`crate::BlockNet::forward_frozen`] (the blocks
+/// below a boundary) and [`crate::BlockNet::forward_from`] (the blocks above
+/// it).
+pub(crate) fn infer_blocks(blocks: &[Sequential], input: &Matrix) -> Result<Matrix> {
+    chain(blocks, input, |block, x| block.forward_frozen(x))
 }
 
 /// One training step on a run of blocks: forward from the boundary
@@ -68,6 +76,10 @@ pub(crate) fn train_blocks(
 /// A `SuffixNet` is produced by [`crate::BlockNet::trainable_suffix`]: it
 /// clones only the blocks above the freeze boundary, so a client holding one
 /// costs `O(|θ|)` memory instead of `O(|ϕ| + |θ|)` for a full model clone.
+/// Inference never stores activations, so a snapshot is `O(|θ|)` whatever
+/// the global model was evaluated on, and stays so when a whole shard is
+/// scored with [`SuffixNet::forward`]`(_, false)` or
+/// [`SuffixNet::predict_proba`]; only a training step keeps its mini-batch.
 /// Its inputs are **boundary activations** — the output of
 /// [`crate::BlockNet::forward_frozen`] on raw features (or a cached copy of
 /// it), never the raw features themselves (except at
@@ -104,7 +116,8 @@ impl SuffixNet {
         self.blocks.iter().map(|b| b.parameter_count()).sum()
     }
 
-    /// Forward pass from boundary activations to logits.
+    /// Forward pass from boundary activations to logits. Only a `training`
+    /// pass keeps activations for the backward pass.
     ///
     /// # Errors
     ///
@@ -227,6 +240,61 @@ mod tests {
             assert_eq!(loss_full.to_bits(), loss_suffix.to_bits());
         }
         assert_eq!(model.trainable_vector(freeze), suffix.trainable_vector());
+    }
+
+    /// Whether any block of `suffix` holds activations: a block's backward
+    /// pass succeeds only if a forward pass stored some.
+    fn holds_activations(suffix: &mut SuffixNet, rows: usize) -> bool {
+        suffix.blocks.iter_mut().any(|block| {
+            let width = block.params().last().unwrap().cols();
+            match block.backward(&Matrix::zeros(rows, width)) {
+                Ok(_) => true,
+                Err(crate::NnError::BackwardBeforeForward { .. }) => false,
+                Err(other) => panic!("unexpected backward error: {other}"),
+            }
+        })
+    }
+
+    #[test]
+    fn snapshots_of_an_evaluated_model_hold_no_activations() {
+        let x = Matrix::from_rows(&[
+            vec![1.0, 0.0, 0.5, -0.5, 0.2, 0.1],
+            vec![0.0, 1.0, -0.5, 0.5, -0.2, 0.3],
+        ])
+        .unwrap();
+        let labels = [1usize, 2];
+        let mut evaluated = net();
+        evaluated.evaluate_accuracy(&x, &labels).unwrap();
+        evaluated.evaluate_loss(&x, &labels).unwrap();
+        evaluated.predict_proba(&x, 0.1).unwrap();
+        evaluated.forward_collect(&x).unwrap();
+
+        for freeze in FreezeLevel::all() {
+            let mut snapshot = evaluated.trainable_suffix(freeze);
+            assert!(!holds_activations(&mut snapshot, 2), "suffix at {freeze}");
+            let mut of_clone = evaluated.clone().trainable_suffix(freeze);
+            assert!(!holds_activations(&mut of_clone, 2), "clone at {freeze}");
+
+            // Scoring with the snapshot itself stores nothing either.
+            let boundary = evaluated.forward_frozen(freeze, &x).unwrap();
+            snapshot.forward(&boundary, false).unwrap();
+            snapshot.predict_proba(&boundary, 0.1).unwrap();
+            assert!(!holds_activations(&mut snapshot, 2), "scored at {freeze}");
+
+            // And training from it is training from a never-evaluated model.
+            let mut fresh = net().trainable_suffix(freeze);
+            let mut sgd_a = Sgd::new(SgdConfig::default()).unwrap();
+            let mut sgd_b = Sgd::new(SgdConfig::default()).unwrap();
+            for _ in 0..5 {
+                let a = snapshot
+                    .train_batch(&boundary, &labels, &mut sgd_a)
+                    .unwrap();
+                let b = fresh.train_batch(&boundary, &labels, &mut sgd_b).unwrap();
+                assert_eq!(a.to_bits(), b.to_bits(), "loss at {freeze}");
+            }
+            assert_eq!(snapshot.trainable_vector(), fresh.trainable_vector());
+            assert!(holds_activations(&mut snapshot, 2), "trained at {freeze}");
+        }
     }
 
     #[test]

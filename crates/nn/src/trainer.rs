@@ -4,7 +4,7 @@
 //! the source domain before federated learning starts, and the "Centralised"
 //! upper-bound baseline of Tables II and IV.
 
-use crate::block::BlockNet;
+use crate::block::{BlockNet, EvalReport};
 use crate::freeze::FreezeLevel;
 use crate::optimizer::{Sgd, SgdConfig};
 use crate::{NnError, Result};
@@ -59,17 +59,6 @@ impl TrainerConfig {
         }
         self.sgd.validate()
     }
-}
-
-/// Evaluation summary produced by [`Trainer::evaluate`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EvalReport {
-    /// Top-1 accuracy in `[0, 1]`.
-    pub accuracy: f32,
-    /// Mean cross-entropy loss.
-    pub loss: f32,
-    /// Number of evaluated samples.
-    pub samples: usize,
 }
 
 /// Mini-batch SGD trainer for a [`BlockNet`].
@@ -149,7 +138,8 @@ impl Trainer {
         Ok(last_epoch_loss)
     }
 
-    /// Evaluates `model` on `(features, labels)`.
+    /// Evaluates `model` on `(features, labels)` with one forward pass;
+    /// the model is only read.
     ///
     /// # Errors
     ///
@@ -170,11 +160,7 @@ impl Trainer {
                 ),
             });
         }
-        Ok(EvalReport {
-            accuracy: model.evaluate_accuracy(features, labels)?,
-            loss: model.evaluate_loss(features, labels)?,
-            samples: labels.len(),
-        })
+        model.evaluate_from(FreezeLevel::Full, features, labels)
     }
 }
 
