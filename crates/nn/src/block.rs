@@ -7,7 +7,7 @@ use crate::loss::SoftmaxCrossEntropy;
 use crate::optimizer::Sgd;
 use crate::params::ParamVector;
 use crate::sequential::Sequential;
-use crate::suffix::{self, SuffixNet};
+use crate::suffix::{self, StepWorkspace, SuffixNet};
 use crate::{NnError, Result};
 use fedft_tensor::{stats, Matrix};
 use serde::{Deserialize, Serialize};
@@ -142,6 +142,7 @@ pub struct BlockNet {
     config: BlockNetConfig,
     blocks: Vec<Sequential>,
     loss: SoftmaxCrossEntropy,
+    workspace: StepWorkspace,
 }
 
 impl BlockNet {
@@ -184,6 +185,7 @@ impl BlockNet {
             config: *config,
             blocks: vec![low, mid, up, classifier],
             loss: SoftmaxCrossEntropy::new(),
+            workspace: StepWorkspace::default(),
         }
     }
 
@@ -373,8 +375,15 @@ impl BlockNet {
         optimizer: &mut Sgd,
         freeze: FreezeLevel,
     ) -> Result<f32> {
-        let boundary = self.forward_frozen(freeze, input)?;
-        self.train_batch_cached(&boundary, labels, optimizer, freeze)
+        // With nothing frozen the boundary is the input itself: borrow it.
+        let frozen: Matrix;
+        let boundary = if freeze.frozen_blocks() == 0 {
+            input
+        } else {
+            frozen = self.forward_frozen(freeze, input)?;
+            &frozen
+        };
+        self.train_batch_cached(boundary, labels, optimizer, freeze)
     }
 
     /// One training step starting from precomputed boundary activations:
@@ -398,6 +407,7 @@ impl BlockNet {
             boundary,
             labels,
             optimizer,
+            &mut self.workspace,
         )
     }
 

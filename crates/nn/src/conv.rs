@@ -119,7 +119,7 @@ impl Conv2d {
 
     /// The convolution arithmetic shared by the training and frozen forward
     /// paths (the training flag does not affect a convolution).
-    fn compute_forward(&self, input: &Matrix) -> Result<Matrix> {
+    fn compute_forward(&self, input: &Matrix, out: &mut Matrix) -> Result<()> {
         if input.cols() != self.input_shape.len() {
             return Err(NnError::Tensor(TensorError::ShapeMismatch {
                 op: "conv2d_forward",
@@ -128,7 +128,7 @@ impl Conv2d {
             }));
         }
         let out_shape = self.output_shape();
-        let mut out = Matrix::zeros(input.rows(), out_shape.len());
+        out.resize_zeroed(input.rows(), out_shape.len());
         for sample in 0..input.rows() {
             let row = input.row(sample);
             let out_row = out.row_mut(sample);
@@ -156,7 +156,7 @@ impl Conv2d {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -165,19 +165,27 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&mut self, input: &Matrix, training: bool) -> Result<Matrix> {
-        let out = self.compute_forward(input)?;
+    fn forward_into(&mut self, input: &Matrix, training: bool, out: &mut Matrix) -> Result<()> {
+        self.compute_forward(input, out)?;
         if training {
-            self.cached_input = Some(input.clone());
+            self.cached_input
+                .get_or_insert_with(Matrix::default)
+                .clone_from(input);
         }
-        Ok(out)
+        Ok(())
     }
 
     fn forward_frozen(&self, input: &Matrix) -> Result<Matrix> {
-        self.compute_forward(input)
+        let mut out = Matrix::default();
+        self.compute_forward(input, &mut out)?;
+        Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
+    fn backward(
+        &mut self,
+        grad_output: &Matrix,
+        mut grad_input: Option<&mut Matrix>,
+    ) -> Result<()> {
         let input = self
             .cached_input
             .as_ref()
@@ -190,7 +198,11 @@ impl Layer for Conv2d {
                 rhs: (input.rows(), out_shape.len()),
             }));
         }
-        let mut grad_input = Matrix::zeros(input.rows(), input.cols());
+        self.grad_weight.as_mut_slice().fill(0.0);
+        self.grad_bias.as_mut_slice().fill(0.0);
+        if let Some(grad_input) = grad_input.as_deref_mut() {
+            grad_input.resize_zeroed(input.rows(), input.cols());
+        }
         for sample in 0..input.rows() {
             let in_row = input.row(sample);
             let go_row = grad_output.row(sample);
@@ -213,9 +225,11 @@ impl Layer for Conv2d {
                                             ic * self.kernel * self.kernel + ky * self.kernel + kx;
                                         let dw = self.grad_weight.get(w_row, oc) + in_row[idx] * go;
                                         self.grad_weight.set(w_row, oc, dw);
-                                        let gi = grad_input.get(sample, idx)
-                                            + self.weight.get(w_row, oc) * go;
-                                        grad_input.set(sample, idx, gi);
+                                        if let Some(grad_input) = grad_input.as_deref_mut() {
+                                            let gi = grad_input.get(sample, idx)
+                                                + self.weight.get(w_row, oc) * go;
+                                            grad_input.set(sample, idx, gi);
+                                        }
                                     }
                                 }
                             }
@@ -224,7 +238,7 @@ impl Layer for Conv2d {
                 }
             }
         }
-        Ok(grad_input)
+        Ok(())
     }
 
     fn params(&self) -> Vec<&Matrix> {
@@ -239,9 +253,17 @@ impl Layer for Conv2d {
         vec![&self.grad_weight, &self.grad_bias]
     }
 
+    fn visit_params(
+        &mut self,
+        f: &mut dyn FnMut(&mut Matrix, &Matrix) -> Result<()>,
+    ) -> Result<()> {
+        f(&mut self.weight, &self.grad_weight)?;
+        f(&mut self.bias, &self.grad_bias)
+    }
+
     fn zero_grads(&mut self) {
-        self.grad_weight.scale_assign(0.0);
-        self.grad_bias.scale_assign(0.0);
+        self.grad_weight.as_mut_slice().fill(0.0);
+        self.grad_bias.as_mut_slice().fill(0.0);
     }
 
     fn forward_flops_per_sample(&self) -> u64 {
@@ -301,7 +323,12 @@ impl MaxPool2d {
 
     /// The pooling arithmetic shared by the training and frozen forward
     /// paths; the argmax indices are only needed for a backward pass.
-    fn compute_forward(&self, input: &Matrix) -> Result<(Matrix, Vec<usize>)> {
+    fn compute_forward(
+        &self,
+        input: &Matrix,
+        out: &mut Matrix,
+        argmax: &mut Vec<usize>,
+    ) -> Result<()> {
         if input.cols() != self.input_shape.len() {
             return Err(NnError::Tensor(TensorError::ShapeMismatch {
                 op: "maxpool_forward",
@@ -310,8 +337,9 @@ impl MaxPool2d {
             }));
         }
         let out_shape = self.output_shape();
-        let mut out = Matrix::zeros(input.rows(), out_shape.len());
-        let mut argmax = vec![0usize; input.rows() * out_shape.len()];
+        out.resize_zeroed(input.rows(), out_shape.len());
+        argmax.clear();
+        argmax.resize(input.rows() * out_shape.len(), 0);
         for sample in 0..input.rows() {
             let row = input.row(sample);
             for c in 0..self.input_shape.channels {
@@ -340,7 +368,7 @@ impl MaxPool2d {
                 }
             }
         }
-        Ok((out, argmax))
+        Ok(())
     }
 }
 
@@ -349,20 +377,24 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&mut self, input: &Matrix, training: bool) -> Result<Matrix> {
-        let (out, argmax) = self.compute_forward(input)?;
-        if training {
-            self.argmax = Some(argmax);
-            self.cached_rows = input.rows();
+    fn forward_into(&mut self, input: &Matrix, training: bool, out: &mut Matrix) -> Result<()> {
+        if !training {
+            return self.compute_forward(input, out, &mut Vec::new());
         }
-        Ok(out)
+        let mut argmax = self.argmax.take().unwrap_or_default();
+        self.compute_forward(input, out, &mut argmax)?;
+        self.argmax = Some(argmax);
+        self.cached_rows = input.rows();
+        Ok(())
     }
 
     fn forward_frozen(&self, input: &Matrix) -> Result<Matrix> {
-        Ok(self.compute_forward(input)?.0)
+        let mut out = Matrix::default();
+        self.compute_forward(input, &mut out, &mut Vec::new())?;
+        Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
+    fn backward(&mut self, grad_output: &Matrix, grad_input: Option<&mut Matrix>) -> Result<()> {
         let argmax = self
             .argmax
             .as_ref()
@@ -375,7 +407,10 @@ impl Layer for MaxPool2d {
                 rhs: (self.cached_rows, out_shape.len()),
             }));
         }
-        let mut grad_input = Matrix::zeros(self.cached_rows, self.input_shape.len());
+        let Some(grad_input) = grad_input else {
+            return Ok(());
+        };
+        grad_input.resize_zeroed(self.cached_rows, self.input_shape.len());
         for sample in 0..self.cached_rows {
             for out_idx in 0..out_shape.len() {
                 let src = argmax[sample * out_shape.len() + out_idx];
@@ -383,7 +418,7 @@ impl Layer for MaxPool2d {
                 grad_input.set(sample, src, g);
             }
         }
-        Ok(grad_input)
+        Ok(())
     }
 
     fn params(&self) -> Vec<&Matrix> {
@@ -396,6 +431,13 @@ impl Layer for MaxPool2d {
 
     fn grads(&self) -> Vec<&Matrix> {
         Vec::new()
+    }
+
+    fn visit_params(
+        &mut self,
+        _f: &mut dyn FnMut(&mut Matrix, &Matrix) -> Result<()>,
+    ) -> Result<()> {
+        Ok(())
     }
 
     fn zero_grads(&mut self) {}
@@ -412,6 +454,7 @@ impl Layer for MaxPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::backward_full;
 
     #[test]
     fn volume_shape_len() {
@@ -465,7 +508,7 @@ mod tests {
         let x = Matrix::from_vec(1, 9, (0..9).map(|v| v as f32 * 0.3 - 1.0).collect()).unwrap();
         let y = conv.forward(&x, true).unwrap();
         let grad_out = Matrix::full(y.rows(), y.cols(), 1.0);
-        let analytic = conv.backward(&grad_out).unwrap();
+        let analytic = backward_full(&mut conv, &grad_out).unwrap();
 
         let eps = 1e-2;
         let mut probe = conv.clone();
@@ -488,7 +531,7 @@ mod tests {
     #[test]
     fn conv_backward_requires_forward() {
         let mut conv = Conv2d::new(VolumeShape::new(1, 3, 3), 1, 2, 0, 0).unwrap();
-        assert!(conv.backward(&Matrix::zeros(1, 4)).is_err());
+        assert!(backward_full(&mut conv, &Matrix::zeros(1, 4)).is_err());
     }
 
     #[test]
@@ -500,7 +543,7 @@ mod tests {
             conv.forward_frozen(&x).unwrap()
         );
         assert!(matches!(
-            conv.backward(&Matrix::zeros(1, 4)),
+            backward_full(&mut conv, &Matrix::zeros(1, 4)),
             Err(NnError::BackwardBeforeForward { layer: "conv2d" })
         ));
         let mut pool = MaxPool2d::new(VolumeShape::new(1, 2, 2), 2).unwrap();
@@ -510,7 +553,7 @@ mod tests {
             pool.forward_frozen(&x).unwrap()
         );
         assert!(matches!(
-            pool.backward(&Matrix::zeros(1, 1)),
+            backward_full(&mut pool, &Matrix::zeros(1, 1)),
             Err(NnError::BackwardBeforeForward { layer: "maxpool2d" })
         ));
     }
@@ -522,7 +565,7 @@ mod tests {
         let y = pool.forward(&x, true).unwrap();
         assert_eq!(y.shape(), (1, 1));
         assert_eq!(y.get(0, 0), 5.0);
-        let g = pool.backward(&Matrix::full(1, 1, 2.0)).unwrap();
+        let g = backward_full(&mut pool, &Matrix::full(1, 1, 2.0)).unwrap();
         assert_eq!(g.as_slice(), &[0.0, 2.0, 0.0, 0.0]);
     }
 

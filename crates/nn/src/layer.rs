@@ -20,7 +20,21 @@ pub trait Layer: Send + Sync {
     /// Short, human-readable layer name used in error messages and reports.
     fn name(&self) -> &'static str;
 
-    /// Runs the forward pass.
+    /// Runs the forward pass and returns its output in a fresh matrix; see
+    /// [`Layer::forward_into`], which this wraps.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the input shape is incompatible with the layer.
+    fn forward(&mut self, input: &Matrix, training: bool) -> Result<Matrix> {
+        let mut out = Matrix::default();
+        self.forward_into(input, training, &mut out)?;
+        Ok(out)
+    }
+
+    /// Runs the forward pass, writing the output into `out` (reshaped and
+    /// overwritten; its buffer is reused, so a training loop that hands the
+    /// same `out` back every step stops allocating once warm).
     ///
     /// `training` toggles behaviour that differs between training and
     /// inference (dropout masks, batch-norm statistics) and is the only
@@ -31,7 +45,7 @@ pub trait Layer: Send + Sync {
     /// # Errors
     ///
     /// Returns an error if the input shape is incompatible with the layer.
-    fn forward(&mut self, input: &Matrix, training: bool) -> Result<Matrix>;
+    fn forward_into(&mut self, input: &Matrix, training: bool, out: &mut Matrix) -> Result<()>;
 
     /// Runs the forward pass through a shared reference, without caching
     /// anything for a later backward pass.
@@ -52,14 +66,28 @@ pub trait Layer: Send + Sync {
 
     /// Runs the backward pass for the most recent training `forward` call.
     ///
-    /// Accumulates parameter gradients internally and returns the gradient of
-    /// the loss with respect to the layer input.
+    /// Overwrites the layer's parameter gradients ([`Layer::grads`]) with
+    /// those of this call — it does not add to what an earlier call left.
+    ///
+    /// **The input-gradient rule.** The gradient of the loss with respect to
+    /// the layer input is computed only when the caller names a destination:
+    /// with `grad_input == Some(out)` it is written into `out` (reshaped and
+    /// overwritten, buffer reused); with `None` the layer does none of that
+    /// work — for a dense layer the `dY·Wᵀ` product, for a convolution the
+    /// scatter into the input volume. Parameter gradients are the same bits
+    /// either way. The caller that passes `None` is the training step, for
+    /// the first layer above the freeze boundary: nothing below it is
+    /// trained, so nobody would read that gradient. This is where
+    /// back-propagation stops under partial fine-tuning, at every
+    /// [`crate::FreezeLevel`] including `Full`, where the layer's input is
+    /// the data itself.
     ///
     /// # Errors
     ///
     /// Returns [`crate::NnError::BackwardBeforeForward`] when no training
-    /// `forward` has run, or a tensor error on shape mismatch.
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix>;
+    /// `forward` has run (whether or not an input gradient was asked for),
+    /// or a tensor error on shape mismatch.
+    fn backward(&mut self, grad_output: &Matrix, grad_input: Option<&mut Matrix>) -> Result<()>;
 
     /// Immutable views of the layer's learnable parameter tensors.
     fn params(&self) -> Vec<&Matrix>;
@@ -68,11 +96,23 @@ pub trait Layer: Send + Sync {
     /// order as [`Layer::params`].
     fn params_mut(&mut self) -> Vec<&mut Matrix>;
 
-    /// Gradients accumulated by the most recent backward pass, in the same
-    /// order as [`Layer::params`].
+    /// Parameter gradients written by the most recent backward pass, in the
+    /// same order as [`Layer::params`].
     fn grads(&self) -> Vec<&Matrix>;
 
-    /// Resets accumulated gradients to zero.
+    /// Calls `f(parameter, its gradient)` for every learnable tensor, in
+    /// [`Layer::params`] order, stopping at the first error. This is how an
+    /// optimiser step reaches parameters and gradients together without the
+    /// `Vec`s [`Layer::params_mut`] and [`Layer::grads`] build.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `f` returned.
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &Matrix) -> Result<()>)
+        -> Result<()>;
+
+    /// Sets every parameter gradient to zero, whatever it held — a
+    /// non-finite value included.
     fn zero_grads(&mut self);
 
     /// Total number of learnable scalar parameters.
@@ -101,6 +141,15 @@ impl Clone for Box<dyn Layer> {
     }
 }
 
+/// The full backward pass of one layer, input gradient included, in a fresh
+/// matrix: what layer tests compare against finite differences.
+#[cfg(test)]
+pub(crate) fn backward_full(layer: &mut dyn Layer, grad_output: &Matrix) -> Result<Matrix> {
+    let mut grad_input = Matrix::default();
+    layer.backward(grad_output, Some(&mut grad_input))?;
+    Ok(grad_input)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,6 +161,72 @@ mod tests {
         let cloned = layer.clone();
         assert_eq!(cloned.parameter_count(), layer.parameter_count());
         assert_eq!(cloned.name(), layer.name());
+    }
+
+    /// One of each layer kind with an input it accepts.
+    fn one_of_each() -> Vec<(Box<dyn Layer>, Matrix)> {
+        use crate::conv::{Conv2d, MaxPool2d, VolumeShape};
+        use crate::layers::{BatchNorm1d, Dropout, Relu};
+        let mut r = fedft_tensor::rng::rng_for(3, "layer-oracle");
+        let mut x = |cols| fedft_tensor::init::normal(&mut r, 5, cols, 0.0, 1.0);
+        let volume = VolumeShape::new(2, 4, 4);
+        vec![
+            (Box::new(Dense::new(7, 4, 1)), x(7)),
+            (Box::new(Relu::new(6)), x(6)),
+            (Box::new(Dropout::new(0.4, 9, 6)), x(6)),
+            (Box::new(BatchNorm1d::new(6)), x(6)),
+            (Box::new(Conv2d::new(volume, 3, 3, 1, 2).unwrap()), x(32)),
+            (Box::new(MaxPool2d::new(volume, 2).unwrap()), x(32)),
+        ]
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn skipping_the_input_gradient_leaves_parameter_gradients_bit_identical() {
+        for (mut full, x) in one_of_each() {
+            let mut skipped = full.clone();
+            let y = full.forward(&x, true).unwrap();
+            assert_eq!(skipped.forward(&x, true).unwrap(), y);
+            let mut r = fedft_tensor::rng::rng_for(4, full.name());
+            let grad_output = fedft_tensor::init::normal(&mut r, y.rows(), y.cols(), 0.0, 1.0);
+
+            let grad_input = backward_full(full.as_mut(), &grad_output).unwrap();
+            assert_eq!(grad_input.shape(), x.shape(), "{}", full.name());
+            skipped.backward(&grad_output, None).unwrap();
+
+            assert_eq!(full.grads().len(), full.params().len());
+            for (a, b) in full.grads().into_iter().zip(skipped.grads()) {
+                assert_eq!(a.shape(), b.shape());
+                assert_eq!(bits(a), bits(b), "{}", full.name());
+            }
+        }
+    }
+
+    #[test]
+    fn backward_before_a_training_forward_is_an_error_with_or_without_input_gradient() {
+        for (mut layer, x) in one_of_each() {
+            // Dropout keeps no input: without a mask its backward is the
+            // identity, as it always was.
+            if layer.name() == "dropout" {
+                continue;
+            }
+            let y = layer.forward(&x, false).unwrap();
+            let grad_output = Matrix::zeros(y.rows(), y.cols());
+            for wanted in [true, false] {
+                let mut grad_input = Matrix::default();
+                let err = layer
+                    .backward(&grad_output, wanted.then_some(&mut grad_input))
+                    .unwrap_err();
+                assert!(
+                    matches!(err, crate::NnError::BackwardBeforeForward { layer: name } if name == layer.name()),
+                    "{}: {err}",
+                    layer.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -69,6 +69,12 @@ impl Dense {
     pub fn bias(&self) -> &Matrix {
         &self.bias
     }
+
+    /// `out = input·W + b`: the one arithmetic behind every forward path.
+    fn affine_into(&self, input: &Matrix, out: &mut Matrix) -> Result<()> {
+        input.matmul_into(&self.weight, out)?;
+        Ok(out.add_row_broadcast_assign(&self.bias)?)
+    }
 }
 
 impl Layer for Dense {
@@ -76,29 +82,35 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward(&mut self, input: &Matrix, training: bool) -> Result<Matrix> {
-        let out = self.forward_frozen(input)?;
+    fn forward_into(&mut self, input: &Matrix, training: bool, out: &mut Matrix) -> Result<()> {
+        self.affine_into(input, out)?;
         if training {
-            self.cached_input = Some(input.clone());
+            self.cached_input
+                .get_or_insert_with(Matrix::default)
+                .clone_from(input);
         }
-        Ok(out)
+        Ok(())
     }
 
     fn forward_frozen(&self, input: &Matrix) -> Result<Matrix> {
-        Ok(input.matmul(&self.weight)?.add_row_broadcast(&self.bias)?)
+        let mut out = Matrix::default();
+        self.affine_into(input, &mut out)?;
+        Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
+    fn backward(&mut self, grad_output: &Matrix, grad_input: Option<&mut Matrix>) -> Result<()> {
         let input = self
             .cached_input
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "dense" })?;
-        // dW = X^T · dY, accumulated.
-        let dw = input.matmul_tn(grad_output)?;
-        self.grad_weight.add_assign(&dw)?;
-        self.grad_bias.add_assign(&grad_output.sum_rows())?;
-        // dX = dY · W^T
-        Ok(grad_output.matmul_nt(&self.weight)?)
+        // dW = X^T · dY and db = Σ_rows dY, written straight into the buffers.
+        input.matmul_tn_into(grad_output, &mut self.grad_weight)?;
+        grad_output.sum_rows_into(&mut self.grad_bias);
+        // dX = dY · W^T, only for a caller that reads it.
+        if let Some(grad_input) = grad_input {
+            grad_output.matmul_nt_into(&self.weight, grad_input)?;
+        }
+        Ok(())
     }
 
     fn params(&self) -> Vec<&Matrix> {
@@ -113,9 +125,17 @@ impl Layer for Dense {
         vec![&self.grad_weight, &self.grad_bias]
     }
 
+    fn visit_params(
+        &mut self,
+        f: &mut dyn FnMut(&mut Matrix, &Matrix) -> Result<()>,
+    ) -> Result<()> {
+        f(&mut self.weight, &self.grad_weight)?;
+        f(&mut self.bias, &self.grad_bias)
+    }
+
     fn zero_grads(&mut self) {
-        self.grad_weight.scale_assign(0.0);
-        self.grad_bias.scale_assign(0.0);
+        self.grad_weight.as_mut_slice().fill(0.0);
+        self.grad_bias.as_mut_slice().fill(0.0);
     }
 
     fn forward_flops_per_sample(&self) -> u64 {
@@ -150,18 +170,21 @@ impl Layer for Relu {
         "relu"
     }
 
-    fn forward(&mut self, input: &Matrix, training: bool) -> Result<Matrix> {
+    fn forward_into(&mut self, input: &Matrix, training: bool, out: &mut Matrix) -> Result<()> {
         if training {
-            self.cached_input = Some(input.clone());
+            self.cached_input
+                .get_or_insert_with(Matrix::default)
+                .clone_from(input);
         }
-        self.forward_frozen(input)
+        input.map_into(out, |v| v.max(0.0));
+        Ok(())
     }
 
     fn forward_frozen(&self, input: &Matrix) -> Result<Matrix> {
         Ok(input.map(|v| v.max(0.0)))
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
+    fn backward(&mut self, grad_output: &Matrix, grad_input: Option<&mut Matrix>) -> Result<()> {
         let input = self
             .cached_input
             .as_ref()
@@ -173,8 +196,14 @@ impl Layer for Relu {
                 rhs: grad_output.shape(),
             }));
         }
-        let mask = input.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        Ok(grad_output.hadamard(&mask)?)
+        if let Some(grad_input) = grad_input {
+            // dX = dY ⊙ [X > 0], the mask applied as a factor (not a select)
+            // so a masked entry keeps the product's signed zero and NaN.
+            input.zip_with_into(grad_output, "relu_backward", grad_input, |x, g| {
+                g * if x > 0.0 { 1.0 } else { 0.0 }
+            })?;
+        }
+        Ok(())
     }
 
     fn params(&self) -> Vec<&Matrix> {
@@ -187,6 +216,13 @@ impl Layer for Relu {
 
     fn grads(&self) -> Vec<&Matrix> {
         Vec::new()
+    }
+
+    fn visit_params(
+        &mut self,
+        _f: &mut dyn FnMut(&mut Matrix, &Matrix) -> Result<()>,
+    ) -> Result<()> {
+        Ok(())
     }
 
     fn zero_grads(&mut self) {}
@@ -239,30 +275,23 @@ impl Layer for Dropout {
         "dropout"
     }
 
-    fn forward(&mut self, input: &Matrix, training: bool) -> Result<Matrix> {
+    fn forward_into(&mut self, input: &Matrix, training: bool, out: &mut Matrix) -> Result<()> {
         if !training || self.rate == 0.0 {
             self.mask = None;
-            return Ok(input.clone());
+            out.clone_from(input);
+            return Ok(());
         }
         self.calls += 1;
         let mut r = rng::rng_for_indexed(self.seed, "dropout", self.calls);
         let keep = 1.0 - self.rate;
-        let mask = Matrix::from_vec(
-            input.rows(),
-            input.cols(),
-            (0..input.len())
-                .map(|_| {
-                    if r.gen::<f32>() < keep {
-                        1.0 / keep
-                    } else {
-                        0.0
-                    }
-                })
-                .collect(),
-        )?;
-        let out = input.hadamard(&mask)?;
-        self.mask = Some(mask);
-        Ok(out)
+        let mask = self.mask.get_or_insert_with(Matrix::default);
+        mask.resize_zeroed(input.rows(), input.cols());
+        for m in mask.as_mut_slice() {
+            if r.gen::<f32>() < keep {
+                *m = 1.0 / keep;
+            }
+        }
+        Ok(input.zip_with_into(mask, "hadamard", out, |x, m| x * m)?)
     }
 
     fn forward_frozen(&self, input: &Matrix) -> Result<Matrix> {
@@ -271,11 +300,15 @@ impl Layer for Dropout {
         Ok(input.clone())
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
+    fn backward(&mut self, grad_output: &Matrix, grad_input: Option<&mut Matrix>) -> Result<()> {
+        let Some(grad_input) = grad_input else {
+            return Ok(());
+        };
         match &self.mask {
-            Some(mask) => Ok(grad_output.hadamard(mask)?),
-            None => Ok(grad_output.clone()),
+            Some(mask) => grad_output.zip_with_into(mask, "hadamard", grad_input, |g, m| g * m)?,
+            None => grad_input.clone_from(grad_output),
         }
+        Ok(())
     }
 
     fn params(&self) -> Vec<&Matrix> {
@@ -288,6 +321,13 @@ impl Layer for Dropout {
 
     fn grads(&self) -> Vec<&Matrix> {
         Vec::new()
+    }
+
+    fn visit_params(
+        &mut self,
+        _f: &mut dyn FnMut(&mut Matrix, &Matrix) -> Result<()>,
+    ) -> Result<()> {
+        Ok(())
     }
 
     fn zero_grads(&mut self) {}
@@ -317,7 +357,7 @@ pub struct BatchNorm1d {
     cache: Option<BnCache>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct BnCache {
     normalised: Matrix,
     std_inv: Vec<f32>,
@@ -346,24 +386,31 @@ impl BatchNorm1d {
     }
 
     /// The normalisation arithmetic shared by every forward path:
-    /// `out = γ · (x − mean) / √(var + ε) + β`, also returning the
-    /// normalised activations and inverse standard deviations the backward
-    /// pass caches. One implementation keeps the training, inference and
+    /// `out = γ · (x − mean) / √(var + ε) + β`, also writing the normalised
+    /// activations and inverse standard deviations the backward pass reads
+    /// into `cache`. One implementation keeps the training, inference and
     /// frozen paths bit-identical by construction.
-    fn normalise(&self, input: &Matrix, mean: &Matrix, var: &Matrix) -> (Matrix, Matrix, Vec<f32>) {
-        let std_inv: Vec<f32> = (0..self.features)
-            .map(|c| 1.0 / (var.get(0, c) + self.eps).sqrt())
-            .collect();
-        let mut normalised = Matrix::zeros(input.rows(), self.features);
-        let mut out = Matrix::zeros(input.rows(), self.features);
+    fn normalise(
+        &self,
+        input: &Matrix,
+        mean: &Matrix,
+        var: &Matrix,
+        out: &mut Matrix,
+        cache: &mut BnCache,
+    ) {
+        cache.std_inv.clear();
+        cache
+            .std_inv
+            .extend((0..self.features).map(|c| 1.0 / (var.get(0, c) + self.eps).sqrt()));
+        cache.normalised.resize_zeroed(input.rows(), self.features);
+        out.resize_zeroed(input.rows(), self.features);
         for r in 0..input.rows() {
-            for (c, &si) in std_inv.iter().enumerate() {
+            for (c, &si) in cache.std_inv.iter().enumerate() {
                 let x_hat = (input.get(r, c) - mean.get(0, c)) * si;
-                normalised.set(r, c, x_hat);
+                cache.normalised.set(r, c, x_hat);
                 out.set(r, c, self.gamma.get(0, c) * x_hat + self.beta.get(0, c));
             }
         }
-        (out, normalised, std_inv)
     }
 
     fn check_width(&self, input: &Matrix) -> Result<()> {
@@ -383,7 +430,7 @@ impl Layer for BatchNorm1d {
         "batchnorm1d"
     }
 
-    fn forward(&mut self, input: &Matrix, training: bool) -> Result<Matrix> {
+    fn forward_into(&mut self, input: &Matrix, training: bool, out: &mut Matrix) -> Result<()> {
         self.check_width(input)?;
         let n = input.rows().max(1) as f32;
         let (mean, var) = if training && input.rows() > 1 {
@@ -416,31 +463,40 @@ impl Layer for BatchNorm1d {
             (self.running_mean.clone(), self.running_var.clone())
         };
 
-        let (out, normalised, std_inv) = self.normalise(input, &mean, &var);
-        if training {
-            self.cache = Some(BnCache {
-                normalised,
-                std_inv,
-            });
-        } else {
-            self.cache = None;
-        }
-        Ok(out)
+        // Only a training pass keeps what it normalised, in the buffers the
+        // previous step left.
+        let mut cache = self.cache.take().unwrap_or_default();
+        self.normalise(input, &mean, &var, out, &mut cache);
+        self.cache = training.then_some(cache);
+        Ok(())
     }
 
     fn forward_frozen(&self, input: &Matrix) -> Result<Matrix> {
         self.check_width(input)?;
         // The inference path of `forward`: running statistics, no cache.
-        let (out, _, _) = self.normalise(input, &self.running_mean, &self.running_var);
+        let mut out = Matrix::default();
+        self.normalise(
+            input,
+            &self.running_mean,
+            &self.running_var,
+            &mut out,
+            &mut BnCache::default(),
+        );
         Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
+    fn backward(
+        &mut self,
+        grad_output: &Matrix,
+        mut grad_input: Option<&mut Matrix>,
+    ) -> Result<()> {
         let cache = self.cache.as_ref().ok_or(NnError::BackwardBeforeForward {
             layer: "batchnorm1d",
         })?;
         let n = grad_output.rows() as f32;
-        let mut grad_input = Matrix::zeros(grad_output.rows(), self.features);
+        if let Some(grad_input) = grad_input.as_deref_mut() {
+            grad_input.resize_zeroed(grad_output.rows(), self.features);
+        }
 
         for c in 0..self.features {
             let mut sum_dy = 0.0_f32;
@@ -450,9 +506,11 @@ impl Layer for BatchNorm1d {
                 sum_dy += dy;
                 sum_dy_xhat += dy * cache.normalised.get(r, c);
             }
-            self.grad_beta.set(0, c, self.grad_beta.get(0, c) + sum_dy);
-            self.grad_gamma
-                .set(0, c, self.grad_gamma.get(0, c) + sum_dy_xhat);
+            self.grad_beta.set(0, c, sum_dy);
+            self.grad_gamma.set(0, c, sum_dy_xhat);
+            let Some(grad_input) = grad_input.as_deref_mut() else {
+                continue;
+            };
             let gamma = self.gamma.get(0, c);
             for r in 0..grad_output.rows() {
                 let dy = grad_output.get(r, c);
@@ -461,7 +519,7 @@ impl Layer for BatchNorm1d {
                 grad_input.set(r, c, dx);
             }
         }
-        Ok(grad_input)
+        Ok(())
     }
 
     fn params(&self) -> Vec<&Matrix> {
@@ -476,9 +534,17 @@ impl Layer for BatchNorm1d {
         vec![&self.grad_gamma, &self.grad_beta]
     }
 
+    fn visit_params(
+        &mut self,
+        f: &mut dyn FnMut(&mut Matrix, &Matrix) -> Result<()>,
+    ) -> Result<()> {
+        f(&mut self.gamma, &self.grad_gamma)?;
+        f(&mut self.beta, &self.grad_beta)
+    }
+
     fn zero_grads(&mut self) {
-        self.grad_gamma.scale_assign(0.0);
-        self.grad_beta.scale_assign(0.0);
+        self.grad_gamma.as_mut_slice().fill(0.0);
+        self.grad_beta.as_mut_slice().fill(0.0);
     }
 
     fn forward_flops_per_sample(&self) -> u64 {
@@ -493,6 +559,7 @@ impl Layer for BatchNorm1d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::backward_full;
     use fedft_tensor::stats;
 
     fn finite_difference_check(
@@ -532,7 +599,7 @@ mod tests {
     #[test]
     fn dense_backward_before_forward_errors() {
         let mut layer = Dense::new(3, 2, 1);
-        let err = layer.backward(&Matrix::zeros(1, 2)).unwrap_err();
+        let err = backward_full(&mut layer, &Matrix::zeros(1, 2)).unwrap_err();
         assert!(matches!(err, NnError::BackwardBeforeForward { .. }));
     }
 
@@ -543,7 +610,7 @@ mod tests {
         // Scalar objective: sum of outputs.
         let y = layer.forward(&x, true).unwrap();
         let grad_out = Matrix::full(y.rows(), y.cols(), 1.0);
-        let grad_in = layer.backward(&grad_out).unwrap();
+        let grad_in = backward_full(&mut layer, &grad_out).unwrap();
 
         let mut probe = layer.clone();
         finite_difference_check(
@@ -560,9 +627,7 @@ mod tests {
         let mut layer = Dense::new(2, 2, 5);
         let x = Matrix::from_rows(&[vec![1.0, -2.0], vec![0.5, 0.25]]).unwrap();
         let y = layer.forward(&x, true).unwrap();
-        layer
-            .backward(&Matrix::full(y.rows(), y.cols(), 1.0))
-            .unwrap();
+        backward_full(&mut layer, &Matrix::full(y.rows(), y.cols(), 1.0)).unwrap();
         let analytic = layer.grads()[0].clone();
 
         let eps = 1e-2;
@@ -581,18 +646,68 @@ mod tests {
     }
 
     #[test]
-    fn dense_gradients_accumulate_until_zeroed() {
+    fn dense_backward_overwrites_gradients_and_zero_grads_clears_them() {
         let mut layer = Dense::new(2, 2, 5);
         let x = Matrix::full(1, 2, 1.0);
         let g = Matrix::full(1, 2, 1.0);
         layer.forward(&x, true).unwrap();
-        layer.backward(&g).unwrap();
-        let first = layer.grads()[0].clone();
+        backward_full(&mut layer, &g).unwrap();
+        let first: Vec<Matrix> = layer.grads().into_iter().cloned().collect();
+        // A second pass replaces what the first left; it does not add to it.
         layer.forward(&x, true).unwrap();
-        layer.backward(&g).unwrap();
-        assert!(layer.grads()[0].approx_eq(&first.scale(2.0), 1e-6));
+        backward_full(&mut layer, &g.scale(3.0)).unwrap();
+        for (second, first) in layer.grads().into_iter().zip(&first) {
+            assert_eq!(second, &first.scale(3.0));
+        }
         layer.zero_grads();
-        assert_eq!(layer.grads()[0].sum(), 0.0);
+        assert!(layer
+            .grads()
+            .iter()
+            .all(|g| g.as_slice().iter().all(|v| v.to_bits() == 0)));
+    }
+
+    /// One non-finite gradient must not outlive `zero_grads`: `NaN × 0` is
+    /// `NaN`, so zeroing by scaling kept it in the buffers (and in every
+    /// snapshot cloned from them) for good.
+    #[test]
+    fn a_nan_gradient_does_not_survive_zero_grads() {
+        let x =
+            Matrix::from_rows(&[vec![0.5, -1.0, 2.0, 0.25], vec![1.5, 0.3, -0.7, 1.0]]).unwrap();
+        let shape = crate::conv::VolumeShape::new(1, 2, 2);
+        let mut layers: Vec<Box<dyn Layer>> = vec![
+            Box::new(Dense::new(4, 3, 1)),
+            Box::new(BatchNorm1d::new(4)),
+            Box::new(crate::conv::Conv2d::new(shape, 2, 2, 0, 3).unwrap()),
+        ];
+        for layer in &mut layers {
+            let y = layer.forward(&x, true).unwrap();
+            let mut poisoned = Matrix::full(y.rows(), y.cols(), 1.0);
+            poisoned.set(0, 0, f32::NAN);
+            layer.backward(&poisoned, None).unwrap();
+            assert!(
+                layer.grads().iter().any(|g| !g.is_finite()),
+                "{}: the NaN reached the gradients",
+                layer.name()
+            );
+
+            layer.zero_grads();
+            assert!(
+                layer
+                    .grads()
+                    .iter()
+                    .all(|g| g.as_slice().iter().all(|v| v.to_bits() == 0)),
+                "{}: zero_grads leaves exact zeros",
+                layer.name()
+            );
+            layer.forward(&x, true).unwrap();
+            let clean = Matrix::full(y.rows(), y.cols(), 1.0);
+            layer.backward(&clean, None).unwrap();
+            assert!(
+                layer.grads().iter().all(|g| g.is_finite()),
+                "{}: the next clean step is finite",
+                layer.name()
+            );
+        }
     }
 
     #[test]
@@ -601,7 +716,7 @@ mod tests {
         let x = Matrix::from_rows(&[vec![-1.0, 0.0, 2.0]]).unwrap();
         let y = relu.forward(&x, true).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
-        let g = relu.backward(&Matrix::full(1, 3, 1.0)).unwrap();
+        let g = backward_full(&mut relu, &Matrix::full(1, 3, 1.0)).unwrap();
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0]);
     }
 
@@ -609,7 +724,7 @@ mod tests {
     fn relu_backward_shape_mismatch_errors() {
         let mut relu = Relu::new(3);
         relu.forward(&Matrix::zeros(1, 3), true).unwrap();
-        assert!(relu.backward(&Matrix::zeros(1, 4)).is_err());
+        assert!(backward_full(&mut relu, &Matrix::zeros(1, 4)).is_err());
     }
 
     #[test]
@@ -634,7 +749,7 @@ mod tests {
         let mut d = Dropout::new(0.5, 9, 16);
         let x = Matrix::full(4, 16, 1.0);
         let y = d.forward(&x, true).unwrap();
-        let g = d.backward(&Matrix::full(4, 16, 1.0)).unwrap();
+        let g = backward_full(&mut d, &Matrix::full(4, 16, 1.0)).unwrap();
         assert!(g.approx_eq(&y, 1e-6));
     }
 
@@ -665,7 +780,7 @@ mod tests {
     #[test]
     fn batchnorm_backward_requires_forward() {
         let mut bn = BatchNorm1d::new(2);
-        assert!(bn.backward(&Matrix::zeros(3, 2)).is_err());
+        assert!(backward_full(&mut bn, &Matrix::zeros(3, 2)).is_err());
     }
 
     #[test]
@@ -690,7 +805,7 @@ mod tests {
         // Objective: weighted sum so gradients differ per element.
         let weights =
             Matrix::from_rows(&[vec![1.0, 2.0], vec![-1.0, 0.5], vec![0.25, -2.0]]).unwrap();
-        let analytic = bn.backward(&weights).unwrap();
+        let analytic = backward_full(&mut bn, &weights).unwrap();
         let _ = y;
 
         let mut probe = BatchNorm1d::new(2);
@@ -747,18 +862,18 @@ mod tests {
         let mut dense = Dense::new(3, 4, 1);
         dense.forward(&x, false).unwrap();
         assert!(matches!(
-            dense.backward(&Matrix::zeros(2, 4)),
+            backward_full(&mut dense, &Matrix::zeros(2, 4)),
             Err(NnError::BackwardBeforeForward { layer: "dense" })
         ));
         let mut relu = Relu::new(3);
         relu.forward(&x, false).unwrap();
         assert!(matches!(
-            relu.backward(&x),
+            backward_full(&mut relu, &x),
             Err(NnError::BackwardBeforeForward { layer: "relu" })
         ));
         // A training forward is what arms the backward pass.
         dense.forward(&x, true).unwrap();
-        assert!(dense.backward(&Matrix::zeros(2, 4)).is_ok());
+        assert!(backward_full(&mut dense, &Matrix::zeros(2, 4)).is_ok());
     }
 
     #[test]

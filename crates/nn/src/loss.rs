@@ -58,18 +58,51 @@ impl SoftmaxCrossEntropy {
     ///
     /// Returns an error when shapes and labels are inconsistent.
     pub fn forward_backward(&self, logits: &Matrix, labels: &[usize]) -> Result<(f32, Matrix)> {
+        let mut grad = Matrix::default();
+        let value = self.forward_backward_into(logits, labels, &mut grad)?;
+        Ok((value, grad))
+    }
+
+    /// [`SoftmaxCrossEntropy::forward_backward`] with the gradient written
+    /// into `grad` (reshaped and overwritten, buffer reused).
+    ///
+    /// One pass per row yields both outputs: the max-subtracted exponentials
+    /// and their left-to-right sum are exactly what [`stats::softmax`]
+    /// divides and what [`stats::log_softmax`] takes the logarithm of, so
+    /// loss and gradient equal the two-matrix formulation bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when shapes and labels are inconsistent.
+    pub fn forward_backward_into(
+        &self,
+        logits: &Matrix,
+        labels: &[usize],
+        grad: &mut Matrix,
+    ) -> Result<f32> {
         self.check(logits, labels)?;
-        let probs = stats::softmax(logits)?;
-        let log_probs = stats::log_softmax(logits)?;
         let n = labels.len() as f32;
-        let mut grad = probs;
         let mut total = 0.0_f32;
-        for (i, &label) in labels.iter().enumerate() {
-            total -= log_probs.get(i, label);
-            grad.set(i, label, grad.get(i, label) - 1.0);
+        grad.resize_zeroed(logits.rows(), logits.cols());
+        for (r, &label) in labels.iter().enumerate() {
+            let row = logits.row(r);
+            let grad_row = grad.row_mut(r);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut denom = 0.0_f32;
+            for (g, &z) in grad_row.iter_mut().zip(row) {
+                let e = (z - max).exp();
+                *g = e;
+                denom += e;
+            }
+            // denom >= 1 because the max element contributes exp(0) = 1.
+            total -= row[label] - (denom.ln() + max);
+            for g in grad_row.iter_mut() {
+                *g /= denom;
+            }
+            grad_row[label] -= 1.0;
         }
         grad.scale_assign(1.0 / n);
-        Ok((total / n, grad))
+        Ok(total / n)
     }
 
     fn check(&self, logits: &Matrix, labels: &[usize]) -> Result<()> {
@@ -143,6 +176,41 @@ mod tests {
                     / (2.0 * eps);
                 assert!((numeric - grad.get(r, c)).abs() < 1e-3);
             }
+        }
+    }
+
+    #[test]
+    fn fused_pass_equals_the_two_matrix_formulation_bit_for_bit() {
+        let loss = SoftmaxCrossEntropy::new();
+        let mut r = fedft_tensor::rng::rng_for(7, "loss-oracle");
+        let mut grad = Matrix::full(9, 9, f32::NAN);
+        for (rows, cols) in [(1, 1), (2, 3), (32, 10), (5, 100)] {
+            let logits = fedft_tensor::init::normal(&mut r, rows, cols, 0.0, 3.0);
+            let labels: Vec<usize> = (0..rows).map(|i| (i * 7) % cols).collect();
+
+            // The formulation this replaced: softmax and log-softmax as two
+            // matrices.
+            let mut expected = stats::softmax(&logits).unwrap();
+            let log_probs = stats::log_softmax(&logits).unwrap();
+            let mut total = 0.0_f32;
+            for (i, &label) in labels.iter().enumerate() {
+                total -= log_probs.get(i, label);
+                expected.set(i, label, expected.get(i, label) - 1.0);
+            }
+            expected.scale_assign(1.0 / rows as f32);
+
+            let value = loss
+                .forward_backward_into(&logits, &labels, &mut grad)
+                .unwrap();
+            assert_eq!(value.to_bits(), (total / rows as f32).to_bits());
+            assert_eq!(grad.shape(), expected.shape());
+            for (a, b) in grad.as_slice().iter().zip(expected.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{rows}x{cols}");
+            }
+            assert_eq!(
+                value.to_bits(),
+                loss.loss(&logits, &labels).unwrap().to_bits()
+            );
         }
     }
 

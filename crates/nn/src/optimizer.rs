@@ -133,23 +133,31 @@ impl Sgd {
                 ),
             });
         }
-        if self.velocities.is_empty() {
-            self.velocities = params
-                .iter()
-                .map(|p| Matrix::zeros(p.rows(), p.cols()))
-                .collect();
+        let total = params.iter().map(|p| p.len()).sum();
+        let mut step = self.begin_step(params.len(), total)?;
+        for (param, grad) in params.iter_mut().zip(grads) {
+            step.update(param, grad)?;
         }
-        if self.velocities.len() != params.len() {
+        Ok(())
+    }
+
+    /// Opens one SGD update over `tensors` parameter tensors holding `total`
+    /// scalars, checked against the optimiser's state before anything is
+    /// written; the caller then feeds the tensors, in their fixed order, to
+    /// [`SgdStep::update`]. [`Sgd::step`] is this over two slices; the
+    /// training step drives it from [`crate::Layer::visit_params`], which
+    /// needs no `Vec` of references.
+    pub(crate) fn begin_step(&mut self, tensors: usize, total: usize) -> Result<SgdStep<'_>> {
+        if !self.velocities.is_empty() && self.velocities.len() != tensors {
             return Err(NnError::InvalidConfig {
                 what: format!(
                     "optimiser was initialised with {} tensors but received {}",
                     self.velocities.len(),
-                    params.len()
+                    tensors
                 ),
             });
         }
         if let Some(prox) = &self.proximal {
-            let total: usize = params.iter().map(|p| p.len()).sum();
             if prox.reference.len() != total {
                 return Err(NnError::ParamLengthMismatch {
                     expected: total,
@@ -157,45 +165,80 @@ impl Sgd {
                 });
             }
         }
-
-        let mut offset = 0usize;
-        for ((param, grad), velocity) in params
-            .iter_mut()
-            .zip(grads.iter())
-            .zip(self.velocities.iter_mut())
-        {
-            if param.shape() != grad.shape() || param.shape() != velocity.shape() {
-                return Err(NnError::Tensor(fedft_tensor::TensorError::ShapeMismatch {
-                    op: "sgd_step",
-                    lhs: param.shape(),
-                    rhs: grad.shape(),
-                }));
-            }
-            let n = param.len();
-            let reference = self
-                .proximal
-                .as_ref()
-                .map(|p| (&p.reference.values()[offset..offset + n], p.mu));
-            let param_slice = param.as_mut_slice();
-            let grad_slice = grad.as_slice();
-            let vel_slice = velocity.as_mut_slice();
-            for i in 0..n {
-                let mut g = grad_slice[i] + self.config.weight_decay * param_slice[i];
-                if let Some((reference, mu)) = reference {
-                    g += mu * (param_slice[i] - reference[i]);
-                }
-                vel_slice[i] = self.config.momentum * vel_slice[i] + g;
-                param_slice[i] -= self.config.learning_rate * vel_slice[i];
-            }
-            offset += n;
-        }
-        Ok(())
+        Ok(SgdStep {
+            sgd: self,
+            tensor: 0,
+            offset: 0,
+        })
     }
 
     /// Clears momentum buffers (used when a client restarts local training
     /// from a freshly downloaded global model).
     pub fn reset_state(&mut self) {
         self.velocities.clear();
+    }
+}
+
+/// One SGD update in progress: where in the optimiser's per-tensor state
+/// (velocity index, offset into the proximal reference) the next tensor
+/// lands. Created by [`Sgd::begin_step`].
+pub(crate) struct SgdStep<'a> {
+    sgd: &'a mut Sgd,
+    tensor: usize,
+    offset: usize,
+}
+
+impl SgdStep<'_> {
+    /// Updates the next parameter tensor in place from its gradient. The
+    /// first step an optimiser ever takes creates each tensor's velocity
+    /// here, at zero.
+    pub(crate) fn update(&mut self, param: &mut Matrix, grad: &Matrix) -> Result<()> {
+        let Sgd {
+            config,
+            velocities,
+            proximal,
+        } = &mut *self.sgd;
+        if self.tensor == velocities.len() {
+            velocities.push(Matrix::zeros(param.rows(), param.cols()));
+        }
+        let velocity = &mut velocities[self.tensor];
+        if param.shape() != grad.shape() || param.shape() != velocity.shape() {
+            return Err(NnError::Tensor(fedft_tensor::TensorError::ShapeMismatch {
+                op: "sgd_step",
+                lhs: param.shape(),
+                rhs: grad.shape(),
+            }));
+        }
+        let n = param.len();
+        let reference = proximal
+            .as_ref()
+            .map(|p| (&p.reference.values()[self.offset..self.offset + n], p.mu));
+        // Zipped slices, not indices: no bounds check stands between the
+        // compiler and a vector loop. The arithmetic is elementwise, so
+        // vector width changes no bit.
+        let elements = param
+            .as_mut_slice()
+            .iter_mut()
+            .zip(grad.as_slice())
+            .zip(velocity.as_mut_slice());
+        match reference {
+            None => {
+                for ((p, &g), v) in elements {
+                    *v = config.momentum * *v + (g + config.weight_decay * *p);
+                    *p -= config.learning_rate * *v;
+                }
+            }
+            Some((reference, mu)) => {
+                for (((p, &g), v), &r) in elements.zip(reference) {
+                    let g = g + config.weight_decay * *p + mu * (*p - r);
+                    *v = config.momentum * *v + g;
+                    *p -= config.learning_rate * *v;
+                }
+            }
+        }
+        self.tensor += 1;
+        self.offset += n;
+        Ok(())
     }
 }
 

@@ -22,6 +22,50 @@ pub(crate) fn chain<S>(
     Ok(current.unwrap_or_else(|| input.clone()))
 }
 
+/// [`chain`] for a training step: every stage writes into one of the two
+/// reused buffers in `bufs` (reading the other, or the borrowed `input` for
+/// the first stage), so a loop that hands the same `bufs` back every step
+/// allocates only while they grow. Returns the last stage's output — a view
+/// of `input` itself when there is no stage.
+pub(crate) fn chain_into<'a, S>(
+    stages: impl IntoIterator<Item = S>,
+    input: &'a Matrix,
+    bufs: &'a mut [Matrix; 2],
+    mut step: impl FnMut(S, &Matrix, &mut Matrix) -> Result<()>,
+) -> Result<&'a Matrix> {
+    let [a, b] = bufs;
+    let (mut src, mut dst) = (a, b);
+    let mut any = false;
+    for stage in stages {
+        step(stage, if any { &*src } else { input }, dst)?;
+        std::mem::swap(&mut src, &mut dst);
+        any = true;
+    }
+    Ok(if any { src } else { input })
+}
+
+/// Backward pass through `layers` (given in forward order), last layer
+/// first, on the ping-pong buffers of [`chain_into`]. The first layer is
+/// asked for its input gradient only when `need_input_grad`; the return
+/// value is that gradient, or `None` when it was not computed.
+pub(crate) fn backward_layers<'a, 'l>(
+    layers: impl DoubleEndedIterator<Item = &'l mut Box<dyn Layer>>,
+    grad_output: &'a Matrix,
+    bufs: &'a mut [Matrix; 2],
+    need_input_grad: bool,
+) -> Result<Option<&'a Matrix>> {
+    let mut rest = layers.rev().peekable();
+    let stages = std::iter::from_fn(|| {
+        let layer = rest.next()?;
+        Some((layer, rest.peek().is_none()))
+    });
+    let grad = chain_into(stages, grad_output, bufs, |(layer, is_first), grad, out| {
+        let wanted = need_input_grad || !is_first;
+        layer.backward(grad, wanted.then_some(out))
+    })?;
+    Ok(need_input_grad.then_some(grad))
+}
+
 /// An ordered stack of layers applied one after another.
 ///
 /// `Sequential` is used both directly (for simple models) and as the building
@@ -100,17 +144,25 @@ impl Sequential {
         chain(&self.layers, input, |layer, x| layer.forward_frozen(x))
     }
 
-    /// Runs the backward pass through every layer in reverse order.
+    /// Runs the backward pass through every layer in reverse order and
+    /// returns the gradient with respect to the container's input. (The
+    /// training step, which never reads that gradient, runs the same pass
+    /// without asking the first layer for it; see [`Layer::backward`].)
     ///
     /// # Errors
     ///
     /// Propagates the first layer error encountered.
     pub fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
-        let mut current = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            current = layer.backward(&current)?;
-        }
-        Ok(current)
+        let mut bufs = [Matrix::default(), Matrix::default()];
+        let grad_input = backward_layers(self.layers.iter_mut(), grad_output, &mut bufs, true)?;
+        Ok(grad_input
+            .expect("the input gradient was asked for")
+            .clone())
+    }
+
+    /// The layers, for passes that run across several containers.
+    pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
+        &mut self.layers
     }
 
     /// Immutable views of all parameters, layer by layer.
@@ -133,7 +185,7 @@ impl Sequential {
         self.layers.iter().flat_map(|l| l.grads()).collect()
     }
 
-    /// Zeros all accumulated gradients.
+    /// Sets every parameter gradient to zero.
     pub fn zero_grads(&mut self) {
         for layer in &mut self.layers {
             layer.zero_grads();

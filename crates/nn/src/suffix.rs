@@ -11,12 +11,34 @@
 //! inputs and therefore produce bit-identical results.
 
 use crate::freeze::FreezeLevel;
+use crate::layer::Layer;
 use crate::loss::SoftmaxCrossEntropy;
 use crate::optimizer::Sgd;
 use crate::params::ParamVector;
-use crate::sequential::{chain, Sequential};
+use crate::sequential::{backward_layers, chain, chain_into, Sequential};
 use crate::Result;
 use fedft_tensor::{stats, Matrix};
+
+/// The buffers one training step writes, kept between steps by whoever
+/// owns the trained blocks ([`SuffixNet`], [`crate::BlockNet`]): two
+/// ping-pong activation matrices, the loss gradient and two ping-pong
+/// back-propagated gradients. Same-shaped batches reuse them, so after the
+/// first step a step allocates nothing.
+///
+/// Scratch has no identity: a clone starts empty, which keeps model clones
+/// and snapshots `O(parameters)`.
+#[derive(Debug, Default)]
+pub(crate) struct StepWorkspace {
+    activations: [Matrix; 2],
+    loss_grad: Matrix,
+    grads: [Matrix; 2],
+}
+
+impl Clone for StepWorkspace {
+    fn clone(&self) -> Self {
+        StepWorkspace::default()
+    }
+}
 
 /// Forward pass through a run of blocks, starting from boundary activations:
 /// the activation-storing pass when `training`, [`infer_blocks`] otherwise.
@@ -39,8 +61,20 @@ pub(crate) fn infer_blocks(blocks: &[Sequential], input: &Matrix) -> Result<Matr
     chain(blocks, input, |block, x| block.forward_frozen(x))
 }
 
+/// The layers of a run of blocks, in forward order.
+fn layers(blocks: &mut [Sequential]) -> impl DoubleEndedIterator<Item = &mut Box<dyn Layer>> {
+    blocks.iter_mut().flat_map(Sequential::layers_mut)
+}
+
 /// One training step on a run of blocks: forward from the boundary
-/// activations, loss, backward through every block, optimiser step.
+/// activations, loss, backward, optimiser step — each writing into
+/// `workspace` or into the layers' own buffers, never into a fresh matrix.
+///
+/// The backward pass stops at the boundary: the first layer of the first
+/// block computes its parameter gradients but not the gradient with respect
+/// to `input`, which nothing reads — the blocks below are frozen, or, at
+/// [`FreezeLevel::Full`], `input` is the data. That is decided here, by
+/// position, for every caller.
 ///
 /// This is the single implementation of the suffix training step;
 /// [`crate::BlockNet::train_batch`] and [`SuffixNet::train_batch`] both
@@ -51,23 +85,31 @@ pub(crate) fn train_blocks(
     input: &Matrix,
     labels: &[usize],
     optimizer: &mut Sgd,
+    workspace: &mut StepWorkspace,
 ) -> Result<f32> {
-    let logits = forward_blocks(blocks, input, true)?;
-    let (loss_value, mut grad) = loss.forward_backward(&logits, labels)?;
-    for block in blocks.iter_mut() {
-        block.zero_grads();
+    let StepWorkspace {
+        activations,
+        loss_grad,
+        grads,
+    } = workspace;
+    let logits = chain_into(layers(blocks), input, activations, |layer, x, out| {
+        layer.forward_into(x, true, out)
+    })?;
+    let loss_value = loss.forward_backward_into(logits, labels, loss_grad)?;
+    backward_layers(layers(blocks), loss_grad, grads, false)?;
+
+    let (mut tensors, mut scalars) = (0, 0);
+    for layer in layers(blocks) {
+        layer.visit_params(&mut |param, _| {
+            tensors += 1;
+            scalars += param.len();
+            Ok(())
+        })?;
     }
-    // Backward through the trainable blocks only, in reverse order.
-    for block in blocks.iter_mut().rev() {
-        grad = block.backward(&grad)?;
+    let mut step = optimizer.begin_step(tensors, scalars)?;
+    for layer in layers(blocks) {
+        layer.visit_params(&mut |param, grad| step.update(param, grad))?;
     }
-    let grads: Vec<Matrix> = blocks
-        .iter()
-        .flat_map(|b| b.grads().into_iter().cloned())
-        .collect();
-    let mut params: Vec<&mut Matrix> = blocks.iter_mut().flat_map(|b| b.params_mut()).collect();
-    let grad_refs: Vec<&Matrix> = grads.iter().collect();
-    optimizer.step(&mut params, &grad_refs)?;
     Ok(loss_value)
 }
 
@@ -89,6 +131,7 @@ pub struct SuffixNet {
     blocks: Vec<Sequential>,
     freeze: FreezeLevel,
     loss: SoftmaxCrossEntropy,
+    workspace: StepWorkspace,
 }
 
 impl SuffixNet {
@@ -98,6 +141,7 @@ impl SuffixNet {
             blocks,
             freeze,
             loss: SoftmaxCrossEntropy::new(),
+            workspace: StepWorkspace::default(),
         }
     }
 
@@ -152,7 +196,14 @@ impl SuffixNet {
         labels: &[usize],
         optimizer: &mut Sgd,
     ) -> Result<f32> {
-        train_blocks(&mut self.blocks, &self.loss, boundary, labels, optimizer)
+        train_blocks(
+            &mut self.blocks,
+            &self.loss,
+            boundary,
+            labels,
+            optimizer,
+            &mut self.workspace,
+        )
     }
 
     /// Flattens the suffix parameters (`θ`) into a vector, in the same order
@@ -178,11 +229,43 @@ impl SuffixNet {
     }
 }
 
+/// The training step as it was before it stopped at the boundary and went
+/// in place, kept as the oracle [`train_blocks`] must equal bit for bit:
+/// every layer returns a fresh matrix, the backward pass runs through the
+/// first layer too (its input gradient computed and dropped), gradients are
+/// cloned out of the layers and the optimiser steps over `Vec`s of
+/// references.
+#[cfg(test)]
+fn reference_train_blocks(
+    blocks: &mut [Sequential],
+    loss: &SoftmaxCrossEntropy,
+    input: &Matrix,
+    labels: &[usize],
+    optimizer: &mut Sgd,
+) -> Result<f32> {
+    let logits = forward_blocks(blocks, input, true)?;
+    let (loss_value, mut grad) = loss.forward_backward(&logits, labels)?;
+    for block in blocks.iter_mut() {
+        block.zero_grads();
+    }
+    for block in blocks.iter_mut().rev() {
+        grad = block.backward(&grad)?;
+    }
+    let grads: Vec<Matrix> = blocks
+        .iter()
+        .flat_map(|b| b.grads().into_iter().cloned())
+        .collect();
+    let mut params: Vec<&mut Matrix> = blocks.iter_mut().flat_map(|b| b.params_mut()).collect();
+    let grad_refs: Vec<&Matrix> = grads.iter().collect();
+    optimizer.step(&mut params, &grad_refs)?;
+    Ok(loss_value)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::{BlockNet, BlockNetConfig};
-    use crate::optimizer::SgdConfig;
+    use crate::optimizer::{ProximalTerm, SgdConfig};
 
     fn net() -> BlockNet {
         BlockNet::new(&BlockNetConfig::new(6, 3).with_hidden(8, 8, 8), 11)
@@ -240,6 +323,102 @@ mod tests {
             assert_eq!(loss_full.to_bits(), loss_suffix.to_bits());
         }
         assert_eq!(model.trainable_vector(freeze), suffix.trainable_vector());
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn boundary_stopped_in_place_step_equals_the_reference_step_bit_for_bit() {
+        // Widths that no register tile or transpose tile divides.
+        let config = BlockNetConfig::new(19, 5).with_hidden(17, 33, 9);
+        let model = BlockNet::new(&config, 23);
+        let mut r = fedft_tensor::rng::rng_for(5, "step-oracle");
+        // Batches of changing height, so the reused buffers change shape.
+        let batches: Vec<(Matrix, Vec<usize>)> = [7usize, 3, 12, 1]
+            .iter()
+            .map(|&rows| {
+                let x = fedft_tensor::init::normal(&mut r, rows, 19, 0.0, 1.0);
+                let labels = (0..rows).map(|i| (i * 3 + rows) % 5).collect();
+                (x, labels)
+            })
+            .collect();
+        let optimizers = [
+            ("plain", 0.0, 0.0, None),
+            ("momentum+decay", 0.9, 1e-3, None),
+            ("fedprox", 0.5, 0.0, Some(0.1_f32)),
+        ];
+
+        for freeze in FreezeLevel::all() {
+            for (name, momentum, weight_decay, mu) in optimizers {
+                let optimizer = || {
+                    let mut sgd = Sgd::new(SgdConfig {
+                        learning_rate: 0.05,
+                        momentum,
+                        weight_decay,
+                    })
+                    .unwrap();
+                    sgd.set_proximal(mu.map(|mu| ProximalTerm {
+                        mu,
+                        reference: model.trainable_vector(freeze),
+                    }));
+                    sgd
+                };
+                let (mut sgd, mut sgd_ref) = (optimizer(), optimizer());
+                let mut stepped = model.trainable_suffix(freeze);
+                let mut reference = model.trainable_suffix(freeze);
+
+                for step in 0..20 {
+                    let (x, labels) = &batches[step % batches.len()];
+                    let boundary = model.forward_frozen(freeze, x).unwrap();
+                    let loss = stepped.train_batch(&boundary, labels, &mut sgd).unwrap();
+                    let loss_ref = reference_train_blocks(
+                        &mut reference.blocks,
+                        &reference.loss,
+                        &boundary,
+                        labels,
+                        &mut sgd_ref,
+                    )
+                    .unwrap();
+                    let at = format!("{freeze} {name} step {step}");
+                    assert_eq!(loss.to_bits(), loss_ref.to_bits(), "loss at {at}");
+                    assert_eq!(
+                        bits(stepped.trainable_vector().values()),
+                        bits(reference.trainable_vector().values()),
+                        "theta at {at}"
+                    );
+                    for (block, block_ref) in stepped.blocks.iter().zip(&reference.blocks) {
+                        for (g, g_ref) in block.grads().into_iter().zip(block_ref.grads()) {
+                            assert_eq!(g.shape(), g_ref.shape(), "gradient shape at {at}");
+                            assert_eq!(
+                                bits(g.as_slice()),
+                                bits(g_ref.as_slice()),
+                                "gradient at {at}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn workspace_is_scratch_and_is_not_cloned() {
+        let model = net();
+        let mut suffix = model.trainable_suffix(FreezeLevel::Moderate);
+        let x = Matrix::full(4, 6, 0.5);
+        let boundary = model.forward_frozen(FreezeLevel::Moderate, &x).unwrap();
+        let mut sgd = Sgd::new(SgdConfig::default()).unwrap();
+        suffix
+            .train_batch(&boundary, &[0, 1, 2, 0], &mut sgd)
+            .unwrap();
+        assert!(!suffix.workspace.loss_grad.is_empty());
+        let copy = suffix.clone();
+        assert!(copy.workspace.loss_grad.is_empty());
+        assert!(copy.workspace.activations.iter().all(Matrix::is_empty));
+        assert!(copy.workspace.grads.iter().all(Matrix::is_empty));
+        assert_eq!(copy.trainable_vector(), suffix.trainable_vector());
     }
 
     /// Whether any block of `suffix` holds activations: a block's backward

@@ -24,11 +24,30 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`, reusing the buffer when its capacity
+    /// allows — what lets per-step copies (a layer's cached input) stop
+    /// allocating once warm.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
@@ -298,6 +317,23 @@ impl Matrix {
         out.cols = self.cols;
     }
 
+    /// Reshapes to `rows × cols` and sets every element to zero, reusing the
+    /// buffer when its capacity allows. This is how the `*_into` operations
+    /// prepare their destination: repeated calls with same-shaped results
+    /// allocate only the first time.
+    pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
+        let len = rows * cols;
+        if self.data.capacity() < len {
+            // A fresh zeroed allocation, not a copy-and-fill of the old one.
+            self.data = vec![0.0; len];
+        } else {
+            self.data.clear();
+            self.data.resize(len, 0.0);
+        }
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Stacks two matrices with the same number of columns vertically.
     ///
     /// # Errors
@@ -324,11 +360,7 @@ impl Matrix {
     /// Returns the transpose of the matrix.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        kernels::transpose_into(self.rows, self.cols, &self.data, &mut out.data);
         out
     }
 
@@ -342,6 +374,19 @@ impl Matrix {
     /// Returns [`TensorError::ShapeMismatch`] unless
     /// `self.cols() == other.rows()`.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
+        let mut out = Matrix::default();
+        self.matmul_into(other, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::matmul`] into a caller-provided matrix, which is reshaped
+    /// and overwritten ([`Matrix::resize_zeroed`]); same kernel, same bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless
+    /// `self.cols() == other.rows()`.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != other.rows {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul",
@@ -349,7 +394,7 @@ impl Matrix {
                 rhs: other.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, other.cols);
+        out.resize_zeroed(self.rows, other.cols);
         kernels::gemm_nn(
             self.rows,
             self.cols,
@@ -358,7 +403,7 @@ impl Matrix {
             &other.data,
             &mut out.data,
         );
-        Ok(out)
+        Ok(())
     }
 
     /// Matrix product `self * other` via the reference triple loop.
@@ -398,15 +443,29 @@ impl Matrix {
 
     /// Matrix product `self^T * other`.
     ///
-    /// Materialises the (cheap, `O(rows·cols)`) transpose and dispatches to
-    /// the blocked kernel, which beats the transpose-free scattered-write
-    /// loop for every shape the workspace uses.
+    /// The transposed operand is written tile by tile into a reused
+    /// per-thread buffer and the product runs on the blocked kernel, so the
+    /// result is that of `self.transpose().matmul(other)`, bit for bit,
+    /// without the transposed matrix being allocated.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless
     /// `self.rows() == other.rows()`.
     pub fn matmul_tn(&self, other: &Matrix) -> Result<Matrix> {
+        let mut out = Matrix::default();
+        self.matmul_tn_into(other, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::matmul_tn`] into a caller-provided matrix, which is
+    /// reshaped and overwritten.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless
+    /// `self.rows() == other.rows()`.
+    pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.rows != other.rows {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul_tn",
@@ -414,30 +473,40 @@ impl Matrix {
                 rhs: other.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        let at = self.transpose();
-        kernels::gemm_nn(
+        out.resize_zeroed(self.cols, other.cols);
+        kernels::gemm_tn(
             self.cols,
             self.rows,
             other.cols,
-            &at.data,
+            &self.data,
             &other.data,
             &mut out.data,
         );
-        Ok(out)
+        Ok(())
     }
 
-    /// Matrix product `self * other^T`.
-    ///
-    /// Materialises the (cheap) transpose of `other` and dispatches to the
-    /// blocked kernel; the row-dot-product formulation it replaces could not
-    /// reuse loaded rows across outputs.
+    /// Matrix product `self * other^T`; the result is that of
+    /// `self.matmul(&other.transpose())`, bit for bit (see
+    /// [`Matrix::matmul_tn`]).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless
     /// `self.cols() == other.cols()`.
     pub fn matmul_nt(&self, other: &Matrix) -> Result<Matrix> {
+        let mut out = Matrix::default();
+        self.matmul_nt_into(other, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::matmul_nt`] into a caller-provided matrix, which is
+    /// reshaped and overwritten.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless
+    /// `self.cols() == other.cols()`.
+    pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != other.cols {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul_nt",
@@ -445,17 +514,16 @@ impl Matrix {
                 rhs: other.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        let bt = other.transpose();
-        kernels::gemm_nn(
+        out.resize_zeroed(self.rows, other.rows);
+        kernels::gemm_nt(
             self.rows,
             self.cols,
             other.rows,
             &self.data,
-            &bt.data,
+            &other.data,
             &mut out.data,
         );
-        Ok(out)
+        Ok(())
     }
 
     /// Elementwise addition.
@@ -483,6 +551,35 @@ impl Matrix {
     /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
     pub fn hadamard(&self, other: &Matrix) -> Result<Matrix> {
         self.zip_with(other, "hadamard", |a, b| a * b)
+    }
+
+    /// Writes `f(self[i], other[i])` for every element into `out`, which is
+    /// reshaped to this matrix's shape and reuses its buffer. `op` names the
+    /// operation in the error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
+    pub fn zip_with_into<F: Fn(f32, f32) -> f32>(
+        &self,
+        other: &Matrix,
+        op: &'static str,
+        out: &mut Matrix,
+        f: F,
+    ) -> Result<()> {
+        if self.shape() != other.shape() {
+            return Err(TensorError::ShapeMismatch {
+                op,
+                lhs: self.shape(),
+                rhs: other.shape(),
+            });
+        }
+        out.data.clear();
+        out.data
+            .extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
+        out.rows = self.rows;
+        out.cols = self.cols;
+        Ok(())
     }
 
     /// Adds `other` to `self` in place.
@@ -537,11 +634,18 @@ impl Matrix {
 
     /// Returns a copy with `f` applied to every element.
     pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| f(v)).collect(),
-        }
+        let mut out = Matrix::default();
+        self.map_into(&mut out, f);
+        out
+    }
+
+    /// Writes `f` of every element into `out`, which is reshaped to this
+    /// matrix's shape and reuses its buffer.
+    pub fn map_into<F: Fn(f32) -> f32>(&self, out: &mut Matrix, f: F) {
+        out.data.clear();
+        out.data.extend(self.data.iter().map(|&v| f(v)));
+        out.rows = self.rows;
+        out.cols = self.cols;
     }
 
     /// Applies `f` to every element in place.
@@ -557,6 +661,17 @@ impl Matrix {
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless `bias` is 1×`self.cols()`.
     pub fn add_row_broadcast(&self, bias: &Matrix) -> Result<Matrix> {
+        let mut out = self.clone();
+        out.add_row_broadcast_assign(bias)?;
+        Ok(out)
+    }
+
+    /// Adds a 1×`cols` row vector to every row in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless `bias` is 1×`self.cols()`.
+    pub fn add_row_broadcast_assign(&mut self, bias: &Matrix) -> Result<()> {
         if bias.rows != 1 || bias.cols != self.cols {
             return Err(TensorError::ShapeMismatch {
                 op: "add_row_broadcast",
@@ -564,24 +679,30 @@ impl Matrix {
                 rhs: bias.shape(),
             });
         }
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for c in 0..out.cols {
-                out.data[r * out.cols + c] += bias.data[c];
+        for row in self.data.chunks_exact_mut(self.cols.max(1)) {
+            for (v, &b) in row.iter_mut().zip(&bias.data) {
+                *v += b;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Sums over rows, producing a 1×`cols` row vector.
     pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self.data[r * self.cols + c];
+        let mut out = Matrix::default();
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::sum_rows`] into a caller-provided matrix, which is reshaped
+    /// to 1×`cols` and overwritten; rows are added top to bottom.
+    pub fn sum_rows_into(&self, out: &mut Matrix) {
+        out.resize_zeroed(1, self.cols);
+        for row in self.data.chunks_exact(self.cols.max(1)) {
+            for (o, &v) in out.data.iter_mut().zip(row) {
+                *o += v;
             }
         }
-        out
     }
 
     /// Means over rows, producing a 1×`cols` row vector.
@@ -669,23 +790,9 @@ impl Matrix {
         op: &'static str,
         f: F,
     ) -> Result<Matrix> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op,
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        })
+        let mut out = Matrix::default();
+        self.zip_with_into(other, op, &mut out, f)?;
+        Ok(out)
     }
 }
 
@@ -766,6 +873,41 @@ mod tests {
         let t = m.transpose();
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t.transpose(), m);
+    }
+
+    #[test]
+    fn into_operations_reshape_overwrite_and_reuse_the_destination() {
+        let m = sample();
+        let mut out = Matrix::full(4, 4, f32::NAN);
+        let buffer = out.as_slice().as_ptr();
+
+        m.map_into(&mut out, |v| v * 2.0);
+        assert_eq!(out, m.scale(2.0));
+        m.zip_with_into(&m, "add", &mut out, |a, b| a + b).unwrap();
+        assert_eq!(out, m.add(&m).unwrap());
+        assert!(m
+            .zip_with_into(&Matrix::zeros(3, 2), "add", &mut out, |a, b| a + b)
+            .is_err());
+        m.sum_rows_into(&mut out);
+        assert_eq!(out, m.sum_rows());
+        assert_eq!(out.shape(), (1, 3));
+        out.clone_from(&m);
+        assert_eq!(out, m);
+        out.add_row_broadcast_assign(&Matrix::row_vector(&[1.0, 0.0, -1.0]))
+            .unwrap();
+        assert_eq!(
+            out,
+            m.add_row_broadcast(&Matrix::row_vector(&[1.0, 0.0, -1.0]))
+                .unwrap()
+        );
+        assert!(out.add_row_broadcast_assign(&Matrix::zeros(1, 2)).is_err());
+        out.resize_zeroed(2, 5);
+        assert_eq!(out, Matrix::zeros(2, 5));
+        // Sixteen floats were enough for all of it: one buffer throughout.
+        assert_eq!(out.as_slice().as_ptr(), buffer);
+
+        out.resize_zeroed(5, 5);
+        assert_eq!(out, Matrix::zeros(5, 5));
     }
 
     #[test]

@@ -96,3 +96,93 @@ fn repeated_products_are_bit_identical() {
         assert_eq!(a.matmul(&b).unwrap(), first);
     }
 }
+
+/// The element-strided transpose `Matrix::transpose` used to be, and both
+/// transposed products used to materialise: the oracle for the tiled one.
+fn strided_transpose(m: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(m.cols(), m.rows());
+    for r in 0..m.rows() {
+        for c in 0..m.cols() {
+            out.set(c, r, m.get(r, c));
+        }
+    }
+    out
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Shapes the 16×16 transpose tile and the 8×16 / 12×32 register tiles do
+/// not divide, the empty and one-wide edges, the `paper_default` weight
+/// (256×256) and a tall classifier-like operand (192×10).
+fn transposed_operand_shapes() -> Vec<(usize, usize)> {
+    vec![
+        (0, 5),
+        (5, 0),
+        (1, 9),
+        (9, 1),
+        (17, 33),
+        (31, 257),
+        (256, 256),
+        (192, 10),
+    ]
+}
+
+#[test]
+fn tiled_transpose_equals_the_strided_transpose_bit_for_bit() {
+    for (case, &(rows, cols)) in transposed_operand_shapes().iter().enumerate() {
+        let m = random(rows, cols, case as u64, "transpose");
+        let tiled = m.transpose();
+        let strided = strided_transpose(&m);
+        assert_eq!(tiled.shape(), (cols, rows));
+        assert_eq!(bits(&tiled), bits(&strided), "transpose of {rows}x{cols}");
+    }
+}
+
+#[test]
+fn transposed_products_equal_the_materialised_transpose_path_bit_for_bit() {
+    // One destination for every product: it arrives holding the previous
+    // (differently shaped) result, which `*_into` must not leak.
+    let mut out = Matrix::full(3, 3, f32::NAN);
+    for (case, &(rows, cols)) in transposed_operand_shapes().iter().enumerate() {
+        for other_width in [1usize, 10, 33] {
+            let t = random(rows, cols, case as u64, "t-operand");
+
+            // t^T · b, with b sharing t's row count: what `matmul_tn` was —
+            // a strided transpose handed to the blocked kernel.
+            let b = random(rows, other_width, case as u64, "tn-b");
+            let expected = strided_transpose(&t).matmul(&b).unwrap();
+            let fused = t.matmul_tn(&b).unwrap();
+            assert_eq!(fused.shape(), (cols, other_width));
+            assert_eq!(bits(&fused), bits(&expected), "matmul_tn {rows}x{cols}");
+            t.matmul_tn_into(&b, &mut out).unwrap();
+            assert_eq!(out.shape(), expected.shape());
+            assert_eq!(bits(&out), bits(&expected), "matmul_tn_into {rows}x{cols}");
+
+            // a · t^T, with a sharing t's column count: what `matmul_nt` was.
+            let a = random(other_width, cols, case as u64, "nt-a");
+            let expected = a.matmul(&strided_transpose(&t)).unwrap();
+            let fused = a.matmul_nt(&t).unwrap();
+            assert_eq!(fused.shape(), (other_width, rows));
+            assert_eq!(bits(&fused), bits(&expected), "matmul_nt {rows}x{cols}");
+            a.matmul_nt_into(&t, &mut out).unwrap();
+            assert_eq!(out.shape(), expected.shape());
+            assert_eq!(bits(&out), bits(&expected), "matmul_nt_into {rows}x{cols}");
+
+            // And the plain product into a reused destination.
+            let c = random(cols, other_width, case as u64, "nn-c");
+            t.matmul_into(&c, &mut out).unwrap();
+            assert_eq!(bits(&out), bits(&t.matmul(&c).unwrap()));
+        }
+    }
+}
+
+#[test]
+fn transposed_products_reject_mismatched_shapes() {
+    let a = Matrix::zeros(4, 3);
+    let mut out = Matrix::default();
+    assert!(a.matmul_tn_into(&Matrix::zeros(5, 2), &mut out).is_err());
+    assert!(a.matmul_nt_into(&Matrix::zeros(2, 4), &mut out).is_err());
+    assert!(a.matmul_into(&Matrix::zeros(4, 2), &mut out).is_err());
+}
