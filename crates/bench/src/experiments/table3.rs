@@ -10,14 +10,14 @@
 //! * **Emergent** ([`emergent_methods`] / [`run_emergent_scenario`]): every
 //!   method is nominally offered the full client pool, but the pool is a
 //!   heterogeneous two-tier device mix running under a round deadline
-//!   ([`fedft_core::DeadlineExecutor`]). Slow-tier clients that cannot fit
+//!   ([`fedft_core::ExecutionBackend::Deadline`]). Slow-tier clients that cannot fit
 //!   the full-model round inside the deadline drop out *on their own* —
 //!   "FedAvg loses stragglers, FedFT keeps them" becomes a result of the
 //!   workload model instead of a configured fraction.
 //! * **Async bounded-staleness** ([`async_staleness_levels`] /
 //!   [`run_async_scenario`]): the third answer to stragglers — neither
 //!   shrink the pool nor drop the slow tier, but *overlap* rounds with
-//!   [`fedft_core::AsyncExecutor`]. The same two-tier mix is swept over
+//!   [`fedft_core::ExecutionBackend::Async`]. The same two-tier mix is swept over
 //!   `max_staleness` bounds; accuracy vs staleness (and the shrinking
 //!   simulated wall clock, see [`Table3Result::staleness_table`]) shows the
 //!   freshness/throughput trade-off next to the other two lineups.

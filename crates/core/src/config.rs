@@ -150,7 +150,7 @@ pub struct FlConfig {
     /// `max_staleness = 0` when no tier has an offline probability);
     /// `Streaming` serves a continuous arrival process with FedBuff-style
     /// buffered flushes (and reduces to `Sequential` under its degenerate
-    /// parameters — see [`crate::executor::StreamingExecutor`]).
+    /// parameters — see [`ExecutionBackend::Streaming`]).
     pub execution: ExecutionBackend,
     /// Cap on the worker threads the round executor dispatches per round
     /// through the persistent pool ([`fedft_tensor::pool`]). `None` (the
@@ -442,27 +442,23 @@ impl FlConfig {
                 ),
             });
         }
-        if matches!(self.execution, ExecutionBackend::Async { .. })
-            && self.deadline_seconds.is_finite()
+        // Deadlines are a synchronous concept: an event round never waits a
+        // deadline out, it lets the straggler's update arrive stale.
+        if matches!(
+            self.execution,
+            ExecutionBackend::Async { .. } | ExecutionBackend::Streaming(_)
+        ) && self.deadline_seconds.is_finite()
         {
             return Err(FlError::InvalidConfig {
                 what: format!(
-                    "the async backend replaces deadline drops with bounded staleness; \
+                    "the {} backend replaces deadline drops with stale updates; \
                      leave deadline_seconds infinite (got {})",
+                    self.execution.short_name(),
                     self.deadline_seconds
                 ),
             });
         }
         if let ExecutionBackend::Streaming(params) = &self.execution {
-            if self.deadline_seconds.is_finite() {
-                return Err(FlError::InvalidConfig {
-                    what: format!(
-                        "the streaming backend replaces deadline drops with buffered \
-                         flushes; leave deadline_seconds infinite (got {})",
-                        self.deadline_seconds
-                    ),
-                });
-            }
             params.validate()?;
         }
         if self.worker_threads == Some(0) {

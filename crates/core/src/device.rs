@@ -5,8 +5,8 @@
 //! drop out, which Table III models with a *fixed* participation fraction.
 //! This module makes the straggler effect **emergent** instead: a client
 //! pool is composed of device tiers with different compute speeds, network
-//! rates and availability, and the [`crate::executor::DeadlineExecutor`]
-//! drops exactly those clients whose simulated round time exceeds the
+//! rates and availability, and the [`crate::ExecutionBackend::Deadline`]
+//! backend drops exactly those clients whose simulated round time exceeds the
 //! deadline — so "FedAvg loses the slow tier, FedFT keeps it" falls out of
 //! the workload model rather than being configured.
 //!
@@ -312,7 +312,7 @@ impl HeterogeneityModel {
     /// training, evaluated from the model's FLOP breakdown, the selection
     /// strategy's sample count and the round traffic.
     ///
-    /// [`crate::executor::DeadlineExecutor`] uses this to decide which
+    /// [`crate::ExecutionBackend::Deadline`] uses this to decide which
     /// clients miss the deadline without paying for their local updates; it
     /// is exact (not an estimate) because every term of the cost model is a
     /// deterministic function of the same inputs.
@@ -383,7 +383,7 @@ impl HeterogeneityModel {
 /// `(client, round)` from the dedicated `"client-arrival"` RNG stream.
 ///
 /// Arrival models drive the streaming backend
-/// ([`crate::executor::StreamingExecutor`]): where the offline draw answers
+/// ([`crate::ExecutionBackend::Streaming`]): where the offline draw answers
 /// *whether* a device shows up at all, the arrival model answers *when*.
 /// Like every other device stream, draws are indexed by
 /// `(client_id << 32) | round`, so enabling arrivals never perturbs tier

@@ -1,101 +1,61 @@
-//! Pluggable execution backends for the federated round loop.
+//! The round executor: which sampled clients train, on which model version,
+//! and when the server stops waiting for them.
 //!
-//! Each round of [`crate::Simulation`] trains every participating client
-//! against the current global model. How those independent local updates are
-//! scheduled is an execution concern, not an algorithmic one, so it lives
-//! behind the [`RoundExecutor`] trait with five implementations:
+//! Each round of [`crate::Simulation`] trains the sampled clients against
+//! the global model. How those independent local updates are scheduled is an
+//! execution concern, selected by the [`ExecutionBackend`] knob on
+//! [`FlConfig`]; the variant docs say what each backend does and which
+//! parameterisation reduces it to `Sequential`.
+//! [`ExecutionBackend::executor_with_workers`] builds the one [`Executor`],
+//! which runs a round in one of two shapes:
 //!
-//! * [`SequentialExecutor`] — one client after another on the calling
-//!   thread. The reference behaviour.
-//! * [`ParallelExecutor`] — participants are split into contiguous chunks
-//!   across the persistent worker pool ([`fedft_tensor::pool`]). Every
-//!   client update is an independent, pure function of `(global model,
-//!   client data, config, round)`, and updates are returned in participant
-//!   order regardless of which thread finished first, so round histories
-//!   are **bit-identical** to the sequential backend's for the same
-//!   [`FlConfig`] seed.
-//! * [`DeadlineExecutor`] — a virtual-clock scheduler for heterogeneous
-//!   device populations: each sampled client's simulated round time is
-//!   predicted from the cost model and its
-//!   [`crate::device::DeviceProfile`]; clients that are offline this round
-//!   or would miss [`FlConfig::deadline_seconds`] are dropped *before*
-//!   training, and only the survivors are trained (by an inner executor)
-//!   and aggregated. With an infinite deadline and no offline probability it
-//!   degenerates to its inner executor, bit for bit.
-//! * [`AsyncExecutor`] — an event-driven simulated clock with **bounded
-//!   staleness**: instead of dropping slow devices, aggregation rounds
-//!   overlap. A client sampled for round `r` is dispatched as soon as model
-//!   version `r − max_staleness` exists and trains against the freshest
-//!   version available at its dispatch time, so fast devices start on the
-//!   next round while stragglers from earlier rounds are still training.
-//!   Updates carry their staleness to the server, which discounts them
-//!   during aggregation ([`crate::Server::aggregate_stale`]). With
-//!   `max_staleness = 0` (and no offline probability) dispatch stalls until
-//!   the current version exists and the executor degenerates to a
-//!   synchronous round loop, bit for bit.
-//! * [`StreamingExecutor`] — continuous serving over the same event clock:
-//!   clients *arrive* after their round is announced (per an
-//!   [`ArrivalModel`] on its own RNG stream), train on the freshest
-//!   published model, and their finished updates queue in a server-side
-//!   buffer that is flushed FedBuff-style every `K` updates or `T`
-//!   simulated seconds — so a round's aggregation can carry updates
-//!   dispatched in earlier rounds. With `K =` cohort size, steady arrivals
-//!   and staleness bound 0 every flush is exactly one full synchronous
-//!   round, bit for bit.
+//! * a **synchronous round** (`Sequential`, `Parallel`, `Deadline`): admit →
+//!   train everyone admitted on the current model → the round lasted as long
+//!   as its slowest survivor, or the full deadline when someone was dropped
+//!   under a finite one;
+//! * an **event round** (`Async`, `Streaming`) on one cumulative simulated
+//!   clock: admit → dispatch each client, once its device is free, on the
+//!   freshest model version published by then → train → close at the `K`-th
+//!   buffered completion, the flush timer, or — when neither can fire — the
+//!   last completion in flight. `Async` is that last case and nothing else.
 //!
-//! The backend is selected by the [`ExecutionBackend`] knob on
-//! [`FlConfig`]; simulation code only sees the trait, and
-//! [`ExecutionBackend::executor_with_workers`] is the single construction
-//! point for all five (the scheduling executors expose only `over(..)` for
-//! wrapping a custom inner executor in tests).
-//!
-//! Every backend passes the [`FlConfig`] through to the clients untouched,
-//! so the [`FlConfig::feature_cache`] knob behaves identically under each:
-//! cache entries (whether in a client-private [`crate::cache::FeatureCache`]
-//! or the run-wide shared [`crate::cache::CacheRegistry`]) are keyed by the
-//! frozen backbone's fingerprint and the shard's checksum, both invariant
-//! across rounds *and* across the async backend's model versions (only `θ`
-//! differs), so cached rounds replay uncached histories bit for bit on all
-//! five executors — pinned by `tests/feature_cache_e2e.rs` and
-//! `tests/logical_pool_e2e.rs`.
+//! Both shapes share one admission step (device profile, availability draw,
+//! duration prediction, deadline drop) and one training call site, the only
+//! place a [`Client::local_update`] runs.
 //!
 //! # Invariants
 //!
-//! The executor layer is held to a small set of contracts; every new
-//! backend (or refactor of an existing one) must keep them green:
-//!
-//! * **Degenerate-config bit-identity.** Each scheduling backend has a
-//!   parameterisation that reduces it to [`SequentialExecutor`] exactly:
-//!   `Parallel` always, `Deadline` with an infinite deadline and no offline
-//!   tiers, `Async` at `max_staleness = 0`, `Streaming` at
-//!   `K = cohort, steady arrivals, staleness 0`. "Reduces" means the
-//!   [`crate::RunResult::learning_history`] views are `==` — the histories
-//!   with cache counters and flush bookkeeping zeroed, since those
+//! * **Degenerate-config bit-identity.** Every backend has a
+//!   parameterisation, named in its variant doc, that reduces it to
+//!   `Sequential` exactly; and `Async { s }` is `Streaming` with an
+//!   unfillable buffer, no timer and staleness bound `s`. "Reduces" means
+//!   the [`crate::RunResult::learning_history`] views are `==` — the
+//!   histories with cache counters and flush bookkeeping zeroed, since those
 //!   legitimately differ between backends that do the same learning.
-//! * **Order-independent aggregation.** Updates are handed to the server
-//!   in participant order whatever thread or simulated-clock order produced
-//!   them; combined with every local update being a pure function of
-//!   `(global model, client data, config, round)`, this is what makes the
-//!   parallel backends reproducible.
-//! * **Uniform construction and timing.**
-//!   [`ExecutionBackend::executor_with_workers`] is the only construction
-//!   point; scheduling executors are `over(inner)` wrappers around an inner
-//!   training executor and report through the one shared
-//!   [`RoundTiming`]/[`UpdateTiming`] surface rather than backend-specific
-//!   side channels.
-//! * **Cache transparency.** Executors never touch the cache registry
-//!   directly — clients do, through their [`crate::cache::FeatureCache`]
-//!   handles — and the per-round cache counters on
-//!   [`crate::RoundRecord`] are consistent-cut snapshot deltas taken by the
-//!   round loop (see [`crate::CacheRegistry::stats`]), so they stay exact
-//!   under any number of worker threads and any
-//!   [`FlConfig::cache_shards`] setting.
+//! * **Order-independent aggregation.** Updates are handed to the server in
+//!   participant (or dispatch) order whatever thread or simulated-clock
+//!   order produced them; with every local update a pure function of
+//!   `(model, client data, config, round)`, that is what makes the pooled
+//!   path reproducible at any worker count.
+//! * **One timing surface.** Every backend reports through
+//!   [`RoundTiming`]/[`UpdateTiming`]; the round loop derives no wall clock
+//!   of its own.
+//! * **Cache transparency.** The executor passes the [`FlConfig`] through to
+//!   the clients untouched and never touches a cache registry — clients do,
+//!   through their [`crate::cache::FeatureCache`] handles, whose keys (the
+//!   frozen backbone's fingerprint, the shard's checksum) are invariant
+//!   across rounds and model versions: only `θ` differs. Cached rounds
+//!   therefore replay uncached histories bit for bit on every backend
+//!   (`tests/feature_cache_e2e.rs`, `tests/logical_pool_e2e.rs`), at any
+//!   worker count and any [`FlConfig::cache_shards`] setting.
 
 use crate::client::{Client, ClientUpdate};
+use crate::comm::{round_traffic, RoundTraffic};
 use crate::config::FlConfig;
-use crate::device::{ArrivalModel, DeviceProfile, HeterogeneityModel};
+use crate::device::{ArrivalModel, DeviceProfile};
 use crate::{FlError, Result};
 use fedft_nn::{BlockNet, ParamVector};
+use fedft_tensor::{parallel, pool};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -103,33 +63,42 @@ use std::sync::Mutex;
 /// Which backend executes the clients' local updates each round.
 ///
 /// `Sequential` and `Parallel` only affect wall-clock time of the
-/// simulation, never its results. `Deadline` additionally *schedules*: it
-/// drops clients that are offline or miss the round deadline, so its results
-/// depend on the [`FlConfig`] heterogeneity and deadline knobs (and reduce
-/// to the other backends' results when those knobs are neutral). `Async`
-/// overlaps aggregation rounds under a staleness bound: results depend on
-/// `max_staleness` and reduce to `Sequential` at `max_staleness = 0`.
-/// `Streaming` buffers completed updates and flushes them FedBuff-style:
-/// results depend on its [`StreamingParams`] and reduce to `Sequential` in
-/// the degenerate configuration (buffer = cohort size, steady arrivals,
-/// staleness bound 0).
+/// simulation, never its results. The other three *schedule* over the
+/// [`FlConfig::heterogeneity`] device model: each sampled client first takes
+/// its per-round availability draw (offline devices are dropped with
+/// [`DropReason::Offline`] and never train), and the survivors' simulated
+/// round seconds are predicted from the cost model and their
+/// [`DeviceProfile`] — exactly, not as an estimate, because every term of
+/// the cost model is a deterministic function of the same inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum ExecutionBackend {
-    /// Train selected clients one after another on the calling thread.
+    /// Train selected clients one after another on the calling thread. The
+    /// reference behaviour every other backend reduces to.
     Sequential,
-    /// Train selected clients concurrently on all available cores
-    /// (aggregating in client order, so results match `Sequential` exactly).
+    /// Train selected clients concurrently: contiguous chunks of the cohort
+    /// on the persistent worker pool ([`fedft_tensor::pool`]), concatenated
+    /// in chunk order, so results match `Sequential` bit for bit at any
+    /// worker count.
     #[default]
     Parallel,
-    /// Deadline-based straggler scheduling over the device-heterogeneity
-    /// model: predict each client's simulated round time, drop clients that
-    /// are offline or would miss the deadline, train the survivors in
-    /// parallel.
+    /// Deadline-based straggler scheduling: clients whose predicted time
+    /// exceeds [`FlConfig::deadline_seconds`] are dropped with
+    /// [`DropReason::MissedDeadline`] *before* training — a synchronous
+    /// server ignores late updates — and only the survivors are trained and
+    /// aggregated. A round whose every client dropped is empty, not an
+    /// error. With an infinite deadline and no offline probability nobody
+    /// drops and the round is `Sequential`'s, bit for bit.
     Deadline,
-    /// Asynchronous bounded-staleness rounds over the device-heterogeneity
-    /// model: clients train against the global-model version available at
-    /// their dispatch time (at most `max_staleness` versions behind the
-    /// round that aggregates them) and the server discounts stale updates.
+    /// Asynchronous bounded-staleness rounds: instead of dropping slow
+    /// devices, aggregation rounds overlap. A client sampled for round `r`
+    /// is dispatched at `max(T_{r − max_staleness}, busy_until)` — it
+    /// *stalls* until the oldest version the bound permits exists, which is
+    /// how the bound is enforced — and trains against the freshest version
+    /// published by then. Round `r` closes when the last of its updates
+    /// arrives, but never before it opened (`T_r`); because stragglers were
+    /// dispatched under earlier versions, the per-round wall clock shrinks
+    /// as `max_staleness` grows. Updates carry their staleness to the
+    /// server, which discounts them ([`crate::Server::aggregate_stale`]).
     Async {
         /// Largest number of global-model versions an aggregated update may
         /// lag behind. `0` forces synchronous rounds — bit-identical to
@@ -138,11 +107,23 @@ pub enum ExecutionBackend {
         /// exactly as they do under `Deadline`).
         max_staleness: usize,
     },
-    /// Streaming serving mode: sampled clients arrive per the configured
-    /// [`ArrivalModel`], completed updates queue in a server-side buffer,
-    /// and the buffer is flushed — aggregated with staleness discounting —
-    /// every `buffer_size` updates or `flush_seconds` simulated seconds,
-    /// whichever comes first.
+    /// Streaming serving mode (FedBuff-style buffered aggregation): each
+    /// round is one *flush interval* of a continuously serving aggregator.
+    /// The cohort is invited as soon as the staleness bound allows; each
+    /// client arrives per the configured [`ArrivalModel`], dispatches like
+    /// an `Async` client, and its finished update joins a server-side
+    /// buffer. The round closes at the `buffer_size`-th buffered completion
+    /// ([`FlushTrigger::BufferFull`]; ties go to it), at `flush_seconds`
+    /// after it opened ([`FlushTrigger::Timeout`]), or — when neither can
+    /// fire — at the last completion in flight ([`FlushTrigger::Drain`]).
+    /// Everything completed by then is aggregated in `(dispatch round,
+    /// dispatch position)` order; updates still in flight stay buffered for
+    /// a later flush, and those still buffered when the run ends are never
+    /// aggregated, like a real server shutting down mid-stream. With
+    /// `buffer_size =` cohort size, steady arrivals and staleness bound 0,
+    /// every cohort flushes within its own round in participant order:
+    /// `Sequential`'s history, bit for bit (availability caveat as for
+    /// `Async`; `tests/streaming_e2e.rs`).
     Streaming(StreamingParams),
 }
 
@@ -159,42 +140,28 @@ impl ExecutionBackend {
     }
 
     /// Instantiates the executor for this backend — the single construction
-    /// point the simulation (and everything above it) goes through. The
-    /// scheduling backends (`Deadline`, `Async`, `Streaming`) train their
-    /// survivors through a [`ParallelExecutor`].
+    /// point the simulation (and everything above it) goes through.
     ///
     /// `worker_threads` is the optional worker cap (the
     /// [`crate::FlConfig::with_worker_threads`] knob). `None` uses every
-    /// hardware thread; the cap only affects backends that train through a
-    /// [`ParallelExecutor`] — `Sequential` ignores it by construction.
-    pub fn executor_with_workers(&self, worker_threads: Option<usize>) -> Box<dyn RoundExecutor> {
-        let parallel = || match worker_threads {
-            Some(threads) => ParallelExecutor::with_max_threads(threads),
-            None => ParallelExecutor::new(),
-        };
-        match self {
-            ExecutionBackend::Sequential => Box::new(SequentialExecutor),
-            ExecutionBackend::Parallel => Box::new(parallel()),
-            ExecutionBackend::Deadline => Box::new(DeadlineExecutor::over(parallel())),
-            ExecutionBackend::Async { max_staleness } => {
-                Box::new(AsyncExecutor::over(*max_staleness, parallel()))
-            }
-            ExecutionBackend::Streaming(params) => {
-                Box::new(StreamingExecutor::over(*params, parallel()))
-            }
+    /// hardware thread; `Sequential` ignores it by construction. A cap is
+    /// honoured verbatim rather than clamped to the core count: it is a
+    /// request, and it keeps the pooled path exercisable on single-core
+    /// hosts. Nothing is validated here — [`Executor::run_round`] rejects a
+    /// zero cap and invalid [`StreamingParams`].
+    pub fn executor_with_workers(&self, worker_threads: Option<usize>) -> Executor {
+        Executor {
+            backend: *self,
+            worker_threads,
+            clock: Mutex::new(EventClock::default()),
         }
     }
 }
 
-/// Parameters of the streaming backend's buffered-aggregation loop.
-///
-/// The server flushes its update buffer as soon as either condition is met:
-/// `buffer_size` completed updates are queued (FedBuff's `K`), or
-/// `flush_seconds` of simulated time have passed since the round was
-/// announced (`T`; `f64::INFINITY` disables the timer). Updates still in
-/// flight at a flush stay buffered and are aggregated by a later round,
-/// discounted by how many versions they lagged
-/// ([`crate::Server::aggregate_buffered`]).
+/// Parameters of [`ExecutionBackend::Streaming`]'s buffered-aggregation
+/// loop: FedBuff's `K` and `T`, the dispatch staleness bound and the arrival
+/// process. Flushed updates are discounted by how many versions they
+/// actually lagged ([`crate::Server::aggregate_stale`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StreamingParams {
     /// Flush as soon as this many completed updates are buffered (≥ 1).
@@ -296,8 +263,7 @@ pub struct DroppedClient {
     pub simulated_seconds: f64,
 }
 
-/// Dispatch/arrival bookkeeping of one scheduled update — shared by every
-/// scheduling backend (`Deadline`, `Async`, `Streaming`).
+/// Dispatch/arrival bookkeeping of one update, on every backend.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UpdateTiming {
     /// Id of the client that produced the update.
@@ -343,23 +309,24 @@ pub struct FlushRecord {
     pub remaining: usize,
 }
 
-/// Round-level timing a scheduling backend attaches to a [`RoundOutcome`] —
-/// backend-agnostic: `Deadline` fills it with the slowest-survivor wall
-/// clock, `Async` with overlap accounting, `Streaming` additionally with a
+/// Round-level timing attached to every [`RoundOutcome`]: a synchronous
+/// round fills it with the slowest-survivor-or-deadline wall clock, an event
+/// round with overlap accounting, `Streaming` additionally with a
 /// [`FlushRecord`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct RoundTiming {
     /// Per-update timing, parallel to [`RoundOutcome::updates`].
     pub per_update: Vec<UpdateTiming>,
     /// Simulated wall-clock between this round's aggregation and the
-    /// previous one. Overlap makes this *shorter* than the slowest client's
-    /// duration: stragglers started under earlier versions.
+    /// previous one. On the event backends overlap makes this *shorter*
+    /// than the slowest client's duration: stragglers started under earlier
+    /// versions.
     pub round_wall_seconds: f64,
     /// Buffered-flush bookkeeping, present only on the streaming backend.
     pub flush: Option<FlushRecord>,
 }
 
-/// Everything a round executor reports back: one update per surviving
+/// Everything the executor reports back: one update per surviving
 /// participant (in participant order) plus the clients it dropped.
 ///
 /// The streaming backend relaxes the participant-order reading: its updates
@@ -371,33 +338,23 @@ pub struct RoundOutcome {
     /// Updates of the clients that completed the round, in participant order.
     pub updates: Vec<ClientUpdate>,
     /// Clients sampled for the round but dropped by the scheduler, in
-    /// participant order. Empty for non-scheduling backends.
+    /// participant order. Empty on the plain backends.
     pub drops: Vec<DroppedClient>,
-    /// Staleness and wall-clock timing, attached by the scheduling backends
-    /// (`Deadline`, `Async`, `Streaming`). `None` for the plain
-    /// `Sequential`/`Parallel` backends, whose wall clock the simulation
-    /// derives itself.
+    /// Staleness and wall-clock timing. Every backend attaches it; the field
+    /// is an `Option` only because the benchmark harness and
+    /// `tests/eval_boundary_e2e.rs` read it as one.
     pub timing: Option<RoundTiming>,
 }
 
 impl RoundOutcome {
-    /// An outcome in which every participant completed (no drops).
-    pub fn completed(updates: Vec<ClientUpdate>) -> Self {
-        RoundOutcome {
-            updates,
-            drops: Vec::new(),
-            timing: None,
-        }
-    }
-
     /// Number of sampled clients that did not survive the round.
     pub fn dropped(&self) -> usize {
         self.drops.len()
     }
 
-    /// Per-update staleness, parallel to [`RoundOutcome::updates`]: the
-    /// async scheduler's recorded values, or all zeros for synchronous
-    /// backends (every update trained on the freshest model).
+    /// Per-update staleness, parallel to [`RoundOutcome::updates`]: all
+    /// zeros for a synchronous round (every update trained on the freshest
+    /// model), and for an outcome without timing.
     pub fn update_staleness(&self) -> Vec<usize> {
         match &self.timing {
             Some(timing) => timing.per_update.iter().map(|t| t.staleness).collect(),
@@ -406,337 +363,486 @@ impl RoundOutcome {
     }
 }
 
-/// Executes the local updates of all participants of one round.
+/// Runs the local updates of one round's participants under an
+/// [`ExecutionBackend`]; built by
+/// [`ExecutionBackend::executor_with_workers`].
 ///
 /// # Contract
 ///
-/// Implementations must return exactly one [`ClientUpdate`] per *surviving*
-/// participant, **in participant order** (the order of the `participants`
-/// slice), so that server aggregation is deterministic under any scheduling;
-/// every sampled participant must appear either in
-/// [`RoundOutcome::updates`] or in [`RoundOutcome::drops`]. They must not
-/// mutate shared state: a client update is a pure function of its inputs.
-pub trait RoundExecutor: Send + Sync + std::fmt::Debug {
-    /// Human-readable executor name for logs and error messages.
-    fn name(&self) -> &'static str;
+/// Every sampled participant appears either in [`RoundOutcome::updates`]
+/// (under `Streaming`, possibly a later round's) or in
+/// [`RoundOutcome::drops`], each **in participant order**, so that server
+/// aggregation is deterministic under any scheduling.
+///
+/// The event backends keep a cumulative clock: `run_round` must be called
+/// once per round, in round order, with the aggregated global model of the
+/// previous rounds — the order [`crate::Simulation`] guarantees. Successive
+/// models may differ only in their trainable part `θ`, which is all the
+/// server ever aggregates and all the clock snapshots per version. Round 0
+/// resets the clock (dropping any buffered updates), so one executor can
+/// serve consecutive runs.
+#[derive(Debug)]
+pub struct Executor {
+    backend: ExecutionBackend,
+    /// Optional cap on worker threads; `None` uses all available cores.
+    worker_threads: Option<usize>,
+    /// The event backends' simulated timeline; synchronous rounds never
+    /// lock it.
+    clock: Mutex<EventClock>,
+}
 
-    /// Runs the local update of every participant against `global_model`.
+/// A sampled client admitted to the round, with what the scheduler knows
+/// about its device.
+struct Admitted<'c> {
+    client: &'c Client,
+    profile: DeviceProfile,
+    /// Predicted device-adjusted round seconds. Only the scheduling backends
+    /// predict; the plain ones leave `0.0` and never read it.
+    predicted_seconds: f64,
+}
+
+/// What [`Executor::admit`] decided for one round's sampled cohort.
+struct Admission<'c> {
+    /// The clients that will train, in participant order.
+    admitted: Vec<Admitted<'c>>,
+    /// The clients that will not, in participant order.
+    drops: Vec<DroppedClient>,
+    /// Round traffic per device tier: under `tier_freeze` a tier's freeze
+    /// level sets its upload size.
+    tier_traffic: Vec<RoundTraffic>,
+}
+
+impl Executor {
+    /// Human-readable executor name for logs and error messages.
+    pub fn name(&self) -> &'static str {
+        match self.backend {
+            ExecutionBackend::Sequential => "sequential",
+            ExecutionBackend::Parallel => "parallel",
+            ExecutionBackend::Deadline => "deadline",
+            ExecutionBackend::Async { .. } => "async",
+            ExecutionBackend::Streaming(..) => "streaming",
+        }
+    }
+
+    /// Runs the local update of every admitted participant and reports the
+    /// round as its backend schedules it.
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::NoParticipants`] for an empty participant set, or
-    /// the first client error in participant order.
-    fn run_round(
-        &self,
-        participants: &[&Client],
-        global_model: &BlockNet,
-        config: &FlConfig,
-        round: usize,
-    ) -> Result<RoundOutcome>;
-}
-
-/// Trains clients one at a time on the calling thread.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SequentialExecutor;
-
-impl RoundExecutor for SequentialExecutor {
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
-    fn run_round(
+    /// Returns [`FlError::NoParticipants`] for an empty participant set,
+    /// [`FlError::InvalidConfig`] for a zero worker cap, invalid
+    /// [`StreamingParams`] or an event round out of order, or the first
+    /// client error in participant order.
+    pub fn run_round(
         &self,
         participants: &[&Client],
         global_model: &BlockNet,
         config: &FlConfig,
         round: usize,
     ) -> Result<RoundOutcome> {
-        if participants.is_empty() {
-            return Err(FlError::NoParticipants { round });
-        }
-        participants
-            .iter()
-            .map(|client| client.local_update(global_model, config, round))
-            .collect::<Result<Vec<ClientUpdate>>>()
-            .map(RoundOutcome::completed)
-    }
-}
-
-/// Trains clients concurrently on the persistent worker pool
-/// ([`fedft_tensor::pool`]).
-///
-/// Participants are split into contiguous chunks, one per worker — the
-/// boundaries depend only on the requested worker count, never on pool
-/// occupancy — and the per-chunk results are concatenated in chunk order,
-/// so the returned updates are in participant order — identical to
-/// [`SequentialExecutor`] output. Dispatching a round wakes parked workers
-/// instead of paying a `thread::scope` spawn per chunk.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParallelExecutor {
-    /// Optional cap on worker threads; `None` uses all available cores.
-    max_threads: Option<usize>,
-}
-
-impl ParallelExecutor {
-    /// Creates an executor that uses every available core.
-    pub fn new() -> Self {
-        ParallelExecutor { max_threads: None }
-    }
-
-    /// Caps the number of worker threads (useful for benchmarking scaling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn with_max_threads(threads: usize) -> Self {
-        assert!(threads > 0, "thread cap must be non-zero");
-        ParallelExecutor {
-            max_threads: Some(threads),
-        }
-    }
-
-    fn worker_count(&self, participants: usize) -> usize {
-        // An explicit cap is honoured verbatim (not clamped to the core
-        // count): it is a request, and it keeps the multi-threaded path
-        // exercisable on single-core hosts.
-        let workers = self
-            .max_threads
-            .unwrap_or_else(fedft_tensor::pool::hardware_threads);
-        workers.min(participants)
-    }
-}
-
-impl RoundExecutor for ParallelExecutor {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn run_round(
-        &self,
-        participants: &[&Client],
-        global_model: &BlockNet,
-        config: &FlConfig,
-        round: usize,
-    ) -> Result<RoundOutcome> {
-        if participants.is_empty() {
-            return Err(FlError::NoParticipants { round });
-        }
-        let workers = self.worker_count(participants.len());
-        if workers <= 1 {
-            return SequentialExecutor.run_round(participants, global_model, config, round);
-        }
-
-        // One pool chunk per worker; `run_chunks` splits with the same
-        // `div_ceil` boundaries the old scoped-spawn path used and returns
-        // results in chunk order, so the concatenation below is in
-        // participant order no matter which thread ran which chunk.
-        let results: Vec<Result<Vec<ClientUpdate>>> =
-            fedft_tensor::pool::run_chunks(participants.len(), workers, |range| {
-                // Each worker owns one core; keep the tensor kernels from
-                // fanning out a second level of pool jobs underneath.
-                fedft_tensor::parallel::single_threaded(|| {
-                    participants[range]
-                        .iter()
-                        .map(|client| client.local_update(global_model, config, round))
-                        .collect::<Result<Vec<ClientUpdate>>>()
-                })
+        // An executor can be built from a backend and a cap that
+        // `FlConfig::validate` never saw, so the values that would otherwise
+        // index out of bounds or split a cohort over zero workers are
+        // rejected here.
+        if self.worker_threads == Some(0) {
+            return Err(FlError::InvalidConfig {
+                what: "the executor's worker-thread cap must be non-zero when set".into(),
             });
-        let mut updates = Vec::with_capacity(participants.len());
-        for chunk in results {
-            updates.extend(chunk?);
         }
-        Ok(RoundOutcome::completed(updates))
-    }
-}
-
-/// Resolves a sampled client's device profile and performs its availability
-/// draw for the round: `Ok(profile)` when the device is online, `Err(drop
-/// record)` when it is offline — the shared preamble of every scheduling
-/// backend ([`DeadlineExecutor`], [`AsyncExecutor`]), so drop accounting
-/// cannot diverge between them.
-fn resolve_or_drop_offline(
-    hetero: &HeterogeneityModel,
-    client: &Client,
-    round: usize,
-    seed: u64,
-) -> std::result::Result<DeviceProfile, DroppedClient> {
-    let profile = hetero.profile_for(client.id(), seed);
-    if hetero.is_offline(&profile, round, seed) {
-        return Err(DroppedClient {
-            client_id: client.id(),
-            tier_index: profile.tier_index,
-            reason: DropReason::Offline,
-            simulated_seconds: 0.0,
-        });
-    }
-    Ok(profile)
-}
-
-/// Simulated wall clock of a synchronous round, from the survivors'
-/// device-adjusted round seconds: the slowest survivor — unless someone
-/// dropped under a finite deadline. A synchronous server cannot tell an
-/// offline device from a straggler, so any drop means it waited out the full
-/// deadline; without one there is nothing to wait for, and drop-only rounds
-/// fall back to the slowest survivor. Shared by [`DeadlineExecutor`] and the
-/// simulation's accounting for the plain backends, so neutral-knob deadline
-/// histories stay bit-identical to `Sequential`.
-pub(crate) fn synchronous_round_wall_seconds(
-    survivor_seconds: impl Iterator<Item = f64>,
-    any_dropped: bool,
-    deadline_seconds: f64,
-) -> f64 {
-    if any_dropped && deadline_seconds.is_finite() {
-        deadline_seconds
-    } else {
-        survivor_seconds.fold(0.0_f64, f64::max)
-    }
-}
-
-/// Deadline-based straggler scheduling over a heterogeneous device
-/// population (virtual clock).
-///
-/// For each sampled participant the executor resolves its
-/// [`crate::device::DeviceProfile`] from
-/// [`FlConfig::heterogeneity`](crate::FlConfig), then:
-///
-/// 1. drops the client with [`DropReason::Offline`] if its availability
-///    draw says the device is offline this round,
-/// 2. predicts its simulated round seconds
-///    ([`crate::device::HeterogeneityModel::predicted_client_seconds`],
-///    which is exact because the cost model is deterministic) and drops the
-///    client with [`DropReason::MissedDeadline`] if it exceeds
-///    [`FlConfig::deadline_seconds`](crate::FlConfig),
-/// 3. trains the survivors with the inner executor and aggregates only
-///    their updates.
-///
-/// Dropped clients never train, mirroring a synchronous server that ignores
-/// late updates; the round's simulated wall clock (the slowest surviving
-/// device, or the full deadline when someone missed a finite one) is
-/// attached to the outcome as a [`RoundTiming`].
-///
-/// Construct via [`ExecutionBackend::executor_with_workers`]; `over(..)`
-/// exists for wrapping a custom inner executor in tests.
-#[derive(Debug)]
-pub struct DeadlineExecutor {
-    inner: Box<dyn RoundExecutor>,
-}
-
-impl DeadlineExecutor {
-    /// Wraps an arbitrary inner executor. Results are identical for every
-    /// (correct) inner executor; only wall-clock time differs.
-    pub fn over(inner: impl RoundExecutor + 'static) -> Self {
-        DeadlineExecutor {
-            inner: Box::new(inner),
-        }
-    }
-}
-
-impl RoundExecutor for DeadlineExecutor {
-    fn name(&self) -> &'static str {
-        "deadline"
-    }
-
-    fn run_round(
-        &self,
-        participants: &[&Client],
-        global_model: &BlockNet,
-        config: &FlConfig,
-        round: usize,
-    ) -> Result<RoundOutcome> {
         if participants.is_empty() {
             return Err(FlError::NoParticipants { round });
         }
+        match self.backend {
+            ExecutionBackend::Sequential
+            | ExecutionBackend::Parallel
+            | ExecutionBackend::Deadline => {
+                self.synchronous_round(participants, global_model, config, round)
+            }
+            ExecutionBackend::Async { max_staleness } => {
+                // Bounded staleness is the drain case of the buffered flush:
+                // steady arrivals, a buffer nobody can fill, no timer.
+                let drain = StreamingParams::new(usize::MAX).with_max_staleness(max_staleness);
+                self.event_round(&drain, false, participants, global_model, config, round)
+            }
+            ExecutionBackend::Streaming(params) => {
+                params.validate()?;
+                self.event_round(&params, true, participants, global_model, config, round)
+            }
+        }
+    }
+
+    /// Decides who trains this round. Every backend resolves the device
+    /// profile; the scheduling backends additionally take the availability
+    /// draw and predict the client's duration, and `Deadline` drops whoever
+    /// would miss [`FlConfig::deadline_seconds`]. The plain backends draw
+    /// nothing, predict nothing and drop nobody.
+    fn admit<'c>(
+        &self,
+        participants: &[&'c Client],
+        global_model: &BlockNet,
+        config: &FlConfig,
+        round: usize,
+    ) -> Admission<'c> {
         let hetero = &config.heterogeneity;
-        // Client-invariant inputs of the prediction, computed once per round
-        // and per tier: with `tier_freeze` set, a tier's freeze level changes
-        // both its per-sample training FLOPs and its upload size. Without
-        // `tier_freeze` every tier resolves to the global freeze and this is
-        // the single pre-policy value replicated per tier.
-        let tier_flops: Vec<_> = (0..hetero.num_tiers())
-            .map(|t| global_model.flops_per_sample(config.effective_freeze(t)))
+        let schedules = !matches!(
+            self.backend,
+            ExecutionBackend::Sequential | ExecutionBackend::Parallel
+        );
+        let enforces_deadline = self.backend == ExecutionBackend::Deadline;
+        // Client-invariant inputs of the prediction, once per round and per
+        // tier (whose freeze level also sets its per-sample training FLOPs).
+        let tiers = 0..hetero.num_tiers();
+        let tier_traffic: Vec<RoundTraffic> = tiers
+            .clone()
+            .map(|t| round_traffic(global_model, config.effective_freeze(t)))
             .collect();
-        let tier_traffic: Vec<_> = (0..hetero.num_tiers())
-            .map(|t| crate::comm::round_traffic(global_model, config.effective_freeze(t)))
-            .collect();
-        let mut survivors: Vec<&Client> = Vec::with_capacity(participants.len());
-        let mut profiles: Vec<DeviceProfile> = Vec::with_capacity(participants.len());
-        let mut drops: Vec<DroppedClient> = Vec::new();
+        let tier_flops: Vec<_> = if schedules {
+            tiers
+                .map(|t| global_model.flops_per_sample(config.effective_freeze(t)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+
+        let mut admitted = Vec::with_capacity(participants.len());
+        let mut drops = Vec::new();
         for &client in participants {
-            let profile = match resolve_or_drop_offline(hetero, client, round, config.seed) {
-                Ok(profile) => profile,
-                Err(drop) => {
-                    drops.push(drop);
-                    continue;
+            let profile = hetero.profile_for(client.id(), config.seed);
+            // An offline device never starts, so its record keeps 0.0.
+            let mut predicted_seconds = 0.0;
+            let mut rejected = None;
+            if schedules {
+                if hetero.is_offline(&profile, round, config.seed) {
+                    rejected = Some(DropReason::Offline);
+                } else {
+                    predicted_seconds = hetero.predicted_seconds_from_parts(
+                        &profile,
+                        &tier_flops[profile.tier_index],
+                        &tier_traffic[profile.tier_index],
+                        client.num_samples(),
+                        config,
+                    );
+                    if enforces_deadline && predicted_seconds > config.deadline_seconds {
+                        rejected = Some(DropReason::MissedDeadline);
+                    }
                 }
-            };
-            let predicted = hetero.predicted_seconds_from_parts(
-                &profile,
-                &tier_flops[profile.tier_index],
-                &tier_traffic[profile.tier_index],
-                client.num_samples(),
-                config,
-            );
-            if predicted > config.deadline_seconds {
-                drops.push(DroppedClient {
+            }
+            match rejected {
+                Some(reason) => drops.push(DroppedClient {
                     client_id: client.id(),
                     tier_index: profile.tier_index,
-                    reason: DropReason::MissedDeadline,
-                    simulated_seconds: predicted,
-                });
-                continue;
+                    reason,
+                    simulated_seconds: predicted_seconds,
+                }),
+                None => admitted.push(Admitted {
+                    client,
+                    profile,
+                    predicted_seconds,
+                }),
             }
-            survivors.push(client);
-            profiles.push(profile);
         }
-        let mut outcome = if survivors.is_empty() {
-            // Every sampled client dropped: an empty round, not an error —
-            // the simulation keeps the global model and records the drops.
-            RoundOutcome::default()
-        } else {
-            self.inner
-                .run_round(&survivors, global_model, config, round)?
+        Admission {
+            admitted,
+            drops,
+            tier_traffic,
+        }
+    }
+
+    /// Trains every `(client, model)` pair and returns the updates in the
+    /// order of `jobs` — the one place a local update runs.
+    ///
+    /// With more than one worker the jobs are split into contiguous chunks
+    /// on the persistent pool ([`fedft_tensor::pool`]); the boundaries
+    /// depend only on the worker count, never on pool occupancy, and the
+    /// per-chunk results are concatenated in chunk order, so the output is
+    /// the same whichever thread ran which chunk.
+    fn train(
+        &self,
+        jobs: &[(&Client, &BlockNet)],
+        config: &FlConfig,
+        round: usize,
+    ) -> Result<Vec<ClientUpdate>> {
+        let run = |chunk: &[(&Client, &BlockNet)]| {
+            chunk
+                .iter()
+                .map(|(client, model)| client.local_update(model, config, round))
+                .collect::<Result<Vec<ClientUpdate>>>()
         };
-        // Attach the synchronous round timing: every update trained on the
-        // freshest model (staleness 0, offset 0), and the wall clock comes
-        // from the survivors' *post-hoc* device-adjusted times — derived
-        // from the measured `compute_seconds`, like the simulation's
-        // accounting for the plain backends.
-        let per_update: Vec<UpdateTiming> = outcome
-            .updates
+        let workers = if self.backend == ExecutionBackend::Sequential {
+            1
+        } else {
+            self.worker_threads
+                .unwrap_or_else(pool::hardware_threads)
+                .min(jobs.len())
+        };
+        if workers <= 1 {
+            // Inline, and not single-threaded: with the pool idle the tensor
+            // kernels are free to fan out underneath a lone update.
+            return run(jobs);
+        }
+        // Each pooled worker owns one core; keep the tensor kernels from
+        // fanning out a second level of pool jobs underneath.
+        let chunks = pool::run_chunks(jobs.len(), workers, |range| {
+            parallel::single_threaded(|| run(&jobs[range]))
+        });
+        let mut updates = Vec::with_capacity(jobs.len());
+        for chunk in chunks {
+            updates.extend(chunk?);
+        }
+        Ok(updates)
+    }
+
+    /// `Sequential` / `Parallel` / `Deadline`: everyone admitted trains on
+    /// the current model, fresh (staleness 0, offset 0).
+    fn synchronous_round(
+        &self,
+        participants: &[&Client],
+        global_model: &BlockNet,
+        config: &FlConfig,
+        round: usize,
+    ) -> Result<RoundOutcome> {
+        let Admission {
+            admitted,
+            drops,
+            tier_traffic,
+        } = self.admit(participants, global_model, config, round);
+        // Every sampled client may have dropped: an empty round, not an
+        // error — the simulation keeps the global model, records the drops.
+        let jobs: Vec<_> = admitted.iter().map(|a| (a.client, global_model)).collect();
+        let updates = self.train(&jobs, config, round)?;
+        // The wall clock comes from the survivors' *post-hoc*
+        // device-adjusted times, derived from the measured
+        // `compute_seconds` rather than the admission-time prediction.
+        let per_update: Vec<UpdateTiming> = updates
             .iter()
-            .zip(&profiles)
-            .map(|(update, profile)| UpdateTiming {
+            .zip(&admitted)
+            .map(|(update, a)| UpdateTiming {
                 client_id: update.client_id,
                 staleness: 0,
                 dispatch_offset_seconds: 0.0,
-                simulated_seconds: hetero.simulated_round_seconds(
-                    profile,
+                simulated_seconds: config.heterogeneity.simulated_round_seconds(
+                    &a.profile,
                     update.compute_seconds,
-                    &tier_traffic[profile.tier_index],
+                    &tier_traffic[a.profile.tier_index],
                 ),
             })
             .collect();
-        let round_wall_seconds = synchronous_round_wall_seconds(
-            per_update.iter().map(|t| t.simulated_seconds),
-            !drops.is_empty(),
-            config.deadline_seconds,
-        );
-        outcome.drops = drops;
-        outcome.timing = Some(RoundTiming {
-            per_update,
-            round_wall_seconds,
-            flush: None,
-        });
-        Ok(outcome)
+        // A synchronous server cannot tell an offline device from a
+        // straggler, so any drop under a finite deadline means it waited the
+        // deadline out; without one there is nothing to wait for, and the
+        // round lasts as long as its slowest survivor.
+        let round_wall_seconds = if !drops.is_empty() && config.deadline_seconds.is_finite() {
+            config.deadline_seconds
+        } else {
+            per_update
+                .iter()
+                .map(|t| t.simulated_seconds)
+                .fold(0.0_f64, f64::max)
+        };
+        Ok(RoundOutcome {
+            updates,
+            drops,
+            timing: Some(RoundTiming {
+                per_update,
+                round_wall_seconds,
+                flush: None,
+            }),
+        })
+    }
+
+    /// `Async` / `Streaming`: one flush interval on the event clock.
+    /// `report_flush` is whether the outcome carries the [`FlushRecord`]
+    /// (`Async` rounds do not: their records must equal `Sequential`'s).
+    fn event_round(
+        &self,
+        params: &StreamingParams,
+        report_flush: bool,
+        participants: &[&Client],
+        global_model: &BlockNet,
+        config: &FlConfig,
+        round: usize,
+    ) -> Result<RoundOutcome> {
+        let mut guard = match self.clock.lock() {
+            Ok(guard) => guard,
+            // Round 0 overwrites the whole clock, so nothing a panicking
+            // round left half-written is ever read.
+            Err(poisoned) if round == 0 => poisoned.into_inner(),
+            Err(_) => {
+                return Err(FlError::InvalidConfig {
+                    what: format!(
+                        "{} executor: an earlier round panicked while holding the event \
+                         clock; restart from round 0",
+                        self.name()
+                    ),
+                })
+            }
+        };
+        let clock = &mut *guard;
+        let round_open = clock.open_round(
+            self.name(),
+            round,
+            params.max_staleness,
+            global_model,
+            config,
+        )?;
+        let Admission {
+            admitted, drops, ..
+        } = self.admit(participants, global_model, config, round);
+
+        // Dispatch this round's arrivals. The cohort is invited when the
+        // oldest version the staleness bound permits opens — this is where
+        // `max_staleness` is enforced — and each client starts, on the
+        // freshest version published by then, once it has arrived (steady
+        // arrivals add exactly 0.0) and finished any earlier dispatch.
+        struct Dispatch {
+            version: usize,
+            /// Relative to this round's opening.
+            offset: f64,
+        }
+        let earliest_version = round.saturating_sub(params.max_staleness);
+        let invite_at = clock.version_open[earliest_version];
+        let mut dispatches = Vec::with_capacity(admitted.len());
+        for a in &admitted {
+            let id = a.client.id();
+            let arrival_offset = params
+                .arrival
+                .arrival_offset_seconds(id, round, config.seed);
+            let free_at = clock.busy_until.get(&id).copied().unwrap_or(0.0);
+            let dispatch_at = (invite_at + arrival_offset).max(free_at);
+            clock
+                .busy_until
+                .insert(id, dispatch_at + a.predicted_seconds);
+            dispatches.push(Dispatch {
+                version: clock.freshest_version(earliest_version, round, dispatch_at),
+                offset: dispatch_at - round_open,
+            });
+        }
+
+        // Train the arrivals in one call, in dispatch order, each on the
+        // version it downloaded: `round` is the model just passed in, and a
+        // stale version is the current backbone plus that version's θ
+        // snapshot — built once per distinct stale version present.
+        let mut stale_models: Vec<(usize, BlockNet)> = Vec::new();
+        for d in &dispatches {
+            if d.version == round || stale_models.iter().any(|(v, _)| *v == d.version) {
+                continue;
+            }
+            let Some((_, theta)) = clock.history.iter().find(|(v, _)| *v == d.version) else {
+                return Err(FlError::InvalidConfig {
+                    what: format!(
+                        "{} executor: model version {} is outside round {round}'s \
+                         snapshot window",
+                        self.name(),
+                        d.version
+                    ),
+                });
+            };
+            let mut model = global_model.clone();
+            model.set_trainable_vector(config.freeze, theta)?;
+            stale_models.push((d.version, model));
+        }
+        let jobs: Vec<_> = admitted
+            .iter()
+            .zip(&dispatches)
+            .map(|(a, d)| {
+                let stale = stale_models.iter().find(|(v, _)| *v == d.version);
+                (a.client, stale.map_or(global_model, |(_, model)| model))
+            })
+            .collect();
+        let trained = self.train(&jobs, config, round)?;
+        let arrivals = trained.len();
+        for (position, ((a, d), update)) in
+            admitted.iter().zip(&dispatches).zip(trained).enumerate()
+        {
+            clock.pending.push(PendingUpdate {
+                update,
+                dispatch_round: round,
+                position,
+                version: d.version,
+                dispatch_offset: d.offset,
+                duration: a.predicted_seconds,
+            });
+        }
+
+        // Decide the flush time, in offsets relative to this round's
+        // opening. An entry dispatched in an earlier round is rebased
+        // through the gap between the two openings; an entry dispatched
+        // *this* round contributes `dispatch_offset + duration` with no
+        // rebasing (the gap is exactly 0.0), so a round whose cohort all
+        // starts at its opening lasts exactly its slowest duration. The
+        // flush fires at the K-th earliest buffered completion, the flush
+        // timer, or (when neither can fire) the last completion in flight.
+        // Ties go to the buffer condition.
+        let version_open = &clock.version_open;
+        let rebase = |p: &PendingUpdate| version_open[p.dispatch_round] - round_open;
+        let completion_offset = |p: &PendingUpdate| rebase(p) + (p.dispatch_offset + p.duration);
+        let buffer_fill = clock.pending.len();
+        let mut completions: Vec<f64> = clock.pending.iter().map(completion_offset).collect();
+        completions.sort_by(f64::total_cmp);
+        let buffer_ready_at = completions.get(params.buffer_size - 1).copied();
+        let timeout_at = params
+            .flush_seconds
+            .is_finite()
+            .then_some(params.flush_seconds);
+        let (flush_offset, trigger) = match (buffer_ready_at, timeout_at) {
+            (Some(b), Some(t)) if t < b => (t, FlushTrigger::Timeout),
+            (Some(b), _) => (b, FlushTrigger::BufferFull),
+            (None, Some(t)) => (t, FlushTrigger::Timeout),
+            (None, None) => (
+                completions.last().copied().unwrap_or(0.0),
+                FlushTrigger::Drain,
+            ),
+        };
+        // The server cannot flush before the round opened (updates that
+        // completed even earlier are simply included), and time never runs
+        // back.
+        let round_wall_seconds = flush_offset.max(0.0);
+
+        // Flush every buffered update completed by then, in dispatch order
+        // (round, then position): deterministic, and when the whole cohort
+        // flushes within its own round exactly participant order.
+        let (mut flushed, remaining): (Vec<_>, Vec<_>) = std::mem::take(&mut clock.pending)
+            .into_iter()
+            .partition(|p| completion_offset(p) <= round_wall_seconds);
+        flushed.sort_by_key(|p| (p.dispatch_round, p.position));
+        let flush = FlushRecord {
+            trigger,
+            buffer_fill,
+            carried: flushed.iter().filter(|p| p.dispatch_round < round).count(),
+            arrivals,
+            remaining: remaining.len(),
+        };
+        let per_update: Vec<UpdateTiming> = flushed
+            .iter()
+            .map(|p| UpdateTiming {
+                client_id: p.update.client_id,
+                staleness: round - p.version,
+                dispatch_offset_seconds: rebase(p) + p.dispatch_offset,
+                simulated_seconds: p.duration,
+            })
+            .collect();
+        let updates: Vec<ClientUpdate> = flushed.into_iter().map(|p| p.update).collect();
+
+        clock.pending = remaining;
+        clock.close_round(round, round_open, round_wall_seconds);
+        Ok(RoundOutcome {
+            updates,
+            drops,
+            timing: Some(RoundTiming {
+                per_update,
+                round_wall_seconds,
+                flush: report_flush.then_some(flush),
+            }),
+        })
     }
 }
 
-/// Event-clock state shared by [`AsyncExecutor`] and [`StreamingExecutor`],
-/// advanced once per round.
+/// Event-clock state of the `Async` and `Streaming` backends, advanced once
+/// per round.
 ///
 /// Version `v` is the global model after `v` aggregations; `version_open[v]`
 /// is the simulated time at which it became available (`version_open[0] =
-/// 0.0`). The executor keeps a **θ snapshot** of every version still inside
+/// 0.0`). The clock keeps a **θ snapshot** of every version still inside
 /// the staleness window so stale dispatches can train against the exact
 /// parameters they downloaded: because only the trainable part is ever
 /// aggregated, the frozen backbone `ϕ` is identical across versions and a
@@ -756,8 +862,8 @@ struct EventClock {
     /// The round index the executor expects next (rounds must be executed
     /// in order — the clock is cumulative).
     next_round: usize,
-    /// The streaming backend's server-side buffer of updates still awaiting
-    /// aggregation; always empty under async.
+    /// The server-side buffer of updates still awaiting aggregation; a
+    /// draining round (every `Async` round) leaves it empty.
     pending: Vec<PendingUpdate>,
 }
 
@@ -770,10 +876,7 @@ impl EventClock {
     /// against, then snapshots this round's θ as version `round` — except at
     /// `max_staleness = 0`, where no later round can ever read the snapshot
     /// (the current version is always `global_model`), so the per-round
-    /// snapshot is skipped entirely. Only θ is stored: the frozen backbone
-    /// never changes between versions (the server aggregates the trainable
-    /// part alone), so a stale model is the current backbone plus the
-    /// snapshotted θ.
+    /// snapshot is skipped entirely.
     fn open_round(
         &mut self,
         executor: &'static str,
@@ -821,255 +924,12 @@ impl EventClock {
     }
 }
 
-/// Asynchronous bounded-staleness scheduling over a heterogeneous device
-/// population (event-driven simulated clock).
-///
-/// The executor maintains a virtual timeline of global-model *versions*:
-/// version `r` is the model [`AsyncExecutor::run_round`] receives for round
-/// `r`, created at simulated time `T_r` (`T_0 = 0`). For every sampled
-/// participant of round `r` it:
-///
-/// 1. drops the client with [`DropReason::Offline`] if its availability
-///    draw says the device is offline this round;
-/// 2. **dispatches** the client at `max(T_{r − max_staleness},
-///    busy_until)` — dispatch *stalls* until the oldest version the bound
-///    permits exists, which is exactly how the staleness bound is enforced;
-/// 3. trains the client against the freshest version already published at
-///    its dispatch time, recording `staleness = r − version`;
-/// 4. predicts the client's simulated duration from the cost model and its
-///    [`crate::device::DeviceProfile`] (the same deterministic formula the
-///    deadline scheduler uses) and schedules its arrival.
-///
-/// Round `r` closes — creating version `r + 1` — when the last of its
-/// updates arrives, but never before `T_r`; because stragglers were
-/// dispatched under earlier versions, the per-round wall clock shrinks as
-/// `max_staleness` grows. The survivors' updates are computed by the inner
-/// executor, grouped by the model version they were dispatched against, and
-/// returned in participant order with a [`RoundTiming`] attached so the
-/// server can discount them by staleness
-/// ([`crate::Server::aggregate_stale`]).
-///
-/// With `max_staleness = 0` every dispatch stalls until the current version
-/// exists, all offsets are zero and the outcome (updates, staleness, wall
-/// clock) is **bit-identical** to a synchronous round over
-/// [`SequentialExecutor`] — provided no device tier has an offline
-/// probability: availability draws still apply under async (like under
-/// [`DeadlineExecutor`]), while the sequential backend trains everyone.
-///
-/// # Contract
-///
-/// `run_round` must be called once per round, in round order, with the
-/// aggregated global model of the previous rounds — the order
-/// [`crate::Simulation`] guarantees. Successive models may differ only in
-/// their trainable part `θ` (which is all the server ever aggregates): the
-/// executor snapshots `θ` per version and reconstructs stale models against
-/// the current frozen backbone, exactly as a real client would combine its
-/// preinstalled backbone with a downloaded `θ`. Calling round 0 resets the
-/// clock, so one executor can serve consecutive runs.
-///
-/// Construct via [`ExecutionBackend::executor_with_workers`]; `over(..)`
-/// exists for wrapping a custom inner executor in tests.
-#[derive(Debug)]
-pub struct AsyncExecutor {
-    max_staleness: usize,
-    inner: Box<dyn RoundExecutor>,
-    clock: Mutex<EventClock>,
-}
-
-impl AsyncExecutor {
-    /// Wraps an arbitrary inner executor. Results are identical for every
-    /// (correct) inner executor; only real wall-clock time differs.
-    pub fn over(max_staleness: usize, inner: impl RoundExecutor + 'static) -> Self {
-        AsyncExecutor {
-            max_staleness,
-            inner: Box::new(inner),
-            clock: Mutex::new(EventClock::default()),
-        }
-    }
-
-    /// The staleness bound this executor enforces.
-    pub fn max_staleness(&self) -> usize {
-        self.max_staleness
-    }
-}
-
-/// Trains `dispatched` clients — each annotated with the model version it
-/// downloaded — through `inner`, grouped by version, and returns their
-/// updates **in the order of `dispatched`**. Stale versions are
-/// reconstructed as (current backbone, snapshotted θ from `history`): only
-/// the trainable part ever differs between versions. Shared by the async
-/// and streaming backends so version-group reconstruction cannot diverge
-/// between them.
-fn train_version_groups(
-    inner: &dyn RoundExecutor,
-    dispatched: &[(&Client, usize)],
-    history: &[(usize, ParamVector)],
-    global_model: &BlockNet,
-    config: &FlConfig,
-    round: usize,
-    current_version: usize,
-) -> Result<Vec<ClientUpdate>> {
-    let mut updates: Vec<Option<ClientUpdate>> = (0..dispatched.len()).map(|_| None).collect();
-    let mut versions: Vec<usize> = dispatched.iter().map(|&(_, v)| v).collect();
-    versions.sort_unstable();
-    versions.dedup();
-    // One scratch model serves every stale version: cloned lazily on the
-    // first stale group, then only its θ is rewritten per version.
-    let mut stale_scratch: Option<BlockNet> = None;
-    for v in versions {
-        let positions: Vec<usize> = dispatched
-            .iter()
-            .enumerate()
-            .filter(|(_, &(_, dv))| dv == v)
-            .map(|(i, _)| i)
-            .collect();
-        let group: Vec<&Client> = positions.iter().map(|&i| dispatched[i].0).collect();
-        // The current version is the model the caller just passed in; only
-        // genuinely stale dispatches reconstruct one from the shared
-        // backbone and the version's θ snapshot.
-        let model: &BlockNet = if v == current_version {
-            global_model
-        } else {
-            let theta = &history
-                .iter()
-                .find(|(hv, _)| *hv == v)
-                .expect("dispatched version is inside the retained window")
-                .1;
-            let scratch = stale_scratch.get_or_insert_with(|| global_model.clone());
-            scratch.set_trainable_vector(config.freeze, theta)?;
-            scratch
-        };
-        let outcome = inner.run_round(&group, model, config, round)?;
-        debug_assert_eq!(outcome.updates.len(), group.len());
-        for (position, update) in positions.into_iter().zip(outcome.updates) {
-            updates[position] = Some(update);
-        }
-    }
-    Ok(updates
-        .into_iter()
-        .map(|u| u.expect("every dispatched client trained"))
-        .collect())
-}
-
-/// One surviving participant's dispatch decision, before training.
-struct AsyncDispatch<'c> {
-    client: &'c Client,
-    version: usize,
-    dispatch_offset: f64,
-    duration: f64,
-}
-
-impl RoundExecutor for AsyncExecutor {
-    fn name(&self) -> &'static str {
-        "async"
-    }
-
-    fn run_round(
-        &self,
-        participants: &[&Client],
-        global_model: &BlockNet,
-        config: &FlConfig,
-        round: usize,
-    ) -> Result<RoundOutcome> {
-        if participants.is_empty() {
-            return Err(FlError::NoParticipants { round });
-        }
-        let mut clock = self.clock.lock().expect("async clock lock poisoned");
-        let round_open =
-            clock.open_round(self.name(), round, self.max_staleness, global_model, config)?;
-
-        let hetero = &config.heterogeneity;
-        // Client-invariant inputs of the duration prediction, once per round.
-        let flops = global_model.flops_per_sample(config.freeze);
-        let traffic = crate::comm::round_traffic(global_model, config.freeze);
-
-        let mut drops: Vec<DroppedClient> = Vec::new();
-        let mut dispatches: Vec<AsyncDispatch> = Vec::with_capacity(participants.len());
-        let mut round_wall = 0.0_f64;
-        for &client in participants {
-            let profile = match resolve_or_drop_offline(hetero, client, round, config.seed) {
-                Ok(profile) => profile,
-                Err(drop) => {
-                    drops.push(drop);
-                    continue;
-                }
-            };
-            // Dispatch stalls until the oldest version the staleness bound
-            // permits exists, and until the device finished its previous
-            // dispatch — this is where `max_staleness` is enforced.
-            let earliest_version = round.saturating_sub(self.max_staleness);
-            let free_at = clock.busy_until.get(&client.id()).copied().unwrap_or(0.0);
-            let dispatch_at = clock.version_open[earliest_version].max(free_at);
-            let version = clock.freshest_version(earliest_version, round, dispatch_at);
-            let duration = hetero.predicted_seconds_from_parts(
-                &profile,
-                &flops,
-                &traffic,
-                client.num_samples(),
-                config,
-            );
-            // All arithmetic is kept relative to `round_open` so that at
-            // max_staleness = 0 (offset exactly 0.0) the wall clock is
-            // bit-identical to the synchronous backends' accounting.
-            let dispatch_offset = dispatch_at - round_open;
-            round_wall = round_wall.max(dispatch_offset + duration);
-            clock
-                .busy_until
-                .insert(client.id(), round_open + (dispatch_offset + duration));
-            dispatches.push(AsyncDispatch {
-                client,
-                version,
-                dispatch_offset,
-                duration,
-            });
-        }
-        // The server can close the round the moment it opens if every update
-        // already arrived (or everyone was offline) — time never runs back.
-        round_wall = round_wall.max(0.0);
-
-        // Train survivors grouped by the model version they dispatched
-        // against; scattering the groups back by position restores
-        // participant order, so results match a one-by-one replay exactly.
-        let dispatched: Vec<(&Client, usize)> =
-            dispatches.iter().map(|d| (d.client, d.version)).collect();
-        let updates = train_version_groups(
-            self.inner.as_ref(),
-            &dispatched,
-            &clock.history,
-            global_model,
-            config,
-            round,
-            round,
-        )?;
-        let per_update: Vec<UpdateTiming> = dispatches
-            .iter()
-            .map(|d| UpdateTiming {
-                client_id: d.client.id(),
-                staleness: round - d.version,
-                dispatch_offset_seconds: d.dispatch_offset,
-                simulated_seconds: d.duration,
-            })
-            .collect();
-
-        clock.close_round(round, round_open, round_wall);
-        Ok(RoundOutcome {
-            updates,
-            drops,
-            timing: Some(RoundTiming {
-                per_update,
-                round_wall_seconds: round_wall,
-                flush: None,
-            }),
-        })
-    }
-}
-
-/// One completed-or-in-flight update queued in the streaming buffer.
+/// One completed-or-in-flight update queued in the event clock's buffer.
 ///
 /// Times are kept as offsets relative to the *dispatch round's* opening
 /// (not absolute): entries dispatched in the flushing round then enter the
 /// flush arithmetic without ever adding and re-subtracting the round's
-/// absolute opening time, which keeps the degenerate configuration's wall
+/// absolute opening time, which keeps the degenerate configurations' wall
 /// clock bit-identical to the synchronous backends'.
 #[derive(Debug)]
 struct PendingUpdate {
@@ -1084,264 +944,6 @@ struct PendingUpdate {
     dispatch_offset: f64,
     /// Simulated training + transfer duration.
     duration: f64,
-}
-
-/// Streaming serving mode: continuous buffered aggregation over a client
-/// arrival process (FedBuff-style), on the same event-driven simulated
-/// clock as [`AsyncExecutor`].
-///
-/// Each round `r` models one *flush interval* of a continuously serving
-/// aggregator. The cohort sampled for round `r` is invited the moment the
-/// staleness bound allows (`T_{r − max_staleness}`); each client then
-///
-/// 1. is dropped with [`DropReason::Offline`] if its availability draw says
-///    so (same stream as every scheduling backend);
-/// 2. **arrives** `arrival_offset` simulated seconds after the invitation,
-///    per the configured [`ArrivalModel`] on the dedicated
-///    `"client-arrival"` stream, and dispatches once it has also finished
-///    any previous work (`busy_until`);
-/// 3. trains against the freshest model version published at its dispatch
-///    time (dispatch staleness never exceeds `max_staleness`, exactly as
-///    under [`AsyncExecutor`]);
-/// 4. completes after its predicted device-adjusted duration, and its
-///    update joins the server's **buffer**.
-///
-/// The round closes at the earliest flush condition: the
-/// [`StreamingParams::buffer_size`]-th buffered completion
-/// ([`FlushTrigger::BufferFull`]), the flush timer
-/// [`StreamingParams::flush_seconds`] after the round opened
-/// ([`FlushTrigger::Timeout`]), or — when neither can fire — the last
-/// completion in flight ([`FlushTrigger::Drain`]). Every buffered update
-/// completed by the flush time is aggregated, ordered by
-/// `(dispatch_round, position)`; updates still in flight stay buffered for
-/// a later flush, so their staleness at aggregation (`flush round −
-/// version`) can exceed the *dispatch* bound — FedBuff semantics, and the
-/// discount ([`crate::Server::aggregate_buffered`]) uses the actual lag.
-/// Updates still buffered when the run ends are never aggregated, like a
-/// real server shutting down mid-stream.
-///
-/// With `buffer_size =` cohort size, steady arrivals and staleness bound 0,
-/// every cohort completes within its own round and flushes in participant
-/// order with zero staleness: histories are **bit-identical** to
-/// [`SequentialExecutor`] (availability caveats as for async), pinned by
-/// `tests/streaming_e2e.rs`.
-///
-/// # Contract
-///
-/// Like [`AsyncExecutor`]: rounds must run in order, successive models may
-/// differ only in θ, and round 0 resets the clock (dropping any buffered
-/// updates of a previous run). Construct via
-/// [`ExecutionBackend::executor_with_workers`]; `over(..)` exists for
-/// wrapping a custom inner executor in tests.
-#[derive(Debug)]
-pub struct StreamingExecutor {
-    params: StreamingParams,
-    inner: Box<dyn RoundExecutor>,
-    clock: Mutex<EventClock>,
-}
-
-impl StreamingExecutor {
-    /// Wraps an arbitrary inner executor. Results are identical for every
-    /// (correct) inner executor; only real wall-clock time differs.
-    pub fn over(params: StreamingParams, inner: impl RoundExecutor + 'static) -> Self {
-        StreamingExecutor {
-            params,
-            inner: Box::new(inner),
-            clock: Mutex::new(EventClock::default()),
-        }
-    }
-
-    /// The streaming parameters this executor serves under.
-    pub fn params(&self) -> &StreamingParams {
-        &self.params
-    }
-}
-
-impl RoundExecutor for StreamingExecutor {
-    fn name(&self) -> &'static str {
-        "streaming"
-    }
-
-    fn run_round(
-        &self,
-        participants: &[&Client],
-        global_model: &BlockNet,
-        config: &FlConfig,
-        round: usize,
-    ) -> Result<RoundOutcome> {
-        if participants.is_empty() {
-            return Err(FlError::NoParticipants { round });
-        }
-        let mut clock = self.clock.lock().expect("streaming clock lock poisoned");
-        let round_open = clock.open_round(
-            self.name(),
-            round,
-            self.params.max_staleness,
-            global_model,
-            config,
-        )?;
-
-        let hetero = &config.heterogeneity;
-        let flops = global_model.flops_per_sample(config.freeze);
-        let traffic = crate::comm::round_traffic(global_model, config.freeze);
-
-        // Phase 1 — dispatch this round's arrivals.
-        let mut drops: Vec<DroppedClient> = Vec::new();
-        let mut dispatches: Vec<AsyncDispatch> = Vec::with_capacity(participants.len());
-        let earliest_version = round.saturating_sub(self.params.max_staleness);
-        let invite_at = clock.version_open[earliest_version];
-        for &client in participants {
-            let profile = match resolve_or_drop_offline(hetero, client, round, config.seed) {
-                Ok(profile) => profile,
-                Err(drop) => {
-                    drops.push(drop);
-                    continue;
-                }
-            };
-            // The client arrives some time after the invitation and must
-            // also have finished any previously dispatched work. Steady
-            // arrivals contribute exactly 0.0, reproducing the async
-            // dispatch rule bit for bit.
-            let arrival_offset =
-                self.params
-                    .arrival
-                    .arrival_offset_seconds(client.id(), round, config.seed);
-            let free_at = clock.busy_until.get(&client.id()).copied().unwrap_or(0.0);
-            let dispatch_at = (invite_at + arrival_offset).max(free_at);
-            let version = clock.freshest_version(earliest_version, round, dispatch_at);
-            let duration = hetero.predicted_seconds_from_parts(
-                &profile,
-                &flops,
-                &traffic,
-                client.num_samples(),
-                config,
-            );
-            clock.busy_until.insert(client.id(), dispatch_at + duration);
-            dispatches.push(AsyncDispatch {
-                client,
-                version,
-                dispatch_offset: dispatch_at - round_open,
-                duration,
-            });
-        }
-        let arrivals = dispatches.len();
-
-        // Phase 2 — train the new dispatches (grouped by version, scattered
-        // back to dispatch order) and queue them in the buffer.
-        let dispatched: Vec<(&Client, usize)> =
-            dispatches.iter().map(|d| (d.client, d.version)).collect();
-        let trained = if dispatched.is_empty() {
-            Vec::new()
-        } else {
-            train_version_groups(
-                self.inner.as_ref(),
-                &dispatched,
-                &clock.history,
-                global_model,
-                config,
-                round,
-                round,
-            )?
-        };
-        for (position, (dispatch, update)) in dispatches.iter().zip(trained).enumerate() {
-            clock.pending.push(PendingUpdate {
-                update,
-                dispatch_round: round,
-                position,
-                version: dispatch.version,
-                dispatch_offset: dispatch.dispatch_offset,
-                duration: dispatch.duration,
-            });
-        }
-
-        // Phase 3 — decide the flush time, working in offsets relative to
-        // this round's opening. An entry dispatched in an earlier round is
-        // rebased through the gap between the two openings; an entry
-        // dispatched *this* round contributes `dispatch_offset + duration`
-        // with no rebasing (the gap is exactly 0.0), so the degenerate
-        // configuration's flush offset is exactly the slowest duration.
-        // The flush fires at the K-th earliest buffered completion, the
-        // flush timer, or (when neither can fire) the last completion in
-        // flight. Ties go to the buffer condition.
-        let completion_offset = |p: &PendingUpdate, version_open: &[f64]| -> f64 {
-            (version_open[p.dispatch_round] - round_open) + (p.dispatch_offset + p.duration)
-        };
-        let buffer_fill = clock.pending.len();
-        let mut completions: Vec<f64> = clock
-            .pending
-            .iter()
-            .map(|p| completion_offset(p, &clock.version_open))
-            .collect();
-        completions.sort_by(f64::total_cmp);
-        let buffer_ready_at = (buffer_fill >= self.params.buffer_size)
-            .then(|| completions[self.params.buffer_size - 1]);
-        let timeout_at = self
-            .params
-            .flush_seconds
-            .is_finite()
-            .then_some(self.params.flush_seconds);
-        let (flush_offset, trigger) = match (buffer_ready_at, timeout_at) {
-            (Some(b), Some(t)) if t < b => (t, FlushTrigger::Timeout),
-            (Some(b), _) => (b, FlushTrigger::BufferFull),
-            (None, Some(t)) => (t, FlushTrigger::Timeout),
-            (None, None) => (
-                completions.last().copied().unwrap_or(0.0),
-                FlushTrigger::Drain,
-            ),
-        };
-        // The server cannot flush before the round opened (updates that
-        // completed even earlier are simply included), and time never runs
-        // back.
-        let flush_offset = flush_offset.max(0.0);
-
-        // Phase 4 — flush every buffered update completed by the flush
-        // time, in dispatch order (round, then position): deterministic,
-        // and in the degenerate configuration exactly participant order.
-        let mut flushed: Vec<PendingUpdate> = Vec::new();
-        let mut remaining: Vec<PendingUpdate> = Vec::with_capacity(clock.pending.len());
-        let version_open = std::mem::take(&mut clock.version_open);
-        for entry in clock.pending.drain(..) {
-            if completion_offset(&entry, &version_open) <= flush_offset {
-                flushed.push(entry);
-            } else {
-                remaining.push(entry);
-            }
-        }
-        clock.version_open = version_open;
-        clock.pending = remaining;
-        flushed.sort_by_key(|p| (p.dispatch_round, p.position));
-        let carried = flushed.iter().filter(|p| p.dispatch_round < round).count();
-        let flush = FlushRecord {
-            trigger,
-            buffer_fill,
-            carried,
-            arrivals,
-            remaining: clock.pending.len(),
-        };
-        let per_update: Vec<UpdateTiming> = flushed
-            .iter()
-            .map(|p| UpdateTiming {
-                client_id: p.update.client_id,
-                staleness: round - p.version,
-                dispatch_offset_seconds: (clock.version_open[p.dispatch_round] - round_open)
-                    + p.dispatch_offset,
-                simulated_seconds: p.duration,
-            })
-            .collect();
-        let updates: Vec<ClientUpdate> = flushed.into_iter().map(|p| p.update).collect();
-        let round_wall = flush_offset;
-
-        clock.close_round(round, round_open, round_wall);
-        Ok(RoundOutcome {
-            updates,
-            drops,
-            timing: Some(RoundTiming {
-                per_update,
-                round_wall_seconds: round_wall,
-                flush: Some(flush),
-            }),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1370,6 +972,28 @@ mod tests {
             .with_rounds(1)
             .with_local_epochs(1)
             .with_batch_size(8)
+    }
+
+    fn sequential() -> Executor {
+        ExecutionBackend::Sequential.executor_with_workers(None)
+    }
+
+    /// `backend` on the pool, at the host's default worker count.
+    fn pooled(backend: ExecutionBackend) -> Executor {
+        backend.executor_with_workers(None)
+    }
+
+    /// `backend` training inline, one client after another.
+    fn inline(backend: ExecutionBackend) -> Executor {
+        backend.executor_with_workers(Some(1))
+    }
+
+    fn async_inline(max_staleness: usize) -> Executor {
+        inline(ExecutionBackend::Async { max_staleness })
+    }
+
+    fn streaming_inline(params: StreamingParams) -> Executor {
+        inline(ExecutionBackend::Streaming(params))
     }
 
     #[test]
@@ -1405,28 +1029,23 @@ mod tests {
         let m = model();
         let c = config();
         assert!(matches!(
-            SequentialExecutor.run_round(&[], &m, &c, 3),
+            sequential().run_round(&[], &m, &c, 3),
             Err(FlError::NoParticipants { round: 3 })
         ));
         assert!(matches!(
-            ParallelExecutor::new().run_round(&[], &m, &c, 9),
+            pooled(ExecutionBackend::Parallel).run_round(&[], &m, &c, 9),
             Err(FlError::NoParticipants { round: 9 })
         ));
         assert!(matches!(
-            DeadlineExecutor::over(SequentialExecutor).run_round(&[], &m, &c, 4),
+            inline(ExecutionBackend::Deadline).run_round(&[], &m, &c, 4),
             Err(FlError::NoParticipants { round: 4 })
         ));
         assert!(matches!(
-            AsyncExecutor::over(1, SequentialExecutor).run_round(&[], &m, &c, 0),
+            async_inline(1).run_round(&[], &m, &c, 0),
             Err(FlError::NoParticipants { round: 0 })
         ));
         assert!(matches!(
-            StreamingExecutor::over(StreamingParams::new(2), SequentialExecutor).run_round(
-                &[],
-                &m,
-                &c,
-                0
-            ),
+            streaming_inline(StreamingParams::new(2)).run_round(&[], &m, &c, 0),
             Err(FlError::NoParticipants { round: 0 })
         ));
     }
@@ -1437,9 +1056,10 @@ mod tests {
         let refs: Vec<&Client> = clients.iter().collect();
         let m = model();
         let c = config();
-        let sequential = SequentialExecutor.run_round(&refs, &m, &c, 0).unwrap();
+        let sequential = sequential().run_round(&refs, &m, &c, 0).unwrap();
         for workers in [1, 2, 3, 7] {
-            let parallel = ParallelExecutor::with_max_threads(workers)
+            let parallel = ExecutionBackend::Parallel
+                .executor_with_workers(Some(workers))
                 .run_round(&refs, &m, &c, 0)
                 .unwrap();
             assert_eq!(sequential, parallel, "workers={workers}");
@@ -1460,14 +1080,14 @@ mod tests {
         let refs: Vec<&Client> = clients.iter().collect();
         let m = model();
         let c = config(); // uniform heterogeneity, infinite deadline
-        let reference = SequentialExecutor.run_round(&refs, &m, &c, 0).unwrap();
-        let deadline = DeadlineExecutor::over(SequentialExecutor)
+        let reference = sequential().run_round(&refs, &m, &c, 0).unwrap();
+        let deadline = inline(ExecutionBackend::Deadline)
             .run_round(&refs, &m, &c, 0)
             .unwrap();
         assert_eq!(reference.updates, deadline.updates);
         assert_eq!(reference.drops, deadline.drops);
-        // The deadline backend now reports its own timing (sequential does
-        // not): one fresh entry per update, wall = slowest device.
+        // One fresh timing entry per update, wall = slowest device.
+        assert_eq!(reference.timing, deadline.timing);
         let timing = deadline.timing.expect("deadline outcome carries timing");
         assert_eq!(timing.per_update.len(), reference.updates.len());
         assert!(timing.per_update.iter().all(|t| t.staleness == 0));
@@ -1478,7 +1098,7 @@ mod tests {
             .map(|t| t.simulated_seconds)
             .fold(0.0_f64, f64::max);
         assert_eq!(timing.round_wall_seconds.to_bits(), slowest.to_bits());
-        let deadline_par = DeadlineExecutor::over(ParallelExecutor::new())
+        let deadline_par = pooled(ExecutionBackend::Deadline)
             .run_round(&refs, &m, &c, 0)
             .unwrap();
         assert_eq!(reference.updates, deadline_par.updates);
@@ -1493,7 +1113,7 @@ mod tests {
         // A deadline below any client's predicted time drops everyone; the
         // round is empty but not an error.
         let c = config().with_deadline(1e-9);
-        let outcome = DeadlineExecutor::over(ParallelExecutor::new())
+        let outcome = pooled(ExecutionBackend::Deadline)
             .run_round(&refs, &m, &c, 0)
             .unwrap();
         assert!(outcome.updates.is_empty());
@@ -1532,7 +1152,7 @@ mod tests {
         assert!(t_fast < t_slow);
         let c = base.with_deadline((t_fast + t_slow) / 2.0);
 
-        let outcome = DeadlineExecutor::over(ParallelExecutor::new())
+        let outcome = pooled(ExecutionBackend::Deadline)
             .run_round(&refs, &m, &c, 0)
             .unwrap();
         assert!(!outcome.updates.is_empty());
@@ -1554,8 +1174,8 @@ mod tests {
         let c = config()
             .with_heterogeneity(HeterogeneityModel::two_tier())
             .with_seed(3);
-        let reference = SequentialExecutor.run_round(&refs, &m, &c, 0).unwrap();
-        let executor = AsyncExecutor::over(0, SequentialExecutor);
+        let reference = sequential().run_round(&refs, &m, &c, 0).unwrap();
+        let executor = async_inline(0);
         let outcome = executor.run_round(&refs, &m, &c, 0).unwrap();
         assert_eq!(reference.updates, outcome.updates);
         assert!(outcome.drops.is_empty());
@@ -1591,7 +1211,7 @@ mod tests {
         };
         let mut wall = HashMap::new();
         for bound in [0usize, 2] {
-            let executor = AsyncExecutor::over(bound, SequentialExecutor);
+            let executor = async_inline(bound);
             let mut model = m.clone();
             let mut total_wall = 0.0;
             let mut saw_stale = false;
@@ -1637,14 +1257,17 @@ mod tests {
         let refs: Vec<&Client> = clients.iter().collect();
         let m = model();
         let c = config();
-        let executor = AsyncExecutor::over(1, SequentialExecutor);
+        let executor = async_inline(1);
         executor.run_round(&refs, &m, &c, 0).unwrap();
         let err = executor.run_round(&refs, &m, &c, 2).unwrap_err();
         assert!(matches!(err, FlError::InvalidConfig { .. }));
         // Round 0 resets the clock, so a fresh run on the same executor works.
         executor.run_round(&refs, &m, &c, 0).unwrap();
         executor.run_round(&refs, &m, &c, 1).unwrap();
-        assert_eq!(executor.max_staleness(), 1);
+        assert_eq!(
+            executor.backend,
+            ExecutionBackend::Async { max_staleness: 1 }
+        );
     }
 
     #[test]
@@ -1656,7 +1279,7 @@ mod tests {
             crate::DeviceTier::new("flaky", 1.0, 1.0).with_drop_probability(0.9)
         ]);
         let c = config().with_heterogeneity(flaky).with_seed(9);
-        let executor = AsyncExecutor::over(1, SequentialExecutor);
+        let executor = async_inline(1);
         let outcome = executor.run_round(&refs, &m, &c, 0).unwrap();
         assert_eq!(outcome.updates.len() + outcome.drops.len(), 6);
         assert!(
@@ -1711,10 +1334,10 @@ mod tests {
         let c = config()
             .with_heterogeneity(HeterogeneityModel::two_tier())
             .with_seed(3);
-        let reference = SequentialExecutor.run_round(&refs, &m, &c, 0).unwrap();
+        let reference = sequential().run_round(&refs, &m, &c, 0).unwrap();
         // K = cohort size, steady arrivals, staleness bound 0: one full
         // synchronous round.
-        let executor = StreamingExecutor::over(StreamingParams::new(5), SequentialExecutor);
+        let executor = streaming_inline(StreamingParams::new(5));
         let outcome = executor.run_round(&refs, &m, &c, 0).unwrap();
         assert_eq!(reference.updates, outcome.updates);
         assert!(outcome.drops.is_empty());
@@ -1746,7 +1369,7 @@ mod tests {
         let c = config()
             .with_heterogeneity(HeterogeneityModel::two_tier())
             .with_seed(3);
-        let executor = StreamingExecutor::over(StreamingParams::new(4), SequentialExecutor);
+        let executor = streaming_inline(StreamingParams::new(4));
         let first = executor.run_round(&refs, &m, &c, 0).unwrap();
         let flush0 = first.timing.as_ref().unwrap().flush.clone().unwrap();
         // Distinct sample counts give distinct durations, so the 4-deep
@@ -1786,7 +1409,7 @@ mod tests {
         // Timer far below any device duration and a buffer nobody can fill:
         // the flush fires on the timer with nothing completed yet.
         let params = StreamingParams::new(100).with_flush_seconds(1e-12);
-        let executor = StreamingExecutor::over(params, SequentialExecutor);
+        let executor = streaming_inline(params);
         let outcome = executor.run_round(&refs, &m, &c, 0).unwrap();
         assert!(outcome.updates.is_empty());
         let timing = outcome.timing.as_ref().unwrap();
@@ -1812,7 +1435,7 @@ mod tests {
             .with_seed(3);
         // Buffer deeper than the cohort, no timer: the round drains every
         // update in flight, like a shutdown flush.
-        let executor = StreamingExecutor::over(StreamingParams::new(64), SequentialExecutor);
+        let executor = streaming_inline(StreamingParams::new(64));
         let outcome = executor.run_round(&refs, &m, &c, 0).unwrap();
         assert_eq!(outcome.updates.len(), 3);
         let timing = outcome.timing.as_ref().unwrap();
@@ -1837,7 +1460,7 @@ mod tests {
             mean_offset_seconds: 3.0,
         });
         let run = || {
-            StreamingExecutor::over(params, SequentialExecutor)
+            streaming_inline(params)
                 .run_round(&refs, &m, &c, 0)
                 .unwrap()
         };
@@ -1860,28 +1483,74 @@ mod tests {
         let refs: Vec<&Client> = clients.iter().collect();
         let m = model();
         let c = config();
-        let executor = StreamingExecutor::over(StreamingParams::new(2), SequentialExecutor);
+        let executor = streaming_inline(StreamingParams::new(2));
         executor.run_round(&refs, &m, &c, 0).unwrap();
         let err = executor.run_round(&refs, &m, &c, 2).unwrap_err();
         assert!(matches!(err, FlError::InvalidConfig { .. }));
         // Round 0 resets the clock (dropping any buffered updates).
         executor.run_round(&refs, &m, &c, 0).unwrap();
         executor.run_round(&refs, &m, &c, 1).unwrap();
-        assert_eq!(executor.params().buffer_size, 2);
+        assert_eq!(
+            executor.backend,
+            ExecutionBackend::Streaming(StreamingParams::new(2))
+        );
     }
 
     #[test]
-    fn worker_count_respects_cap_and_participants() {
-        let e = ParallelExecutor::with_max_threads(2);
-        assert_eq!(e.worker_count(1), 1);
-        assert!(e.worker_count(100) <= 2);
-        let unlimited = ParallelExecutor::new();
-        assert!(unlimited.worker_count(3) <= 3);
+    fn unvalidated_executor_parameters_are_typed_errors_not_panics() {
+        let clients: Vec<Client> = (0..3).map(|id| client(id, 10)).collect();
+        let refs: Vec<&Client> = clients.iter().collect();
+        let m = model();
+        let c = config();
+        let invalid = |executor: Executor| {
+            matches!(
+                executor.run_round(&refs, &m, &c, 0),
+                Err(FlError::InvalidConfig { .. })
+            )
+        };
+        // Neither value has passed `FlConfig::validate`: the public
+        // constructor takes them as they are.
+        for backend in [
+            ExecutionBackend::Sequential,
+            ExecutionBackend::Parallel,
+            ExecutionBackend::Deadline,
+            ExecutionBackend::Async { max_staleness: 1 },
+            ExecutionBackend::Streaming(StreamingParams::new(2)),
+        ] {
+            assert!(
+                invalid(backend.executor_with_workers(Some(0))),
+                "{backend:?}"
+            );
+        }
+        assert!(invalid(streaming_inline(StreamingParams::new(0))));
+        assert!(invalid(pooled(ExecutionBackend::Streaming(
+            StreamingParams::new(2).with_flush_seconds(f64::NAN)
+        ))));
     }
 
     #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_thread_cap_is_rejected() {
-        let _ = ParallelExecutor::with_max_threads(0);
+    fn a_poisoned_event_clock_is_an_error_until_round_zero_resets_it() {
+        let clients: Vec<Client> = (0..2).map(|id| client(id, 10)).collect();
+        let refs: Vec<&Client> = clients.iter().collect();
+        let m = model();
+        let c = config();
+        let executor = async_inline(1);
+        executor.run_round(&refs, &m, &c, 0).unwrap();
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = executor.clock.lock().unwrap();
+            panic!("a round panics while holding the clock");
+        }));
+        assert!(poisoned.is_err() && executor.clock.is_poisoned());
+        assert!(matches!(
+            executor.run_round(&refs, &m, &c, 1),
+            Err(FlError::InvalidConfig { .. })
+        ));
+        // Round 0 overwrites the clock wholesale, so it may take the guard
+        // back; the clock then counts rounds again.
+        executor.run_round(&refs, &m, &c, 0).unwrap();
+        assert!(matches!(
+            executor.run_round(&refs, &m, &c, 2),
+            Err(FlError::InvalidConfig { .. })
+        ));
     }
 }

@@ -17,17 +17,17 @@
 //! * **Device heterogeneity** — tiered device populations
 //!   ([`device::HeterogeneityModel`]) with compute/network multipliers and
 //!   per-round availability, plus a virtual-clock
-//!   [`executor::DeadlineExecutor`] that drops clients missing a round
-//!   deadline — making the paper's straggler effect *emergent* instead of a
-//!   fixed participation fraction.
-//! * **Asynchronous bounded-staleness rounds** — an event-driven
-//!   [`executor::AsyncExecutor`] overlaps aggregation rounds instead of
-//!   dropping stragglers: clients train against the global-model version
+//!   [`ExecutionBackend::Deadline`] backend that drops clients missing a
+//!   round deadline — making the paper's straggler effect *emergent* instead
+//!   of a fixed participation fraction.
+//! * **Asynchronous bounded-staleness rounds** — the event-driven
+//!   [`ExecutionBackend::Async`] backend overlaps aggregation rounds instead
+//!   of dropping stragglers: clients train against the global-model version
 //!   available at dispatch (at most `max_staleness` versions behind) and
 //!   [`Server::aggregate_stale`] discounts stale updates; `max_staleness =
 //!   0` (with no offline probability) reproduces the synchronous backends
 //!   bit for bit.
-//! * **Streaming serving mode** — a [`executor::StreamingExecutor`] turns
+//! * **Streaming serving mode** — [`ExecutionBackend::Streaming`] turns
 //!   rounds into continuous update traffic: clients arrive per a pluggable
 //!   [`device::ArrivalModel`] (steady/burst/diurnal, on a dedicated seeded
 //!   RNG stream), train on the freshest model at dispatch, and the server
@@ -104,9 +104,8 @@ pub use cost::CostModel;
 pub use device::{ArrivalModel, DeviceProfile, DeviceTier, HeterogeneityModel};
 pub use error::FlError;
 pub use executor::{
-    AsyncExecutor, DeadlineExecutor, DropReason, DroppedClient, ExecutionBackend, FlushRecord,
-    FlushTrigger, ParallelExecutor, RoundExecutor, RoundOutcome, RoundTiming, SequentialExecutor,
-    StreamingExecutor, StreamingParams, UpdateTiming,
+    DropReason, DroppedClient, ExecutionBackend, Executor, FlushRecord, FlushTrigger, RoundOutcome,
+    RoundTiming, StreamingParams, UpdateTiming,
 };
 pub use methods::Method;
 pub use metrics::{RoundRecord, RunResult};

@@ -141,7 +141,8 @@ impl Server {
 
     /// Aggregates client updates whose `staleness[i]` records how many
     /// global-model versions update `i` lagged behind this round (produced
-    /// by [`crate::executor::AsyncExecutor`]).
+    /// by the event backends, [`crate::ExecutionBackend::Async`] and
+    /// [`crate::ExecutionBackend::Streaming`]).
     ///
     /// Weights are proportional to `selected_samples ×`
     /// [`Server::staleness_discount`], normalised over the participants —
@@ -188,7 +189,7 @@ impl Server {
 
     /// Aggregates one **flush** of the streaming backend's update buffer
     /// (FedBuff-style buffered asynchronous aggregation, produced by
-    /// [`crate::executor::StreamingExecutor`]).
+    /// [`crate::ExecutionBackend::Streaming`]).
     ///
     /// A flushed buffer is just a batch of updates whose model versions lag
     /// the flush round by `staleness[i]` — for updates carried over from an
@@ -198,7 +199,9 @@ impl Server {
     /// method delegates to [`Server::aggregate_stale`] (and through it to
     /// [`Server::aggregate`] when the whole buffer is fresh, which is what
     /// makes the degenerate streaming configuration bit-identical to the
-    /// synchronous path).
+    /// synchronous path). The round loop calls [`Server::aggregate_stale`]
+    /// directly; this name is kept for the two callers that pin it,
+    /// `benchmarks/e2e/src/mirror.rs` and `tests/eval_boundary_e2e.rs`.
     ///
     /// # Errors
     ///

@@ -3,9 +3,7 @@
 
 use crate::cache::{CacheRegistry, CacheScope, CacheStats, FeatureCache};
 use crate::client::Client;
-use crate::comm::{round_traffic, RoundTraffic};
 use crate::config::FlConfig;
-use crate::executor::synchronous_round_wall_seconds;
 use crate::metrics::{RoundRecord, RunResult};
 use crate::participation::ParticipationModel;
 use crate::server::Server;
@@ -235,15 +233,7 @@ impl Simulation {
         let mut cumulative_seconds_cached = 0.0_f64;
         let mut cumulative_wall = 0.0_f64;
         let hetero = &self.config.heterogeneity;
-        // The trainable parameter count is fixed by the architecture and
-        // (per-tier) freeze level, so per-round traffic is round-invariant
-        // per tier; device profiles are fixed for the whole run by
-        // (seed, client id). Without `tier_freeze` every tier resolves to
-        // the global freeze, so this is the single pre-policy traffic value
-        // replicated per tier.
-        let tier_traffic: Vec<RoundTraffic> = (0..hetero.num_tiers())
-            .map(|t| round_traffic(&global_model, self.config.effective_freeze(t)))
-            .collect();
+        // Device profiles are fixed for the whole run by (seed, client id).
         let profiles: Vec<_> = (0..clients.len())
             .map(|id| hetero.profile_for(id, self.config.seed))
             .collect();
@@ -271,18 +261,22 @@ impl Simulation {
                 client_selection.sample_round(&participation, round, self.config.seed);
             let participants: Vec<&Client> =
                 participant_ids.iter().map(|&id| &clients[id]).collect();
-            let outcome = executor.run_round(&participants, &global_model, &self.config, round)?;
-            let updates = &outcome.updates;
+            let mut outcome =
+                executor.run_round(&participants, &global_model, &self.config, round)?;
             let update_staleness = outcome.update_staleness();
+            // Every backend reports its own simulated wall clock: the
+            // slowest survivor or the deadline on a synchronous round, the
+            // gap between consecutive aggregations on an event round.
+            let timing = outcome.timing.take().unwrap_or_default();
+            let updates = &outcome.updates;
 
-            let is_flush = outcome.timing.as_ref().is_some_and(|t| t.flush.is_some());
             if !updates.is_empty() {
-                // All-fresh rounds (every synchronous backend, and async
+                // All-fresh rounds (every synchronous backend, and event
                 // ones that kept up) delegate to the plain path inside
                 // `aggregate_stale`, so this is bit-identical to the
-                // pre-async aggregation whenever no update is stale. A
-                // streaming flush goes through the buffered entry point,
-                // which applies the same rule to the flushed buffer.
+                // pre-async aggregation whenever no update is stale; a
+                // streaming flush is a batch of stale updates like any
+                // other.
                 let theta = if self.config.tier_freeze.is_some() {
                     // Per-tier freezes upload θ vectors of differing length;
                     // align each as a suffix of the global θ. (Validation
@@ -290,8 +284,6 @@ impl Simulation {
                     // every update is fresh.)
                     let current = global_model.trainable_vector(self.config.freeze);
                     server.aggregate_mixed(updates, &current, round)?
-                } else if is_flush {
-                    server.aggregate_buffered(updates, &update_staleness, round)?
                 } else {
                     server.aggregate_stale(updates, &update_staleness, round)?
                 };
@@ -316,30 +308,7 @@ impl Simulation {
             for update in updates {
                 tier_participants[profiles[update.client_id].tier_index] += 1;
             }
-            let round_wall_seconds = if let Some(timing) = &outcome.timing {
-                // Scheduling backends (deadline, async, streaming) report
-                // their own wall clock: the async and streaming clocks are
-                // the gap between consecutive aggregations, not the slowest
-                // client.
-                timing.round_wall_seconds
-            } else {
-                // Simulated wall-clock of a plain synchronous round
-                // (sequential/parallel backends): the slowest surviving
-                // device, or the full deadline when someone missed it.
-                synchronous_round_wall_seconds(
-                    updates.iter().map(|update| {
-                        let profile = &profiles[update.client_id];
-                        hetero.simulated_round_seconds(
-                            profile,
-                            update.compute_seconds,
-                            &tier_traffic[profile.tier_index],
-                        )
-                    }),
-                    !outcome.drops.is_empty(),
-                    self.config.deadline_seconds,
-                )
-            };
-            cumulative_wall += round_wall_seconds;
+            cumulative_wall += timing.round_wall_seconds;
             // Cache activity of this round: monotone counters differenced
             // against the previous snapshot, the peak read as-is (it is a
             // running maximum, so per-round peaks are monotone too).
@@ -361,13 +330,13 @@ impl Simulation {
                 cumulative_client_seconds: cumulative_seconds,
                 round_client_seconds_cached,
                 cumulative_client_seconds_cached: cumulative_seconds_cached,
-                round_wall_seconds,
+                round_wall_seconds: timing.round_wall_seconds,
                 cumulative_wall_seconds: cumulative_wall,
                 cache_hits: cache_round.hits,
                 cache_misses: cache_round.misses,
                 cache_evictions: cache_round.evictions,
                 cache_peak_bytes: cache_round.peak_bytes,
-                flush: outcome.timing.as_ref().and_then(|t| t.flush.clone()),
+                flush: timing.flush,
             });
         }
         Ok(RunResult::new(label, rounds))

@@ -6,7 +6,7 @@
 //! same FedFT-EDS task under a sweep of `max_staleness` bounds:
 //!
 //! * `s ≤ 0` stalls every dispatch until the current global model exists —
-//!   the synchronous reference, bit-identical to `SequentialExecutor`
+//!   the synchronous reference, bit-identical to the `Sequential` backend
 //!   (asserted below);
 //! * larger bounds let clients train against models up to `s` versions old,
 //!   so fast devices no longer idle while a slow-tier client finishes and

@@ -3,13 +3,13 @@
 //! A production FL server does not run lockstep rounds — it ingests a
 //! continuous stream of updates from whoever is online and aggregates
 //! FedBuff-style: every `K` buffered updates or `T` simulated seconds,
-//! whichever comes first. The `StreamingExecutor` models exactly that on
+//! whichever comes first. The `Streaming` backend models exactly that on
 //! the event-driven simulated clock: a 24-client two-tier pool under a
 //! sweep of streaming configurations, from the degenerate one (buffer as
 //! deep as the cohort, steady arrivals, staleness bound 0 — bit-identical
-//! to `SequentialExecutor`, asserted below) to shallow buffers over bursty
-//! arrival processes, where fast devices flush early and stragglers are
-//! carried into later flush intervals.
+//! to the `Sequential` backend, asserted below) to shallow buffers over
+//! bursty arrival processes, where fast devices flush early and stragglers
+//! are carried into later flush intervals.
 //!
 //! Run with: `cargo run --release --example streaming`
 
