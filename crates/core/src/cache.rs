@@ -785,6 +785,40 @@ mod tests {
         assert_eq!(cache.registry().stats().evictions, 1);
     }
 
+    /// The key is memoised on the model, so the model must forget it exactly
+    /// when its backbone is written: never on a θ write (the cache would go
+    /// cold every round), always on a write below the boundary (the cache
+    /// would serve the old backbone's activations).
+    #[test]
+    fn an_in_place_backbone_edit_misses_while_theta_writes_keep_hitting() {
+        let cache = FeatureCache::new();
+        let freeze = FreezeLevel::Moderate;
+        let x = features();
+        let mut m = model(1);
+        let built = cache.get_or_build(&m, freeze, &x).unwrap();
+
+        for seed in 0..100 {
+            let theta = model(100 + seed).trainable_vector(freeze);
+            m.set_trainable_vector(freeze, &theta).unwrap();
+            let served = cache.get_or_build(&m, freeze, &x).unwrap();
+            assert!(Arc::ptr_eq(&built, &served), "θ write {seed} went cold");
+        }
+        let stats = cache.registry().stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (100, 1, 0));
+
+        // One full-model training step moves ϕ in the same `BlockNet`.
+        let mut sgd = fedft_nn::Sgd::new(fedft_nn::SgdConfig::default()).unwrap();
+        m.train_batch(&x, &[0, 1, 2, 0, 1, 2], &mut sgd, FreezeLevel::Full)
+            .unwrap();
+        let rebuilt = cache.get_or_build(&m, freeze, &x).unwrap();
+        assert!(!Arc::ptr_eq(&built, &rebuilt), "stale activations served");
+        assert_eq!(*rebuilt, m.forward_frozen(freeze, &x).unwrap());
+        assert_ne!(*rebuilt, *built, "the step must have moved the backbone");
+        let stats = cache.registry().stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (100, 2, 1));
+        assert_eq!(cache.len(), 1, "stale entry evicted, not accumulated");
+    }
+
     #[test]
     fn backbone_invalidation_is_shard_local_at_any_shard_count() {
         // Shard selection ignores the fingerprint, so the stale generation

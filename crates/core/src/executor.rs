@@ -58,6 +58,7 @@ use fedft_nn::{BlockNet, ParamVector};
 use fedft_tensor::{parallel, pool};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Which backend executes the clients' local updates each round.
@@ -75,10 +76,11 @@ pub enum ExecutionBackend {
     /// Train selected clients one after another on the calling thread. The
     /// reference behaviour every other backend reduces to.
     Sequential,
-    /// Train selected clients concurrently: contiguous chunks of the cohort
-    /// on the persistent worker pool ([`fedft_tensor::pool`]), concatenated
-    /// in chunk order, so results match `Sequential` bit for bit at any
-    /// worker count.
+    /// Train selected clients concurrently: the workers of the persistent
+    /// pool ([`fedft_tensor::pool`]) take clients one at a time, largest
+    /// shard first, and every update is put back at its participant
+    /// position, so results match `Sequential` bit for bit at any worker
+    /// count.
     #[default]
     Parallel,
     /// Deadline-based straggler scheduling: clients whose predicted time
@@ -442,8 +444,8 @@ impl Executor {
     ) -> Result<RoundOutcome> {
         // An executor can be built from a backend and a cap that
         // `FlConfig::validate` never saw, so the values that would otherwise
-        // index out of bounds or split a cohort over zero workers are
-        // rejected here.
+        // index out of bounds or hand a cohort to zero workers are rejected
+        // here.
         if self.worker_threads == Some(0) {
             return Err(FlError::InvalidConfig {
                 what: "the executor's worker-thread cap must be non-zero when set".into(),
@@ -551,23 +553,20 @@ impl Executor {
     /// Trains every `(client, model)` pair and returns the updates in the
     /// order of `jobs` — the one place a local update runs.
     ///
-    /// With more than one worker the jobs are split into contiguous chunks
-    /// on the persistent pool ([`fedft_tensor::pool`]); the boundaries
-    /// depend only on the worker count, never on pool occupancy, and the
-    /// per-chunk results are concatenated in chunk order, so the output is
-    /// the same whichever thread ran which chunk.
+    /// With more than one worker the jobs are handed out one at a time,
+    /// largest shard first ([`hand_out`]), so no worker idles behind a
+    /// fixed share of the cohort while another still has clients queued.
+    /// Each result is put back at its job's position, so the output — and
+    /// the error reported, the first in `jobs` order — is the same
+    /// whichever thread ran which client.
     fn train(
         &self,
         jobs: &[(&Client, &BlockNet)],
         config: &FlConfig,
         round: usize,
     ) -> Result<Vec<ClientUpdate>> {
-        let run = |chunk: &[(&Client, &BlockNet)]| {
-            chunk
-                .iter()
-                .map(|(client, model)| client.local_update(model, config, round))
-                .collect::<Result<Vec<ClientUpdate>>>()
-        };
+        let run =
+            |&(client, model): &(&Client, &BlockNet)| client.local_update(model, config, round);
         let workers = if self.backend == ExecutionBackend::Sequential {
             1
         } else {
@@ -576,20 +575,21 @@ impl Executor {
                 .min(jobs.len())
         };
         if workers <= 1 {
-            // Inline, and not single-threaded: with the pool idle the tensor
-            // kernels are free to fan out underneath a lone update.
-            return run(jobs);
+            // Inline, in `jobs` order (which keeps `Sequential`'s cache
+            // counters exact), and not single-threaded: with the pool idle
+            // the tensor kernels are free to fan out underneath a lone
+            // update.
+            return jobs.iter().map(run).collect();
         }
-        // Each pooled worker owns one core; keep the tensor kernels from
-        // fanning out a second level of pool jobs underneath.
-        let chunks = pool::run_chunks(jobs.len(), workers, |range| {
-            parallel::single_threaded(|| run(&jobs[range]))
-        });
-        let mut updates = Vec::with_capacity(jobs.len());
-        for chunk in chunks {
-            updates.extend(chunk?);
-        }
-        Ok(updates)
+        // Longest first: a local update's time grows with its shard, and a
+        // large client claimed last would run alone while the other workers
+        // wait at the round's barrier. The sort is stable, so the hand-out
+        // order is a function of the cohort alone.
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by_key(|&position| std::cmp::Reverse(jobs[position].0.num_samples()));
+        hand_out(&order, workers, |position| run(&jobs[position]))
+            .into_iter()
+            .collect()
     }
 
     /// `Sequential` / `Parallel` / `Deadline`: everyone admitted trains on
@@ -837,6 +837,45 @@ impl Executor {
     }
 }
 
+/// Runs `body(position)` for every position in `order` on `workers` pool
+/// runners and returns the results indexed by position (`order` must be a
+/// permutation of `0..order.len()`).
+///
+/// Exactly `workers` runners start on the persistent pool
+/// ([`fedft_tensor::pool`]), each taking the next unclaimed entry of `order`
+/// from one shared cursor until none is left. Each runs under
+/// [`parallel::single_threaded`]: a runner owns one core, so the tensor
+/// kernels must not fan out a second level of pool jobs underneath — which
+/// is also what makes `workers` a cap on the threads a round uses. A runner
+/// the pool gets to late (more runners than pool threads, or a single-core
+/// host, where the pool runs them one after another on the caller) finds the
+/// cursor exhausted and returns at once.
+///
+/// # Panics
+///
+/// A panicking `body` ends its runner; the others finish the remaining
+/// positions, and the pool then re-raises the first panic here.
+fn hand_out<T: Send>(order: &[usize], workers: usize, body: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    // Relaxed: the cursor only decides who takes which entry. What a runner
+    // produces reaches this thread through `run_chunks`' own
+    // synchronisation.
+    let cursor = AtomicUsize::new(0);
+    let per_runner = pool::run_chunks(workers, workers, |_runner| {
+        parallel::single_threaded(|| {
+            let mut done = Vec::new();
+            while let Some(&position) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                done.push((position, body(position)));
+            }
+            done
+        })
+    });
+    // Every position was claimed by exactly one runner.
+    let mut placed: Vec<(usize, T)> = per_runner.into_iter().flatten().collect();
+    debug_assert_eq!(placed.len(), order.len());
+    placed.sort_unstable_by_key(|&(position, _)| position);
+    placed.into_iter().map(|(_, result)| result).collect()
+}
+
 /// Event-clock state of the `Async` and `Streaming` backends, advanced once
 /// per round.
 ///
@@ -953,6 +992,11 @@ mod tests {
     use fedft_data::Dataset;
     use fedft_nn::{BlockNet, BlockNetConfig};
     use fedft_tensor::{init, rng};
+    use rand::seq::SliceRandom;
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Condvar;
+    use std::time::Duration;
 
     fn client(id: usize, samples: usize) -> Client {
         let mut r = rng::rng_for_indexed(7, "executor-test", id as u64);
@@ -1072,6 +1116,183 @@ mod tests {
         );
         assert!(sequential.drops.is_empty());
         assert_eq!(sequential.dropped(), 0);
+    }
+
+    /// `n` clients (ids `0..n`) whose shard sizes spread over `1..=200` in a
+    /// seeded shuffle, so that participant order is not size order.
+    fn mixed_cohort(n: usize) -> Vec<Client> {
+        let mut sizes: Vec<usize> = (0..n).map(|i| 1 + i * 199 / (n.max(2) - 1)).collect();
+        sizes.shuffle(&mut rng::rng_for(13, "executor-cohort"));
+        sizes
+            .into_iter()
+            .enumerate()
+            .map(|(id, samples)| client(id, samples))
+            .collect()
+    }
+
+    const COHORTS: [usize; 5] = [1, 2, 3, 7, 64];
+    const CAPS: [Option<usize>; 5] = [Some(1), Some(2), Some(3), Some(7), None];
+
+    #[test]
+    fn handed_out_rounds_equal_sequential_rounds_at_every_cohort_size_and_cap() {
+        let m = model();
+        let c = config(); // uniform devices, infinite deadline: `Deadline` is neutral
+        for n in COHORTS {
+            let clients = mixed_cohort(n);
+            let refs: Vec<&Client> = clients.iter().collect();
+            let reference = sequential().run_round(&refs, &m, &c, 0).unwrap();
+            assert_eq!(reference.updates.len(), n);
+            for backend in [ExecutionBackend::Parallel, ExecutionBackend::Deadline] {
+                for cap in CAPS {
+                    let outcome = backend
+                        .executor_with_workers(cap)
+                        .run_round(&refs, &m, &c, 0)
+                        .unwrap();
+                    assert_eq!(outcome, reference, "{backend:?}, {n} clients, cap {cap:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn handed_out_event_rounds_with_two_stale_versions_equal_inline_ones() {
+        // Staleness bound 2 and a draining flush: every update is aggregated
+        // in the round that dispatched it, so `update_staleness()` is the lag
+        // of the version each job trained on.
+        let params = StreamingParams::new(usize::MAX).with_max_staleness(2);
+        let c = config();
+        for n in COHORTS {
+            let clients = mixed_cohort(n);
+            let refs: Vec<&Client> = clients.iter().collect();
+            let run = |cap: Option<usize>| -> Vec<RoundOutcome> {
+                let executor = ExecutionBackend::Streaming(params).executor_with_workers(cap);
+                let mut global = model();
+                (0..5)
+                    .map(|round| {
+                        let outcome = executor.run_round(&refs, &global, &c, round).unwrap();
+                        // Advance the model as the simulation would, so
+                        // that the versions differ in θ.
+                        let theta = crate::Server::new()
+                            .aggregate_stale(&outcome.updates, &outcome.update_staleness(), round)
+                            .unwrap();
+                        global.set_trainable_vector(c.freeze, &theta).unwrap();
+                        outcome
+                    })
+                    .collect()
+            };
+            // No synchronous round trains on stale versions; the reference
+            // is the same backend training inline, in dispatch order.
+            let reference = run(Some(1));
+            if n >= 7 {
+                assert!(
+                    reference.iter().any(|outcome| {
+                        let lags: HashSet<usize> = outcome.update_staleness().into_iter().collect();
+                        lags.contains(&1) && lags.contains(&2)
+                    }),
+                    "{n} clients: some round must train on two stale versions at once"
+                );
+            }
+            for cap in &CAPS[1..] {
+                assert_eq!(run(*cap), reference, "{n} clients, cap {cap:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_failing_participant_is_reported_at_every_cap() {
+        let mut clients = mixed_cohort(8);
+        for position in [3, 5] {
+            clients[position] = Client::new(100 + position, Dataset::empty(6, 3));
+        }
+        let refs: Vec<&Client> = clients.iter().collect();
+        let m = model();
+        let c = config();
+        for backend in [
+            ExecutionBackend::Sequential,
+            ExecutionBackend::Parallel,
+            ExecutionBackend::Deadline,
+            ExecutionBackend::Streaming(StreamingParams::new(8)),
+        ] {
+            for cap in CAPS {
+                let err = backend
+                    .executor_with_workers(cap)
+                    .run_round(&refs, &m, &c, 0)
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, FlError::InvalidConfig { what } if what.contains("client 103")),
+                    "{backend:?}, cap {cap:?}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_client_is_re_raised_and_the_executor_stays_usable() {
+        let clients = mixed_cohort(3);
+        let refs: Vec<&Client> = clients.iter().collect();
+        let m = model();
+        let c = config();
+        // A zero batch size panics inside every local update (`chunks(0)`).
+        let panicking = config().with_batch_size(0);
+        let reference = sequential().run_round(&refs, &m, &c, 0).unwrap();
+        for backend in [
+            ExecutionBackend::Parallel,
+            ExecutionBackend::Streaming(StreamingParams::new(3)),
+        ] {
+            for cap in CAPS {
+                let executor = backend.executor_with_workers(cap);
+                let raised = catch_unwind(AssertUnwindSafe(|| {
+                    executor.run_round(&refs, &m, &panicking, 0)
+                }));
+                assert!(raised.is_err(), "{backend:?}, cap {cap:?}");
+                let outcome = executor.run_round(&refs, &m, &c, 0).unwrap();
+                assert_eq!(
+                    outcome.updates, reference.updates,
+                    "{backend:?}, cap {cap:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hand_out_runs_every_position_once_on_no_more_threads_than_the_cap() {
+        let order: Vec<usize> = (0..40).rev().collect();
+        for cap in [2, 3, 7] {
+            let calls = AtomicUsize::new(0);
+            let threads = Mutex::new(HashSet::new());
+            let results = hand_out(&order, cap, |position| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                threads.lock().unwrap().insert(std::thread::current().id());
+                position * 10
+            });
+            assert_eq!(results, (0..40).map(|p| p * 10).collect::<Vec<_>>());
+            assert_eq!(calls.into_inner(), 40, "cap {cap}");
+            assert!(threads.into_inner().unwrap().len() <= cap, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn hand_out_puts_a_second_worker_to_work_when_the_host_has_one() {
+        if pool::hardware_threads() < 2 {
+            return;
+        }
+        // Forced, not probable: the first job handed out refuses to finish
+        // until a job has been entered on another thread, which can only be
+        // a second runner taking the next entry.
+        let order = [3, 1, 0, 2];
+        let entered: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+        let another_entered = Condvar::new();
+        hand_out(&order, 2, |position| {
+            let mut threads = entered.lock().unwrap();
+            threads.insert(std::thread::current().id());
+            another_entered.notify_all();
+            if position == order[0] {
+                let (_threads, wait) = another_entered
+                    .wait_timeout_while(threads, Duration::from_secs(30), |t| t.len() < 2)
+                    .unwrap();
+                assert!(!wait.timed_out(), "no second runner took a job within 30 s");
+            }
+        });
     }
 
     #[test]

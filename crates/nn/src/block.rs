@@ -2,6 +2,7 @@
 
 use crate::flops::FlopsBreakdown;
 use crate::freeze::FreezeLevel;
+use crate::layer::Scratch;
 use crate::layers::{Dense, Relu};
 use crate::loss::SoftmaxCrossEntropy;
 use crate::optimizer::Sgd;
@@ -11,6 +12,7 @@ use crate::suffix::{self, StepWorkspace, SuffixNet};
 use crate::{NnError, Result};
 use fedft_tensor::{stats, Matrix};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Identifier of a layer group inside a [`BlockNet`].
 ///
@@ -142,7 +144,15 @@ pub struct BlockNet {
     config: BlockNetConfig,
     blocks: Vec<Sequential>,
     loss: SoftmaxCrossEntropy,
-    workspace: StepWorkspace,
+    workspace: Scratch<StepWorkspace>,
+    /// [`BlockNet::frozen_fingerprint`] per freeze level, indexed by
+    /// [`FreezeLevel::frozen_blocks`]; an empty slot is hashed on demand.
+    /// `blocks` is private and written only by
+    /// [`BlockNet::set_trainable_vector`] and
+    /// [`BlockNet::train_batch_cached`], which empty the slots they
+    /// invalidate, so a filled slot always describes the current parameters
+    /// — a clone's too, which is why cloning carries it.
+    fingerprints: [OnceLock<u64>; 4],
 }
 
 impl BlockNet {
@@ -185,7 +195,8 @@ impl BlockNet {
             config: *config,
             blocks: vec![low, mid, up, classifier],
             loss: SoftmaxCrossEntropy::new(),
-            workspace: StepWorkspace::default(),
+            workspace: Scratch::default(),
+            fingerprints: Default::default(),
         }
     }
 
@@ -401,6 +412,7 @@ impl BlockNet {
         optimizer: &mut Sgd,
         freeze: FreezeLevel,
     ) -> Result<f32> {
+        self.forget_fingerprints_above(freeze);
         suffix::train_blocks(
             &mut self.blocks[freeze.frozen_blocks()..],
             &self.loss,
@@ -414,21 +426,36 @@ impl BlockNet {
     /// Clones the trainable suffix `θ` into a standalone [`SuffixNet`] —
     /// the `O(|θ|)` model snapshot a client needs for local training when
     /// the frozen backbone is shared. `O(|θ|)` holds whatever the model has
-    /// been evaluated on, because inference never stores activations (see
-    /// [`crate::Layer::forward`]).
+    /// been evaluated or trained on: inference never stores activations (see
+    /// [`crate::Layer::forward`]), and those a training step stored are
+    /// scratch that a clone leaves behind.
     pub fn trainable_suffix(&self, freeze: FreezeLevel) -> SuffixNet {
         SuffixNet::from_blocks(self.blocks[freeze.frozen_blocks()..].to_vec(), freeze)
     }
 
-    /// A cheap fingerprint of the frozen prefix under a freeze level: a hash
-    /// over the frozen blocks' parameter bits and shapes.
+    /// A fingerprint of the frozen prefix under a freeze level: a hash over
+    /// the frozen blocks' parameter bits and shapes.
     ///
     /// Feature caches key their entries on this value so that cached
     /// boundary activations are never served for a *different* backbone —
     /// if `ϕ` ever changes (a new run, a different pretrained model), the
     /// fingerprint changes and the cache rebuilds. During one federated run
     /// `ϕ` is frozen, so the fingerprint is invariant round to round.
+    ///
+    /// The hash is `O(|ϕ|)` and memoised per level on the model: it runs on
+    /// the first call after construction or after a write to a block of the
+    /// level's frozen prefix, and every other call — on this model or a
+    /// clone of it — reads the stored value. A round loop that only writes
+    /// the blocks above its freeze level therefore hashes once per run.
     pub fn frozen_fingerprint(&self, freeze: FreezeLevel) -> u64 {
+        *self.fingerprints[freeze.frozen_blocks()].get_or_init(|| self.hash_frozen_prefix(freeze))
+    }
+
+    /// The hash behind [`BlockNet::frozen_fingerprint`], computed from the
+    /// parameters as they are now.
+    fn hash_frozen_prefix(&self, freeze: FreezeLevel) -> u64 {
+        #[cfg(test)]
+        FULL_HASHES.with(|count| count.set(count.get() + 1));
         // FNV-1a over the structure and parameter bits; not cryptographic,
         // just collision-resistant enough for cache keying.
         let mut hash = 0xcbf2_9ce4_8422_2325_u64;
@@ -447,6 +474,16 @@ impl BlockNet {
             }
         }
         hash
+    }
+
+    /// Empties the memoised fingerprint of every level whose frozen prefix
+    /// reaches into the blocks a write at `freeze` touches (`blocks[f..]`
+    /// for `f = freeze.frozen_blocks()`): the levels that freeze more than
+    /// `f` blocks. Called by the two writers of parameters before they write.
+    fn forget_fingerprints_above(&mut self, freeze: FreezeLevel) {
+        for memo in &mut self.fingerprints[freeze.frozen_blocks() + 1..] {
+            memo.take();
+        }
     }
 
     /// Number of trainable scalar parameters under a freeze level.
@@ -482,6 +519,7 @@ impl BlockNet {
         freeze: FreezeLevel,
         vector: &ParamVector,
     ) -> Result<()> {
+        self.forget_fingerprints_above(freeze);
         let mut params: Vec<&mut Matrix> = self.blocks[freeze.frozen_blocks()..]
             .iter_mut()
             .flat_map(|b| b.params_mut())
@@ -525,6 +563,12 @@ impl BlockNet {
             backward_trainable,
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many times this thread ran [`BlockNet::hash_frozen_prefix`].
+    static FULL_HASHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -797,6 +841,82 @@ mod tests {
         let other = BlockNet::new(&config(), 3);
         assert_ne!(other.frozen_fingerprint(freeze), fp);
         assert_ne!(net.frozen_fingerprint(FreezeLevel::Classifier), fp);
+    }
+
+    /// A stale memo is a silent wrong-backbone cache hit, so the memo is held
+    /// against the hash of the parameters as they are, at every level, after
+    /// every step of a seeded walk over everything that writes, copies or
+    /// reads it.
+    #[test]
+    fn memoised_fingerprint_equals_the_uncached_hash_along_a_random_walk() {
+        use rand::Rng;
+        let mut r = fedft_tensor::rng::rng_for(41, "fingerprint-walk");
+        let mut net = BlockNet::new(&config(), 1);
+        let levels = FreezeLevel::all();
+        for step in 0..2_500 {
+            let level = levels[r.gen_range(0..levels.len())];
+            let op = r.gen_range(0..5);
+            let mut random_theta = |len: usize| {
+                let values = fedft_tensor::init::normal(&mut r, 1, len, 0.0, 1.0);
+                ParamVector::from_values(values.as_slice().to_vec())
+            };
+            match op {
+                0 => {
+                    let theta = random_theta(net.trainable_parameter_count(level));
+                    net.set_trainable_vector(level, &theta).unwrap();
+                }
+                1 => {
+                    let all = random_theta(net.total_parameter_count());
+                    net.set_full_vector(&all).unwrap();
+                }
+                2 => {
+                    let x = fedft_tensor::init::normal(&mut r, 2, 6, 0.0, 1.0);
+                    let mut sgd = Sgd::new(SgdConfig::default()).unwrap();
+                    net.train_batch(&x, &[0, 2], &mut sgd, level).unwrap();
+                }
+                3 => net = net.clone(),
+                _ => {
+                    net.frozen_fingerprint(level);
+                }
+            }
+            // Checked on a copy, so that which slots of `net` are filled is
+            // decided by the walk alone.
+            let probe = net.clone();
+            for level in levels {
+                assert_eq!(
+                    probe.frozen_fingerprint(level),
+                    probe.hash_frozen_prefix(level),
+                    "step {step} (op {op}), level {level}"
+                );
+            }
+        }
+    }
+
+    /// The round loop's access pattern: θ written once a round, then one
+    /// lookup per client on the model and on the snapshots taken of it.
+    #[test]
+    fn the_full_hash_runs_once_per_write_into_the_looked_up_prefix() {
+        let full_hashes = |lookup: FreezeLevel| {
+            let written = FreezeLevel::Moderate;
+            let mut net = BlockNet::new(&config(), 2);
+            let theta = BlockNet::new(&config(), 99).trainable_vector(written);
+            let before = FULL_HASHES.with(std::cell::Cell::get);
+            for _ in 0..100 {
+                net.set_trainable_vector(written, &theta).unwrap();
+                for _ in 0..10 {
+                    net.frozen_fingerprint(lookup);
+                }
+                let snapshot = net.clone();
+                for _ in 0..10 {
+                    snapshot.frozen_fingerprint(lookup);
+                }
+            }
+            FULL_HASHES.with(std::cell::Cell::get) - before
+        };
+        // Nothing below the written blocks changes: hashed once, for good.
+        assert_eq!(full_hashes(FreezeLevel::Moderate), 1);
+        // A deeper level's prefix contains a written block: once per write.
+        assert_eq!(full_hashes(FreezeLevel::Classifier), 100);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! only understands matrices) unchanged while still offering convolutional
 //! models for image-shaped synthetic data.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Scratch};
 use crate::{NnError, Result};
 use fedft_tensor::{init, rng, Matrix, TensorError};
 
@@ -54,7 +54,7 @@ pub struct Conv2d {
     bias: Matrix,
     grad_weight: Matrix,
     grad_bias: Matrix,
-    cached_input: Option<Matrix>,
+    cached_input: Scratch<Option<Matrix>>,
 }
 
 impl Conv2d {
@@ -93,7 +93,7 @@ impl Conv2d {
             bias: Matrix::zeros(1, out_channels),
             grad_weight: Matrix::zeros(fan_in, out_channels),
             grad_bias: Matrix::zeros(1, out_channels),
-            cached_input: None,
+            cached_input: Scratch::default(),
         })
     }
 
@@ -281,7 +281,7 @@ impl Layer for Conv2d {
 pub struct MaxPool2d {
     input_shape: VolumeShape,
     window: usize,
-    argmax: Option<Vec<usize>>,
+    argmax: Scratch<Option<Vec<usize>>>,
     cached_rows: usize,
 }
 
@@ -307,7 +307,7 @@ impl MaxPool2d {
         Ok(MaxPool2d {
             input_shape,
             window,
-            argmax: None,
+            argmax: Scratch::default(),
             cached_rows: 0,
         })
     }
@@ -383,7 +383,7 @@ impl Layer for MaxPool2d {
         }
         let mut argmax = self.argmax.take().unwrap_or_default();
         self.compute_forward(input, out, &mut argmax)?;
-        self.argmax = Some(argmax);
+        *self.argmax = Some(argmax);
         self.cached_rows = input.rows();
         Ok(())
     }

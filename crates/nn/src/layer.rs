@@ -10,8 +10,10 @@ use fedft_tensor::Matrix;
 /// masks, normalisation statistics) to compute parameter gradients and the
 /// gradient with respect to the layer input. Inference never stores
 /// activations, so a layer that has only been evaluated holds its parameters
-/// and gradient buffers and nothing else, and cloning it — which is what a
-/// model snapshot does — costs `O(parameters)` whatever it was evaluated on.
+/// and gradient buffers and nothing else; and what a training pass stored is
+/// scratch that a clone leaves behind, so cloning a layer — which is what a
+/// model snapshot does — costs `O(parameters)` whatever it was evaluated or
+/// trained on.
 ///
 /// The trait is object safe; models store layers as `Box<dyn Layer>`.
 /// Layers must be `Send + Sync` so that client models can be trained on
@@ -138,6 +140,37 @@ pub trait Layer: Send + Sync {
 impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.clone_box()
+    }
+}
+
+/// What a training pass leaves behind for itself: the activations a layer's
+/// `forward` stores for its `backward`, the buffers a training step reuses.
+///
+/// Scratch has no identity, so a clone starts empty (`T::default()`): a model
+/// snapshot costs `O(parameters)` even when the model it is taken of has just
+/// trained on a batch. Everything else a layer holds — parameters, gradients,
+/// the dropout call counter, batch-norm running statistics — is state and is
+/// cloned as usual. Dereferences to `T`.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch<T>(T);
+
+impl<T: Default> Clone for Scratch<T> {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl<T> std::ops::Deref for Scratch<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for Scratch<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
     }
 }
 

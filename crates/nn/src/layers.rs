@@ -1,6 +1,6 @@
 //! Fully-connected, activation, dropout and normalisation layers.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Scratch};
 use crate::{NnError, Result};
 use fedft_tensor::{init, rng, Matrix};
 use rand::Rng;
@@ -29,7 +29,7 @@ pub struct Dense {
     bias: Matrix,
     grad_weight: Matrix,
     grad_bias: Matrix,
-    cached_input: Option<Matrix>,
+    cached_input: Scratch<Option<Matrix>>,
     in_features: usize,
     out_features: usize,
 }
@@ -44,7 +44,7 @@ impl Dense {
             bias: Matrix::zeros(1, out_features),
             grad_weight: Matrix::zeros(in_features, out_features),
             grad_bias: Matrix::zeros(1, out_features),
-            cached_input: None,
+            cached_input: Scratch::default(),
             in_features,
             out_features,
         }
@@ -151,7 +151,7 @@ impl Layer for Dense {
 /// Rectified linear unit activation.
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
-    cached_input: Option<Matrix>,
+    cached_input: Scratch<Option<Matrix>>,
     features_hint: usize,
 }
 
@@ -159,7 +159,7 @@ impl Relu {
     /// Creates a ReLU layer. `features_hint` is only used for FLOP accounting.
     pub fn new(features_hint: usize) -> Self {
         Relu {
-            cached_input: None,
+            cached_input: Scratch::default(),
             features_hint,
         }
     }
@@ -242,7 +242,7 @@ pub struct Dropout {
     rate: f32,
     seed: u64,
     calls: u64,
-    mask: Option<Matrix>,
+    mask: Scratch<Option<Matrix>>,
     features_hint: usize,
 }
 
@@ -259,7 +259,7 @@ impl Dropout {
             rate,
             seed,
             calls: 0,
-            mask: None,
+            mask: Scratch::default(),
             features_hint,
         }
     }
@@ -277,7 +277,7 @@ impl Layer for Dropout {
 
     fn forward_into(&mut self, input: &Matrix, training: bool, out: &mut Matrix) -> Result<()> {
         if !training || self.rate == 0.0 {
-            self.mask = None;
+            *self.mask = None;
             out.clone_from(input);
             return Ok(());
         }
@@ -304,7 +304,7 @@ impl Layer for Dropout {
         let Some(grad_input) = grad_input else {
             return Ok(());
         };
-        match &self.mask {
+        match &*self.mask {
             Some(mask) => grad_output.zip_with_into(mask, "hadamard", grad_input, |g, m| g * m)?,
             None => grad_input.clone_from(grad_output),
         }
@@ -354,10 +354,10 @@ pub struct BatchNorm1d {
     momentum: f32,
     eps: f32,
     features: usize,
-    cache: Option<BnCache>,
+    cache: Scratch<Option<BnCache>>,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct BnCache {
     normalised: Matrix,
     std_inv: Vec<f32>,
@@ -376,7 +376,7 @@ impl BatchNorm1d {
             momentum: 0.1,
             eps: 1e-5,
             features,
-            cache: None,
+            cache: Scratch::default(),
         }
     }
 
@@ -467,7 +467,7 @@ impl Layer for BatchNorm1d {
         // previous step left.
         let mut cache = self.cache.take().unwrap_or_default();
         self.normalise(input, &mean, &var, out, &mut cache);
-        self.cache = training.then_some(cache);
+        *self.cache = training.then_some(cache);
         Ok(())
     }
 

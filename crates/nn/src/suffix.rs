@@ -11,7 +11,7 @@
 //! inputs and therefore produce bit-identical results.
 
 use crate::freeze::FreezeLevel;
-use crate::layer::Layer;
+use crate::layer::{Layer, Scratch};
 use crate::loss::SoftmaxCrossEntropy;
 use crate::optimizer::Sgd;
 use crate::params::ParamVector;
@@ -23,21 +23,13 @@ use fedft_tensor::{stats, Matrix};
 /// owns the trained blocks ([`SuffixNet`], [`crate::BlockNet`]): two
 /// ping-pong activation matrices, the loss gradient and two ping-pong
 /// back-propagated gradients. Same-shaped batches reuse them, so after the
-/// first step a step allocates nothing.
-///
-/// Scratch has no identity: a clone starts empty, which keeps model clones
-/// and snapshots `O(parameters)`.
+/// first step a step allocates nothing. Held as [`Scratch`], so model clones
+/// and snapshots start with an empty one.
 #[derive(Debug, Default)]
 pub(crate) struct StepWorkspace {
     activations: [Matrix; 2],
     loss_grad: Matrix,
     grads: [Matrix; 2],
-}
-
-impl Clone for StepWorkspace {
-    fn clone(&self) -> Self {
-        StepWorkspace::default()
-    }
 }
 
 /// Forward pass through a run of blocks, starting from boundary activations:
@@ -118,10 +110,11 @@ pub(crate) fn train_blocks(
 /// A `SuffixNet` is produced by [`crate::BlockNet::trainable_suffix`]: it
 /// clones only the blocks above the freeze boundary, so a client holding one
 /// costs `O(|θ|)` memory instead of `O(|ϕ| + |θ|)` for a full model clone.
-/// Inference never stores activations, so a snapshot is `O(|θ|)` whatever
-/// the global model was evaluated on, and stays so when a whole shard is
-/// scored with [`SuffixNet::forward`]`(_, false)` or
-/// [`SuffixNet::predict_proba`]; only a training step keeps its mini-batch.
+/// Inference never stores activations and a clone leaves behind those a
+/// training step stored, so a snapshot is `O(|θ|)` whatever the global model
+/// was evaluated or trained on, and stays so when a whole shard is scored
+/// with [`SuffixNet::forward`]`(_, false)` or [`SuffixNet::predict_proba`];
+/// only a training step keeps its mini-batch.
 /// Its inputs are **boundary activations** — the output of
 /// [`crate::BlockNet::forward_frozen`] on raw features (or a cached copy of
 /// it), never the raw features themselves (except at
@@ -131,7 +124,7 @@ pub struct SuffixNet {
     blocks: Vec<Sequential>,
     freeze: FreezeLevel,
     loss: SoftmaxCrossEntropy,
-    workspace: StepWorkspace,
+    workspace: Scratch<StepWorkspace>,
 }
 
 impl SuffixNet {
@@ -141,7 +134,7 @@ impl SuffixNet {
             blocks,
             freeze,
             loss: SoftmaxCrossEntropy::new(),
-            workspace: StepWorkspace::default(),
+            workspace: Scratch::default(),
         }
     }
 
@@ -434,34 +427,33 @@ mod tests {
         })
     }
 
-    #[test]
-    fn snapshots_of_an_evaluated_model_hold_no_activations() {
+    fn batch() -> (Matrix, [usize; 2]) {
         let x = Matrix::from_rows(&[
             vec![1.0, 0.0, 0.5, -0.5, 0.2, 0.1],
             vec![0.0, 1.0, -0.5, 0.5, -0.2, 0.3],
         ])
         .unwrap();
-        let labels = [1usize, 2];
-        let mut evaluated = net();
-        evaluated.evaluate_accuracy(&x, &labels).unwrap();
-        evaluated.evaluate_loss(&x, &labels).unwrap();
-        evaluated.predict_proba(&x, 0.1).unwrap();
-        evaluated.forward_collect(&x).unwrap();
+        (x, [1, 2])
+    }
 
+    /// At every freeze level a snapshot of `model` (and of a clone of it)
+    /// holds no activations, scoring with it stores none, and training from
+    /// it is training from a snapshot of `pristine` — the same parameters in
+    /// a model that was never evaluated or trained — bit for bit.
+    fn assert_snapshots_hold_parameters_only(model: &BlockNet, pristine: &BlockNet) {
+        let (x, labels) = batch();
         for freeze in FreezeLevel::all() {
-            let mut snapshot = evaluated.trainable_suffix(freeze);
+            let mut snapshot = model.trainable_suffix(freeze);
             assert!(!holds_activations(&mut snapshot, 2), "suffix at {freeze}");
-            let mut of_clone = evaluated.clone().trainable_suffix(freeze);
+            let mut of_clone = model.clone().trainable_suffix(freeze);
             assert!(!holds_activations(&mut of_clone, 2), "clone at {freeze}");
 
-            // Scoring with the snapshot itself stores nothing either.
-            let boundary = evaluated.forward_frozen(freeze, &x).unwrap();
+            let boundary = model.forward_frozen(freeze, &x).unwrap();
             snapshot.forward(&boundary, false).unwrap();
             snapshot.predict_proba(&boundary, 0.1).unwrap();
             assert!(!holds_activations(&mut snapshot, 2), "scored at {freeze}");
 
-            // And training from it is training from a never-evaluated model.
-            let mut fresh = net().trainable_suffix(freeze);
+            let mut fresh = pristine.trainable_suffix(freeze);
             let mut sgd_a = Sgd::new(SgdConfig::default()).unwrap();
             let mut sgd_b = Sgd::new(SgdConfig::default()).unwrap();
             for _ in 0..5 {
@@ -471,9 +463,44 @@ mod tests {
                 let b = fresh.train_batch(&boundary, &labels, &mut sgd_b).unwrap();
                 assert_eq!(a.to_bits(), b.to_bits(), "loss at {freeze}");
             }
-            assert_eq!(snapshot.trainable_vector(), fresh.trainable_vector());
+            assert_eq!(
+                bits(snapshot.trainable_vector().values()),
+                bits(fresh.trainable_vector().values()),
+                "theta at {freeze}"
+            );
+            // Those steps stored their batch in the snapshot; a copy of it
+            // starts empty again.
+            assert!(!holds_activations(&mut snapshot.clone(), 2));
             assert!(holds_activations(&mut snapshot, 2), "trained at {freeze}");
         }
+    }
+
+    #[test]
+    fn snapshots_of_an_evaluated_model_hold_no_activations() {
+        let (x, labels) = batch();
+        let mut evaluated = net();
+        evaluated.evaluate_accuracy(&x, &labels).unwrap();
+        evaluated.evaluate_loss(&x, &labels).unwrap();
+        evaluated.predict_proba(&x, 0.1).unwrap();
+        evaluated.forward_collect(&x).unwrap();
+        assert_snapshots_hold_parameters_only(&evaluated, &net());
+    }
+
+    #[test]
+    fn snapshots_of_a_trained_model_hold_no_activations() {
+        let (x, labels) = batch();
+        // Every layer has stored a batch — the state of a run's global
+        // model, which is pretrained before the first round snapshots it.
+        let mut trained = net();
+        let mut sgd = Sgd::new(SgdConfig::default()).unwrap();
+        trained
+            .train_batch(&x, &labels, &mut sgd, FreezeLevel::Full)
+            .unwrap();
+        let mut never_trained = net();
+        never_trained
+            .set_full_vector(&trained.full_vector())
+            .unwrap();
+        assert_snapshots_hold_parameters_only(&trained, &never_trained);
     }
 
     #[test]

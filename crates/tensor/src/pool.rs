@@ -85,9 +85,7 @@ pub fn hardware_threads() -> usize {
 }
 
 /// Chunk length [`run_chunks`] uses: `n_items` split as evenly as possible
-/// over `max_workers` contiguous ranges (the last may be short). This is
-/// the exact split the parallel executor computed before the pool existed,
-/// so round histories are unchanged.
+/// over `max_workers` contiguous ranges (the last may be short).
 pub fn chunk_len(n_items: usize, max_workers: usize) -> usize {
     n_items.div_ceil(max_workers.max(1)).max(1)
 }
@@ -398,7 +396,7 @@ mod tests {
 
     #[test]
     fn chunk_boundaries_match_the_historic_splits() {
-        // The executor split: div_ceil over the requested workers.
+        // The even split: div_ceil over the requested workers.
         assert_eq!(chunk_len(10, 4), 3);
         assert_eq!(chunk_len(100, 8), 13);
         assert_eq!(chunk_len(3, 8), 1);
