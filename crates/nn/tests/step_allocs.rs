@@ -1,5 +1,6 @@
 //! Allocation guard for the training step: once its buffers are warm, a
-//! [`SuffixNet::train_batch`] on same-shaped batches allocates nothing.
+//! [`SuffixNet::train_batch`] on batches of the sizes it has seen — a full
+//! one and a client's short last one — allocates nothing.
 //!
 //! This is the training-side twin of the inference-side guard
 //! `suffix::snapshots_of_an_evaluated_model_hold_no_activations`: that one
@@ -62,28 +63,45 @@ fn allocations() -> usize {
 #[test]
 fn a_warm_training_step_performs_no_heap_allocation() {
     // The `paper_default` step shape in small: three trainable dense layers.
+    // A client's last batch is short, so the step alternates two sizes: 32
+    // rows are whole register slabs, 7 take the kernels' row-remainder path;
+    // the 10-class head takes their column panel at every level, and `Large`
+    // / `Full` the scratch of an inter-layer `dX`. All of it is grow-only.
     let config = BlockNetConfig::new(24, 10).with_hidden(48, 40, 32);
     let model = BlockNet::new(&config, 17);
     let mut r = rng::rng_for(17, "step-allocs");
-    let features = init::normal(&mut r, 32, 24, 0.0, 1.0);
-    let labels: Vec<usize> = (0..32).map(|i| i % 10).collect();
+    let batches: Vec<(Matrix, Vec<usize>)> = [32, 7]
+        .into_iter()
+        .map(|rows| {
+            let features = init::normal(&mut r, rows, 24, 0.0, 1.0);
+            (features, (0..rows).map(|i| i % 10).collect())
+        })
+        .collect();
 
     for freeze in FreezeLevel::all() {
-        let boundary: Matrix = model.forward_frozen(freeze, &features).unwrap();
+        let boundaries: Vec<Matrix> = batches
+            .iter()
+            .map(|(features, _)| model.forward_frozen(freeze, features).unwrap())
+            .collect();
         let mut suffix = model.trainable_suffix(freeze);
         let mut optimizer = Sgd::new(SgdConfig::default()).unwrap();
 
-        // The warm-up step sizes every buffer: the workspace, the layers'
-        // cached inputs, the optimiser's velocities, the transpose scratch.
-        let mut last = suffix
-            .train_batch(&boundary, &labels, &mut optimizer)
-            .unwrap();
+        // One warm-up step of each size sizes every buffer: the workspace,
+        // the layers' cached inputs, the optimiser's velocities, the kernels'
+        // transpose and panel scratch.
+        let mut last = 0.0;
+        for (boundary, (_, labels)) in boundaries.iter().zip(&batches) {
+            last = suffix
+                .train_batch(boundary, labels, &mut optimizer)
+                .unwrap();
+        }
         assert!(allocations() > 0, "the counter sees this thread");
 
         let before = allocations();
-        for _ in 0..50 {
+        for step in 0..50 {
+            let (boundary, (_, labels)) = (&boundaries[step % 2], &batches[step % 2]);
             last = suffix
-                .train_batch(&boundary, &labels, &mut optimizer)
+                .train_batch(boundary, labels, &mut optimizer)
                 .unwrap();
         }
         let during = allocations() - before;

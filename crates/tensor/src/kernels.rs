@@ -1,31 +1,66 @@
 //! Cache-blocked, register-tiled matrix-product kernels.
 //!
 //! All three public products on [`crate::Matrix`] (`NN`, `TᴺN`, `NTᵀ`) lower
-//! to one row-major GEMM core, [`gemm_nn`], which dispatches by size: large
-//! products go through the packed-panel GEBP core in [`crate::packed`]
-//! (cache-blocked, runtime-tuned — see that module), small ones stay on the
-//! direct kernel in this module. The direct core tiles the output into
-//! [`MR`]`×`[`NR`] register blocks: each block's accumulators live in vector
-//! registers across the entire reduction (the row and lane loops have
-//! constant trip counts, so the compiler fully unrolls them and promotes the
-//! accumulator array out of memory), and every loaded `B` vector is reused
-//! by all [`MR`] rows of the block. Against the naive triple loop this
-//! removes the per-step output reload/store and cuts `B` traffic by `MR`×.
+//! to one row-major GEMM core, [`gemm_nn`], which dispatches by shape: a
+//! product that is both large and at least
+//! [`crate::packed::PACKED_MIN_COLS`] columns wide goes through the
+//! packed-panel GEBP core in [`crate::packed`] (cache-blocked, runtime-tuned
+//! — see that module); small and thin ones stay on the direct kernel in this
+//! module. The direct core tiles the output into [`MR`]`×`[`NR`] register
+//! blocks: each block's accumulators live in vector registers across the
+//! entire reduction (the row and lane loops have constant trip counts, so the
+//! compiler fully unrolls them and promotes the accumulator array out of
+//! memory), and every loaded `B` vector is reused by all [`MR`] rows of the
+//! block. Against the naive triple loop this removes the per-step output
+//! reload/store and cuts `B` traffic by `MR`×.
 //!
-//! Determinism: every output element accumulates its `k` terms in strictly
-//! ascending order, and output rows are partitioned disjointly across
-//! threads, so results are byte-identical run to run and for any thread
-//! count. On FMA targets each product is rounded once (fused
-//! multiply-add), so results differ from the two-rounding naive reference
-//! only at the last-ulp level — and are slightly *more* accurate.
+//! Partial tiles: there is no scalar path. A tile that hangs over the edge of
+//! the output runs the same full `MR × NR` arithmetic on padded operands and
+//! stores only its valid corner ([`padded_tile`]): `B`'s last `n % NR`
+//! columns are copied once per product into a zero-padded `k × NR` panel
+//! ([`with_edge_panel`]), and the missing rows of a short last slab alias
+//! its last valid row. A product therefore costs exactly
+//! `⌈m/MR⌉ · ⌈n/NR⌉` tiles, each at the full tile's rate.
+//!
+//! Transposed products ([`gemm_tn`], [`gemm_nt`]) move their smaller side:
+//! they transpose either the transposed operand, or the other operand and
+//! the result, whichever touches fewer elements, into per-thread scratch and
+//! run the one core.
+//!
+//! Determinism: every output element is one chain of multiply-adds from
+//! `+0.0` over its `k` terms in strictly ascending order — in a full tile, a
+//! padded one, the packed core, and in either form of a transposed product
+//! (a multiply-add is commutative in its factors) — and output rows are
+//! partitioned disjointly across threads, so results are byte-identical run
+//! to run, for any thread count and whichever route or side was taken. On
+//! FMA targets each product is rounded once (fused multiply-add), so results
+//! differ from the two-rounding naive reference only at the last-ulp level —
+//! and are slightly *more* accurate.
 //!
 //! Threading: on multi-core hosts, products above [`PARALLEL_FLOP_THRESHOLD`]
 //! multiply-adds split the output rows across the persistent worker pool
 //! ([`crate::pool`]) — parked threads woken per job instead of a fresh
-//! spawn per product. Each chunk owns a disjoint `&mut` slice of the output
-//! buffer, handed off through a once-claimable slot, and chunk boundaries
-//! depend only on the requested worker count, so results are byte-identical
-//! at any pool size.
+//! spawn per product ([`for_each_row_chunk`], shared with the packed core).
+//! Each chunk owns a disjoint `&mut` slice of the output buffer, handed off
+//! through a once-claimable slot, and chunk boundaries depend only on the
+//! requested worker count, so results are byte-identical at any pool size.
+//!
+//! Code layout is part of the tuning. The full-tile loop is bound by the
+//! load ports — one `B` vector and [`MR`] broadcasts per step — so how it is
+//! compiled decides its speed as much as what it computes. Measured on the
+//! benchmark host at 32×256×256 (43 µs as shipped): a full-tile kernel kept
+//! out of line takes 54 µs, and 107 µs without first trimming its `A` rows
+//! to `k` (eight bounds checks per step, `B` re-read from memory by every
+//! multiply-add); and because a `Vec<f32>` is rarely 64-byte aligned, every `B` load
+//! straddles two cache lines, where the loop's speed follows the number of
+//! loads a step issues — 9 loads 51 µs, 10 loads 43, 11 loads 45, 12 loads
+//! 58 (37–38 µs for the 9- and the 10-load loop on aligned operands). Hence
+//! the shape below: [`micro_kernel`] inlined into [`gemm_row_block`], whose
+//! eight independent row pointers make the compiler reload two loop
+//! invariants per step (11 loads), and every partial tile through the one
+//! out-of-line [`padded_tile`]. Read both loops in the output of
+//! `cargo rustc --release -p fedft-tensor --lib -- --emit asm` and re-measure
+//! before moving either.
 
 use std::cell::RefCell;
 use std::sync::Mutex;
@@ -36,11 +71,23 @@ use std::sync::Mutex;
 const TRANSPOSE_TILE: usize = 16;
 
 thread_local! {
-    /// Grow-only home of the transposed operand of [`gemm_tn`] / [`gemm_nt`].
-    /// Its own cell, not [`crate::pool::with_scratch`]: the packed core
-    /// borrows that arena for `A` panels while the transposed operand is
-    /// still being read.
+    /// Grow-only home of what [`gemm_tn`] / [`gemm_nt`] move: the transposed
+    /// operand and, when the smaller side is the batch, the transposed
+    /// result. Its own cell, not [`crate::pool::with_scratch`]: the packed
+    /// core borrows that arena for `A` panels while the transposed operand
+    /// is still being read.
     static TRANSPOSED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+
+    /// Grow-only home of [`with_edge_panel`]'s panel. Its own cell: a
+    /// transposed product holds [`TRANSPOSED`] borrowed across the product
+    /// that builds the panel.
+    static EDGE_PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Register tiles this thread's direct kernel has computed.
+    static TILES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Rows per register block. Tuned empirically on the AVX-512 host this
@@ -76,16 +123,17 @@ fn mac(acc: f32, s: f32, b: f32) -> f32 {
     }
 }
 
-/// `out[i][j] += Σ_k a[i][k] · b[k][j]` for row-major `a` (`m×k`), `b`
-/// (`k×n`) and zero-initialised `out` (`m×n`).
+/// `out = a · b` for row-major `a` (`m×k`), `b` (`k×n`) and `out` (`m×n`).
+/// Every element of `out` is overwritten when `k > 0`; an empty reduction
+/// writes nothing, so callers hand in a zero-filled `out` for that case.
 ///
-/// Dispatch: products at or above [`crate::packed::PACKED_FLOP_THRESHOLD`]
-/// multiply-adds route through the packed-panel GEBP core
-/// ([`crate::packed`]), which repacks both operands into cache-blocked
-/// panels; smaller products keep the direct kernel below, whose dispatch
-/// cost is one branch. Both paths accumulate every output element in
-/// strictly ascending `k` order, so the choice never changes a single bit
-/// of the result.
+/// Dispatch: a product of at least [`crate::packed::PACKED_FLOP_THRESHOLD`]
+/// multiply-adds *and* at least [`crate::packed::PACKED_MIN_COLS`] columns
+/// routes through the packed-panel GEBP core ([`crate::packed`]), which
+/// repacks both operands into cache-blocked panels; everything else keeps
+/// the direct kernel below, whose dispatch cost is one branch. Both paths
+/// accumulate every output element in strictly ascending `k` order, so the
+/// choice never changes a single bit of the result.
 ///
 /// # Panics
 ///
@@ -99,7 +147,7 @@ pub(crate) fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &
         return;
     }
     let flops = m.saturating_mul(k).saturating_mul(n);
-    if flops >= crate::packed::PACKED_FLOP_THRESHOLD {
+    if flops >= crate::packed::PACKED_FLOP_THRESHOLD && n >= crate::packed::PACKED_MIN_COLS {
         crate::packed::gemm_packed(m, k, n, a, b, out, max_threads(m, k, n));
         return;
     }
@@ -130,30 +178,90 @@ pub(crate) fn transpose_into(rows: usize, cols: usize, src: &[f32], dst: &mut [f
     }
 }
 
-/// Runs `f` on the transpose of `src` (`rows × cols`), held in this thread's
-/// reused [`TRANSPOSED`] buffer: steady-state callers allocate nothing.
-fn with_transposed<R>(rows: usize, cols: usize, src: &[f32], f: impl FnOnce(&[f32]) -> R) -> R {
+/// Runs `f` on this thread's reused [`TRANSPOSED`] buffer, split into a
+/// `moved`-long and a `result`-long part: steady-state callers allocate
+/// nothing. Contents are whatever the last product left there.
+fn with_transposed<R>(
+    moved: usize,
+    result: usize,
+    f: impl FnOnce(&mut [f32], &mut [f32]) -> R,
+) -> R {
     TRANSPOSED.with(|cell| {
         let buf = &mut *cell.borrow_mut();
-        if buf.len() < src.len() {
-            buf.resize(src.len(), 0.0);
-        }
-        transpose_into(rows, cols, src, &mut buf[..src.len()]);
-        f(&buf[..src.len()])
+        crate::packed::ensure_len(buf, moved + result);
+        let (moved, rest) = buf.split_at_mut(moved);
+        f(moved, &mut rest[..result])
     })
 }
 
-/// [`gemm_nn`] on `aᵀ`: `a` is stored `k × m`. The transposed operand is
-/// materialised once per call into reused scratch and the product runs on
-/// the one GEMM core, so the result is that of `gemm_nn` on an explicit
-/// transpose, bit for bit.
+/// [`gemm_nn`] on `aᵀ`: `a` is stored `k × m` (`dW = Xᵀ·dY`). A transposed
+/// product moves its smaller side: when transposing `b` and the result
+/// touches fewer elements than transposing `a` (`n·(k+m) < m·k` — a
+/// classifier head's `dW`), it computes `outᵀ = bᵀ·a`, reading `a` as stored;
+/// otherwise it materialises `aᵀ`. Either way the moved operand goes once per
+/// call into reused scratch and the product runs on the one GEMM core. Both
+/// forms give every element the same ascending-`k` chain — a fused
+/// multiply-add is commutative in its factors — so the result is that of
+/// `gemm_nn` on an explicit transpose, bit for bit, whichever side moved.
 pub(crate) fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    with_transposed(k, m, a, |at| gemm_nn(m, k, n, at, b, out));
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    if n.saturating_mul(k.saturating_add(m)) < m.saturating_mul(k) {
+        with_transposed(k * n, n * m, |bt, out_t| {
+            transpose_into(k, n, b, bt);
+            gemm_nn(n, k, m, bt, a, out_t);
+            transpose_into(n, m, out_t, out);
+        });
+    } else {
+        with_transposed(k * m, 0, |at, _| {
+            transpose_into(k, m, a, at);
+            gemm_nn(m, k, n, at, b, out);
+        });
+    }
 }
 
-/// [`gemm_nn`] on `bᵀ`: `b` is stored `n × k`. See [`gemm_tn`].
+/// [`gemm_nn`] on `bᵀ`: `b` is stored `n × k` (`dX = dY·Wᵀ`). Computes
+/// `outᵀ = b·aᵀ` — transposing the batch-sized `a` and the result instead of
+/// the weight — when `m·(k+n) < n·k`; otherwise materialises `bᵀ`. See
+/// [`gemm_tn`].
 pub(crate) fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    with_transposed(n, k, b, |bt| gemm_nn(m, k, n, a, bt, out));
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    if m.saturating_mul(k.saturating_add(n)) < n.saturating_mul(k) {
+        with_transposed(m * k, n * m, |at, out_t| {
+            transpose_into(m, k, a, at);
+            gemm_nn(n, k, m, b, at, out_t);
+            transpose_into(n, m, out_t, out);
+        });
+    } else {
+        with_transposed(n * k, 0, |bt, _| {
+            transpose_into(n, k, b, bt);
+            gemm_nn(m, k, n, a, bt, out);
+        });
+    }
+}
+
+/// Runs `f` on the edge panel of `b` (`k × n`): its last `n % NR` columns,
+/// copied once per product into a zero-padded `k × NR` panel in this thread's
+/// reused [`EDGE_PANEL`] buffer, so the column remainder of every row block
+/// reads full `NR`-wide vectors. Empty when `NR` divides `n`.
+fn with_edge_panel<R>(k: usize, n: usize, b: &[f32], f: impl FnOnce(&[f32]) -> R) -> R {
+    let cw = n % NR;
+    if cw == 0 {
+        return f(&[]);
+    }
+    EDGE_PANEL.with(|cell| {
+        let buf = &mut *cell.borrow_mut();
+        crate::packed::ensure_len(buf, k * NR);
+        let panel = &mut buf[..k * NR];
+        for (dst, src) in panel.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+            dst[..cw].copy_from_slice(&src[n - cw..]);
+            dst[cw..].fill(0.0);
+        }
+        f(panel)
+    })
 }
 
 /// The direct (non-packing) kernel: register blocking only, `B` streamed
@@ -163,18 +271,41 @@ pub(crate) fn gemm_nn_direct(m: usize, k: usize, n: usize, a: &[f32], b: &[f32],
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    let threads = max_threads(m, k, n);
+    with_edge_panel(k, n, b, |edge| {
+        let threads = max_threads(m, k, n);
+        for_each_row_chunk(m, MR, threads, a, k, out, n, |a_chunk, out_chunk| {
+            let slabs = a_chunk.chunks(MR * k).zip(out_chunk.chunks_mut(MR * n));
+            for (a_block, out_block) in slabs {
+                gemm_row_block(k, n, a_block, b, edge, out_block);
+            }
+        });
+    });
+}
+
+/// Runs `body` on every `(A rows, C rows)` chunk of a row-partitioned
+/// product (`a` is `m × k`, `out` is `m × n`): the whole product inline for
+/// one thread, otherwise contiguous chunks of
+/// [`crate::pool::aligned_chunk_len`] rows — multiples of the register block
+/// `align`, so only the last chunk carries a remainder block — dispatched on
+/// the persistent pool. Each chunk's disjoint operand and output slices sit
+/// in a once-claimable slot; the slot index is the chunk's row range divided
+/// by the (identical) pool chunk length.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn for_each_row_chunk(
+    m: usize,
+    align: usize,
+    threads: usize,
+    a: &[f32],
+    k: usize,
+    out: &mut [f32],
+    n: usize,
+    body: impl Fn(&[f32], &mut [f32]) + Sync,
+) {
     if threads <= 1 {
-        gemm_rows(k, n, a, b, out);
+        body(a, out);
         return;
     }
-
-    // Split output rows into contiguous per-worker chunks (multiples of the
-    // register block so only the last chunk carries a remainder block) and
-    // dispatch them on the persistent pool. Each chunk's disjoint operand
-    // and output slices sit in a once-claimable slot; the slot index is the
-    // chunk's row range divided by the (identical) pool chunk length.
-    let chunk_rows = crate::pool::aligned_chunk_len(m, threads, MR);
+    let chunk_rows = crate::pool::aligned_chunk_len(m, threads, align);
     let slots: Vec<ChunkSlot> = out
         .chunks_mut(chunk_rows * n)
         .enumerate()
@@ -184,13 +315,13 @@ pub(crate) fn gemm_nn_direct(m: usize, k: usize, n: usize, a: &[f32], b: &[f32],
             Mutex::new(Some((&a[row0 * k..(row0 + rows) * k], out_chunk)))
         })
         .collect();
-    crate::pool::run_aligned_chunks(m, threads, MR, |rows| {
+    crate::pool::run_aligned_chunks(m, threads, align, |rows| {
         let (a_chunk, out_chunk) = slots[rows.start / chunk_rows]
             .lock()
             .expect("row chunk slot lock")
             .take()
             .expect("each row chunk is claimed exactly once");
-        gemm_rows(k, n, a_chunk, b, out_chunk);
+        body(a_chunk, out_chunk);
     });
 }
 
@@ -211,48 +342,58 @@ fn max_threads(m: usize, k: usize, n: usize) -> usize {
     crate::pool::hardware_threads().min(m.div_ceil(MR))
 }
 
-/// Sequential GEMM over a row slice of the output: `a` holds `rows × k`
-/// values, `out` holds `rows × n`.
-fn gemm_rows(k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    let rows = out.len() / n;
-    let main = rows - rows % MR;
-    for (a_block, out_block) in a
-        .chunks_exact(MR * k)
-        .zip(out.chunks_exact_mut(MR * n))
-        .take(main / MR)
-    {
-        gemm_row_block(k, n, a_block, b, out_block);
-    }
-    for (a_row, out_row) in a[main * k..]
-        .chunks_exact(k)
-        .zip(out[main * n..].chunks_exact_mut(n))
-    {
-        gemm_single_row(k, n, a_row, b, out_row);
-    }
-}
-
-/// Computes an `MR`-row slab of the output: full-width register blocks, then
-/// one narrower remainder block.
-fn gemm_row_block(k: usize, n: usize, a_block: &[f32], b: &[f32], out_block: &mut [f32]) {
+/// Computes one slab of up to `MR` output rows, tile by tile. A full slab
+/// runs its full-width tiles on [`micro_kernel`]; everything partial — the
+/// column remainder, read from the edge panel, and every tile of a short
+/// last slab — is a [`padded_tile`]. The missing rows of a short slab alias
+/// its last valid row: read and multiplied like any other, never stored, so
+/// nothing is copied to fill the tile.
+fn gemm_row_block(
+    k: usize,
+    n: usize,
+    a_block: &[f32],
+    b: &[f32],
+    edge: &[f32],
+    out_block: &mut [f32],
+) {
+    let rw = out_block.len() / n;
     let mut a_rows: [&[f32]; MR] = [&[]; MR];
     for (r, row) in a_rows.iter_mut().enumerate() {
+        let r = r.min(rw - 1);
         *row = &a_block[r * k..(r + 1) * k];
     }
     let j_main = n - n % NR;
     for j0 in (0..j_main).step_by(NR) {
-        micro_kernel(k, n, &a_rows, b, j0, out_block);
+        if rw == MR {
+            micro_kernel(k, n, &a_rows, b, j0, out_block);
+        } else {
+            padded_tile(k, n, &a_rows, b, j0, n, j0, rw, NR, out_block);
+        }
     }
     if j_main < n {
-        micro_kernel_edge(k, n, &a_rows, b, j_main, out_block);
+        padded_tile(
+            k,
+            NR,
+            &a_rows,
+            edge,
+            0,
+            n,
+            j_main,
+            rw,
+            n - j_main,
+            out_block,
+        );
     }
 }
 
 /// The register micro-kernel: accumulates the `MR × NR` output block at
 /// column `j0` over the full reduction. All loops over rows and lanes have
 /// constant bounds, so the accumulators are promoted to vector registers;
-/// each `k` step costs two `B` vector loads and `MR` broadcast multiply-adds.
+/// each `k` step costs one `B` vector load and `MR` broadcast multiply-adds.
 #[inline]
 fn micro_kernel(k: usize, n: usize, a_rows: &[&[f32]; MR], b: &[f32], j0: usize, out: &mut [f32]) {
+    #[cfg(test)]
+    TILES.with(|tiles| tiles.set(tiles.get() + 1));
     let mut acc = [[0.0f32; NR]; MR];
     for kk in 0..k {
         let bv: &[f32; NR] = b[kk * n + j0..kk * n + j0 + NR]
@@ -270,57 +411,54 @@ fn micro_kernel(k: usize, n: usize, a_rows: &[&[f32]; MR], b: &[f32], j0: usize,
     }
 }
 
-/// Remainder columns (`n % NR`) of an `MR`-row slab, ascending-`k` per
-/// element like every other path.
-fn micro_kernel_edge(
+/// Every partial tile: the full `MR × NR` arithmetic of [`micro_kernel`] on
+/// padded operands, of which only the valid `rw × cw` corner is stored at
+/// column `j0` of `out` (row stride `n`). `b` is read from column `jb` with
+/// row stride `ldb` — the operand itself for a short row block, the
+/// zero-padded [`with_edge_panel`] panel (`ldb = NR`, `jb = 0`) for the
+/// column remainder. Rows `rw..` of `a_rows` alias a valid row. What the
+/// padding computes — a duplicate row, a `0 · b` lane, even the NaN of a
+/// `0 · ∞` — stays in the accumulator and never reaches `out`.
+///
+/// Out of line on purpose, and a function of its own rather than a mode of
+/// [`micro_kernel`], so that the full-tile loop is compiled on its own terms
+/// (see the module docs). Trimming the rows to `k` up front is what lets the
+/// reduction loop drop its per-row bounds checks and keep the `B` vector in
+/// a register, like the main kernel's.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn padded_tile(
     k: usize,
-    n: usize,
+    ldb: usize,
     a_rows: &[&[f32]; MR],
     b: &[f32],
+    jb: usize,
+    n: usize,
     j0: usize,
+    rw: usize,
+    cw: usize,
     out: &mut [f32],
 ) {
-    let jw = n - j0;
+    #[cfg(test)]
+    TILES.with(|tiles| tiles.set(tiles.get() + 1));
+    let mut rows: [&[f32]; MR] = [&[]; MR];
+    for (trimmed, row) in rows.iter_mut().zip(a_rows) {
+        *trimmed = &row[..k];
+    }
     let mut acc = [[0.0f32; NR]; MR];
     for kk in 0..k {
-        let bv = &b[kk * n + j0..kk * n + j0 + jw];
+        let bv: &[f32; NR] = b[kk * ldb + jb..kk * ldb + jb + NR]
+            .try_into()
+            .expect("slice length is NR by construction");
         for r in 0..MR {
-            let s = a_rows[r][kk];
-            for (al, &bl) in acc[r][..jw].iter_mut().zip(bv) {
-                *al = mac(*al, s, bl);
+            let s = rows[r][kk];
+            for l in 0..NR {
+                acc[r][l] = mac(acc[r][l], s, bv[l]);
             }
         }
     }
-    for (r, acc_row) in acc.iter().enumerate() {
-        out[r * n + j0..r * n + j0 + jw].copy_from_slice(&acc_row[..jw]);
-    }
-}
-
-/// Fallback for the `rows % MR` remainder rows: one output row at a time,
-/// four reduction steps fused per pass to limit output-row traffic.
-fn gemm_single_row(k: usize, n: usize, a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
-    let k_main = k - k % 4;
-    for kk in (0..k_main).step_by(4) {
-        let b0 = &b[kk * n..kk * n + n];
-        let b1 = &b[(kk + 1) * n..(kk + 1) * n + n];
-        let b2 = &b[(kk + 2) * n..(kk + 2) * n + n];
-        let b3 = &b[(kk + 3) * n..(kk + 3) * n + n];
-        let (s0, s1, s2, s3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
-        for j in 0..n {
-            // Nested ascending-k accumulation, fused per step.
-            out_row[j] = mac(
-                mac(mac(mac(out_row[j], s0, b0[j]), s1, b1[j]), s2, b2[j]),
-                s3,
-                b3[j],
-            );
-        }
-    }
-    for kk in k_main..k {
-        let brow = &b[kk * n..kk * n + n];
-        let s = a_row[kk];
-        for (oj, &bj) in out_row.iter_mut().zip(brow) {
-            *oj = mac(*oj, s, bj);
-        }
+    for (r, acc_row) in acc.iter().enumerate().take(rw) {
+        out[r * n + j0..r * n + j0 + cw].copy_from_slice(&acc_row[..cw]);
     }
 }
 
@@ -390,6 +528,90 @@ mod tests {
             gemm_nn(m, k, n, &a, &b, &mut out);
             let expected = gemm_naive(m, k, n, &a, &b);
             assert_close(&out, &expected, &format!("shape ({m},{k},{n})"));
+        }
+    }
+
+    /// The definition every route is held to: each element one chain of
+    /// [`mac`] steps from `+0.0` over ascending `k`, one element at a time.
+    fn gemm_chain(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    acc = mac(acc, a[i * k + kk], b[kk * n + j]);
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `gemm_nn` into a destination that arrives full of NaN (zero-filled,
+    /// as the contract requires, only for an empty reduction), with the
+    /// number of register tiles this thread's direct kernel computed.
+    fn run_counting_tiles(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> (Vec<f32>, usize) {
+        let mut out = vec![if k == 0 { 0.0 } else { f32::NAN }; m * n];
+        let before = TILES.with(std::cell::Cell::get);
+        gemm_nn(m, k, n, a, b, &mut out);
+        (out, TILES.with(std::cell::Cell::get) - before)
+    }
+
+    #[test]
+    fn every_tile_remainder_equals_the_scalar_chain_bit_for_bit() {
+        // Every row remainder of up to two slabs and a row, every column
+        // remainder of up to two tiles and a column, reductions around the
+        // empty, the single and the odd: one tile function or the other
+        // computes each of the ⌈m/MR⌉·⌈n/NR⌉ tiles, and nothing else runs.
+        for m in 0..=2 * MR + 1 {
+            for n in 0..=2 * NR + 1 {
+                for k in [0, 1, 2, 7, 32, 33] {
+                    let a = pattern(m * k, 7);
+                    let b = pattern(k * n, 8);
+                    let (out, tiles) = run_counting_tiles(m, k, n, &a, &b);
+                    let context = format!("shape ({m},{k},{n})");
+                    assert_eq!(bits(&out), bits(&gemm_chain(m, k, n, &a, &b)), "{context}");
+                    let expected = if k == 0 {
+                        0
+                    } else {
+                        m.div_ceil(MR) * n.div_ceil(NR)
+                    };
+                    assert_eq!(tiles, expected, "tiles of {context}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn thin_and_routed_products_equal_the_scalar_chain_on_either_side_of_the_route() {
+        // All three are at or above `PACKED_FLOP_THRESHOLD`. The 10- and the
+        // 63-column product stay direct — full-rate padded tiles, counted —
+        // and the 64-column one is the narrowest the packed core takes.
+        for (m, k, n, direct) in [
+            (4200, 400, 10, true),
+            (1100, 256, 63, true),
+            (1100, 256, 64, false),
+        ] {
+            assert!(m * k * n >= crate::packed::PACKED_FLOP_THRESHOLD);
+            let a = pattern(m * k, 9);
+            let b = pattern(k * n, 10);
+            let expected = bits(&gemm_chain(m, k, n, &a, &b));
+            let context = format!("shape ({m},{k},{n})");
+
+            // Pooled where the host has the cores: the workers' tiles are
+            // theirs to count, the result is everyone's.
+            let (pooled, _) = run_counting_tiles(m, k, n, &a, &b);
+            assert_eq!(bits(&pooled), expected, "{context}, pooled");
+
+            let (single, tiles) =
+                crate::parallel::single_threaded(|| run_counting_tiles(m, k, n, &a, &b));
+            assert_eq!(bits(&single), expected, "{context}, single-threaded");
+            let direct_tiles = m.div_ceil(MR) * n.div_ceil(NR);
+            assert_eq!(tiles, if direct { direct_tiles } else { 0 }, "{context}");
         }
     }
 

@@ -443,10 +443,11 @@ impl Matrix {
 
     /// Matrix product `self^T * other`.
     ///
-    /// The transposed operand is written tile by tile into a reused
-    /// per-thread buffer and the product runs on the blocked kernel, so the
-    /// result is that of `self.transpose().matmul(other)`, bit for bit,
-    /// without the transposed matrix being allocated.
+    /// The smaller side — `self`, or `other` and the result — is transposed
+    /// tile by tile into a reused per-thread buffer and the product runs on
+    /// the blocked kernel, so the result is that of
+    /// `self.transpose().matmul(other)`, bit for bit, without a transposed
+    /// matrix being allocated.
     ///
     /// # Errors
     ///

@@ -13,10 +13,11 @@
 //!   chosen at runtime from the detected cache sizes ([`crate::cache`]).
 //!
 //! There is one micro-tile, [`MR_P`]`×`[`NR_P`], and one route into this
-//! module: `kernels::gemm_nn` sends products at or above
-//! [`PACKED_FLOP_THRESHOLD`] here and keeps the rest on the direct kernel.
-//! Tile shape never affects results — only which registers hold which
-//! partial sums.
+//! module: `kernels::gemm_nn` sends products of at least
+//! [`PACKED_FLOP_THRESHOLD`] multiply-adds and at least [`PACKED_MIN_COLS`]
+//! columns here and keeps the rest — the small and the thin — on the direct
+//! kernel. Tile shape never affects results — only which registers hold
+//! which partial sums.
 //!
 //! # Determinism contract
 //!
@@ -45,7 +46,6 @@
 use crate::cache;
 use crate::pool;
 use std::cell::RefCell;
-use std::sync::Mutex;
 
 /// Rows per packed micro-tile. 12×32 holds twenty-four 512-bit accumulators
 /// (12 rows × two lanes) plus the two `B` vectors and one broadcast — 27 of
@@ -66,6 +66,17 @@ pub(crate) const NR_P: usize = 32;
 /// is ≈256³ (the direct kernel wins 128³ by ~3%, loses 320³ by ~16%).
 pub(crate) const PACKED_FLOP_THRESHOLD: usize = 1 << 24;
 
+/// Minimum column count before the packed path beats the direct kernel,
+/// whatever the multiply-add count. A thin product reads `A` about once on
+/// either path, so packing it is a second pass over the big operand that no
+/// panel reuse pays back, and a last panel narrower than [`NR_P`] still
+/// computes all of its lanes. Measured on the tuned host at `m = 10 000`,
+/// `k ∈ {96, 256, 1024}`, single-threaded and pooled (packed time over
+/// direct time): 3.8–8.0 at `n ≤ 16`, 1.3–2.4 at 32, 1.8–2.7 at 48, 1.4–2.2
+/// at 63, 0.93–1.6 at 64, and packed ahead at 128 (0.80–0.87; 1.03 and 1.11
+/// at the two corners of the sweep where it is not).
+pub(crate) const PACKED_MIN_COLS: usize = 2 * NR_P;
+
 thread_local! {
     /// Grow-only packed-`B` scratch of the dispatching thread. Kept apart
     /// from the pool's `A` arena so a dispatcher can hold its `B` buffer
@@ -74,13 +85,10 @@ thread_local! {
     static B_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A once-claimable `(A rows, C rows)` slot for one pool chunk of a
-/// row-partitioned product.
-type PackedSlot<'a> = Mutex<Option<(&'a [f32], &'a mut [f32])>>;
-
-/// Resizes a grow-only scratch buffer. Contents are overwritten by packing
-/// before use, so no zeroing happens here.
-fn ensure_len(buf: &mut Vec<f32>, len: usize) {
+/// Resizes a grow-only scratch buffer. Contents are overwritten before use
+/// (by packing here, by the transposes and the edge panel in
+/// [`crate::kernels`]), so nothing is zeroed beyond what growing writes.
+pub(crate) fn ensure_len(buf: &mut Vec<f32>, len: usize) {
     if buf.len() < len {
         buf.resize(len, 0.0);
     }
@@ -346,13 +354,14 @@ fn pack_b_full(b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     }
 }
 
-/// Packed GEMM entry: `out += A·B` for zero-initialised `out`, split across
-/// `threads` workers by disjoint contiguous row ranges (multiples of `MR_P`
-/// so only the last range carries a partial panel). `B` is packed once by
-/// the calling thread and shared read-only; the row chunks run on the
-/// persistent pool ([`crate::pool`]), each executing thread packing its `A`
-/// rows into its own persistent arena — no per-dispatch allocation, unlike
-/// the spawn-per-call path this replaced.
+/// Packed GEMM entry: `out = A·B` (every element overwritten when `k > 0`;
+/// an empty reduction leaves the caller's zero fill), split across `threads`
+/// workers by disjoint contiguous row ranges (multiples of `MR_P` so only the
+/// last range carries a partial panel). `B` is packed once by the calling
+/// thread and shared read-only; the row chunks run on the persistent pool
+/// ([`crate::kernels::for_each_row_chunk`]), each executing thread packing
+/// its `A` rows into its own persistent arena — no per-dispatch allocation,
+/// unlike the spawn-per-call path this replaced.
 pub(crate) fn gemm_packed(
     m: usize,
     k: usize,
@@ -367,28 +376,7 @@ pub(crate) fn gemm_packed(
         ensure_len(b_scratch, packed_b_len(k, n));
         pack_b_full(b, k, n, b_scratch);
         let b_pack: &[f32] = b_scratch;
-        if threads <= 1 {
-            pool::with_scratch(|a_scratch| {
-                gemm_rows_packed(k, n, a, b_pack, out, a_scratch);
-            });
-            return;
-        }
-        let chunk_rows = pool::aligned_chunk_len(m, threads, MR_P);
-        let slots: Vec<PackedSlot> = out
-            .chunks_mut(chunk_rows * n)
-            .enumerate()
-            .map(|(chunk_idx, out_chunk)| {
-                let row0 = chunk_idx * chunk_rows;
-                let rows = out_chunk.len() / n;
-                Mutex::new(Some((&a[row0 * k..(row0 + rows) * k], out_chunk)))
-            })
-            .collect();
-        pool::run_aligned_chunks(m, threads, MR_P, |rows| {
-            let (a_chunk, out_chunk) = slots[rows.start / chunk_rows]
-                .lock()
-                .expect("row chunk slot lock")
-                .take()
-                .expect("each row chunk is claimed exactly once");
+        crate::kernels::for_each_row_chunk(m, MR_P, threads, a, k, out, n, |a_chunk, out_chunk| {
             pool::with_scratch(|a_scratch| {
                 gemm_rows_packed(k, n, a_chunk, b_pack, out_chunk, a_scratch);
             });

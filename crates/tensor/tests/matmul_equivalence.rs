@@ -15,7 +15,7 @@ fn random(rows: usize, cols: usize, case: u64, stream: &str) -> Matrix {
     init::normal(&mut r, rows, cols, 0.0, 0.1)
 }
 
-/// Shapes covering: unit dims, sizes below/at/above the 4×4 register tile,
+/// Shapes covering: unit dims, sizes below/at/above the 8×16 register tile,
 /// non-multiples of the tile in every dimension, long-thin and short-wide
 /// panels, and a size large enough to cross the parallel-dispatch threshold.
 fn shapes() -> Vec<(usize, usize, usize)> {
@@ -185,4 +185,135 @@ fn transposed_products_reject_mismatched_shapes() {
     assert!(a.matmul_tn_into(&Matrix::zeros(5, 2), &mut out).is_err());
     assert!(a.matmul_nt_into(&Matrix::zeros(2, 4), &mut out).is_err());
     assert!(a.matmul_into(&Matrix::zeros(4, 2), &mut out).is_err());
+}
+
+/// One dense layer's backward products at the given sizes, each against the
+/// strided-transpose path: `dW = xᵀ · dy` (`matmul_tn`, `x` is
+/// `batch × inputs`) and `dX = dy · wᵀ` (`matmul_nt`, `w` is
+/// `inputs × outputs`).
+fn assert_backward_products_match(batch: usize, inputs: usize, outputs: usize, case: u64) {
+    let context = format!("batch {batch}, {inputs} -> {outputs}");
+    let x = random(batch, inputs, case, "side-x");
+    let dy = random(batch, outputs, case, "side-dy");
+    let w = random(inputs, outputs, case, "side-w");
+
+    let expected = strided_transpose(&x).matmul(&dy).unwrap();
+    let fused = x.matmul_tn(&dy).unwrap();
+    assert_eq!(fused.shape(), (inputs, outputs));
+    assert_eq!(bits(&fused), bits(&expected), "matmul_tn, {context}");
+
+    let expected = dy.matmul(&strided_transpose(&w)).unwrap();
+    let fused = dy.matmul_nt(&w).unwrap();
+    assert_eq!(fused.shape(), (batch, inputs));
+    assert_eq!(bits(&fused), bits(&expected), "matmul_nt, {context}");
+}
+
+#[test]
+fn transposed_products_do_not_depend_on_the_side_that_moves() {
+    // A transposed product transposes whichever side is smaller: the
+    // transposed operand, or the other operand and the result. `dy · wᵀ`
+    // moves `dy` and the result when batch·(outputs+inputs) < inputs·outputs;
+    // `xᵀ · dy` moves `dy` and the result when
+    // outputs·(batch+inputs) < inputs·batch. The workloads' layers at full,
+    // short and odd batches land on both sides of both rules: a 192² or 256²
+    // weight moves the batch side of `dX` and the `x` side of `dW`; the
+    // 256 → 10 head moves its weight for `dX` from ten rows up and `dy` for
+    // `dW` from eleven.
+    let mut case = 0;
+    for (inputs, outputs) in [(192, 192), (256, 256), (256, 10)] {
+        for batch in [1, 7, 16, 33] {
+            assert_backward_products_match(batch, inputs, outputs, case);
+            case += 1;
+        }
+    }
+    // Small layers walked across both rules one row at a time. 4 → 4: the two
+    // sides of the `dX` rule are equal at batch 2 (2·(4+4) = 4·4); 12 → 6 and
+    // 6 → 12: at batch 4 (4·(6+12) = 12·6). 12 → 3: the `dW` rule is equal at
+    // batch 4 (3·(4+12) = 12·4); 20 → 4: at batch 5 (4·(5+20) = 20·5).
+    for (inputs, outputs) in [(4, 4), (12, 6), (6, 12), (12, 3), (20, 4)] {
+        for batch in 1..=8 {
+            assert_backward_products_match(batch, inputs, outputs, case);
+            case += 1;
+        }
+    }
+}
+
+/// One multiply-add step as the kernels perform it: fused where the target
+/// has the instruction, two roundings where it does not.
+fn mac(acc: f32, s: f32, b: f32) -> f32 {
+    if cfg!(target_feature = "fma") {
+        s.mul_add(b, acc)
+    } else {
+        acc + s * b
+    }
+}
+
+/// `a · b`, every element one chain of [`mac`] steps from `+0.0` over
+/// ascending `k` — what every kernel route has to reproduce.
+fn scalar_chain(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for j in 0..b.cols() {
+            let mut acc = 0.0f32;
+            for k in 0..a.cols() {
+                acc = mac(acc, a.get(i, k), b.get(k, j));
+            }
+            out.set(i, j, acc);
+        }
+    }
+    out
+}
+
+/// Finite values bit-equal, NaN exactly where the chain is NaN, infinities
+/// equal; and nothing non-finite outside `row` and `col`.
+fn assert_same_class(actual: &Matrix, chain: &Matrix, row: usize, col: usize, context: &str) {
+    assert_eq!(actual.shape(), chain.shape(), "{context}");
+    for i in 0..chain.rows() {
+        for j in 0..chain.cols() {
+            let (got, want) = (actual.get(i, j), chain.get(i, j));
+            if want.is_nan() {
+                assert!(got.is_nan(), "{context}: ({i},{j}) is {got}, chain is NaN");
+            } else {
+                assert_eq!(got.to_bits(), want.to_bits(), "{context}: ({i},{j})");
+            }
+            if i != row && j != col {
+                assert!(got.is_finite(), "{context}: ({i},{j}) = {got} leaked");
+            }
+        }
+    }
+}
+
+#[test]
+fn non_finite_values_stay_in_their_row_and_column() {
+    // 11×9×21 has both remainders at once: 11 rows are one full slab and
+    // three rows of a second whose five missing rows alias row 10; 21 columns
+    // are one full tile and five lanes of a zero-padded panel. The last row
+    // of A and the last column of B are where the non-finite values go, so
+    // the aliased rows compute NaN and ∞, and the panel's zero lanes compute
+    // 0·∞ — and none of it may reach C outside that row and that column. The
+    // other two shapes are ones where `matmul_nt` (11×40×21) and `matmul_tn`
+    // (21×40×5) move the other side, so the padding is that of the
+    // transposed product.
+    let poisons = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    for (m, k, n) in [(11, 9, 21), (11, 40, 21), (21, 40, 5)] {
+        for (case, poison) in poisons.into_iter().enumerate() {
+            let mut a = random(m, k, case as u64, "poison-a");
+            let mut b = random(k, n, case as u64, "poison-b");
+            a.set(m - 1, 2, poison);
+            a.set(m - 1, k - 1, f32::INFINITY);
+            b.set(0, n - 1, poison);
+            b.set(k - 2, n - 1, f32::NEG_INFINITY);
+            b.set(k - 1, n - 1, 0.0);
+            let chain = scalar_chain(&a, &b);
+            assert!(chain.get(m - 1, n - 1).is_nan(), "the corner is ∞·0");
+
+            let context = format!("{m}x{k}x{n}, poison {poison}");
+            let (row, col) = (m - 1, n - 1);
+            assert_same_class(&a.matmul(&b).unwrap(), &chain, row, col, &context);
+            let fused = strided_transpose(&a).matmul_tn(&b).unwrap();
+            assert_same_class(&fused, &chain, row, col, &format!("{context}, tn"));
+            let fused = a.matmul_nt(&strided_transpose(&b)).unwrap();
+            assert_same_class(&fused, &chain, row, col, &format!("{context}, nt"));
+        }
+    }
 }
