@@ -5,7 +5,7 @@ use crate::config::{FlConfig, LocalAlgorithm};
 use crate::policy::SelectionContext;
 use crate::{FlError, Result};
 use fedft_data::Dataset;
-use fedft_nn::{BlockNet, ParamVector, ProximalTerm, Sgd};
+use fedft_nn::{BlockNet, ParamVector, ProximalTerm, Sgd, SuffixNet};
 use fedft_tensor::{rng, Matrix};
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
@@ -38,6 +38,28 @@ pub struct ClientUpdate {
     /// accountings are always available and histories stay independent of
     /// the knob.
     pub cached_compute_seconds: f64,
+}
+
+/// What a thread that trains one client after another keeps between them,
+/// so that only a runner's first client pays for it: the `θ` snapshot
+/// (refreshed in place from each client's model, its training step's
+/// scratch staying warm), the optimiser (restarted, its velocities zeroed
+/// instead of re-made), FedProx's reference vector, and the index, label and
+/// batch-gather buffers of the local epochs.
+///
+/// It carries nothing from one client into the next but capacity: an update
+/// computed in a used workspace equals one computed in a new one bit for
+/// bit, whatever the previous client's model width, freeze level, batch size
+/// or algorithm was ([`Client::local_update_in`]).
+#[derive(Debug, Default)]
+pub struct ClientWorkspace {
+    suffix: SuffixNet,
+    optimizer: Sgd,
+    order: Vec<usize>,
+    selected_labels: Vec<usize>,
+    batch_rows: Vec<usize>,
+    batch_labels: Vec<usize>,
+    gather: Matrix,
 }
 
 /// A federated client holding a (possibly shared) shard of data.
@@ -123,6 +145,28 @@ impl Client {
         config: &FlConfig,
         round: usize,
     ) -> Result<ClientUpdate> {
+        let mut workspace = ClientWorkspace::default();
+        self.local_update_in(&mut workspace, Vec::new(), global_model, config, round)
+    }
+
+    /// [`Client::local_update`] on memory the caller keeps: the round runs
+    /// in `workspace` and the new `θ` is written into `upload` (contents
+    /// discarded), which comes back as [`ClientUpdate::theta`]. The update
+    /// is the same, bit for bit, whatever either held before; with a
+    /// workspace that has served a client of this model shape and an
+    /// `upload` of capacity `|θ|`, nothing `θ`-sized is allocated.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::local_update`].
+    pub fn local_update_in(
+        &self,
+        workspace: &mut ClientWorkspace,
+        upload: Vec<f32>,
+        global_model: &BlockNet,
+        config: &FlConfig,
+        round: usize,
+    ) -> Result<ClientUpdate> {
         let freeze = config.freeze_for_client(self.id);
         if self.data.is_empty() {
             return Err(FlError::InvalidConfig {
@@ -141,9 +185,18 @@ impl Client {
             None
         };
 
+        let ClientWorkspace {
+            suffix,
+            optimizer,
+            order,
+            selected_labels,
+            batch_rows,
+            batch_labels,
+            gather,
+        } = workspace;
         // The client's private trainable part θ — an O(|θ|) snapshot; the
         // backbone ϕ stays shared behind `global_model`.
-        let mut suffix = global_model.trainable_suffix(freeze);
+        global_model.refresh_suffix(freeze, suffix);
 
         // --- Data selection (Equations 2-3, hardened softmax Equation 6),
         // through the pluggable policy layer. The context resolves boundary
@@ -155,7 +208,7 @@ impl Client {
             let policy = config.selection.policy();
             let mut ctx = match &cached_boundary {
                 Some(boundary) => SelectionContext::with_boundary(
-                    &mut suffix,
+                    suffix,
                     boundary,
                     self.data.labels(),
                     round,
@@ -165,7 +218,7 @@ impl Client {
                 // No frozen prefix: the boundary is the raw features —
                 // score them directly instead of copying the dataset.
                 None if freeze.frozen_blocks() == 0 => SelectionContext::with_boundary(
-                    &mut suffix,
+                    suffix,
                     self.data.features(),
                     self.data.labels(),
                     round,
@@ -173,7 +226,7 @@ impl Client {
                     config.seed,
                 ),
                 None => SelectionContext::with_lazy_boundary(
-                    &mut suffix,
+                    suffix,
                     global_model,
                     freeze,
                     self.data.features(),
@@ -185,28 +238,25 @@ impl Client {
             };
             policy.select(&mut ctx)?
         };
-        let selected_labels: Vec<usize> = selected_indices
-            .iter()
-            .map(|&i| self.data.labels()[i])
-            .collect();
+        selected_labels.clear();
+        selected_labels.extend(selected_indices.iter().map(|&i| self.data.labels()[i]));
 
-        // --- Local fine-tuning of the trainable part θ (Equation 4).
-        let mut optimizer = Sgd::new(config.sgd)?;
+        // --- Local fine-tuning of the trainable part θ (Equation 4). The
+        // reference vector of the previous FedProx round, if there was one,
+        // carries this one's.
+        let reference = optimizer.take_proximal().map(|p| p.reference.into_values());
+        optimizer.restart(config.sgd)?;
         if let LocalAlgorithm::FedProx { mu } = config.algorithm {
             optimizer.set_proximal(Some(ProximalTerm {
                 mu,
-                reference: suffix.trainable_vector(),
+                reference: suffix.trainable_vector_into(reference.unwrap_or_default()),
             }));
         }
-        let mut order: Vec<usize> = (0..selected_indices.len()).collect();
+        order.clear();
+        order.extend(0..selected_indices.len());
         let mut train_loss = 0.0_f32;
-        // Buffers and the RNG stream name are hoisted out of the epoch/batch
-        // loops: the name only varies per (client, round), and the gathers
-        // reuse one allocation across batches.
+        // The RNG stream name only varies per (client, round).
         let shuffle_stream = format!("client-{}-round-{round}-epoch", self.id);
-        let mut batch_rows: Vec<usize> = Vec::with_capacity(config.batch_size);
-        let mut batch_labels: Vec<usize> = Vec::with_capacity(config.batch_size);
-        let mut gather = Matrix::default();
         for epoch in 0..config.local_epochs {
             let mut shuffle_rng = rng::rng_for_indexed(config.seed, &shuffle_stream, epoch as u64);
             order.shuffle(&mut shuffle_rng);
@@ -224,24 +274,20 @@ impl Client {
                 let frozen_out: Matrix;
                 let boundary: &Matrix = match &cached_boundary {
                     Some(all) => {
-                        all.select_rows_into(&batch_rows, &mut gather);
-                        &gather
+                        all.select_rows_into(batch_rows, gather);
+                        &*gather
                     }
                     None if freeze.frozen_blocks() == 0 => {
-                        self.data
-                            .features()
-                            .select_rows_into(&batch_rows, &mut gather);
-                        &gather
+                        self.data.features().select_rows_into(batch_rows, gather);
+                        &*gather
                     }
                     None => {
-                        self.data
-                            .features()
-                            .select_rows_into(&batch_rows, &mut gather);
-                        frozen_out = global_model.forward_frozen(freeze, &gather)?;
+                        self.data.features().select_rows_into(batch_rows, gather);
+                        frozen_out = global_model.forward_frozen(freeze, gather)?;
                         &frozen_out
                     }
                 };
-                epoch_loss += suffix.train_batch(boundary, &batch_labels, &mut optimizer)?;
+                epoch_loss += suffix.train_batch(boundary, batch_labels, optimizer)?;
                 batches += 1;
             }
             train_loss = epoch_loss / batches.max(1) as f32;
@@ -269,7 +315,7 @@ impl Client {
 
         Ok(ClientUpdate {
             client_id: self.id,
-            theta: suffix.trainable_vector(),
+            theta: suffix.trainable_vector_into(upload),
             selected_samples: selected_indices.len(),
             local_samples: self.data.len(),
             train_loss,

@@ -21,7 +21,11 @@
 //!
 //! Both shapes share one admission step (device profile, availability draw,
 //! duration prediction, deadline drop) and one training call site, the only
-//! place a [`Client::local_update`] runs.
+//! place a local update ([`Client::local_update_in`]) runs.
+//!
+//! The executor also owns the memory a round trains in — the `θ` upload
+//! buffers and one [`ClientWorkspace`] per runner — and keeps it from round
+//! to round; see [`Executor`].
 //!
 //! # Invariants
 //!
@@ -49,7 +53,7 @@
 //!   (`tests/feature_cache_e2e.rs`, `tests/logical_pool_e2e.rs`), at any
 //!   worker count and any [`FlConfig::cache_shards`] setting.
 
-use crate::client::{Client, ClientUpdate};
+use crate::client::{Client, ClientUpdate, ClientWorkspace};
 use crate::comm::{round_traffic, RoundTraffic};
 use crate::config::FlConfig;
 use crate::device::{ArrivalModel, DeviceProfile};
@@ -59,7 +63,7 @@ use fedft_tensor::{parallel, pool};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Which backend executes the clients' local updates each round.
 ///
@@ -156,6 +160,8 @@ impl ExecutionBackend {
             backend: *self,
             worker_threads,
             clock: Mutex::new(EventClock::default()),
+            uploads: Mutex::new(Vec::new()),
+            workspaces: Mutex::new(Vec::new()),
         }
     }
 }
@@ -383,6 +389,14 @@ impl RoundOutcome {
 /// server ever aggregates and all the clock snapshots per version. Round 0
 /// resets the clock (dropping any buffered updates), so one executor can
 /// serve consecutive runs.
+///
+/// An executor also keeps the memory its rounds train in — a free list of
+/// `θ` upload buffers, fed by [`Executor::recycle`], and one
+/// [`ClientWorkspace`] per runner — so that a round after the first
+/// allocates nothing `θ`-sized per client. None of it is state: a round's
+/// outcome is the same on a new executor, on one that has served other
+/// model widths, and whether or not anything was ever recycled
+/// (`tests/round_memory_e2e.rs`).
 #[derive(Debug)]
 pub struct Executor {
     backend: ExecutionBackend,
@@ -391,6 +405,12 @@ pub struct Executor {
     /// The event backends' simulated timeline; synchronous rounds never
     /// lock it.
     clock: Mutex<EventClock>,
+    /// θ buffers waiting to carry an upload again: what [`Executor::recycle`]
+    /// was handed back, topped up by [`Executor::train`] to one per job.
+    uploads: Mutex<Vec<Vec<f32>>>,
+    /// One training workspace per runner the widest round so far used; a
+    /// round takes them out and puts them back.
+    workspaces: Mutex<Vec<ClientWorkspace>>,
 }
 
 /// A sampled client admitted to the round, with what the scheduler knows
@@ -471,6 +491,17 @@ impl Executor {
                 self.event_round(&params, true, participants, global_model, config, round)
             }
         }
+    }
+
+    /// Takes back the θ buffers of updates the caller is done with — a
+    /// round's [`RoundOutcome::updates`] once aggregated and recorded — so
+    /// that later rounds upload into them instead of into fresh allocations.
+    /// Optional: an executor that is never handed anything allocates every
+    /// round's uploads, as it would on its first round. Any vector will do
+    /// (another executor's, an empty one, a longer one): a buffer is emptied
+    /// and fitted to the round's θ before a client writes to it.
+    pub fn recycle(&self, updates: Vec<ClientUpdate>) {
+        lock(&self.uploads).extend(updates.into_iter().map(|u| u.theta.into_values()));
     }
 
     /// Decides who trains this round. Every backend resolves the device
@@ -559,37 +590,80 @@ impl Executor {
     /// Each result is put back at its job's position, so the output — and
     /// the error reported, the first in `jobs` order — is the same
     /// whichever thread ran which client.
+    ///
+    /// The round's memory is the executor's: every update is written into a
+    /// buffer of the upload free list, which this thread tops up first, and
+    /// every runner trains in one kept [`ClientWorkspace`]. Neither can
+    /// change an update ([`Client::local_update_in`]).
     fn train(
         &self,
         jobs: &[(&Client, &BlockNet)],
         config: &FlConfig,
         round: usize,
     ) -> Result<Vec<ClientUpdate>> {
-        let run =
-            |&(client, model): &(&Client, &BlockNet)| client.local_update(model, config, round);
+        // One upload buffer per job, allocated here and not where it is
+        // filled: a buffer is freed (or recycled) by the thread that calls
+        // `run_round`, and glibc returns a freed block to the arena of the
+        // thread that allocated it — buffers born on the workers would pile
+        // up in arenas this thread cannot reuse them from.
+        let theta_len = jobs
+            .iter()
+            .map(|(client, model)| {
+                model.trainable_parameter_count(config.freeze_for_client(client.id()))
+            })
+            .max()
+            .unwrap_or(0);
+        {
+            let mut free = lock(&self.uploads);
+            let kept = free.len();
+            free.resize_with(kept.max(jobs.len()), Vec::new);
+            // Jobs pop from the end; every buffer one of them can get fits
+            // the round's longest θ.
+            for buffer in free.iter_mut().rev().take(jobs.len()) {
+                buffer.clear();
+                buffer.reserve(theta_len);
+            }
+        }
+        let run = |workspace: &mut ClientWorkspace, &(client, model): &(&Client, &BlockNet)| {
+            let upload = lock(&self.uploads).pop().unwrap_or_default();
+            client.local_update_in(workspace, upload, model, config, round)
+        };
         let workers = if self.backend == ExecutionBackend::Sequential {
             1
         } else {
             self.worker_threads
                 .unwrap_or_else(pool::hardware_threads)
-                .min(jobs.len())
+                .clamp(1, jobs.len().max(1))
         };
-        if workers <= 1 {
+        // One workspace per runner, for the whole round: a runner's second
+        // client trains where its first left everything warm. (A round that
+        // panics drops the ones it took; the next makes new ones.)
+        let mut workspaces = std::mem::take(&mut *lock(&self.workspaces));
+        if workspaces.len() < workers {
+            workspaces.resize_with(workers, ClientWorkspace::default);
+        }
+        let updates = if workers == 1 {
             // Inline, in `jobs` order (which keeps `Sequential`'s cache
             // counters exact), and not single-threaded: with the pool idle
             // the tensor kernels are free to fan out underneath a lone
             // update.
-            return jobs.iter().map(run).collect();
-        }
-        // Longest first: a local update's time grows with its shard, and a
-        // large client claimed last would run alone while the other workers
-        // wait at the round's barrier. The sort is stable, so the hand-out
-        // order is a function of the cohort alone.
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by_key(|&position| std::cmp::Reverse(jobs[position].0.num_samples()));
-        hand_out(&order, workers, |position| run(&jobs[position]))
+            let workspace = &mut workspaces[0];
+            jobs.iter().map(|job| run(workspace, job)).collect()
+        } else {
+            // Longest first: a local update's time grows with its shard, and
+            // a large client claimed last would run alone while the other
+            // workers wait at the round's barrier. The sort is stable, so
+            // the hand-out order is a function of the cohort alone.
+            let mut order: Vec<usize> = (0..jobs.len()).collect();
+            order.sort_by_key(|&position| std::cmp::Reverse(jobs[position].0.num_samples()));
+            hand_out(&order, &mut workspaces[..workers], |workspace, position| {
+                run(workspace, &jobs[position])
+            })
             .into_iter()
             .collect()
+        };
+        *lock(&self.workspaces) = workspaces;
+        updates
     }
 
     /// `Sequential` / `Parallel` / `Deadline`: everyone admitted trains on
@@ -837,9 +911,17 @@ impl Executor {
     }
 }
 
-/// Runs `body(position)` for every position in `order` on `workers` pool
-/// runners and returns the results indexed by position (`order` must be a
-/// permutation of `0..order.len()`).
+/// Locks a free list. A panic while one is held leaves a list of whole
+/// buffers, so a poisoned lock is taken over, not reported.
+fn lock<T>(list: &Mutex<Vec<T>>) -> MutexGuard<'_, Vec<T>> {
+    list.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `body(state, position)` for every position in `order` on one pool
+/// runner per entry of `states` — `workers` of them below — and returns the
+/// results indexed by position (`order` must be a permutation of
+/// `0..order.len()`). A runner has its state to itself from its first
+/// position to its last.
 ///
 /// Exactly `workers` runners start on the persistent pool
 /// ([`fedft_tensor::pool`]), each taking the next unclaimed entry of `order`
@@ -855,16 +937,27 @@ impl Executor {
 ///
 /// A panicking `body` ends its runner; the others finish the remaining
 /// positions, and the pool then re-raises the first panic here.
-fn hand_out<T: Send>(order: &[usize], workers: usize, body: impl Fn(usize) -> T + Sync) -> Vec<T> {
+fn hand_out<S: Send, T: Send>(
+    order: &[usize],
+    states: &mut [S],
+    body: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = states.len();
+    // Runner `i` is the only one to lock slot `i`: the mutex is how safe
+    // code hands a `Sync` closure its own `&mut`.
+    let slots: Vec<Mutex<&mut S>> = states.iter_mut().map(Mutex::new).collect();
     // Relaxed: the cursor only decides who takes which entry. What a runner
     // produces reaches this thread through `run_chunks`' own
     // synchronisation.
     let cursor = AtomicUsize::new(0);
-    let per_runner = pool::run_chunks(workers, workers, |_runner| {
+    let per_runner = pool::run_chunks(workers, workers, |runner| {
         parallel::single_threaded(|| {
+            let mut state = slots[runner.start]
+                .lock()
+                .expect("a slot is locked once, by its runner");
             let mut done = Vec::new();
             while let Some(&position) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                done.push((position, body(position)));
+                done.push((position, body(&mut state, position)));
             }
             done
         })
@@ -1258,16 +1351,23 @@ mod tests {
     fn hand_out_runs_every_position_once_on_no_more_threads_than_the_cap() {
         let order: Vec<usize> = (0..40).rev().collect();
         for cap in [2, 3, 7] {
-            let calls = AtomicUsize::new(0);
-            let threads = Mutex::new(HashSet::new());
-            let results = hand_out(&order, cap, |position| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                threads.lock().unwrap().insert(std::thread::current().id());
+            // A runner's state: the thread behind each call it made.
+            let mut states = vec![Vec::new(); cap];
+            let results = hand_out(&order, &mut states, |calls, position| {
+                calls.push(std::thread::current().id());
                 position * 10
             });
             assert_eq!(results, (0..40).map(|p| p * 10).collect::<Vec<_>>());
-            assert_eq!(calls.into_inner(), 40, "cap {cap}");
-            assert!(threads.into_inner().unwrap().len() <= cap, "cap {cap}");
+            let calls: usize = states.iter().map(Vec::len).sum();
+            assert_eq!(calls, 40, "cap {cap}");
+            assert!(
+                states
+                    .iter()
+                    .all(|calls| calls.iter().all(|t| *t == calls[0])),
+                "cap {cap}: a state stays with the runner that took it"
+            );
+            let threads: HashSet<_> = states.iter().flatten().collect();
+            assert!(threads.len() <= cap, "cap {cap}");
         }
     }
 
@@ -1282,7 +1382,7 @@ mod tests {
         let order = [3, 1, 0, 2];
         let entered: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
         let another_entered = Condvar::new();
-        hand_out(&order, 2, |position| {
+        hand_out(&order, &mut [(); 2], |(), position| {
             let mut threads = entered.lock().unwrap();
             threads.insert(std::thread::current().id());
             another_entered.notify_all();

@@ -98,7 +98,7 @@ pub mod server;
 pub mod simulation;
 
 pub use cache::{CacheRegistry, CacheScope, CacheStats, FeatureCache};
-pub use client::{Client, ClientUpdate};
+pub use client::{Client, ClientUpdate, ClientWorkspace};
 pub use config::{FlConfig, LocalAlgorithm};
 pub use cost::CostModel;
 pub use device::{ArrivalModel, DeviceProfile, DeviceTier, HeterogeneityModel};

@@ -338,6 +338,8 @@ impl Simulation {
                 cache_peak_bytes: cache_round.peak_bytes,
                 flush: timing.flush,
             });
+            // The round is on record: its uploads carry the next one's.
+            executor.recycle(outcome.updates);
         }
         Ok(RunResult::new(label, rounds))
     }

@@ -1,0 +1,146 @@
+//! Allocation guard for the local update: on a workspace that has served one
+//! client, with a recycled upload buffer, [`Client::local_update_in`]
+//! allocates nothing as large as `θ` — no model snapshot, no gradient
+//! buffers, no velocities, no FedProx reference, no upload.
+//!
+//! This extends `crates/nn/tests/step_allocs.rs` (a warm *step* allocates
+//! nothing) across the client boundary: a round is one or two steps per
+//! client, so the step is only ever warm if what it runs on outlives the
+//! client. Smaller allocations remain and are not this guard's business: the
+//! selection scores, the indices a policy returns, a scoring pass over the
+//! shard. The file holds a single test because the counter is per thread and
+//! the allocator is per test binary.
+
+use fedft_core::{Client, ClientWorkspace, FlConfig, LocalAlgorithm, SelectionStrategy};
+use fedft_data::Dataset;
+use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel};
+use fedft_tensor::{init, parallel, rng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// `System`, counting this thread's allocations of at least `THRESHOLD`
+/// bytes (reallocations by their new size; frees are not allocations).
+struct CountingAllocator;
+
+thread_local! {
+    static THRESHOLD: Cell<usize> = const { Cell::new(usize::MAX) };
+    static LARGE: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(size: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are torn down.
+    let _ = THRESHOLD.try_with(|threshold| {
+        if size >= threshold.get() {
+            let _ = LARGE.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters touch no allocator state.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: same layout, forwarded.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: same layout, forwarded.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Runs `f` and returns how many allocations of `bytes` or more it made.
+fn large_allocations<T>(bytes: usize, f: impl FnOnce() -> T) -> (usize, T) {
+    THRESHOLD.with(|t| t.set(bytes));
+    let before = LARGE.with(Cell::get);
+    let value = f();
+    THRESHOLD.with(|t| t.set(usize::MAX));
+    (LARGE.with(Cell::get) - before, value)
+}
+
+#[test]
+fn a_warm_local_update_allocates_nothing_theta_sized() {
+    // A shard small against θ, as in `logical_pool`: every matrix a scoring
+    // pass or a frozen forward makes (20 × 48 floats) is well under 4·|θ|.
+    let config = BlockNetConfig::new(24, 10).with_hidden(48, 48, 48);
+    let model = BlockNet::new(&config, 17);
+    let mut r = rng::rng_for(17, "update-allocs");
+    let features = init::normal(&mut r, 20, 24, 0.0, 1.0);
+    let shard = Dataset::new(features, (0..20).map(|i| i % 10).collect(), 10).unwrap();
+    let client = Client::new(4, shard);
+
+    let entropy = SelectionStrategy::Entropy {
+        fraction: 0.5,
+        temperature: 0.1,
+    };
+    // Ten selected samples in batches of 8: a full batch and a short one.
+    let base = FlConfig::default()
+        .with_rounds(3)
+        .with_local_epochs(2)
+        .with_batch_size(8);
+    let paths = [
+        (
+            "cached",
+            base.clone()
+                .with_selection(entropy)
+                .with_feature_cache(true),
+        ),
+        (
+            "uncached, FedProx",
+            base.clone()
+                .with_selection(entropy)
+                .with_algorithm(LocalAlgorithm::FedProx { mu: 0.1 }),
+        ),
+        ("full", base.with_freeze(FreezeLevel::Full)),
+    ];
+
+    // One workspace through all three: each path's first update also meets
+    // what the previous path's freeze level and algorithm left behind.
+    let mut workspace = ClientWorkspace::default();
+    for (path, config) in paths {
+        let theta_bytes = 4 * model.trainable_parameter_count(config.freeze);
+        let mut upload = Vec::new();
+        for round in 0..3 {
+            // Under `single_threaded` no kernel hands work to a pool thread,
+            // whose allocations this thread's counter would not see.
+            let (large, update) = large_allocations(theta_bytes, || {
+                parallel::single_threaded(|| {
+                    client.local_update_in(&mut workspace, upload, &model, &config, round)
+                })
+                .unwrap()
+            });
+            assert_eq!(
+                update,
+                client.local_update(&model, &config, round).unwrap(),
+                "{path}, round {round}"
+            );
+            if round == 0 {
+                assert!(large > 0, "{path}: the counter sees a cold update");
+            } else {
+                assert_eq!(
+                    large, 0,
+                    "{path}, round {round}: allocations of {theta_bytes} bytes or more"
+                );
+            }
+            // What `Executor::recycle` does with an aggregated update.
+            upload = update.theta.into_values();
+        }
+    }
+}

@@ -430,7 +430,18 @@ impl BlockNet {
     /// [`crate::Layer::forward`]), and those a training step stored are
     /// scratch that a clone leaves behind.
     pub fn trainable_suffix(&self, freeze: FreezeLevel) -> SuffixNet {
-        SuffixNet::from_blocks(self.blocks[freeze.frozen_blocks()..].to_vec(), freeze)
+        let mut suffix = SuffixNet::default();
+        self.refresh_suffix(freeze, &mut suffix);
+        suffix
+    }
+
+    /// [`BlockNet::trainable_suffix`] into a suffix the caller keeps between
+    /// clients: afterwards `kept` scores, trains and flattens exactly as a
+    /// new snapshot would, but when it already is a suffix of this shape at
+    /// this level the copy goes into its own buffers — nothing `θ`-sized is
+    /// allocated, and its next training step starts warm.
+    pub fn refresh_suffix(&self, freeze: FreezeLevel, kept: &mut SuffixNet) {
+        kept.refresh_from(&self.blocks[freeze.frozen_blocks()..], freeze);
     }
 
     /// A fingerprint of the frozen prefix under a freeze level: a hash over

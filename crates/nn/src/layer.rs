@@ -2,6 +2,7 @@
 
 use crate::Result;
 use fedft_tensor::Matrix;
+use std::any::Any;
 
 /// A differentiable network layer with manually implemented forward and
 /// backward passes.
@@ -18,7 +19,7 @@ use fedft_tensor::Matrix;
 /// The trait is object safe; models store layers as `Box<dyn Layer>`.
 /// Layers must be `Send + Sync` so that client models can be trained on
 /// worker threads during the federated simulation.
-pub trait Layer: Send + Sync {
+pub trait Layer: Any + Send + Sync {
     /// Short, human-readable layer name used in error messages and reports.
     fn name(&self) -> &'static str;
 
@@ -135,6 +136,24 @@ pub trait Layer: Send + Sync {
 
     /// Clones the layer into a boxed trait object.
     fn clone_box(&self) -> Box<dyn Layer>;
+
+    /// Takes over `source`'s state while keeping this layer's buffers, and
+    /// returns `true`: every forward, backward and optimiser step on this
+    /// layer then gives the bits it would give on `source.clone_box()`.
+    /// Returns `false`, having changed nothing, when it cannot — `source` is
+    /// another kind of layer or differs in any dimension — and the caller
+    /// clones instead.
+    ///
+    /// "State" is more than [`Layer::params`]: running statistics, a random
+    /// stream's position. A layer kind without an implementation that
+    /// carries all of it keeps this default and is always cloned. Two things
+    /// are deliberately not carried, because every training step writes
+    /// them before it reads them: parameter gradients ([`Layer::backward`]
+    /// overwrites) and stored activations (scratch).
+    fn refresh_from(&mut self, source: &dyn Layer) -> bool {
+        let _ = source;
+        false
+    }
 }
 
 impl Clone for Box<dyn Layer> {
@@ -184,7 +203,7 @@ pub(crate) fn backward_full(layer: &mut dyn Layer, grad_output: &Matrix) -> Resu
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::layers::Dense;
 
@@ -197,7 +216,7 @@ mod tests {
     }
 
     /// One of each layer kind with an input it accepts.
-    fn one_of_each() -> Vec<(Box<dyn Layer>, Matrix)> {
+    pub(crate) fn one_of_each() -> Vec<(Box<dyn Layer>, Matrix)> {
         use crate::conv::{Conv2d, MaxPool2d, VolumeShape};
         use crate::layers::{BatchNorm1d, Dropout, Relu};
         let mut r = fedft_tensor::rng::rng_for(3, "layer-oracle");

@@ -4,6 +4,7 @@ use crate::layer::{Layer, Scratch};
 use crate::{NnError, Result};
 use fedft_tensor::{init, rng, Matrix};
 use rand::Rng;
+use std::any::Any;
 
 /// Fully-connected (affine) layer: `Y = X·W + b`.
 ///
@@ -146,6 +147,17 @@ impl Layer for Dense {
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
+
+    fn refresh_from(&mut self, source: &dyn Layer) -> bool {
+        match (source as &dyn Any).downcast_ref::<Dense>() {
+            Some(source) if source.weight.shape() == self.weight.shape() => {
+                self.weight.clone_from(&source.weight);
+                self.bias.clone_from(&source.bias);
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 /// Rectified linear unit activation.
@@ -233,6 +245,13 @@ impl Layer for Relu {
 
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
+    }
+
+    fn refresh_from(&mut self, source: &dyn Layer) -> bool {
+        // Stateless but for the hint.
+        (source as &dyn Any)
+            .downcast_ref::<Relu>()
+            .is_some_and(|source| source.features_hint == self.features_hint)
     }
 }
 

@@ -83,6 +83,21 @@ pub struct Sgd {
     config: SgdConfig,
     velocities: Vec<Matrix>,
     proximal: Option<ProximalTerm>,
+    /// No step has run since construction or [`Sgd::reset_state`]: the next
+    /// one may be over other tensors than the kept velocities were made for.
+    unstarted: bool,
+}
+
+impl Default for Sgd {
+    /// The paper's optimiser ([`SgdConfig::default`]), before its first step.
+    fn default() -> Self {
+        Sgd {
+            config: SgdConfig::default(),
+            velocities: Vec::new(),
+            proximal: None,
+            unstarted: true,
+        }
+    }
 }
 
 impl Sgd {
@@ -92,12 +107,26 @@ impl Sgd {
     ///
     /// Returns [`NnError::InvalidConfig`] when the configuration is invalid.
     pub fn new(config: SgdConfig) -> Result<Self> {
+        let mut sgd = Sgd::default();
+        sgd.restart(config)?;
+        Ok(sgd)
+    }
+
+    /// Starts over under `config`: afterwards the optimiser steps exactly as
+    /// [`Sgd::new`]`(config)` would — no momentum, no proximal term — but on
+    /// the velocity buffers it already has ([`Sgd::reset_state`]). This is
+    /// how one optimiser serves a runner's clients one after another.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidConfig`] when the configuration is invalid,
+    /// leaving the optimiser as it was.
+    pub fn restart(&mut self, config: SgdConfig) -> Result<()> {
         config.validate()?;
-        Ok(Sgd {
-            config,
-            velocities: Vec::new(),
-            proximal: None,
-        })
+        self.config = config;
+        self.proximal = None;
+        self.reset_state();
+        Ok(())
     }
 
     /// The optimiser configuration.
@@ -113,6 +142,12 @@ impl Sgd {
     /// Returns the currently installed proximal term, if any.
     pub fn proximal(&self) -> Option<&ProximalTerm> {
         self.proximal.as_ref()
+    }
+
+    /// Removes and returns the proximal term, so that its reference buffer
+    /// can carry the next round's reference.
+    pub fn take_proximal(&mut self) -> Option<ProximalTerm> {
+        self.proximal.take()
     }
 
     /// Applies one SGD update to `params` using `grads`.
@@ -148,7 +183,8 @@ impl Sgd {
     /// training step drives it from [`crate::Layer::visit_params`], which
     /// needs no `Vec` of references.
     pub(crate) fn begin_step(&mut self, tensors: usize, total: usize) -> Result<SgdStep<'_>> {
-        if !self.velocities.is_empty() && self.velocities.len() != tensors {
+        let first = self.unstarted;
+        if !first && self.velocities.len() != tensors {
             return Err(NnError::InvalidConfig {
                 what: format!(
                     "optimiser was initialised with {} tensors but received {}",
@@ -165,17 +201,27 @@ impl Sgd {
                 });
             }
         }
+        if first {
+            self.velocities.truncate(tensors);
+            self.unstarted = false;
+        }
         Ok(SgdStep {
             sgd: self,
+            first,
             tensor: 0,
             offset: 0,
         })
     }
 
-    /// Clears momentum buffers (used when a client restarts local training
-    /// from a freshly downloaded global model).
+    /// Forgets all momentum (used when a client restarts local training
+    /// from a freshly downloaded global model). The velocity buffers stay,
+    /// at zero, and the next step may be over a different set of tensors: it
+    /// re-makes the velocity of any tensor whose shape is not the kept one's.
     pub fn reset_state(&mut self) {
-        self.velocities.clear();
+        for velocity in &mut self.velocities {
+            velocity.as_mut_slice().fill(0.0);
+        }
+        self.unstarted = true;
     }
 }
 
@@ -184,24 +230,31 @@ impl Sgd {
 /// lands. Created by [`Sgd::begin_step`].
 pub(crate) struct SgdStep<'a> {
     sgd: &'a mut Sgd,
+    /// The first step since the optimiser (re)started: kept velocities are
+    /// all zero, so one of another shape than its tensor can be re-made.
+    first: bool,
     tensor: usize,
     offset: usize,
 }
 
 impl SgdStep<'_> {
     /// Updates the next parameter tensor in place from its gradient. The
-    /// first step an optimiser ever takes creates each tensor's velocity
-    /// here, at zero.
+    /// first step an optimiser takes creates each tensor's velocity here, at
+    /// zero, unless it kept one of that shape.
     pub(crate) fn update(&mut self, param: &mut Matrix, grad: &Matrix) -> Result<()> {
         let Sgd {
             config,
             velocities,
             proximal,
+            ..
         } = &mut *self.sgd;
         if self.tensor == velocities.len() {
             velocities.push(Matrix::zeros(param.rows(), param.cols()));
         }
         let velocity = &mut velocities[self.tensor];
+        if self.first && velocity.shape() != param.shape() {
+            velocity.resize_zeroed(param.rows(), param.cols());
+        }
         if param.shape() != grad.shape() || param.shape() != velocity.shape() {
             return Err(NnError::Tensor(fedft_tensor::TensorError::ShapeMismatch {
                 op: "sgd_step",

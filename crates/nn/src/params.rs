@@ -2,8 +2,10 @@
 //! aggregation.
 
 use crate::{NnError, Result};
-use fedft_tensor::Matrix;
+use fedft_tensor::{pool, Matrix};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::Mutex;
 
 /// A flattened view of a set of parameter tensors.
 ///
@@ -42,7 +44,16 @@ impl ParamVector {
 
     /// Flattens a list of parameter tensors in order.
     pub fn from_params(params: &[&Matrix]) -> Self {
-        let mut values = Vec::with_capacity(params.iter().map(|p| p.len()).sum());
+        Self::from_params_into(params, Vec::new())
+    }
+
+    /// [`ParamVector::from_params`] into a buffer the caller already owns:
+    /// its contents are discarded, and it is grown only when its capacity
+    /// is short of the parameters' total size — so an upload flattened into
+    /// a recycled buffer allocates nothing.
+    pub fn from_params_into(params: &[&Matrix], mut values: Vec<f32>) -> Self {
+        values.clear();
+        values.reserve(params.iter().map(|p| p.len()).sum());
         for p in params {
             values.extend_from_slice(p.as_slice());
         }
@@ -171,30 +182,32 @@ impl ParamVector {
         // Below this much accumulation work the pool wake costs more than
         // the loop; 200 clients × a 10k-parameter head clears it easily.
         const PARALLEL_WORK_THRESHOLD: usize = 1 << 20;
-        let workers = fedft_tensor::pool::hardware_threads().min(len);
-        if entries.len().saturating_mul(len) >= PARALLEL_WORK_THRESHOLD && workers > 1 {
-            let parts = fedft_tensor::pool::run_chunks(len, workers, |range| {
-                let mut part = vec![0.0_f32; range.len()];
-                for &(vector, weight) in entries {
-                    let values = &vector.values[range.clone()];
-                    for (o, &v) in part.iter_mut().zip(values.iter()) {
-                        *o += weight * v;
-                    }
+        let workers = pool::hardware_threads().min(len);
+        // One accumulation loop, over the whole output or over one range of
+        // it.
+        let accumulate = |out: &mut [f32], range: Range<usize>| {
+            for &(vector, weight) in entries {
+                for (o, &v) in out.iter_mut().zip(&vector.values[range.clone()]) {
+                    *o += weight * v;
                 }
-                part
-            });
-            let mut out = Vec::with_capacity(len);
-            for part in parts {
-                out.extend(part);
             }
-            return Ok(ParamVector { values: out });
-        }
-
+        };
         let mut out = vec![0.0_f32; len];
-        for &(vector, weight) in entries {
-            for (o, &v) in out.iter_mut().zip(vector.values.iter()) {
-                *o += weight * v;
-            }
+        if entries.len().saturating_mul(len) >= PARALLEL_WORK_THRESHOLD && workers > 1 {
+            // Every range writes its own slice of the one output, allocated
+            // here: `chunks_mut` by the pool's chunk length cuts the slices
+            // exactly where `run_chunks` cuts the ranges, and the mutex is
+            // how safe code hands each (once-run) range its `&mut`.
+            let chunk = pool::chunk_len(len, workers);
+            let slices: Vec<Mutex<&mut [f32]>> = out.chunks_mut(chunk).map(Mutex::new).collect();
+            pool::run_chunks(len, workers, |range| {
+                let mut slice = slices[range.start / chunk]
+                    .lock()
+                    .expect("a slice is locked once, by its range");
+                accumulate(&mut slice, range);
+            });
+        } else {
+            accumulate(&mut out, 0..len);
         }
         Ok(ParamVector { values: out })
     }

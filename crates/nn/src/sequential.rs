@@ -160,6 +160,17 @@ impl Sequential {
             .clone())
     }
 
+    /// [`Layer::refresh_from`], layer by layer. `false` means some layer
+    /// could not and the container is part old, part new: replace it.
+    pub(crate) fn refresh_from(&mut self, source: &Sequential) -> bool {
+        self.layers.len() == source.layers.len()
+            && self
+                .layers
+                .iter_mut()
+                .zip(&source.layers)
+                .all(|(layer, source)| layer.refresh_from(source.as_ref()))
+    }
+
     /// The layers, for passes that run across several containers.
     pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
         &mut self.layers

@@ -119,7 +119,10 @@ pub(crate) fn train_blocks(
 /// [`crate::BlockNet::forward_frozen`] on raw features (or a cached copy of
 /// it), never the raw features themselves (except at
 /// [`FreezeLevel::Full`], where the boundary *is* the input).
-#[derive(Debug, Clone)]
+///
+/// The [`Default`] suffix has no blocks; it is what a holder that keeps one
+/// between clients starts from ([`crate::BlockNet::refresh_suffix`]).
+#[derive(Debug, Clone, Default)]
 pub struct SuffixNet {
     blocks: Vec<Sequential>,
     freeze: FreezeLevel,
@@ -135,6 +138,27 @@ impl SuffixNet {
             freeze,
             loss: SoftmaxCrossEntropy::new(),
             workspace: Scratch::default(),
+        }
+    }
+
+    /// Becomes a snapshot of `blocks` at `freeze` — the one implementation
+    /// behind [`crate::BlockNet::trainable_suffix`] and
+    /// [`crate::BlockNet::refresh_suffix`]. A suffix of the same freeze
+    /// level whose every layer can take over its counterpart's state
+    /// ([`Layer::refresh_from`]) is refreshed in place, keeping its
+    /// parameter buffers and the scratch of its last training step; any
+    /// other — a new one, another level, another width, a layer kind that is
+    /// always cloned — is replaced by a clone of `blocks`.
+    pub(crate) fn refresh_from(&mut self, blocks: &[Sequential], freeze: FreezeLevel) {
+        let in_place = self.freeze == freeze
+            && self.blocks.len() == blocks.len()
+            && self
+                .blocks
+                .iter_mut()
+                .zip(blocks)
+                .all(|(kept, source)| kept.refresh_from(source));
+        if !in_place {
+            *self = SuffixNet::from_blocks(blocks.to_vec(), freeze);
         }
     }
 
@@ -202,8 +226,16 @@ impl SuffixNet {
     /// Flattens the suffix parameters (`θ`) into a vector, in the same order
     /// as [`crate::BlockNet::trainable_vector`] at the matching freeze level.
     pub fn trainable_vector(&self) -> ParamVector {
+        self.trainable_vector_into(Vec::new())
+    }
+
+    /// [`SuffixNet::trainable_vector`] written into `buffer` (contents
+    /// discarded, capacity kept): with a buffer that already holds `|θ|`
+    /// values' worth of capacity — a recycled upload — flattening allocates
+    /// nothing θ-sized.
+    pub fn trainable_vector_into(&self, buffer: Vec<f32>) -> ParamVector {
         let params: Vec<&Matrix> = self.blocks.iter().flat_map(|b| b.params()).collect();
-        ParamVector::from_params(&params)
+        ParamVector::from_params_into(&params, buffer)
     }
 
     /// Writes a flattened `θ` vector back into the suffix.
@@ -501,6 +533,125 @@ mod tests {
             .set_full_vector(&trained.full_vector())
             .unwrap();
         assert_snapshots_hold_parameters_only(&trained, &never_trained);
+    }
+
+    /// Everything a holder of `suffix` can observe before and through one
+    /// more step: `θ`, the logits of an inference pass (which read state a
+    /// training pass does not — batch-norm's running statistics), the loss
+    /// of a training step and the `θ` it leaves.
+    fn observe(suffix: &mut SuffixNet, x: &Matrix, labels: &[usize], sgd: &mut Sgd) -> Vec<u32> {
+        let mut seen = bits(suffix.trainable_vector().values());
+        seen.extend(bits(suffix.forward(x, false).unwrap().as_slice()));
+        seen.push(suffix.train_batch(x, labels, sgd).unwrap().to_bits());
+        seen.extend(bits(suffix.trainable_vector().values()));
+        seen
+    }
+
+    #[test]
+    fn a_refreshed_suffix_is_a_fresh_snapshot_for_every_layer_kind() {
+        let freeze = FreezeLevel::Classifier;
+        let momentum = SgdConfig {
+            learning_rate: 0.05,
+            momentum: 0.9,
+            weight_decay: 1e-3,
+        };
+        // Per client: rows in its batch, optimiser, FedProx coefficient. The
+        // kept suffix and optimiser meet a smaller batch, FedProx switched
+        // on and then off, and another `SgdConfig`, each after having
+        // trained under the previous line.
+        let clients = [
+            (5, SgdConfig::default(), None),
+            (3, SgdConfig::default(), Some(0.1_f32)),
+            (5, SgdConfig::default(), Some(0.1)),
+            (4, SgdConfig::default(), None),
+            (5, momentum, None),
+            (2, momentum, Some(0.3)),
+        ];
+        for (layer, x) in crate::layer::tests::one_of_each() {
+            let kind = layer.name();
+            let width = layer.forward_frozen(&x).unwrap().cols();
+            // The model the snapshots are taken of: the layer under test and
+            // a dense head, advanced between clients by training — which
+            // moves parameters, running statistics and the dropout stream.
+            let mut model = SuffixNet::from_blocks(
+                vec![
+                    Sequential::new().push(layer),
+                    Sequential::new().push(Box::new(crate::Dense::new(width, 3, 5))),
+                ],
+                freeze,
+            );
+            let mut model_sgd = Sgd::new(SgdConfig::default()).unwrap();
+            let (mut kept, mut kept_sgd) = (SuffixNet::default(), Sgd::default());
+            let mut buffers = Vec::new();
+
+            for (client, (rows, config, mu)) in clients.into_iter().enumerate() {
+                let at = format!("{kind}, client {client}");
+                let batch = x.select_rows(&(0..rows).collect::<Vec<_>>());
+                let labels: Vec<usize> = (0..rows).map(|i| (i + client) % 3).collect();
+                let proximal = |suffix: &SuffixNet| {
+                    mu.map(|mu| ProximalTerm {
+                        mu,
+                        reference: suffix.trainable_vector(),
+                    })
+                };
+
+                kept.refresh_from(&model.blocks, freeze);
+                kept_sgd.restart(config).unwrap();
+                kept_sgd.set_proximal(proximal(&kept));
+                let mut fresh = SuffixNet::from_blocks(model.blocks.to_vec(), freeze);
+                let mut fresh_sgd = Sgd::new(config).unwrap();
+                fresh_sgd.set_proximal(proximal(&fresh));
+                // Two steps: the second reads the first's momentum.
+                for step in 0..2 {
+                    assert_eq!(
+                        observe(&mut kept, &batch, &labels, &mut kept_sgd),
+                        observe(&mut fresh, &batch, &labels, &mut fresh_sgd),
+                        "{at}, step {step}"
+                    );
+                }
+
+                // Where the head's weights live: a refresh in place keeps it.
+                buffers.push(kept.blocks[1].params()[0].as_slice().as_ptr());
+                model
+                    .train_batch(&x, &[0, 1, 2, 0, 1], &mut model_sgd)
+                    .unwrap();
+            }
+            let in_place = buffers.iter().all(|b| *b == buffers[0]);
+            assert_eq!(
+                in_place,
+                matches!(kind, "dense" | "relu"),
+                "{kind}: the layer kinds of a `BlockNet` refresh in place, the rest are cloned"
+            );
+        }
+    }
+
+    #[test]
+    fn a_suffix_of_another_level_or_width_is_replaced_by_a_fresh_snapshot() {
+        let (x, labels) = batch();
+        let wide = BlockNet::new(&BlockNetConfig::new(6, 3).with_hidden(8, 12, 8), 2);
+        let mut kept = SuffixNet::default();
+        let mut kept_sgd = Sgd::default();
+        for (model, freeze) in [
+            (net(), FreezeLevel::Moderate),
+            (net(), FreezeLevel::Large),
+            (wide.clone(), FreezeLevel::Large),
+            (net(), FreezeLevel::Classifier),
+            (wide, FreezeLevel::Full),
+        ] {
+            model.refresh_suffix(freeze, &mut kept);
+            kept_sgd.restart(SgdConfig::default()).unwrap();
+            let mut fresh = model.trainable_suffix(freeze);
+            let mut fresh_sgd = Sgd::new(SgdConfig::default()).unwrap();
+            assert_eq!(kept.freeze(), freeze);
+            let boundary = model.forward_frozen(freeze, &x).unwrap();
+            for _ in 0..2 {
+                assert_eq!(
+                    observe(&mut kept, &boundary, &labels, &mut kept_sgd),
+                    observe(&mut fresh, &boundary, &labels, &mut fresh_sgd),
+                    "{freeze}"
+                );
+            }
+        }
     }
 
     #[test]

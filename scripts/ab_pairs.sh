@@ -8,10 +8,10 @@
 #
 # The two binaries are `benchmarks/e2e` builds (`fedft-e2e-bench`) of the
 # parent commit and of the change, built once each *at the same path* and
-# copied aside (two paths give two function layouts; see ROADMAP 2(d)). Each
-# pair runs both with `--workload <workload> --trace 0 [harness args…]`; odd
-# pairs run the parent first, even pairs the change first. Run it from a
-# scratch directory. Example:
+# copied aside (two paths give two function layouts; see ROADMAP "Standing
+# constraints"). Each pair runs both with `--workload <workload> --trace 0
+# [harness args…]`; odd pairs run the parent first, even pairs the change
+# first. Run it from a scratch directory. Example:
 #
 #   scripts/ab_pairs.sh /root/scratch/bin/parent /root/scratch/bin/change \
 #       logical_pool 10 --seed 11 --seconds 20
