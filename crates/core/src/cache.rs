@@ -1,5 +1,5 @@
 //! Shard-deduplicated, key-hash-**sharded** caching of frozen-prefix
-//! boundary activations.
+//! boundary activations, and of the selection scores computed from them.
 //!
 //! A client's local dataset never changes, and the frozen backbone `ϕ` never
 //! changes during a federated run (the server only aggregates the trainable
@@ -75,8 +75,51 @@
 //!   at any shard count; under concurrent execution only same-key build
 //!   races can wobble the totals (documented on
 //!   [`CacheRegistry::get_or_build`]), never the results.
+//!
+//! # The score tier
+//!
+//! A selection score (entropy, loss, gradient norm) is a function of the
+//! model, the shard and the score's kind — no client id, no round, no RNG
+//! stream — so the logical clients of one shard that train on one model
+//! version in one round all need the same scores. Beside (not inside) its
+//! entry table every lock shard therefore holds a second, tiny tier: per
+//! `(shard key, freeze level)` one [`ScoreSlot`] with the **latest** scores
+//! computed there, valid for one `(parameter stamp, score kind)`.
+//!
+//! * **Keying.** The model side is [`fedft_nn::BlockNet::parameter_stamp`]:
+//!   a process-unique number the two parameter writers re-draw and a clone
+//!   carries, so equal stamps imply equal parameters — `ϕ` and `θ` — and
+//!   nothing `θ`-sized is hashed. A stale version of an event round is a
+//!   clone with a stamp of its own; it shares among its own clients and
+//!   replaces the slot of whichever version scored there before. The data
+//!   side is [`ShardKey`]: the feature checksum of the entry table extended
+//!   over **every label**, because loss and gradient-norm scores read them
+//!   (shards equal in features and different in labels share a boundary and
+//!   never a score). The feature half inherits `source_checksum`'s sampling:
+//!   exact up to 16 rows, strided beyond. The kind carries the entropy
+//!   temperature's bits.
+//! * **Memory.** One slot per `(shard, freeze level)` ever scored, 4 bytes
+//!   per training row, **outside** [`CacheRegistry::budget_bytes`], every
+//!   [`CacheStats`] ledger and the LRU clock: it is never evicted, only
+//!   overwritten or [`CacheRegistry::clear`]ed (9.6 KB beside a 460,800-byte
+//!   budget on the `logical_pool` benchmark workload). A slot outlives the
+//!   update that filled it, so it is not allocated per update: a put
+//!   overwrites the slot's buffer in place and a reader copies out, under the
+//!   shard lock, into a buffer its thread keeps
+//!   ([`crate::ClientWorkspace`]).
+//! * **Bit-identity.** A served score is the stored output of the one
+//!   scoring path ([`crate::SelectionContext`] consults the slot before
+//!   running the suffix and fills it after), so memo on ≡ memo off is the
+//!   shared ≡ per-client ≡ cache-off contract `tests/logical_pool_e2e.rs`
+//!   already pins. Two pooled clients of one shard may both find the slot
+//!   behind and both compute; they store equal bits.
+//! * **Counters.** [`CacheRegistry::score_stats`] (`served` / `computed`),
+//!   separate from [`CacheStats`]. Under sequential execution a round
+//!   computes exactly once per distinct `(shard, model version, freeze
+//!   level)` it trains.
 
 use crate::Result;
+use fedft_data::Dataset;
 use fedft_nn::{BlockNet, FreezeLevel};
 use fedft_tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -118,21 +161,19 @@ struct CacheKey {
     freeze: FreezeLevel,
 }
 
-impl CacheKey {
-    /// Index of the lock shard this key lives in.
-    ///
-    /// Hashes only `(source_checksum, freeze)` — **not** the fingerprint —
-    /// so all backbone versions of one data shard land in the same lock
-    /// shard and fingerprint invalidation stays shard-local. The checksum
-    /// is already an FNV-1a output, so a short remix suffices to spread it
-    /// over a power-of-two shard count.
-    fn shard_index(&self, mask: usize) -> usize {
-        let mut hash = self.source_checksum ^ 0x9e37_79b9_7f4a_7c15;
-        hash ^= self.freeze.frozen_blocks() as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        hash ^= hash >> 32;
-        (hash as usize) & mask
-    }
+/// The lock shard of a `(data key, freeze level)` pair, in either tier.
+///
+/// For the entry table the data key is the source checksum and **not** the
+/// fingerprint, so all backbone versions of one data shard land in the same
+/// lock shard and fingerprint invalidation stays shard-local. The data key
+/// is already an FNV-1a output, so a short remix suffices to spread it over
+/// a power-of-two shard count.
+fn lock_shard_index(data_key: u64, freeze: FreezeLevel, mask: usize) -> usize {
+    let mut hash = data_key ^ 0x9e37_79b9_7f4a_7c15;
+    hash ^= freeze.frozen_blocks() as u64;
+    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    hash ^= hash >> 32;
+    (hash as usize) & mask
 }
 
 /// One cached set of boundary activations.
@@ -187,6 +228,146 @@ fn source_checksum(features: &Matrix) -> u64 {
         }
     }
     hash
+}
+
+/// What a registry calls one data shard, derived once per shard instead of
+/// on every lookup ([`crate::ClientPool`] derives it once per *physical*
+/// shard and hands it to every logical client of it).
+///
+/// It holds the two data-side keys of the registry's two tiers. Boundary
+/// activations are a function of the features alone, so their key is the
+/// feature checksum [`CacheRegistry::get_or_build`] computes — shards with
+/// equal features keep sharing one boundary whatever their labels. Selection
+/// scores may read the labels (loss, gradient norm), so the score tier's key
+/// extends that checksum over every label and the class count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardKey {
+    features: u64,
+    labelled: u64,
+}
+
+impl ShardKey {
+    /// The key of `shard` as it is now; a shard never changes once clients
+    /// hold it.
+    pub fn of(shard: &Dataset) -> Self {
+        let features = source_checksum(shard.features());
+        // The same FNV-1a step, continued over the class count and labels.
+        let labelled = std::iter::once(shard.num_classes())
+            .chain(shard.labels().iter().copied())
+            .fold(features, |hash, value| {
+                (hash ^ value as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        ShardKey { features, labelled }
+    }
+}
+
+/// Which per-sample selection score a slot of the score tier holds: the
+/// function applied to the logits, with every parameter it has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScoreKind {
+    /// Entropy under a softmax at the temperature with these bits
+    /// ([`ScoreKind::entropy`]).
+    Entropy {
+        /// `f32::to_bits` of the temperature.
+        temperature_bits: u32,
+    },
+    /// Cross-entropy loss against the shard's labels.
+    Loss,
+    /// Output-layer gradient norm against the shard's labels.
+    GradientNorm,
+}
+
+impl ScoreKind {
+    /// Entropy scores at `temperature`; two temperatures are the same kind
+    /// only when they are the same bits.
+    pub fn entropy(temperature: f32) -> Self {
+        ScoreKind::Entropy {
+            temperature_bits: temperature.to_bits(),
+        }
+    }
+}
+
+/// The latest scores computed for one `(shard, freeze level)`.
+#[derive(Debug)]
+struct ScoreEntry {
+    shard: u64,
+    freeze: FreezeLevel,
+    /// What `scores` is valid for: one model version, one kind.
+    stamp: u64,
+    kind: ScoreKind,
+    scores: Vec<f32>,
+}
+
+/// Counters of a registry's score tier ([`CacheRegistry::score_stats`]).
+/// Under sequential execution they are exact; under a pooled backend two
+/// clients of one shard may both find the slot behind and both compute.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ScoreStats {
+    /// Scoring passes a slot answered.
+    pub served: usize,
+    /// Scoring passes that ran and were left in a slot.
+    pub computed: usize,
+    /// Slots held — distinct `(shard, freeze level)` pairs scored so far,
+    /// 4 bytes per row of the shard each, outside any byte budget.
+    pub slots: usize,
+}
+
+/// A client's handle onto the one slot of the score tier that can hold the
+/// scores of its shard at its freeze level, for the model version it was
+/// made for ([`CacheRegistry::score_slot`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ScoreSlot<'a> {
+    shard: &'a Shard,
+    key: u64,
+    freeze: FreezeLevel,
+    stamp: u64,
+}
+
+impl ScoreSlot<'_> {
+    /// Copies the slot's scores into `out` (previous contents discarded) and
+    /// returns `true` when they are `kind` scores of this handle's model
+    /// version; otherwise leaves `out` alone and returns `false`.
+    pub fn read_into(&self, kind: ScoreKind, out: &mut Vec<f32>) -> bool {
+        let mut inner = lock_shard(self.shard);
+        let Some(entry) = inner
+            .scores
+            .iter()
+            .find(|e| self.owns(e) && e.stamp == self.stamp && e.kind == kind)
+        else {
+            return false;
+        };
+        out.clear();
+        out.extend_from_slice(&entry.scores);
+        inner.scores_served += 1;
+        true
+    }
+
+    /// Leaves `scores` in the slot as the `kind` scores of this handle's
+    /// model version, replacing whatever version or kind it held — in place:
+    /// only a slot's first scores, or longer ones, allocate.
+    pub fn store(&self, kind: ScoreKind, scores: &[f32]) {
+        let mut inner = lock_shard(self.shard);
+        inner.scores_computed += 1;
+        match inner.scores.iter_mut().find(|e| self.owns(e)) {
+            Some(entry) => {
+                entry.stamp = self.stamp;
+                entry.kind = kind;
+                entry.scores.clear();
+                entry.scores.extend_from_slice(scores);
+            }
+            None => inner.scores.push(ScoreEntry {
+                shard: self.key,
+                freeze: self.freeze,
+                stamp: self.stamp,
+                kind,
+                scores: scores.to_vec(),
+            }),
+        }
+    }
+
+    fn owns(&self, entry: &ScoreEntry) -> bool {
+        entry.shard == self.key && entry.freeze == self.freeze
+    }
 }
 
 fn matrix_bytes(m: &Matrix) -> usize {
@@ -280,6 +461,11 @@ struct ShardInner {
     evictions: usize,
     current_bytes: usize,
     peak_bytes: usize,
+    /// The score tier's share of this lock shard: beside the entry table,
+    /// under the same lock, in none of the ledgers above.
+    scores: Vec<ScoreEntry>,
+    scores_served: usize,
+    scores_computed: usize,
 }
 
 impl ShardInner {
@@ -475,12 +661,62 @@ impl CacheRegistry {
         freeze: FreezeLevel,
         features: &Matrix,
     ) -> Result<Arc<Matrix>> {
+        self.lookup(source_checksum(features), model, freeze, features)
+    }
+
+    /// [`CacheRegistry::get_or_build`] for a caller that kept the shard's
+    /// key: the same lookup without the checksum walk over `features`, which
+    /// must be the features of the shard `key` was derived from.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors from the frozen forward pass.
+    pub fn get_or_build_keyed(
+        &self,
+        key: ShardKey,
+        model: &BlockNet,
+        freeze: FreezeLevel,
+        features: &Matrix,
+    ) -> Result<Arc<Matrix>> {
+        debug_assert_eq!(
+            key.features,
+            source_checksum(features),
+            "a shard key used with another shard's features"
+        );
+        self.lookup(key.features, model, freeze, features)
+    }
+
+    /// The handle onto the score-tier slot of `(key, freeze)` for `model` as
+    /// it is now; see [`ScoreSlot`]. Making one touches no lock.
+    pub fn score_slot(
+        &self,
+        key: ShardKey,
+        model: &BlockNet,
+        freeze: FreezeLevel,
+    ) -> ScoreSlot<'_> {
+        let index = lock_shard_index(key.labelled, freeze, self.state.mask);
+        ScoreSlot {
+            shard: &self.state.shards[index],
+            key: key.labelled,
+            freeze,
+            stamp: model.parameter_stamp(),
+        }
+    }
+
+    fn lookup(
+        &self,
+        source_checksum: u64,
+        model: &BlockNet,
+        freeze: FreezeLevel,
+        features: &Matrix,
+    ) -> Result<Arc<Matrix>> {
         let key = CacheKey {
-            source_checksum: source_checksum(features),
+            source_checksum,
             fingerprint: model.frozen_fingerprint(freeze),
             freeze,
         };
-        let shard = &self.state.shards[key.shard_index(self.state.mask)];
+        let index = lock_shard_index(source_checksum, freeze, self.state.mask);
+        let shard = &self.state.shards[index];
         {
             let mut inner = lock_shard(shard);
             inner.tick += 1;
@@ -599,6 +835,18 @@ impl CacheRegistry {
             .collect()
     }
 
+    /// The score tier's counters, summed over the lock shards under the same
+    /// consistent cut as [`CacheRegistry::stats`].
+    pub fn score_stats(&self) -> ScoreStats {
+        let mut total = ScoreStats::default();
+        for inner in self.lock_all() {
+            total.served += inner.scores_served;
+            total.computed += inner.scores_computed;
+            total.slots += inner.scores.len();
+        }
+        total
+    }
+
     /// Number of entries currently cached (all shards).
     pub fn len(&self) -> usize {
         self.lock_all()
@@ -612,12 +860,13 @@ impl CacheRegistry {
         self.len() == 0
     }
 
-    /// Drops every cached entry in every shard (counters, including the
-    /// peaks, are kept).
+    /// Drops every cached entry and every score slot in every shard
+    /// (counters, including the peaks, are kept).
     pub fn clear(&self) {
         for mut inner in self.lock_all() {
             inner.entries.clear();
             inner.current_bytes = 0;
+            inner.scores.clear();
         }
     }
 
@@ -1194,6 +1443,121 @@ mod tests {
             let rebuilt = registry.get_or_build(&m, freeze, x).unwrap();
             assert_eq!(*rebuilt, m.forward_frozen(freeze, x).unwrap());
         }
+    }
+
+    fn labelled(labels: Vec<usize>) -> Dataset {
+        Dataset::new(features(), labels, 3).unwrap()
+    }
+
+    #[test]
+    fn a_score_slot_serves_one_shard_level_version_and_kind_only() {
+        let registry = CacheRegistry::sharded(2, None);
+        let freeze = FreezeLevel::Moderate;
+        let shard = ShardKey::of(&labelled(vec![0, 1, 2, 0, 1, 2]));
+        let m = model(1);
+        let kind = ScoreKind::entropy(0.1);
+        let scores = [0.5, 0.25, 0.125, 1.0, 2.0, 4.0];
+
+        let slot = registry.score_slot(shard, &m, freeze);
+        let mut out = vec![9.0];
+        assert!(!slot.read_into(kind, &mut out), "nothing stored yet");
+        assert_eq!(out, [9.0], "a refused read leaves the buffer alone");
+        slot.store(kind, &scores);
+        assert!(slot.read_into(kind, &mut out));
+        assert_eq!(out, scores);
+        // A clone holds the same parameters under the same stamp.
+        let snapshot = m.clone();
+        assert!(registry
+            .score_slot(shard, &snapshot, freeze)
+            .read_into(kind, &mut out));
+
+        // Another temperature, kind, freeze level, model version or shard.
+        assert!(!slot.read_into(ScoreKind::entropy(0.2), &mut out));
+        assert!(!slot.read_into(ScoreKind::Loss, &mut out));
+        assert!(!slot.read_into(ScoreKind::GradientNorm, &mut out));
+        assert!(!registry
+            .score_slot(shard, &m, FreezeLevel::Classifier)
+            .read_into(kind, &mut out));
+        let mut written = m.clone();
+        let theta = model(7).trainable_vector(freeze);
+        written.set_trainable_vector(freeze, &theta).unwrap();
+        assert!(!registry
+            .score_slot(shard, &written, freeze)
+            .read_into(kind, &mut out));
+        assert!(
+            !registry
+                .score_slot(shard, &model(1), freeze)
+                .read_into(kind, &mut out),
+            "an equal model built apart is another version: recomputed, never wrong"
+        );
+        let mut other = features();
+        other.set(3, 2, 99.0);
+        let other = ShardKey::of(&Dataset::new(other, vec![0, 1, 2, 0, 1, 2], 3).unwrap());
+        assert!(!registry
+            .score_slot(other, &m, freeze)
+            .read_into(kind, &mut out));
+        assert_eq!(out, scores, "no refused read wrote anything");
+        let stats = registry.score_stats();
+        assert_eq!((stats.served, stats.computed), (2, 1));
+        assert_eq!(stats.slots, 1);
+
+        // A newer version takes the slot over: the latest scores, one slot.
+        let newer = registry.score_slot(shard, &written, freeze);
+        newer.store(ScoreKind::Loss, &scores[..4]);
+        assert!(!slot.read_into(kind, &mut out), "superseded");
+        assert!(newer.read_into(ScoreKind::Loss, &mut out));
+        assert_eq!(out, scores[..4]);
+        registry
+            .score_slot(shard, &m, FreezeLevel::Classifier)
+            .store(kind, &scores);
+        let stats = registry.score_stats();
+        assert_eq!((stats.served, stats.computed, stats.slots), (3, 3, 2));
+        // The tier is outside the entry table and all of its ledgers.
+        assert_eq!(registry.stats(), CacheStats::default());
+
+        registry.clear();
+        assert!(!newer.read_into(ScoreKind::Loss, &mut out));
+        let stats = registry.score_stats();
+        assert_eq!(stats.slots, 0);
+        assert_eq!((stats.served, stats.computed), (3, 3), "counters are kept");
+    }
+
+    #[test]
+    fn shards_equal_in_features_share_a_boundary_and_never_a_score_slot() {
+        let a = labelled(vec![0, 1, 2, 0, 1, 2]);
+        let b = labelled(vec![0, 1, 2, 0, 1, 1]);
+        let (key_a, key_b) = (ShardKey::of(&a), ShardKey::of(&b));
+        assert_eq!(key_a, ShardKey::of(&a.clone()));
+        assert_ne!(key_a, key_b, "one label apart");
+        assert_ne!(
+            key_a,
+            ShardKey::of(&Dataset::new(features(), a.labels().to_vec(), 4).unwrap()),
+            "one class count apart"
+        );
+
+        let registry = CacheRegistry::new();
+        let m = model(1);
+        let freeze = FreezeLevel::Moderate;
+        let boundary_a = registry
+            .get_or_build_keyed(key_a, &m, freeze, a.features())
+            .unwrap();
+        let boundary_b = registry
+            .get_or_build_keyed(key_b, &m, freeze, b.features())
+            .unwrap();
+        assert!(Arc::ptr_eq(&boundary_a, &boundary_b));
+        // The keyed lookup is the unkeyed one minus the checksum walk.
+        let unkeyed = registry.get_or_build(&m, freeze, a.features()).unwrap();
+        assert!(Arc::ptr_eq(&boundary_a, &unkeyed));
+        let stats = registry.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
+
+        registry
+            .score_slot(key_a, &m, freeze)
+            .store(ScoreKind::Loss, &[1.0; 6]);
+        let mut out = Vec::new();
+        assert!(!registry
+            .score_slot(key_b, &m, freeze)
+            .read_into(ScoreKind::Loss, &mut out));
     }
 
     #[test]

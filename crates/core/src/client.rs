@@ -1,6 +1,6 @@
 //! Client-side local update (paper Algorithm 1, lines 6–9).
 
-use crate::cache::FeatureCache;
+use crate::cache::{FeatureCache, ShardKey};
 use crate::config::{FlConfig, LocalAlgorithm};
 use crate::policy::SelectionContext;
 use crate::{FlError, Result};
@@ -45,7 +45,8 @@ pub struct ClientUpdate {
 /// (refreshed in place from each client's model, its training step's
 /// scratch staying warm), the optimiser (restarted, its velocities zeroed
 /// instead of re-made), FedProx's reference vector, and the index, label and
-/// batch-gather buffers of the local epochs.
+/// batch-gather buffers of the local epochs, and the buffer selection scores
+/// shared through the registry are copied out into.
 ///
 /// It carries nothing from one client into the next but capacity: an update
 /// computed in a used workspace equals one computed in a new one bit for
@@ -60,6 +61,7 @@ pub struct ClientWorkspace {
     batch_rows: Vec<usize>,
     batch_labels: Vec<usize>,
     gather: Matrix,
+    scores: Vec<f32>,
 }
 
 /// A federated client holding a (possibly shared) shard of data.
@@ -77,8 +79,24 @@ pub struct ClientWorkspace {
 #[derive(Debug, Clone)]
 pub struct Client {
     id: usize,
-    data: Arc<Dataset>,
+    shard: Arc<KeyedShard>,
     cache: FeatureCache,
+}
+
+/// A physical shard and what the registry calls it, derived once so that no
+/// lookup walks the shard again — and held once per shard, not per client:
+/// a pool of 20k logical clients over 100 shards keeps 100 of these.
+#[derive(Debug)]
+pub(crate) struct KeyedShard {
+    data: Arc<Dataset>,
+    key: ShardKey,
+}
+
+impl KeyedShard {
+    pub(crate) fn new(data: Arc<Dataset>) -> Arc<Self> {
+        let key = ShardKey::of(&data);
+        Arc::new(KeyedShard { data, key })
+    }
 }
 
 impl Client {
@@ -96,7 +114,13 @@ impl Client {
     /// [`crate::simulation::ClientPool`], so concurrent executors contend
     /// per key-hash shard, not on a global lock).
     pub fn from_shard(id: usize, data: Arc<Dataset>, cache: FeatureCache) -> Self {
-        Client { id, data, cache }
+        Client::from_keyed_shard(id, KeyedShard::new(data), cache)
+    }
+
+    /// [`Client::from_shard`] for a pool that keyed the shard once for all
+    /// its logical clients.
+    pub(crate) fn from_keyed_shard(id: usize, shard: Arc<KeyedShard>, cache: FeatureCache) -> Self {
+        Client { id, shard, cache }
     }
 
     /// The client id.
@@ -106,18 +130,18 @@ impl Client {
 
     /// The client's dataset.
     pub fn data(&self) -> &Dataset {
-        &self.data
+        &self.shard.data
     }
 
     /// The shared handle onto the client's physical shard (clients of one
     /// shard in a logical pool return the same allocation).
     pub fn shard(&self) -> &Arc<Dataset> {
-        &self.data
+        &self.shard.data
     }
 
     /// Number of local samples `|D_k|`.
     pub fn num_samples(&self) -> usize {
-        self.data.len()
+        self.shard.data.len()
     }
 
     /// The client's frozen-feature cache (empty until a cached round runs).
@@ -168,7 +192,8 @@ impl Client {
         round: usize,
     ) -> Result<ClientUpdate> {
         let freeze = config.freeze_for_client(self.id);
-        if self.data.is_empty() {
+        let KeyedShard { data, key } = &*self.shard;
+        if data.is_empty() {
             return Err(FlError::InvalidConfig {
                 what: format!("client {} has no local data to select from", self.id),
             });
@@ -177,10 +202,12 @@ impl Client {
         // the raw input, so caching it would only duplicate the dataset.
         let use_cache = config.feature_cache && freeze.frozen_blocks() > 0;
         let cached_boundary: Option<Arc<Matrix>> = if use_cache {
-            Some(
-                self.cache
-                    .get_or_build(global_model, freeze, self.data.features())?,
-            )
+            Some(self.cache.registry().get_or_build_keyed(
+                *key,
+                global_model,
+                freeze,
+                data.features(),
+            )?)
         } else {
             None
         };
@@ -193,6 +220,7 @@ impl Client {
             batch_rows,
             batch_labels,
             gather,
+            scores,
         } = workspace;
         // The client's private trainable part θ — an O(|θ|) snapshot; the
         // backbone ϕ stays shared behind `global_model`.
@@ -203,24 +231,31 @@ impl Client {
         // activations lazily: model-free policies (All/Random) never touch
         // the model, score-based policies see either the cached boundary,
         // the raw features (no frozen prefix), or a one-off frozen forward
-        // pass — the exact three paths the pre-policy dispatch took.
+        // pass — the exact three paths the pre-policy dispatch took. A
+        // client that took its boundary from the registry takes its scores
+        // there too: the other clients of its shard that train on this model
+        // version need the same ones.
         let selected_indices = {
             let policy = config.selection.policy();
             let mut ctx = match &cached_boundary {
                 Some(boundary) => SelectionContext::with_boundary(
                     suffix,
                     boundary,
-                    self.data.labels(),
+                    data.labels(),
                     round,
                     self.id,
                     config.seed,
+                )
+                .with_score_slot(
+                    self.cache.registry().score_slot(*key, global_model, freeze),
+                    scores,
                 ),
                 // No frozen prefix: the boundary is the raw features —
                 // score them directly instead of copying the dataset.
                 None if freeze.frozen_blocks() == 0 => SelectionContext::with_boundary(
                     suffix,
-                    self.data.features(),
-                    self.data.labels(),
+                    data.features(),
+                    data.labels(),
                     round,
                     self.id,
                     config.seed,
@@ -229,8 +264,8 @@ impl Client {
                     suffix,
                     global_model,
                     freeze,
-                    self.data.features(),
-                    self.data.labels(),
+                    data.features(),
+                    data.labels(),
                     round,
                     self.id,
                     config.seed,
@@ -239,7 +274,7 @@ impl Client {
             policy.select(&mut ctx)?
         };
         selected_labels.clear();
-        selected_labels.extend(selected_indices.iter().map(|&i| self.data.labels()[i]));
+        selected_labels.extend(selected_indices.iter().map(|&i| data.labels()[i]));
 
         // --- Local fine-tuning of the trainable part θ (Equation 4). The
         // reference vector of the previous FedProx round, if there was one,
@@ -278,11 +313,11 @@ impl Client {
                         &*gather
                     }
                     None if freeze.frozen_blocks() == 0 => {
-                        self.data.features().select_rows_into(batch_rows, gather);
+                        data.features().select_rows_into(batch_rows, gather);
                         &*gather
                     }
                     None => {
-                        self.data.features().select_rows_into(batch_rows, gather);
+                        data.features().select_rows_into(batch_rows, gather);
                         frozen_out = global_model.forward_frozen(freeze, gather)?;
                         &frozen_out
                     }
@@ -300,14 +335,14 @@ impl Client {
         let selection_pass = config.selection.needs_inference_pass();
         let compute_seconds = config.cost.client_round_seconds(
             &flops,
-            self.data.len(),
+            data.len(),
             selected_indices.len(),
             config.local_epochs,
             selection_pass,
         );
         let cached_compute_seconds = config.cost.cached_client_round_seconds(
             &flops,
-            self.data.len(),
+            data.len(),
             selected_indices.len(),
             config.local_epochs,
             selection_pass,
@@ -317,7 +352,7 @@ impl Client {
             client_id: self.id,
             theta: suffix.trainable_vector_into(upload),
             selected_samples: selected_indices.len(),
-            local_samples: self.data.len(),
+            local_samples: data.len(),
             train_loss,
             compute_seconds,
             cached_compute_seconds,
@@ -513,6 +548,46 @@ mod tests {
         let stats = registry.stats();
         assert_eq!(stats.misses, 1, "the second client hits the shared entry");
         assert!(stats.hits >= 1);
+    }
+
+    /// Loss and gradient-norm scores read the labels, which the boundary
+    /// key does not cover: two shards equal in features share one boundary,
+    /// and must not share those scores.
+    #[test]
+    fn shards_equal_in_features_keep_their_own_label_dependent_scores() {
+        use crate::cache::CacheRegistry;
+        let shard_a = client_dataset(30, 9);
+        let relabelled: Vec<usize> = shard_a.labels().iter().map(|&y| (y + 1) % 3).collect();
+        let shard_b = Dataset::new(shard_a.features().clone(), relabelled, 3).unwrap();
+        let model = global_model();
+        for selection in [
+            SelectionStrategy::LossProportional { fraction: 0.3 },
+            SelectionStrategy::GradientNorm { fraction: 0.3 },
+        ] {
+            let config = quick_config()
+                .with_feature_cache(true)
+                .with_selection(selection);
+            let registry = CacheRegistry::new();
+            let shared = |shard: &Dataset| {
+                Client::from_shard(
+                    7,
+                    Arc::new(shard.clone()),
+                    FeatureCache::shared(registry.clone()),
+                )
+            };
+            let (a, b) = (shared(&shard_a), shared(&shard_b));
+            for round in 0..2 {
+                a.local_update(&model, &config, round).unwrap();
+                let after_a = b.local_update(&model, &config, round).unwrap();
+                let alone = Client::new(7, shard_b.clone())
+                    .local_update(&model, &config, round)
+                    .unwrap();
+                assert_eq!(after_a, alone, "{}, round {round}", selection.short_name());
+            }
+            assert_eq!(registry.stats().misses, 1, "one boundary for both shards");
+            let scores = registry.score_stats();
+            assert_eq!((scores.served, scores.computed, scores.slots), (2, 2, 2));
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ use crate::comm::{round_traffic, RoundTraffic};
 use crate::config::FlConfig;
 use crate::device::{ArrivalModel, DeviceProfile};
 use crate::{FlError, Result};
-use fedft_nn::{BlockNet, ParamVector};
+use fedft_nn::{BlockNet, FreezeLevel, ParamVector};
 use fedft_tensor::{parallel, pool};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -606,13 +606,21 @@ impl Executor {
         // `run_round`, and glibc returns a freed block to the arena of the
         // thread that allocated it — buffers born on the workers would pile
         // up in arenas this thread cannot reuse them from.
-        let theta_len = jobs
-            .iter()
-            .map(|(client, model)| {
-                model.trainable_parameter_count(config.freeze_for_client(client.id()))
-            })
-            .max()
-            .unwrap_or(0);
+        // The longest θ of the round, counted once per distinct model
+        // version and freeze level: a round has one to a handful of those
+        // and hundreds of jobs.
+        let mut counted: Vec<(u64, FreezeLevel)> = Vec::new();
+        let mut theta_len = 0;
+        for (client, model) in jobs {
+            let version = (
+                model.parameter_stamp(),
+                config.freeze_for_client(client.id()),
+            );
+            if !counted.contains(&version) {
+                counted.push(version);
+                theta_len = theta_len.max(model.trainable_parameter_count(version.1));
+            }
+        }
         {
             let mut free = lock(&self.uploads);
             let kept = free.len();

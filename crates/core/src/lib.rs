@@ -97,7 +97,9 @@ pub mod selection;
 pub mod server;
 pub mod simulation;
 
-pub use cache::{CacheRegistry, CacheScope, CacheStats, FeatureCache};
+pub use cache::{
+    CacheRegistry, CacheScope, CacheStats, FeatureCache, ScoreKind, ScoreSlot, ScoreStats, ShardKey,
+};
 pub use client::{Client, ClientUpdate, ClientWorkspace};
 pub use config::{FlConfig, LocalAlgorithm};
 pub use cost::CostModel;

@@ -29,6 +29,7 @@
 //! never perturbs the seeded history of another. This is pinned by the
 //! back-compat e2e suite.
 
+use crate::cache::{ScoreKind, ScoreSlot};
 use crate::entropy::{
     rank_by_entropy, sample_entropies_from_boundary, sample_gradient_norms_from_boundary,
     sample_losses_from_boundary,
@@ -40,6 +41,7 @@ use fedft_data::Dataset;
 use fedft_nn::{BlockNet, FreezeLevel, SuffixNet};
 use fedft_tensor::{rng, Matrix};
 use rand::Rng;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt::Debug;
@@ -67,6 +69,10 @@ pub struct SelectionContext<'a> {
     client_id: usize,
     seed: u64,
     boundary: BoundarySource<'a>,
+    /// Where scores other clients of the shard computed under this model
+    /// version are found and this client's are left, and the buffer they
+    /// are copied out into.
+    shared: Option<(ScoreSlot<'a>, &'a mut Vec<f32>)>,
 }
 
 enum BoundarySource<'a> {
@@ -99,6 +105,7 @@ impl<'a> SelectionContext<'a> {
             client_id,
             seed,
             boundary: BoundarySource::Ready(boundary),
+            shared: None,
         }
     }
 
@@ -127,7 +134,19 @@ impl<'a> SelectionContext<'a> {
                 features,
                 built: None,
             },
+            shared: None,
         }
+    }
+
+    /// Shares the context's scores through `slot`: a score the slot holds
+    /// for this model version is copied into `buffer` instead of running the
+    /// suffix, and one the context computes is left in the slot. The slot
+    /// must be the one of the context's shard, freeze level and model
+    /// ([`crate::CacheRegistry::score_slot`]); scores are a function of
+    /// those and their kind alone, so sharing them changes no selection.
+    pub fn with_score_slot(mut self, slot: ScoreSlot<'a>, buffer: &'a mut Vec<f32>) -> Self {
+        self.shared = Some((slot, buffer));
+        self
     }
 
     /// Number of local samples available for selection.
@@ -136,30 +155,41 @@ impl<'a> SelectionContext<'a> {
     }
 
     /// Per-sample entropies under a hardened softmax (the EDS score).
-    pub fn entropies(&mut self, temperature: f32) -> Result<Vec<f32>> {
-        self.scores(|suffix, boundary| {
+    pub fn entropies(&mut self, temperature: f32) -> Result<Cow<'_, [f32]>> {
+        self.scores(ScoreKind::entropy(temperature), |suffix, boundary| {
             sample_entropies_from_boundary(suffix, boundary, temperature)
         })
     }
 
     /// Per-sample cross-entropy losses (the loss-proportional score).
-    pub fn losses(&mut self) -> Result<Vec<f32>> {
+    pub fn losses(&mut self) -> Result<Cow<'_, [f32]>> {
         let labels = self.labels;
-        self.scores(|suffix, boundary| sample_losses_from_boundary(suffix, boundary, labels))
+        self.scores(ScoreKind::Loss, |suffix, boundary| {
+            sample_losses_from_boundary(suffix, boundary, labels)
+        })
     }
 
     /// Per-sample output-layer gradient norms (the gradient-norm score).
-    pub fn gradient_norms(&mut self) -> Result<Vec<f32>> {
+    pub fn gradient_norms(&mut self) -> Result<Cow<'_, [f32]>> {
         let labels = self.labels;
-        self.scores(|suffix, boundary| {
+        self.scores(ScoreKind::GradientNorm, |suffix, boundary| {
             sample_gradient_norms_from_boundary(suffix, boundary, labels)
         })
     }
 
-    fn scores<F>(&mut self, score: F) -> Result<Vec<f32>>
+    /// The one scoring path: borrowed from the shared buffer when the slot
+    /// answered, owned when `score` ran.
+    fn scores<F>(&mut self, kind: ScoreKind, score: F) -> Result<Cow<'_, [f32]>>
     where
         F: FnOnce(&mut SuffixNet, &Matrix) -> Result<Vec<f32>>,
     {
+        let served = match &mut self.shared {
+            Some((slot, buffer)) => slot.read_into(kind, buffer),
+            None => false,
+        };
+        if let (true, Some((_, buffer))) = (served, &self.shared) {
+            return Ok(Cow::Borrowed(buffer.as_slice()));
+        }
         let boundary: &Matrix = match &mut self.boundary {
             BoundarySource::Ready(b) => b,
             BoundarySource::Lazy {
@@ -174,7 +204,11 @@ impl<'a> SelectionContext<'a> {
                 built.as_ref().expect("boundary was just built")
             }
         };
-        score(&mut *self.suffix, boundary)
+        let computed = score(&mut *self.suffix, boundary)?;
+        if let Some((slot, _)) = &self.shared {
+            slot.store(kind, &computed);
+        }
+        Ok(Cow::Owned(computed))
     }
 }
 
@@ -343,12 +377,12 @@ impl DataSelectionPolicy for LossProportionalSampling {
 
     fn select(&self, ctx: &mut SelectionContext<'_>) -> Result<Vec<usize>> {
         require_samples(ctx)?;
-        let losses = ctx.losses()?;
         let mut r = rng::rng_for_indexed(
             ctx.seed,
             &format!("lds-client-{}", ctx.client_id),
             ctx.round as u64,
         );
+        let losses = ctx.losses()?;
         let mut keyed: Vec<(f64, usize)> = losses
             .iter()
             .enumerate()

@@ -2,7 +2,7 @@
 //! the logical client pool it trains.
 
 use crate::cache::{CacheRegistry, CacheScope, CacheStats, FeatureCache};
-use crate::client::Client;
+use crate::client::{Client, KeyedShard};
 use crate::config::FlConfig;
 use crate::metrics::{RoundRecord, RunResult};
 use crate::participation::ParticipationModel;
@@ -83,7 +83,15 @@ impl ClientPool {
                 });
             }
         }
-        let shards: Vec<Arc<Dataset>> = data.clients().iter().cloned().map(Arc::new).collect();
+        // Keyed here, once per physical shard, for every logical client of it.
+        let shards: Vec<Arc<KeyedShard>> = data
+            .clients()
+            .iter()
+            .map(|shard| KeyedShard::new(Arc::new(shard.clone())))
+            .collect();
+        let client = |id: usize, cache: FeatureCache| {
+            Client::from_keyed_shard(id, Arc::clone(&shards[id % physical_shards]), cache)
+        };
         let (clients, registries) = match config.cache_scope {
             CacheScope::Shared => {
                 let lock_shards = config
@@ -91,23 +99,17 @@ impl ClientPool {
                     .unwrap_or_else(CacheRegistry::auto_shard_count);
                 let registry = CacheRegistry::sharded(lock_shards, config.cache_budget_bytes);
                 let clients = (0..logical)
-                    .map(|i| {
-                        Client::from_shard(
-                            i,
-                            Arc::clone(&shards[i % physical_shards]),
-                            FeatureCache::shared(registry.clone()),
-                        )
-                    })
+                    .map(|id| client(id, FeatureCache::shared(registry.clone())))
                     .collect();
                 (clients, vec![registry])
             }
             CacheScope::PerClient => {
                 let mut registries = Vec::with_capacity(logical);
                 let clients = (0..logical)
-                    .map(|i| {
+                    .map(|id| {
                         let cache = FeatureCache::new();
                         registries.push(cache.registry().clone());
-                        Client::from_shard(i, Arc::clone(&shards[i % physical_shards]), cache)
+                        client(id, cache)
                     })
                     .collect();
                 (clients, registries)
@@ -506,6 +508,61 @@ mod tests {
             pool.clients()[0].feature_cache().registry().shard_count(),
             1
         );
+    }
+
+    /// The score tier's `computed` count under `Sequential` is exact: one
+    /// scoring pass per distinct (shard, model version, freeze level) a
+    /// round trains, however many logical clients share each.
+    #[test]
+    fn a_sequential_round_scores_each_shard_once_per_model_version_and_freeze_level() {
+        use crate::device::HeterogeneityModel;
+        use fedft_nn::FreezeLevel;
+        use std::collections::HashSet;
+        let (fed, model) = tiny_setup(3);
+        let plain = Method::FedFtEds { pds: 0.5 }
+            .configure(quick_config(1))
+            .with_logical_clients(12)
+            .with_feature_cache(true);
+        let tiered = plain
+            .clone()
+            .with_heterogeneity(HeterogeneityModel::two_tier())
+            .with_freeze(FreezeLevel::Large)
+            .with_tier_freeze(vec![FreezeLevel::Large, FreezeLevel::Classifier]);
+        tiered.validate().unwrap();
+        for config in [plain, tiered] {
+            let pool = ClientPool::build(&fed, &config).unwrap();
+            let executor = config.execution.executor_with_workers(None);
+            // Eight logical clients over three shards.
+            let cohort: Vec<&Client> = pool.clients()[..8].iter().collect();
+            let per_round = cohort
+                .iter()
+                .map(|c| (c.id() % 3, config.freeze_for_client(c.id())))
+                .collect::<HashSet<_>>()
+                .len();
+            let levels = if config.tier_freeze.is_some() { 2 } else { 1 };
+            assert!(per_round >= 3 * levels - 1, "the cohort mixes levels");
+            let stats = || pool.clients()[0].feature_cache().registry().score_stats();
+
+            executor.run_round(&cohort, &model, &config, 0).unwrap();
+            assert_eq!(
+                (stats().computed, stats().served),
+                (per_round, 8 - per_round)
+            );
+            // The same version again, through a clone: nothing to compute.
+            let same = model.clone();
+            executor.run_round(&cohort, &same, &config, 1).unwrap();
+            assert_eq!(
+                (stats().computed, stats().served),
+                (per_round, 16 - per_round)
+            );
+            // A θ write is a new version.
+            let mut next = model.clone();
+            let theta = next.trainable_vector(config.freeze);
+            next.set_trainable_vector(config.freeze, &theta).unwrap();
+            executor.run_round(&cohort, &next, &config, 2).unwrap();
+            assert_eq!(stats().computed, 2 * per_round);
+            assert_eq!(stats().slots, per_round, "overwritten in place");
+        }
     }
 
     #[test]

@@ -8,10 +8,17 @@
 //! client, so the step is only ever warm if what it runs on outlives the
 //! client. Smaller allocations remain and are not this guard's business: the
 //! selection scores, the indices a policy returns, a scoring pass over the
-//! shard. The file holds a single test because the counter is per thread and
-//! the allocator is per test binary.
+//! shard. Of those, the scores shared through the registry get a guard of
+//! their own: a slot of the score tier outlives the update that fills it, so
+//! once it exists neither a put nor a read may allocate at all.
+//!
+//! The counter is per thread and the allocator per test binary, so every test
+//! here counts only what its own thread allocates.
 
-use fedft_core::{Client, ClientWorkspace, FlConfig, LocalAlgorithm, SelectionStrategy};
+use fedft_core::{
+    CacheRegistry, Client, ClientWorkspace, FlConfig, LocalAlgorithm, ScoreKind, SelectionStrategy,
+    ShardKey,
+};
 use fedft_data::Dataset;
 use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel};
 use fedft_tensor::{init, parallel, rng};
@@ -143,4 +150,45 @@ fn a_warm_local_update_allocates_nothing_theta_sized() {
             upload = update.theta.into_values();
         }
     }
+}
+
+#[test]
+fn a_warm_score_slot_allocates_nothing_per_put_or_read() {
+    let config = BlockNetConfig::new(24, 10).with_hidden(48, 48, 48);
+    let mut model = BlockNet::new(&config, 17);
+    let mut r = rng::rng_for(17, "slot-allocs");
+    let features = init::normal(&mut r, 20, 24, 0.0, 1.0);
+    let shard = Dataset::new(features, (0..20).map(|i| i % 10).collect(), 10).unwrap();
+    let key = ShardKey::of(&shard);
+    let registry = CacheRegistry::sharded(2, None);
+    let freeze = FreezeLevel::Moderate;
+    let kind = ScoreKind::entropy(0.1);
+    let mut out = Vec::new();
+
+    // One model version a round, as the server's aggregation makes them: the
+    // first to score pays for the slot and the reader's buffer, no later one
+    // for anything.
+    for round in 0..4 {
+        let theta = BlockNet::new(&config, 100 + round).trainable_vector(freeze);
+        model.set_trainable_vector(freeze, &theta).unwrap();
+        let scores: Vec<f32> = (0..shard.len())
+            .map(|i| (i as u64 + round) as f32)
+            .collect();
+        let (allocations, ()) = large_allocations(1, || {
+            let slot = registry.score_slot(key, &model, freeze);
+            assert!(
+                !slot.read_into(kind, &mut out),
+                "round {round}: stale scores"
+            );
+            slot.store(kind, &scores);
+            assert!(slot.read_into(kind, &mut out));
+        });
+        assert_eq!(out, scores);
+        if round == 0 {
+            assert!(allocations > 0, "the counter sees the slot being made");
+        } else {
+            assert_eq!(allocations, 0, "round {round}: a put or a read allocated");
+        }
+    }
+    assert_eq!(registry.score_stats().slots, 1);
 }

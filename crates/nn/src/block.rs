@@ -12,7 +12,16 @@ use crate::suffix::{self, StepWorkspace, SuffixNet};
 use crate::{NnError, Result};
 use fedft_tensor::{stats, Matrix};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+
+/// The next [`BlockNet::parameter_stamp`]. `Relaxed`: a stamp publishes
+/// nothing, it only has to differ from every other draw.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(0);
+
+fn draw_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Identifier of a layer group inside a [`BlockNet`].
 ///
@@ -153,6 +162,9 @@ pub struct BlockNet {
     /// invalidate, so a filled slot always describes the current parameters
     /// — a clone's too, which is why cloning carries it.
     fingerprints: [OnceLock<u64>; 4],
+    /// [`BlockNet::parameter_stamp`]: drawn at construction, re-drawn by the
+    /// same two writers, carried by a clone for the same reason.
+    stamp: u64,
 }
 
 impl BlockNet {
@@ -197,6 +209,7 @@ impl BlockNet {
             loss: SoftmaxCrossEntropy::new(),
             workspace: Scratch::default(),
             fingerprints: Default::default(),
+            stamp: draw_stamp(),
         }
     }
 
@@ -412,7 +425,7 @@ impl BlockNet {
         optimizer: &mut Sgd,
         freeze: FreezeLevel,
     ) -> Result<f32> {
-        self.forget_fingerprints_above(freeze);
+        self.about_to_write_above(freeze);
         suffix::train_blocks(
             &mut self.blocks[freeze.frozen_blocks()..],
             &self.loss,
@@ -487,11 +500,24 @@ impl BlockNet {
         hash
     }
 
-    /// Empties the memoised fingerprint of every level whose frozen prefix
-    /// reaches into the blocks a write at `freeze` touches (`blocks[f..]`
-    /// for `f = freeze.frozen_blocks()`): the levels that freeze more than
-    /// `f` blocks. Called by the two writers of parameters before they write.
-    fn forget_fingerprints_above(&mut self, freeze: FreezeLevel) {
+    /// A name for the model's parameters as they are now, `ϕ` and `θ` alike:
+    /// unique in the process, drawn anew before every write and carried by a
+    /// clone, so two models with equal stamps hold equal parameters. (The
+    /// converse does not hold — two equal models built apart differ in it —
+    /// which only costs whoever keys on it a recomputation.) It is what lets
+    /// a result computed from one model version be shared among the clients
+    /// that train on that version without hashing anything `θ`-sized.
+    pub fn parameter_stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// What the two writers of parameters call before they write
+    /// `blocks[f..]` for `f = freeze.frozen_blocks()`: the parameters get a
+    /// new [`BlockNet::parameter_stamp`], and the memoised fingerprint of
+    /// every level whose frozen prefix reaches into the written blocks (the
+    /// levels that freeze more than `f` blocks) is emptied.
+    fn about_to_write_above(&mut self, freeze: FreezeLevel) {
+        self.stamp = draw_stamp();
         for memo in &mut self.fingerprints[freeze.frozen_blocks() + 1..] {
             memo.take();
         }
@@ -530,7 +556,7 @@ impl BlockNet {
         freeze: FreezeLevel,
         vector: &ParamVector,
     ) -> Result<()> {
-        self.forget_fingerprints_above(freeze);
+        self.about_to_write_above(freeze);
         let mut params: Vec<&mut Matrix> = self.blocks[freeze.frozen_blocks()..]
             .iter_mut()
             .flat_map(|b| b.params_mut())
@@ -857,13 +883,16 @@ mod tests {
     /// A stale memo is a silent wrong-backbone cache hit, so the memo is held
     /// against the hash of the parameters as they are, at every level, after
     /// every step of a seeded walk over everything that writes, copies or
-    /// reads it.
+    /// reads it. The stamp walks along: a stale one is a silent wrong-model
+    /// score, so every write must draw one no version has had, and nothing
+    /// else may touch it.
     #[test]
     fn memoised_fingerprint_equals_the_uncached_hash_along_a_random_walk() {
         use rand::Rng;
         let mut r = fedft_tensor::rng::rng_for(41, "fingerprint-walk");
         let mut net = BlockNet::new(&config(), 1);
         let levels = FreezeLevel::all();
+        let mut stamps = std::collections::HashSet::from([net.parameter_stamp()]);
         for step in 0..2_500 {
             let level = levels[r.gen_range(0..levels.len())];
             let op = r.gen_range(0..5);
@@ -871,6 +900,7 @@ mod tests {
                 let values = fedft_tensor::init::normal(&mut r, 1, len, 0.0, 1.0);
                 ParamVector::from_values(values.as_slice().to_vec())
             };
+            let (stamp_before, parameters_before) = (net.parameter_stamp(), net.full_vector());
             match op {
                 0 => {
                     let theta = random_theta(net.trainable_parameter_count(level));
@@ -890,6 +920,15 @@ mod tests {
                     net.frozen_fingerprint(level);
                 }
             }
+            if op <= 2 {
+                assert!(
+                    stamps.insert(net.parameter_stamp()),
+                    "step {step}: writer {op} reused a stamp"
+                );
+            } else {
+                assert_eq!(net.parameter_stamp(), stamp_before, "step {step} (op {op})");
+                assert_eq!(net.full_vector(), parameters_before);
+            }
             // Checked on a copy, so that which slots of `net` are filled is
             // decided by the walk alone.
             let probe = net.clone();
@@ -901,6 +940,10 @@ mod tests {
                 );
             }
         }
+        // Equal stamps imply equal parameters, not the other way round.
+        let (twin, built_apart) = (BlockNet::new(&config(), 1), BlockNet::new(&config(), 1));
+        assert_eq!(twin.full_vector(), built_apart.full_vector());
+        assert_ne!(twin.parameter_stamp(), built_apart.parameter_stamp());
     }
 
     /// The round loop's access pattern: θ written once a round, then one

@@ -6,7 +6,8 @@
 //! budget and (b) a factor ~N/M below what per-client caching holds.
 
 use fedft::core::{
-    CacheScope, ExecutionBackend, FlConfig, Method, RunResult, SelectionStrategy, Simulation,
+    CacheScope, ExecutionBackend, FlConfig, HeterogeneityModel, Method, ParticipationModel,
+    RunResult, SelectionStrategy, Simulation, StreamingParams,
 };
 use fedft::data::federated::PartitionScheme;
 use fedft::data::{domains, FederatedDataset};
@@ -168,4 +169,134 @@ fn logical_pool_composes_with_the_paper_method_lineup() {
     let result = run("full", full, &fed, &model);
     assert_eq!(result.total_cache_misses(), 0);
     assert_eq!(result.peak_cache_bytes(), 0);
+}
+
+// --- Shared selection scores (the registry's score tier). Logical clients
+// of one shard that train on one model version take their selection scores
+// from the shared registry; a per-client registry has nobody to share with
+// and a cache-off run bypasses the tier, so `shared ≡ per-client ≡ off` is
+// also `scores shared ≡ scores recomputed`.
+
+/// `off`, per-client and shared runs of `config`, asserted equal; returns
+/// the shared one.
+fn assert_scopes_agree(
+    what: &str,
+    config: FlConfig,
+    fed: &FederatedDataset,
+    model: &BlockNet,
+) -> RunResult {
+    let off = run("off", config.clone(), fed, model);
+    let per_client = run(
+        "per-client",
+        config
+            .clone()
+            .with_feature_cache(true)
+            .with_cache_scope(CacheScope::PerClient),
+        fed,
+        model,
+    );
+    let shared = run("shared", config.with_feature_cache(true), fed, model);
+    assert_eq!(
+        off.learning_history(),
+        per_client.learning_history(),
+        "{what}: per-client"
+    );
+    assert_eq!(
+        off.learning_history(),
+        shared.learning_history(),
+        "{what}: shared"
+    );
+    assert!(shared.total_cache_hits() > 0, "{what}: nothing was shared");
+    shared
+}
+
+#[test]
+fn shared_scores_change_no_history_for_any_score_policy_on_any_backend() {
+    let (fed, model) = setup();
+    let backends = [
+        ExecutionBackend::Sequential,
+        ExecutionBackend::Parallel,
+        ExecutionBackend::Deadline,
+        ExecutionBackend::Async { max_staleness: 1 },
+        ExecutionBackend::Streaming(StreamingParams::new(5).with_max_staleness(1)),
+    ];
+    let policies = [
+        SelectionStrategy::Entropy {
+            fraction: 0.5,
+            temperature: 0.1,
+        },
+        SelectionStrategy::LossProportional { fraction: 0.5 },
+        SelectionStrategy::GradientNorm { fraction: 0.5 },
+    ];
+    for backend in backends {
+        for selection in policies {
+            let config = pool_config()
+                .with_heterogeneity(HeterogeneityModel::two_tier())
+                .with_selection(selection)
+                .with_execution(backend);
+            let what = format!("{} under {}", selection.short_name(), backend.short_name());
+            assert_scopes_agree(&what, config, &fed, &model);
+        }
+    }
+}
+
+#[test]
+fn stale_versions_in_flight_over_shared_shards_score_against_their_own_model() {
+    // Two device tiers and a staleness window of three: one round's cohort
+    // trains on several model versions at once, clients of one shard among
+    // them, and every version must select from its own scores.
+    let (fed, model) = setup();
+    let config = pool_config()
+        .with_rounds(8)
+        .with_participation(0.2)
+        .with_heterogeneity(HeterogeneityModel::two_tier())
+        .with_execution(ExecutionBackend::Async { max_staleness: 3 });
+    let shared = assert_scopes_agree("async(3)", config, &fed, &model);
+    let most_versions = shared
+        .rounds
+        .iter()
+        .map(|r| {
+            let mut stale: Vec<usize> = r
+                .update_staleness
+                .iter()
+                .copied()
+                .filter(|&s| s > 0)
+                .collect();
+            stale.sort_unstable();
+            stale.dedup();
+            stale.len()
+        })
+        .max()
+        .unwrap();
+    assert!(
+        most_versions >= 2,
+        "no round trained on two stale versions at once ({most_versions})"
+    );
+}
+
+#[test]
+fn clients_of_one_shard_at_two_freeze_levels_keep_their_scores_apart() {
+    let (fed, model) = setup();
+    let config = pool_config()
+        .with_heterogeneity(HeterogeneityModel::two_tier())
+        .with_freeze(FreezeLevel::Large)
+        .with_tier_freeze(vec![FreezeLevel::Large, FreezeLevel::Classifier]);
+    config.validate().unwrap();
+    // The case is only the one it claims to be if some round trains two
+    // logical clients of one shard at different levels.
+    let participation = ParticipationModel::new(config.participation).unwrap();
+    let mixed = (0..config.rounds).any(|round| {
+        let cohort = participation.sample_round(LOGICAL, round, config.seed);
+        cohort.iter().any(|&a| {
+            cohort.iter().any(|&b| {
+                a % SHARDS == b % SHARDS
+                    && config.freeze_for_client(a) != config.freeze_for_client(b)
+            })
+        })
+    });
+    assert!(
+        mixed,
+        "no shard was trained at two freeze levels in one round"
+    );
+    assert_scopes_agree("tier_freeze", config, &fed, &model);
 }
