@@ -66,27 +66,6 @@ pub fn learning_curves(runs: &[RunResult]) -> Vec<LearningCurve> {
         .collect()
 }
 
-/// Area under the accuracy curve, normalised by the number of rounds — a
-/// convergence-speed summary (higher is faster/better).
-pub fn normalised_auc(run: &RunResult) -> f64 {
-    if run.rounds.is_empty() {
-        return 0.0;
-    }
-    let total: f64 = run.rounds.iter().map(|r| f64::from(r.test_accuracy)).sum();
-    total / run.rounds.len() as f64
-}
-
-/// Relative efficiency of `candidate` over `reference` (e.g. FedFT-EDS over
-/// FedAvg): how many times more accuracy per second the candidate achieves.
-/// Returns `f64::INFINITY` when the reference has zero efficiency.
-pub fn efficiency_ratio(candidate: &RunResult, reference: &RunResult) -> f64 {
-    let reference_eff = reference.learning_efficiency();
-    if reference_eff <= 0.0 {
-        return f64::INFINITY;
-    }
-    candidate.learning_efficiency() / reference_eff
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,25 +123,5 @@ mod tests {
     fn learning_curves_are_percentages() {
         let curves = learning_curves(&[run("m", &[0.25, 0.5], 1.0)]);
         assert_eq!(curves[0].accuracy_pct, vec![25.0, 50.0]);
-    }
-
-    #[test]
-    fn normalised_auc_behaviour() {
-        assert_eq!(normalised_auc(&RunResult::new("empty", vec![])), 0.0);
-        let fast = run("fast", &[0.5, 0.6, 0.7], 1.0);
-        let slow = run("slow", &[0.1, 0.2, 0.7], 1.0);
-        assert!(normalised_auc(&fast) > normalised_auc(&slow));
-    }
-
-    #[test]
-    fn efficiency_ratio_compares_methods() {
-        let cheap = run("cheap", &[0.6], 1.0);
-        let expensive = run("expensive", &[0.6], 3.0);
-        let ratio = efficiency_ratio(&cheap, &expensive);
-        assert!((ratio - 3.0).abs() < 1e-9);
-        assert_eq!(
-            efficiency_ratio(&cheap, &RunResult::new("zero", vec![])),
-            f64::INFINITY
-        );
     }
 }

@@ -4,8 +4,7 @@
 //! uncached (paper-faithful workload) and with the frozen-feature cache.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use fedft_core::entropy::{sample_entropies, sample_entropies_from_boundary};
-use fedft_core::{Client, ClientUpdate, FlConfig, SelectionStrategy, Server};
+use fedft_core::{Client, ClientUpdate, FlConfig, SelectionContext, SelectionStrategy, Server};
 use fedft_data::Dataset;
 use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel, ParamVector};
 use fedft_tensor::{init, rng, stats, Matrix};
@@ -48,29 +47,41 @@ fn bench_softmax_entropy(c: &mut Criterion) {
 }
 
 fn bench_entropy_selection(c: &mut Criterion) {
-    let mut model = BlockNet::new(&BlockNetConfig::new(48, 10).with_hidden(64, 64, 64), 1);
+    let model = BlockNet::new(&BlockNetConfig::new(48, 10).with_hidden(64, 64, 64), 1);
     let features = random_matrix(200, 48, 4);
     let dataset = Dataset::new(features, (0..200).map(|i| i % 10).collect(), 10).unwrap();
-    let strategy = SelectionStrategy::Entropy {
+    let policy = SelectionStrategy::Entropy {
         fraction: 0.1,
         temperature: 0.1,
-    };
+    }
+    .policy();
+    let freeze = FreezeLevel::Classifier;
+    let mut suffix = model.trainable_suffix(freeze);
+    // The uncached path: the frozen prefix runs inside every selection pass.
     c.bench_function("entropy_selection_200_samples", |bencher| {
         bencher.iter(|| {
-            let entropies = sample_entropies(&mut model, dataset.features(), 0.1).unwrap();
-            strategy.select_from_entropies(&entropies).unwrap()
+            let mut ctx = SelectionContext::with_lazy_boundary(
+                &mut suffix,
+                &model,
+                freeze,
+                dataset.features(),
+                dataset.labels(),
+                0,
+                0,
+                0,
+            );
+            policy.select(&mut ctx).unwrap()
         })
     });
 
     // The cached path: boundary activations precomputed once, every
     // selection pass runs the trainable suffix only.
-    let freeze = FreezeLevel::Classifier;
     let boundary = model.forward_frozen(freeze, dataset.features()).unwrap();
-    let mut suffix = model.trainable_suffix(freeze);
     c.bench_function("entropy_selection_cached_200_samples", |bencher| {
         bencher.iter(|| {
-            let entropies = sample_entropies_from_boundary(&mut suffix, &boundary, 0.1).unwrap();
-            strategy.select_from_entropies(&entropies).unwrap()
+            let mut ctx =
+                SelectionContext::with_boundary(&mut suffix, &boundary, dataset.labels(), 0, 0, 0);
+            policy.select(&mut ctx).unwrap()
         })
     });
 }

@@ -16,14 +16,15 @@
 //!    physical shards with the shared cache registry under a byte budget
 //!    set *below* what the 100 distinct per-shard caches hold. The run
 //!    must stay under budget (peak cache bytes ≤ budget — exit non-zero
-//!    otherwise) and its learning history must be bit-identical to both
-//!    the per-client-cache and the cache-off baselines of the same pool;
+//!    otherwise) and its learning history must be bit-identical to the
+//!    unbudgeted and the cache-off runs of the same pool;
 //! 5. runs the **streaming serving mode** over a 100k-logical-client pool
 //!    (200 shards, burst arrivals, FedBuff buffer K=100): the budgeted run
-//!    must stay under its cache byte budget while evicting, its history
-//!    must be bit-identical to the unbudgeted run, and — gated like the
-//!    parallel speedup check — its sustained aggregated-updates/sec must
-//!    be at least the sequential backend's on the same cohort;
+//!    must stay under its cache byte budget while evicting and its history
+//!    must be bit-identical to the unbudgeted run; its sustained
+//!    aggregated-updates/sec beside the sequential backend's on the same
+//!    cohort is reported, not asserted (`benchmarks/e2e` measures that rate
+//!    under a bound, as `updates_per_s` on `stream_nocache`);
 //! 6. runs the **contended cache pool**: N threads hammering one shared
 //!    `CacheRegistry` with hit-path lookups over a prewarmed key set, once
 //!    against the single-lock (1-shard) configuration and once against the
@@ -52,8 +53,8 @@
 //! builds are slow enough to distort the curve.
 
 use fedft_core::{
-    ArrivalModel, CacheRegistry, CacheScope, ExecutionBackend, FlConfig, FlushTrigger,
-    HeterogeneityModel, Method, RunResult, Simulation, StreamingParams,
+    ArrivalModel, CacheRegistry, ExecutionBackend, FlConfig, FlushTrigger, HeterogeneityModel,
+    Method, RunResult, Simulation, StreamingParams,
 };
 use fedft_data::federated::PartitionScheme;
 use fedft_data::{domains, FederatedDataset};
@@ -169,7 +170,6 @@ struct PoolReport {
     budget_bytes: usize,
     dedup_bytes: usize,
     peak_bytes: usize,
-    per_client_peak_bytes: usize,
     hits: usize,
     misses: usize,
     evictions: usize,
@@ -221,24 +221,23 @@ fn run_logical_pool() -> Result<PoolReport, Box<dyn std::error::Error>> {
     // most one entry per distinct shard, whatever the cohort size.
     let unbounded = run("pool_shared_unbounded", pool_config())?;
     let dedup_bytes = unbounded.peak_cache_bytes();
-    // The budget is set *below* the deduplicated set (and far below what
-    // per-client caches hold), so the registry must evict to stay legal.
+    // The budget is set *below* the deduplicated set, so the registry must
+    // evict to stay legal.
     let budget_bytes = (dedup_bytes / 2).max(1);
+    if budget_bytes >= dedup_bytes {
+        return Err(format!(
+            "logical pool: budget {budget_bytes} is not below the deduplicated \
+             working set {dedup_bytes}"
+        )
+        .into());
+    }
     let budgeted = run(
         "pool_shared_budgeted",
         pool_config().with_cache_budget(budget_bytes),
     )?;
-    let per_client = run(
-        "pool_per_client",
-        pool_config().with_cache_scope(CacheScope::PerClient),
-    )?;
     let cache_off = run("pool_cache_off", pool_config().with_feature_cache(false))?;
 
-    for (label, result) in [
-        ("per-client", &per_client),
-        ("cache-off", &cache_off),
-        ("budgeted", &budgeted),
-    ] {
+    for (label, result) in [("cache-off", &cache_off), ("budgeted", &budgeted)] {
         if result.learning_history() != unbounded.learning_history() {
             return Err(format!(
                 "logical pool: {label} history diverged from the shared registry's \
@@ -257,19 +256,10 @@ fn run_logical_pool() -> Result<PoolReport, Box<dyn std::error::Error>> {
     if budgeted.total_cache_evictions() == 0 {
         return Err("logical pool: a budget below the working set must evict".into());
     }
-    let per_client_peak_bytes = per_client.peak_cache_bytes();
-    if budget_bytes >= per_client_peak_bytes {
-        return Err(format!(
-            "logical pool: budget {budget_bytes} is not below the per-client \
-             cache footprint {per_client_peak_bytes}"
-        )
-        .into());
-    }
     Ok(PoolReport {
         budget_bytes,
         dedup_bytes,
         peak_bytes,
-        per_client_peak_bytes,
         hits: budgeted.total_cache_hits(),
         misses: budgeted.total_cache_misses(),
         evictions: budgeted.total_cache_evictions(),
@@ -299,8 +289,8 @@ struct StreamReport {
 
 fn stream_setup() -> Result<(FederatedDataset, BlockNet), Box<dyn std::error::Error>> {
     // Sized so each arrival's local training is large enough to amortise
-    // the parallel executor's per-client fan-out (the throughput contract
-    // compares real elapsed time), while the whole phase stays a smoke.
+    // the parallel executor's per-client fan-out (the reported rate is real
+    // elapsed time), while the whole phase stays a smoke.
     let target = domains::cifar10_like()
         .with_samples_per_class(1_000)
         .with_test_samples_per_class(4)
@@ -333,10 +323,10 @@ fn stream_config() -> FlConfig {
 
 /// Runs the streaming serving scenario and checks its contracts:
 /// buffered continuous aggregation over a 100k-logical-client pool must
-/// stay inside a fixed cache byte budget (evicting to do so), and — on
-/// multi-core hosts, same gate as the parallel speedup check — must
-/// sustain at least the sequential backend's aggregated-updates/sec.
-fn run_streaming_pool(assert_throughput: bool) -> Result<StreamReport, Box<dyn std::error::Error>> {
+/// stay inside a fixed cache byte budget (evicting to do so) and replay the
+/// unbudgeted history. Its aggregated-updates/sec and the sequential
+/// backend's are reported side by side; real time is not a contract here.
+fn run_streaming_pool() -> Result<StreamReport, Box<dyn std::error::Error>> {
     let (fed, model) = stream_setup()?;
     let params = StreamingParams::new(STREAM_BUFFER)
         .with_max_staleness(2)
@@ -383,10 +373,8 @@ fn run_streaming_pool(assert_throughput: bool) -> Result<StreamReport, Box<dyn s
         return Err("streaming pool: every streaming round must record a flush".into());
     }
 
-    // Sequential baseline over the *same* cohort and cache budget: the
-    // streaming backend trains its arrivals through the parallel executor,
-    // so on a multi-core host it must sustain at least the sequential
-    // aggregated-updates/sec.
+    // Sequential baseline over the *same* cohort and cache budget, for the
+    // reported rate.
     let (sequential, sequential_elapsed_seconds) = timed(
         "stream_sequential",
         stream_config().serial().with_cache_budget(budget_bytes),
@@ -395,14 +383,6 @@ fn run_streaming_pool(assert_throughput: bool) -> Result<StreamReport, Box<dyn s
     let sequential_updates = sequential.total_aggregated_updates();
     let streaming_updates_per_sec = streaming_updates as f64 / streaming_elapsed_seconds;
     let sequential_updates_per_sec = sequential_updates as f64 / sequential_elapsed_seconds;
-    if assert_throughput && streaming_updates_per_sec * NOISE_ALLOWANCE < sequential_updates_per_sec
-    {
-        return Err(format!(
-            "streaming pool: {streaming_updates_per_sec:.1} updates/sec falls short of the \
-             sequential backend's {sequential_updates_per_sec:.1}"
-        )
-        .into());
-    }
     Ok(StreamReport {
         budget_bytes,
         peak_bytes,
@@ -692,11 +672,6 @@ fn render_json(
     let _ = writeln!(out, "    \"dedup_bytes\": {},", pool.dedup_bytes);
     let _ = writeln!(
         out,
-        "    \"per_client_peak_bytes\": {},",
-        pool.per_client_peak_bytes
-    );
-    let _ = writeln!(
-        out,
         "    \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}}",
         pool.hits, pool.misses, pool.evictions
     );
@@ -913,11 +888,8 @@ fn main() -> ExitCode {
     let pool = match run_logical_pool() {
         Ok(report) => {
             println!(
-                "  budget {} B, peak {} B, dedup set {} B, per-client footprint {} B",
-                report.budget_bytes,
-                report.peak_bytes,
-                report.dedup_bytes,
-                report.per_client_peak_bytes
+                "  budget {} B, peak {} B, dedup set {} B",
+                report.budget_bytes, report.peak_bytes, report.dedup_bytes
             );
             println!(
                 "  cache hits {}  misses {}  evictions {}",
@@ -932,12 +904,12 @@ fn main() -> ExitCode {
     };
 
     // Streaming serving mode: buffered continuous aggregation over a 100k
-    // logical cohort — cache budget + throughput contracts.
+    // logical cohort — cache budget and history contracts, rate reported.
     println!(
         "streaming pool: {STREAM_LOGICAL_CLIENTS} logical clients over {STREAM_SHARDS} shards, \
          {STREAM_ROUNDS} flush intervals, K={STREAM_BUFFER}"
     );
-    let stream = match run_streaming_pool(asserted) {
+    let stream = match run_streaming_pool() {
         Ok(report) => {
             println!(
                 "  {:.1} updates/sec streaming vs {:.1} sequential ({} vs {} updates aggregated)",

@@ -110,7 +110,7 @@
 //! * **Bit-identity.** A served score is the stored output of the one
 //!   scoring path ([`crate::SelectionContext`] consults the slot before
 //!   running the suffix and fills it after), so memo on ≡ memo off is the
-//!   shared ≡ per-client ≡ cache-off contract `tests/logical_pool_e2e.rs`
+//!   shared ≡ private-registry ≡ cache-off contract `tests/logical_pool_e2e.rs`
 //!   already pins. Two pooled clients of one shard may both find the slot
 //!   behind and both compute; they store equal bits.
 //! * **Counters.** [`CacheRegistry::score_stats`] (`served` / `computed`),
@@ -125,32 +125,6 @@ use fedft_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Whose cache a client's frozen-prefix activations live in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum CacheScope {
-    /// One registry shared by every client of the run: logical clients that
-    /// hold the same physical shard share one cached entry (memory scales
-    /// with distinct shards). The default, and the only scope that honours
-    /// [`crate::FlConfig::cache_budget_bytes`] and
-    /// [`crate::FlConfig::cache_shards`].
-    #[default]
-    Shared,
-    /// Every client owns a private, unbounded, single-shard cache (the
-    /// pre-registry behaviour). Memory scales with clients; kept as the
-    /// baseline the shared registry is pinned bit-identical against.
-    PerClient,
-}
-
-impl CacheScope {
-    /// Short name used in reports.
-    pub fn short_name(&self) -> &'static str {
-        match self {
-            CacheScope::Shared => "shared",
-            CacheScope::PerClient => "per-client",
-        }
-    }
-}
 
 /// Identity of one cached activation matrix: which data, under which frozen
 /// prefix, split at which level.
@@ -436,17 +410,6 @@ impl CacheStats {
             peak_bytes: self.peak_bytes,
         }
     }
-
-    /// Accumulates another registry's stats into `self` (all fields summed),
-    /// for summarising a run that used several per-client registries.
-    pub fn accumulate(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.entries += other.entries;
-        self.current_bytes += other.current_bytes;
-        self.peak_bytes += other.peak_bytes;
-    }
 }
 
 /// Mutable state of one lock shard, guarded by the shard's mutex.
@@ -551,9 +514,9 @@ impl Default for CacheRegistry {
 }
 
 impl CacheRegistry {
-    /// Creates an empty, unbounded, **single-shard** registry — what
-    /// private per-client caches use, where a shard array would only waste
-    /// memory. Run-wide shared registries are built with
+    /// Creates an empty, unbounded, **single-shard** registry — what a
+    /// client built outside a pool uses, where a shard array would only
+    /// waste memory. Run-wide shared registries are built with
     /// [`CacheRegistry::sharded`].
     pub fn new() -> Self {
         CacheRegistry::default()
@@ -573,8 +536,9 @@ impl CacheRegistry {
     /// # Panics
     ///
     /// Panics if `shards` is zero or not a power of two (shard selection is
-    /// a bit mask). [`crate::FlConfig::validate`] rejects such values
-    /// before they can reach this constructor.
+    /// a bit mask). [`crate::FlConfig::validate`] and
+    /// [`crate::ClientPool::build`] reject such values before they can reach
+    /// this constructor.
     pub fn sharded(shards: usize, budget_bytes: Option<usize>) -> Self {
         assert!(
             shards.is_power_of_two(),
@@ -604,6 +568,20 @@ impl CacheRegistry {
         }
     }
 
+    /// [`CacheRegistry::sharded`]'s precondition as a typed error, for the
+    /// two places a configured count comes in.
+    pub(crate) fn check_shard_count(shards: usize) -> Result<()> {
+        if shards.is_power_of_two() {
+            return Ok(());
+        }
+        Err(crate::FlError::InvalidConfig {
+            what: format!(
+                "cache_shards must be a power of two (shard selection \
+                 is a bit mask), got {shards}"
+            ),
+        })
+    }
+
     /// The shard count a run-wide registry gets when
     /// [`crate::FlConfig::cache_shards`] is left on auto: the host's
     /// hardware thread count ([`fedft_tensor::pool::hardware_threads`],
@@ -625,16 +603,6 @@ impl CacheRegistry {
     /// The global byte budget, or `None` for an unbounded registry.
     pub fn budget_bytes(&self) -> Option<usize> {
         self.state.budget_bytes
-    }
-
-    /// Each shard's slice of the byte budget (`None`s for an unbounded
-    /// registry). The slices sum exactly to [`CacheRegistry::budget_bytes`].
-    pub fn shard_budgets(&self) -> Vec<Option<usize>> {
-        self.state
-            .shards
-            .iter()
-            .map(|shard| lock_shard(shard).budget_bytes)
-            .collect()
     }
 
     /// Returns the cached boundary activations of `features` under
@@ -885,13 +853,12 @@ fn lock_shard(shard: &Shard) -> MutexGuard<'_, ShardInner> {
 
 /// A client's handle onto a [`CacheRegistry`].
 ///
-/// [`FeatureCache::new`] wraps a fresh private single-shard registry (the
-/// per-client caching of [`CacheScope::PerClient`]);
-/// [`FeatureCache::shared`] wraps a registry shared across clients —
-/// typically a sharded one built by [`crate::ClientPool`] — which is what
-/// deduplicates entries between logical clients holding the same data
-/// shard. Cloning a `FeatureCache` shares the underlying registry either
-/// way.
+/// [`FeatureCache::new`] wraps a fresh private single-shard registry (what
+/// a client built outside a pool gets); [`FeatureCache::shared`] wraps a
+/// registry shared across clients — typically a sharded one built by
+/// [`crate::ClientPool`] — which is what deduplicates entries between
+/// logical clients holding the same data shard. Cloning a `FeatureCache`
+/// shares the underlying registry either way.
 ///
 /// # Examples
 ///
@@ -981,6 +948,12 @@ mod tests {
 
     fn features() -> Matrix {
         Matrix::from_vec(6, 5, (0..30).map(|v| (v % 7) as f32 * 0.25 - 0.5).collect()).unwrap()
+    }
+
+    /// Each lock shard's slice of the byte budget.
+    fn shard_budgets(registry: &CacheRegistry) -> Vec<Option<usize>> {
+        let shards = registry.state.shards.iter();
+        shards.map(|shard| lock_shard(shard).budget_bytes).collect()
     }
 
     #[test]
@@ -1185,7 +1158,7 @@ mod tests {
         let registry = CacheRegistry::sharded(8, None);
         assert_eq!(registry.shard_count(), 8);
         assert_eq!(registry.budget_bytes(), None);
-        assert_eq!(registry.shard_budgets(), vec![None; 8]);
+        assert_eq!(shard_budgets(&registry), vec![None; 8]);
         assert!(CacheRegistry::auto_shard_count().is_power_of_two());
         assert!(CacheRegistry::auto_shard_count() >= 1);
         assert!(CacheRegistry::auto_shard_count() <= 64);
@@ -1205,7 +1178,7 @@ mod tests {
         // first three — the slices must sum exactly to the global budget.
         let registry = CacheRegistry::sharded(4, Some(1003));
         assert_eq!(registry.budget_bytes(), Some(1003));
-        let slices = registry.shard_budgets();
+        let slices = shard_budgets(&registry);
         assert_eq!(
             slices,
             vec![Some(251), Some(251), Some(251), Some(250)],
@@ -1261,12 +1234,15 @@ mod tests {
         registry
             .get_or_build(&m, FreezeLevel::Moderate, &x)
             .unwrap();
-        let mut summed = CacheStats::default();
-        for shard in registry.shard_stats() {
-            summed.accumulate(&shard);
-        }
-        assert_eq!(summed, registry.stats());
-        assert_eq!(registry.shard_stats().len(), 4);
+        let (shards, total) = (registry.shard_stats(), registry.stats());
+        assert_eq!(shards.len(), 4);
+        let sum = |field: fn(&CacheStats) -> usize| shards.iter().map(field).sum::<usize>();
+        assert_eq!(sum(|s| s.hits), total.hits);
+        assert_eq!(sum(|s| s.misses), total.misses);
+        assert_eq!(sum(|s| s.evictions), total.evictions);
+        assert_eq!(sum(|s| s.entries), total.entries);
+        assert_eq!(sum(|s| s.current_bytes), total.current_bytes);
+        assert_eq!(sum(|s| s.peak_bytes), total.peak_bytes);
     }
 
     #[test]
@@ -1337,7 +1313,7 @@ mod tests {
         // with 4 shards each slice is under one entry, so nothing is ever
         // retained anywhere — the documented budget-split granularity.
         let registry = CacheRegistry::sharded(4, Some(2 * entry_bytes));
-        for slice in registry.shard_budgets() {
+        for slice in shard_budgets(&registry) {
             assert!(slice.unwrap() < entry_bytes);
         }
         let first = registry.get_or_build(&m, freeze, &x).unwrap();
@@ -1364,12 +1340,6 @@ mod tests {
         let delta = after.delta_since(&before);
         assert_eq!((delta.hits, delta.misses, delta.evictions), (1, 1, 0));
         assert_eq!(delta.peak_bytes, after.peak_bytes);
-
-        let mut total = CacheStats::default();
-        total.accumulate(&after);
-        total.accumulate(&after);
-        assert_eq!(total.hits, 2 * after.hits);
-        assert_eq!(total.peak_bytes, 2 * after.peak_bytes);
 
         // clear() drops content but keeps the history counters and peak.
         registry.clear();
@@ -1429,7 +1399,7 @@ mod tests {
             "global peak under budget"
         );
         assert_eq!(stats.current_bytes, stats.entries * entry_bytes);
-        for (shard_stats, slice) in registry.shard_stats().iter().zip(registry.shard_budgets()) {
+        for (shard_stats, slice) in registry.shard_stats().iter().zip(shard_budgets(&registry)) {
             let slice = slice.unwrap();
             assert!(
                 shard_stats.peak_bytes <= slice,
@@ -1558,12 +1528,5 @@ mod tests {
         assert!(!registry
             .score_slot(key_b, &m, freeze)
             .read_into(ScoreKind::Loss, &mut out));
-    }
-
-    #[test]
-    fn cache_scope_names() {
-        assert_eq!(CacheScope::default(), CacheScope::Shared);
-        assert_eq!(CacheScope::Shared.short_name(), "shared");
-        assert_eq!(CacheScope::PerClient.short_name(), "per-client");
     }
 }

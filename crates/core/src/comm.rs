@@ -31,13 +31,6 @@ pub struct RoundTraffic {
     pub upload_bytes: usize,
 }
 
-impl RoundTraffic {
-    /// Total bytes exchanged in the round.
-    pub fn total_bytes(&self) -> usize {
-        self.download_bytes + self.upload_bytes
-    }
-}
-
 /// Computes the per-round traffic of a client training `model` under the
 /// given freeze level.
 ///
@@ -50,15 +43,6 @@ pub fn round_traffic(model: &BlockNet, freeze: FreezeLevel) -> RoundTraffic {
         download_bytes: trainable * BYTES_PER_PARAM + HEADER_BYTES,
         upload_bytes: trainable * BYTES_PER_PARAM + HEADER_BYTES,
     }
-}
-
-/// Ratio of per-round traffic between two freeze levels (e.g. FedFT's
-/// `Moderate` versus FedAvg's `Full`); values below `1.0` mean the first
-/// level communicates less.
-pub fn traffic_ratio(model: &BlockNet, numerator: FreezeLevel, denominator: FreezeLevel) -> f64 {
-    let a = round_traffic(model, numerator).total_bytes() as f64;
-    let b = round_traffic(model, denominator).total_bytes() as f64;
-    a / b
 }
 
 /// Compact little-endian wire encoding of a [`ClientUpdate`].
@@ -165,8 +149,8 @@ mod tests {
         let full = round_traffic(&m, FreezeLevel::Full);
         let moderate = round_traffic(&m, FreezeLevel::Moderate);
         let classifier = round_traffic(&m, FreezeLevel::Classifier);
-        assert!(full.total_bytes() > moderate.total_bytes());
-        assert!(moderate.total_bytes() > classifier.total_bytes());
+        assert!(full.upload_bytes > moderate.upload_bytes);
+        assert!(moderate.upload_bytes > classifier.upload_bytes);
         assert_eq!(full.download_bytes, full.upload_bytes);
     }
 
@@ -177,16 +161,6 @@ mod tests {
         let expected =
             m.trainable_parameter_count(FreezeLevel::Moderate) * BYTES_PER_PARAM + HEADER_BYTES;
         assert_eq!(traffic.download_bytes, expected);
-    }
-
-    #[test]
-    fn traffic_ratio_is_below_one_for_partial_finetuning() {
-        let m = model();
-        let ratio = traffic_ratio(&m, FreezeLevel::Moderate, FreezeLevel::Full);
-        assert!(ratio < 1.0);
-        assert!(ratio > 0.0);
-        let identity = traffic_ratio(&m, FreezeLevel::Full, FreezeLevel::Full);
-        assert!((identity - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Simulation configuration.
 
-use crate::cache::CacheScope;
+use crate::cache::CacheRegistry;
 use crate::device::HeterogeneityModel;
 use crate::executor::{ExecutionBackend, StreamingParams};
 use crate::policy::ClientSelection;
@@ -88,7 +88,7 @@ pub struct FlConfig {
     /// [`ExecutionBackend::Deadline`]; `f64::INFINITY` (the default)
     /// disables deadline drops.
     pub deadline_seconds: f64,
-    /// Serve frozen-prefix boundary activations from a per-client
+    /// Serve frozen-prefix boundary activations from a
     /// [`crate::cache::FeatureCache`] instead of re-running the frozen
     /// blocks on every batch, epoch, round and selection pass.
     ///
@@ -100,23 +100,16 @@ pub struct FlConfig {
     /// executed work mirrors the paper's device workload; turn it on to
     /// scale the client pool. Has no effect at [`FreezeLevel::Full`]
     /// (there is no frozen prefix to cache).
+    ///
+    /// Every client of a run holds a handle onto one run-wide
+    /// [`crate::cache::CacheRegistry`], so logical clients holding the same
+    /// shard share one entry and cache memory scales with distinct shards.
     pub feature_cache: bool,
-    /// Whose cache clients use when [`FlConfig::feature_cache`] is on:
-    /// [`CacheScope::Shared`] (the default) gives every client a handle
-    /// onto one run-wide [`crate::cache::CacheRegistry`], so logical
-    /// clients holding the same shard share one entry and cache memory
-    /// scales with distinct shards; [`CacheScope::PerClient`] keeps a
-    /// private unbounded cache per client (the pre-registry behaviour, kept
-    /// as the bit-identity baseline). Histories are identical under either
-    /// scope — only memory and the cache counters differ.
-    pub cache_scope: CacheScope,
     /// Byte budget of the shared [`crate::cache::CacheRegistry`], enforced
     /// by least-recently-used eviction: peak cache bytes never exceed it,
     /// at the price of rebuilding evicted entries on their next access
     /// (results are unchanged — eviction only forces recomputation of the
-    /// same values). `None` (the default) means unbounded. Only meaningful
-    /// with [`CacheScope::Shared`]; rejected by validation under
-    /// [`CacheScope::PerClient`].
+    /// same values). `None` (the default) means unbounded.
     pub cache_budget_bytes: Option<usize>,
     /// Number of lock shards of the shared [`crate::cache::CacheRegistry`]:
     /// the registry's storage is split over a power-of-two array of shards
@@ -128,10 +121,7 @@ pub struct FlConfig {
     /// single-lock registry exactly). The shard count cannot change results
     /// or, under sequential execution, cache counters — it only
     /// redistributes entries across locks (with a byte budget, it also sets
-    /// the budget-split granularity: each shard budgets `budget / n`). Only
-    /// meaningful with [`CacheScope::Shared`]; rejected by validation under
-    /// [`CacheScope::PerClient`], whose private caches are always
-    /// single-shard.
+    /// the budget-split granularity: each shard budgets `budget / n`).
     pub cache_shards: Option<usize>,
     /// Size of the *logical* client pool: `Some(n)` simulates `n` clients
     /// mapped round-robin onto the federated dataset's physical shards
@@ -182,7 +172,6 @@ impl Default for FlConfig {
             heterogeneity: HeterogeneityModel::uniform(),
             deadline_seconds: f64::INFINITY,
             feature_cache: false,
-            cache_scope: CacheScope::Shared,
             cache_budget_bytes: None,
             cache_shards: None,
             logical_clients: None,
@@ -271,12 +260,6 @@ impl FlConfig {
     /// Enables or disables the frozen-feature cache.
     pub fn with_feature_cache(mut self, enabled: bool) -> Self {
         self.feature_cache = enabled;
-        self
-    }
-
-    /// Selects whose cache clients use (shared registry vs per-client).
-    pub fn with_cache_scope(mut self, scope: CacheScope) -> Self {
-        self.cache_scope = scope;
         self
     }
 
@@ -369,8 +352,7 @@ impl FlConfig {
     /// with the async or streaming backend — those replace deadline drops
     /// with their own scheduling), or
     /// invalid cache/pool knobs (zero logical clients, a zero byte budget,
-    /// a non-power-of-two shard count, or a budget or shard count under
-    /// [`CacheScope::PerClient`]).
+    /// a non-power-of-two shard count).
     pub fn validate(&self) -> Result<()> {
         self.validate_round_loop()?;
         self.validate_population()?;
@@ -524,32 +506,8 @@ impl FlConfig {
                     .into(),
             });
         }
-        if self.cache_budget_bytes.is_some() && self.cache_scope == CacheScope::PerClient {
-            return Err(FlError::InvalidConfig {
-                what: "cache_budget_bytes is a property of the shared registry; \
-                       use CacheScope::Shared"
-                    .into(),
-            });
-        }
-        if let Some(shards) = self.cache_shards {
-            if !shards.is_power_of_two() {
-                return Err(FlError::InvalidConfig {
-                    what: format!(
-                        "cache_shards must be a power of two (shard selection \
-                         is a bit mask), got {shards}"
-                    ),
-                });
-            }
-            if self.cache_scope == CacheScope::PerClient {
-                return Err(FlError::InvalidConfig {
-                    what: "cache_shards is a property of the shared registry \
-                           (per-client caches are always single-shard); \
-                           use CacheScope::Shared"
-                        .into(),
-                });
-            }
-        }
-        Ok(())
+        self.cache_shards
+            .map_or(Ok(()), CacheRegistry::check_shard_count)
     }
 }
 
@@ -738,7 +696,6 @@ mod tests {
     #[test]
     fn cache_registry_and_logical_pool_knobs_apply_and_validate() {
         let c = FlConfig::default();
-        assert_eq!(c.cache_scope, CacheScope::Shared);
         assert_eq!(c.cache_budget_bytes, None);
         assert_eq!(c.logical_clients, None);
 
@@ -750,21 +707,12 @@ mod tests {
         assert_eq!(c.logical_clients, Some(10_000));
         assert!(c.validate().is_ok());
 
-        let per_client = FlConfig::default().with_cache_scope(CacheScope::PerClient);
-        assert!(per_client.validate().is_ok());
-
         // Zero logical clients and zero budgets are configuration mistakes.
         assert!(FlConfig::default()
             .with_logical_clients(0)
             .validate()
             .is_err());
         assert!(FlConfig::default().with_cache_budget(0).validate().is_err());
-        // A budget is a property of the shared registry.
-        assert!(FlConfig::default()
-            .with_cache_scope(CacheScope::PerClient)
-            .with_cache_budget(1024)
-            .validate()
-            .is_err());
     }
 
     #[test]
@@ -787,13 +735,6 @@ mod tests {
                 "{shards} shards must be rejected"
             );
         }
-        // Like the byte budget, the shard count is a property of the
-        // shared registry.
-        assert!(FlConfig::default()
-            .with_cache_scope(CacheScope::PerClient)
-            .with_cache_shards(8)
-            .validate()
-            .is_err());
     }
 
     #[test]

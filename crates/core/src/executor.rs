@@ -435,17 +435,6 @@ struct Admission<'c> {
 }
 
 impl Executor {
-    /// Human-readable executor name for logs and error messages.
-    pub fn name(&self) -> &'static str {
-        match self.backend {
-            ExecutionBackend::Sequential => "sequential",
-            ExecutionBackend::Parallel => "parallel",
-            ExecutionBackend::Deadline => "deadline",
-            ExecutionBackend::Async { .. } => "async",
-            ExecutionBackend::Streaming(..) => "streaming",
-        }
-    }
-
     /// Runs the local update of every admitted participant and reports the
     /// round as its backend schedules it.
     ///
@@ -754,14 +743,14 @@ impl Executor {
                     what: format!(
                         "{} executor: an earlier round panicked while holding the event \
                          clock; restart from round 0",
-                        self.name()
+                        self.backend.short_name()
                     ),
                 })
             }
         };
         let clock = &mut *guard;
         let round_open = clock.open_round(
-            self.name(),
+            self.backend.short_name(),
             round,
             params.max_staleness,
             global_model,
@@ -814,7 +803,7 @@ impl Executor {
                     what: format!(
                         "{} executor: model version {} is outside round {round}'s \
                          snapshot window",
-                        self.name(),
+                        self.backend.short_name(),
                         d.version
                     ),
                 });
@@ -1154,18 +1143,6 @@ mod tests {
         assert_eq!(
             ExecutionBackend::Streaming(StreamingParams::new(8)).short_name(),
             "stream"
-        );
-        let executor_name = |backend: ExecutionBackend| backend.executor_with_workers(None).name();
-        assert_eq!(executor_name(ExecutionBackend::Sequential), "sequential");
-        assert_eq!(executor_name(ExecutionBackend::Parallel), "parallel");
-        assert_eq!(executor_name(ExecutionBackend::Deadline), "deadline");
-        assert_eq!(
-            executor_name(ExecutionBackend::Async { max_staleness: 2 }),
-            "async"
-        );
-        assert_eq!(
-            executor_name(ExecutionBackend::Streaming(StreamingParams::new(8))),
-            "streaming"
         );
     }
 

@@ -98,7 +98,7 @@ pub mod server;
 pub mod simulation;
 
 pub use cache::{
-    CacheRegistry, CacheScope, CacheStats, FeatureCache, ScoreKind, ScoreSlot, ScoreStats, ShardKey,
+    CacheRegistry, CacheStats, FeatureCache, ScoreKind, ScoreSlot, ScoreStats, ShardKey,
 };
 pub use client::{Client, ClientUpdate, ClientWorkspace};
 pub use config::{FlConfig, LocalAlgorithm};

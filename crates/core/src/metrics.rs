@@ -84,14 +84,13 @@ impl RoundRecord {
     /// This record with the cache counters zeroed and the backend's flush
     /// bookkeeping cleared — the **learning-invariant view**: every
     /// remaining field must be bit-identical whichever way
-    /// [`crate::FlConfig::feature_cache`], the cache scope or the byte
+    /// [`crate::FlConfig::feature_cache`], the shard count or the byte
     /// budget are set (the cache only changes how frozen activations are
     /// obtained, never their values), and across backends that promise
     /// identical learning histories (the degenerate streaming configuration
     /// vs `Sequential` legitimately differ only in this bookkeeping). The
-    /// counters themselves legitimately differ (off = all zero, shared vs
-    /// per-client = different hit patterns), which is why equality
-    /// contracts compare this view.
+    /// counters themselves legitimately differ (off = all zero, a budget =
+    /// more misses), which is why equality contracts compare this view.
     pub fn without_cache_counters(&self) -> RoundRecord {
         RoundRecord {
             cache_hits: 0,
@@ -277,8 +276,8 @@ impl RunResult {
 
     /// The per-round history with cache counters zeroed (see
     /// [`RoundRecord::without_cache_counters`]): the view that must be
-    /// **bit-identical** across cache off/on, shared/per-client scope and
-    /// any byte budget — the comparison `tests/feature_cache_e2e.rs` and
+    /// **bit-identical** across cache off/on, any shard count and any byte
+    /// budget — the comparison `tests/feature_cache_e2e.rs` and
     /// `tests/logical_pool_e2e.rs` pin.
     pub fn learning_history(&self) -> Vec<RoundRecord> {
         self.rounds
@@ -320,27 +319,6 @@ impl RunResult {
     /// The test-accuracy learning curve, one entry per round.
     pub fn accuracy_curve(&self) -> Vec<f32> {
         self.rounds.iter().map(|r| r.test_accuracy).collect()
-    }
-
-    /// First round (1-based) at which the test accuracy reached `target`, or
-    /// `None` if it never did. Used to compare convergence speed.
-    pub fn rounds_to_accuracy(&self, target: f32) -> Option<usize> {
-        self.rounds
-            .iter()
-            .find(|r| r.test_accuracy >= target)
-            .map(|r| r.round)
-    }
-
-    /// Mean test accuracy over the final `k` rounds (robust "end of training"
-    /// accuracy). Returns the final accuracy when `k` is zero or larger than
-    /// the run length.
-    pub fn tail_accuracy(&self, k: usize) -> f32 {
-        if self.rounds.is_empty() {
-            return 0.0;
-        }
-        let k = k.clamp(1, self.rounds.len());
-        let tail = &self.rounds[self.rounds.len() - k..];
-        tail.iter().map(|r| r.test_accuracy).sum::<f32>() / k as f32
     }
 }
 
@@ -419,8 +397,6 @@ mod tests {
         assert_eq!(r.final_accuracy(), 0.0);
         assert_eq!(r.best_accuracy(), 0.0);
         assert_eq!(r.learning_efficiency(), 0.0);
-        assert_eq!(r.rounds_to_accuracy(0.1), None);
-        assert_eq!(r.tail_accuracy(3), 0.0);
         assert_eq!(r.total_wall_seconds(), 0.0);
         assert_eq!(r.total_dropped_clients(), 0);
         assert_eq!(r.mean_participants(), 0.0);
@@ -512,22 +488,6 @@ mod tests {
         // and sequential runs of the same learning process compare equal.
         assert!(r.learning_history().iter().all(|rec| rec.flush.is_none()));
         assert_eq!(r.learning_history(), run().learning_history());
-    }
-
-    #[test]
-    fn rounds_to_accuracy_finds_first_crossing() {
-        let r = run();
-        assert_eq!(r.rounds_to_accuracy(0.5), Some(2));
-        assert_eq!(r.rounds_to_accuracy(0.9), None);
-        assert_eq!(r.rounds_to_accuracy(0.0), Some(1));
-    }
-
-    #[test]
-    fn tail_accuracy_averages_last_rounds() {
-        let r = run();
-        assert!((r.tail_accuracy(2) - 0.55).abs() < 1e-6);
-        assert_eq!(r.tail_accuracy(100), r.tail_accuracy(3));
-        assert_eq!(r.tail_accuracy(0), r.tail_accuracy(1));
     }
 
     #[test]

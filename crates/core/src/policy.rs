@@ -491,16 +491,6 @@ impl ClientSelection {
         }
     }
 
-    /// The policy's named RNG stream, `None` for the default uniform policy
-    /// (which keeps the historical `"participation"` stream).
-    pub fn stream_label(&self) -> Option<&'static str> {
-        match self {
-            ClientSelection::Uniform => None,
-            ClientSelection::TierAware => Some("tier-participation"),
-            ClientSelection::SimilarityAware => Some("similarity-participation"),
-        }
-    }
-
     /// Resolves the descriptor into its policy-family member for a concrete
     /// client pool: `tiers` holds each client's tier compute multiplier and
     /// `shards` each client's data shard.
@@ -712,13 +702,20 @@ mod tests {
         let freeze = FreezeLevel::Moderate;
         // All.
         let all = select_with(SelectionStrategy::All, &m, &d, freeze, 0);
-        assert_eq!(all, SelectionStrategy::All.select(24, 0, 3, 7).unwrap());
-        // Random: same "rds-client-{id}" stream, same order.
+        assert_eq!(all, (0..24).collect::<Vec<_>>());
+        // Random: the "rds-client-{id}" stream indexed by round, in the
+        // order the pre-policy code drew it (recorded from it at seed 7,
+        // client 3) — the same subset every time, another one next round.
         let rds = SelectionStrategy::Random { fraction: 0.5 };
-        let via_policy = select_with(rds, &m, &d, freeze, 2);
-        assert_eq!(via_policy, rds.select(24, 2, 3, 7).unwrap());
-        // Entropy: same ranking as select_from_entropies over the same
-        // boundary entropies.
+        assert_eq!(
+            select_with(rds, &m, &d, freeze, 2),
+            [4, 14, 22, 8, 6, 18, 7, 17, 21, 0, 12, 20]
+        );
+        assert_eq!(
+            select_with(rds, &m, &d, freeze, 3),
+            [5, 21, 6, 17, 10, 20, 8, 18, 19, 22, 7, 15]
+        );
+        // Entropy: the entropy ranking of the boundary scores, truncated.
         let eds = SelectionStrategy::Entropy {
             fraction: 0.25,
             temperature: 0.1,
@@ -727,7 +724,7 @@ mod tests {
         let boundary = m.forward_frozen(freeze, d.features()).unwrap();
         let mut suffix = m.trainable_suffix(freeze);
         let entropies = sample_entropies_from_boundary(&mut suffix, &boundary, 0.1).unwrap();
-        assert_eq!(via_policy, eds.select_from_entropies(&entropies).unwrap());
+        assert_eq!(via_policy, rank_by_entropy(&entropies)[..6]);
     }
 
     #[test]
@@ -747,9 +744,18 @@ mod tests {
             assert_eq!(p.short_name(), s.short_name());
             assert_eq!(p.fraction(), s.fraction());
             assert_eq!(p.needs_inference_pass(), s.needs_inference_pass());
-            assert_eq!(p.selected_count(10), s.selected_count(10));
+            assert_eq!(
+                p.selected_count(10),
+                if s.fraction() < 1.0 { 4 } else { 10 }
+            );
             assert_eq!(p.selected_count(0), 0);
         }
+        // ceil(fraction · n), at least one sample, at most all of them.
+        let tenth = RandomSubset { fraction: 0.1 };
+        assert_eq!(tenth.selected_count(100), 10);
+        assert_eq!(tenth.selected_count(5), 1);
+        assert_eq!(tenth.selected_count(1), 1);
+        assert_eq!(AllData.selected_count(7), 7);
     }
 
     #[test]
@@ -822,7 +828,7 @@ mod tests {
         let m = model();
         let d = dataset(16);
         let rds = SelectionStrategy::Random { fraction: 0.5 };
-        let before = rds.select(16, 0, 3, 7).unwrap();
+        let before = select_with(rds, &m, &d, FreezeLevel::Moderate, 0);
         let _ = select_with(
             SelectionStrategy::LossProportional { fraction: 0.5 },
             &m,
@@ -830,7 +836,7 @@ mod tests {
             FreezeLevel::Moderate,
             0,
         );
-        assert_eq!(rds.select(16, 0, 3, 7).unwrap(), before);
+        assert_eq!(select_with(rds, &m, &d, FreezeLevel::Moderate, 0), before);
     }
 
     #[test]
@@ -860,15 +866,6 @@ mod tests {
         assert_eq!(ClientSelection::Uniform.short_name(), "uniform");
         assert_eq!(ClientSelection::TierAware.short_name(), "tier");
         assert_eq!(ClientSelection::SimilarityAware.short_name(), "sim");
-        assert_eq!(ClientSelection::Uniform.stream_label(), None);
-        assert_eq!(
-            ClientSelection::TierAware.stream_label(),
-            Some("tier-participation")
-        );
-        assert_eq!(
-            ClientSelection::SimilarityAware.stream_label(),
-            Some("similarity-participation")
-        );
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Per-round local data selection strategies (paper §III-C and §IV-A3).
 
-use crate::entropy::rank_by_entropy;
 use crate::{FlError, Result};
-use fedft_tensor::rng;
 use serde::{Deserialize, Serialize};
 
-/// How a client chooses which local samples to train on in a round.
+/// How a client chooses which local samples to train on in a round: the
+/// serialisable tag an [`crate::FlConfig`] carries. The selection itself is
+/// its policy's ([`SelectionStrategy::policy`],
+/// [`crate::policy::DataSelectionPolicy::select`]).
 ///
 /// * [`SelectionStrategy::All`] — train on every local sample (FedAvg,
 ///   FedProx, FedFT-ALL).
@@ -108,127 +109,11 @@ impl SelectionStrategy {
         }
         Ok(())
     }
-
-    /// Selects the indices of the local samples to train on this round, for
-    /// the strategies that need **no model access** ([`SelectionStrategy::
-    /// All`] and [`SelectionStrategy::Random`]).
-    ///
-    /// The number of selected samples is `ceil(fraction · |D_k|)`, clamped
-    /// to at least one sample. Entropy selection scores samples with the
-    /// current model and therefore goes through
-    /// [`SelectionStrategy::select_from_entropies`] instead; calling
-    /// `select` on it is an error rather than a silent fallback.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty dataset, invalid parameters, or an
-    /// entropy strategy.
-    pub fn select(
-        &self,
-        num_samples: usize,
-        round: usize,
-        client_id: usize,
-        seed: u64,
-    ) -> Result<Vec<usize>> {
-        self.validate()?;
-        if num_samples == 0 {
-            return Err(FlError::InvalidConfig {
-                what: format!("client {client_id} has no local data to select from"),
-            });
-        }
-        let keep = self.selected_count(num_samples);
-        match self {
-            SelectionStrategy::All => Ok((0..num_samples).collect()),
-            SelectionStrategy::Random { .. } => Ok(rng::seeded_subset(
-                seed,
-                &format!("rds-client-{client_id}"),
-                round as u64,
-                num_samples,
-                keep,
-            )),
-            SelectionStrategy::Entropy { .. } => Err(FlError::InvalidConfig {
-                what: "entropy selection needs per-sample entropies; compute them \
-                       (crate::entropy) and call select_from_entropies"
-                    .into(),
-            }),
-            SelectionStrategy::LossProportional { .. } | SelectionStrategy::GradientNorm { .. } => {
-                Err(FlError::InvalidConfig {
-                    what: format!(
-                        "`{}` selection scores samples with the current model; go through \
-                         the policy layer (crate::policy::DataSelectionPolicy)",
-                        self.short_name()
-                    ),
-                })
-            }
-        }
-    }
-
-    /// Selects the indices of the local samples to train on this round from
-    /// **precomputed per-sample entropies** ([`SelectionStrategy::Entropy`]
-    /// only): the top `ceil(fraction · |D_k|)` most-uncertain samples, ties
-    /// broken by index.
-    ///
-    /// The entropies come from the current (freshly downloaded) model, so
-    /// the selected subset changes between rounds as the model evolves —
-    /// matching the paper's dynamic selection setup. How they are computed
-    /// is the caller's choice: a full forward pass
-    /// ([`crate::entropy::sample_entropies`]) or the trainable suffix over
-    /// cached boundary features
-    /// ([`crate::entropy::sample_entropies_from_boundary`]) — both produce
-    /// identical values.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty entropy slice, invalid parameters, or a
-    /// non-entropy strategy.
-    pub fn select_from_entropies(&self, entropies: &[f32]) -> Result<Vec<usize>> {
-        self.validate()?;
-        if !matches!(self, SelectionStrategy::Entropy { .. }) {
-            return Err(FlError::InvalidConfig {
-                what: format!(
-                    "select_from_entropies only applies to entropy selection, not `{}`",
-                    self.short_name()
-                ),
-            });
-        }
-        if entropies.is_empty() {
-            return Err(FlError::InvalidConfig {
-                what: "cannot select from an empty entropy slice".into(),
-            });
-        }
-        let mut ranked = rank_by_entropy(entropies);
-        ranked.truncate(self.selected_count(entropies.len()));
-        Ok(ranked)
-    }
-
-    /// Number of samples the strategy keeps out of `available`.
-    pub fn selected_count(&self, available: usize) -> usize {
-        if available == 0 {
-            return 0;
-        }
-        let keep = (self.fraction() * available as f64).ceil() as usize;
-        keep.clamp(1, available)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entropy::sample_entropies;
-    use fedft_data::Dataset;
-    use fedft_nn::{BlockNet, BlockNetConfig};
-    use fedft_tensor::Matrix;
-
-    fn model(classes: usize) -> BlockNet {
-        BlockNet::new(&BlockNetConfig::new(4, classes).with_hidden(8, 8, 8), 1)
-    }
-
-    fn dataset(n: usize) -> Dataset {
-        let features =
-            Matrix::from_vec(n, 4, (0..n * 4).map(|v| (v % 17) as f32 * 0.1).collect()).unwrap();
-        Dataset::new(features, (0..n).map(|i| i % 3).collect(), 3).unwrap()
-    }
-
     #[test]
     fn fractions_and_names() {
         assert_eq!(SelectionStrategy::All.fraction(), 1.0);
@@ -293,114 +178,5 @@ mod tests {
         }
         .validate()
         .is_ok());
-    }
-
-    #[test]
-    fn selected_count_rounding() {
-        let s = SelectionStrategy::Random { fraction: 0.1 };
-        assert_eq!(s.selected_count(100), 10);
-        assert_eq!(s.selected_count(5), 1);
-        assert_eq!(s.selected_count(1), 1);
-        assert_eq!(s.selected_count(0), 0);
-        assert_eq!(SelectionStrategy::All.selected_count(7), 7);
-    }
-
-    #[test]
-    fn all_selection_returns_every_index() {
-        let idx = SelectionStrategy::All.select(6, 0, 0, 0).unwrap();
-        assert_eq!(idx, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn random_selection_is_per_round_and_deterministic() {
-        let s = SelectionStrategy::Random { fraction: 0.5 };
-        let a = s.select(20, 0, 3, 7).unwrap();
-        let b = s.select(20, 0, 3, 7).unwrap();
-        let c = s.select(20, 1, 3, 7).unwrap();
-        assert_eq!(a, b, "same round and seed must select the same subset");
-        assert_ne!(a, c, "different rounds must resample");
-        assert_eq!(a.len(), 10);
-        // All indices valid and unique.
-        let mut sorted = a.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), a.len());
-        assert!(sorted.iter().all(|&i| i < 20));
-    }
-
-    #[test]
-    fn entropy_selection_picks_highest_entropy_samples() {
-        let mut m = model(3);
-        let d = dataset(30);
-        let s = SelectionStrategy::Entropy {
-            fraction: 0.2,
-            temperature: 0.5,
-        };
-        let entropies = sample_entropies(&mut m, d.features(), 0.5).unwrap();
-        let selected = s.select_from_entropies(&entropies).unwrap();
-        assert_eq!(selected.len(), 6);
-        let min_selected = selected
-            .iter()
-            .map(|&i| entropies[i])
-            .fold(f32::INFINITY, f32::min);
-        let max_unselected = (0..d.len())
-            .filter(|i| !selected.contains(i))
-            .map(|i| entropies[i])
-            .fold(f32::NEG_INFINITY, f32::max);
-        assert!(
-            min_selected >= max_unselected - 1e-6,
-            "selected samples must dominate unselected ones in entropy"
-        );
-    }
-
-    #[test]
-    fn entropy_selection_is_deterministic() {
-        let mut m = model(3);
-        let d = dataset(15);
-        let s = SelectionStrategy::Entropy {
-            fraction: 0.4,
-            temperature: 0.1,
-        };
-        let entropies = sample_entropies(&mut m, d.features(), 0.1).unwrap();
-        assert_eq!(
-            s.select_from_entropies(&entropies).unwrap(),
-            s.select_from_entropies(&entropies).unwrap()
-        );
-    }
-
-    #[test]
-    fn selection_on_empty_dataset_errors() {
-        assert!(SelectionStrategy::All.select(0, 0, 0, 0).is_err());
-        let s = SelectionStrategy::Entropy {
-            fraction: 0.5,
-            temperature: 0.1,
-        };
-        assert!(s.select_from_entropies(&[]).is_err());
-    }
-
-    #[test]
-    fn strategies_reject_the_wrong_selection_path() {
-        // Entropy selection must not silently fall back to "all" when asked
-        // for a model-free selection…
-        let eds = SelectionStrategy::Entropy {
-            fraction: 0.5,
-            temperature: 0.1,
-        };
-        assert!(eds.select(10, 0, 0, 0).is_err());
-        // …and non-inference strategies must not rank entropies.
-        assert!(SelectionStrategy::All
-            .select_from_entropies(&[0.1])
-            .is_err());
-        assert!(SelectionStrategy::Random { fraction: 0.5 }
-            .select_from_entropies(&[0.1])
-            .is_err());
-        // The score-based strategies refuse both model-free paths: they need
-        // labels as well as logits, which only the policy layer supplies.
-        let lds = SelectionStrategy::LossProportional { fraction: 0.5 };
-        let gns = SelectionStrategy::GradientNorm { fraction: 0.5 };
-        assert!(lds.select(10, 0, 0, 0).is_err());
-        assert!(gns.select(10, 0, 0, 0).is_err());
-        assert!(lds.select_from_entropies(&[0.1]).is_err());
-        assert!(gns.select_from_entropies(&[0.1]).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! The synchronous federated-learning round loop (paper Algorithm 1) and
 //! the logical client pool it trains.
 
-use crate::cache::{CacheRegistry, CacheScope, CacheStats, FeatureCache};
+use crate::cache::{CacheRegistry, CacheStats, FeatureCache};
 use crate::client::{Client, KeyedShard};
 use crate::config::FlConfig;
 use crate::metrics::{RoundRecord, RunResult};
@@ -19,21 +19,16 @@ use std::sync::Arc;
 ///
 /// With [`FlConfig::logical_clients`] unset this is exactly one client per
 /// shard, as before. With `N ≫ M` it simulates a large cohort over a small
-/// corpus — the regime where per-client feature caches would multiply the
-/// same boundary activations `N/M` times. Under
-/// [`CacheScope::Shared`] the pool therefore hands every client a handle
-/// onto **one** [`CacheRegistry`] (budgeted by
+/// corpus — the regime where a cache per client would multiply the same
+/// boundary activations `N/M` times. The pool therefore hands every client
+/// a handle onto **one** [`CacheRegistry`] (budgeted by
 /// [`FlConfig::cache_budget_bytes`], lock-sharded per
 /// [`FlConfig::cache_shards`] — auto-sized from the host's parallelism when
-/// unset), so cache memory scales with `M`; under
-/// [`CacheScope::PerClient`] each client keeps a private unbounded
-/// single-shard cache — the baseline the shared registry is pinned
-/// bit-identical against.
+/// unset), so cache memory scales with `M`.
 #[derive(Debug, Clone)]
 pub struct ClientPool {
     clients: Vec<Client>,
-    registries: Vec<CacheRegistry>,
-    physical_shards: usize,
+    registry: CacheRegistry,
 }
 
 impl ClientPool {
@@ -42,8 +37,9 @@ impl ClientPool {
     /// # Errors
     ///
     /// Returns [`FlError::InvalidConfig`] for an invalid pool description
-    /// (zero logical clients, a budget or shard count outside the shared
-    /// scope, a non-power-of-two shard count).
+    /// (zero logical clients, a non-power-of-two shard count) — re-checked
+    /// here so a pool built without [`FlConfig::validate`] errs instead of
+    /// panicking in the registry's constructor.
     pub fn build(data: &FederatedDataset, config: &FlConfig) -> Result<ClientPool> {
         let physical_shards = data.num_clients();
         let logical = config.logical_clients.unwrap_or(physical_shards);
@@ -52,74 +48,27 @@ impl ClientPool {
                 what: "logical_clients must be non-zero when set".into(),
             });
         }
-        // Re-checked here (not only in `FlConfig::validate`) so a pool
-        // built directly cannot silently ignore a byte budget: per-client
-        // caches are unbounded, so accepting a budget would let the caller
-        // believe a memory cap is enforced when it is not.
-        if config.cache_budget_bytes.is_some() && config.cache_scope == CacheScope::PerClient {
-            return Err(FlError::InvalidConfig {
-                what: "cache_budget_bytes is a property of the shared registry; \
-                       use CacheScope::Shared"
-                    .into(),
-            });
-        }
-        // Same reasoning for the shard count: per-client caches are always
-        // single-shard, so a pinned shard count would be silently ignored.
-        if let Some(lock_shards) = config.cache_shards {
-            if !lock_shards.is_power_of_two() {
-                return Err(FlError::InvalidConfig {
-                    what: format!(
-                        "cache_shards must be a power of two (shard selection \
-                         is a bit mask), got {lock_shards}"
-                    ),
-                });
-            }
-            if config.cache_scope == CacheScope::PerClient {
-                return Err(FlError::InvalidConfig {
-                    what: "cache_shards is a property of the shared registry \
-                           (per-client caches are always single-shard); \
-                           use CacheScope::Shared"
-                        .into(),
-                });
-            }
-        }
+        let lock_shards = config
+            .cache_shards
+            .unwrap_or_else(CacheRegistry::auto_shard_count);
+        CacheRegistry::check_shard_count(lock_shards)?;
+        let registry = CacheRegistry::sharded(lock_shards, config.cache_budget_bytes);
         // Keyed here, once per physical shard, for every logical client of it.
         let shards: Vec<Arc<KeyedShard>> = data
             .clients()
             .iter()
             .map(|shard| KeyedShard::new(Arc::new(shard.clone())))
             .collect();
-        let client = |id: usize, cache: FeatureCache| {
-            Client::from_keyed_shard(id, Arc::clone(&shards[id % physical_shards]), cache)
-        };
-        let (clients, registries) = match config.cache_scope {
-            CacheScope::Shared => {
-                let lock_shards = config
-                    .cache_shards
-                    .unwrap_or_else(CacheRegistry::auto_shard_count);
-                let registry = CacheRegistry::sharded(lock_shards, config.cache_budget_bytes);
-                let clients = (0..logical)
-                    .map(|id| client(id, FeatureCache::shared(registry.clone())))
-                    .collect();
-                (clients, vec![registry])
-            }
-            CacheScope::PerClient => {
-                let mut registries = Vec::with_capacity(logical);
-                let clients = (0..logical)
-                    .map(|id| {
-                        let cache = FeatureCache::new();
-                        registries.push(cache.registry().clone());
-                        client(id, cache)
-                    })
-                    .collect();
-                (clients, registries)
-            }
-        };
-        Ok(ClientPool {
-            clients,
-            registries,
-            physical_shards,
-        })
+        let clients = (0..logical)
+            .map(|id| {
+                Client::from_keyed_shard(
+                    id,
+                    Arc::clone(&shards[id % physical_shards]),
+                    FeatureCache::shared(registry.clone()),
+                )
+            })
+            .collect();
+        Ok(ClientPool { clients, registry })
     }
 
     /// The pool's clients, in logical-id order.
@@ -127,25 +76,9 @@ impl ClientPool {
         &self.clients
     }
 
-    /// Number of logical clients.
-    pub fn num_logical(&self) -> usize {
-        self.clients.len()
-    }
-
-    /// Number of distinct physical shards backing the pool.
-    pub fn num_physical_shards(&self) -> usize {
-        self.physical_shards
-    }
-
-    /// Cache counters summed over the pool's registries (one registry under
-    /// [`CacheScope::Shared`], one per client under
-    /// [`CacheScope::PerClient`]).
+    /// The counters of the registry every client of the pool shares.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for registry in &self.registries {
-            total.accumulate(&registry.stats());
-        }
-        total
+        self.registry.stats()
     }
 }
 
@@ -406,8 +339,6 @@ mod tests {
             .with_logical_clients(10)
             .with_feature_cache(true);
         let pool = ClientPool::build(&fed, &config).unwrap();
-        assert_eq!(pool.num_logical(), 10);
-        assert_eq!(pool.num_physical_shards(), 3);
         assert_eq!(pool.clients().len(), 10);
         for (i, client) in pool.clients().iter().enumerate() {
             assert_eq!(client.id(), i);
@@ -418,60 +349,14 @@ mod tests {
                 pool.clients()[i % 3].shard()
             ));
         }
-        // Shared scope: every client reads one registry.
+        // Every client reads one registry.
         let a = pool.clients()[0].feature_cache().registry().clone();
         let stats_before = pool.cache_stats();
         assert_eq!(stats_before, a.stats());
 
         // Without the knob the pool is one client per shard.
         let plain = ClientPool::build(&fed, &quick_config(1)).unwrap();
-        assert_eq!(plain.num_logical(), 3);
-    }
-
-    #[test]
-    fn client_pool_per_client_scope_keeps_private_registries() {
-        let (fed, model) = tiny_setup(2);
-        let config = quick_config(1)
-            .with_logical_clients(4)
-            .with_feature_cache(true)
-            .with_cache_scope(crate::cache::CacheScope::PerClient);
-        let pool = ClientPool::build(&fed, &config).unwrap();
-        // Same shard, but each client builds its own entry: no dedup.
-        for client in pool.clients() {
-            client
-                .feature_cache()
-                .get_or_build(&model, config.freeze, client.data().features())
-                .unwrap();
-        }
-        let stats = pool.cache_stats();
-        assert_eq!(stats.misses, 4, "per-client scope cannot dedup");
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.entries, 4);
-
-        let shared = ClientPool::build(&fed, &quick_config(1).with_logical_clients(4)).unwrap();
-        for client in shared.clients() {
-            client
-                .feature_cache()
-                .get_or_build(&model, config.freeze, client.data().features())
-                .unwrap();
-        }
-        let shared_stats = shared.cache_stats();
-        assert_eq!(
-            shared_stats.misses, 2,
-            "shared scope builds once per distinct shard"
-        );
-        // A byte budget cannot ride along with per-client caches — the
-        // pool rejects it even when `FlConfig::validate` was bypassed.
-        let mut bad = quick_config(1).with_cache_scope(crate::cache::CacheScope::PerClient);
-        bad.cache_budget_bytes = Some(1024);
-        assert!(ClientPool::build(&fed, &bad).is_err());
-        assert_eq!(shared_stats.hits, 2);
-        assert!(
-            shared_stats.peak_bytes < stats.peak_bytes,
-            "dedup must shrink peak bytes ({} vs {})",
-            shared_stats.peak_bytes,
-            stats.peak_bytes
-        );
+        assert_eq!(plain.clients().len(), 3);
     }
 
     #[test]
@@ -492,22 +377,10 @@ mod tests {
             CacheRegistry::auto_shard_count()
         );
         // The pool re-checks the knob even when `FlConfig::validate` was
-        // bypassed: bad counts and per-client scope are rejected.
+        // bypassed.
         let mut bad = quick_config(1);
         bad.cache_shards = Some(6);
         assert!(ClientPool::build(&fed, &bad).is_err());
-        let mut bad = quick_config(1).with_cache_scope(crate::cache::CacheScope::PerClient);
-        bad.cache_shards = Some(8);
-        assert!(ClientPool::build(&fed, &bad).is_err());
-        // Per-client caches stay single-shard whatever the host looks like.
-        let per_client = quick_config(1)
-            .with_feature_cache(true)
-            .with_cache_scope(crate::cache::CacheScope::PerClient);
-        let pool = ClientPool::build(&fed, &per_client).unwrap();
-        assert_eq!(
-            pool.clients()[0].feature_cache().registry().shard_count(),
-            1
-        );
     }
 
     /// The score tier's `computed` count under `Sequential` is exact: one

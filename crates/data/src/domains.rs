@@ -89,12 +89,6 @@ impl DomainSpec {
         self
     }
 
-    /// Overrides the feature-space noise standard deviation.
-    pub fn with_noise_std(mut self, noise_std: f32) -> Self {
-        self.noise_std = noise_std;
-        self
-    }
-
     /// Validates the specification.
     ///
     /// # Errors

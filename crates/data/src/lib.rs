@@ -4,7 +4,7 @@
 //! [`Dataset`] type, synthetic latent-factor classification *domains* standing
 //! in for CIFAR-10, CIFAR-100, Small-ImageNet-32 and Google Speech Commands
 //! (no real datasets can be downloaded in the reproduction environment — see
-//! `DESIGN.md` for the substitution argument), and the Dirichlet non-IID
+//! `ARCHITECTURE.md` for the substitution argument), and the Dirichlet non-IID
 //! partitioner used throughout the paper's experiments.
 //!
 //! ## Example

@@ -240,17 +240,6 @@ impl BlockNet {
         self.forward_from(FreezeLevel::Full, input)
     }
 
-    /// Training-mode forward pass producing logits, keeping every block's
-    /// activations for a backward pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input width differs from
-    /// [`BlockNet::input_dim`].
-    pub fn forward_training(&mut self, input: &Matrix) -> Result<Matrix> {
-        suffix::forward_blocks(&mut self.blocks, input, true)
-    }
-
     /// Inference forward pass that also returns the activation at the output
     /// of every block, used by the CKA analysis.
     ///

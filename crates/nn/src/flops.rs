@@ -60,15 +60,6 @@ impl FlopsBreakdown {
     pub fn cache_build_flops(&self) -> u64 {
         self.forward_frozen
     }
-
-    /// Sums two breakdowns component-wise.
-    pub fn combine(&self, other: &FlopsBreakdown) -> FlopsBreakdown {
-        FlopsBreakdown {
-            forward_frozen: self.forward_frozen + other.forward_frozen,
-            forward_trainable: self.forward_trainable + other.forward_trainable,
-            backward_trainable: self.backward_trainable + other.backward_trainable,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -107,19 +98,6 @@ mod tests {
         assert_eq!(full.cached_training_flops(), full.training_flops());
         assert_eq!(full.cached_inference_flops(), full.inference_flops());
         assert_eq!(full.cache_build_flops(), 0);
-    }
-
-    #[test]
-    fn combine_is_componentwise() {
-        let a = FlopsBreakdown {
-            forward_frozen: 1,
-            forward_trainable: 2,
-            backward_trainable: 3,
-        };
-        let b = a.combine(&a);
-        assert_eq!(b.forward_frozen, 2);
-        assert_eq!(b.forward_trainable, 4);
-        assert_eq!(b.backward_trainable, 6);
     }
 
     #[test]

@@ -7,9 +7,9 @@ use std::any::Any;
 /// A differentiable network layer with manually implemented forward and
 /// backward passes.
 ///
-/// A **training** forward pass stores whatever `backward` needs (inputs,
-/// masks, normalisation statistics) to compute parameter gradients and the
-/// gradient with respect to the layer input. Inference never stores
+/// A **training** forward pass stores whatever `backward` needs (the layer
+/// input) to compute parameter gradients and the gradient with respect to
+/// that input. Inference never stores
 /// activations, so a layer that has only been evaluated holds its parameters
 /// and gradient buffers and nothing else; and what a training pass stored is
 /// scratch that a clone leaves behind, so cloning a layer — which is what a
@@ -39,9 +39,8 @@ pub trait Layer: Any + Send + Sync {
     /// overwritten; its buffer is reused, so a training loop that hands the
     /// same `out` back every step stops allocating once warm).
     ///
-    /// `training` toggles behaviour that differs between training and
-    /// inference (dropout masks, batch-norm statistics) and is the only
-    /// mode that writes the activation cache [`Layer::backward`] reads.
+    /// `training` is the only mode that writes the activation cache
+    /// [`Layer::backward`] reads.
     /// With `training == false` the output is that of
     /// [`Layer::forward_frozen`], bit for bit, and no activation is stored.
     ///
@@ -57,8 +56,7 @@ pub trait Layer: Any + Send + Sync {
     /// selection scoring all run it. None of them back-propagates, so the
     /// activation caches a training [`Layer::forward`] writes would be dead
     /// weight, and the shared-reference signature lets one model serve many
-    /// clients concurrently. For stateless-at-inference layers (dense,
-    /// convolution, activations) the arithmetic is identical to
+    /// clients concurrently. The arithmetic is identical to
     /// [`Layer::forward`], so the two paths produce bit-identical outputs on
     /// the same input.
     ///
@@ -76,12 +74,11 @@ pub trait Layer: Any + Send + Sync {
     /// the layer input is computed only when the caller names a destination:
     /// with `grad_input == Some(out)` it is written into `out` (reshaped and
     /// overwritten, buffer reused); with `None` the layer does none of that
-    /// work — for a dense layer the `dY·Wᵀ` product, for a convolution the
-    /// scatter into the input volume. Parameter gradients are the same bits
-    /// either way. The caller that passes `None` is the training step, for
-    /// the first layer above the freeze boundary: nothing below it is
-    /// trained, so nobody would read that gradient. This is where
-    /// back-propagation stops under partial fine-tuning, at every
+    /// work — for a dense layer the `dY·Wᵀ` product. Parameter gradients are
+    /// the same bits either way. The caller that passes `None` is the
+    /// training step, for the first layer above the freeze boundary: nothing
+    /// below it is trained, so nobody would read that gradient. This is
+    /// where back-propagation stops under partial fine-tuning, at every
     /// [`crate::FreezeLevel`] including `Full`, where the layer's input is
     /// the data itself.
     ///
@@ -144,16 +141,13 @@ pub trait Layer: Any + Send + Sync {
     /// another kind of layer or differs in any dimension — and the caller
     /// clones instead.
     ///
-    /// "State" is more than [`Layer::params`]: running statistics, a random
-    /// stream's position. A layer kind without an implementation that
-    /// carries all of it keeps this default and is always cloned. Two things
-    /// are deliberately not carried, because every training step writes
-    /// them before it reads them: parameter gradients ([`Layer::backward`]
-    /// overwrites) and stored activations (scratch).
-    fn refresh_from(&mut self, source: &dyn Layer) -> bool {
-        let _ = source;
-        false
-    }
+    /// Required, so that a new layer kind cannot be silently cloned per
+    /// client: an implementation must carry *all* of the layer's state, which
+    /// may be more than [`Layer::params`]. Two things are deliberately not
+    /// carried, because every training step writes them before it reads
+    /// them: parameter gradients ([`Layer::backward`] overwrites) and stored
+    /// activations (scratch).
+    fn refresh_from(&mut self, source: &dyn Layer) -> bool;
 }
 
 impl Clone for Box<dyn Layer> {
@@ -167,9 +161,8 @@ impl Clone for Box<dyn Layer> {
 ///
 /// Scratch has no identity, so a clone starts empty (`T::default()`): a model
 /// snapshot costs `O(parameters)` even when the model it is taken of has just
-/// trained on a batch. Everything else a layer holds — parameters, gradients,
-/// the dropout call counter, batch-norm running statistics — is state and is
-/// cloned as usual. Dereferences to `T`.
+/// trained on a batch. Everything else a layer holds — parameters and
+/// gradients — is state and is cloned as usual. Dereferences to `T`.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch<T>(T);
 
@@ -217,18 +210,12 @@ pub(crate) mod tests {
 
     /// One of each layer kind with an input it accepts.
     pub(crate) fn one_of_each() -> Vec<(Box<dyn Layer>, Matrix)> {
-        use crate::conv::{Conv2d, MaxPool2d, VolumeShape};
-        use crate::layers::{BatchNorm1d, Dropout, Relu};
+        use crate::layers::Relu;
         let mut r = fedft_tensor::rng::rng_for(3, "layer-oracle");
         let mut x = |cols| fedft_tensor::init::normal(&mut r, 5, cols, 0.0, 1.0);
-        let volume = VolumeShape::new(2, 4, 4);
         vec![
             (Box::new(Dense::new(7, 4, 1)), x(7)),
             (Box::new(Relu::new(6)), x(6)),
-            (Box::new(Dropout::new(0.4, 9, 6)), x(6)),
-            (Box::new(BatchNorm1d::new(6)), x(6)),
-            (Box::new(Conv2d::new(volume, 3, 3, 1, 2).unwrap()), x(32)),
-            (Box::new(MaxPool2d::new(volume, 2).unwrap()), x(32)),
         ]
     }
 
@@ -260,11 +247,6 @@ pub(crate) mod tests {
     #[test]
     fn backward_before_a_training_forward_is_an_error_with_or_without_input_gradient() {
         for (mut layer, x) in one_of_each() {
-            // Dropout keeps no input: without a mask its backward is the
-            // identity, as it always was.
-            if layer.name() == "dropout" {
-                continue;
-            }
             let y = layer.forward(&x, false).unwrap();
             let grad_output = Matrix::zeros(y.rows(), y.cols());
             for wanted in [true, false] {

@@ -1,9 +1,8 @@
-//! Fully-connected, activation, dropout and normalisation layers.
+//! Fully-connected and activation layers.
 
 use crate::layer::{Layer, Scratch};
 use crate::{NnError, Result};
 use fedft_tensor::{init, rng, Matrix};
-use rand::Rng;
 use std::any::Any;
 
 /// Fully-connected (affine) layer: `Y = X·W + b`.
@@ -255,331 +254,10 @@ impl Layer for Relu {
     }
 }
 
-/// Inverted dropout: active only during training, identity at inference.
-#[derive(Debug, Clone)]
-pub struct Dropout {
-    rate: f32,
-    seed: u64,
-    calls: u64,
-    mask: Scratch<Option<Matrix>>,
-    features_hint: usize,
-}
-
-impl Dropout {
-    /// Creates a dropout layer that zeroes each activation with probability
-    /// `rate` during training.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not in `[0, 1)`.
-    pub fn new(rate: f32, seed: u64, features_hint: usize) -> Self {
-        assert!((0.0..1.0).contains(&rate), "dropout rate must be in [0, 1)");
-        Dropout {
-            rate,
-            seed,
-            calls: 0,
-            mask: Scratch::default(),
-            features_hint,
-        }
-    }
-
-    /// The configured dropout probability.
-    pub fn rate(&self) -> f32 {
-        self.rate
-    }
-}
-
-impl Layer for Dropout {
-    fn name(&self) -> &'static str {
-        "dropout"
-    }
-
-    fn forward_into(&mut self, input: &Matrix, training: bool, out: &mut Matrix) -> Result<()> {
-        if !training || self.rate == 0.0 {
-            *self.mask = None;
-            out.clone_from(input);
-            return Ok(());
-        }
-        self.calls += 1;
-        let mut r = rng::rng_for_indexed(self.seed, "dropout", self.calls);
-        let keep = 1.0 - self.rate;
-        let mask = self.mask.get_or_insert_with(Matrix::default);
-        mask.resize_zeroed(input.rows(), input.cols());
-        for m in mask.as_mut_slice() {
-            if r.gen::<f32>() < keep {
-                *m = 1.0 / keep;
-            }
-        }
-        Ok(input.zip_with_into(mask, "hadamard", out, |x, m| x * m)?)
-    }
-
-    fn forward_frozen(&self, input: &Matrix) -> Result<Matrix> {
-        // Frozen blocks always run in inference mode, where dropout is the
-        // identity.
-        Ok(input.clone())
-    }
-
-    fn backward(&mut self, grad_output: &Matrix, grad_input: Option<&mut Matrix>) -> Result<()> {
-        let Some(grad_input) = grad_input else {
-            return Ok(());
-        };
-        match &*self.mask {
-            Some(mask) => grad_output.zip_with_into(mask, "hadamard", grad_input, |g, m| g * m)?,
-            None => grad_input.clone_from(grad_output),
-        }
-        Ok(())
-    }
-
-    fn params(&self) -> Vec<&Matrix> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        Vec::new()
-    }
-
-    fn grads(&self) -> Vec<&Matrix> {
-        Vec::new()
-    }
-
-    fn visit_params(
-        &mut self,
-        _f: &mut dyn FnMut(&mut Matrix, &Matrix) -> Result<()>,
-    ) -> Result<()> {
-        Ok(())
-    }
-
-    fn zero_grads(&mut self) {}
-
-    fn forward_flops_per_sample(&self) -> u64 {
-        self.features_hint as u64
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
-/// Batch normalisation over features for 2-D activations, with running
-/// statistics for inference.
-#[derive(Debug, Clone)]
-pub struct BatchNorm1d {
-    gamma: Matrix,
-    beta: Matrix,
-    grad_gamma: Matrix,
-    grad_beta: Matrix,
-    running_mean: Matrix,
-    running_var: Matrix,
-    momentum: f32,
-    eps: f32,
-    features: usize,
-    cache: Scratch<Option<BnCache>>,
-}
-
-#[derive(Debug, Default)]
-struct BnCache {
-    normalised: Matrix,
-    std_inv: Vec<f32>,
-}
-
-impl BatchNorm1d {
-    /// Creates a batch-norm layer over `features` columns.
-    pub fn new(features: usize) -> Self {
-        BatchNorm1d {
-            gamma: Matrix::full(1, features, 1.0),
-            beta: Matrix::zeros(1, features),
-            grad_gamma: Matrix::zeros(1, features),
-            grad_beta: Matrix::zeros(1, features),
-            running_mean: Matrix::zeros(1, features),
-            running_var: Matrix::full(1, features, 1.0),
-            momentum: 0.1,
-            eps: 1e-5,
-            features,
-            cache: Scratch::default(),
-        }
-    }
-
-    /// Number of normalised features.
-    pub fn features(&self) -> usize {
-        self.features
-    }
-
-    /// The normalisation arithmetic shared by every forward path:
-    /// `out = γ · (x − mean) / √(var + ε) + β`, also writing the normalised
-    /// activations and inverse standard deviations the backward pass reads
-    /// into `cache`. One implementation keeps the training, inference and
-    /// frozen paths bit-identical by construction.
-    fn normalise(
-        &self,
-        input: &Matrix,
-        mean: &Matrix,
-        var: &Matrix,
-        out: &mut Matrix,
-        cache: &mut BnCache,
-    ) {
-        cache.std_inv.clear();
-        cache
-            .std_inv
-            .extend((0..self.features).map(|c| 1.0 / (var.get(0, c) + self.eps).sqrt()));
-        cache.normalised.resize_zeroed(input.rows(), self.features);
-        out.resize_zeroed(input.rows(), self.features);
-        for r in 0..input.rows() {
-            for (c, &si) in cache.std_inv.iter().enumerate() {
-                let x_hat = (input.get(r, c) - mean.get(0, c)) * si;
-                cache.normalised.set(r, c, x_hat);
-                out.set(r, c, self.gamma.get(0, c) * x_hat + self.beta.get(0, c));
-            }
-        }
-    }
-
-    fn check_width(&self, input: &Matrix) -> Result<()> {
-        if input.cols() != self.features {
-            return Err(NnError::Tensor(fedft_tensor::TensorError::ShapeMismatch {
-                op: "batchnorm_forward",
-                lhs: input.shape(),
-                rhs: (1, self.features),
-            }));
-        }
-        Ok(())
-    }
-}
-
-impl Layer for BatchNorm1d {
-    fn name(&self) -> &'static str {
-        "batchnorm1d"
-    }
-
-    fn forward_into(&mut self, input: &Matrix, training: bool, out: &mut Matrix) -> Result<()> {
-        self.check_width(input)?;
-        let n = input.rows().max(1) as f32;
-        let (mean, var) = if training && input.rows() > 1 {
-            let mean = input.mean_rows()?;
-            let mut var = Matrix::zeros(1, self.features);
-            for r in 0..input.rows() {
-                for c in 0..self.features {
-                    let d = input.get(r, c) - mean.get(0, c);
-                    var.set(0, c, var.get(0, c) + d * d);
-                }
-            }
-            var.scale_assign(1.0 / n);
-            // Update running statistics.
-            for c in 0..self.features {
-                let rm = self.running_mean.get(0, c);
-                let rv = self.running_var.get(0, c);
-                self.running_mean.set(
-                    0,
-                    c,
-                    (1.0 - self.momentum) * rm + self.momentum * mean.get(0, c),
-                );
-                self.running_var.set(
-                    0,
-                    c,
-                    (1.0 - self.momentum) * rv + self.momentum * var.get(0, c),
-                );
-            }
-            (mean, var)
-        } else {
-            (self.running_mean.clone(), self.running_var.clone())
-        };
-
-        // Only a training pass keeps what it normalised, in the buffers the
-        // previous step left.
-        let mut cache = self.cache.take().unwrap_or_default();
-        self.normalise(input, &mean, &var, out, &mut cache);
-        *self.cache = training.then_some(cache);
-        Ok(())
-    }
-
-    fn forward_frozen(&self, input: &Matrix) -> Result<Matrix> {
-        self.check_width(input)?;
-        // The inference path of `forward`: running statistics, no cache.
-        let mut out = Matrix::default();
-        self.normalise(
-            input,
-            &self.running_mean,
-            &self.running_var,
-            &mut out,
-            &mut BnCache::default(),
-        );
-        Ok(out)
-    }
-
-    fn backward(
-        &mut self,
-        grad_output: &Matrix,
-        mut grad_input: Option<&mut Matrix>,
-    ) -> Result<()> {
-        let cache = self.cache.as_ref().ok_or(NnError::BackwardBeforeForward {
-            layer: "batchnorm1d",
-        })?;
-        let n = grad_output.rows() as f32;
-        if let Some(grad_input) = grad_input.as_deref_mut() {
-            grad_input.resize_zeroed(grad_output.rows(), self.features);
-        }
-
-        for c in 0..self.features {
-            let mut sum_dy = 0.0_f32;
-            let mut sum_dy_xhat = 0.0_f32;
-            for r in 0..grad_output.rows() {
-                let dy = grad_output.get(r, c);
-                sum_dy += dy;
-                sum_dy_xhat += dy * cache.normalised.get(r, c);
-            }
-            self.grad_beta.set(0, c, sum_dy);
-            self.grad_gamma.set(0, c, sum_dy_xhat);
-            let Some(grad_input) = grad_input.as_deref_mut() else {
-                continue;
-            };
-            let gamma = self.gamma.get(0, c);
-            for r in 0..grad_output.rows() {
-                let dy = grad_output.get(r, c);
-                let x_hat = cache.normalised.get(r, c);
-                let dx = gamma * cache.std_inv[c] / n * (n * dy - sum_dy - x_hat * sum_dy_xhat);
-                grad_input.set(r, c, dx);
-            }
-        }
-        Ok(())
-    }
-
-    fn params(&self) -> Vec<&Matrix> {
-        vec![&self.gamma, &self.beta]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        vec![&mut self.gamma, &mut self.beta]
-    }
-
-    fn grads(&self) -> Vec<&Matrix> {
-        vec![&self.grad_gamma, &self.grad_beta]
-    }
-
-    fn visit_params(
-        &mut self,
-        f: &mut dyn FnMut(&mut Matrix, &Matrix) -> Result<()>,
-    ) -> Result<()> {
-        f(&mut self.gamma, &self.grad_gamma)?;
-        f(&mut self.beta, &self.grad_beta)
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_gamma.as_mut_slice().fill(0.0);
-        self.grad_beta.as_mut_slice().fill(0.0);
-    }
-
-    fn forward_flops_per_sample(&self) -> u64 {
-        (self.features * 4) as u64
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layer::backward_full;
-    use fedft_tensor::stats;
 
     fn finite_difference_check(
         mut forward: impl FnMut(&Matrix) -> f32,
@@ -692,41 +370,31 @@ mod tests {
     fn a_nan_gradient_does_not_survive_zero_grads() {
         let x =
             Matrix::from_rows(&[vec![0.5, -1.0, 2.0, 0.25], vec![1.5, 0.3, -0.7, 1.0]]).unwrap();
-        let shape = crate::conv::VolumeShape::new(1, 2, 2);
-        let mut layers: Vec<Box<dyn Layer>> = vec![
-            Box::new(Dense::new(4, 3, 1)),
-            Box::new(BatchNorm1d::new(4)),
-            Box::new(crate::conv::Conv2d::new(shape, 2, 2, 0, 3).unwrap()),
-        ];
-        for layer in &mut layers {
-            let y = layer.forward(&x, true).unwrap();
-            let mut poisoned = Matrix::full(y.rows(), y.cols(), 1.0);
-            poisoned.set(0, 0, f32::NAN);
-            layer.backward(&poisoned, None).unwrap();
-            assert!(
-                layer.grads().iter().any(|g| !g.is_finite()),
-                "{}: the NaN reached the gradients",
-                layer.name()
-            );
+        let mut layer = Dense::new(4, 3, 1);
+        let y = layer.forward(&x, true).unwrap();
+        let mut poisoned = Matrix::full(y.rows(), y.cols(), 1.0);
+        poisoned.set(0, 0, f32::NAN);
+        layer.backward(&poisoned, None).unwrap();
+        assert!(
+            layer.grads().iter().any(|g| !g.is_finite()),
+            "the NaN reached the gradients"
+        );
 
-            layer.zero_grads();
-            assert!(
-                layer
-                    .grads()
-                    .iter()
-                    .all(|g| g.as_slice().iter().all(|v| v.to_bits() == 0)),
-                "{}: zero_grads leaves exact zeros",
-                layer.name()
-            );
-            layer.forward(&x, true).unwrap();
-            let clean = Matrix::full(y.rows(), y.cols(), 1.0);
-            layer.backward(&clean, None).unwrap();
-            assert!(
-                layer.grads().iter().all(|g| g.is_finite()),
-                "{}: the next clean step is finite",
-                layer.name()
-            );
-        }
+        layer.zero_grads();
+        assert!(
+            layer
+                .grads()
+                .iter()
+                .all(|g| g.as_slice().iter().all(|v| v.to_bits() == 0)),
+            "zero_grads leaves exact zeros"
+        );
+        layer.forward(&x, true).unwrap();
+        let clean = Matrix::full(y.rows(), y.cols(), 1.0);
+        layer.backward(&clean, None).unwrap();
+        assert!(
+            layer.grads().iter().all(|g| g.is_finite()),
+            "the next clean step is finite"
+        );
     }
 
     #[test]
@@ -747,104 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn dropout_is_identity_at_inference() {
-        let mut d = Dropout::new(0.5, 7, 4);
-        let x = Matrix::full(2, 4, 3.0);
-        let y = d.forward(&x, false).unwrap();
-        assert!(y.approx_eq(&x, 0.0));
-    }
-
-    #[test]
-    fn dropout_preserves_expected_scale_in_training() {
-        let mut d = Dropout::new(0.5, 7, 512);
-        let x = Matrix::full(8, 512, 1.0);
-        let y = d.forward(&x, true).unwrap();
-        // Inverted dropout: mean stays near 1.
-        assert!((y.mean() - 1.0).abs() < 0.1, "mean={}", y.mean());
-    }
-
-    #[test]
-    fn dropout_backward_applies_same_mask() {
-        let mut d = Dropout::new(0.5, 9, 16);
-        let x = Matrix::full(4, 16, 1.0);
-        let y = d.forward(&x, true).unwrap();
-        let g = backward_full(&mut d, &Matrix::full(4, 16, 1.0)).unwrap();
-        assert!(g.approx_eq(&y, 1e-6));
-    }
-
-    #[test]
-    #[should_panic(expected = "dropout rate")]
-    fn dropout_rejects_invalid_rate() {
-        let _ = Dropout::new(1.0, 0, 4);
-    }
-
-    #[test]
-    fn batchnorm_normalises_training_batch() {
-        let mut bn = BatchNorm1d::new(2);
-        let x = Matrix::from_rows(&[vec![1.0, 10.0], vec![3.0, 20.0], vec![5.0, 30.0]]).unwrap();
-        let y = bn.forward(&x, true).unwrap();
-        for c in 0..2 {
-            let col = y.column(c);
-            assert!(stats::mean(&col).abs() < 1e-4);
-            assert!((stats::variance(&col) - 1.0).abs() < 0.1);
-        }
-    }
-
-    #[test]
-    fn batchnorm_rejects_wrong_width() {
-        let mut bn = BatchNorm1d::new(2);
-        assert!(bn.forward(&Matrix::zeros(3, 5), true).is_err());
-    }
-
-    #[test]
-    fn batchnorm_backward_requires_forward() {
-        let mut bn = BatchNorm1d::new(2);
-        assert!(backward_full(&mut bn, &Matrix::zeros(3, 2)).is_err());
-    }
-
-    #[test]
-    fn batchnorm_inference_uses_running_stats() {
-        let mut bn = BatchNorm1d::new(1);
-        let x = Matrix::from_rows(&[vec![2.0], vec![4.0], vec![6.0]]).unwrap();
-        for _ in 0..50 {
-            bn.forward(&x, true).unwrap();
-        }
-        let y = bn
-            .forward(&Matrix::from_rows(&[vec![4.0]]).unwrap(), false)
-            .unwrap();
-        // 4.0 is the running mean, so the normalised output is near zero.
-        assert!(y.get(0, 0).abs() < 0.2, "got {}", y.get(0, 0));
-    }
-
-    #[test]
-    fn batchnorm_input_gradient_matches_finite_difference() {
-        let mut bn = BatchNorm1d::new(2);
-        let x = Matrix::from_rows(&[vec![0.3, -1.2], vec![1.1, 0.4], vec![-0.5, 2.0]]).unwrap();
-        let y = bn.forward(&x, true).unwrap();
-        // Objective: weighted sum so gradients differ per element.
-        let weights =
-            Matrix::from_rows(&[vec![1.0, 2.0], vec![-1.0, 0.5], vec![0.25, -2.0]]).unwrap();
-        let analytic = backward_full(&mut bn, &weights).unwrap();
-        let _ = y;
-
-        let mut probe = BatchNorm1d::new(2);
-        finite_difference_check(
-            |input| {
-                probe
-                    .forward(input, true)
-                    .unwrap()
-                    .hadamard(&weights)
-                    .unwrap()
-                    .sum()
-            },
-            &x,
-            &analytic,
-            1e-3,
-            2e-2,
-        );
-    }
-
-    #[test]
     fn forward_frozen_matches_inference_forward_bit_for_bit() {
         let x = Matrix::from_rows(&[vec![0.5, -1.0, 2.0], vec![1.5, 0.3, -0.7]]).unwrap();
         let mut dense = Dense::new(3, 4, 1);
@@ -857,22 +427,6 @@ mod tests {
             relu.forward_frozen(&x).unwrap(),
             relu.forward(&x, false).unwrap()
         );
-        let mut dropout = Dropout::new(0.5, 7, 3);
-        assert_eq!(
-            dropout.forward_frozen(&x).unwrap(),
-            dropout.forward(&x, false).unwrap()
-        );
-        let mut bn = BatchNorm1d::new(3);
-        // Accumulate some running statistics first so the inference path is
-        // non-trivial.
-        for _ in 0..3 {
-            bn.forward(&x, true).unwrap();
-        }
-        assert_eq!(
-            bn.forward_frozen(&x).unwrap(),
-            bn.forward(&x, false).unwrap()
-        );
-        assert!(bn.forward_frozen(&Matrix::zeros(1, 5)).is_err());
     }
 
     #[test]
@@ -899,8 +453,6 @@ mod tests {
     fn parameter_counts() {
         let d = Dense::new(10, 5, 0);
         assert_eq!(d.parameter_count(), 55);
-        let bn = BatchNorm1d::new(8);
-        assert_eq!(bn.parameter_count(), 16);
         let r = Relu::new(4);
         assert_eq!(r.parameter_count(), 0);
     }
@@ -908,6 +460,5 @@ mod tests {
     #[test]
     fn flops_are_nonzero_for_parameterised_layers() {
         assert!(Dense::new(4, 4, 0).forward_flops_per_sample() > 0);
-        assert!(BatchNorm1d::new(4).forward_flops_per_sample() > 0);
     }
 }

@@ -8,8 +8,7 @@
 //! centralised trainer used for pretraining and the "Centralised" baseline.
 //!
 //! The paper trains a WRN-16-1 on CIFAR with PyTorch; this substrate
-//! substitutes a pure-Rust block MLP (plus a full `Conv2d` implementation for
-//! users who want convolutional models) as documented in `DESIGN.md`. The
+//! substitutes a pure-Rust block MLP, as documented in `ARCHITECTURE.md`. The
 //! federated-learning mechanics only require a model that can be split into a
 //! frozen lower part and a trainable upper part, which [`BlockNet`] provides.
 //!
@@ -37,7 +36,6 @@
 mod error;
 
 pub mod block;
-pub mod conv;
 pub mod flops;
 pub mod freeze;
 pub mod layer;
@@ -53,7 +51,7 @@ pub use block::{BlockId, BlockNet, BlockNetConfig, EvalReport};
 pub use error::NnError;
 pub use freeze::FreezeLevel;
 pub use layer::Layer;
-pub use layers::{BatchNorm1d, Dense, Dropout, Relu};
+pub use layers::{Dense, Relu};
 pub use loss::SoftmaxCrossEntropy;
 pub use optimizer::{ProximalTerm, Sgd, SgdConfig};
 pub use params::ParamVector;

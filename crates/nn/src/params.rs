@@ -211,28 +211,6 @@ impl ParamVector {
         }
         Ok(ParamVector { values: out })
     }
-
-    /// Returns `self + scale * other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ParamLengthMismatch`] when lengths differ.
-    pub fn add_scaled(&self, other: &ParamVector, scale: f32) -> Result<ParamVector> {
-        if self.len() != other.len() {
-            return Err(NnError::ParamLengthMismatch {
-                expected: self.len(),
-                found: other.len(),
-            });
-        }
-        Ok(ParamVector {
-            values: self
-                .values
-                .iter()
-                .zip(other.values.iter())
-                .map(|(a, b)| a + scale * b)
-                .collect(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -355,14 +333,6 @@ mod tests {
         assert_eq!(a.norm(), 5.0);
         assert_eq!(a.distance_sq(&b).unwrap(), 25.0);
         assert!(a.distance_sq(&ParamVector::from_values(vec![1.0])).is_err());
-    }
-
-    #[test]
-    fn add_scaled_behaviour() {
-        let a = ParamVector::from_values(vec![1.0, 1.0]);
-        let b = ParamVector::from_values(vec![2.0, -2.0]);
-        assert_eq!(a.add_scaled(&b, 0.5).unwrap().values(), &[2.0, 0.0]);
-        assert!(a.add_scaled(&ParamVector::new(), 1.0).is_err());
     }
 
     #[test]

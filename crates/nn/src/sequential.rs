@@ -223,11 +223,6 @@ impl Sequential {
             .map(|l| l.backward_flops_per_sample())
             .sum()
     }
-
-    /// Names of the contained layers, in order.
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -255,7 +250,6 @@ mod tests {
         let net = tiny_net(0);
         assert_eq!(net.parameter_count(), 4 * 8 + 8 + 8 * 3 + 3);
         assert_eq!(net.params().len(), 4);
-        assert_eq!(net.layer_names(), vec!["dense", "relu", "dense"]);
         assert!(net.forward_flops_per_sample() > 0);
         assert!(net.backward_flops_per_sample() > net.forward_flops_per_sample());
     }

@@ -132,15 +132,6 @@ impl Matrix {
         }
     }
 
-    /// Creates an `n`×1 column vector from a slice.
-    pub fn column_vector(values: &[f32]) -> Self {
-        Matrix {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -174,11 +165,6 @@ impl Matrix {
     /// Mutably borrow the underlying row-major buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns the underlying row-major buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Value at `(row, col)`.
@@ -254,27 +240,6 @@ impl Matrix {
             self.rows
         );
         &mut self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
-    /// Copies column `col` into a new `Vec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col >= self.cols()`.
-    pub fn column(&self, col: usize) -> Vec<f32> {
-        assert!(
-            col < self.cols,
-            "col {col} out of bounds ({} cols)",
-            self.cols
-        );
-        (0..self.rows)
-            .map(|r| self.data[r * self.cols + col])
-            .collect()
-    }
-
-    /// Iterator over rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
     }
 
     /// Builds a new matrix containing only the rows whose indices are listed
@@ -545,15 +510,6 @@ impl Matrix {
         self.zip_with(other, "sub", |a, b| a - b)
     }
 
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, "hadamard", |a, b| a * b)
-    }
-
     /// Writes `f(self[i], other[i])` for every element into `out`, which is
     /// reshaped to this matrix's shape and reuses its buffer. `op` names the
     /// operation in the error.
@@ -647,13 +603,6 @@ impl Matrix {
         out.data.extend(self.data.iter().map(|&v| f(v)));
         out.rows = self.rows;
         out.cols = self.cols;
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_assign<F: Fn(f32) -> f32>(&mut self, f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
     }
 
     /// Adds a 1×`cols` row vector to every row (broadcasting).
@@ -850,8 +799,6 @@ mod tests {
     fn row_and_column_vectors() {
         let r = Matrix::row_vector(&[1.0, 2.0, 3.0]);
         assert_eq!(r.shape(), (1, 3));
-        let c = Matrix::column_vector(&[1.0, 2.0, 3.0]);
-        assert_eq!(c.shape(), (3, 1));
     }
 
     #[test]
@@ -955,7 +902,6 @@ mod tests {
         let b = sample();
         assert_eq!(a.add(&b).unwrap().get(0, 0), 2.0);
         assert_eq!(a.sub(&b).unwrap().sum(), 0.0);
-        assert_eq!(a.hadamard(&b).unwrap().get(1, 2), 36.0);
     }
 
     #[test]
@@ -1058,18 +1004,6 @@ mod tests {
         let mut m2 = m.clone();
         m2.scale_assign(2.0);
         assert_eq!(m2.sum(), 42.0);
-    }
-
-    #[test]
-    fn column_extraction() {
-        let m = sample();
-        assert_eq!(m.column(1), vec![2.0, 5.0]);
-    }
-
-    #[test]
-    fn iter_rows_counts() {
-        let m = sample();
-        assert_eq!(m.iter_rows().count(), 2);
     }
 
     #[test]

@@ -238,20 +238,6 @@ pub fn mean(values: &[f32]) -> f32 {
     }
 }
 
-/// Population variance of a slice; `0.0` for slices shorter than two.
-pub fn variance(values: &[f32]) -> f32 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    values.iter().map(|&v| (v - m) * (v - m)).sum::<f32>() / values.len() as f32
-}
-
-/// Standard deviation of a slice.
-pub fn std_dev(values: &[f32]) -> f32 {
-    variance(values).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,9 +417,6 @@ mod tests {
     fn summary_statistics() {
         let v = [1.0, 2.0, 3.0, 4.0];
         assert!((mean(&v) - 2.5).abs() < 1e-6);
-        assert!((variance(&v) - 1.25).abs() < 1e-6);
-        assert!((std_dev(&v) - 1.25_f32.sqrt()).abs() < 1e-6);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[1.0]), 0.0);
     }
 }

@@ -6,13 +6,11 @@
 //! every client holding the same shard resolves to one cached copy of the
 //! boundary activations, so **peak cache bytes stay flat while the cohort
 //! grows 100×** — the sweep prints the per-run hit/miss/peak counters to
-//! show it. A per-client-scope run of the largest pool is included as the
-//! contrast: same history, bit for bit, but cache memory scales with
-//! clients instead of shards.
+//! show it.
 //!
 //! Run with: `cargo run --release --example logical_pool`
 
-use fedft::core::{CacheScope, FlConfig, Method, RunResult, Simulation};
+use fedft::core::{FlConfig, Method, RunResult, Simulation};
 use fedft::data::federated::PartitionScheme;
 use fedft::data::{domains, FederatedDataset};
 use fedft::nn::{BlockNet, BlockNetConfig};
@@ -86,25 +84,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         describe(&result.label.clone(), &result);
     }
 
-    // The contrast: the largest pool again, but with one private cache per
-    // client. The history is identical; only the memory differs.
-    let per_client_cfg = base(100 * SHARDS).with_cache_scope(CacheScope::PerClient);
-    let per_client =
-        Simulation::new(per_client_cfg)?.run_labelled("800 logical (per-client)", &fed, &model)?;
-    describe(&per_client.label.clone(), &per_client);
-
-    let shared_800 = Simulation::new(base(100 * SHARDS))?.run_labelled("x", &fed, &model)?;
-    assert_eq!(
-        shared_800.learning_history(),
-        per_client.learning_history(),
-        "shared and per-client caches must replay one history"
-    );
     println!(
         "\nShared-registry peak stays at {shared_peak} bytes (≤ one entry per\n\
-         distinct shard) while the pool grows 100×; per-client caches hold\n\
-         {} bytes for the same run — the dedup factor for this sweep is {:.1}×.",
-        per_client.peak_cache_bytes(),
-        per_client.peak_cache_bytes() as f64 / shared_800.peak_cache_bytes().max(1) as f64
+         distinct shard) while the pool grows 100×."
     );
     Ok(())
 }

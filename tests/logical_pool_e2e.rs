@@ -1,17 +1,18 @@
 //! End-to-end contract of the logical client pool and the shared,
 //! byte-budgeted cache registry: a pool of N logical clients over M ≪ N
 //! physical shards must produce a learning history **bit-identical** to the
-//! same pool with per-client caches and with the cache off entirely —
-//! whatever the byte budget — while peak cache bytes stay (a) under the
-//! budget and (b) a factor ~N/M below what per-client caching holds.
+//! same pool with the cache off entirely — whatever the byte budget — and
+//! the updates of clients that each keep a registry of their own, while peak
+//! cache bytes stay under the budget and scale with M, not N.
 
 use fedft::core::{
-    CacheScope, ExecutionBackend, FlConfig, HeterogeneityModel, Method, ParticipationModel,
-    RunResult, SelectionStrategy, Simulation, StreamingParams,
+    Client, ClientPool, ClientUpdate, ExecutionBackend, FeatureCache, FlConfig, HeterogeneityModel,
+    Method, ParticipationModel, RunResult, SelectionStrategy, Server, Simulation, StreamingParams,
 };
 use fedft::data::federated::PartitionScheme;
 use fedft::data::{domains, FederatedDataset};
 use fedft::nn::{BlockNet, BlockNetConfig, FreezeLevel};
+use std::sync::Arc;
 
 const SHARDS: usize = 6;
 const LOGICAL: usize = 120;
@@ -48,6 +49,18 @@ fn pool_config() -> FlConfig {
         .serial()
 }
 
+/// The three policies that score samples with the current model.
+fn score_policies() -> [SelectionStrategy; 3] {
+    [
+        SelectionStrategy::Entropy {
+            fraction: 0.5,
+            temperature: 0.1,
+        },
+        SelectionStrategy::LossProportional { fraction: 0.5 },
+        SelectionStrategy::GradientNorm { fraction: 0.5 },
+    ]
+}
+
 fn run(label: &str, config: FlConfig, fed: &FederatedDataset, model: &BlockNet) -> RunResult {
     Simulation::new(config)
         .unwrap()
@@ -59,33 +72,67 @@ fn run(label: &str, config: FlConfig, fed: &FederatedDataset, model: &BlockNet) 
 fn shared_registry_is_bit_identical_to_per_client_and_cache_off() {
     let (fed, model) = setup();
     let off = run("off", pool_config(), &fed, &model);
-    let per_client = run(
-        "per-client",
-        pool_config()
-            .with_feature_cache(true)
-            .with_cache_scope(CacheScope::PerClient),
-        &fed,
-        &model,
-    );
     let shared = run(
         "shared",
         pool_config().with_feature_cache(true),
         &fed,
         &model,
     );
-    assert_eq!(off.learning_history(), per_client.learning_history());
     assert_eq!(off.learning_history(), shared.learning_history());
 
     // Dedup: the shared registry builds at most one entry per distinct
-    // shard, while per-client caches build one per participating client.
+    // shard, however many logical clients hold it.
     assert!(shared.total_cache_misses() <= SHARDS);
-    assert!(per_client.total_cache_misses() > shared.total_cache_misses());
     assert!(shared.total_cache_hits() > 0);
-    // Memory scales with shards, not with logical clients.
-    assert!(shared.peak_cache_bytes() < per_client.peak_cache_bytes());
     // A cache-off run reports no cache activity at all.
     assert_eq!(off.total_cache_hits() + off.total_cache_misses(), 0);
     assert_eq!(off.peak_cache_bytes(), 0);
+
+    // The third leg — boundary cached, nothing shared: the pool's logical
+    // clients built by hand, each over a registry of its own, upload the
+    // bits the pool's shared clients upload, round after round.
+    let shards: Vec<_> = fed.clients().iter().cloned().map(Arc::new).collect();
+    let private: Vec<Client> = (0..LOGICAL)
+        .map(|id| Client::from_shard(id, Arc::clone(&shards[id % SHARDS]), FeatureCache::new()))
+        .collect();
+    let served = |client: &Client| client.feature_cache().registry().score_stats().served;
+    for selection in score_policies() {
+        let config = pool_config()
+            .with_selection(selection)
+            .with_feature_cache(true);
+        let pool = ClientPool::build(&fed, &config).unwrap();
+        assert_eq!(
+            uploads(pool.clients(), &config, &model),
+            uploads(&private, &config, &model),
+            "{}",
+            selection.short_name()
+        );
+        assert!(served(&pool.clients()[0]) > 0, "the pool shared no score");
+    }
+    // The private clients did cache their boundaries, and were served no
+    // score: nobody else writes to their registries.
+    assert!(private.iter().any(|c| !c.feature_cache().is_empty()));
+    assert_eq!(private.iter().map(served).sum::<usize>(), 0);
+}
+
+/// `config.rounds` rounds of the simulation's loop over `clients` — sample,
+/// `run_round`, aggregate — and every round's updates.
+fn uploads(clients: &[Client], config: &FlConfig, model: &BlockNet) -> Vec<Vec<ClientUpdate>> {
+    let participation = ParticipationModel::new(config.participation).unwrap();
+    let executor = config
+        .execution
+        .executor_with_workers(config.worker_threads);
+    let mut global = model.clone();
+    (0..config.rounds)
+        .map(|round| {
+            let ids = participation.sample_round(clients.len(), round, config.seed);
+            let cohort: Vec<&Client> = ids.iter().map(|&id| &clients[id]).collect();
+            let outcome = executor.run_round(&cohort, &global, config, round).unwrap();
+            let theta = Server::new().aggregate(&outcome.updates, round).unwrap();
+            global.set_trainable_vector(config.freeze, &theta).unwrap();
+            outcome.updates
+        })
+        .collect()
 }
 
 #[test]
@@ -173,12 +220,11 @@ fn logical_pool_composes_with_the_paper_method_lineup() {
 
 // --- Shared selection scores (the registry's score tier). Logical clients
 // of one shard that train on one model version take their selection scores
-// from the shared registry; a per-client registry has nobody to share with
-// and a cache-off run bypasses the tier, so `shared ≡ per-client ≡ off` is
-// also `scores shared ≡ scores recomputed`.
+// from the shared registry; a cache-off run bypasses the tier, so
+// `shared ≡ off` is also `scores shared ≡ scores recomputed`.
 
-/// `off`, per-client and shared runs of `config`, asserted equal; returns
-/// the shared one.
+/// `off` and shared runs of `config`, asserted equal; returns the shared
+/// one.
 fn assert_scopes_agree(
     what: &str,
     config: FlConfig,
@@ -186,21 +232,7 @@ fn assert_scopes_agree(
     model: &BlockNet,
 ) -> RunResult {
     let off = run("off", config.clone(), fed, model);
-    let per_client = run(
-        "per-client",
-        config
-            .clone()
-            .with_feature_cache(true)
-            .with_cache_scope(CacheScope::PerClient),
-        fed,
-        model,
-    );
     let shared = run("shared", config.with_feature_cache(true), fed, model);
-    assert_eq!(
-        off.learning_history(),
-        per_client.learning_history(),
-        "{what}: per-client"
-    );
     assert_eq!(
         off.learning_history(),
         shared.learning_history(),
@@ -220,16 +252,8 @@ fn shared_scores_change_no_history_for_any_score_policy_on_any_backend() {
         ExecutionBackend::Async { max_staleness: 1 },
         ExecutionBackend::Streaming(StreamingParams::new(5).with_max_staleness(1)),
     ];
-    let policies = [
-        SelectionStrategy::Entropy {
-            fraction: 0.5,
-            temperature: 0.1,
-        },
-        SelectionStrategy::LossProportional { fraction: 0.5 },
-        SelectionStrategy::GradientNorm { fraction: 0.5 },
-    ];
     for backend in backends {
-        for selection in policies {
+        for selection in score_policies() {
             let config = pool_config()
                 .with_heterogeneity(HeterogeneityModel::two_tier())
                 .with_selection(selection)

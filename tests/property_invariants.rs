@@ -9,9 +9,9 @@
 //! every failure is reproducible from the case index.
 
 use fedft::core::entropy::rank_by_entropy;
-use fedft::core::{Client, ClientUpdate, SelectionStrategy, Server};
+use fedft::core::{Client, ClientUpdate, SelectionContext, SelectionStrategy, Server};
 use fedft::data::{partition, Dataset};
-use fedft::nn::{BlockNet, BlockNetConfig, ParamVector};
+use fedft::nn::{BlockNet, BlockNetConfig, FreezeLevel, ParamVector};
 use fedft::tensor::{stats, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,15 +144,31 @@ fn aggregation_is_a_convex_combination() {
 
 #[test]
 fn selection_count_matches_fraction_and_indices_are_unique() {
+    // A random subset reads neither the model nor the features.
+    let model = BlockNet::new(&BlockNetConfig::new(1, 2).with_hidden(1, 1, 1), 0);
+    let freeze = FreezeLevel::Moderate;
+    let mut suffix = model.trainable_suffix(freeze);
     for_each_case(
         "selection_count_matches_fraction_and_indices_are_unique",
         |rng| {
             let samples = rng.gen_range(1usize..60);
             let fraction = f64::from(rng.gen_range(1u32..101)) / 100.0;
             let round = rng.gen_range(0usize..5);
-            let strategy = SelectionStrategy::Random { fraction };
-            let selected = strategy.select(samples, round, 0, 9).unwrap();
-            assert_eq!(selected.len(), strategy.selected_count(samples));
+            let policy = SelectionStrategy::Random { fraction }.policy();
+            let (features, labels) = (Matrix::zeros(samples, 1), vec![0; samples]);
+            let mut ctx = SelectionContext::with_lazy_boundary(
+                &mut suffix,
+                &model,
+                freeze,
+                &features,
+                &labels,
+                round,
+                0,
+                9,
+            );
+            let selected = policy.select(&mut ctx).unwrap();
+            let keep = (fraction * samples as f64).ceil() as usize;
+            assert_eq!(selected.len(), keep.clamp(1, samples));
             assert!(!selected.is_empty());
             assert!(selected.len() <= samples);
             let mut unique = selected.clone();

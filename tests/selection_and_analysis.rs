@@ -6,7 +6,7 @@ use fedft::analysis::curves::{efficiency_points, learning_curves};
 use fedft::analysis::Table;
 use fedft::core::entropy::{sample_entropies, EntropyHistogram};
 use fedft::core::pretrain::pretrain_global_model;
-use fedft::core::{Client, FlConfig, Method, SelectionStrategy, Simulation};
+use fedft::core::{Client, FlConfig, Method, SelectionContext, SelectionStrategy, Simulation};
 use fedft::data::federated::PartitionScheme;
 use fedft::data::{domains, FederatedDataset};
 use fedft::nn::{BlockId, BlockNet, BlockNetConfig};
@@ -59,10 +59,6 @@ fn entropy_selection_changes_as_the_model_evolves() {
         fraction: 0.3,
         temperature: 0.1,
     };
-    let mut before = global.clone();
-    let entropies_before = sample_entropies(&mut before, fed.client(0).features(), 0.1).unwrap();
-    let selected_before = strategy.select_from_entropies(&entropies_before).unwrap();
-
     // Train the global model federatedly for a few rounds, then reselect.
     let config = Method::FedFtEds { pds: 0.5 }.configure(
         FlConfig::default()
@@ -70,6 +66,22 @@ fn entropy_selection_changes_as_the_model_evolves() {
             .with_local_epochs(2)
             .with_seed(1),
     );
+    let select = |model: &BlockNet| {
+        let data = fed.client(0);
+        let mut suffix = model.trainable_suffix(config.freeze);
+        let mut ctx = SelectionContext::with_lazy_boundary(
+            &mut suffix,
+            model,
+            config.freeze,
+            data.features(),
+            data.labels(),
+            0,
+            0,
+            config.seed,
+        );
+        strategy.policy().select(&mut ctx).unwrap()
+    };
+    let selected_before = select(&global);
     let sim = Simulation::new(config.clone()).unwrap();
     sim.run(&fed, &global).unwrap();
     // Reproduce the trained global model by re-running one client update and
@@ -80,8 +92,7 @@ fn entropy_selection_changes_as_the_model_evolves() {
     after
         .set_trainable_vector(config.freeze, &update.theta)
         .unwrap();
-    let entropies_after = sample_entropies(&mut after, fed.client(0).features(), 0.1).unwrap();
-    let selected_after = strategy.select_from_entropies(&entropies_after).unwrap();
+    let selected_after = select(&after);
 
     assert_eq!(selected_before.len(), selected_after.len());
     assert_ne!(
