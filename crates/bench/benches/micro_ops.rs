@@ -1,13 +1,13 @@
 //! Criterion micro-benchmarks for the primitives every experiment is built
-//! on: matrix multiplication, softmax + entropy scoring, entropy-based
-//! selection, weighted aggregation, and a single client local update —
-//! uncached (paper-faithful workload) and with the frozen-feature cache.
+//! on: matrix multiplication, entropy-based selection, weighted
+//! aggregation, and a single client local update — uncached (paper-faithful
+//! workload) and with the frozen-feature cache.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fedft_core::{Client, ClientUpdate, FlConfig, SelectionContext, SelectionStrategy, Server};
 use fedft_data::Dataset;
 use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel, ParamVector};
-use fedft_tensor::{init, rng, stats, Matrix};
+use fedft_tensor::{init, rng, Matrix};
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut r = rng::rng_for(seed, "bench");
@@ -34,15 +34,6 @@ fn bench_matmul(c: &mut Criterion) {
     });
     c.bench_function("matmul_nt_512x512x512", |bencher| {
         bencher.iter(|| big_a.matmul_nt(&big_b).unwrap())
-    });
-}
-
-fn bench_softmax_entropy(c: &mut Criterion) {
-    let logits = random_matrix(256, 100, 3);
-    // The selector's scoring pass: fused softmax+entropy, bit-identical to
-    // the two-pass softmax-then-row_entropies form it replaced.
-    c.bench_function("hardened_softmax_entropy_256x100", |bencher| {
-        bencher.iter(|| stats::softmax_entropy_rows(&logits, 0.1).unwrap())
     });
 }
 
@@ -115,39 +106,6 @@ fn bench_aggregation(c: &mut Criterion) {
     });
 }
 
-/// Dispatch-overhead pair for the persistent worker pool: waking parked
-/// workers for an (almost) empty fan-out versus paying a fresh
-/// `thread::scope` spawn for the same shape. On a single-core host the pool
-/// runs the chunks inline — exactly what the executor does there — while
-/// the scoped variant still pays real spawns, so the pair quantifies what
-/// the pool saves per dispatch on any host.
-fn bench_pool_dispatch(c: &mut Criterion) {
-    for workers in [2_usize, 4, 8] {
-        c.bench_function(
-            &format!("pool_dispatch_noop_{workers}_workers"),
-            |bencher| {
-                bencher.iter(|| {
-                    fedft_tensor::pool::run_chunks(workers, workers, |range| range.start)
-                        .into_iter()
-                        .sum::<usize>()
-                })
-            },
-        );
-        c.bench_function(&format!("scoped_spawn_noop_{workers}_workers"), |bencher| {
-            bencher.iter(|| {
-                let mut total = 0_usize;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers).map(|i| scope.spawn(move || i)).collect();
-                    for handle in handles {
-                        total += handle.join().unwrap();
-                    }
-                });
-                total
-            })
-        });
-    }
-}
-
 fn bench_client_local_update(c: &mut Criterion) {
     let model = BlockNet::new(&BlockNetConfig::new(48, 10).with_hidden(64, 64, 64), 1);
     let features = random_matrix(100, 48, 5);
@@ -202,10 +160,8 @@ criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20);
     targets = bench_matmul,
-        bench_softmax_entropy,
         bench_entropy_selection,
         bench_aggregation,
-        bench_pool_dispatch,
         bench_client_local_update,
         bench_client_local_update_cached
 );

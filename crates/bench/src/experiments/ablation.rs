@@ -58,14 +58,6 @@ impl AblationSweep {
         }
         table
     }
-
-    /// Number of points at which EDS is at least as good as RDS.
-    pub fn eds_wins(&self) -> usize {
-        self.points
-            .iter()
-            .filter(|p| p.eds_accuracy >= p.rds_accuracy)
-            .count()
-    }
 }
 
 struct AblationContext {
@@ -219,7 +211,6 @@ mod tests {
                 .unwrap();
         assert_eq!(sweep.points.len(), 2);
         assert_eq!(sweep.to_table().len(), 2);
-        assert!(sweep.eds_wins() <= 2);
         for p in &sweep.points {
             assert!(p.eds_accuracy > 0.0);
             assert!(p.rds_accuracy > 0.0);

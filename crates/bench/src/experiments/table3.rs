@@ -538,7 +538,7 @@ mod tests {
         let methods = emergent_methods();
         assert_eq!(methods.len(), 5);
         assert!(methods.contains(&Method::FedAvg));
-        assert!(methods.iter().any(|m| m.uses_partial_finetuning()));
+        assert!(methods.contains(&Method::FedFtAll));
     }
 
     #[test]

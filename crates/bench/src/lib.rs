@@ -12,9 +12,9 @@
 //!   returns the rows/series the paper reports.
 //!
 //! The `src/bin/*` binaries are thin wrappers that run an experiment, print
-//! its tables and write CSV files under `results/`. The Criterion benches in
-//! `benches/` time scaled-down versions of the same experiments plus the
-//! core primitives.
+//! its tables and write CSV files under `results/`. The one Criterion bench,
+//! `benches/micro_ops.rs`, times the core primitives; whole-run wall clocks
+//! belong to `benchmarks/e2e`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,9 +6,8 @@ use serde::{Deserialize, Serialize};
 /// model width and number of rounds.
 ///
 /// * [`ExperimentProfile::fast`] — runs the complete suite in minutes on a
-///   laptop CPU; used by default, by the integration tests and by the
-///   Criterion benches. Orderings between methods are already stable at this
-///   scale.
+///   laptop CPU; used by default. Orderings between methods are already
+///   stable at this scale.
 /// * [`ExperimentProfile::paper`] — paper-scale parameters (50 rounds, larger
 ///   datasets and models); use `--profile paper` on the experiment binaries
 ///   when time allows.
@@ -93,7 +92,7 @@ impl ExperimentProfile {
         }
     }
 
-    /// Tiny profile used by unit/integration tests and Criterion benches.
+    /// Tiny profile used by the experiments' unit tests and the CI smoke.
     pub fn tiny() -> Self {
         ExperimentProfile {
             name: "tiny".to_string(),
@@ -128,22 +127,53 @@ impl ExperimentProfile {
     /// Resolves the profile from command-line arguments (`--profile NAME`)
     /// falling back to the `FEDFT_PROFILE` environment variable and then to
     /// [`ExperimentProfile::fast`].
+    ///
+    /// This is the experiment binaries' entry point: a name that is not a
+    /// profile, or `--profile` without a value, prints the accepted names
+    /// and exits with status 2 instead of running another experiment.
     pub fn from_env_and_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        if let Some(pos) = args.iter().position(|a| a == "--profile") {
-            if let Some(name) = args.get(pos + 1) {
-                if let Some(profile) = Self::by_name(name) {
-                    return profile;
-                }
-                eprintln!("unknown profile `{name}`, falling back to `fast`");
-            }
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let env = std::env::var("FEDFT_PROFILE").ok();
+        Self::resolve(&args, env.as_deref()).unwrap_or_else(|err| {
+            eprintln!("{err}");
+            std::process::exit(2);
+        })
+    }
+
+    /// The parsing behind [`ExperimentProfile::from_env_and_args`]: an
+    /// explicit `--profile` wins over the environment, and neither may name
+    /// a profile that does not exist.
+    fn resolve(args: &[String], env: Option<&str>) -> Result<Self, ProfileError> {
+        let name = match args.iter().position(|a| a == "--profile") {
+            Some(pos) => match args.get(pos + 1) {
+                Some(name) => name.as_str(),
+                None => return Err(ProfileError::MissingValue),
+            },
+            None => match env {
+                Some(name) => name,
+                None => return Ok(Self::fast()),
+            },
+        };
+        Self::by_name(name).ok_or_else(|| ProfileError::Unknown(name.to_string()))
+    }
+}
+
+/// Why no profile could be resolved from the command line or environment.
+#[derive(Debug, PartialEq)]
+enum ProfileError {
+    /// `--profile` was the last argument.
+    MissingValue,
+    /// `--profile` or `FEDFT_PROFILE` named no profile.
+    Unknown(String),
+}
+
+impl std::fmt::Display for ProfileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ProfileError::MissingValue => write!(f, "--profile requires a value")?,
+            ProfileError::Unknown(name) => write!(f, "unknown profile `{name}`")?,
         }
-        if let Ok(name) = std::env::var("FEDFT_PROFILE") {
-            if let Some(profile) = Self::by_name(&name) {
-                return profile;
-            }
-        }
-        Self::fast()
+        write!(f, " (accepted: fast, paper, tiny)")
     }
 }
 
@@ -173,10 +203,42 @@ mod tests {
         assert!(ExperimentProfile::by_name("nope").is_none());
     }
 
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
     #[test]
-    fn from_env_and_args_defaults_to_fast() {
-        // The test binary's arguments contain no --profile flag.
-        let profile = ExperimentProfile::from_env_and_args();
-        assert!(["fast", "paper", "tiny"].contains(&profile.name.as_str()));
+    fn resolve_takes_a_known_profile_from_the_arguments() {
+        let profile = ExperimentProfile::resolve(&args(&["--profile", "paper"]), None);
+        assert_eq!(profile, Ok(ExperimentProfile::paper()));
+        // An explicit flag wins over the environment.
+        let profile = ExperimentProfile::resolve(&args(&["--profile", "tiny"]), Some("paper"));
+        assert_eq!(profile, Ok(ExperimentProfile::tiny()));
+    }
+
+    #[test]
+    fn resolve_rejects_an_unknown_profile_name() {
+        let err = ExperimentProfile::resolve(&args(&["--profile", "papr"]), None).unwrap_err();
+        assert_eq!(err, ProfileError::Unknown("papr".to_string()));
+        assert!(err.to_string().contains("fast, paper, tiny"));
+        // A mistyped environment value is an error too, not a silent `fast`.
+        let err = ExperimentProfile::resolve(&[], Some("Paper")).unwrap_err();
+        assert_eq!(err, ProfileError::Unknown("Paper".to_string()));
+    }
+
+    #[test]
+    fn resolve_rejects_a_profile_flag_without_a_value() {
+        let err = ExperimentProfile::resolve(&args(&["--profile"]), Some("paper")).unwrap_err();
+        assert_eq!(err, ProfileError::MissingValue);
+    }
+
+    #[test]
+    fn resolve_falls_back_to_the_environment_and_then_to_fast() {
+        let profile = ExperimentProfile::resolve(&args(&["--verbose"]), Some("tiny"));
+        assert_eq!(profile, Ok(ExperimentProfile::tiny()));
+        assert_eq!(
+            ExperimentProfile::resolve(&[], None),
+            Ok(ExperimentProfile::fast())
+        );
     }
 }

@@ -474,34 +474,19 @@ mod tests {
     }
 
     /// Every name `benches/micro_ops.rs` passes to `bench_function`, read
-    /// from its source: a string literal, or a `&format!("…{workers}…")`
-    /// template expanded over that file's `for workers in [...]` list.
+    /// from its source; each is a plain string literal.
     fn micro_ops_bench_names() -> BTreeSet<String> {
         let src = include_str!("../benches/micro_ops.rs");
-        let list = src
-            .split_once("for workers in [")
-            .and_then(|(_, rest)| rest.split_once(']'))
-            .expect("worker-count list present")
-            .0;
-        let workers: Vec<&str> = list
-            .split(',')
-            .map(|w| w.trim().trim_end_matches("_usize"))
-            .collect();
         let mut names = BTreeSet::new();
         for call in src.split("bench_function(").skip(1) {
-            let arg = call.trim_start();
-            let arg = arg.strip_prefix("&format!(").unwrap_or(arg);
-            let name = arg
+            let name = call
+                .trim_start()
                 .strip_prefix('"')
                 .and_then(|lit| lit.split_once('"'))
-                .expect("bench name is a string literal or a format! of one")
+                .expect("bench name is a string literal")
                 .0;
-            if name.contains("{workers}") {
-                names.extend(workers.iter().map(|w| name.replace("{workers}", w)));
-            } else {
-                assert!(!name.contains('{'), "unknown placeholder in {name}");
-                names.insert(name.to_string());
-            }
+            assert!(!name.contains('{'), "templated bench name {name}");
+            names.insert(name.to_string());
         }
         names
     }

@@ -21,9 +21,6 @@
 //! (100k logical clients, burst arrivals) and the parallel executors, N
 //! worker threads hammering N distinct data shards contend on nothing at
 //! all, and even same-shard traffic only serializes a two-word table scan.
-//! The `scaling_smoke` bench's `cache_contention` phase gates this: on
-//! multi-core hosts, sharded hit throughput must be at least the
-//! single-lock configuration's.
 //!
 //! # Invariants
 //!
@@ -99,7 +96,7 @@
 //!   exact up to 16 rows, strided beyond. The kind carries the entropy
 //!   temperature's bits.
 //! * **Memory.** One slot per `(shard, freeze level)` ever scored, 4 bytes
-//!   per training row, **outside** [`CacheRegistry::budget_bytes`], every
+//!   per training row, **outside** the registry's byte budget, every
 //!   [`CacheStats`] ledger and the LRU clock: it is never evicted, only
 //!   overwritten or [`CacheRegistry::clear`]ed (9.6 KB beside a 460,800-byte
 //!   budget on the `logical_pool` benchmark workload). A slot outlives the
@@ -348,8 +345,7 @@ fn matrix_bytes(m: &Matrix) -> usize {
     m.rows() * m.cols() * std::mem::size_of::<f32>()
 }
 
-/// Counters of a [`CacheRegistry`] (or a sum over several registries, or —
-/// via [`CacheRegistry::shard_stats`] — of a single lock shard).
+/// Counters of a [`CacheRegistry`] (or a sum over several registries).
 ///
 /// `hits`, `misses` and `evictions` are monotone over a registry's lifetime;
 /// `entries`/`current_bytes` describe the present content and `peak_bytes`
@@ -457,8 +453,6 @@ struct RegistryState {
     /// `shards.len() - 1`; the shard count is a power of two so shard
     /// selection is a mask, not a modulo.
     mask: usize,
-    /// The global budget (the per-shard slices live in each shard).
-    budget_bytes: Option<usize>,
 }
 
 /// A process-wide, thread-safe registry of frozen-prefix boundary
@@ -563,7 +557,6 @@ impl CacheRegistry {
             state: Arc::new(RegistryState {
                 shards: shard_vec.into_boxed_slice(),
                 mask: shards - 1,
-                budget_bytes,
             }),
         }
     }
@@ -598,11 +591,6 @@ impl CacheRegistry {
     /// Number of lock shards.
     pub fn shard_count(&self) -> usize {
         self.state.shards.len()
-    }
-
-    /// The global byte budget, or `None` for an unbounded registry.
-    pub fn budget_bytes(&self) -> Option<usize> {
-        self.state.budget_bytes
     }
 
     /// Returns the cached boundary activations of `features` under
@@ -780,27 +768,6 @@ impl CacheRegistry {
             total.peak_bytes += inner.peak_bytes;
         }
         total
-    }
-
-    /// Per-shard snapshots, in shard-index order — one [`CacheStats`] per
-    /// lock shard, taken under the same all-locks consistent cut as
-    /// [`CacheRegistry::stats`]. Summing them reproduces `stats()`; the
-    /// per-shard `peak_bytes` are what the split budget bounds individually.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        let guards = self.lock_all();
-        self.state
-            .shards
-            .iter()
-            .zip(&guards)
-            .map(|(shard, inner)| CacheStats {
-                hits: shard.hits.load(Ordering::Relaxed),
-                misses: shard.misses.load(Ordering::Relaxed),
-                evictions: inner.evictions,
-                entries: inner.entries.len(),
-                current_bytes: inner.current_bytes,
-                peak_bytes: inner.peak_bytes,
-            })
-            .collect()
     }
 
     /// The score tier's counters, summed over the lock shards under the same
@@ -1157,7 +1124,6 @@ mod tests {
     fn sharded_constructor_validates_and_reports_shape() {
         let registry = CacheRegistry::sharded(8, None);
         assert_eq!(registry.shard_count(), 8);
-        assert_eq!(registry.budget_bytes(), None);
         assert_eq!(shard_budgets(&registry), vec![None; 8]);
         assert!(CacheRegistry::auto_shard_count().is_power_of_two());
         assert!(CacheRegistry::auto_shard_count() >= 1);
@@ -1177,7 +1143,6 @@ mod tests {
         // 1003 bytes over 4 shards: 250 each plus one extra byte to the
         // first three — the slices must sum exactly to the global budget.
         let registry = CacheRegistry::sharded(4, Some(1003));
-        assert_eq!(registry.budget_bytes(), Some(1003));
         let slices = shard_budgets(&registry);
         assert_eq!(
             slices,
@@ -1221,31 +1186,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_sum_to_the_global_snapshot() {
-        let m = model(1);
-        let registry = CacheRegistry::sharded(4, None);
-        let x = features();
-        registry
-            .get_or_build(&m, FreezeLevel::Moderate, &x)
-            .unwrap();
-        registry
-            .get_or_build(&m, FreezeLevel::Classifier, &x)
-            .unwrap();
-        registry
-            .get_or_build(&m, FreezeLevel::Moderate, &x)
-            .unwrap();
-        let (shards, total) = (registry.shard_stats(), registry.stats());
-        assert_eq!(shards.len(), 4);
-        let sum = |field: fn(&CacheStats) -> usize| shards.iter().map(field).sum::<usize>();
-        assert_eq!(sum(|s| s.hits), total.hits);
-        assert_eq!(sum(|s| s.misses), total.misses);
-        assert_eq!(sum(|s| s.evictions), total.evictions);
-        assert_eq!(sum(|s| s.entries), total.entries);
-        assert_eq!(sum(|s| s.current_bytes), total.current_bytes);
-        assert_eq!(sum(|s| s.peak_bytes), total.peak_bytes);
-    }
-
-    #[test]
     fn budget_evicts_lru_and_rebuilds_bit_identically() {
         let m = model(1);
         let freeze = FreezeLevel::Moderate;
@@ -1261,7 +1201,6 @@ mod tests {
         let entry_bytes = matrix_bytes(&m.forward_frozen(freeze, &a).unwrap());
         // Single shard: the LRU order below is global, as pre-sharding.
         let registry = CacheRegistry::sharded(1, Some(2 * entry_bytes));
-        assert_eq!(registry.budget_bytes(), Some(2 * entry_bytes));
 
         let built_a = registry.get_or_build(&m, freeze, &a).unwrap();
         registry.get_or_build(&m, freeze, &b).unwrap();
@@ -1399,14 +1338,15 @@ mod tests {
             "global peak under budget"
         );
         assert_eq!(stats.current_bytes, stats.entries * entry_bytes);
-        for (shard_stats, slice) in registry.shard_stats().iter().zip(shard_budgets(&registry)) {
-            let slice = slice.unwrap();
+        for shard in registry.state.shards.iter() {
+            let inner = lock_shard(shard);
+            let slice = inner.budget_bytes.expect("a budgeted registry");
             assert!(
-                shard_stats.peak_bytes <= slice,
+                inner.peak_bytes <= slice,
                 "shard peak {} exceeds its budget slice {slice}",
-                shard_stats.peak_bytes
+                inner.peak_bytes
             );
-            assert_eq!(shard_stats.current_bytes, shard_stats.entries * entry_bytes);
+            assert_eq!(inner.current_bytes, inner.entries.len() * entry_bytes);
         }
         // Every cached value is still the right one after the churn.
         for x in &inputs {

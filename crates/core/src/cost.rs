@@ -107,8 +107,7 @@ impl CostModel {
     /// forward pass over the local dataset,
     /// [`FlopsBreakdown::cache_build_flops`] per sample) amortises towards
     /// zero across rounds and is deliberately excluded so the accounting is
-    /// round-invariant and independent of participation history. Use
-    /// [`CostModel::cache_build_seconds`] to price the build itself.
+    /// round-invariant and independent of participation history.
     ///
     /// Parameters mirror [`CostModel::client_round_seconds`], which prices
     /// the paper-faithful workload; at `FreezeLevel::Full` (no frozen
@@ -130,14 +129,6 @@ impl CostModel {
         };
         (training_flops + selection_flops) / self.device_flops_per_second
             + self.per_round_overhead_seconds
-    }
-
-    /// Simulated seconds of the one-time feature-cache build for a client
-    /// with `local_samples` samples: one forward pass through the frozen
-    /// prefix over the full local dataset. Equal to the marginal cost of a
-    /// single uncached entropy-selection pass through the frozen part.
-    pub fn cache_build_seconds(&self, flops: &FlopsBreakdown, local_samples: usize) -> f64 {
-        flops.cache_build_flops() as f64 * local_samples as f64 / self.device_flops_per_second
     }
 }
 
@@ -288,15 +279,6 @@ mod tests {
         let a = cost.client_round_seconds(&full, 100, 50, 5, true);
         let b = cost.cached_client_round_seconds(&full, 100, 50, 5, true);
         assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
-    fn cache_build_prices_one_frozen_pass_over_the_local_data() {
-        let cost = CostModel::default();
-        let t = cost.cache_build_seconds(&flops(), 200);
-        let expected = 1_000.0 * 200.0 / cost.device_flops_per_second;
-        assert!((t - expected).abs() < 1e-12);
-        assert_eq!(cost.cache_build_seconds(&flops(), 0), 0.0);
     }
 
     #[test]

@@ -200,14 +200,6 @@ impl HeterogeneityModel {
         ])
     }
 
-    /// Overrides the nominal link rates (bytes per second).
-    #[must_use]
-    pub fn with_link_rates(mut self, uplink: f64, downlink: f64) -> Self {
-        self.uplink_bytes_per_second = uplink;
-        self.downlink_bytes_per_second = downlink;
-        self
-    }
-
     /// Number of tiers in the model.
     pub fn num_tiers(&self) -> usize {
         self.tiers.len()
@@ -543,7 +535,8 @@ mod tests {
             DeviceTier::new("t", 1.0, 1.0).with_network(0.0, 1.0)
         ]);
         assert!(bad_net.validate().is_err());
-        let bad_link = HeterogeneityModel::uniform().with_link_rates(0.0, 1.0);
+        let mut bad_link = HeterogeneityModel::uniform();
+        bad_link.uplink_bytes_per_second = 0.0;
         assert!(bad_link.validate().is_err());
     }
 

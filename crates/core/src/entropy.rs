@@ -28,7 +28,7 @@ pub fn sample_entropies(
 ) -> Result<Vec<f32>> {
     validate_entropy_inputs(features, temperature)?;
     // Fused softmax+entropy on the logits: bit-identical to
-    // `predict_proba` + `row_entropies`, without materialising the
+    // `predict_proba` + a per-row `shannon_entropy`, without materialising the
     // probability matrix (see `stats::softmax_entropy_rows`).
     let logits = model.forward(features)?;
     Ok(stats::softmax_entropy_rows(&logits, temperature)?)

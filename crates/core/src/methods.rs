@@ -121,18 +121,6 @@ impl Method {
         !matches!(self, Method::FedAvgScratch)
     }
 
-    /// Whether the method fine-tunes only the upper part of the model.
-    pub fn uses_partial_finetuning(&self) -> bool {
-        matches!(
-            self,
-            Method::FedFtRds { .. }
-                | Method::FedFtEds { .. }
-                | Method::FedFtAll
-                | Method::FedFtLds { .. }
-                | Method::FedFtGns { .. }
-        )
-    }
-
     /// Applies the method's settings on top of a base configuration.
     pub fn configure(&self, base: FlConfig) -> FlConfig {
         let mut config = base;
@@ -215,8 +203,10 @@ mod tests {
     fn pretraining_and_partial_finetuning_flags() {
         assert!(!Method::FedAvgScratch.uses_pretraining());
         assert!(Method::FedAvg.uses_pretraining());
-        assert!(Method::FedFtEds { pds: 0.1 }.uses_partial_finetuning());
-        assert!(!Method::FedProx { mu: 0.01 }.uses_partial_finetuning());
+        // Partial fine-tuning is the freeze level `configure` sets.
+        let freeze = |method: Method| method.configure(FlConfig::default()).freeze;
+        assert_ne!(freeze(Method::FedFtEds { pds: 0.1 }), FreezeLevel::Full);
+        assert_eq!(freeze(Method::FedProx { mu: 0.01 }), FreezeLevel::Full);
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! In-memory labelled dataset.
 
 use crate::{DataError, Result};
-use fedft_tensor::{rng, Matrix};
-use rand::seq::SliceRandom;
+use fedft_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// A labelled classification dataset held in memory.
 ///
 /// Features are stored as one sample per row; labels are integers in
-/// `0..num_classes`. The type is intentionally immutable-ish: transformations
-/// (`subset`, `split`, `merge`) return new datasets rather than mutating in
-/// place, which keeps federated shards independent.
+/// `0..num_classes`. The type is intentionally immutable-ish: `subset`
+/// returns a new dataset rather than mutating in place, which keeps
+/// federated shards independent.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dataset {
     features: Matrix,
@@ -94,11 +93,6 @@ impl Dataset {
         counts
     }
 
-    /// Number of classes that actually appear in the dataset.
-    pub fn distinct_classes(&self) -> usize {
-        self.class_counts().iter().filter(|&&c| c > 0).count()
-    }
-
     /// Builds a new dataset from the samples at `indices` (in order, indices
     /// may repeat).
     ///
@@ -117,70 +111,6 @@ impl Dataset {
         Ok(Dataset {
             features: self.features.select_rows(indices),
             labels: indices.iter().map(|&i| self.labels[i]).collect(),
-            num_classes: self.num_classes,
-        })
-    }
-
-    /// Splits the dataset into `(train, test)` with `train_fraction` of the
-    /// samples (after a seeded shuffle) going to the training split.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::EmptyDataset`] for an empty dataset and
-    /// [`DataError::InvalidConfig`] for a fraction outside `(0, 1)`.
-    pub fn split(&self, train_fraction: f64, seed: u64) -> Result<(Dataset, Dataset)> {
-        if self.is_empty() {
-            return Err(DataError::EmptyDataset { op: "split" });
-        }
-        if !(0.0..=1.0).contains(&train_fraction) || train_fraction == 0.0 {
-            return Err(DataError::InvalidConfig {
-                what: format!("train_fraction must be in (0, 1], got {train_fraction}"),
-            });
-        }
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        let mut r = rng::rng_for(seed, "dataset-split");
-        order.shuffle(&mut r);
-        let cut = ((self.len() as f64) * train_fraction).round() as usize;
-        let cut = cut.clamp(1, self.len());
-        let train = self.subset(&order[..cut])?;
-        let test = self.subset(&order[cut..])?;
-        Ok((train, test))
-    }
-
-    /// Returns a new dataset with rows shuffled deterministically.
-    pub fn shuffled(&self, seed: u64) -> Dataset {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        let mut r = rng::rng_for(seed, "dataset-shuffle");
-        order.shuffle(&mut r);
-        self.subset(&order)
-            .expect("indices are in bounds by construction")
-    }
-
-    /// Concatenates two datasets with identical feature width and class
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::InvalidConfig`] when widths or class counts
-    /// differ.
-    pub fn merge(&self, other: &Dataset) -> Result<Dataset> {
-        if self.feature_dim() != other.feature_dim() || self.num_classes != other.num_classes {
-            return Err(DataError::InvalidConfig {
-                what: format!(
-                    "cannot merge datasets with shapes {}x{} classes and {}x{} classes",
-                    self.feature_dim(),
-                    self.num_classes,
-                    other.feature_dim(),
-                    other.num_classes
-                ),
-            });
-        }
-        let features = self.features.vstack(&other.features)?;
-        let mut labels = self.labels.clone();
-        labels.extend_from_slice(&other.labels);
-        Ok(Dataset {
-            features,
-            labels,
             num_classes: self.num_classes,
         })
     }
@@ -230,7 +160,6 @@ mod tests {
         assert_eq!(d.feature_dim(), 2);
         assert_eq!(d.num_classes(), 3);
         assert_eq!(d.class_counts(), vec![2, 2, 2]);
-        assert_eq!(d.distinct_classes(), 3);
         assert_eq!(d.indices_of_class(1), vec![1, 3]);
     }
 
@@ -249,52 +178,6 @@ mod tests {
         assert_eq!(s.labels(), &[2, 0]);
         assert_eq!(s.features().row(0), &[4.0, 4.0]);
         assert!(d.subset(&[99]).is_err());
-    }
-
-    #[test]
-    fn split_conserves_samples() {
-        let d = toy();
-        let (train, test) = d.split(0.5, 3).unwrap();
-        assert_eq!(train.len() + test.len(), d.len());
-        assert_eq!(train.len(), 3);
-        // Splits are deterministic for a given seed.
-        let (train2, _) = d.split(0.5, 3).unwrap();
-        assert_eq!(train.labels(), train2.labels());
-    }
-
-    #[test]
-    fn split_validates_arguments() {
-        let d = toy();
-        assert!(d.split(0.0, 1).is_err());
-        assert!(d.split(1.5, 1).is_err());
-        assert!(Dataset::empty(2, 2).split(0.5, 1).is_err());
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let d = toy();
-        let s = d.shuffled(9);
-        assert_eq!(s.len(), d.len());
-        let mut counts = s.class_counts();
-        counts.sort_unstable();
-        let mut orig = d.class_counts();
-        orig.sort_unstable();
-        assert_eq!(counts, orig);
-        assert_ne!(
-            s.labels(),
-            d.labels(),
-            "seeded shuffle should move something"
-        );
-    }
-
-    #[test]
-    fn merge_concatenates_and_validates() {
-        let d = toy();
-        let m = d.merge(&d).unwrap();
-        assert_eq!(m.len(), 12);
-        assert_eq!(m.class_counts(), vec![4, 4, 4]);
-        let other = Dataset::empty(3, 3);
-        assert!(d.merge(&other).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Convenience type bundling client shards and the global test set.
 
 use crate::dataset::Dataset;
-use crate::partition::{self, PartitionStats};
+use crate::partition;
 use crate::{DataError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -123,47 +123,6 @@ impl FederatedDataset {
     pub fn total_train_samples(&self) -> usize {
         self.client_shards.iter().map(Dataset::len).sum()
     }
-
-    /// Partition statistics across the client shards.
-    pub fn stats(&self) -> PartitionStats {
-        // Rebuild the index view for the stats helper: each shard's labels are
-        // already materialised, so compute directly.
-        let shard_sizes: Vec<usize> = self.client_shards.iter().map(Dataset::len).collect();
-        let classes_per_client: Vec<usize> = self
-            .client_shards
-            .iter()
-            .map(Dataset::distinct_classes)
-            .collect();
-        let mut entropies = Vec::with_capacity(self.client_shards.len());
-        for shard in &self.client_shards {
-            let counts = shard.class_counts();
-            let total: usize = counts.iter().sum();
-            let num_classes = shard.num_classes();
-            let entropy = if total == 0 || num_classes < 2 {
-                0.0
-            } else {
-                counts
-                    .iter()
-                    .filter(|&&c| c > 0)
-                    .map(|&c| {
-                        let p = c as f64 / total as f64;
-                        -p * p.ln()
-                    })
-                    .sum::<f64>()
-                    / (num_classes as f64).ln()
-            };
-            entropies.push(entropy);
-        }
-        PartitionStats {
-            shard_sizes,
-            classes_per_client,
-            mean_label_entropy: if entropies.is_empty() {
-                0.0
-            } else {
-                entropies.iter().sum::<f64>() / entropies.len() as f64
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -197,8 +156,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(noniid.total_train_samples(), 60);
-        let stats = noniid.stats();
-        assert!(stats.mean_label_entropy <= iid.stats().mean_label_entropy + 1e-9);
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod dataset;
 pub mod domains;
 pub mod federated;
 pub mod partition;
-pub mod sampler;
 
 pub use dataset::Dataset;
 pub use domains::{DomainBundle, DomainSpec};

@@ -347,27 +347,6 @@ impl BlockNet {
         })
     }
 
-    /// Forward pass through the **trainable suffix**, starting from boundary
-    /// activations produced by [`BlockNet::forward_frozen`] (or a cached
-    /// copy of them).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the boundary width does not match the first
-    /// trainable block.
-    pub fn forward_trainable(
-        &mut self,
-        freeze: FreezeLevel,
-        boundary: &Matrix,
-        training: bool,
-    ) -> Result<Matrix> {
-        suffix::forward_blocks(
-            &mut self.blocks[freeze.frozen_blocks()..],
-            boundary,
-            training,
-        )
-    }
-
     /// Performs one training step on a batch and returns the batch loss.
     ///
     /// The backward pass stops at the freeze boundary: gradients never flow
@@ -790,7 +769,7 @@ mod tests {
         let full = net.forward(&x).unwrap();
         for freeze in FreezeLevel::all() {
             let boundary = net.forward_frozen(freeze, &x).unwrap();
-            let split = net.forward_trainable(freeze, &boundary, false).unwrap();
+            let split = net.forward_from(freeze, &boundary).unwrap();
             assert_eq!(full, split, "freeze {freeze}");
         }
     }

@@ -139,11 +139,6 @@ impl Sgd {
         self.proximal = proximal;
     }
 
-    /// Returns the currently installed proximal term, if any.
-    pub fn proximal(&self) -> Option<&ProximalTerm> {
-        self.proximal.as_ref()
-    }
-
     /// Removes and returns the proximal term, so that its reference buffer
     /// can carry the next round's reference.
     pub fn take_proximal(&mut self) -> Option<ProximalTerm> {

@@ -23,7 +23,7 @@ use std::sync::Mutex;
 ///
 /// let v = ParamVector::from_values(vec![1.0, 2.0, 3.0]);
 /// let w = ParamVector::from_values(vec![3.0, 2.0, 1.0]);
-/// let avg = ParamVector::weighted_average(&[(v, 0.5), (w, 0.5)]).unwrap();
+/// let avg = ParamVector::weighted_average_refs(&[(&v, 0.5), (&w, 0.5)]).unwrap();
 /// assert_eq!(avg.values(), &[2.0, 2.0, 2.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -130,27 +130,12 @@ impl ParamVector {
             .sum())
     }
 
-    /// Computes `Σ wᵢ · vᵢ` over `(vector, weight)` pairs.
+    /// Computes `Σ wᵢ · vᵢ` over borrowed `(vector, weight)` pairs.
     ///
-    /// This is the FedAvg aggregation primitive; weights are used as given
-    /// and are *not* re-normalised here (the caller decides the convention).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] for an empty input and
-    /// [`NnError::ParamLengthMismatch`] when the vectors disagree in length.
-    pub fn weighted_average(entries: &[(ParamVector, f32)]) -> Result<ParamVector> {
-        let refs: Vec<(&ParamVector, f32)> = entries.iter().map(|(v, w)| (v, *w)).collect();
-        Self::weighted_average_refs(&refs)
-    }
-
-    /// [`ParamVector::weighted_average`] over borrowed vectors.
-    ///
-    /// This is the aggregation hot path: the server averages every selected
-    /// client's `θ` each round, and cloning those vectors just to feed the
-    /// owned-entry signature doubled the memory traffic of the whole
-    /// operation. Both entry points lower to the same accumulation loop in
-    /// the same order, so their results are bit-identical.
+    /// This is the FedAvg aggregation primitive and the aggregation hot
+    /// path: the server averages every selected client's `θ` each round
+    /// without cloning it. Weights are used as given and are *not*
+    /// re-normalised here (the caller decides the convention).
     ///
     /// Large cohorts (entry count × parameter count ≥ 2²⁰) accumulate on
     /// the persistent worker pool ([`fedft_tensor::pool`]): the *output
@@ -248,49 +233,23 @@ mod tests {
     fn weighted_average_is_convex_combination() {
         let a = ParamVector::from_values(vec![0.0, 10.0]);
         let b = ParamVector::from_values(vec![10.0, 0.0]);
-        let avg = ParamVector::weighted_average(&[(a, 0.25), (b, 0.75)]).unwrap();
+        let avg = ParamVector::weighted_average_refs(&[(&a, 0.25), (&b, 0.75)]).unwrap();
         assert_eq!(avg.values(), &[7.5, 2.5]);
     }
 
     #[test]
     fn weighted_average_single_entry_identity() {
         let a = ParamVector::from_values(vec![1.0, -2.0, 3.0]);
-        let avg = ParamVector::weighted_average(&[(a.clone(), 1.0)]).unwrap();
+        let avg = ParamVector::weighted_average_refs(&[(&a, 1.0)]).unwrap();
         assert_eq!(avg, a);
     }
 
     #[test]
     fn weighted_average_errors() {
-        assert!(ParamVector::weighted_average(&[]).is_err());
         assert!(ParamVector::weighted_average_refs(&[]).is_err());
         let a = ParamVector::from_values(vec![1.0]);
         let b = ParamVector::from_values(vec![1.0, 2.0]);
         assert!(ParamVector::weighted_average_refs(&[(&a, 0.5), (&b, 0.5)]).is_err());
-        assert!(ParamVector::weighted_average(&[(a, 0.5), (b, 0.5)]).is_err());
-    }
-
-    #[test]
-    fn weighted_average_refs_is_bit_identical_to_owned_entries() {
-        let vectors: Vec<ParamVector> = (0..7)
-            .map(|i| {
-                ParamVector::from_values(
-                    (0..64)
-                        .map(|j| ((i * 64 + j) as f32 * 0.37).sin())
-                        .collect(),
-                )
-            })
-            .collect();
-        let weights: Vec<f32> = (0..7).map(|i| 0.05 + 0.1 * i as f32).collect();
-        let owned: Vec<(ParamVector, f32)> = vectors
-            .iter()
-            .cloned()
-            .zip(weights.iter().copied())
-            .collect();
-        let refs: Vec<(&ParamVector, f32)> = vectors.iter().zip(weights.iter().copied()).collect();
-        let a = ParamVector::weighted_average(&owned).unwrap();
-        let b = ParamVector::weighted_average_refs(&refs).unwrap();
-        let bits = |v: &ParamVector| v.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]

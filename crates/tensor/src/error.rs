@@ -26,15 +26,6 @@ pub enum TensorError {
         /// Length of the provided buffer.
         len: usize,
     },
-    /// An index was outside the bounds of the matrix.
-    IndexOutOfBounds {
-        /// Requested row index.
-        row: usize,
-        /// Requested column index.
-        col: usize,
-        /// Shape of the matrix as `(rows, cols)`.
-        shape: (usize, usize),
-    },
     /// An operation that requires a non-empty matrix received an empty one.
     EmptyMatrix {
         /// Human readable name of the operation that failed.
@@ -62,11 +53,6 @@ impl fmt::Display for TensorError {
             TensorError::InvalidDimensions { rows, cols, len } => write!(
                 f,
                 "cannot build a {rows}x{cols} matrix from a buffer of length {len}"
-            ),
-            TensorError::IndexOutOfBounds { row, col, shape } => write!(
-                f,
-                "index ({row}, {col}) out of bounds for a {}x{} matrix",
-                shape.0, shape.1
             ),
             TensorError::EmptyMatrix { op } => {
                 write!(f, "operation `{op}` requires a non-empty matrix")
@@ -111,16 +97,6 @@ mod tests {
         };
         assert!(err.to_string().contains("2x2"));
         assert!(err.to_string().contains('3'));
-    }
-
-    #[test]
-    fn display_index_out_of_bounds() {
-        let err = TensorError::IndexOutOfBounds {
-            row: 5,
-            col: 1,
-            shape: (2, 2),
-        };
-        assert!(err.to_string().contains("(5, 1)"));
     }
 
     #[test]

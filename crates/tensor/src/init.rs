@@ -4,7 +4,6 @@
 //! frameworks so that the reproduced models behave like their PyTorch
 //! counterparts at the start of training:
 //!
-//! * [`xavier_uniform`] — Glorot & Bengio (2010), suited to tanh/linear layers.
 //! * [`he_normal`] — He et al. (2015), suited to ReLU layers; used by the
 //!   block networks in `fedft-nn`.
 //! * [`normal`] / [`uniform`] — generic parameterised fills.
@@ -12,14 +11,6 @@
 use crate::Matrix;
 use rand::Rng;
 use rand_distr::{Distribution, Normal, Uniform};
-
-/// Xavier/Glorot uniform initialisation: `U(-a, a)` with
-/// `a = sqrt(6 / (fan_in + fan_out))`.
-pub fn xavier_uniform<R: Rng + ?Sized>(rng: &mut R, fan_in: usize, fan_out: usize) -> Matrix {
-    let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    let dist = Uniform::new_inclusive(-a, a);
-    fill(rng, fan_in, fan_out, &dist)
-}
 
 /// He/Kaiming normal initialisation: `N(0, sqrt(2 / fan_in))`.
 ///
@@ -90,16 +81,6 @@ fn fill<R: Rng + ?Sized, D: Distribution<f32>>(
 mod tests {
     use super::*;
     use crate::rng::rng_for;
-
-    #[test]
-    fn xavier_bounds_hold() {
-        let mut rng = rng_for(1, "xavier");
-        let m = xavier_uniform(&mut rng, 64, 32);
-        let a = (6.0 / 96.0_f32).sqrt();
-        assert!(m.max() <= a + 1e-6);
-        assert!(m.min() >= -a - 1e-6);
-        assert_eq!(m.shape(), (64, 32));
-    }
 
     #[test]
     fn he_normal_std_is_plausible() {

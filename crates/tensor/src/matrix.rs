@@ -171,8 +171,7 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics if the index is out of bounds; use [`Matrix::try_get`] for a
-    /// fallible variant.
+    /// Panics if the index is out of bounds.
     pub fn get(&self, row: usize, col: usize) -> f32 {
         assert!(
             row < self.rows && col < self.cols,
@@ -181,22 +180,6 @@ impl Matrix {
             self.cols
         );
         self.data[row * self.cols + col]
-    }
-
-    /// Fallible access to the value at `(row, col)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] when the index is invalid.
-    pub fn try_get(&self, row: usize, col: usize) -> Result<f32> {
-        if row >= self.rows || col >= self.cols {
-            return Err(TensorError::IndexOutOfBounds {
-                row,
-                col,
-                shape: self.shape(),
-            });
-        }
-        Ok(self.data[row * self.cols + col])
     }
 
     /// Sets the value at `(row, col)`.
@@ -297,29 +280,6 @@ impl Matrix {
         }
         self.rows = rows;
         self.cols = cols;
-    }
-
-    /// Stacks two matrices with the same number of columns vertically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if column counts differ.
-    pub fn vstack(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "vstack",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Ok(Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
     }
 
     /// Returns the transpose of the matrix.
@@ -501,15 +461,6 @@ impl Matrix {
         self.zip_with(other, "add", |a, b| a + b)
     }
 
-    /// Elementwise subtraction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn sub(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, "sub", |a, b| a - b)
-    }
-
     /// Writes `f(self[i], other[i])` for every element into `out`, which is
     /// reshaped to this matrix's shape and reuses its buffer. `op` names the
     /// operation in the error.
@@ -536,25 +487,6 @@ impl Matrix {
             .extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
         out.rows = self.rows;
         out.cols = self.cols;
-        Ok(())
-    }
-
-    /// Adds `other` to `self` in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn add_assign(&mut self, other: &Matrix) -> Result<()> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "add_assign",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += b;
-        }
         Ok(())
     }
 
@@ -809,13 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn try_get_out_of_bounds() {
-        let m = sample();
-        assert!(m.try_get(5, 0).is_err());
-        assert_eq!(m.try_get(0, 1).unwrap(), 2.0);
-    }
-
-    #[test]
     fn transpose_roundtrip() {
         let m = sample();
         let t = m.transpose();
@@ -901,7 +826,6 @@ mod tests {
         let a = sample();
         let b = sample();
         assert_eq!(a.add(&b).unwrap().get(0, 0), 2.0);
-        assert_eq!(a.sub(&b).unwrap().sum(), 0.0);
     }
 
     #[test]
@@ -970,20 +894,6 @@ mod tests {
         m.select_rows_into(&[], &mut buf);
         assert_eq!(buf.shape(), (0, 3));
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn vstack_concatenates() {
-        let m = sample();
-        let s = m.vstack(&m).unwrap();
-        assert_eq!(s.shape(), (4, 3));
-        assert_eq!(s.row(3), m.row(1));
-    }
-
-    #[test]
-    fn vstack_rejects_mismatch() {
-        let m = sample();
-        assert!(m.vstack(&Matrix::zeros(1, 2)).is_err());
     }
 
     #[test]

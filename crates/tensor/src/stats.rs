@@ -51,11 +51,12 @@ pub fn softmax_with_temperature(logits: &Matrix, temperature: f32) -> Result<Mat
 /// Row-wise Shannon entropy of the temperature-scaled softmax of `logits`,
 /// fused into a single pass per row.
 ///
-/// Semantically `row_entropies(&softmax_with_temperature(logits, t)?)`, and
-/// **bit-identical** to that two-pass form: the same max-subtracted
-/// exponentials are accumulated into the same denominator in the same
-/// order, each probability is formed by the same division, and the entropy
-/// sum adds `-p·ln p` for the same (strictly positive) terms left to right.
+/// Semantically [`shannon_entropy`] of every row of
+/// `softmax_with_temperature(logits, t)?`, and **bit-identical** to that
+/// two-pass form: the same max-subtracted exponentials are accumulated into
+/// the same denominator in the same order, each probability is formed by
+/// the same division, and the entropy sum adds `-p·ln p` for the same
+/// (strictly positive) terms left to right.
 /// What the fusion removes is the `rows × cols` probability matrix the
 /// two-pass form materialises, writes and re-reads — the selector only ever
 /// needs the per-row entropies, not the probabilities.
@@ -154,13 +155,6 @@ pub fn shannon_entropy(probabilities: &[f32]) -> f32 {
         .sum()
 }
 
-/// Row-wise Shannon entropy of a matrix of probability vectors.
-pub fn row_entropies(probabilities: &Matrix) -> Vec<f32> {
-    (0..probabilities.rows())
-        .map(|r| shannon_entropy(probabilities.row(r)))
-        .collect()
-}
-
 /// Index of the largest element in a slice (first one wins on ties).
 ///
 /// # Panics
@@ -180,7 +174,7 @@ pub fn argmax(values: &[f32]) -> usize {
 }
 
 /// Row-wise argmax (predicted class per sample).
-pub fn argmax_rows(logits: &Matrix) -> Vec<usize> {
+fn argmax_rows(logits: &Matrix) -> Vec<usize> {
     (0..logits.rows()).map(|r| argmax(logits.row(r))).collect()
 }
 
@@ -207,26 +201,6 @@ pub fn accuracy(logits: &Matrix, labels: &[usize]) -> Result<f32> {
         .filter(|(p, l)| p == l)
         .count();
     Ok(correct as f32 / labels.len() as f32)
-}
-
-/// One-hot encodes integer labels into an `n`×`num_classes` matrix.
-///
-/// # Errors
-///
-/// Returns [`TensorError::IndexOutOfBounds`] if any label is `>= num_classes`.
-pub fn one_hot(labels: &[usize], num_classes: usize) -> Result<Matrix> {
-    let mut m = Matrix::zeros(labels.len(), num_classes);
-    for (i, &label) in labels.iter().enumerate() {
-        if label >= num_classes {
-            return Err(TensorError::IndexOutOfBounds {
-                row: i,
-                col: label,
-                shape: (labels.len(), num_classes),
-            });
-        }
-        m.set(i, label, 1.0);
-    }
-    Ok(m)
 }
 
 /// Mean of a slice; `0.0` for an empty slice.
@@ -323,15 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn row_entropies_length() {
-        let p = softmax(&logits()).unwrap();
-        let h = row_entropies(&p);
-        assert_eq!(h.len(), 3);
-        // The uniform row has the maximum entropy of the three.
-        assert!(h[1] >= h[0] && h[1] >= h[2]);
-    }
-
-    #[test]
     fn fused_softmax_entropy_is_bit_identical_to_two_pass() {
         // The cases that stress every branch of the fusion: mixed logits,
         // exact ties (uniform rows), numerically large values where the
@@ -354,7 +319,10 @@ mod tests {
         ];
         for (i, m) in matrices.iter().enumerate() {
             for temperature in [0.1, 0.5, 1.0, 5.0] {
-                let two_pass = row_entropies(&softmax_with_temperature(m, temperature).unwrap());
+                let probabilities = softmax_with_temperature(m, temperature).unwrap();
+                let two_pass: Vec<f32> = (0..probabilities.rows())
+                    .map(|r| shannon_entropy(probabilities.row(r)))
+                    .collect();
                 let fused = softmax_entropy_rows(m, temperature).unwrap();
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
@@ -402,15 +370,6 @@ mod tests {
         let l = logits();
         assert!(accuracy(&l, &[0, 1]).is_err());
         assert!(accuracy(&Matrix::zeros(0, 3), &[]).is_err());
-    }
-
-    #[test]
-    fn one_hot_encodes_and_validates() {
-        let m = one_hot(&[0, 2, 1], 3).unwrap();
-        assert_eq!(m.get(0, 0), 1.0);
-        assert_eq!(m.get(1, 2), 1.0);
-        assert_eq!(m.sum(), 3.0);
-        assert!(one_hot(&[3], 3).is_err());
     }
 
     #[test]

@@ -23,15 +23,19 @@ const CLIENTS: usize = 12;
 const SEED: u64 = 4;
 
 fn setup() -> (FederatedDataset, BlockNet) {
+    setup_with(CLIENTS, 24)
+}
+
+fn setup_with(shards: usize, samples_per_class: usize) -> (FederatedDataset, BlockNet) {
     let target = domains::cifar10_like()
-        .with_samples_per_class(24)
+        .with_samples_per_class(samples_per_class)
         .with_test_samples_per_class(6)
         .generate(2)
         .expect("target generation");
     let fed = FederatedDataset::partition(
         &target.train,
         target.test.clone(),
-        CLIENTS,
+        shards,
         PartitionScheme::Iid,
         7,
     )
@@ -215,44 +219,67 @@ fn flush_timers_close_rounds_on_schedule() {
 
 #[test]
 fn streaming_pool_respects_the_cache_byte_budget_under_churn() {
-    let (fed, model) = setup();
     // Streaming over a logical pool with bursty arrivals and a shallow
     // buffer: realistic churn against the shared cache registry. The cache
     // is still transparent (bit-identical history with it off), and a
-    // half-working-set budget bounds the peak while forcing evictions.
-    let pool = |params: StreamingParams| {
-        base_config()
-            .with_rounds(5)
-            .with_logical_clients(10 * CLIENTS)
-            .with_participation(0.2)
-            .with_heterogeneity(HeterogeneityModel::two_tier())
-            .with_streaming(params)
-    };
-    let params = StreamingParams::new(12)
-        .with_max_staleness(2)
-        .with_arrival(ArrivalModel::Burst {
-            mean_offset_seconds: 2.0,
-        });
-    let off = run(pool(params), &fed, &model);
-    let unbounded = run(pool(params).with_feature_cache(true), &fed, &model);
-    assert_eq!(off.learning_history(), unbounded.learning_history());
-    let full_bytes = unbounded.peak_cache_bytes();
-    assert!(full_bytes > 0);
+    // half-working-set budget bounds the peak while forcing evictions —
+    // over 120 logical clients on the suite's 12 shards, and over 100k
+    // logical clients on 200 shards (~150 arrivals per flush interval into
+    // a K=140 buffer): the registry holds one boundary per *shard*, so
+    // neither the working set nor the contract moves with the cohort.
+    for (shards, samples_per_class, logical, arrivals, buffer, rounds) in [
+        (CLIENTS, 24, 10 * CLIENTS, 2 * CLIENTS, 12, 5),
+        (200, 100, 100_000, 150, 140, 3),
+    ] {
+        let (fed, model) = setup_with(shards, samples_per_class);
+        let params = StreamingParams::new(buffer)
+            .with_max_staleness(2)
+            .with_arrival(ArrivalModel::Burst {
+                mean_offset_seconds: 2.0,
+            });
+        let pool = || {
+            base_config()
+                .with_rounds(rounds)
+                .with_logical_clients(logical)
+                .with_participation(arrivals as f64 / logical as f64)
+                .with_heterogeneity(HeterogeneityModel::two_tier())
+                .with_streaming(params)
+        };
+        let off = run(pool(), &fed, &model);
+        let unbounded = run(pool().with_feature_cache(true), &fed, &model);
+        assert_eq!(
+            off.learning_history(),
+            unbounded.learning_history(),
+            "{logical} logical clients"
+        );
+        let full_bytes = unbounded.peak_cache_bytes();
+        assert!(full_bytes > 0);
 
-    let budget = full_bytes / 2;
-    let budgeted = run(
-        pool(params)
-            .with_feature_cache(true)
-            .with_cache_budget(budget),
-        &fed,
-        &model,
-    );
-    assert_eq!(off.learning_history(), budgeted.learning_history());
-    assert!(budgeted.peak_cache_bytes() <= budget);
-    for record in &budgeted.rounds {
-        assert!(record.cache_peak_bytes <= budget);
+        let budget = full_bytes / 2;
+        let budgeted = run(
+            pool().with_feature_cache(true).with_cache_budget(budget),
+            &fed,
+            &model,
+        );
+        assert_eq!(
+            off.learning_history(),
+            budgeted.learning_history(),
+            "{logical} logical clients"
+        );
+        assert!(
+            budgeted.peak_cache_bytes() <= budget,
+            "{logical} logical clients"
+        );
+        for record in &budgeted.rounds {
+            assert!(
+                record.cache_peak_bytes <= budget,
+                "{logical} logical clients: round peak {} over the budget {budget}",
+                record.cache_peak_bytes
+            );
+        }
+        assert!(budgeted.total_cache_evictions() > 0);
+        assert_eq!(budgeted.flush_count(), budgeted.rounds.len());
     }
-    assert!(budgeted.total_cache_evictions() > 0);
 }
 
 #[test]
