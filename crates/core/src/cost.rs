@@ -105,7 +105,7 @@ impl CostModel {
     ///
     /// This is the steady-state cost — the one-time cache build (one frozen
     /// forward pass over the local dataset,
-    /// [`FlopsBreakdown::cache_build_flops`] per sample) amortises towards
+    /// [`FlopsBreakdown::forward_frozen`] per sample) amortises towards
     /// zero across rounds and is deliberately excluded so the accounting is
     /// round-invariant and independent of participation history.
     ///
@@ -267,8 +267,8 @@ mod tests {
         let cached = cost.cached_client_round_seconds(&flops(), 100, 50, 5, true);
         assert!(cached < paper);
         // The saving is exactly the frozen forward work that no longer runs.
-        let saved = (flops().cache_build_flops() as f64 * (50.0 * 5.0 + 100.0))
-            / cost.device_flops_per_second;
+        let saved =
+            (flops().forward_frozen as f64 * (50.0 * 5.0 + 100.0)) / cost.device_flops_per_second;
         assert!((paper - cached - saved).abs() < 1e-9);
         // Without a frozen prefix the two accountings coincide.
         let full = FlopsBreakdown {

@@ -28,8 +28,8 @@ pub fn sample_entropies(
 ) -> Result<Vec<f32>> {
     validate_entropy_inputs(features, temperature)?;
     // Fused softmax+entropy on the logits: bit-identical to
-    // `predict_proba` + a per-row `shannon_entropy`, without materialising the
-    // probability matrix (see `stats::softmax_entropy_rows`).
+    // `stats::softmax_with_temperature` + a per-row `shannon_entropy`, without
+    // materialising the probability matrix (see `stats::softmax_entropy_rows`).
     let logits = model.forward(features)?;
     Ok(stats::softmax_entropy_rows(&logits, temperature)?)
 }
@@ -54,7 +54,7 @@ pub fn sample_entropies_from_boundary(
     temperature: f32,
 ) -> Result<Vec<f32>> {
     validate_entropy_inputs(boundary, temperature)?;
-    let logits = suffix.forward(boundary, false)?;
+    let logits = suffix.forward(boundary)?;
     Ok(stats::softmax_entropy_rows(&logits, temperature)?)
 }
 
@@ -131,7 +131,7 @@ fn scored_probabilities(
             ),
         });
     }
-    let logits = suffix.forward(boundary, false)?;
+    let logits = suffix.forward(boundary)?;
     if let Some(&bad) = labels.iter().find(|&&y| y >= logits.cols()) {
         return Err(FlError::InvalidConfig {
             what: format!("label {bad} out of range for {} classes", logits.cols()),
@@ -376,7 +376,7 @@ mod tests {
             // Cross-entropy of a softmax is non-negative and finite here.
             assert!(losses.iter().all(|&l| l >= 0.0 && l.is_finite()));
             // Manual check on row 0: −ln p_y from the probability matrix.
-            let logits = suffix.forward(&boundary, false).unwrap();
+            let logits = suffix.forward(&boundary).unwrap();
             let proba = stats::softmax(&logits).unwrap();
             let expected = -proba.get(0, labels[0]).ln();
             assert!((losses[0] - expected).abs() < 1e-6, "freeze {freeze}");
@@ -393,7 +393,7 @@ mod tests {
         let boundary = m.forward_frozen(freeze, &x).unwrap();
         let mut suffix = m.trainable_suffix(freeze);
         let norms = sample_gradient_norms_from_boundary(&mut suffix, &boundary, &labels).unwrap();
-        let logits = suffix.forward(&boundary, false).unwrap();
+        let logits = suffix.forward(&boundary).unwrap();
         let proba = stats::softmax(&logits).unwrap();
         for (row, &y) in labels.iter().enumerate() {
             let residual_sq: f32 = proba

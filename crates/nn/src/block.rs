@@ -1,13 +1,11 @@
 //! Block-structured network mirroring the paper's WRN layer groups.
 
+use crate::dense::{DenseBlock, Scratch};
 use crate::flops::FlopsBreakdown;
 use crate::freeze::FreezeLevel;
-use crate::layer::Scratch;
-use crate::layers::{Dense, Relu};
 use crate::loss::SoftmaxCrossEntropy;
 use crate::optimizer::Sgd;
 use crate::params::ParamVector;
-use crate::sequential::Sequential;
 use crate::suffix::{self, StepWorkspace, SuffixNet};
 use crate::{NnError, Result};
 use fedft_tensor::{stats, Matrix};
@@ -141,7 +139,8 @@ pub struct EvalReport {
     pub samples: usize,
 }
 
-/// A four-block feed-forward network: low → mid → up → classifier.
+/// A four-block feed-forward network: low → mid → up → classifier, each a
+/// dense layer, the first three followed by a ReLU.
 ///
 /// The lower blocks play the role of the paper's pretrained feature extractor
 /// `ϕ`; the upper blocks are the trainable part `θ`. Which blocks belong to
@@ -151,7 +150,7 @@ pub struct EvalReport {
 #[derive(Debug, Clone)]
 pub struct BlockNet {
     config: BlockNetConfig,
-    blocks: Vec<Sequential>,
+    blocks: Vec<DenseBlock>,
     loss: SoftmaxCrossEntropy,
     workspace: Scratch<StepWorkspace>,
     /// [`BlockNet::frozen_fingerprint`] per freeze level, indexed by
@@ -175,37 +174,31 @@ impl BlockNet {
     /// Panics if the configuration is invalid; use
     /// [`BlockNetConfig::validate`] to check it beforehand when the values
     /// come from user input.
+    #[allow(
+        clippy::expect_used,
+        reason = "the documented panic: `validate` is the fallible check"
+    )]
     pub fn new(config: &BlockNetConfig, seed: u64) -> Self {
         config.validate().expect("invalid BlockNetConfig");
-        let low = Sequential::new()
-            .push(Box::new(Dense::new(
-                config.input_dim,
-                config.hidden_low,
-                seed,
-            )))
-            .push(Box::new(Relu::new(config.hidden_low)));
-        let mid = Sequential::new()
-            .push(Box::new(Dense::new(
-                config.hidden_low,
-                config.hidden_mid,
-                seed.wrapping_add(1),
-            )))
-            .push(Box::new(Relu::new(config.hidden_mid)));
-        let up = Sequential::new()
-            .push(Box::new(Dense::new(
-                config.hidden_mid,
-                config.hidden_up,
-                seed.wrapping_add(2),
-            )))
-            .push(Box::new(Relu::new(config.hidden_up)));
-        let classifier = Sequential::new().push(Box::new(Dense::new(
+        let widths = [
+            config.input_dim,
+            config.hidden_low,
+            config.hidden_mid,
             config.hidden_up,
             config.num_classes,
-            seed.wrapping_add(3),
-        )));
+        ];
+        // Block `i` draws its weights from `seed + i`.
+        let blocks = BlockId::all()
+            .into_iter()
+            .zip(widths.windows(2))
+            .map(|(id, w)| {
+                let relu = id != BlockId::Classifier;
+                DenseBlock::new(w[0], w[1], seed.wrapping_add(id.index() as u64), relu)
+            })
+            .collect();
         BlockNet {
             config: *config,
-            blocks: vec![low, mid, up, classifier],
+            blocks,
             loss: SoftmaxCrossEntropy::new(),
             workspace: Scratch::default(),
             fingerprints: Default::default(),
@@ -251,22 +244,9 @@ impl BlockNet {
         let mut collected: Vec<(BlockId, Matrix)> = Vec::with_capacity(self.blocks.len());
         for (id, block) in BlockId::all().into_iter().zip(&self.blocks) {
             let current = collected.last().map_or(input, |(_, activation)| activation);
-            collected.push((id, block.forward_frozen(current)?));
+            collected.push((id, block.infer(current)?));
         }
         Ok(collected)
-    }
-
-    /// Class-probability output using a softmax with the given temperature.
-    ///
-    /// A temperature below `1.0` is the paper's hardened softmax used for
-    /// entropy-based data selection.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatch.
-    pub fn predict_proba(&mut self, input: &Matrix, temperature: f32) -> Result<Matrix> {
-        let logits = self.forward(input)?;
-        Ok(stats::softmax_with_temperature(&logits, temperature)?)
     }
 
     /// Top-1 accuracy on `(input, labels)`.
@@ -310,8 +290,8 @@ impl BlockNet {
     /// [`BlockNet::forward_frozen`], through the same shared reference, so
     /// `forward_from(f, &forward_frozen(f, x)?)` equals
     /// `forward_from(FreezeLevel::Full, x)` bit for bit at every level `f`.
-    /// This is the one inference pass behind [`BlockNet::forward`],
-    /// [`BlockNet::predict_proba`] and the `evaluate_*` family.
+    /// This is the one inference pass behind [`BlockNet::forward`] and the
+    /// `evaluate_*` family.
     ///
     /// # Errors
     ///
@@ -407,9 +387,8 @@ impl BlockNet {
     /// Clones the trainable suffix `θ` into a standalone [`SuffixNet`] —
     /// the `O(|θ|)` model snapshot a client needs for local training when
     /// the frozen backbone is shared. `O(|θ|)` holds whatever the model has
-    /// been evaluated or trained on: inference never stores activations (see
-    /// [`crate::Layer::forward`]), and those a training step stored are
-    /// scratch that a clone leaves behind.
+    /// been evaluated or trained on: inference never stores activations, and
+    /// those a training step stored are scratch that a clone leaves behind.
     pub fn trainable_suffix(&self, freeze: FreezeLevel) -> SuffixNet {
         let mut suffix = SuffixNet::default();
         self.refresh_suffix(freeze, &mut suffix);
@@ -527,7 +506,7 @@ impl BlockNet {
         self.about_to_write_above(freeze);
         let mut params: Vec<&mut Matrix> = self.blocks[freeze.frozen_blocks()..]
             .iter_mut()
-            .flat_map(|b| b.params_mut())
+            .flat_map(|b| b.params_mut().map(|(param, _)| param))
             .collect();
         vector.write_to(&mut params)
     }
@@ -714,16 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_proba_rows_are_distributions() {
-        let mut net = BlockNet::new(&config(), 3);
-        let x = Matrix::full(3, 6, 0.2);
-        let p = net.predict_proba(&x, 0.1).unwrap();
-        for r in 0..p.rows() {
-            assert!((p.row(r).iter().sum::<f32>() - 1.0).abs() < 1e-4);
-        }
-    }
-
-    #[test]
     fn flops_decrease_with_more_freezing() {
         let net = BlockNet::new(&config(), 1);
         let full = net.flops_per_sample(FreezeLevel::Full).training_flops();
@@ -739,6 +708,28 @@ mod tests {
             net.flops_per_sample(FreezeLevel::Classifier)
                 .inference_flops()
         );
+    }
+
+    /// Simulated seconds are FLOPs, and they are part of every history: the
+    /// counts are pinned at values read before the layers were fused into
+    /// blocks (Dense `2·in·out + out`, a ReLU `out`, backward twice forward).
+    #[test]
+    fn flops_per_sample_is_pinned_at_every_freeze_level() {
+        let net = BlockNet::new(&BlockNetConfig::new(19, 5).with_hidden(17, 33, 9), 1);
+        let pinned = [
+            (FreezeLevel::Full, 0, 2575, 5150),
+            (FreezeLevel::Large, 680, 1895, 3790),
+            (FreezeLevel::Moderate, 1868, 707, 1414),
+            (FreezeLevel::Classifier, 2480, 95, 190),
+        ];
+        for (freeze, forward_frozen, forward_trainable, backward_trainable) in pinned {
+            let expected = FlopsBreakdown {
+                forward_frozen,
+                forward_trainable,
+                backward_trainable,
+            };
+            assert_eq!(net.flops_per_sample(freeze), expected, "{freeze}");
+        }
     }
 
     #[test]

@@ -1,0 +1,575 @@
+//! The one building block of every model in the crate: a dense layer,
+//! followed by a ReLU in all but the classifier head.
+
+use crate::{NnError, Result};
+use fedft_tensor::{init, rng, Matrix, TensorError};
+
+/// What a training pass leaves behind for itself: the activations a block's
+/// training forward stores for its backward, the buffers a training step
+/// reuses.
+///
+/// Scratch has no identity, so a clone starts empty (`T::default()`): a model
+/// snapshot costs `O(parameters)` even when the model it is taken of has just
+/// trained on a batch. Everything else a block holds — parameters and
+/// gradients — is state and is cloned as usual. Dereferences to `T`.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch<T>(T);
+
+impl<T: Default> Clone for Scratch<T> {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl<T> std::ops::Deref for Scratch<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for Scratch<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+/// What a training forward stores for the backward pass that follows it.
+#[derive(Debug, Default)]
+struct Trace {
+    /// The block input `X`, for `dW = Xᵀ·dZ`.
+    input: Matrix,
+    /// `Z = X·W + b` of a ReLU block, whose sign is the ReLU mask; empty in
+    /// the head.
+    pre_activation: Matrix,
+    /// `dZ = dY ⊙ [Z > 0]` of a ReLU block, rewritten by every backward;
+    /// empty in the head.
+    grad_pre_activation: Matrix,
+}
+
+/// `Y = max(0, X·W + b)`, or `Y = X·W + b` for the classifier head, with a
+/// manual backward pass: the four blocks of a [`crate::BlockNet`] and the
+/// suffix of them a client trains ([`crate::SuffixNet`]).
+///
+/// Weights are He-normal from the block's seed, biases start at zero. The
+/// parameters are the weight then the bias ([`DenseBlock::params`]): that is
+/// the `θ` layout, block by block, which aggregation, `tier_freeze` suffix
+/// slicing, the pretrained head transfer and the frozen fingerprint all read.
+///
+/// Inference never stores activations, so a block that has only been
+/// evaluated holds its parameters and gradient buffers and nothing else; and
+/// what a training forward stored is [`Scratch`], so cloning a block — which
+/// is what a model snapshot does — costs `O(parameters)` whatever it was
+/// evaluated or trained on.
+#[derive(Clone)]
+pub(crate) struct DenseBlock {
+    weight: Matrix,
+    bias: Matrix,
+    grad_weight: Matrix,
+    grad_bias: Matrix,
+    relu: bool,
+    trace: Scratch<Option<Trace>>,
+}
+
+impl std::fmt::Debug for DenseBlock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DenseBlock")
+            .field("shape", &self.weight.shape())
+            .field("relu", &self.relu)
+            .finish_non_exhaustive()
+    }
+}
+
+/// `out = input·W + b`: the one arithmetic behind every forward path.
+fn affine_into(weight: &Matrix, bias: &Matrix, input: &Matrix, out: &mut Matrix) -> Result<()> {
+    input.matmul_into(weight, out)?;
+    Ok(out.add_row_broadcast_assign(bias)?)
+}
+
+fn rectify(v: f32) -> f32 {
+    v.max(0.0)
+}
+
+impl DenseBlock {
+    /// A block with `in_features` inputs and `out_features` outputs,
+    /// initialised deterministically from `seed`; `relu` is `false` for the
+    /// classifier head only.
+    pub(crate) fn new(in_features: usize, out_features: usize, seed: u64, relu: bool) -> Self {
+        let mut r = rng::rng_for(seed, "dense-init");
+        DenseBlock {
+            weight: init::he_normal(&mut r, in_features, out_features),
+            bias: Matrix::zeros(1, out_features),
+            grad_weight: Matrix::zeros(in_features, out_features),
+            grad_bias: Matrix::zeros(1, out_features),
+            relu,
+            trace: Scratch::default(),
+        }
+    }
+
+    /// The block's name in errors.
+    pub(crate) fn name(&self) -> &'static str {
+        if self.relu {
+            "dense+relu"
+        } else {
+            "dense"
+        }
+    }
+
+    /// The inference forward, through a shared reference and storing
+    /// nothing: frozen blocks, evaluation and selection scoring all run it,
+    /// none of them back-propagates, and the shared reference lets one model
+    /// serve many clients concurrently. Equal bit for bit to
+    /// [`DenseBlock::train_forward_into`] on the same input.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the input width is not the block's.
+    pub(crate) fn infer(&self, input: &Matrix) -> Result<Matrix> {
+        let mut out = Matrix::default();
+        affine_into(&self.weight, &self.bias, input, &mut out)?;
+        if self.relu {
+            for v in out.as_mut_slice() {
+                *v = rectify(*v);
+            }
+        }
+        Ok(out)
+    }
+
+    /// The training forward, written into `out` (reshaped and overwritten;
+    /// its buffer is reused, so a loop that hands the same `out` back every
+    /// step stops allocating once warm). It is the only pass that stores
+    /// what [`DenseBlock::backward`] reads.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the input width is not the block's.
+    pub(crate) fn train_forward_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<()> {
+        let DenseBlock {
+            weight,
+            bias,
+            relu,
+            trace,
+            ..
+        } = self;
+        let trace = trace.get_or_insert_with(Trace::default);
+        if *relu {
+            affine_into(weight, bias, input, &mut trace.pre_activation)?;
+            trace.pre_activation.map_into(out, rectify);
+        } else {
+            affine_into(weight, bias, input, out)?;
+        }
+        trace.input.clone_from(input);
+        Ok(())
+    }
+
+    /// [`DenseBlock::train_forward_into`] into a fresh matrix: the forward
+    /// of the reference training step.
+    #[cfg(test)]
+    pub(crate) fn train_forward(&mut self, input: &Matrix) -> Result<Matrix> {
+        let mut out = Matrix::default();
+        self.train_forward_into(input, &mut out)?;
+        Ok(out)
+    }
+
+    /// The backward pass for the most recent training forward. Overwrites
+    /// the parameter gradients with those of this call — it does not add to
+    /// what an earlier call left.
+    ///
+    /// **The input-gradient rule.** The gradient of the loss with respect to
+    /// the block input is computed only when the caller names a destination:
+    /// with `grad_input == Some(out)` it is written into `out` (reshaped and
+    /// overwritten, buffer reused); with `None` the block skips the `dZ·Wᵀ`
+    /// product. Parameter gradients are the same bits either way. The caller
+    /// that passes `None` is the training step, for the first block above the
+    /// freeze boundary: nothing below it is trained, so nobody would read
+    /// that gradient. This is where back-propagation stops under partial
+    /// fine-tuning, at every [`crate::FreezeLevel`] including `Full`, where
+    /// the block's input is the data itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::BackwardBeforeForward`] when no training forward
+    /// has run (whether or not an input gradient was asked for), or a tensor
+    /// error when `grad_output` is not the shape of the forward's output.
+    pub(crate) fn backward(
+        &mut self,
+        grad_output: &Matrix,
+        grad_input: Option<&mut Matrix>,
+    ) -> Result<()> {
+        let layer = self.name();
+        let DenseBlock {
+            weight,
+            grad_weight,
+            grad_bias,
+            relu,
+            trace,
+            ..
+        } = self;
+        let trace = trace
+            .as_mut()
+            .ok_or(NnError::BackwardBeforeForward { layer })?;
+        // Checked up front: `Xᵀ·dY` alone accepts any `dY` of the batch's
+        // height and would reshape the gradient buffers to it.
+        let output_shape = (trace.input.rows(), weight.cols());
+        if grad_output.shape() != output_shape {
+            return Err(NnError::Tensor(TensorError::ShapeMismatch {
+                op: "dense_backward",
+                lhs: output_shape,
+                rhs: grad_output.shape(),
+            }));
+        }
+        let grad_pre_activation = if *relu {
+            // dZ = dY ⊙ [Z > 0], the mask applied as a factor (not a select)
+            // so a masked entry keeps the product's signed zero and NaN.
+            trace.pre_activation.zip_with_into(
+                grad_output,
+                "relu_backward",
+                &mut trace.grad_pre_activation,
+                |z, g| g * if z > 0.0 { 1.0 } else { 0.0 },
+            )?;
+            &trace.grad_pre_activation
+        } else {
+            grad_output
+        };
+        // dW = Xᵀ·dZ and db = Σ_rows dZ, written straight into the buffers.
+        trace
+            .input
+            .matmul_tn_into(grad_pre_activation, grad_weight)?;
+        grad_pre_activation.sum_rows_into(grad_bias);
+        // dX = dZ·Wᵀ, only for a caller that reads it.
+        if let Some(grad_input) = grad_input {
+            grad_pre_activation.matmul_nt_into(weight, grad_input)?;
+        }
+        Ok(())
+    }
+
+    /// The learnable tensors, weight then bias: the order of `θ`.
+    pub(crate) fn params(&self) -> [&Matrix; 2] {
+        [&self.weight, &self.bias]
+    }
+
+    /// `(parameter, its gradient)` pairs in [`DenseBlock::params`] order —
+    /// the one mutable walk: an optimiser step reads both halves, a write of
+    /// `θ` the first.
+    pub(crate) fn params_mut(&mut self) -> [(&mut Matrix, &Matrix); 2] {
+        [
+            (&mut self.weight, &self.grad_weight),
+            (&mut self.bias, &self.grad_bias),
+        ]
+    }
+
+    /// The parameter gradients the last backward pass wrote, in
+    /// [`DenseBlock::params`] order.
+    #[cfg(test)]
+    pub(crate) fn grads(&self) -> [&Matrix; 2] {
+        [&self.grad_weight, &self.grad_bias]
+    }
+
+    /// Sets every parameter gradient to zero, whatever it held — a
+    /// non-finite value included.
+    #[cfg(test)]
+    pub(crate) fn zero_grads(&mut self) {
+        self.grad_weight.as_mut_slice().fill(0.0);
+        self.grad_bias.as_mut_slice().fill(0.0);
+    }
+
+    /// Number of learnable scalars.
+    pub(crate) fn parameter_count(&self) -> usize {
+        self.weight.len() + self.bias.len()
+    }
+
+    /// Floating-point operations of a forward pass on one sample, for the
+    /// training-time cost model: a multiply-add per weight and the bias add
+    /// (`2·in·out + out`), plus one `max` per output of a ReLU.
+    pub(crate) fn forward_flops_per_sample(&self) -> u64 {
+        let (inputs, outputs) = self.weight.shape();
+        let activation = if self.relu { outputs } else { 0 };
+        (2 * inputs * outputs + outputs + activation) as u64
+    }
+
+    /// Floating-point operations of a backward pass on one sample: by
+    /// convention twice the forward.
+    pub(crate) fn backward_flops_per_sample(&self) -> u64 {
+        2 * self.forward_flops_per_sample()
+    }
+
+    /// Takes over `source`'s parameters while keeping this block's buffers,
+    /// and returns `true`: every forward, backward and optimiser step on this
+    /// block then gives the bits it would give on `source.clone()`. Returns
+    /// `false`, having changed nothing, when `source` differs in shape or in
+    /// whether it ends in a ReLU — the caller clones instead. Gradients and
+    /// the trace are not carried: every training step writes them before it
+    /// reads them.
+    pub(crate) fn refresh_from(&mut self, source: &DenseBlock) -> bool {
+        if self.relu != source.relu || self.weight.shape() != source.weight.shape() {
+            return false;
+        }
+        self.weight.clone_from(&source.weight);
+        self.bias.clone_from(&source.bias);
+        true
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// Both shapes of block — hidden (with ReLU) and head — over one input.
+    pub(crate) fn one_of_each() -> Vec<(DenseBlock, Matrix)> {
+        let mut r = rng::rng_for(3, "layer-oracle");
+        let x = init::normal(&mut r, 5, 7, 0.0, 1.0);
+        vec![
+            (DenseBlock::new(7, 4, 1, true), x.clone()),
+            (DenseBlock::new(7, 4, 1, false), x),
+        ]
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn backward_full(block: &mut DenseBlock, grad_output: &Matrix) -> Result<Matrix> {
+        let mut grad_input = Matrix::default();
+        block.backward(grad_output, Some(&mut grad_input))?;
+        Ok(grad_input)
+    }
+
+    #[test]
+    fn skipping_the_input_gradient_leaves_parameter_gradients_bit_identical() {
+        for (mut full, x) in one_of_each() {
+            let mut skipped = full.clone();
+            let y = full.train_forward(&x).unwrap();
+            assert_eq!(skipped.train_forward(&x).unwrap(), y);
+            let mut r = rng::rng_for(4, full.name());
+            let grad_output = init::normal(&mut r, y.rows(), y.cols(), 0.0, 1.0);
+
+            let grad_input = backward_full(&mut full, &grad_output).unwrap();
+            assert_eq!(grad_input.shape(), x.shape(), "{}", full.name());
+            skipped.backward(&grad_output, None).unwrap();
+
+            for (a, b) in full.grads().into_iter().zip(skipped.grads()) {
+                assert_eq!(a.shape(), b.shape());
+                assert_eq!(bits(a), bits(b), "{}", full.name());
+            }
+        }
+    }
+
+    /// Either way: with or without an input gradient asked for.
+    #[test]
+    fn backward_before_a_training_forward_is_an_error_either_way() {
+        for (mut block, x) in one_of_each() {
+            let y = block.infer(&x).unwrap();
+            let grad_output = Matrix::zeros(y.rows(), y.cols());
+            for wanted in [true, false] {
+                let mut grad_input = Matrix::default();
+                let err = block
+                    .backward(&grad_output, wanted.then_some(&mut grad_input))
+                    .unwrap_err();
+                assert!(
+                    matches!(err, NnError::BackwardBeforeForward { layer } if layer == block.name()),
+                    "{}: {err}",
+                    block.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn inference_stores_nothing_for_backward() {
+        for (mut block, x) in one_of_each() {
+            let y = block.infer(&x).unwrap();
+            assert!(block.trace.is_none(), "{}", block.name());
+            // A training forward is what arms the backward pass.
+            block.train_forward(&x).unwrap();
+            assert!(backward_full(&mut block, &Matrix::zeros(y.rows(), y.cols())).is_ok());
+        }
+    }
+
+    #[test]
+    fn inference_equals_the_training_forward_bit_for_bit() {
+        for (mut block, x) in one_of_each() {
+            let inferred = block.infer(&x).unwrap();
+            assert_eq!(inferred.shape(), (5, 4));
+            assert_eq!(bits(&inferred), bits(&block.train_forward(&x).unwrap()));
+            // A zero input gives the (zero) bias.
+            assert_eq!(block.infer(&Matrix::zeros(2, 7)).unwrap().sum(), 0.0);
+        }
+    }
+
+    #[test]
+    fn relu_clamps_and_masks_the_gradient() {
+        let mut block = DenseBlock::new(3, 3, 1, true);
+        block.weight = Matrix::identity(3);
+        let x = Matrix::from_rows(&[vec![-1.0, 0.0, 2.0]]).unwrap();
+        let y = block.train_forward(&x).unwrap();
+        assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
+        let g = backward_full(&mut block, &Matrix::full(1, 3, 1.0)).unwrap();
+        assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0]);
+        assert_eq!(block.grads()[1].as_slice(), &[0.0, 0.0, 1.0]);
+    }
+
+    /// Central differences of `Σ infer(x)` against the analytic gradient of
+    /// the same objective, for the block input and for both parameters. The
+    /// inputs keep every pre-activation well away from the ReLU's kink.
+    #[test]
+    fn input_and_parameter_gradients_match_finite_differences() {
+        let eps = 1e-2;
+        let x = Matrix::from_rows(&[vec![0.5, -1.0, 2.0], vec![1.5, 0.3, -0.7]]).unwrap();
+        for relu in [true, false] {
+            let mut block = DenseBlock::new(3, 4, 3, relu);
+            let kind = block.name();
+            let without_relu = DenseBlock {
+                relu: false,
+                ..block.clone()
+            };
+            let pre = without_relu.infer(&x).unwrap();
+            assert!(
+                pre.as_slice().iter().all(|z| z.abs() > 10.0 * eps),
+                "{pre:?}"
+            );
+            let objective = |block: &DenseBlock, x: &Matrix| block.infer(x).unwrap().sum();
+            let y = block.train_forward(&x).unwrap();
+            let grad_input =
+                backward_full(&mut block, &Matrix::full(y.rows(), y.cols(), 1.0)).unwrap();
+
+            for r in 0..x.rows() {
+                for c in 0..x.cols() {
+                    let (mut plus, mut minus) = (x.clone(), x.clone());
+                    plus.set(r, c, x.get(r, c) + eps);
+                    minus.set(r, c, x.get(r, c) - eps);
+                    let numeric =
+                        (objective(&block, &plus) - objective(&block, &minus)) / (2.0 * eps);
+                    let analytic = grad_input.get(r, c);
+                    assert!(
+                        (numeric - analytic).abs() < 1e-2,
+                        "{kind} dX ({r},{c}): {numeric} vs {analytic}"
+                    );
+                }
+            }
+            for k in 0..2 {
+                let analytic = block.grads()[k].clone();
+                for r in 0..analytic.rows() {
+                    for c in 0..analytic.cols() {
+                        let nudged = |delta: f32| {
+                            let mut probe = block.clone();
+                            let param = &mut probe.params_mut()[k].0;
+                            param.set(r, c, param.get(r, c) + delta);
+                            objective(&probe, &x)
+                        };
+                        let numeric = (nudged(eps) - nudged(-eps)) / (2.0 * eps);
+                        let at = format!("{kind} param {k} ({r},{c})");
+                        assert!(
+                            (numeric - analytic.get(r, c)).abs() < 1e-2,
+                            "{at}: {numeric}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backward_overwrites_gradients_and_zero_grads_clears_them() {
+        for (mut block, x) in one_of_each() {
+            let y = block.train_forward(&x).unwrap();
+            let g = Matrix::full(y.rows(), y.cols(), 1.0);
+            backward_full(&mut block, &g).unwrap();
+            let first: Vec<Matrix> = block.grads().into_iter().cloned().collect();
+            // A second pass replaces what the first left; it does not add to
+            // it. (Doubling is exact, so the products double bit for bit.)
+            block.train_forward(&x).unwrap();
+            backward_full(&mut block, &g.scale(2.0)).unwrap();
+            for (second, first) in block.grads().into_iter().zip(&first) {
+                assert_eq!(second, &first.scale(2.0), "{}", block.name());
+            }
+            block.zero_grads();
+            assert!(block
+                .grads()
+                .iter()
+                .all(|g| g.as_slice().iter().all(|v| v.to_bits() == 0)));
+        }
+    }
+
+    /// One non-finite gradient must not outlive `zero_grads`: `NaN × 0` is
+    /// `NaN`, so zeroing by scaling kept it in the buffers (and in every
+    /// snapshot cloned from them) for good.
+    #[test]
+    fn a_nan_gradient_does_not_survive_zero_grads() {
+        for (mut block, x) in one_of_each() {
+            let kind = block.name();
+            let y = block.train_forward(&x).unwrap();
+            let mut poisoned = Matrix::full(y.rows(), y.cols(), 1.0);
+            poisoned.set(0, 0, f32::NAN);
+            block.backward(&poisoned, None).unwrap();
+            let reached = block.grads().iter().any(|g| !g.is_finite());
+            assert!(reached, "{kind}: the NaN reached the gradients");
+
+            block.zero_grads();
+            assert!(
+                block
+                    .grads()
+                    .iter()
+                    .all(|g| g.as_slice().iter().all(|v| v.to_bits() == 0)),
+                "{kind}: zero_grads leaves exact zeros"
+            );
+            block.train_forward(&x).unwrap();
+            let clean = Matrix::full(y.rows(), y.cols(), 1.0);
+            block.backward(&clean, None).unwrap();
+            let finite = block.grads().iter().all(|g| g.is_finite());
+            assert!(finite, "{kind}: the next clean step is finite");
+        }
+    }
+
+    #[test]
+    fn a_gradient_of_the_wrong_shape_is_an_error_and_writes_nothing() {
+        for (mut block, x) in one_of_each() {
+            block.train_forward(&x).unwrap();
+            let grads_before: Vec<Matrix> = block.grads().into_iter().cloned().collect();
+            // The output is 5 × 4: a wrong width, then a wrong height.
+            for (rows, cols) in [(5, 3), (4, 4)] {
+                for wanted in [true, false] {
+                    let mut grad_input = Matrix::default();
+                    let grad_output = Matrix::zeros(rows, cols);
+                    let result = block.backward(&grad_output, wanted.then_some(&mut grad_input));
+                    assert!(
+                        matches!(result, Err(NnError::Tensor(_))),
+                        "{} {rows}×{cols}",
+                        block.name()
+                    );
+                    assert!(block.grads().into_iter().eq(&grads_before));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parameter_and_flop_counts() {
+        let hidden = DenseBlock::new(10, 5, 0, true);
+        let head = DenseBlock::new(10, 5, 0, false);
+        assert_eq!(hidden.parameter_count(), 55);
+        assert_eq!(head.parameter_count(), 55);
+        // 2·in·out + out, and one more `max` per output behind a ReLU.
+        assert_eq!(head.forward_flops_per_sample(), 105);
+        assert_eq!(hidden.forward_flops_per_sample(), 110);
+        assert_eq!(head.backward_flops_per_sample(), 210);
+        assert_eq!(hidden.backward_flops_per_sample(), 220);
+    }
+
+    #[test]
+    fn refresh_refuses_another_shape_or_kind_and_changes_nothing() {
+        let mut kept = DenseBlock::new(7, 4, 1, true);
+        let before = bits(kept.params()[0]);
+        for source in [
+            DenseBlock::new(7, 4, 2, false),
+            DenseBlock::new(7, 5, 2, true),
+            DenseBlock::new(6, 4, 2, true),
+        ] {
+            assert!(!kept.refresh_from(&source), "{source:?}");
+            assert_eq!(bits(kept.params()[0]), before);
+        }
+        let source = DenseBlock::new(7, 4, 2, true);
+        assert!(kept.refresh_from(&source));
+        assert_eq!(kept.params(), source.params());
+    }
+}

@@ -15,9 +15,9 @@ pub enum NnError {
         /// Number of values provided.
         found: usize,
     },
-    /// `backward` was called before `forward` on a layer that caches inputs.
+    /// `backward` was called on a block no training forward has run on.
     BackwardBeforeForward {
-        /// Name of the offending layer.
+        /// Name of the offending block (`dense+relu` or `dense`).
         layer: &'static str,
     },
     /// The model or trainer received an invalid configuration value.

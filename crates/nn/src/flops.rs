@@ -41,8 +41,8 @@ impl FlopsBreakdown {
     ///
     /// This is the **cached** workload accounting; [`FlopsBreakdown::
     /// training_flops`] is the paper-faithful one that re-runs the frozen
-    /// prefix every step. The one-time cost of building the cache is
-    /// [`FlopsBreakdown::cache_build_flops`] per sample.
+    /// prefix every step. The one-time cost of building the cache is one
+    /// frozen forward pass, [`FlopsBreakdown::forward_frozen`] per sample.
     pub fn cached_training_flops(&self) -> u64 {
         self.forward_trainable + self.backward_trainable
     }
@@ -51,14 +51,6 @@ impl FlopsBreakdown {
     /// activations (e.g. the entropy-selection pass through the suffix).
     pub fn cached_inference_flops(&self) -> u64 {
         self.forward_trainable
-    }
-
-    /// One-time per-sample FLOPs to build the feature cache: a single
-    /// forward pass through the frozen prefix. Paid once per client dataset
-    /// per backbone, then amortised across every batch, epoch, round and
-    /// selection pass.
-    pub fn cache_build_flops(&self) -> u64 {
-        self.forward_frozen
     }
 }
 
@@ -77,7 +69,6 @@ mod tests {
         assert_eq!(b.inference_flops(), 150);
         assert_eq!(b.cached_training_flops(), 170);
         assert_eq!(b.cached_inference_flops(), 50);
-        assert_eq!(b.cache_build_flops(), 100);
     }
 
     #[test]
@@ -97,7 +88,6 @@ mod tests {
         };
         assert_eq!(full.cached_training_flops(), full.training_flops());
         assert_eq!(full.cached_inference_flops(), full.inference_flops());
-        assert_eq!(full.cache_build_flops(), 0);
     }
 
     #[test]

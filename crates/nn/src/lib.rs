@@ -1,16 +1,19 @@
 //! # fedft-nn
 //!
-//! Neural-network substrate for the FedFT-EDS reproduction: layers with
-//! manual forward/backward passes, a block-structured model mirroring the
-//! paper's WRN layer groups, an SGD optimiser with momentum and an optional
-//! FedProx proximal term, parameter (de)serialisation for client/server
-//! communication, FLOP accounting for the training-time cost model, and a
-//! centralised trainer used for pretraining and the "Centralised" baseline.
+//! Neural-network substrate for the FedFT-EDS reproduction: a
+//! block-structured model mirroring the paper's WRN layer groups — four
+//! dense blocks (low → mid → up, each Dense + ReLU, then a Dense head) with
+//! manual forward/backward passes —, an SGD optimiser with momentum and an
+//! optional FedProx proximal term, parameter (de)serialisation for
+//! client/server communication, FLOP accounting for the training-time cost
+//! model, and a centralised trainer used for pretraining and the
+//! "Centralised" baseline.
 //!
 //! The paper trains a WRN-16-1 on CIFAR with PyTorch; this substrate
 //! substitutes a pure-Rust block MLP, as documented in `ARCHITECTURE.md`. The
 //! federated-learning mechanics only require a model that can be split into a
-//! frozen lower part and a trainable upper part, which [`BlockNet`] provides.
+//! frozen lower part and a trainable upper part, which [`BlockNet`] provides
+//! (and [`SuffixNet`], the trainable part on its own).
 //!
 //! ## Example
 //!
@@ -32,30 +35,26 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod dense;
 mod error;
 
 pub mod block;
 pub mod flops;
 pub mod freeze;
-pub mod layer;
-pub mod layers;
 pub mod loss;
 pub mod optimizer;
 pub mod params;
-pub mod sequential;
 pub mod suffix;
 pub mod trainer;
 
 pub use block::{BlockId, BlockNet, BlockNetConfig, EvalReport};
 pub use error::NnError;
 pub use freeze::FreezeLevel;
-pub use layer::Layer;
-pub use layers::{Dense, Relu};
 pub use loss::SoftmaxCrossEntropy;
 pub use optimizer::{ProximalTerm, Sgd, SgdConfig};
 pub use params::ParamVector;
-pub use sequential::Sequential;
 pub use suffix::SuffixNet;
 pub use trainer::{Trainer, TrainerConfig};
 

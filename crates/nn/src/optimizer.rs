@@ -175,8 +175,8 @@ impl Sgd {
     /// scalars, checked against the optimiser's state before anything is
     /// written; the caller then feeds the tensors, in their fixed order, to
     /// [`SgdStep::update`]. [`Sgd::step`] is this over two slices; the
-    /// training step drives it from [`crate::Layer::visit_params`], which
-    /// needs no `Vec` of references.
+    /// training step drives it from `DenseBlock::params_mut`, which needs no
+    /// `Vec` of references.
     pub(crate) fn begin_step(&mut self, tensors: usize, total: usize) -> Result<SgdStep<'_>> {
         let first = self.unstarted;
         if !first && self.velocities.len() != tensors {

@@ -186,6 +186,10 @@ impl ParamVector {
             let chunk = pool::chunk_len(len, workers);
             let slices: Vec<Mutex<&mut [f32]>> = out.chunks_mut(chunk).map(Mutex::new).collect();
             pool::run_chunks(len, workers, |range| {
+                #[allow(
+                    clippy::expect_used,
+                    reason = "each range is run once, so nothing else holds its lock or poisoned it"
+                )]
                 let mut slice = slices[range.start / chunk]
                     .lock()
                     .expect("a slice is locked once, by its range");

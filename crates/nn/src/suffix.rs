@@ -10,14 +10,13 @@
 //! well, so the full-model and split paths are the *same code* on the same
 //! inputs and therefore produce bit-identical results.
 
+use crate::dense::{DenseBlock, Scratch};
 use crate::freeze::FreezeLevel;
-use crate::layer::{Layer, Scratch};
 use crate::loss::SoftmaxCrossEntropy;
 use crate::optimizer::Sgd;
 use crate::params::ParamVector;
-use crate::sequential::{backward_layers, chain, chain_into, Sequential};
 use crate::Result;
-use fedft_tensor::{stats, Matrix};
+use fedft_tensor::Matrix;
 
 /// The buffers one training step writes, kept between steps by whoever
 /// owns the trained blocks ([`SuffixNet`], [`crate::BlockNet`]): two
@@ -32,39 +31,50 @@ pub(crate) struct StepWorkspace {
     grads: [Matrix; 2],
 }
 
-/// Forward pass through a run of blocks, starting from boundary activations:
-/// the activation-storing pass when `training`, [`infer_blocks`] otherwise.
-pub(crate) fn forward_blocks(
-    blocks: &mut [Sequential],
-    input: &Matrix,
-    training: bool,
-) -> Result<Matrix> {
-    if !training {
-        return infer_blocks(blocks, input);
-    }
-    chain(blocks, input, |block, x| block.forward(x, true))
-}
-
 /// Inference pass through a run of blocks via a shared reference: the one
 /// read-only forward behind [`crate::BlockNet::forward_frozen`] (the blocks
-/// below a boundary) and [`crate::BlockNet::forward_from`] (the blocks above
-/// it).
-pub(crate) fn infer_blocks(blocks: &[Sequential], input: &Matrix) -> Result<Matrix> {
-    chain(blocks, input, |block, x| block.forward_frozen(x))
+/// below a boundary), [`crate::BlockNet::forward_from`] (the blocks above
+/// it) and [`SuffixNet::forward`].
+///
+/// The first block reads the borrowed `input` itself, so a pass over a large
+/// matrix (a test set, a client shard) copies it only when there is no block
+/// at all and the copy *is* the result.
+pub(crate) fn infer_blocks(blocks: &[DenseBlock], input: &Matrix) -> Result<Matrix> {
+    let mut current: Option<Matrix> = None;
+    for block in blocks {
+        current = Some(block.infer(current.as_ref().unwrap_or(input))?);
+    }
+    Ok(current.unwrap_or_else(|| input.clone()))
 }
 
-/// The layers of a run of blocks, in forward order.
-fn layers(blocks: &mut [Sequential]) -> impl DoubleEndedIterator<Item = &mut Box<dyn Layer>> {
-    blocks.iter_mut().flat_map(Sequential::layers_mut)
+/// Threads `input` through `stages` in order, every stage writing into one
+/// of the two reused buffers in `bufs` while reading the other (the borrowed
+/// `input` for the first stage), so a loop that hands the same `bufs` back
+/// every step allocates only while they grow.
+fn chain_into<'a, S>(
+    stages: impl IntoIterator<Item = S>,
+    input: &'a Matrix,
+    bufs: &'a mut [Matrix; 2],
+    mut step: impl FnMut(S, &Matrix, &mut Matrix) -> Result<()>,
+) -> Result<&'a Matrix> {
+    let [a, b] = bufs;
+    let (mut src, mut dst) = (a, b);
+    let mut any = false;
+    for stage in stages {
+        step(stage, if any { &*src } else { input }, dst)?;
+        std::mem::swap(&mut src, &mut dst);
+        any = true;
+    }
+    Ok(if any { src } else { input })
 }
 
 /// One training step on a run of blocks: forward from the boundary
 /// activations, loss, backward, optimiser step — each writing into
-/// `workspace` or into the layers' own buffers, never into a fresh matrix.
+/// `workspace` or into the blocks' own buffers, never into a fresh matrix.
 ///
-/// The backward pass stops at the boundary: the first layer of the first
-/// block computes its parameter gradients but not the gradient with respect
-/// to `input`, which nothing reads — the blocks below are frozen, or, at
+/// The backward pass stops at the boundary: the first block computes its
+/// parameter gradients but not the gradient with respect to `input`, which
+/// nothing reads — the blocks below are frozen, or, at
 /// [`FreezeLevel::Full`], `input` is the data. That is decided here, by
 /// position, for every caller.
 ///
@@ -72,7 +82,7 @@ fn layers(blocks: &mut [Sequential]) -> impl DoubleEndedIterator<Item = &mut Box
 /// [`crate::BlockNet::train_batch`] and [`SuffixNet::train_batch`] both
 /// lower to it, which is what pins their bit-identity.
 pub(crate) fn train_blocks(
-    blocks: &mut [Sequential],
+    blocks: &mut [DenseBlock],
     loss: &SoftmaxCrossEntropy,
     input: &Matrix,
     labels: &[usize],
@@ -84,23 +94,19 @@ pub(crate) fn train_blocks(
         loss_grad,
         grads,
     } = workspace;
-    let logits = chain_into(layers(blocks), input, activations, |layer, x, out| {
-        layer.forward_into(x, true, out)
+    let logits = chain_into(blocks.iter_mut(), input, activations, |block, x, out| {
+        block.train_forward_into(x, out)
     })?;
     let loss_value = loss.forward_backward_into(logits, labels, loss_grad)?;
-    backward_layers(layers(blocks), loss_grad, grads, false)?;
+    let last_first = blocks.iter_mut().enumerate().rev();
+    chain_into(last_first, loss_grad, grads, |(i, block), grad, out| {
+        block.backward(grad, (i > 0).then_some(out))
+    })?;
 
-    let (mut tensors, mut scalars) = (0, 0);
-    for layer in layers(blocks) {
-        layer.visit_params(&mut |param, _| {
-            tensors += 1;
-            scalars += param.len();
-            Ok(())
-        })?;
-    }
-    let mut step = optimizer.begin_step(tensors, scalars)?;
-    for layer in layers(blocks) {
-        layer.visit_params(&mut |param, grad| step.update(param, grad))?;
+    let params = blocks.iter().flat_map(DenseBlock::params);
+    let mut step = optimizer.begin_step(params.clone().count(), params.map(Matrix::len).sum())?;
+    for (param, grad) in blocks.iter_mut().flat_map(DenseBlock::params_mut) {
+        step.update(param, grad)?;
     }
     Ok(loss_value)
 }
@@ -113,8 +119,7 @@ pub(crate) fn train_blocks(
 /// Inference never stores activations and a clone leaves behind those a
 /// training step stored, so a snapshot is `O(|θ|)` whatever the global model
 /// was evaluated or trained on, and stays so when a whole shard is scored
-/// with [`SuffixNet::forward`]`(_, false)` or [`SuffixNet::predict_proba`];
-/// only a training step keeps its mini-batch.
+/// with [`SuffixNet::forward`]; only a training step keeps its mini-batch.
 /// Its inputs are **boundary activations** — the output of
 /// [`crate::BlockNet::forward_frozen`] on raw features (or a cached copy of
 /// it), never the raw features themselves (except at
@@ -124,7 +129,7 @@ pub(crate) fn train_blocks(
 /// between clients starts from ([`crate::BlockNet::refresh_suffix`]).
 #[derive(Debug, Clone, Default)]
 pub struct SuffixNet {
-    blocks: Vec<Sequential>,
+    blocks: Vec<DenseBlock>,
     freeze: FreezeLevel,
     loss: SoftmaxCrossEntropy,
     workspace: Scratch<StepWorkspace>,
@@ -132,7 +137,7 @@ pub struct SuffixNet {
 
 impl SuffixNet {
     /// Builds a suffix from pre-cloned trainable blocks.
-    pub(crate) fn from_blocks(blocks: Vec<Sequential>, freeze: FreezeLevel) -> Self {
+    pub(crate) fn from_blocks(blocks: Vec<DenseBlock>, freeze: FreezeLevel) -> Self {
         SuffixNet {
             blocks,
             freeze,
@@ -144,12 +149,12 @@ impl SuffixNet {
     /// Becomes a snapshot of `blocks` at `freeze` — the one implementation
     /// behind [`crate::BlockNet::trainable_suffix`] and
     /// [`crate::BlockNet::refresh_suffix`]. A suffix of the same freeze
-    /// level whose every layer can take over its counterpart's state
-    /// ([`Layer::refresh_from`]) is refreshed in place, keeping its
+    /// level whose every block can take over its counterpart's parameters
+    /// ([`DenseBlock::refresh_from`]) is refreshed in place, keeping its
     /// parameter buffers and the scratch of its last training step; any
     /// other — a new one, another level, another width — is replaced by a
     /// clone of `blocks`.
-    pub(crate) fn refresh_from(&mut self, blocks: &[Sequential], freeze: FreezeLevel) {
+    pub(crate) fn refresh_from(&mut self, blocks: &[DenseBlock], freeze: FreezeLevel) {
         let in_place = self.freeze == freeze
             && self.blocks.len() == blocks.len()
             && self
@@ -162,36 +167,15 @@ impl SuffixNet {
         }
     }
 
-    /// The freeze level this suffix was split at.
-    pub fn freeze(&self) -> FreezeLevel {
-        self.freeze
-    }
-
-    /// Number of trainable scalar parameters.
-    pub fn trainable_parameter_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.parameter_count()).sum()
-    }
-
-    /// Forward pass from boundary activations to logits. Only a `training`
-    /// pass keeps activations for the backward pass.
+    /// Inference forward pass from boundary activations to logits; it
+    /// stores nothing.
     ///
     /// # Errors
     ///
     /// Returns an error if the boundary width does not match the first
     /// trainable block.
-    pub fn forward(&mut self, boundary: &Matrix, training: bool) -> Result<Matrix> {
-        forward_blocks(&mut self.blocks, boundary, training)
-    }
-
-    /// Class probabilities from boundary activations, using a softmax with
-    /// the given temperature (the paper's hardened softmax for ρ < 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatch.
-    pub fn predict_proba(&mut self, boundary: &Matrix, temperature: f32) -> Result<Matrix> {
-        let logits = self.forward(boundary, false)?;
-        Ok(stats::softmax_with_temperature(&logits, temperature)?)
+    pub fn forward(&self, boundary: &Matrix) -> Result<Matrix> {
+        infer_blocks(&self.blocks, boundary)
     }
 
     /// One training step on a batch of boundary activations; returns the
@@ -232,50 +216,40 @@ impl SuffixNet {
         let params: Vec<&Matrix> = self.blocks.iter().flat_map(|b| b.params()).collect();
         ParamVector::from_params_into(&params, buffer)
     }
-
-    /// Writes a flattened `θ` vector back into the suffix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::NnError::ParamLengthMismatch`] when the vector length
-    /// does not match the suffix parameter count.
-    pub fn set_trainable_vector(&mut self, vector: &ParamVector) -> Result<()> {
-        let mut params: Vec<&mut Matrix> = self
-            .blocks
-            .iter_mut()
-            .flat_map(|b| b.params_mut())
-            .collect();
-        vector.write_to(&mut params)
-    }
 }
 
 /// The training step as it was before it stopped at the boundary and went
 /// in place, kept as the oracle [`train_blocks`] must equal bit for bit:
-/// every layer returns a fresh matrix, the backward pass runs through the
-/// first layer too (its input gradient computed and dropped), gradients are
-/// cloned out of the layers and the optimiser steps over `Vec`s of
+/// every block returns a fresh matrix, the backward pass runs through the
+/// first block too (its input gradient computed and dropped), gradients are
+/// cloned out of the blocks and the optimiser steps over `Vec`s of
 /// references.
 #[cfg(test)]
 fn reference_train_blocks(
-    blocks: &mut [Sequential],
+    blocks: &mut [DenseBlock],
     loss: &SoftmaxCrossEntropy,
     input: &Matrix,
     labels: &[usize],
     optimizer: &mut Sgd,
 ) -> Result<f32> {
-    let logits = forward_blocks(blocks, input, true)?;
+    let mut logits = input.clone();
+    for block in blocks.iter_mut() {
+        logits = block.train_forward(&logits)?;
+    }
     let (loss_value, mut grad) = loss.forward_backward(&logits, labels)?;
     for block in blocks.iter_mut() {
         block.zero_grads();
     }
     for block in blocks.iter_mut().rev() {
-        grad = block.backward(&grad)?;
+        let mut grad_input = Matrix::default();
+        block.backward(&grad, Some(&mut grad_input))?;
+        grad = grad_input;
     }
-    let grads: Vec<Matrix> = blocks
-        .iter()
-        .flat_map(|b| b.grads().into_iter().cloned())
+    let grads: Vec<Matrix> = blocks.iter().flat_map(|b| b.grads()).cloned().collect();
+    let mut params: Vec<&mut Matrix> = blocks
+        .iter_mut()
+        .flat_map(|b| b.params_mut().map(|(param, _)| param))
         .collect();
-    let mut params: Vec<&mut Matrix> = blocks.iter_mut().flat_map(|b| b.params_mut()).collect();
     let grad_refs: Vec<&Matrix> = grads.iter().collect();
     optimizer.step(&mut params, &grad_refs)?;
     Ok(loss_value)
@@ -296,9 +270,9 @@ mod tests {
         let model = net();
         for freeze in FreezeLevel::all() {
             let suffix = model.trainable_suffix(freeze);
-            assert_eq!(suffix.freeze(), freeze);
+            assert_eq!(suffix.freeze, freeze);
             assert_eq!(
-                suffix.trainable_parameter_count(),
+                suffix.trainable_vector().len(),
                 model.trainable_parameter_count(freeze)
             );
             assert_eq!(suffix.trainable_vector(), model.trainable_vector(freeze));
@@ -316,8 +290,8 @@ mod tests {
         let full = model.forward(&x).unwrap();
         for freeze in FreezeLevel::all() {
             let boundary = model.forward_frozen(freeze, &x).unwrap();
-            let mut suffix = model.trainable_suffix(freeze);
-            let split = suffix.forward(&boundary, false).unwrap();
+            let suffix = model.trainable_suffix(freeze);
+            let split = suffix.forward(&boundary).unwrap();
             assert_eq!(full, split, "freeze {freeze}");
         }
     }
@@ -444,8 +418,8 @@ mod tests {
     /// pass succeeds only if a forward pass stored some.
     fn holds_activations(suffix: &mut SuffixNet, rows: usize) -> bool {
         suffix.blocks.iter_mut().any(|block| {
-            let width = block.params().last().unwrap().cols();
-            match block.backward(&Matrix::zeros(rows, width)) {
+            let width = block.params()[1].cols();
+            match block.backward(&Matrix::zeros(rows, width), None) {
                 Ok(_) => true,
                 Err(crate::NnError::BackwardBeforeForward { .. }) => false,
                 Err(other) => panic!("unexpected backward error: {other}"),
@@ -475,8 +449,7 @@ mod tests {
             assert!(!holds_activations(&mut of_clone, 2), "clone at {freeze}");
 
             let boundary = model.forward_frozen(freeze, &x).unwrap();
-            snapshot.forward(&boundary, false).unwrap();
-            snapshot.predict_proba(&boundary, 0.1).unwrap();
+            snapshot.forward(&boundary).unwrap();
             assert!(!holds_activations(&mut snapshot, 2), "scored at {freeze}");
 
             let mut fresh = pristine.trainable_suffix(freeze);
@@ -507,7 +480,6 @@ mod tests {
         let mut evaluated = net();
         evaluated.evaluate_accuracy(&x, &labels).unwrap();
         evaluated.evaluate_loss(&x, &labels).unwrap();
-        evaluated.predict_proba(&x, 0.1).unwrap();
         evaluated.forward_collect(&x).unwrap();
         assert_snapshots_hold_parameters_only(&evaluated, &net());
     }
@@ -515,7 +487,7 @@ mod tests {
     #[test]
     fn snapshots_of_a_trained_model_hold_no_activations() {
         let (x, labels) = batch();
-        // Every layer has stored a batch — the state of a run's global
+        // Every block has stored a batch — the state of a run's global
         // model, which is pretrained before the first round snapshots it.
         let mut trained = net();
         let mut sgd = Sgd::new(SgdConfig::default()).unwrap();
@@ -535,7 +507,7 @@ mod tests {
     /// `θ` it leaves.
     fn observe(suffix: &mut SuffixNet, x: &Matrix, labels: &[usize], sgd: &mut Sgd) -> Vec<u32> {
         let mut seen = bits(suffix.trainable_vector().values());
-        seen.extend(bits(suffix.forward(x, false).unwrap().as_slice()));
+        seen.extend(bits(suffix.forward(x).unwrap().as_slice()));
         seen.push(suffix.train_batch(x, labels, sgd).unwrap().to_bits());
         seen.extend(bits(suffix.trainable_vector().values()));
         seen
@@ -561,18 +533,13 @@ mod tests {
             (5, momentum, None),
             (2, momentum, Some(0.3)),
         ];
-        for (layer, x) in crate::layer::tests::one_of_each() {
-            let kind = layer.name();
-            let width = layer.forward_frozen(&x).unwrap().cols();
-            // The model the snapshots are taken of: the layer under test and
+        for (block, x) in crate::dense::tests::one_of_each() {
+            let kind = block.name();
+            let width = block.infer(&x).unwrap().cols();
+            // The model the snapshots are taken of: the block under test and
             // a dense head, advanced between clients by training.
-            let mut model = SuffixNet::from_blocks(
-                vec![
-                    Sequential::new().push(layer),
-                    Sequential::new().push(Box::new(crate::Dense::new(width, 3, 5))),
-                ],
-                freeze,
-            );
+            let head = DenseBlock::new(width, 3, 5, false);
+            let mut model = SuffixNet::from_blocks(vec![block, head], freeze);
             let mut model_sgd = Sgd::new(SgdConfig::default()).unwrap();
             let (mut kept, mut kept_sgd) = (SuffixNet::default(), Sgd::default());
             let mut buffers = Vec::new();
@@ -633,7 +600,7 @@ mod tests {
             kept_sgd.restart(SgdConfig::default()).unwrap();
             let mut fresh = model.trainable_suffix(freeze);
             let mut fresh_sgd = Sgd::new(SgdConfig::default()).unwrap();
-            assert_eq!(kept.freeze(), freeze);
+            assert_eq!(kept.freeze, freeze);
             let boundary = model.forward_frozen(freeze, &x).unwrap();
             for _ in 0..2 {
                 assert_eq!(
@@ -643,16 +610,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn set_trainable_vector_roundtrip_and_length_check() {
-        let model = net();
-        let mut suffix = net().trainable_suffix(FreezeLevel::Classifier);
-        let theta = model.trainable_vector(FreezeLevel::Classifier);
-        suffix.set_trainable_vector(&theta).unwrap();
-        assert_eq!(suffix.trainable_vector(), theta);
-        let bad = ParamVector::from_values(vec![0.0; 2]);
-        assert!(suffix.set_trainable_vector(&bad).is_err());
     }
 }
