@@ -21,7 +21,7 @@ use fedft_tensor::Matrix;
 ///
 /// Returns an error if the two matrices have different numbers of rows, or
 /// fewer than two rows (CKA needs at least two samples to centre).
-pub fn linear_cka(x: &Matrix, y: &Matrix) -> Result<f64, FlError> {
+fn linear_cka(x: &Matrix, y: &Matrix) -> Result<f64, FlError> {
     if x.rows() != y.rows() {
         return Err(FlError::InvalidConfig {
             what: format!(
@@ -58,7 +58,7 @@ pub fn linear_cka(x: &Matrix, y: &Matrix) -> Result<f64, FlError> {
 /// # Errors
 ///
 /// Returns an error if any pair is incompatible (see [`linear_cka`]).
-pub fn pairwise_cka_matrix(activations: &[Matrix]) -> Result<Vec<Vec<f64>>, FlError> {
+fn pairwise_cka_matrix(activations: &[Matrix]) -> Result<Vec<Vec<f64>>, FlError> {
     let n = activations.len();
     let mut out = vec![vec![0.0; n]; n];
     for i in 0..n {
@@ -100,7 +100,7 @@ pub fn mean_offdiagonal(matrix: &[Vec<f64>]) -> f64 {
 /// # Errors
 ///
 /// Returns an error when the inputs are incompatible with the model.
-pub fn block_activation(
+fn block_activation(
     model: &mut BlockNet,
     inputs: &Matrix,
     block: BlockId,

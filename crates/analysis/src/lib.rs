@@ -16,5 +16,4 @@ pub mod cka;
 pub mod curves;
 pub mod report;
 
-pub use cka::{linear_cka, pairwise_cka_matrix};
 pub use report::Table;

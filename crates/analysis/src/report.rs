@@ -43,16 +43,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Column headers.
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
-    /// Data rows.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
     /// Appends a data row.
     ///
     /// # Errors
@@ -173,8 +163,6 @@ mod tests {
         assert!(t.add_row(vec!["1".into()]).is_ok());
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
-        assert_eq!(t.headers(), &["a".to_string()]);
-        assert_eq!(t.rows().len(), 1);
     }
 
     #[test]

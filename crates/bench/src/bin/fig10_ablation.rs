@@ -10,61 +10,29 @@
 use fedft_bench::experiments::ablation::{self, paper_sweeps};
 use fedft_bench::{output, ExperimentProfile};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = ExperimentProfile::from_env_and_args();
     let args: Vec<String> = std::env::args().collect();
     let wants = |name: &str| args.iter().any(|a| a == name);
     let run_all = !(wants("part") || wants("alpha") || wants("temperature"));
 
     println!("Figure 10 — ablations (profile: {})", profile.name);
-    let mut failed = false;
 
     if run_all || wants("part") {
-        match ablation::finetuned_part_sweep(&profile, &paper_sweeps::FREEZE_LEVELS) {
-            Ok(sweep) => {
-                let table = sweep.to_table();
-                output::print_table("Figure 10a — part of the model fine-tuned", &table);
-                if let Err(err) = output::write_table_csv("fig10a_finetuned_part", &table) {
-                    eprintln!("failed to write CSV: {err}");
-                }
-            }
-            Err(err) => {
-                eprintln!("figure 10a failed: {err}");
-                failed = true;
-            }
-        }
+        let table =
+            ablation::finetuned_part_sweep(&profile, &paper_sweeps::FREEZE_LEVELS)?.to_table();
+        output::print_table("Figure 10a — part of the model fine-tuned", &table);
+        output::write_table_csv("fig10a_finetuned_part", &table)?;
     }
     if run_all || wants("alpha") {
-        match ablation::heterogeneity_sweep(&profile, &paper_sweeps::ALPHAS) {
-            Ok(sweep) => {
-                let table = sweep.to_table();
-                output::print_table("Figure 10b — data heterogeneity", &table);
-                if let Err(err) = output::write_table_csv("fig10b_heterogeneity", &table) {
-                    eprintln!("failed to write CSV: {err}");
-                }
-            }
-            Err(err) => {
-                eprintln!("figure 10b failed: {err}");
-                failed = true;
-            }
-        }
+        let table = ablation::heterogeneity_sweep(&profile, &paper_sweeps::ALPHAS)?.to_table();
+        output::print_table("Figure 10b — data heterogeneity", &table);
+        output::write_table_csv("fig10b_heterogeneity", &table)?;
     }
     if run_all || wants("temperature") {
-        match ablation::temperature_sweep(&profile, &paper_sweeps::TEMPERATURES) {
-            Ok(sweep) => {
-                let table = sweep.to_table();
-                output::print_table("Figure 10c — hardened softmax temperature", &table);
-                if let Err(err) = output::write_table_csv("fig10c_temperature", &table) {
-                    eprintln!("failed to write CSV: {err}");
-                }
-            }
-            Err(err) => {
-                eprintln!("figure 10c failed: {err}");
-                failed = true;
-            }
-        }
+        let table = ablation::temperature_sweep(&profile, &paper_sweeps::TEMPERATURES)?.to_table();
+        output::print_table("Figure 10c — hardened softmax temperature", &table);
+        output::write_table_csv("fig10c_temperature", &table)?;
     }
-    if failed {
-        std::process::exit(1);
-    }
+    Ok(())
 }

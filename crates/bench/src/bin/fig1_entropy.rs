@@ -6,30 +6,22 @@
 use fedft_bench::experiments::entropy_fig;
 use fedft_bench::{output, ExperimentProfile};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = ExperimentProfile::from_env_and_args();
     println!(
         "Figure 1 — entropy distribution (profile: {})",
         profile.name
     );
-    match entropy_fig::run(&profile, &[1.0, 0.5, 0.1]) {
-        Ok(result) => {
-            let table = result.to_table();
-            output::print_table(
-                &format!(
-                    "Figure 1 — entropy histograms over {} client samples",
-                    result.client_samples
-                ),
-                &table,
-            );
-            match output::write_table_csv("fig1_entropy", &table) {
-                Ok(path) => println!("wrote {}", path.display()),
-                Err(err) => eprintln!("failed to write CSV: {err}"),
-            }
-        }
-        Err(err) => {
-            eprintln!("fig1 experiment failed: {err}");
-            std::process::exit(1);
-        }
-    }
+    let result = entropy_fig::run(&profile, &[1.0, 0.5, 0.1])?;
+    let table = result.to_table();
+    output::print_table(
+        &format!(
+            "Figure 1 — entropy histograms over {} client samples",
+            result.client_samples
+        ),
+        &table,
+    );
+    let path = output::write_table_csv("fig1_entropy", &table)?;
+    println!("wrote {}", path.display());
+    Ok(())
 }

@@ -8,49 +8,40 @@ use fedft_analysis::Table;
 use fedft_bench::experiments::cka_fig;
 use fedft_bench::{output, ExperimentProfile};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = ExperimentProfile::from_env_and_args();
     println!("Figures 2-4 — CKA similarity (profile: {})", profile.name);
-    match cka_fig::run(&profile, &[0.1, 0.5]) {
-        Ok(result) => {
-            // Figure 4: mean off-diagonal CKA per (alpha, pretrained, block).
-            let summary = result.to_table();
-            output::print_table("Figure 4 — averaged CKA similarity", &summary);
-            if let Err(err) = output::write_table_csv("fig4_cka_mean", &summary) {
-                eprintln!("failed to write CSV: {err}");
-            }
+    let result = cka_fig::run(&profile, &[0.1, 0.5])?;
 
-            // Figures 2 and 3: the full pairwise matrices.
-            let mut matrices = Table::new(vec![
-                "alpha".into(),
-                "pretrained".into(),
-                "block".into(),
-                "client_i".into(),
-                "client_j".into(),
-                "cka".into(),
-            ]);
-            for cell in &result.cells {
-                for (i, row) in cell.matrix.iter().enumerate() {
-                    for (j, &value) in row.iter().enumerate() {
-                        let _ = matrices.add_row(vec![
-                            format!("{}", cell.alpha),
-                            cell.pretrained.to_string(),
-                            cell.block.clone(),
-                            i.to_string(),
-                            j.to_string(),
-                            format!("{value:.4}"),
-                        ]);
-                    }
-                }
+    // Figure 4: mean off-diagonal CKA per (alpha, pretrained, block).
+    let summary = result.to_table();
+    output::print_table("Figure 4 — averaged CKA similarity", &summary);
+    output::write_table_csv("fig4_cka_mean", &summary)?;
+
+    // Figures 2 and 3: the full pairwise matrices.
+    let mut matrices = Table::new(vec![
+        "alpha".into(),
+        "pretrained".into(),
+        "block".into(),
+        "client_i".into(),
+        "client_j".into(),
+        "cka".into(),
+    ]);
+    for cell in &result.cells {
+        for (i, row) in cell.matrix.iter().enumerate() {
+            for (j, &value) in row.iter().enumerate() {
+                matrices.add_row(vec![
+                    format!("{}", cell.alpha),
+                    cell.pretrained.to_string(),
+                    cell.block.clone(),
+                    i.to_string(),
+                    j.to_string(),
+                    format!("{value:.4}"),
+                ])?;
             }
-            match output::write_table_csv("fig2_3_cka_matrices", &matrices) {
-                Ok(path) => println!("wrote {}", path.display()),
-                Err(err) => eprintln!("failed to write CSV: {err}"),
-            }
-        }
-        Err(err) => {
-            eprintln!("cka experiment failed: {err}");
-            std::process::exit(1);
         }
     }
+    let path = output::write_table_csv("fig2_3_cka_matrices", &matrices)?;
+    println!("wrote {}", path.display());
+    Ok(())
 }

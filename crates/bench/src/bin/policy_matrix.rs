@@ -5,70 +5,35 @@
 //! The first row is the paper's FedFT-EDS defaults (bit-identical to the
 //! pre-policy code path); every other row changes exactly one policy axis.
 //!
-//! Usage: `cargo run --release -p fedft-bench --bin policy_matrix [-- --profile fast|paper]`
-//!
-//! With `FEDFT_BENCH_FAST` set (and no explicit `--profile`), runs the tiny
-//! profile instead — the CI smoke mode: every cell of the full policy ×
-//! mix × backend matrix still runs end to end, just on a miniature task.
+//! Usage: `cargo run --release -p fedft-bench --bin policy_matrix [-- --profile fast|paper|tiny]`
 
 use fedft_bench::experiments::policy_matrix;
 use fedft_bench::{output, ExperimentProfile};
 
-/// Whether the `FEDFT_BENCH_FAST` smoke knob is active (same convention as
-/// the criterion shim: any value other than `0` or the empty string).
-fn fast_smoke() -> bool {
-    std::env::var("FEDFT_BENCH_FAST")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-}
-
-fn main() {
-    let explicit_profile = std::env::args().any(|a| a == "--profile");
-    let profile = if fast_smoke() && !explicit_profile {
-        ExperimentProfile::tiny()
-    } else {
-        ExperimentProfile::from_env_and_args()
-    };
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let profile = ExperimentProfile::from_env_and_args();
     println!(
         "Policy matrix (profile: {}, {} clients, {} rounds)",
         profile.name, profile.clients_small, profile.rounds_small
     );
-    match policy_matrix::run(&profile) {
-        Ok(result) => {
-            let expected = policy_matrix::policy_lineup().len()
-                * policy_matrix::mix_lineup().len()
-                * policy_matrix::backend_lineup().len();
-            if result.cells.len() != expected {
-                eprintln!(
-                    "policy matrix incomplete: {} of {expected} cells",
-                    result.cells.len()
-                );
-                std::process::exit(1);
-            }
-            let main_table = result.to_table();
-            output::print_table(
-                "Policy matrix — best top-1 accuracy (%) per policy × (mix/backend)",
-                &main_table,
-            );
-            let participation = result.participation_table();
-            output::print_table(
-                "Policy matrix — participation / drops / wall clock per cell",
-                &participation,
-            );
+    let result = policy_matrix::run(&profile)?;
+    let main_table = result.to_table();
+    output::print_table(
+        "Policy matrix — best top-1 accuracy (%) per policy × (mix/backend)",
+        &main_table,
+    );
+    let participation = result.participation_table();
+    output::print_table(
+        "Policy matrix — participation / drops / wall clock per cell",
+        &participation,
+    );
 
-            for (name, table) in [
-                ("policy_matrix", &main_table),
-                ("policy_matrix_participation", &participation),
-            ] {
-                match output::write_table_csv(name, table) {
-                    Ok(path) => println!("wrote {}", path.display()),
-                    Err(err) => eprintln!("failed to write {name}: {err}"),
-                }
-            }
-        }
-        Err(err) => {
-            eprintln!("policy matrix experiment failed: {err}");
-            std::process::exit(1);
-        }
+    for (name, table) in [
+        ("policy_matrix", &main_table),
+        ("policy_matrix_participation", &participation),
+    ] {
+        let path = output::write_table_csv(name, table)?;
+        println!("wrote {}", path.display());
     }
+    Ok(())
 }

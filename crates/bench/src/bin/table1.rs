@@ -5,24 +5,15 @@
 use fedft_bench::experiments::table1;
 use fedft_bench::{output, ExperimentProfile};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = ExperimentProfile::from_env_and_args();
     println!("Table I (profile: {})", profile.name);
-    match table1::run(&profile) {
-        Ok(result) => {
-            let table = result.to_table();
-            output::print_table(
-                "Table I — top-1 accuracy (%) of FedAvg on CIFAR-10-like",
-                &table,
-            );
-            match output::write_table_csv("table1", &table) {
-                Ok(path) => println!("wrote {}", path.display()),
-                Err(err) => eprintln!("failed to write CSV: {err}"),
-            }
-        }
-        Err(err) => {
-            eprintln!("table1 experiment failed: {err}");
-            std::process::exit(1);
-        }
-    }
+    let table = table1::run(&profile)?.to_table();
+    output::print_table(
+        "Table I — top-1 accuracy (%) of FedAvg on CIFAR-10-like",
+        &table,
+    );
+    let path = output::write_table_csv("table1", &table)?;
+    println!("wrote {}", path.display());
+    Ok(())
 }

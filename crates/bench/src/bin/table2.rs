@@ -7,33 +7,25 @@
 use fedft_bench::experiments::table2;
 use fedft_bench::{output, ExperimentProfile};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = ExperimentProfile::from_env_and_args();
     println!("Table II / Figures 5-6 (profile: {})", profile.name);
-    match table2::run(&profile) {
-        Ok(result) => {
-            let main_table = result.to_table();
-            output::print_table(
-                "Table II — global model top-1 accuracy (%), 10 clients, Pds = 10%",
-                &main_table,
-            );
-            let efficiency = result.efficiency_table();
-            output::print_table("Figure 6 — learning efficiency", &efficiency);
+    let result = table2::run(&profile)?;
+    let main_table = result.to_table();
+    output::print_table(
+        "Table II — global model top-1 accuracy (%), 10 clients, Pds = 10%",
+        &main_table,
+    );
+    let efficiency = result.efficiency_table();
+    output::print_table("Figure 6 — learning efficiency", &efficiency);
 
-            for (name, table) in [
-                ("table2", &main_table),
-                ("fig5_learning_curves", &result.curves_table()),
-                ("fig6_efficiency", &efficiency),
-            ] {
-                match output::write_table_csv(name, table) {
-                    Ok(path) => println!("wrote {}", path.display()),
-                    Err(err) => eprintln!("failed to write {name}: {err}"),
-                }
-            }
-        }
-        Err(err) => {
-            eprintln!("table2 experiment failed: {err}");
-            std::process::exit(1);
-        }
+    for (name, table) in [
+        ("table2", &main_table),
+        ("fig5_learning_curves", &result.curves_table()),
+        ("fig6_efficiency", &efficiency),
+    ] {
+        let path = output::write_table_csv(name, table)?;
+        println!("wrote {}", path.display());
     }
+    Ok(())
 }

@@ -10,94 +10,66 @@
 use fedft_bench::experiments::table3;
 use fedft_bench::{output, ExperimentProfile};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = ExperimentProfile::from_env_and_args();
     println!(
         "Table III / Figures 7-9 (profile: {}, {} clients)",
         profile.name, profile.clients_large
     );
-    match table3::run(&profile) {
-        Ok(result) => {
-            let main_table = result.to_table();
-            output::print_table(
-                "Table III — top-1 accuracy (%) with fixed-fraction stragglers",
-                &main_table,
-            );
-            let efficiency = result.efficiency_table();
-            output::print_table("Figure 7 — learning efficiency (large pool)", &efficiency);
 
-            for (name, table) in [
-                ("table3", &main_table),
-                ("fig7_efficiency", &efficiency),
-                ("fig8_9_learning_curves", &result.curves_table()),
-            ] {
-                match output::write_table_csv(name, table) {
-                    Ok(path) => println!("wrote {}", path.display()),
-                    Err(err) => eprintln!("failed to write {name}: {err}"),
-                }
-            }
-        }
-        Err(err) => {
-            eprintln!("table3 experiment failed: {err}");
-            std::process::exit(1);
-        }
+    let result = table3::run(&profile)?;
+    let main_table = result.to_table();
+    output::print_table(
+        "Table III — top-1 accuracy (%) with fixed-fraction stragglers",
+        &main_table,
+    );
+    let efficiency = result.efficiency_table();
+    output::print_table("Figure 7 — learning efficiency (large pool)", &efficiency);
+    for (name, table) in [
+        ("table3", &main_table),
+        ("fig7_efficiency", &efficiency),
+        ("fig8_9_learning_curves", &result.curves_table()),
+    ] {
+        let path = output::write_table_csv(name, table)?;
+        println!("wrote {}", path.display());
     }
 
-    match table3::run_emergent(&profile) {
-        Ok(result) => {
-            let main_table = result.to_table();
-            output::print_table(
-                "Table III (emergent) — two-tier device mix under a round deadline",
-                &main_table,
-            );
-            let participation = result.participation_table();
-            output::print_table(
-                "Emergent straggler participation (mean clients / drops / wall clock)",
-                &participation,
-            );
-
-            for (name, table) in [
-                ("table3_emergent", &main_table),
-                ("table3_emergent_participation", &participation),
-            ] {
-                match output::write_table_csv(name, table) {
-                    Ok(path) => println!("wrote {}", path.display()),
-                    Err(err) => eprintln!("failed to write {name}: {err}"),
-                }
-            }
-        }
-        Err(err) => {
-            eprintln!("emergent table3 experiment failed: {err}");
-            std::process::exit(1);
-        }
+    let result = table3::run_emergent(&profile)?;
+    let main_table = result.to_table();
+    output::print_table(
+        "Table III (emergent) — two-tier device mix under a round deadline",
+        &main_table,
+    );
+    let participation = result.participation_table();
+    output::print_table(
+        "Emergent straggler participation (mean clients / drops / wall clock)",
+        &participation,
+    );
+    for (name, table) in [
+        ("table3_emergent", &main_table),
+        ("table3_emergent_participation", &participation),
+    ] {
+        let path = output::write_table_csv(name, table)?;
+        println!("wrote {}", path.display());
     }
 
-    match table3::run_async(&profile) {
-        Ok(result) => {
-            let main_table = result.to_table();
-            output::print_table(
-                "Table III (async) — accuracy vs max_staleness, two-tier mix",
-                &main_table,
-            );
-            let staleness = result.staleness_table();
-            output::print_table(
-                "Async staleness (mean / max / stale updates / wall clock)",
-                &staleness,
-            );
-
-            for (name, table) in [
-                ("table3_async", &main_table),
-                ("table3_async_staleness", &staleness),
-            ] {
-                match output::write_table_csv(name, table) {
-                    Ok(path) => println!("wrote {}", path.display()),
-                    Err(err) => eprintln!("failed to write {name}: {err}"),
-                }
-            }
-        }
-        Err(err) => {
-            eprintln!("async table3 experiment failed: {err}");
-            std::process::exit(1);
-        }
+    let result = table3::run_async(&profile)?;
+    let main_table = result.to_table();
+    output::print_table(
+        "Table III (async) — accuracy vs max_staleness, two-tier mix",
+        &main_table,
+    );
+    let staleness = result.staleness_table();
+    output::print_table(
+        "Async staleness (mean / max / stale updates / wall clock)",
+        &staleness,
+    );
+    for (name, table) in [
+        ("table3_async", &main_table),
+        ("table3_async_staleness", &staleness),
+    ] {
+        let path = output::write_table_csv(name, table)?;
+        println!("wrote {}", path.display());
     }
+    Ok(())
 }

@@ -6,27 +6,19 @@
 use fedft_bench::experiments::table4;
 use fedft_bench::{output, ExperimentProfile};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = ExperimentProfile::from_env_and_args();
     println!("Table IV (profile: {})", profile.name);
-    match table4::run(&profile) {
-        Ok(result) => {
-            let table = result.to_table();
-            output::print_table(
-                &format!(
-                    "Table IV — top-1 accuracy (%) on GSC-like, Diri({})",
-                    result.alpha
-                ),
-                &table,
-            );
-            match output::write_table_csv("table4", &table) {
-                Ok(path) => println!("wrote {}", path.display()),
-                Err(err) => eprintln!("failed to write CSV: {err}"),
-            }
-        }
-        Err(err) => {
-            eprintln!("table4 experiment failed: {err}");
-            std::process::exit(1);
-        }
-    }
+    let result = table4::run(&profile)?;
+    let table = result.to_table();
+    output::print_table(
+        &format!(
+            "Table IV — top-1 accuracy (%) on GSC-like, Diri({})",
+            result.alpha
+        ),
+        &table,
+    );
+    let path = output::write_table_csv("table4", &table)?;
+    println!("wrote {}", path.display());
+    Ok(())
 }
