@@ -108,12 +108,17 @@
 //!   scoring path ([`crate::SelectionContext`] consults the slot before
 //!   running the suffix and fills it after), so memo on ≡ memo off is the
 //!   shared ≡ private-registry ≡ cache-off contract `tests/logical_pool_e2e.rs`
-//!   already pins. Two pooled clients of one shard may both find the slot
-//!   behind and both compute; they store equal bits.
+//!   already pins. Two clients of one shard may both find the slot behind
+//!   and both compute only when no one runner orders them: across the units
+//!   of a shard a pooled executor cut in two, or across separate executors
+//!   sharing the registry. They store equal bits.
 //! * **Counters.** [`CacheRegistry::score_stats`] (`served` / `computed`),
-//!   separate from [`CacheStats`]. Under sequential execution a round
-//!   computes exactly once per distinct `(shard, model version, freeze
-//!   level)` it trains.
+//!   separate from [`CacheStats`]. A synchronous round computes exactly
+//!   once per distinct `(shard, freeze level)` it trains, pooled or not, as
+//!   long as no such pair is cut across units: a pooled executor hands the
+//!   clients of one pair to one runner, up to ⌈jobs / (2·workers)⌉ of them
+//!   ([`crate::Executor`]). An event round training one shard on two model
+//!   versions may recompute, as the slot keeps only the latest.
 
 use crate::Result;
 use fedft_data::Dataset;
@@ -211,7 +216,7 @@ fn source_checksum(features: &Matrix) -> u64 {
 /// equal features keep sharing one boundary whatever their labels. Selection
 /// scores may read the labels (loss, gradient norm), so the score tier's key
 /// extends that checksum over every label and the class count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ShardKey {
     features: u64,
     labelled: u64,
@@ -270,8 +275,10 @@ struct ScoreEntry {
 }
 
 /// Counters of a registry's score tier ([`CacheRegistry::score_stats`]).
-/// Under sequential execution they are exact; under a pooled backend two
-/// clients of one shard may both find the slot behind and both compute.
+/// Within one executor's synchronous rounds they are exact on every
+/// backend while no shard is cut across hand-out units; the units of one
+/// that is, or clients of separate executors sharing the registry, may both
+/// find the slot behind and both compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScoreStats {
     /// Scoring passes a slot answered.

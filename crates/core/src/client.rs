@@ -139,6 +139,11 @@ impl Client {
         &self.shard.data
     }
 
+    /// What the cache registry calls the client's shard.
+    pub(crate) fn shard_key(&self) -> ShardKey {
+        self.shard.key
+    }
+
     /// Number of local samples `|D_k|`.
     pub fn num_samples(&self) -> usize {
         self.shard.data.len()

@@ -74,7 +74,8 @@ pub fn encode_update(update: &ClientUpdate) -> Vec<u8> {
 pub fn decode_update(bytes: &[u8]) -> Result<ClientUpdate> {
     let mut cursor = 0usize;
     let mut take = |n: usize| -> Result<&[u8]> {
-        if cursor + n > bytes.len() {
+        // Checked: `n` may come from a hostile length field.
+        let Some(end) = cursor.checked_add(n).filter(|&end| end <= bytes.len()) else {
             return Err(FlError::InvalidConfig {
                 what: format!(
                     "truncated update message: needed {} bytes at offset {cursor}, have {}",
@@ -82,9 +83,9 @@ pub fn decode_update(bytes: &[u8]) -> Result<ClientUpdate> {
                     bytes.len()
                 ),
             });
-        }
-        let slice = &bytes[cursor..cursor + n];
-        cursor += n;
+        };
+        let slice = &bytes[cursor..end];
+        cursor = end;
         Ok(slice)
     };
 
@@ -98,7 +99,9 @@ pub fn decode_update(bytes: &[u8]) -> Result<ClientUpdate> {
     let cached_compute_seconds =
         f64::from_le_bytes(take(8)?.try_into().expect("slice length checked"));
     let theta_len = u64::from_le_bytes(take(8)?.try_into().expect("slice length checked")) as usize;
-    let payload = take(theta_len * BYTES_PER_PARAM)?;
+    // Saturating, not wrapping: a byte count past `usize::MAX` cannot fit
+    // the buffer, and `take` rejects it.
+    let payload = take(theta_len.saturating_mul(BYTES_PER_PARAM))?;
     if cursor != bytes.len() {
         return Err(FlError::InvalidConfig {
             what: format!(
@@ -181,6 +184,22 @@ mod tests {
         padded.push(0);
         assert!(decode_update(&padded).is_err());
         assert!(decode_update(&[]).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_length_whose_byte_count_overflows() {
+        let header = &encode_update(&update())[..HEADER_BYTES];
+        // 2^62 parameters wrap `len * 4` to zero; u64::MAX wraps the offset.
+        for theta_len in [1u64 << 62, u64::MAX] {
+            let mut bytes = header.to_vec();
+            bytes[HEADER_BYTES - 8..].copy_from_slice(&theta_len.to_le_bytes());
+            let decoded = std::panic::catch_unwind(|| decode_update(&bytes))
+                .unwrap_or_else(|_| panic!("theta_len {theta_len} panicked"));
+            assert!(
+                matches!(&decoded, Err(FlError::InvalidConfig { what }) if what.starts_with("truncated update message")),
+                "theta_len {theta_len}: {decoded:?}"
+            );
+        }
     }
 
     #[test]

@@ -145,8 +145,8 @@ pub struct FlConfig {
     /// Cap on the worker threads the round executor dispatches per round
     /// through the persistent pool ([`fedft_tensor::pool`]). `None` (the
     /// default) uses every hardware thread. The cap changes scheduling
-    /// only, never results: the workers take clients one at a time and
-    /// every update is put back at its participant position, so every
+    /// only, never results: the workers take the clients of one shard at a
+    /// time and every update is put back at its participant position, so every
     /// backend is bit-identical at any cap. What does follow the schedule
     /// is the order of cache lookups, hence the hit/miss/eviction counters
     /// of a budgeted cache — which is why

@@ -61,6 +61,7 @@ use crate::{FlError, Result};
 use fedft_nn::{BlockNet, FreezeLevel, ParamVector};
 use fedft_tensor::{parallel, pool};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -81,8 +82,8 @@ pub enum ExecutionBackend {
     /// reference behaviour every other backend reduces to.
     Sequential,
     /// Train selected clients concurrently: the workers of the persistent
-    /// pool ([`fedft_tensor::pool`]) take clients one at a time, largest
-    /// shard first, and every update is put back at its participant
+    /// pool ([`fedft_tensor::pool`]) take the clients of one shard at a
+    /// time, largest first, and every update is put back at its participant
     /// position, so results match `Sequential` bit for bit at any worker
     /// count.
     #[default]
@@ -573,12 +574,19 @@ impl Executor {
     /// Trains every `(client, model)` pair and returns the updates in the
     /// order of `jobs` — the one place a local update runs.
     ///
-    /// With more than one worker the jobs are handed out one at a time,
-    /// largest shard first ([`hand_out`]), so no worker idles behind a
-    /// fixed share of the cohort while another still has clients queued.
-    /// Each result is put back at its job's position, so the output — and
-    /// the error reported, the first in `jobs` order — is the same
-    /// whichever thread ran which client.
+    /// With more than one worker the jobs are handed out by **shard unit**
+    /// ([`shard_units`], [`hand_out`]): the clients of one shard that train
+    /// one model version at one freeze level share one boundary and one
+    /// score slot, so one runner trains them one after another and the
+    /// shard is built and scored once, not once per runner that happened to
+    /// take one of its clients at the same moment. Units go out largest
+    /// first, so no worker idles behind a fixed share of the cohort while
+    /// another still has clients queued, and none holds more than
+    /// ⌈jobs / (2·workers)⌉ clients, so a cohort over few shards still
+    /// reaches every worker (two units of a shard cut that way may both
+    /// build and score it). Each result is put back at its job's position,
+    /// so the output — and the error reported, the first in `jobs` order —
+    /// is the same whichever thread ran which client.
     ///
     /// The round's memory is the executor's: every update is written into a
     /// buffer of the upload free list, which this thread tops up first, and
@@ -647,17 +655,39 @@ impl Executor {
             let workspace = &mut workspaces[0];
             jobs.iter().map(|job| run(workspace, job)).collect()
         } else {
-            // Longest first: a local update's time grows with its shard, and
-            // a large client claimed last would run alone while the other
-            // workers wait at the round's barrier. The sort is stable, so
-            // the hand-out order is a function of the cohort alone.
-            let mut order: Vec<usize> = (0..jobs.len()).collect();
-            order.sort_by_key(|&position| std::cmp::Reverse(jobs[position].0.num_samples()));
-            hand_out(&order, &mut workspaces[..workers], |workspace, position| {
-                run(workspace, &jobs[position])
-            })
-            .into_iter()
-            .collect()
+            // The score tier's key, the freeze level as its block count (which
+            // sorts): a unit's clients find one boundary and one slot, which
+            // the unit's first client fills for the rest.
+            let keys: Vec<_> = jobs
+                .iter()
+                .map(|(client, model)| {
+                    (
+                        client.shard_key(),
+                        model.parameter_stamp(),
+                        config.freeze_for_client(client.id()).frozen_blocks(),
+                    )
+                })
+                .collect();
+            let work: Vec<usize> = jobs
+                .iter()
+                .map(|(client, _)| client.num_samples())
+                .collect();
+            let units = shard_units(&keys, &work, workers);
+            let order: Vec<usize> = (0..units.len()).collect();
+            let per_unit = hand_out(&order, &mut workspaces[..workers], |workspace, unit| {
+                units[unit]
+                    .iter()
+                    .map(|&position| (position, run(workspace, &jobs[position])))
+                    .collect::<Vec<_>>()
+            });
+            let mut placed: Vec<Option<Result<ClientUpdate>>> = jobs.iter().map(|_| None).collect();
+            for (position, update) in per_unit.into_iter().flatten() {
+                placed[position] = Some(update);
+            }
+            placed
+                .into_iter()
+                .collect::<Option<_>>()
+                .expect("every position is in exactly one unit")
         };
         *lock(&self.workspaces) = workspaces;
         updates
@@ -914,6 +944,41 @@ fn lock<T>(list: &Mutex<Vec<T>>) -> MutexGuard<'_, Vec<T>> {
     list.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The hand-out units of a pooled round ([`Executor::train`]): the positions
+/// of `keys` grouped by equal key — in a round, the clients that share one
+/// boundary and one score slot — each group in position order and cut into
+/// consecutive pieces of at most ⌈n / (2·workers)⌉ positions, listed by
+/// non-increasing total `work` (ties in the order of their first
+/// positions).
+///
+/// The cap is what lets a cohort over few shards reach every worker: with no
+/// unit above it there are at least `min(workers, n)` units, so no runner a
+/// round starts finds the cursor empty while another still holds more than
+/// its share. The pieces of a group it cuts may run at once on two runners
+/// and both build or score. `workers` must be non-zero.
+fn shard_units<K: Ord>(keys: &[K], work: &[usize], workers: usize) -> Vec<Vec<usize>> {
+    // Sorted rather than hashed: a round's few hundred keys sort in a third
+    // of the time they take to hash. The position makes every sort key
+    // distinct, so the unstable sort is deterministic.
+    let mut by_key: Vec<usize> = (0..keys.len()).collect();
+    by_key.sort_unstable_by_key(|&position| (&keys[position], position));
+    let cap = keys.len().div_ceil(2 * workers).max(1);
+    let mut units: Vec<Vec<usize>> = by_key
+        .chunk_by(|&a, &b| keys[a] == keys[b])
+        .flat_map(|group| group.chunks(cap))
+        .map(<[usize]>::to_vec)
+        .collect();
+    // Largest first: a unit's time grows with its shard and its members, and
+    // a large unit claimed last would run alone while the other workers wait
+    // at the round's barrier. Ties go by first position, so the hand-out
+    // order is a function of the cohort alone.
+    units.sort_by_cached_key(|unit| {
+        let unit_work: usize = unit.iter().map(|&position| work[position]).sum();
+        (Reverse(unit_work), unit[0])
+    });
+    units
+}
+
 /// Runs `body(state, position)` for every position in `order` on one pool
 /// runner per entry of `states` — `workers` of them below — and returns the
 /// results indexed by position (`order` must be a permutation of
@@ -1079,22 +1144,24 @@ struct PendingUpdate {
 mod tests {
     use super::*;
     use crate::device::HeterogeneityModel;
+    use crate::{CacheRegistry, FeatureCache, Method};
     use fedft_data::Dataset;
     use fedft_nn::{BlockNet, BlockNetConfig};
     use fedft_tensor::{init, rng};
     use rand::seq::SliceRandom;
     use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Condvar;
+    use std::sync::{Arc, Condvar};
     use std::time::Duration;
 
-    fn client(id: usize, samples: usize) -> Client {
+    fn data(id: usize, samples: usize) -> Dataset {
         let mut r = rng::rng_for_indexed(7, "executor-test", id as u64);
         let features = init::normal(&mut r, samples, 6, 0.0, 1.0);
-        Client::new(
-            id,
-            Dataset::new(features, (0..samples).map(|i| i % 3).collect(), 3).unwrap(),
-        )
+        Dataset::new(features, (0..samples).map(|i| i % 3).collect(), 3).unwrap()
+    }
+
+    fn client(id: usize, samples: usize) -> Client {
+        Client::new(id, data(id, samples))
     }
 
     fn model() -> BlockNet {
@@ -1208,25 +1275,56 @@ mod tests {
             .collect()
     }
 
+    /// `n` clients (ids `0..n`) over three physical shards of 75, 9 and 40
+    /// samples — client `i` holds shard `i % 3` — on one shared registry: a
+    /// logical pool's cohort, where the clients of a shard form a unit.
+    fn shared_cohort(n: usize) -> Vec<Client> {
+        let cache = FeatureCache::shared(CacheRegistry::sharded(4, None));
+        let shards: Vec<Arc<Dataset>> = [75, 9, 40]
+            .into_iter()
+            .enumerate()
+            .map(|(shard, samples)| Arc::new(data(1000 + shard, samples)))
+            .collect();
+        (0..n)
+            .map(|id| Client::from_shard(id, Arc::clone(&shards[id % 3]), cache.clone()))
+            .collect()
+    }
+
+    /// [`config`] with the work a shard's clients share switched on: cached
+    /// boundaries and entropy scores.
+    fn shared_config() -> FlConfig {
+        Method::FedFtEds { pds: 0.5 }
+            .configure(config())
+            .with_feature_cache(true)
+    }
+
     const COHORTS: [usize; 5] = [1, 2, 3, 7, 64];
     const CAPS: [Option<usize>; 5] = [Some(1), Some(2), Some(3), Some(7), None];
 
     #[test]
     fn handed_out_rounds_equal_sequential_rounds_at_every_cohort_size_and_cap() {
         let m = model();
-        let c = config(); // uniform devices, infinite deadline: `Deadline` is neutral
+        // Uniform devices, infinite deadline: `Deadline` is neutral.
         for n in COHORTS {
-            let clients = mixed_cohort(n);
-            let refs: Vec<&Client> = clients.iter().collect();
-            let reference = sequential().run_round(&refs, &m, &c, 0).unwrap();
-            assert_eq!(reference.updates.len(), n);
-            for backend in [ExecutionBackend::Parallel, ExecutionBackend::Deadline] {
-                for cap in CAPS {
-                    let outcome = backend
-                        .executor_with_workers(cap)
-                        .run_round(&refs, &m, &c, 0)
-                        .unwrap();
-                    assert_eq!(outcome, reference, "{backend:?}, {n} clients, cap {cap:?}");
+            for (clients, c) in [
+                (mixed_cohort(n), config()),
+                (shared_cohort(n), shared_config()),
+            ] {
+                let refs: Vec<&Client> = clients.iter().collect();
+                let reference = sequential().run_round(&refs, &m, &c, 0).unwrap();
+                assert_eq!(reference.updates.len(), n);
+                for backend in [ExecutionBackend::Parallel, ExecutionBackend::Deadline] {
+                    for cap in CAPS {
+                        let outcome = backend
+                            .executor_with_workers(cap)
+                            .run_round(&refs, &m, &c, 0)
+                            .unwrap();
+                        assert_eq!(
+                            outcome, reference,
+                            "{backend:?}, {n} clients, cap {cap:?}, shared {}",
+                            c.feature_cache
+                        );
+                    }
                 }
             }
         }
@@ -1278,30 +1376,78 @@ mod tests {
 
     #[test]
     fn the_first_failing_participant_is_reported_at_every_cap() {
-        let mut clients = mixed_cohort(8);
-        for position in [3, 5] {
-            clients[position] = Client::new(100 + position, Dataset::empty(6, 3));
-        }
-        let refs: Vec<&Client> = clients.iter().collect();
         let m = model();
-        let c = config();
-        for backend in [
-            ExecutionBackend::Sequential,
-            ExecutionBackend::Parallel,
-            ExecutionBackend::Deadline,
-            ExecutionBackend::Streaming(StreamingParams::new(8)),
+        for (mut clients, c) in [
+            (mixed_cohort(8), config()),
+            (shared_cohort(8), shared_config()),
         ] {
-            for cap in CAPS {
-                let err = backend
-                    .executor_with_workers(cap)
-                    .run_round(&refs, &m, &c, 0)
-                    .unwrap_err();
-                assert!(
-                    matches!(&err, FlError::InvalidConfig { what } if what.contains("client 103")),
-                    "{backend:?}, cap {cap:?}: {err}"
-                );
+            // Two empty shards are one key: at up to three workers, one unit.
+            for position in [3, 5] {
+                clients[position] = Client::new(100 + position, Dataset::empty(6, 3));
+            }
+            let refs: Vec<&Client> = clients.iter().collect();
+            for backend in [
+                ExecutionBackend::Sequential,
+                ExecutionBackend::Parallel,
+                ExecutionBackend::Deadline,
+                ExecutionBackend::Streaming(StreamingParams::new(8)),
+            ] {
+                for cap in CAPS {
+                    let err = backend
+                        .executor_with_workers(cap)
+                        .run_round(&refs, &m, &c, 0)
+                        .unwrap_err();
+                    assert!(
+                        matches!(&err, FlError::InvalidConfig { what } if what.contains("client 103")),
+                        "{backend:?}, cap {cap:?}, shared {}: {err}",
+                        c.feature_cache
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn shard_units_group_by_key_cap_their_size_and_go_out_largest_first() {
+        // Keys in a scrambled participant order; a key's work is its shard
+        // size, the same for each of its members.
+        for (n, distinct) in [
+            (1, 1),
+            (2, 1),
+            (8, 3),
+            (64, 1),
+            (64, 5),
+            (64, 64),
+            (400, 100),
+        ] {
+            let keys: Vec<usize> = (0..n).map(|p| (p * 7 + p / 3) % distinct).collect();
+            let work: Vec<usize> = keys.iter().map(|&key| 1 + key * 37 % 101).collect();
+            for workers in [1, 2, 3, 7] {
+                let units = shard_units(&keys, &work, workers);
+                let case = format!("{n} clients, {distinct} keys, {workers} workers");
+                let mut seen: Vec<usize> = units.concat();
+                seen.sort_unstable();
+                assert_eq!(
+                    seen,
+                    (0..n).collect::<Vec<_>>(),
+                    "{case}: each position once"
+                );
+                let cap = n.div_ceil(2 * workers);
+                for unit in &units {
+                    assert!(unit.iter().all(|&p| keys[p] == keys[unit[0]]), "{case}");
+                    assert!(unit.windows(2).all(|w| w[0] < w[1]), "{case}");
+                    assert!(unit.len() <= cap, "{case}: {} above {cap}", unit.len());
+                }
+                let unit_work: Vec<usize> = units
+                    .iter()
+                    .map(|unit| unit.iter().map(|&p| work[p]).sum())
+                    .collect();
+                assert!(unit_work.windows(2).all(|w| w[0] >= w[1]), "{case}");
+                assert!(units.len() >= workers.min(n), "{case}: a worker left idle");
+            }
+        }
+        // One shard, 64 clients: still work for both of two workers.
+        assert!(shard_units(&[0; 64], &[50; 64], 2).len() >= 2);
     }
 
     #[test]

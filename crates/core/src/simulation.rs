@@ -383,11 +383,14 @@ mod tests {
         assert!(ClientPool::build(&fed, &bad).is_err());
     }
 
-    /// The score tier's `computed` count under `Sequential` is exact: one
-    /// scoring pass per distinct (shard, model version, freeze level) a
-    /// round trains, however many logical clients share each.
+    /// The score tier's `computed` count is exact on every synchronous
+    /// backend: one scoring pass per distinct (shard, model version, freeze
+    /// level) a round trains, however many logical clients share each, and
+    /// one boundary build per (shard, freeze level). `Sequential` trains the
+    /// clients of a shard one after another; the pooled backends hand them
+    /// to one runner, as long as the shard fits one unit.
     #[test]
-    fn a_sequential_round_scores_each_shard_once_per_model_version_and_freeze_level() {
+    fn a_round_scores_each_shard_once_per_model_version_and_freeze_level() {
         use crate::device::HeterogeneityModel;
         use fedft_nn::FreezeLevel;
         use std::collections::HashSet;
@@ -402,39 +405,55 @@ mod tests {
             .with_freeze(FreezeLevel::Large)
             .with_tier_freeze(vec![FreezeLevel::Large, FreezeLevel::Classifier]);
         tiered.validate().unwrap();
+        let backends = [
+            (ExecutionBackend::Sequential, None),
+            (ExecutionBackend::Parallel, Some(2)),
+            (ExecutionBackend::Deadline, Some(2)),
+        ];
         for config in [plain, tiered] {
-            let pool = ClientPool::build(&fed, &config).unwrap();
-            let executor = config.execution.executor_with_workers(None);
-            // Eight logical clients over three shards.
-            let cohort: Vec<&Client> = pool.clients()[..8].iter().collect();
-            let per_round = cohort
-                .iter()
-                .map(|c| (c.id() % 3, config.freeze_for_client(c.id())))
-                .collect::<HashSet<_>>()
-                .len();
-            let levels = if config.tier_freeze.is_some() { 2 } else { 1 };
-            assert!(per_round >= 3 * levels - 1, "the cohort mixes levels");
-            let stats = || pool.clients()[0].feature_cache().registry().score_stats();
+            for (backend, cap) in backends {
+                let pool = ClientPool::build(&fed, &config).unwrap();
+                let executor = backend.executor_with_workers(cap);
+                // Six logical clients over three shards, two each: at two
+                // workers a unit holds up to ⌈6 / 4⌉ = 2 clients, so no shard
+                // is cut into two units that could both build and score it.
+                let n = 6;
+                let cohort: Vec<&Client> = pool.clients()[..n].iter().collect();
+                let per_round = cohort
+                    .iter()
+                    .map(|c| (c.id() % 3, config.freeze_for_client(c.id())))
+                    .collect::<HashSet<_>>()
+                    .len();
+                let levels = if config.tier_freeze.is_some() { 2 } else { 1 };
+                assert!(per_round >= 3 * levels - 1, "the cohort mixes levels");
+                let registry = pool.clients()[0].feature_cache().registry();
+                let stats = || registry.score_stats();
 
-            executor.run_round(&cohort, &model, &config, 0).unwrap();
-            assert_eq!(
-                (stats().computed, stats().served),
-                (per_round, 8 - per_round)
-            );
-            // The same version again, through a clone: nothing to compute.
-            let same = model.clone();
-            executor.run_round(&cohort, &same, &config, 1).unwrap();
-            assert_eq!(
-                (stats().computed, stats().served),
-                (per_round, 16 - per_round)
-            );
-            // A θ write is a new version.
-            let mut next = model.clone();
-            let theta = next.trainable_vector(config.freeze);
-            next.set_trainable_vector(config.freeze, &theta).unwrap();
-            executor.run_round(&cohort, &next, &config, 2).unwrap();
-            assert_eq!(stats().computed, 2 * per_round);
-            assert_eq!(stats().slots, per_round, "overwritten in place");
+                executor.run_round(&cohort, &model, &config, 0).unwrap();
+                assert_eq!(
+                    (stats().computed, stats().served),
+                    (per_round, n - per_round),
+                    "{backend:?}"
+                );
+                // The same version again, through a clone: nothing to compute.
+                let same = model.clone();
+                executor.run_round(&cohort, &same, &config, 1).unwrap();
+                assert_eq!(
+                    (stats().computed, stats().served),
+                    (per_round, 2 * n - per_round),
+                    "{backend:?}"
+                );
+                // A θ write is a new version.
+                let mut next = model.clone();
+                let theta = next.trainable_vector(config.freeze);
+                next.set_trainable_vector(config.freeze, &theta).unwrap();
+                executor.run_round(&cohort, &next, &config, 2).unwrap();
+                assert_eq!(stats().computed, 2 * per_round, "{backend:?}");
+                assert_eq!(stats().slots, per_round, "overwritten in place");
+                // The backbone never changed: one build per shard and level,
+                // on a registry that never evicts.
+                assert_eq!(registry.stats().misses, per_round, "{backend:?}");
+            }
         }
     }
 
