@@ -15,9 +15,10 @@
 //!   under a finite one;
 //! * an **event round** (`Async`, `Streaming`) on one cumulative simulated
 //!   clock: admit → dispatch each client, once its device is free, on the
-//!   freshest model version published by then → train → close at the `K`-th
-//!   buffered completion, the flush timer, or — when neither can fire — the
-//!   last completion in flight. `Async` is that last case and nothing else.
+//!   freshest model version published by then, into a buffer → flush at the
+//!   `K`-th buffered completion, the flush timer, or — when neither can fire
+//!   — the last completion in flight → train what the flush took, each on
+//!   the version it downloaded. `Async` is that last case and nothing else.
 //!
 //! Both shapes share one admission step (device profile, availability draw,
 //! duration prediction, deadline drop) and one training call site, the only
@@ -126,7 +127,9 @@ pub enum ExecutionBackend {
     /// Everything completed by then is aggregated in `(dispatch round,
     /// dispatch position)` order; updates still in flight stay buffered for
     /// a later flush, and those still buffered when the run ends are never
-    /// aggregated, like a real server shutting down mid-stream. With
+    /// aggregated, like a real server shutting down mid-stream — nor
+    /// trained: the simulator computes an update at the flush that
+    /// aggregates it, on the version its dispatch downloaded. With
     /// `buffer_size =` cohort size, steady arrivals and staleness bound 0,
     /// every cohort flushes within its own round in participant order:
     /// `Sequential`'s history, bit for bit (availability caveat as for
@@ -424,6 +427,12 @@ struct Admitted<'c> {
     predicted_seconds: f64,
 }
 
+/// One local update for [`Executor::train`]: the client, the model version
+/// it downloaded, and the round it was dispatched in — which names its RNG
+/// streams, so an event round that trains a carried dispatch at a later
+/// flush gets the update its dispatch round would have.
+type Job<'a> = (&'a Client, &'a BlockNet, usize);
+
 /// What [`Executor::admit`] decided for one round's sampled cohort.
 struct Admission<'c> {
     /// The clients that will train, in participant order.
@@ -444,7 +453,11 @@ impl Executor {
     /// Returns [`FlError::NoParticipants`] for an empty participant set,
     /// [`FlError::InvalidConfig`] for a zero worker cap, invalid
     /// [`StreamingParams`] or an event round out of order, or the first
-    /// client error in participant order.
+    /// client error in the order the round trains: participant order, or on
+    /// the event backends flush order. An event round trains a dispatch at
+    /// the flush that aggregates it, so a client's error surfaces in that
+    /// round, which may be a later one than its dispatch; an update still in
+    /// flight when the run ends is never computed, and never errs.
     pub fn run_round(
         &self,
         participants: &[&Client],
@@ -571,8 +584,8 @@ impl Executor {
         }
     }
 
-    /// Trains every `(client, model)` pair and returns the updates in the
-    /// order of `jobs` — the one place a local update runs.
+    /// Trains every [`Job`] and returns the updates in the order of `jobs` —
+    /// the one place a local update runs.
     ///
     /// With more than one worker the jobs are handed out by **shard unit**
     /// ([`shard_units`], [`hand_out`]): the clients of one shard that train
@@ -592,12 +605,7 @@ impl Executor {
     /// buffer of the upload free list, which this thread tops up first, and
     /// every runner trains in one kept [`ClientWorkspace`]. Neither can
     /// change an update ([`Client::local_update_in`]).
-    fn train(
-        &self,
-        jobs: &[(&Client, &BlockNet)],
-        config: &FlConfig,
-        round: usize,
-    ) -> Result<Vec<ClientUpdate>> {
+    fn train(&self, jobs: &[Job<'_>], config: &FlConfig) -> Result<Vec<ClientUpdate>> {
         // One upload buffer per job, allocated here and not where it is
         // filled: a buffer is freed (or recycled) by the thread that calls
         // `run_round`, and glibc returns a freed block to the arena of the
@@ -608,7 +616,7 @@ impl Executor {
         // and hundreds of jobs.
         let mut counted: Vec<(u64, FreezeLevel)> = Vec::new();
         let mut theta_len = 0;
-        for (client, model) in jobs {
+        for (client, model, _) in jobs {
             let version = (
                 model.parameter_stamp(),
                 config.freeze_for_client(client.id()),
@@ -629,7 +637,7 @@ impl Executor {
                 buffer.reserve(theta_len);
             }
         }
-        let run = |workspace: &mut ClientWorkspace, &(client, model): &(&Client, &BlockNet)| {
+        let run = |workspace: &mut ClientWorkspace, &(client, model, round): &Job<'_>| {
             let upload = lock(&self.uploads).pop().unwrap_or_default();
             client.local_update_in(workspace, upload, model, config, round)
         };
@@ -660,7 +668,7 @@ impl Executor {
             // the unit's first client fills for the rest.
             let keys: Vec<_> = jobs
                 .iter()
-                .map(|(client, model)| {
+                .map(|(client, model, _)| {
                     (
                         client.shard_key(),
                         model.parameter_stamp(),
@@ -670,7 +678,7 @@ impl Executor {
                 .collect();
             let work: Vec<usize> = jobs
                 .iter()
-                .map(|(client, _)| client.num_samples())
+                .map(|(client, _, _)| client.num_samples())
                 .collect();
             let units = shard_units(&keys, &work, workers);
             let order: Vec<usize> = (0..units.len()).collect();
@@ -709,8 +717,11 @@ impl Executor {
         } = self.admit(participants, global_model, config, round);
         // Every sampled client may have dropped: an empty round, not an
         // error — the simulation keeps the global model, records the drops.
-        let jobs: Vec<_> = admitted.iter().map(|a| (a.client, global_model)).collect();
-        let updates = self.train(&jobs, config, round)?;
+        let jobs: Vec<_> = admitted
+            .iter()
+            .map(|a| (a.client, global_model, round))
+            .collect();
+        let updates = self.train(&jobs, config)?;
         // The wall clock comes from the survivors' *post-hoc*
         // device-adjusted times, derived from the measured
         // `compute_seconds` rather than the admission-time prediction.
@@ -779,31 +790,22 @@ impl Executor {
             }
         };
         let clock = &mut *guard;
-        let round_open = clock.open_round(
-            self.backend.short_name(),
-            round,
-            params.max_staleness,
-            global_model,
-            config,
-        )?;
+        let round_open = clock.open_round(self.backend.short_name(), round)?;
         let Admission {
             admitted, drops, ..
         } = self.admit(participants, global_model, config, round);
 
-        // Dispatch this round's arrivals. The cohort is invited when the
-        // oldest version the staleness bound permits opens — this is where
-        // `max_staleness` is enforced — and each client starts, on the
-        // freshest version published by then, once it has arrived (steady
-        // arrivals add exactly 0.0) and finished any earlier dispatch.
-        struct Dispatch {
-            version: usize,
-            /// Relative to this round's opening.
-            offset: f64,
-        }
+        // Dispatch this round's arrivals into the buffer. The cohort is
+        // invited when the oldest version the staleness bound permits opens
+        // — this is where `max_staleness` is enforced — and each client
+        // starts, on the freshest version published by then, once it has
+        // arrived (steady arrivals add exactly 0.0) and finished any earlier
+        // dispatch. Nothing trains yet: a dispatch is trained by the flush
+        // that aggregates it.
         let earliest_version = round.saturating_sub(params.max_staleness);
         let invite_at = clock.version_open[earliest_version];
-        let mut dispatches = Vec::with_capacity(admitted.len());
-        for a in &admitted {
+        let arrivals = admitted.len();
+        for (position, a) in admitted.iter().enumerate() {
             let id = a.client.id();
             let arrival_offset = params
                 .arrival
@@ -813,54 +815,13 @@ impl Executor {
             clock
                 .busy_until
                 .insert(id, dispatch_at + a.predicted_seconds);
-            dispatches.push(Dispatch {
-                version: clock.freshest_version(earliest_version, round, dispatch_at),
-                offset: dispatch_at - round_open,
-            });
-        }
-
-        // Train the arrivals in one call, in dispatch order, each on the
-        // version it downloaded: `round` is the model just passed in, and a
-        // stale version is the current backbone plus that version's θ
-        // snapshot — built once per distinct stale version present.
-        let mut stale_models: Vec<(usize, BlockNet)> = Vec::new();
-        for d in &dispatches {
-            if d.version == round || stale_models.iter().any(|(v, _)| *v == d.version) {
-                continue;
-            }
-            let Some((_, theta)) = clock.history.iter().find(|(v, _)| *v == d.version) else {
-                return Err(FlError::InvalidConfig {
-                    what: format!(
-                        "{} executor: model version {} is outside round {round}'s \
-                         snapshot window",
-                        self.backend.short_name(),
-                        d.version
-                    ),
-                });
-            };
-            let mut model = global_model.clone();
-            model.set_trainable_vector(config.freeze, theta)?;
-            stale_models.push((d.version, model));
-        }
-        let jobs: Vec<_> = admitted
-            .iter()
-            .zip(&dispatches)
-            .map(|(a, d)| {
-                let stale = stale_models.iter().find(|(v, _)| *v == d.version);
-                (a.client, stale.map_or(global_model, |(_, model)| model))
-            })
-            .collect();
-        let trained = self.train(&jobs, config, round)?;
-        let arrivals = trained.len();
-        for (position, ((a, d), update)) in
-            admitted.iter().zip(&dispatches).zip(trained).enumerate()
-        {
+            let version = clock.freshest_version(earliest_version, round, dispatch_at);
             clock.pending.push(PendingUpdate {
-                update,
+                client: a.client.clone(),
                 dispatch_round: round,
                 position,
-                version: d.version,
-                dispatch_offset: d.offset,
+                version,
+                dispatch_offset: dispatch_at - round_open,
                 duration: a.predicted_seconds,
             });
         }
@@ -916,16 +877,56 @@ impl Executor {
         let per_update: Vec<UpdateTiming> = flushed
             .iter()
             .map(|p| UpdateTiming {
-                client_id: p.update.client_id,
+                client_id: p.client.id(),
                 staleness: round - p.version,
                 dispatch_offset_seconds: rebase(p) + p.dispatch_offset,
                 simulated_seconds: p.duration,
             })
             .collect();
-        let updates: Vec<ClientUpdate> = flushed.into_iter().map(|p| p.update).collect();
+
+        // Train the flushed dispatches in one call, in flush order, each on
+        // the version it downloaded and under its dispatch round: `round` is
+        // the model just passed in, and an older version is the current
+        // backbone plus that version's θ snapshot — built once per distinct
+        // older version flushed. The updates are the ones training at
+        // dispatch would have made; those never flushed are never trained.
+        let mut stale_models: Vec<(usize, BlockNet)> = Vec::new();
+        for p in &flushed {
+            if p.version == round || stale_models.iter().any(|(v, _)| *v == p.version) {
+                continue;
+            }
+            let Some((_, theta)) = clock.history.iter().find(|(v, _)| *v == p.version) else {
+                return Err(FlError::InvalidConfig {
+                    what: format!(
+                        "{} executor: round {round} holds no snapshot of model version {}",
+                        self.backend.short_name(),
+                        p.version
+                    ),
+                });
+            };
+            let mut model = global_model.clone();
+            model.set_trainable_vector(config.freeze, theta)?;
+            stale_models.push((p.version, model));
+        }
+        let jobs: Vec<_> = flushed
+            .iter()
+            .map(|p| {
+                let stale = stale_models.iter().find(|(v, _)| *v == p.version);
+                let model = stale.map_or(global_model, |(_, model)| model);
+                (&p.client, model, p.dispatch_round)
+            })
+            .collect();
+        let updates = self.train(&jobs, config)?;
 
         clock.pending = remaining;
-        clock.close_round(round, round_open, round_wall_seconds);
+        clock.close_round(
+            round,
+            round_open,
+            round_wall_seconds,
+            params.max_staleness,
+            global_model,
+            config,
+        );
         Ok(RoundOutcome {
             updates,
             drops,
@@ -1036,19 +1037,23 @@ fn hand_out<S: Send, T: Send>(
 ///
 /// Version `v` is the global model after `v` aggregations; `version_open[v]`
 /// is the simulated time at which it became available (`version_open[0] =
-/// 0.0`). The clock keeps a **θ snapshot** of every version still inside
-/// the staleness window so stale dispatches can train against the exact
-/// parameters they downloaded: because only the trainable part is ever
-/// aggregated, the frozen backbone `ϕ` is identical across versions and a
-/// stale model is reconstructed as (current backbone, snapshotted θ) — an
+/// 0.0`). The server-side buffer holds *dispatches*, not trained updates: a
+/// [`PendingUpdate`] names its client and the version it downloaded, and is
+/// trained by the flush that aggregates it. The clock therefore keeps a
+/// **θ snapshot** of every version a later round may still dispatch on (the
+/// staleness window) or a buffered dispatch names — one per version, however
+/// many dispatches share it. Because only the trainable part is ever
+/// aggregated, the frozen backbone `ϕ` is identical across versions and an
+/// older model is reconstructed as (current backbone, snapshotted θ) — an
 /// `O(|θ|)` snapshot per version instead of a full `O(|ϕ| + |θ|)` model
 /// clone, mirroring what a real client downloads.
 #[derive(Debug, Default)]
 struct EventClock {
     /// Simulated opening time of every global-model version so far.
     version_open: Vec<f64>,
-    /// Retained `(version, θ)` snapshots, ascending by version; only
-    /// versions within the staleness window of the current round are kept.
+    /// Retained `(version, θ)` snapshots, ascending by version: the versions
+    /// inside the next round's staleness window and those a pending entry
+    /// names.
     history: Vec<(usize, ParamVector)>,
     /// Absolute simulated time until which each client's device is busy
     /// training a previously dispatched round.
@@ -1056,29 +1061,18 @@ struct EventClock {
     /// The round index the executor expects next (rounds must be executed
     /// in order — the clock is cumulative).
     next_round: usize,
-    /// The server-side buffer of updates still awaiting aggregation; a
+    /// The server-side buffer of dispatches still awaiting their flush; a
     /// draining round (every `Async` round) leaves it empty.
     pending: Vec<PendingUpdate>,
 }
 
 impl EventClock {
     /// Opens `round` on the clock and returns its simulated opening time.
-    /// Round 0 resets the clock (dropping any buffered updates of a previous
-    /// run); any other round must be the one the clock expects next.
-    ///
-    /// Retains only the versions a round ≥ `round` may still dispatch
-    /// against, then snapshots this round's θ as version `round` — except at
-    /// `max_staleness = 0`, where no later round can ever read the snapshot
-    /// (the current version is always `global_model`), so the per-round
-    /// snapshot is skipped entirely.
-    fn open_round(
-        &mut self,
-        executor: &'static str,
-        round: usize,
-        max_staleness: usize,
-        global_model: &BlockNet,
-        config: &FlConfig,
-    ) -> Result<f64> {
+    /// Round 0 resets the clock (dropping any buffered dispatches and
+    /// snapshots of a previous run); any other round must be the one the
+    /// clock expects next. The round's own version is the model passed in,
+    /// so it needs no snapshot until [`EventClock::close_round`].
+    fn open_round(&mut self, executor: &'static str, round: usize) -> Result<f64> {
         if round == 0 {
             *self = EventClock::default();
             self.version_open.push(0.0);
@@ -1090,11 +1084,6 @@ impl EventClock {
                     self.next_round
                 ),
             });
-        }
-        self.history.retain(|(v, _)| v + max_staleness >= round);
-        if max_staleness > 0 {
-            self.history
-                .push((round, global_model.trainable_vector(config.freeze)));
         }
         Ok(self.version_open[round])
     }
@@ -1111,14 +1100,36 @@ impl EventClock {
     }
 
     /// Closes `round` after `round_wall` simulated seconds, publishing
-    /// version `round + 1`.
-    fn close_round(&mut self, round: usize, round_open: f64, round_wall: f64) {
+    /// version `round + 1`, once the flush has taken its entries out of the
+    /// buffer. Keeps the θ snapshot of a version — `round`'s own, taken here
+    /// from `global_model`, included — only while a later round may still
+    /// dispatch on it (`v + max_staleness > round`) or a buffered dispatch
+    /// names it. At `max_staleness = 0` that is only the carried versions;
+    /// a round whose dispatches all flush snapshots nothing.
+    fn close_round(
+        &mut self,
+        round: usize,
+        round_open: f64,
+        round_wall: f64,
+        max_staleness: usize,
+        global_model: &BlockNet,
+        config: &FlConfig,
+    ) {
+        let pending = &self.pending;
+        let needed = |v: usize| v + max_staleness > round || pending.iter().any(|p| p.version == v);
+        self.history.retain(|&(v, _)| needed(v));
+        if needed(round) {
+            self.history
+                .push((round, global_model.trainable_vector(config.freeze)));
+        }
         self.version_open.push(round_open + round_wall);
         self.next_round = round + 1;
     }
 }
 
-/// One completed-or-in-flight update queued in the event clock's buffer.
+/// One dispatch queued in the event clock's buffer, in flight or completed:
+/// what its flush needs to train it — the client, the version it downloaded
+/// and its dispatch round — and to decide when it completes.
 ///
 /// Times are kept as offsets relative to the *dispatch round's* opening
 /// (not absolute): entries dispatched in the flushing round then enter the
@@ -1127,12 +1138,13 @@ impl EventClock {
 /// clock bit-identical to the synchronous backends'.
 #[derive(Debug)]
 struct PendingUpdate {
-    update: ClientUpdate,
+    /// The dispatched client: an id and two shared handles.
+    client: Client,
     /// Round the client was sampled in (its dispatch round).
     dispatch_round: usize,
     /// Dispatch index within its round, for deterministic flush ordering.
     position: usize,
-    /// Model version the client trained against.
+    /// Model version the client downloaded.
     version: usize,
     /// Dispatch time relative to the dispatch round's opening.
     dispatch_offset: f64,
@@ -1155,8 +1167,14 @@ mod tests {
     use std::time::Duration;
 
     fn data(id: usize, samples: usize) -> Dataset {
+        data_of_width(id, samples, 6)
+    }
+
+    /// [`data`] with `width` features: any width but 6 is a shard [`model`]
+    /// cannot read.
+    fn data_of_width(id: usize, samples: usize, width: usize) -> Dataset {
         let mut r = rng::rng_for_indexed(7, "executor-test", id as u64);
-        let features = init::normal(&mut r, samples, 6, 0.0, 1.0);
+        let features = init::normal(&mut r, samples, width, 0.0, 1.0);
         Dataset::new(features, (0..samples).map(|i| i % 3).collect(), 3).unwrap()
     }
 
@@ -1850,6 +1868,135 @@ mod tests {
                 .any(|t| t.dispatch_offset_seconds < 0.0),
             "carried updates were dispatched before round 1 opened"
         );
+    }
+
+    /// Aggregates `outcome` into `global` as the simulation would, so that
+    /// successive model versions differ in θ.
+    fn advance(global: &mut BlockNet, outcome: &RoundOutcome, round: usize, c: &FlConfig) {
+        let theta = crate::Server::new()
+            .aggregate_stale(&outcome.updates, &outcome.update_staleness(), round)
+            .unwrap();
+        global.set_trainable_vector(c.freeze, &theta).unwrap();
+    }
+
+    #[test]
+    fn a_streaming_run_trains_only_the_dispatches_it_flushes() {
+        // EDS over a shared registry: every local update looks its shard's
+        // scores up exactly once, so the score tier counts the updates run.
+        let c = shared_config()
+            .with_heterogeneity(HeterogeneityModel::two_tier())
+            .with_seed(3);
+        for cap in [Some(1), Some(2)] {
+            let clients = shared_cohort(8);
+            let refs: Vec<&Client> = clients.iter().collect();
+            let registry = clients[0].feature_cache().registry();
+            // A buffer of 4 against 8 arrivals a round: the backlog grows.
+            let executor =
+                ExecutionBackend::Streaming(StreamingParams::new(4)).executor_with_workers(cap);
+            let mut global = model();
+            let (mut aggregated, mut arrivals, mut in_flight) = (0, 0, 0);
+            for round in 0..4 {
+                let outcome = executor.run_round(&refs, &global, &c, round).unwrap();
+                let flush = outcome.timing.as_ref().unwrap().flush.clone().unwrap();
+                aggregated += outcome.updates.len();
+                arrivals += flush.arrivals;
+                in_flight = flush.remaining;
+                advance(&mut global, &outcome, round, &c);
+            }
+            let scored = registry.score_stats();
+            assert_eq!(scored.served + scored.computed, aggregated, "cap {cap:?}");
+            assert!(
+                in_flight > 0,
+                "cap {cap:?}: the run ends with dispatches in flight"
+            );
+            assert_eq!(arrivals, aggregated + in_flight, "cap {cap:?}");
+        }
+    }
+
+    #[test]
+    fn a_client_error_surfaces_at_the_flush_that_aggregates_its_update() {
+        // Eight clients, a buffer of four. Client 7 holds by far the most
+        // rows, so its round-0 dispatch is the slowest and is carried. A
+        // shard of the wrong width cannot train, and the durations the
+        // flush decision reads do not depend on the width.
+        let m = model();
+        let c = config()
+            .with_heterogeneity(HeterogeneityModel::two_tier())
+            .with_seed(3);
+        let cohort = |width: usize| -> Vec<Client> {
+            (0..8)
+                .map(|id| match id {
+                    7 => Client::new(id, data_of_width(id, 200, width)),
+                    _ => client(id, 10 + id),
+                })
+                .collect()
+        };
+        let valid = cohort(6);
+        let refs: Vec<&Client> = valid.iter().collect();
+        let executor = streaming_inline(StreamingParams::new(4));
+        let mut reference = Vec::new();
+        let flush_round = (0..8)
+            .find(|&round| {
+                let outcome = executor.run_round(&refs, &m, &c, round).unwrap();
+                let flushed = outcome.updates.iter().any(|u| u.client_id == 7);
+                reference.push(outcome);
+                flushed
+            })
+            .expect("client 7's first dispatch flushes within eight rounds");
+        assert!(flush_round >= 1, "client 7's first dispatch is carried");
+
+        let broken = cohort(5);
+        let expected = broken[7].local_update(&m, &c, 0).unwrap_err();
+        let refs: Vec<&Client> = broken.iter().collect();
+        let executor = streaming_inline(StreamingParams::new(4));
+        for (round, reference) in reference.iter().enumerate().take(flush_round) {
+            let outcome = executor.run_round(&refs, &m, &c, round).unwrap();
+            assert_eq!(&outcome, reference, "round {round}");
+        }
+        let err = executor.run_round(&refs, &m, &c, flush_round).unwrap_err();
+        assert_eq!(err.to_string(), expected.to_string());
+    }
+
+    #[test]
+    fn the_clock_holds_one_snapshot_per_version_the_window_or_a_dispatch_needs() {
+        let clients: Vec<Client> = (0..8).map(|id| client(id, 10 + id)).collect();
+        let refs: Vec<&Client> = clients.iter().collect();
+        let c = config()
+            .with_heterogeneity(HeterogeneityModel::two_tier())
+            .with_seed(3);
+        for max_staleness in [0, 2] {
+            let case = format!("max_staleness {max_staleness}");
+            let executor =
+                streaming_inline(StreamingParams::new(4).with_max_staleness(max_staleness));
+            let mut global = model();
+            let mut thetas = Vec::new();
+            let mut backlog = Vec::new();
+            let mut shared_a_snapshot = false;
+            for round in 0..6 {
+                thetas.push(global.trainable_vector(c.freeze));
+                let outcome = executor.run_round(&refs, &global, &c, round).unwrap();
+                advance(&mut global, &outcome, round, &c);
+                let clock = executor.clock.lock().unwrap();
+                let mut expected: Vec<usize> = (0..=round)
+                    .filter(|v| v + max_staleness > round)
+                    .chain(clock.pending.iter().map(|p| p.version))
+                    .collect();
+                expected.sort_unstable();
+                expected.dedup();
+                let held: Vec<usize> = clock.history.iter().map(|(v, _)| *v).collect();
+                assert_eq!(held, expected, "{case}, after round {round}");
+                for (version, theta) in &clock.history {
+                    assert_eq!(theta, &thetas[*version], "{case}, version {version}");
+                }
+                shared_a_snapshot |= clock.history.len() < clock.pending.len();
+                backlog.push(clock.pending.len());
+            }
+            assert!(backlog[5] > backlog[0], "{case}: the backlog grows");
+            assert!(
+                shared_a_snapshot,
+                "{case}: dispatches share a version's snapshot"
+            );
+        }
     }
 
     #[test]
