@@ -286,6 +286,46 @@ impl RunResult {
             .collect()
     }
 
+    /// A 64-bit FNV-1a digest of the learning history: per round, the bit
+    /// patterns of the round index, test accuracy and loss, mean train loss,
+    /// participants, drops, per-tier participants, selected samples,
+    /// per-update staleness, client seconds (both accountings) and wall
+    /// seconds, each fed as one little-endian `u64`. These are the fields,
+    /// in the order, of the benchmark harness's `history_checksum`; the
+    /// cache counters and flush bookkeeping that
+    /// [`RunResult::learning_history`] zeroes are left out, so the digest of
+    /// a run equals the digest of its learning history. One number pins a
+    /// whole run absolutely, across builds and hosts
+    /// (`tests/golden_histories.rs`).
+    pub fn history_digest(&self) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut write = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for r in &self.rounds {
+            write(r.round as u64);
+            write(u64::from(r.test_accuracy.to_bits()));
+            write(u64::from(r.test_loss.to_bits()));
+            write(u64::from(r.mean_train_loss.to_bits()));
+            write(r.participants as u64);
+            write(r.dropped_clients as u64);
+            for &t in &r.tier_participants {
+                write(t as u64);
+            }
+            write(r.selected_samples as u64);
+            for &s in &r.update_staleness {
+                write(s as u64);
+            }
+            write(r.round_client_seconds.to_bits());
+            write(r.round_client_seconds_cached.to_bits());
+            write(r.round_wall_seconds.to_bits());
+        }
+        hash
+    }
+
     /// Number of rounds that recorded a buffer flush (every round of a
     /// streaming run; zero otherwise).
     pub fn flush_count(&self) -> usize {
@@ -488,6 +528,43 @@ mod tests {
         // and sequential runs of the same learning process compare equal.
         assert!(r.learning_history().iter().all(|rec| rec.flush.is_none()));
         assert_eq!(r.learning_history(), run().learning_history());
+    }
+
+    #[test]
+    fn history_digest_sees_every_learning_field_and_nothing_else() {
+        // No rounds: the FNV-1a offset basis.
+        assert_eq!(
+            RunResult::new("empty", vec![]).history_digest(),
+            0xcbf2_9ce4_8422_2325
+        );
+        let reference = run().history_digest();
+        assert_eq!(reference, run().history_digest());
+        let moved = |edit: fn(&mut RoundRecord)| {
+            let mut r = run();
+            edit(&mut r.rounds[1]);
+            r.history_digest()
+        };
+        assert_ne!(
+            reference,
+            moved(|r| r.test_loss = f32::from_bits(r.test_loss.to_bits() + 1))
+        );
+        assert_ne!(reference, moved(|r| r.update_staleness[1] = 2));
+        assert_ne!(reference, moved(|r| r.round_wall_seconds = 5.5));
+        // What the learning history zeroes, and the running totals, are
+        // not part of the digest.
+        assert_eq!(reference, moved(|r| r.cache_hits = 9));
+        assert_eq!(reference, moved(|r| r.cumulative_client_seconds = 0.0));
+        let mut streamed = run();
+        streamed.rounds[0].flush = Some(FlushRecord {
+            trigger: FlushTrigger::Drain,
+            buffer_fill: 10,
+            carried: 0,
+            arrivals: 10,
+            remaining: 0,
+        });
+        assert_eq!(reference, streamed.history_digest());
+        let bare = RunResult::new("bare", run().learning_history());
+        assert_eq!(reference, bare.history_digest());
     }
 
     #[test]
