@@ -287,7 +287,7 @@ impl HeterogeneityModel {
     /// Simulated wall-clock seconds of one client round on this device:
     /// compute time scaled by the tier's speed plus the transfer time of the
     /// round's traffic over the tier's links.
-    pub fn simulated_round_seconds(
+    fn simulated_round_seconds(
         &self,
         profile: &DeviceProfile,
         compute_seconds: f64,
@@ -304,8 +304,8 @@ impl HeterogeneityModel {
     /// training, evaluated from the model's FLOP breakdown, the selection
     /// strategy's sample count and the round traffic.
     ///
-    /// [`crate::ExecutionBackend::Deadline`] uses this to decide which
-    /// clients miss the deadline without paying for their local updates; it
+    /// The round executor times every admitted client, and drops those that
+    /// miss a deadline, with this before paying for their local updates; it
     /// is exact (not an estimate) because every term of the cost model is a
     /// deterministic function of the same inputs.
     pub fn predicted_client_seconds(
@@ -326,8 +326,8 @@ impl HeterogeneityModel {
 
     /// [`HeterogeneityModel::predicted_client_seconds`] with the
     /// client-invariant parts (FLOP breakdown, round traffic) precomputed —
-    /// the form the deadline scheduler uses inside its participant loop so
-    /// the model is analysed once per round, not once per client.
+    /// the form the executor uses inside its participant loop so the model
+    /// is analysed once per round, not once per client.
     pub fn predicted_seconds_from_parts(
         &self,
         profile: &DeviceProfile,
@@ -813,5 +813,90 @@ mod tests {
         let traffic = round_traffic(&model, config.freeze);
         let expected = m.simulated_round_seconds(&profile, base, &traffic);
         assert_eq!(predicted.to_bits(), expected.to_bits());
+    }
+
+    /// The executor times every update by its admission-time prediction:
+    /// bit for bit the duration the trained update's own cost accounting
+    /// gives, for every selection strategy and freeze level, and under
+    /// per-tier freezes.
+    #[test]
+    fn a_prediction_is_the_duration_of_the_trained_update() {
+        use crate::client::Client;
+        use crate::selection::SelectionStrategy;
+        use fedft_data::Dataset;
+        use fedft_nn::FreezeLevel;
+        use fedft_tensor::init;
+
+        let hetero = HeterogeneityModel::three_tier();
+        let model = model();
+        let strategies = [
+            SelectionStrategy::All,
+            SelectionStrategy::Random { fraction: 0.4 },
+            SelectionStrategy::Entropy {
+                fraction: 0.3,
+                temperature: 0.1,
+            },
+            SelectionStrategy::LossProportional { fraction: 0.5 },
+            SelectionStrategy::GradientNorm { fraction: 0.7 },
+        ];
+        let base = FlConfig::default()
+            .with_local_epochs(2)
+            .with_batch_size(8)
+            .with_seed(4)
+            .with_heterogeneity(hetero.clone());
+        let mut configs = Vec::new();
+        for selection in strategies {
+            for freeze in FreezeLevel::all() {
+                configs.push(base.clone().with_selection(selection).with_freeze(freeze));
+            }
+            configs.push(
+                base.clone()
+                    .with_selection(selection)
+                    .with_freeze(FreezeLevel::Large)
+                    .with_tier_freeze(vec![
+                        FreezeLevel::Large,
+                        FreezeLevel::Moderate,
+                        FreezeLevel::Classifier,
+                    ]),
+            );
+        }
+        let clients: Vec<Client> = (0..12)
+            .map(|id| {
+                let samples = 7 + 3 * id;
+                let mut r = rng::rng_for_indexed(2, "device-test", id as u64);
+                let features = init::normal(&mut r, samples, 6, 0.0, 1.0);
+                let labels = (0..samples).map(|i| i % 3).collect();
+                Client::new(id, Dataset::new(features, labels, 3).unwrap())
+            })
+            .collect();
+        let mut tiers_seen = [false; 3];
+        for config in &configs {
+            for client in &clients {
+                let profile = hetero.profile_for(client.id(), config.seed);
+                tiers_seen[profile.tier_index] = true;
+                let freeze = config.effective_freeze(profile.tier_index);
+                let traffic = round_traffic(&model, freeze);
+                let update = client.local_update(&model, config, 1).unwrap();
+                let trained =
+                    hetero.simulated_round_seconds(&profile, update.compute_seconds, &traffic);
+                let predicted = hetero.predicted_seconds_from_parts(
+                    &profile,
+                    &model.flops_per_sample(freeze),
+                    &traffic,
+                    client.num_samples(),
+                    config,
+                );
+                assert_eq!(
+                    trained.to_bits(),
+                    predicted.to_bits(),
+                    "{:?} at {:?} (tier freeze {:?}), client {}",
+                    config.selection,
+                    freeze,
+                    config.tier_freeze,
+                    client.id()
+                );
+            }
+        }
+        assert_eq!(tiers_seen, [true; 3], "every tier is exercised");
     }
 }

@@ -7,22 +7,20 @@
 //! [`FlConfig`]; the variant docs say what each backend does and which
 //! parameterisation reduces it to `Sequential`.
 //! [`ExecutionBackend::executor_with_workers`] builds the one [`Executor`],
-//! which runs a round in one of two shapes:
+//! which runs every round through one body, a buffered flush on a simulated
+//! clock: admit (device profile, availability draw, duration prediction,
+//! deadline drop) → dispatch each admitted client, once its device is free,
+//! on the freshest model version published by then, into a buffer → flush at
+//! the `K`-th buffered completion, the flush timer, or — when neither can
+//! fire — the last completion in flight → train what the flush took, each on
+//! the version it downloaded, at the one place a local update
+//! ([`Client::local_update_in`]) runs.
 //!
-//! * a **synchronous round** (`Sequential`, `Parallel`, `Deadline`): admit →
-//!   train everyone admitted on the current model → the round lasted as long
-//!   as its slowest survivor, or the full deadline when someone was dropped
-//!   under a finite one;
-//! * an **event round** (`Async`, `Streaming`) on one cumulative simulated
-//!   clock: admit → dispatch each client, once its device is free, on the
-//!   freshest model version published by then, into a buffer → flush at the
-//!   `K`-th buffered completion, the flush timer, or — when neither can fire
-//!   — the last completion in flight → train what the flush took, each on
-//!   the version it downloaded. `Async` is that last case and nothing else.
-//!
-//! Both shapes share one admission step (device profile, availability draw,
-//! duration prediction, deadline drop) and one training call site, the only
-//! place a local update ([`Client::local_update_in`]) runs.
+//! A backend is a plan for that body: `Async { s }` is the last-completion
+//! (drain) case at staleness bound `s`, `Sequential` and `Parallel` the
+//! drain at 0 with no availability draw, and `Deadline` that plus the draw
+//! and a deadline that drops instead of carrying. A drain at 0 carries
+//! nothing between rounds, so it runs without the clock, in any round order.
 //!
 //! The executor also owns the memory a round trains in — the `θ` upload
 //! buffers and one [`ClientWorkspace`] per runner — and keeps it from round
@@ -55,9 +53,9 @@
 //!   worker count and any [`FlConfig::cache_shards`] setting.
 
 use crate::client::{Client, ClientUpdate, ClientWorkspace};
-use crate::comm::{round_traffic, RoundTraffic};
+use crate::comm::round_traffic;
 use crate::config::FlConfig;
-use crate::device::{ArrivalModel, DeviceProfile};
+use crate::device::ArrivalModel;
 use crate::{FlError, Result};
 use fedft_nn::{BlockNet, FreezeLevel, ParamVector};
 use fedft_tensor::{parallel, pool};
@@ -73,10 +71,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// simulation, never its results. The other three *schedule* over the
 /// [`FlConfig::heterogeneity`] device model: each sampled client first takes
 /// its per-round availability draw (offline devices are dropped with
-/// [`DropReason::Offline`] and never train), and the survivors' simulated
-/// round seconds are predicted from the cost model and their
-/// [`DeviceProfile`] — exactly, not as an estimate, because every term of
-/// the cost model is a deterministic function of the same inputs.
+/// [`DropReason::Offline`] and never train). Every backend times a client by
+/// its simulated round seconds, predicted from the cost model and its
+/// [`crate::DeviceProfile`] — exactly, not as an estimate, because every
+/// term of the cost model is a deterministic function of the same inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum ExecutionBackend {
     /// Train selected clients one after another on the calling thread. The
@@ -321,18 +319,17 @@ pub struct FlushRecord {
     pub remaining: usize,
 }
 
-/// Round-level timing attached to every [`RoundOutcome`]: a synchronous
-/// round fills it with the slowest-survivor-or-deadline wall clock, an event
-/// round with overlap accounting, `Streaming` additionally with a
+/// Round-level timing attached to every [`RoundOutcome`]: the flush's wall
+/// clock and per-update dispatch accounting, and under `Streaming` the
 /// [`FlushRecord`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct RoundTiming {
     /// Per-update timing, parallel to [`RoundOutcome::updates`].
     pub per_update: Vec<UpdateTiming>,
     /// Simulated wall-clock between this round's aggregation and the
-    /// previous one. On the event backends overlap makes this *shorter*
-    /// than the slowest client's duration: stragglers started under earlier
-    /// versions.
+    /// previous one. Under `Async` and `Streaming` overlap can make this
+    /// *shorter* than the slowest client's duration: stragglers started
+    /// under earlier versions.
     pub round_wall_seconds: f64,
     /// Buffered-flush bookkeeping, present only on the streaming backend.
     pub flush: Option<FlushRecord>,
@@ -386,13 +383,14 @@ impl RoundOutcome {
 /// [`RoundOutcome::drops`], each **in participant order**, so that server
 /// aggregation is deterministic under any scheduling.
 ///
-/// The event backends keep a cumulative clock: `run_round` must be called
-/// once per round, in round order, with the aggregated global model of the
-/// previous rounds — the order [`crate::Simulation`] guarantees. Successive
-/// models may differ only in their trainable part `θ`, which is all the
-/// server ever aggregates and all the clock snapshots per version. Round 0
-/// resets the clock (dropping any buffered updates), so one executor can
-/// serve consecutive runs.
+/// `Async` at a positive staleness bound and `Streaming` (but for its drain
+/// at bound 0) keep a cumulative clock: `run_round` must be called once per
+/// round, in round order, with the aggregated global model of the previous
+/// rounds — the order [`crate::Simulation`] guarantees. Successive models
+/// may differ only in their trainable part `θ`, which is all the server
+/// ever aggregates and all the clock snapshots per version. Round 0 resets
+/// the clock (dropping any buffered updates), so one executor can serve
+/// consecutive runs. The other backends' rounds run in any order.
 ///
 /// An executor also keeps the memory its rounds train in — a free list of
 /// `θ` upload buffers, fed by [`Executor::recycle`], and one
@@ -406,8 +404,8 @@ pub struct Executor {
     backend: ExecutionBackend,
     /// Optional cap on worker threads; `None` uses all available cores.
     worker_threads: Option<usize>,
-    /// The event backends' simulated timeline; synchronous rounds never
-    /// lock it.
+    /// The simulated timeline of a plan that keeps state; one that keeps
+    /// none ([`FlushPlan::keeps_no_state`]) never locks it.
     clock: Mutex<EventClock>,
     /// θ buffers waiting to carry an upload again: what [`Executor::recycle`]
     /// was handed back, topped up by [`Executor::train`] to one per job.
@@ -417,32 +415,46 @@ pub struct Executor {
     workspaces: Mutex<Vec<ClientWorkspace>>,
 }
 
-/// A sampled client admitted to the round, with what the scheduler knows
-/// about its device.
+/// How [`Executor::event_round`] runs one backend's round: what
+/// [`Executor::run_round`] decides from the backend alone.
+struct FlushPlan {
+    /// The buffer, flush timer, dispatch staleness bound and arrivals.
+    stream: StreamingParams,
+    /// Whether a sampled client takes the per-round availability draw.
+    availability: bool,
+    /// Drop, not carry, a client predicted to finish later; a round that
+    /// dropped anyone under a finite deadline lasts the deadline.
+    deadline: Option<f64>,
+    /// Whether the outcome carries the [`FlushRecord`].
+    records_flush: bool,
+}
+
+impl FlushPlan {
+    /// Whether the plan drains at staleness 0 with steady arrivals and no
+    /// timer: every dispatch starts at the opening on the model passed in
+    /// and flushes within its round, which leaves nothing for the next one.
+    fn keeps_no_state(&self) -> bool {
+        let stream = &self.stream;
+        stream.buffer_size == usize::MAX
+            && stream.flush_seconds == f64::INFINITY
+            && stream.max_staleness == 0
+            && stream.arrival == ArrivalModel::Steady
+    }
+}
+
+/// A sampled client admitted to the round.
 struct Admitted<'c> {
     client: &'c Client,
-    profile: DeviceProfile,
-    /// Predicted device-adjusted round seconds. Only the scheduling backends
-    /// predict; the plain ones leave `0.0` and never read it.
+    /// Predicted device-adjusted round seconds: the duration the update's
+    /// own cost accounting will give, bit for bit.
     predicted_seconds: f64,
 }
 
 /// One local update for [`Executor::train`]: the client, the model version
 /// it downloaded, and the round it was dispatched in — which names its RNG
-/// streams, so an event round that trains a carried dispatch at a later
-/// flush gets the update its dispatch round would have.
+/// streams, so a round that trains a carried dispatch at a later flush gets
+/// the update its dispatch round would have.
 type Job<'a> = (&'a Client, &'a BlockNet, usize);
-
-/// What [`Executor::admit`] decided for one round's sampled cohort.
-struct Admission<'c> {
-    /// The clients that will train, in participant order.
-    admitted: Vec<Admitted<'c>>,
-    /// The clients that will not, in participant order.
-    drops: Vec<DroppedClient>,
-    /// Round traffic per device tier: under `tier_freeze` a tier's freeze
-    /// level sets its upload size.
-    tier_traffic: Vec<RoundTraffic>,
-}
 
 impl Executor {
     /// Runs the local update of every admitted participant and reports the
@@ -452,11 +464,12 @@ impl Executor {
     ///
     /// Returns [`FlError::NoParticipants`] for an empty participant set,
     /// [`FlError::InvalidConfig`] for a zero worker cap, invalid
-    /// [`StreamingParams`] or an event round out of order, or the first
-    /// client error in the order the round trains: participant order, or on
-    /// the event backends flush order. An event round trains a dispatch at
-    /// the flush that aggregates it, so a client's error surfaces in that
-    /// round, which may be a later one than its dispatch; an update still in
+    /// [`StreamingParams`], a round out of order on a backend that keeps a
+    /// clock, or the first client error in the order the round trains: flush
+    /// order, which is participant order whenever the cohort flushes within
+    /// its own round. A round trains a dispatch at the flush that aggregates
+    /// it, so a client's error surfaces in that round, which under
+    /// `Streaming` may be a later one than its dispatch; an update still in
     /// flight when the run ends is never computed, and never errs.
     pub fn run_round(
         &self,
@@ -477,23 +490,27 @@ impl Executor {
         if participants.is_empty() {
             return Err(FlError::NoParticipants { round });
         }
-        match self.backend {
-            ExecutionBackend::Sequential
-            | ExecutionBackend::Parallel
-            | ExecutionBackend::Deadline => {
-                self.synchronous_round(participants, global_model, config, round)
-            }
+        // Every backend but `Streaming` drains: steady arrivals, a buffer
+        // nobody can fill, no timer.
+        let drain = StreamingParams::new(usize::MAX);
+        let (stream, availability, deadline) = match self.backend {
+            ExecutionBackend::Sequential | ExecutionBackend::Parallel => (drain, false, None),
+            ExecutionBackend::Deadline => (drain, true, Some(config.deadline_seconds)),
             ExecutionBackend::Async { max_staleness } => {
-                // Bounded staleness is the drain case of the buffered flush:
-                // steady arrivals, a buffer nobody can fill, no timer.
-                let drain = StreamingParams::new(usize::MAX).with_max_staleness(max_staleness);
-                self.event_round(&drain, false, participants, global_model, config, round)
+                (drain.with_max_staleness(max_staleness), true, None)
             }
             ExecutionBackend::Streaming(params) => {
                 params.validate()?;
-                self.event_round(&params, true, participants, global_model, config, round)
+                (params, true, None)
             }
-        }
+        };
+        let plan = FlushPlan {
+            stream,
+            availability,
+            deadline,
+            records_flush: matches!(self.backend, ExecutionBackend::Streaming(_)),
+        };
+        self.event_round(&plan, participants, global_model, config, round)
     }
 
     /// Takes back the θ buffers of updates the caller is done with — a
@@ -507,62 +524,53 @@ impl Executor {
         lock(&self.uploads).extend(updates.into_iter().map(|u| u.theta.into_values()));
     }
 
-    /// Decides who trains this round. Every backend resolves the device
-    /// profile; the scheduling backends additionally take the availability
-    /// draw and predict the client's duration, and `Deadline` drops whoever
-    /// would miss [`FlConfig::deadline_seconds`]. The plain backends draw
-    /// nothing, predict nothing and drop nobody.
+    /// Decides who trains this round: resolves each sampled client's device
+    /// profile, predicts its duration and, as the plan says, takes the
+    /// availability draw and drops whoever would miss the deadline. Returns
+    /// the clients that will train and those that will not, each in
+    /// participant order.
     fn admit<'c>(
         &self,
+        plan: &FlushPlan,
         participants: &[&'c Client],
         global_model: &BlockNet,
         config: &FlConfig,
         round: usize,
-    ) -> Admission<'c> {
+    ) -> (Vec<Admitted<'c>>, Vec<DroppedClient>) {
         let hetero = &config.heterogeneity;
-        let schedules = !matches!(
-            self.backend,
-            ExecutionBackend::Sequential | ExecutionBackend::Parallel
-        );
-        let enforces_deadline = self.backend == ExecutionBackend::Deadline;
         // Client-invariant inputs of the prediction, once per round and per
-        // tier (whose freeze level also sets its per-sample training FLOPs).
-        let tiers = 0..hetero.num_tiers();
-        let tier_traffic: Vec<RoundTraffic> = tiers
-            .clone()
-            .map(|t| round_traffic(global_model, config.effective_freeze(t)))
+        // tier: a tier's freeze level sets its per-sample training FLOPs and,
+        // under `tier_freeze`, its upload size.
+        let tier_costs: Vec<_> = (0..hetero.num_tiers())
+            .map(|t| {
+                let freeze = config.effective_freeze(t);
+                (
+                    global_model.flops_per_sample(freeze),
+                    round_traffic(global_model, freeze),
+                )
+            })
             .collect();
-        let tier_flops: Vec<_> = if schedules {
-            tiers
-                .map(|t| global_model.flops_per_sample(config.effective_freeze(t)))
-                .collect()
-        } else {
-            Vec::new()
-        };
 
         let mut admitted = Vec::with_capacity(participants.len());
         let mut drops = Vec::new();
         for &client in participants {
             let profile = hetero.profile_for(client.id(), config.seed);
-            // An offline device never starts, so its record keeps 0.0.
-            let mut predicted_seconds = 0.0;
-            let mut rejected = None;
-            if schedules {
-                if hetero.is_offline(&profile, round, config.seed) {
-                    rejected = Some(DropReason::Offline);
+            let (rejected, predicted_seconds) =
+                if plan.availability && hetero.is_offline(&profile, round, config.seed) {
+                    // An offline device never starts, so its record keeps 0.0.
+                    (Some(DropReason::Offline), 0.0)
                 } else {
-                    predicted_seconds = hetero.predicted_seconds_from_parts(
+                    let (flops, traffic) = &tier_costs[profile.tier_index];
+                    let predicted = hetero.predicted_seconds_from_parts(
                         &profile,
-                        &tier_flops[profile.tier_index],
-                        &tier_traffic[profile.tier_index],
+                        flops,
+                        traffic,
                         client.num_samples(),
                         config,
                     );
-                    if enforces_deadline && predicted_seconds > config.deadline_seconds {
-                        rejected = Some(DropReason::MissedDeadline);
-                    }
-                }
-            }
+                    let late = plan.deadline.is_some_and(|deadline| predicted > deadline);
+                    (late.then_some(DropReason::MissedDeadline), predicted)
+                };
             match rejected {
                 Some(reason) => drops.push(DroppedClient {
                     client_id: client.id(),
@@ -572,16 +580,11 @@ impl Executor {
                 }),
                 None => admitted.push(Admitted {
                     client,
-                    profile,
                     predicted_seconds,
                 }),
             }
         }
-        Admission {
-            admitted,
-            drops,
-            tier_traffic,
-        }
+        (admitted, drops)
     }
 
     /// Trains every [`Job`] and returns the updates in the order of `jobs` —
@@ -701,124 +704,78 @@ impl Executor {
         updates
     }
 
-    /// `Sequential` / `Parallel` / `Deadline`: everyone admitted trains on
-    /// the current model, fresh (staleness 0, offset 0).
-    fn synchronous_round(
-        &self,
-        participants: &[&Client],
-        global_model: &BlockNet,
-        config: &FlConfig,
-        round: usize,
-    ) -> Result<RoundOutcome> {
-        let Admission {
-            admitted,
-            drops,
-            tier_traffic,
-        } = self.admit(participants, global_model, config, round);
-        // Every sampled client may have dropped: an empty round, not an
-        // error — the simulation keeps the global model, records the drops.
-        let jobs: Vec<_> = admitted
-            .iter()
-            .map(|a| (a.client, global_model, round))
-            .collect();
-        let updates = self.train(&jobs, config)?;
-        // The wall clock comes from the survivors' *post-hoc*
-        // device-adjusted times, derived from the measured
-        // `compute_seconds` rather than the admission-time prediction.
-        let per_update: Vec<UpdateTiming> = updates
-            .iter()
-            .zip(&admitted)
-            .map(|(update, a)| UpdateTiming {
-                client_id: update.client_id,
-                staleness: 0,
-                dispatch_offset_seconds: 0.0,
-                simulated_seconds: config.heterogeneity.simulated_round_seconds(
-                    &a.profile,
-                    update.compute_seconds,
-                    &tier_traffic[a.profile.tier_index],
-                ),
-            })
-            .collect();
-        // A synchronous server cannot tell an offline device from a
-        // straggler, so any drop under a finite deadline means it waited the
-        // deadline out; without one there is nothing to wait for, and the
-        // round lasts as long as its slowest survivor.
-        let round_wall_seconds = if !drops.is_empty() && config.deadline_seconds.is_finite() {
-            config.deadline_seconds
-        } else {
-            per_update
-                .iter()
-                .map(|t| t.simulated_seconds)
-                .fold(0.0_f64, f64::max)
-        };
-        Ok(RoundOutcome {
-            updates,
-            drops,
-            timing: Some(RoundTiming {
-                per_update,
-                round_wall_seconds,
-                flush: None,
-            }),
-        })
-    }
-
-    /// `Async` / `Streaming`: one flush interval on the event clock.
-    /// `report_flush` is whether the outcome carries the [`FlushRecord`]
-    /// (`Async` rounds do not: their records must equal `Sequential`'s).
+    /// The one round body: one flush interval of `plan`. An empty flush —
+    /// everyone dropped, or nothing completed in time — is an empty round,
+    /// not an error: the simulation keeps the global model.
     fn event_round(
         &self,
-        params: &StreamingParams,
-        report_flush: bool,
+        plan: &FlushPlan,
         participants: &[&Client],
         global_model: &BlockNet,
         config: &FlConfig,
         round: usize,
     ) -> Result<RoundOutcome> {
-        let mut guard = match self.clock.lock() {
-            Ok(guard) => guard,
-            // Round 0 overwrites the whole clock, so nothing a panicking
-            // round left half-written is ever read.
-            Err(poisoned) if round == 0 => poisoned.into_inner(),
-            Err(_) => {
-                return Err(FlError::InvalidConfig {
-                    what: format!(
-                        "{} executor: an earlier round panicked while holding the event \
-                         clock; restart from round 0",
-                        self.backend.short_name()
-                    ),
-                })
-            }
+        let params = &plan.stream;
+        let mut clock = if plan.keeps_no_state() {
+            None
+        } else {
+            Some(match self.clock.lock() {
+                Ok(guard) => guard,
+                // Round 0 overwrites the whole clock, so nothing a panicking
+                // round left half-written is ever read.
+                Err(poisoned) if round == 0 => poisoned.into_inner(),
+                Err(_) => {
+                    return Err(FlError::InvalidConfig {
+                        what: format!(
+                            "{} executor: an earlier round panicked while holding the event \
+                             clock; restart from round 0",
+                            self.backend.short_name()
+                        ),
+                    })
+                }
+            })
         };
-        let clock = &mut *guard;
-        let round_open = clock.open_round(self.backend.short_name(), round)?;
-        let Admission {
-            admitted, drops, ..
-        } = self.admit(participants, global_model, config, round);
+        let round_open = clock.as_deref_mut().map_or(Ok(0.0), |clock| {
+            clock.open_round(self.backend.short_name(), round)
+        })?;
+        let (admitted, drops) = self.admit(plan, participants, global_model, config, round);
 
-        // Dispatch this round's arrivals into the buffer. The cohort is
-        // invited when the oldest version the staleness bound permits opens
-        // — this is where `max_staleness` is enforced — and each client
-        // starts, on the freshest version published by then, once it has
-        // arrived (steady arrivals add exactly 0.0) and finished any earlier
-        // dispatch. Nothing trains yet: a dispatch is trained by the flush
-        // that aggregates it.
+        // Dispatch this round's arrivals into the buffer. On the clock, the
+        // cohort is invited when the oldest version the staleness bound
+        // permits opens — this is where `max_staleness` is enforced — and
+        // each client starts, on the freshest version published by then,
+        // once it has arrived and finished any earlier dispatch; without it,
+        // at the opening on the model passed in. Nothing trains yet: a
+        // dispatch is trained by the flush that aggregates it.
+        let mut buffer = clock
+            .as_deref_mut()
+            .map(|clock| std::mem::take(&mut clock.pending))
+            .unwrap_or_default();
         let earliest_version = round.saturating_sub(params.max_staleness);
-        let invite_at = clock.version_open[earliest_version];
         let arrivals = admitted.len();
         for (position, a) in admitted.iter().enumerate() {
             let id = a.client.id();
-            let arrival_offset = params
-                .arrival
-                .arrival_offset_seconds(id, round, config.seed);
-            let free_at = clock.busy_until.get(&id).copied().unwrap_or(0.0);
-            let dispatch_at = (invite_at + arrival_offset).max(free_at);
-            clock
-                .busy_until
-                .insert(id, dispatch_at + a.predicted_seconds);
-            let version = clock.freshest_version(earliest_version, round, dispatch_at);
-            clock.pending.push(PendingUpdate {
+            let (mut dispatch_at, mut version) = (round_open, round);
+            if let Some(clock) = clock.as_deref_mut() {
+                let arrival_offset = params
+                    .arrival
+                    .arrival_offset_seconds(id, round, config.seed);
+                let free_at = clock.busy_until.get(&id).copied().unwrap_or(0.0);
+                dispatch_at = (clock.version_open[earliest_version] + arrival_offset).max(free_at);
+                clock
+                    .busy_until
+                    .insert(id, dispatch_at + a.predicted_seconds);
+                // The freshest version published by then. Dispatch never
+                // happens before `earliest_version` opens, so the search
+                // cannot fail and staleness never exceeds the bound.
+                version = (earliest_version..=round)
+                    .rfind(|&v| clock.version_open[v] <= dispatch_at)
+                    .unwrap_or(earliest_version);
+            }
+            buffer.push(PendingUpdate {
                 client: a.client.clone(),
                 dispatch_round: round,
+                round_open,
                 position,
                 version,
                 dispatch_offset: dispatch_at - round_open,
@@ -835,11 +792,10 @@ impl Executor {
         // flush fires at the K-th earliest buffered completion, the flush
         // timer, or (when neither can fire) the last completion in flight.
         // Ties go to the buffer condition.
-        let version_open = &clock.version_open;
-        let rebase = |p: &PendingUpdate| version_open[p.dispatch_round] - round_open;
+        let rebase = |p: &PendingUpdate| p.round_open - round_open;
         let completion_offset = |p: &PendingUpdate| rebase(p) + (p.dispatch_offset + p.duration);
-        let buffer_fill = clock.pending.len();
-        let mut completions: Vec<f64> = clock.pending.iter().map(completion_offset).collect();
+        let buffer_fill = buffer.len();
+        let mut completions: Vec<f64> = buffer.iter().map(completion_offset).collect();
         completions.sort_by(f64::total_cmp);
         let buffer_ready_at = completions.get(params.buffer_size - 1).copied();
         let timeout_at = params
@@ -857,13 +813,18 @@ impl Executor {
         };
         // The server cannot flush before the round opened (updates that
         // completed even earlier are simply included), and time never runs
-        // back.
-        let round_wall_seconds = flush_offset.max(0.0);
+        // back. A server that drops late clients cannot tell an offline
+        // device from a straggler: any drop under a finite deadline means it
+        // waited the deadline out.
+        let round_wall_seconds = match plan.deadline {
+            Some(deadline) if deadline.is_finite() && !drops.is_empty() => deadline,
+            _ => flush_offset.max(0.0),
+        };
 
         // Flush every buffered update completed by then, in dispatch order
         // (round, then position): deterministic, and when the whole cohort
         // flushes within its own round exactly participant order.
-        let (mut flushed, remaining): (Vec<_>, Vec<_>) = std::mem::take(&mut clock.pending)
+        let (mut flushed, remaining): (Vec<_>, Vec<_>) = buffer
             .into_iter()
             .partition(|p| completion_offset(p) <= round_wall_seconds);
         flushed.sort_by_key(|p| (p.dispatch_round, p.position));
@@ -895,7 +856,10 @@ impl Executor {
             if p.version == round || stale_models.iter().any(|(v, _)| *v == p.version) {
                 continue;
             }
-            let Some((_, theta)) = clock.history.iter().find(|(v, _)| *v == p.version) else {
+            let snapshot = clock
+                .as_deref()
+                .and_then(|clock| clock.history.iter().find(|(v, _)| *v == p.version));
+            let Some((_, theta)) = snapshot else {
                 return Err(FlError::InvalidConfig {
                     what: format!(
                         "{} executor: round {round} holds no snapshot of model version {}",
@@ -918,22 +882,25 @@ impl Executor {
             .collect();
         let updates = self.train(&jobs, config)?;
 
-        clock.pending = remaining;
-        clock.close_round(
-            round,
-            round_open,
-            round_wall_seconds,
-            params.max_staleness,
-            global_model,
-            config,
-        );
+        // A plan without a clock drains: nothing remains for a next round.
+        if let Some(clock) = clock.as_deref_mut() {
+            clock.pending = remaining;
+            clock.close_round(
+                round,
+                round_open,
+                round_wall_seconds,
+                params.max_staleness,
+                global_model,
+                config,
+            );
+        }
         Ok(RoundOutcome {
             updates,
             drops,
             timing: Some(RoundTiming {
                 per_update,
                 round_wall_seconds,
-                flush: report_flush.then_some(flush),
+                flush: plan.records_flush.then_some(flush),
             }),
         })
     }
@@ -1032,8 +999,8 @@ fn hand_out<S: Send, T: Send>(
     placed.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Event-clock state of the `Async` and `Streaming` backends, advanced once
-/// per round.
+/// The simulated timeline of a plan that carries state between rounds,
+/// advanced once per round.
 ///
 /// Version `v` is the global model after `v` aggregations; `version_open[v]`
 /// is the simulated time at which it became available (`version_open[0] =
@@ -1088,23 +1055,12 @@ impl EventClock {
         Ok(self.version_open[round])
     }
 
-    /// The freshest version in `earliest_version..=round` already published
-    /// at `dispatch_at`. Dispatch never happens before `earliest_version`
-    /// opens, so that version always qualifies: the search cannot fail and
-    /// dispatch staleness never exceeds the bound.
-    fn freshest_version(&self, earliest_version: usize, round: usize, dispatch_at: f64) -> usize {
-        (earliest_version..=round)
-            .rev()
-            .find(|&v| self.version_open[v] <= dispatch_at)
-            .unwrap_or(earliest_version)
-    }
-
     /// Closes `round` after `round_wall` simulated seconds, publishing
     /// version `round + 1`, once the flush has taken its entries out of the
     /// buffer. Keeps the θ snapshot of a version — `round`'s own, taken here
     /// from `global_model`, included — only while a later round may still
-    /// dispatch on it (`v + max_staleness > round`) or a buffered dispatch
-    /// names it. At `max_staleness = 0` that is only the carried versions;
+    /// dispatch on it (`round - v < max_staleness`, which cannot overflow
+    /// at an unbounded `usize::MAX`) or a buffered dispatch names it. At `max_staleness = 0` that is only the carried versions;
     /// a round whose dispatches all flush snapshots nothing.
     fn close_round(
         &mut self,
@@ -1116,7 +1072,7 @@ impl EventClock {
         config: &FlConfig,
     ) {
         let pending = &self.pending;
-        let needed = |v: usize| v + max_staleness > round || pending.iter().any(|p| p.version == v);
+        let needed = |v: usize| round - v < max_staleness || pending.iter().any(|p| p.version == v);
         self.history.retain(|&(v, _)| needed(v));
         if needed(round) {
             self.history
@@ -1134,14 +1090,16 @@ impl EventClock {
 /// Times are kept as offsets relative to the *dispatch round's* opening
 /// (not absolute): entries dispatched in the flushing round then enter the
 /// flush arithmetic without ever adding and re-subtracting the round's
-/// absolute opening time, which keeps the degenerate configurations' wall
-/// clock bit-identical to the synchronous backends'.
+/// absolute opening time, which keeps a round whose cohort all starts at its
+/// opening exactly as long as its slowest duration.
 #[derive(Debug)]
 struct PendingUpdate {
     /// The dispatched client: an id and two shared handles.
     client: Client,
     /// Round the client was sampled in (its dispatch round).
     dispatch_round: usize,
+    /// Simulated opening time of the dispatch round.
+    round_open: f64,
     /// Dispatch index within its round, for deterministic flush ordering.
     position: usize,
     /// Model version the client downloaded.
@@ -2125,6 +2083,67 @@ mod tests {
         assert!(invalid(pooled(ExecutionBackend::Streaming(
             StreamingParams::new(2).with_flush_seconds(f64::NAN)
         ))));
+    }
+
+    #[test]
+    fn a_synchronous_plan_keeps_no_state() {
+        let clients = mixed_cohort(8);
+        let refs: Vec<&Client> = clients.iter().collect();
+        let m = model();
+        let flaky = HeterogeneityModel::from_tiers(vec![
+            crate::DeviceTier::new("fast", 0.5, 1.0),
+            crate::DeviceTier::new("slow", 0.5, 0.25)
+                .with_network(0.5, 0.5)
+                .with_drop_probability(0.4),
+        ]);
+        let c = config().with_heterogeneity(flaky.clone()).with_seed(3);
+        // The median prediction: `Deadline` drops late clients as well as
+        // offline ones.
+        let mut predictions: Vec<f64> = clients
+            .iter()
+            .map(|client| {
+                let profile = flaky.profile_for(client.id(), c.seed);
+                flaky.predicted_client_seconds(&profile, &m, client.num_samples(), &c)
+            })
+            .collect();
+        predictions.sort_by(f64::total_cmp);
+        let c = c.with_deadline(predictions[predictions.len() / 2]);
+        let mut reasons = HashSet::new();
+        for backend in [
+            ExecutionBackend::Sequential,
+            ExecutionBackend::Parallel,
+            ExecutionBackend::Deadline,
+        ] {
+            let fresh = |round: usize| {
+                backend
+                    .executor_with_workers(Some(2))
+                    .run_round(&refs, &m, &c, round)
+                    .unwrap()
+            };
+            let executor = backend.executor_with_workers(Some(2));
+            for round in [5, 2] {
+                let outcome = executor.run_round(&refs, &m, &c, round).unwrap();
+                reasons.extend(outcome.drops.iter().map(|d| format!("{:?}", d.reason)));
+                assert_eq!(outcome, fresh(round), "{backend:?}, round {round}");
+            }
+            let poisoned = catch_unwind(AssertUnwindSafe(|| {
+                let _guard = executor.clock.lock().unwrap();
+                panic!("a round panics while holding the clock");
+            }));
+            assert!(poisoned.is_err() && executor.clock.is_poisoned());
+            for round in [3, 0, 7] {
+                let outcome = executor.run_round(&refs, &m, &c, round).unwrap();
+                reasons.extend(outcome.drops.iter().map(|d| format!("{:?}", d.reason)));
+                assert_eq!(
+                    outcome,
+                    fresh(round),
+                    "{backend:?}, poisoned, round {round}"
+                );
+            }
+        }
+        let mut reasons: Vec<String> = reasons.into_iter().collect();
+        reasons.sort();
+        assert_eq!(reasons, ["MissedDeadline", "Offline"], "both drop reasons");
     }
 
     #[test]

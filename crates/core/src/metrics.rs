@@ -286,17 +286,11 @@ impl RunResult {
             .collect()
     }
 
-    /// A 64-bit FNV-1a digest of the learning history: per round, the bit
-    /// patterns of the round index, test accuracy and loss, mean train loss,
-    /// participants, drops, per-tier participants, selected samples,
-    /// per-update staleness, client seconds (both accountings) and wall
-    /// seconds, each fed as one little-endian `u64`. These are the fields,
-    /// in the order, of the benchmark harness's `history_checksum`; the
-    /// cache counters and flush bookkeeping that
-    /// [`RunResult::learning_history`] zeroes are left out, so the digest of
-    /// a run equals the digest of its learning history. One number pins a
-    /// whole run absolutely, across builds and hosts
-    /// (`tests/golden_histories.rs`).
+    /// A 64-bit FNV-1a digest of the learning history, one number that pins
+    /// a whole run (`tests/golden_histories.rs`): the bit patterns of the
+    /// fields the benchmark harness's `history_checksum` reads, in its
+    /// order, each as one little-endian `u64`. What
+    /// [`RunResult::learning_history`] zeroes is left out.
     pub fn history_digest(&self) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut write = |word: u64| {

@@ -199,9 +199,9 @@ impl Simulation {
             let mut outcome =
                 executor.run_round(&participants, &global_model, &self.config, round)?;
             let update_staleness = outcome.update_staleness();
-            // Every backend reports its own simulated wall clock: the
-            // slowest survivor or the deadline on a synchronous round, the
-            // gap between consecutive aggregations on an event round.
+            // Every backend reports its own simulated wall clock: the gap
+            // between consecutive aggregations — on a synchronous backend the
+            // slowest survivor, or the deadline when someone dropped.
             let timing = outcome.timing.take().unwrap_or_default();
             let updates = &outcome.updates;
 
@@ -615,6 +615,44 @@ mod tests {
             assert!(r.update_staleness.iter().all(|&s| s <= 2));
         }
         assert!(result.max_update_staleness() <= 2);
+    }
+
+    #[test]
+    fn an_unbounded_staleness_bound_is_a_bound_of_the_run_length() {
+        let (fed, model) = tiny_setup(6);
+        let rounds = 4;
+        let base = quick_config(rounds)
+            .with_participation(0.5)
+            .with_heterogeneity(crate::device::HeterogeneityModel::two_tier());
+        let buffered = crate::StreamingParams::new(2);
+        for (bounded, unbounded) in [
+            (
+                ExecutionBackend::Async {
+                    max_staleness: rounds,
+                },
+                ExecutionBackend::Async {
+                    max_staleness: usize::MAX,
+                },
+            ),
+            (
+                ExecutionBackend::Streaming(buffered.with_max_staleness(rounds)),
+                ExecutionBackend::Streaming(buffered.with_max_staleness(usize::MAX)),
+            ),
+        ] {
+            let run = |backend| {
+                Simulation::new(base.clone().with_execution(backend))
+                    .unwrap()
+                    .run(&fed, &model)
+                    .unwrap()
+            };
+            let reference = run(bounded);
+            assert!(reference.stale_update_count() > 0, "{bounded:?}");
+            assert_eq!(
+                run(unbounded).learning_history(),
+                reference.learning_history(),
+                "{unbounded:?}"
+            );
+        }
     }
 
     #[test]
