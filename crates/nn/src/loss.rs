@@ -1,7 +1,7 @@
 //! Softmax cross-entropy loss.
 
 use crate::{NnError, Result};
-use fedft_tensor::{stats, Matrix};
+use fedft_tensor::Matrix;
 
 /// Combined softmax + cross-entropy loss with integer targets.
 ///
@@ -36,15 +36,24 @@ impl SoftmaxCrossEntropy {
 
     /// Computes the mean cross-entropy loss over the batch.
     ///
+    /// Reads one log-probability per row without building the matrix: the
+    /// row's max, its left-to-right sum of shifted exponentials and
+    /// `z[label] − (ln sum + max)` are the operations of [`log_softmax`] on
+    /// that entry, so the value is the same bit for bit.
+    ///
+    /// [`log_softmax`]: fedft_tensor::stats::log_softmax
+    ///
     /// # Errors
     ///
     /// Returns an error when shapes and labels are inconsistent.
     pub fn loss(&self, logits: &Matrix, labels: &[usize]) -> Result<f32> {
         self.check(logits, labels)?;
-        let log_probs = stats::log_softmax(logits)?;
         let mut total = 0.0_f32;
-        for (i, &label) in labels.iter().enumerate() {
-            total -= log_probs.get(i, label);
+        for (r, &label) in labels.iter().enumerate() {
+            let row = logits.row(r);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let log_sum = row.iter().map(|&z| (z - max).exp()).sum::<f32>().ln() + max;
+            total -= row[label] - log_sum;
         }
         Ok(total / labels.len() as f32)
     }
@@ -70,6 +79,9 @@ impl SoftmaxCrossEntropy {
     /// and their left-to-right sum are exactly what [`stats::softmax`]
     /// divides and what [`stats::log_softmax`] takes the logarithm of, so
     /// loss and gradient equal the two-matrix formulation bit for bit.
+    ///
+    /// [`stats::softmax`]: fedft_tensor::stats::softmax
+    /// [`stats::log_softmax`]: fedft_tensor::stats::log_softmax
     ///
     /// # Errors
     ///
@@ -128,6 +140,7 @@ impl SoftmaxCrossEntropy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedft_tensor::stats;
 
     #[test]
     fn uniform_logits_give_log_c_loss() {
@@ -211,6 +224,53 @@ mod tests {
                 value.to_bits(),
                 loss.loss(&logits, &labels).unwrap().to_bits()
             );
+        }
+    }
+
+    /// The formulation [`SoftmaxCrossEntropy::loss`] replaced: a
+    /// log-softmax matrix, one entry read per row.
+    fn log_softmax_loss(logits: &Matrix, labels: &[usize]) -> f32 {
+        let log_probs = stats::log_softmax(logits).unwrap();
+        let mut total = 0.0_f32;
+        for (i, &label) in labels.iter().enumerate() {
+            total -= log_probs.get(i, label);
+        }
+        total / labels.len() as f32
+    }
+
+    #[test]
+    fn loss_equals_the_log_softmax_formulation_bit_for_bit() {
+        let loss = SoftmaxCrossEntropy::new();
+        let assert_same = |logits: &Matrix, labels: &[usize], context: &str| {
+            let expected = log_softmax_loss(logits, labels);
+            let value = loss.loss(logits, labels).unwrap();
+            if expected.is_nan() {
+                assert!(value.is_nan(), "{context}: {value}");
+            } else {
+                assert_eq!(value.to_bits(), expected.to_bits(), "{context}");
+            }
+        };
+        let mut r = fedft_tensor::rng::rng_for(11, "loss-matrix-free");
+        for (rows, cols) in [(1, 1), (3, 2), (64, 10), (7, 33)] {
+            let logits = fedft_tensor::init::normal(&mut r, rows, cols, 0.0, 4.0);
+            let labels: Vec<usize> = (0..rows).map(|i| (i * 5) % cols).collect();
+            assert_same(&logits, &labels, &format!("{rows}x{cols}"));
+        }
+        // Each non-finite row on its own and at every label, so that one
+        // NaN does not hide what the others compute.
+        let (inf, nan) = (f32::INFINITY, f32::NAN);
+        for row in [
+            [inf, 0.0, 1.0],
+            [-inf, 0.0, 1.0],
+            [-inf, -inf, -inf],
+            [nan, 0.0, 1.0],
+            [0.5, nan, -inf],
+            [inf, -inf, nan],
+        ] {
+            let logits = Matrix::from_rows(&[row.to_vec()]).unwrap();
+            for label in 0..row.len() {
+                assert_same(&logits, &[label], &format!("{row:?}, label {label}"));
+            }
         }
     }
 

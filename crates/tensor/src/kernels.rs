@@ -6,21 +6,25 @@
 //! [`crate::packed::PACKED_MIN_COLS`] columns wide goes through the
 //! packed-panel GEBP core in [`crate::packed`] (cache-blocked, runtime-tuned
 //! — see that module); small and thin ones stay on the direct kernel in this
-//! module. The direct core tiles the output into [`MR`]`×`[`NR`] register
-//! blocks: each block's accumulators live in vector registers across the
-//! entire reduction (the row and lane loops have constant trip counts, so the
+//! module. The direct core tiles the output into [`MR`]-row register blocks,
+//! [`WIDE`] columns across a full slab (8×32 on AVX-512, 8×16 elsewhere):
+//! each block's accumulators live in vector registers across the entire
+//! reduction (the row and lane loops have constant trip counts, so the
 //! compiler fully unrolls them and promotes the accumulator array out of
-//! memory), and every loaded `B` vector is reused by all [`MR`] rows of the
-//! block. Against the naive triple loop this removes the per-step output
+//! memory), every loaded `B` vector is reused by all [`MR`] rows of the
+//! block, and on AVX-512 every broadcast `A` element by two `B` vectors.
+//! Against the naive triple loop this removes the per-step output
 //! reload/store and cuts `B` traffic by `MR`×.
 //!
-//! Partial tiles: there is no scalar path. A tile that hangs over the edge of
-//! the output runs the same full `MR × NR` arithmetic on padded operands and
-//! stores only its valid corner ([`padded_tile`]): `B`'s last `n % NR`
-//! columns are copied once per product into a zero-padded `k × NR` panel
-//! ([`with_edge_panel`]), and the missing rows of a short last slab alias
-//! its last valid row. A product therefore costs exactly
-//! `⌈m/MR⌉ · ⌈n/NR⌉` tiles, each at the full tile's rate.
+//! Partial tiles: there is no scalar path. A full slab runs [`WIDE`]-column
+//! tiles, then at most one [`NR`]-column tile, then its column remainder. A
+//! tile that hangs over the edge of the output runs the full `MR × NR`
+//! arithmetic on padded operands and stores only its valid corner
+//! ([`padded_tile`]): `B`'s last `n % NR` columns are copied once per product
+//! into a zero-padded `k × NR` panel ([`with_edge_panel`]), and the missing
+//! rows of a short last slab alias its last valid row. A product therefore
+//! costs exactly `⌈m/MR⌉ · ⌈n/NR⌉` tiles of `MR × NR` (a wide tile is two),
+//! each at a full tile's rate.
 //!
 //! Transposed products ([`gemm_tn`], [`gemm_nt`]) move their smaller side:
 //! they transpose either the transposed operand, or the other operand and
@@ -45,22 +49,50 @@
 //! through a once-claimable slot, and chunk boundaries depend only on the
 //! requested worker count, so results are byte-identical at any pool size.
 //!
-//! Code layout is part of the tuning. The full-tile loop is bound by the
-//! load ports — one `B` vector and [`MR`] broadcasts per step — so how it is
-//! compiled decides its speed as much as what it computes. Measured on the
-//! benchmark host at 32×256×256 (43 µs as shipped): a full-tile kernel kept
-//! out of line takes 54 µs, and 107 µs without first trimming its `A` rows
-//! to `k` (eight bounds checks per step, `B` re-read from memory by every
-//! multiply-add); and because a `Vec<f32>` is rarely 64-byte aligned, every `B` load
-//! straddles two cache lines, where the loop's speed follows the number of
-//! loads a step issues — 9 loads 51 µs, 10 loads 43, 11 loads 45, 12 loads
-//! 58 (37–38 µs for the 9- and the 10-load loop on aligned operands). Hence
-//! the shape below: [`micro_kernel`] inlined into [`gemm_row_block`], whose
-//! eight independent row pointers make the compiler reload two loop
-//! invariants per step (11 loads), and every partial tile through the one
-//! out-of-line [`padded_tile`]. Read both loops in the output of
-//! `cargo rustc --release -p fedft-tensor --lib -- --emit asm` and re-measure
-//! before moving either.
+//! Code layout is part of the tuning. The direct loops are bound by the
+//! load ports, so how they are compiled decides their speed as much as what
+//! they compute. The `MR × NR` loop issues one `B` vector and [`MR`]
+//! broadcasts per step for eight multiply-adds. Measured on the benchmark
+//! host at 32×256×256 (43 µs as that loop first shipped): kept out of line
+//! it takes 54 µs, and 107 µs without first trimming its `A` rows to `k`
+//! (eight bounds checks per step, `B` re-read from memory by every
+//! multiply-add); and because a `Vec<f32>` is rarely 64-byte aligned, every
+//! `B` load straddles two cache lines, where the loop's speed follows the
+//! number of loads a step issues — 9 loads 51 µs, 10 loads 43, 11 loads 45,
+//! 12 loads 58 (37–38 µs for the 9- and the 10-load loop on aligned
+//! operands).
+//!
+//! The 8×32 loop nearly halves the loads per multiply-add: two `B` vectors
+//! and eight broadcasts feed sixteen multiply-adds. Each broadcast feeds two
+//! of them, so it is one `vbroadcastss` into a register rather than a
+//! memory operand folded into the multiply-add, and with the same two loop
+//! invariants reloaded from the stack a step issues 12 loads: 0.75 a
+//! multiply-add against the 8×16 loop's 1.375. At 32.7 µs for 32×256×256 it
+//! is within 5% of the host's peak of two 16-lane FMAs a cycle.
+//! Single-threaded, minimum of 3000 calls over alternated processes, 8×16 →
+//! 8×32: 16×192×192 12.3 → 8.9 µs, 32×256×256 44.3 → 32.7 µs, a 32-row
+//! `dW` of 256×256 (`matmul_tn`) 52.9 → 36.7 µs and its `dX` (`matmul_nt`)
+//! 51.0 → 34.6 µs, 150×192×192 101 → 69 µs. The wide loop needs both FMA
+//! ports: in a stretch when the vCPU's core was shared with a busy sibling,
+//! 32×256×256 read 47–51 µs against the narrow loop's 44–46.
+//!
+//! Hence the shape below: [`micro_kernel`] at both widths inlined into
+//! [`gemm_row_block`], whose eight independent row pointers make the
+//! compiler reload two loop invariants per step (12 loads for the wide
+//! loop, 11 for the `NR`-wide one), and every partial tile through the one
+//! out-of-line [`padded_tile`] (9 loads). Read all three loops in the output
+//! of `cargo rustc --release -p fedft-tensor --lib -- --emit asm` and
+//! re-measure before moving any of them.
+//!
+//! Why the width is gated on `avx512f`: the 8×32 block needs sixteen
+//! accumulators of sixteen lanes plus two `B` vectors and a broadcast, which
+//! fit AVX-512's thirty-two 512-bit registers. An AVX2-only build
+//! (`x86-64-v3`) has sixteen 256-bit registers, where the same loop needs
+//! thirty-two accumulators and spills: forced to 8×32 there, 32×256×256
+//! read 61–92 → 81–135 µs, 16×192×192 18–21 → 25–34 µs and the 64×48×256
+//! pretraining product 26–34 → 37–61 µs. There [`WIDE`] is [`NR`] and the
+//! direct core is the 8×16 one. The width is fixed at compile time, like
+//! [`mac`]'s FMA fold; nothing selects it at run time.
 
 use std::cell::RefCell;
 use std::sync::Mutex;
@@ -91,13 +123,24 @@ thread_local! {
 }
 
 /// Rows per register block. Tuned empirically on the AVX-512 host this
-/// repo is benchmarked on: 8×16 accumulators occupy sixteen 256-bit
-/// registers (one 512-bit register per row), leaving headroom for the `B`
-/// vectors and broadcasts; larger blocks spill and run slower.
+/// repo is benchmarked on: an 8×32 block's accumulators occupy sixteen
+/// 512-bit registers (two per row), leaving headroom for the two `B`
+/// vectors and the broadcast; more rows spill and run slower.
 const MR: usize = 8;
 
-/// Columns per register block.
+/// Columns of the narrow register block: one 512-bit (or two 256-bit)
+/// vectors of `f32`. The unit of the edge panel, of every partial tile and
+/// of the tile count: a product is `⌈m/MR⌉ · ⌈n/NR⌉` blocks of `MR × NR`.
 const NR: usize = 16;
+
+/// Columns of the full tile across a full slab: `2 ·` [`NR`] where
+/// AVX-512's thirty-two vector registers hold its accumulators, [`NR`]
+/// elsewhere (the module docs measure both).
+const WIDE: usize = if cfg!(target_feature = "avx512f") {
+    2 * NR
+} else {
+    NR
+};
 
 /// Minimum multiply-add count before the row-parallel path is worth the
 /// dispatch overhead. Historically set against the ~10 µs/thread cost of a
@@ -343,11 +386,12 @@ fn max_threads(m: usize, k: usize, n: usize) -> usize {
 }
 
 /// Computes one slab of up to `MR` output rows, tile by tile. A full slab
-/// runs its full-width tiles on [`micro_kernel`]; everything partial — the
-/// column remainder, read from the edge panel, and every tile of a short
-/// last slab — is a [`padded_tile`]. The missing rows of a short slab alias
-/// its last valid row: read and multiplied like any other, never stored, so
-/// nothing is copied to fill the tile.
+/// runs [`WIDE`]-column tiles on [`micro_kernel`], then at most one
+/// [`NR`]-column one; everything partial — the column remainder, read from
+/// the edge panel, and every tile of a short last slab — is a
+/// [`padded_tile`]. The missing rows of a short slab alias its last valid
+/// row: read and multiplied like any other, never stored, so nothing is
+/// copied to fill the tile.
 fn gemm_row_block(
     k: usize,
     n: usize,
@@ -363,10 +407,16 @@ fn gemm_row_block(
         *row = &a_block[r * k..(r + 1) * k];
     }
     let j_main = n - n % NR;
-    for j0 in (0..j_main).step_by(NR) {
-        if rw == MR {
-            micro_kernel(k, n, &a_rows, b, j0, out_block);
-        } else {
+    if rw == MR {
+        let j_wide = j_main - j_main % WIDE;
+        for j0 in (0..j_wide).step_by(WIDE) {
+            micro_kernel::<WIDE>(k, n, &a_rows, b, j0, out_block);
+        }
+        if j_wide < j_main {
+            micro_kernel::<NR>(k, n, &a_rows, b, j_wide, out_block);
+        }
+    } else {
+        for j0 in (0..j_main).step_by(NR) {
             padded_tile(k, n, &a_rows, b, j0, n, j0, rw, NR, out_block);
         }
     }
@@ -386,37 +436,46 @@ fn gemm_row_block(
     }
 }
 
-/// The register micro-kernel: accumulates the `MR × NR` output block at
+/// The register micro-kernel: accumulates the `MR × W` output block at
 /// column `j0` over the full reduction. All loops over rows and lanes have
 /// constant bounds, so the accumulators are promoted to vector registers;
-/// each `k` step costs one `B` vector load and `MR` broadcast multiply-adds.
+/// each `k` step costs `W / NR` `B` vector loads and `MR · W / NR` broadcast
+/// multiply-adds. Run at `W =` [`WIDE`] across a full slab and at `W =`
+/// [`NR`] for a column remainder of at least `NR`.
 #[inline]
-fn micro_kernel(k: usize, n: usize, a_rows: &[&[f32]; MR], b: &[f32], j0: usize, out: &mut [f32]) {
+fn micro_kernel<const W: usize>(
+    k: usize,
+    n: usize,
+    a_rows: &[&[f32]; MR],
+    b: &[f32],
+    j0: usize,
+    out: &mut [f32],
+) {
     #[cfg(test)]
-    TILES.with(|tiles| tiles.set(tiles.get() + 1));
-    let mut acc = [[0.0f32; NR]; MR];
+    TILES.with(|tiles| tiles.set(tiles.get() + W / NR));
+    let mut acc = [[0.0f32; W]; MR];
     for kk in 0..k {
-        let bv: &[f32; NR] = b[kk * n + j0..kk * n + j0 + NR]
+        let bv: &[f32; W] = b[kk * n + j0..kk * n + j0 + W]
             .try_into()
-            .expect("slice length is NR by construction");
+            .expect("slice length is W by construction");
         for r in 0..MR {
             let s = a_rows[r][kk];
-            for l in 0..NR {
+            for l in 0..W {
                 acc[r][l] = mac(acc[r][l], s, bv[l]);
             }
         }
     }
     for (r, acc_row) in acc.iter().enumerate() {
-        out[r * n + j0..r * n + j0 + NR].copy_from_slice(acc_row);
+        out[r * n + j0..r * n + j0 + W].copy_from_slice(acc_row);
     }
 }
 
-/// Every partial tile: the full `MR × NR` arithmetic of [`micro_kernel`] on
-/// padded operands, of which only the valid `rw × cw` corner is stored at
-/// column `j0` of `out` (row stride `n`). `b` is read from column `jb` with
-/// row stride `ldb` — the operand itself for a short row block, the
-/// zero-padded [`with_edge_panel`] panel (`ldb = NR`, `jb = 0`) for the
-/// column remainder. Rows `rw..` of `a_rows` alias a valid row. What the
+/// Every partial tile: the `MR × NR` arithmetic of
+/// [`micro_kernel`]`::<NR>` on padded operands, of which only the valid
+/// `rw × cw` corner is stored at column `j0` of `out` (row stride `n`). `b`
+/// is read from column `jb` with row stride `ldb` — the operand itself for a
+/// short row block, the zero-padded [`with_edge_panel`] panel (`ldb = NR`,
+/// `jb = 0`) for the column remainder. Rows `rw..` of `a_rows` alias a valid row. What the
 /// padding computes — a duplicate row, a `0 · b` lane, even the NaN of a
 /// `0 · ∞` — stays in the accumulator and never reaches `out`.
 ///
@@ -564,11 +623,13 @@ mod tests {
     #[test]
     fn every_tile_remainder_equals_the_scalar_chain_bit_for_bit() {
         // Every row remainder of up to two slabs and a row, every column
-        // remainder of up to two tiles and a column, reductions around the
-        // empty, the single and the odd: one tile function or the other
-        // computes each of the ⌈m/MR⌉·⌈n/NR⌉ tiles, and nothing else runs.
+        // remainder of up to four tiles and a column — so every mix of wide,
+        // `NR`-wide and padded tiles meets every short slab — reductions
+        // around the empty, the single and the odd: one tile function or the
+        // other computes each of the ⌈m/MR⌉·⌈n/NR⌉ tiles (a wide tile counts
+        // as `WIDE / NR` of them), and nothing else runs.
         for m in 0..=2 * MR + 1 {
-            for n in 0..=2 * NR + 1 {
+            for n in 0..=4 * NR + 1 {
                 for k in [0, 1, 2, 7, 32, 33] {
                     let a = pattern(m * k, 7);
                     let b = pattern(k * n, 8);

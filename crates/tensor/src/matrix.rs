@@ -82,9 +82,10 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidDimensions`] if `data.len() != rows * cols`.
+    /// Returns [`TensorError::InvalidDimensions`] if `data.len() != rows * cols`,
+    /// or if `rows * cols` overflows `usize`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(TensorError::InvalidDimensions {
                 rows,
                 cols,
@@ -712,6 +713,16 @@ mod tests {
     #[test]
     fn from_vec_rejects_wrong_length() {
         let err = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]).unwrap_err();
+        assert!(matches!(err, TensorError::InvalidDimensions { .. }));
+    }
+
+    #[test]
+    fn from_vec_rejects_a_shape_whose_element_count_overflows() {
+        // 2³² · 2³² wraps to 0 in an unchecked release-build product, which
+        // an empty buffer would then match.
+        let err = Matrix::from_vec(1 << 32, 1 << 32, Vec::new()).unwrap_err();
+        assert!(matches!(err, TensorError::InvalidDimensions { len: 0, .. }));
+        let err = Matrix::from_vec(usize::MAX, 2, vec![0.0; 2]).unwrap_err();
         assert!(matches!(err, TensorError::InvalidDimensions { .. }));
     }
 

@@ -317,3 +317,45 @@ fn non_finite_values_stay_in_their_row_and_column() {
         }
     }
 }
+
+/// `a · b`, `aᵀ · b` and `a · bᵀ` at the logical shape `(m, k, n)`, each
+/// with the operands stored as the product reads them, against the scalar
+/// chain bit for bit.
+fn assert_every_form_equals_the_chain(m: usize, k: usize, n: usize, case: u64) {
+    let context = format!("({m},{k},{n})");
+    let a = random(m, k, case, "step-a");
+    let b = random(k, n, case, "step-b");
+    let chain = bits(&scalar_chain(&a, &b));
+    assert_eq!(bits(&a.matmul(&b).unwrap()), chain, "nn {context}");
+    let tn = strided_transpose(&a).matmul_tn(&b).unwrap();
+    assert_eq!(bits(&tn), chain, "tn {context}");
+    let nt = a.matmul_nt(&strided_transpose(&b)).unwrap();
+    assert_eq!(bits(&nt), chain, "nt {context}");
+}
+
+#[test]
+fn the_workloads_step_products_equal_the_scalar_chain() {
+    // (batch, inputs, outputs) of the layers the workloads train: the
+    // 192- and 256-wide suffix blocks at full and selected batches, the
+    // 96-wide pool clients' blocks at a full and a three-row batch, and the
+    // pretraining batch. Each layer's forward `x · W`, `dW = xᵀ · dy` and
+    // `dX = dy · Wᵀ` is one logical shape, and each runs in all three forms.
+    let mut case = 0;
+    for (batch, inputs, outputs) in [
+        (16, 192, 192),
+        (32, 256, 256),
+        (150, 192, 192),
+        (24, 96, 96),
+        (3, 96, 96),
+        (64, 48, 256),
+    ] {
+        for (m, k, n) in [
+            (batch, inputs, outputs),
+            (inputs, batch, outputs),
+            (batch, outputs, inputs),
+        ] {
+            assert_every_form_equals_the_chain(m, k, n, case);
+            case += 1;
+        }
+    }
+}
