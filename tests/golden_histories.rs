@@ -6,7 +6,9 @@
 //! configuration's [`RunResult::history_digest`] is pinned as a literal.
 //! Together the cases cover every execution backend, every freeze level,
 //! every data-selection strategy, FedProx, per-tier freezes under a deadline
-//! with an offline tier, a budgeted logical pool and bursty streaming.
+//! with an offline tier, a budgeted logical pool and bursty streaming. One
+//! more case, on a larger setup of its own, evaluates and scores inputs that
+//! span several of the inference pass's row blocks.
 //!
 //! A change that moves a digest on purpose says so, with the reason, and
 //! re-pins it; a digest that moves by accident is a bug. The literals hold in
@@ -234,4 +236,41 @@ fn budgeted_logical_pool_with_shared_scores() {
         .with_worker_threads(2);
     let result = pinned(config, &fed, &model, 0x6fc9_122b_995d_d7bf);
     assert!(result.total_cache_evictions() > 0, "the budget never bit");
+}
+
+/// A setup whose inference passes span several row blocks: 300 test rows,
+/// and shards of about 125 rows, several of them longer than one block.
+/// Every case above evaluates 40 rows and scores shards of about 15.
+fn setup_across_row_blocks() -> (FederatedDataset, BlockNet) {
+    let bundle = domains::cifar10_like()
+        .with_samples_per_class(100)
+        .with_test_samples_per_class(30)
+        .generate(13)
+        .expect("target generation");
+    let fed = FederatedDataset::partition(
+        &bundle.train,
+        bundle.test.clone(),
+        CLIENTS,
+        PartitionScheme::Dirichlet { alpha: 0.5 },
+        17,
+    )
+    .expect("partitioning");
+    let model_cfg = BlockNetConfig::new(bundle.train.feature_dim(), 10).with_hidden(24, 20, 12);
+    (fed, BlockNet::new(&model_cfg, 19))
+}
+
+#[test]
+fn parallel_fedft_eds_moderate_across_row_blocks() {
+    let (fed, model) = setup_across_row_blocks();
+    assert_eq!(fed.test().len(), 300);
+    assert!(
+        (0..CLIENTS).any(|c| fed.client(c).len() > 128),
+        "no shard spans two row blocks"
+    );
+    let config = Method::FedFtEds { pds: 0.5 }
+        .configure(base(3, 12))
+        .with_freeze(FreezeLevel::Moderate)
+        .with_execution(ExecutionBackend::Parallel)
+        .with_worker_threads(2);
+    pinned(config, &fed, &model, 0xae18_80a3_e886_6150);
 }
