@@ -244,7 +244,8 @@ impl BlockNet {
         let mut collected: Vec<(BlockId, Matrix)> = Vec::with_capacity(self.blocks.len());
         for (id, block) in BlockId::all().into_iter().zip(&self.blocks) {
             let current = collected.last().map_or(input, |(_, activation)| activation);
-            collected.push((id, block.infer(current)?));
+            let activation = suffix::infer_blocks(std::slice::from_ref(block), current)?;
+            collected.push((id, activation));
         }
         Ok(collected)
     }
@@ -290,8 +291,10 @@ impl BlockNet {
     /// [`BlockNet::forward_frozen`], through the same shared reference, so
     /// `forward_from(f, &forward_frozen(f, x)?)` equals
     /// `forward_from(FreezeLevel::Full, x)` bit for bit at every level `f`.
-    /// This is the one inference pass behind [`BlockNet::forward`] and the
-    /// `evaluate_*` family.
+    /// This is the inference pass behind [`BlockNet::forward`],
+    /// [`BlockNet::evaluate_accuracy`] and [`BlockNet::evaluate_loss`];
+    /// [`BlockNet::evaluate_from`] runs the same row-block walk and reduces
+    /// its logits as it goes.
     ///
     /// # Errors
     ///
@@ -301,28 +304,31 @@ impl BlockNet {
         suffix::infer_blocks(&self.blocks[from.frozen_blocks()..], boundary)
     }
 
-    /// Accuracy **and** loss on `(boundary, labels)` from one set of logits,
-    /// where `boundary` is [`BlockNet::forward_frozen`]`(from, features)`
-    /// (the raw features themselves at [`FreezeLevel::Full`]). Equal bit for
-    /// bit to [`BlockNet::evaluate_accuracy`] and
+    /// Accuracy **and** loss on `(boundary, labels)` from one inference
+    /// pass, where `boundary` is [`BlockNet::forward_frozen`]`(from,
+    /// features)` (the raw features themselves at [`FreezeLevel::Full`]).
+    /// Equal bit for bit to [`BlockNet::evaluate_accuracy`] and
     /// [`BlockNet::evaluate_loss`] on those features, at one forward pass
     /// through the blocks above the boundary instead of two through all of
     /// them — which is what a caller whose frozen prefix never changes (the
-    /// federated round loop) wants to pay per evaluation.
+    /// federated round loop) wants to pay per evaluation. The pass reduces
+    /// each row block's logits as it goes, so no logits matrix is built.
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatch or invalid labels.
+    /// Returns an error on shape mismatch or invalid labels, before any
+    /// inference runs.
     pub fn evaluate_from(
         &self,
         from: FreezeLevel,
         boundary: &Matrix,
         labels: &[usize],
     ) -> Result<EvalReport> {
-        let logits = self.forward_from(from, boundary)?;
+        let blocks = &self.blocks[from.frozen_blocks()..];
+        let (accuracy, loss) = suffix::evaluate_blocks(blocks, boundary, labels)?;
         Ok(EvalReport {
-            accuracy: stats::accuracy(&logits, labels)?,
-            loss: self.loss.loss(&logits, labels)?,
+            accuracy,
+            loss,
             samples: labels.len(),
         })
     }

@@ -3,6 +3,7 @@
 
 use crate::{NnError, Result};
 use fedft_tensor::{init, rng, Matrix, TensorError};
+use std::ops::Range;
 
 /// What a training pass leaves behind for itself: the activations a block's
 /// training forward stores for its backward, the buffers a training step
@@ -116,24 +117,41 @@ impl DenseBlock {
         }
     }
 
-    /// The inference forward, through a shared reference and storing
-    /// nothing: frozen blocks, evaluation and selection scoring all run it,
-    /// none of them back-propagates, and the shared reference lets one model
-    /// serve many clients concurrently. Equal bit for bit to
-    /// [`DenseBlock::train_forward_into`] on the same input.
+    /// The inference forward of rows `rows` of `input`, written into `out`
+    /// (`rows.len() ×` the block's width): the product reads those rows in
+    /// place, and the bias and the ReLU are applied while `out` is still in
+    /// cache. Through a shared reference and storing nothing: frozen blocks,
+    /// evaluation and selection scoring all run it
+    /// ([`crate::suffix::infer_blocks`]), none of them back-propagates, and
+    /// the shared reference lets one model serve many clients concurrently.
+    /// Equal bit for bit to those rows of [`DenseBlock::train_forward_into`]
+    /// on `input`.
     ///
     /// # Errors
     ///
     /// Returns an error if the input width is not the block's.
-    pub(crate) fn infer(&self, input: &Matrix) -> Result<Matrix> {
-        let mut out = Matrix::default();
-        affine_into(&self.weight, &self.bias, input, &mut out)?;
-        if self.relu {
-            for v in out.as_mut_slice() {
-                *v = rectify(*v);
+    pub(crate) fn infer_rows_into(
+        &self,
+        input: &Matrix,
+        rows: Range<usize>,
+        out: &mut [f32],
+    ) -> Result<()> {
+        input.matmul_rows_into(rows, &self.weight, out)?;
+        let bias = self.bias.as_slice();
+        for row in out.chunks_exact_mut(bias.len()) {
+            let pairs = row.iter_mut().zip(bias);
+            if self.relu {
+                pairs.for_each(|(v, &b)| *v = rectify(*v + b));
+            } else {
+                pairs.for_each(|(v, &b)| *v += b);
             }
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// The weight's `(inputs, outputs)`.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        self.weight.shape()
     }
 
     /// The training forward, written into `out` (reshaped and overwritten;
@@ -329,6 +347,26 @@ pub(crate) mod tests {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The inference pass of `block` alone.
+    fn infer(block: &DenseBlock, input: &Matrix) -> Result<Matrix> {
+        crate::suffix::infer_blocks(std::slice::from_ref(block), input)
+    }
+
+    /// The inference forward as it was before the row-blocked walk, kept as
+    /// the oracle [`DenseBlock::infer_rows_into`] must equal bit for bit: the
+    /// product over the whole input into a fresh matrix, then the bias over
+    /// all of it, then the ReLU over all of it.
+    pub(crate) fn reference_infer(block: &DenseBlock, input: &Matrix) -> Result<Matrix> {
+        let mut out = Matrix::default();
+        affine_into(&block.weight, &block.bias, input, &mut out)?;
+        if block.relu {
+            for v in out.as_mut_slice() {
+                *v = rectify(*v);
+            }
+        }
+        Ok(out)
+    }
+
     fn backward_full(block: &mut DenseBlock, grad_output: &Matrix) -> Result<Matrix> {
         let mut grad_input = Matrix::default();
         block.backward(grad_output, Some(&mut grad_input))?;
@@ -359,7 +397,7 @@ pub(crate) mod tests {
     #[test]
     fn backward_before_a_training_forward_is_an_error_either_way() {
         for (mut block, x) in one_of_each() {
-            let y = block.infer(&x).unwrap();
+            let y = infer(&block, &x).unwrap();
             let grad_output = Matrix::zeros(y.rows(), y.cols());
             for wanted in [true, false] {
                 let mut grad_input = Matrix::default();
@@ -378,7 +416,7 @@ pub(crate) mod tests {
     #[test]
     fn inference_stores_nothing_for_backward() {
         for (mut block, x) in one_of_each() {
-            let y = block.infer(&x).unwrap();
+            let y = infer(&block, &x).unwrap();
             assert!(block.trace.is_none(), "{}", block.name());
             // A training forward is what arms the backward pass.
             block.train_forward(&x).unwrap();
@@ -389,11 +427,12 @@ pub(crate) mod tests {
     #[test]
     fn inference_equals_the_training_forward_bit_for_bit() {
         for (mut block, x) in one_of_each() {
-            let inferred = block.infer(&x).unwrap();
+            let inferred = infer(&block, &x).unwrap();
             assert_eq!(inferred.shape(), (5, 4));
+            assert_eq!(bits(&inferred), bits(&reference_infer(&block, &x).unwrap()));
             assert_eq!(bits(&inferred), bits(&block.train_forward(&x).unwrap()));
             // A zero input gives the (zero) bias.
-            assert_eq!(block.infer(&Matrix::zeros(2, 7)).unwrap().sum(), 0.0);
+            assert_eq!(infer(&block, &Matrix::zeros(2, 7)).unwrap().sum(), 0.0);
         }
     }
 
@@ -423,12 +462,12 @@ pub(crate) mod tests {
                 relu: false,
                 ..block.clone()
             };
-            let pre = without_relu.infer(&x).unwrap();
+            let pre = infer(&without_relu, &x).unwrap();
             assert!(
                 pre.as_slice().iter().all(|z| z.abs() > 10.0 * eps),
                 "{pre:?}"
             );
-            let objective = |block: &DenseBlock, x: &Matrix| block.infer(x).unwrap().sum();
+            let objective = |block: &DenseBlock, x: &Matrix| infer(block, x).unwrap().sum();
             let y = block.train_forward(&x).unwrap();
             let grad_input =
                 backward_full(&mut block, &Matrix::full(y.rows(), y.cols(), 1.0)).unwrap();

@@ -50,10 +50,7 @@ impl SoftmaxCrossEntropy {
         self.check(logits, labels)?;
         let mut total = 0.0_f32;
         for (r, &label) in labels.iter().enumerate() {
-            let row = logits.row(r);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let log_sum = row.iter().map(|&z| (z - max).exp()).sum::<f32>().ln() + max;
-            total -= row[label] - log_sum;
+            total -= log_probability(logits.row(r), label);
         }
         Ok(total / labels.len() as f32)
     }
@@ -135,6 +132,20 @@ impl SoftmaxCrossEntropy {
         }
         Ok(())
     }
+}
+
+/// `log softmax(row)[label]`: the row's max, its left-to-right sum of
+/// shifted exponentials and `z[label] − (ln sum + max)`. The one per-row
+/// term of the loss, behind [`SoftmaxCrossEntropy::loss`] and the evaluation
+/// pass (`crate::suffix::evaluate_blocks`), which fold it in row order.
+///
+/// # Panics
+///
+/// Panics if `label` is not an index of `row`.
+pub(crate) fn log_probability(row: &[f32], label: usize) -> f32 {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let log_sum = row.iter().map(|&z| (z - max).exp()).sum::<f32>().ln() + max;
+    row[label] - log_sum
 }
 
 #[cfg(test)]

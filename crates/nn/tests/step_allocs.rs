@@ -1,14 +1,15 @@
-//! Allocation guard for the training step: once its buffers are warm, a
+//! Allocation guards: once its buffers are warm, a
 //! [`SuffixNet::train_batch`] on batches of the sizes it has seen — a full
-//! one and a client's short last one — allocates nothing.
+//! one and a client's short last one — allocates nothing, and an inference
+//! pass allocates nothing activation-sized besides the matrix it returns.
 //!
-//! This is the training-side twin of the inference-side guard
+//! These are the `malloc` twins of the inference-side guard
 //! `suffix::snapshots_of_an_evaluated_model_hold_no_activations`: that one
-//! keeps activations out of snapshots, this one keeps `malloc` out of the
-//! step. The file holds a single test because the counter is per thread and
-//! the allocator is per test binary.
+//! keeps activations out of snapshots, these keep them out of the heap. The
+//! counters are per thread, so each test reads only its own thread's calls.
 
 use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel, Sgd, SgdConfig};
+use fedft_tensor::parallel::single_threaded;
 use fedft_tensor::{init, rng, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,30 +20,39 @@ struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Allocations of more than [`THRESHOLD`] bytes.
+    static LARGE: Cell<usize> = const { Cell::new(0) };
+    static THRESHOLD: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    if THRESHOLD
+        .try_with(Cell::get)
+        .is_ok_and(|threshold| bytes > threshold)
+    {
+        let _ = LARGE.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: same layout, forwarded.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: same layout, forwarded.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -58,6 +68,16 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// How many allocations of more than `threshold` bytes `f` makes on this
+/// thread.
+fn large_allocations<T>(threshold: usize, f: impl FnOnce() -> T) -> (usize, T) {
+    THRESHOLD.with(|t| t.set(threshold));
+    let before = LARGE.with(Cell::get);
+    let value = f();
+    THRESHOLD.with(|t| t.set(usize::MAX));
+    (LARGE.with(Cell::get) - before, value)
 }
 
 #[test]
@@ -110,5 +130,41 @@ fn a_warm_training_step_performs_no_heap_allocation() {
             during, 0,
             "{during} heap allocations in 50 warm steps at {freeze}"
         );
+    }
+}
+
+#[test]
+fn a_warm_inference_pass_allocates_nothing_activation_sized_but_its_result() {
+    // Several row blocks, run on this thread as an executor runner runs
+    // them, and a single block, which runs on the caller in any case.
+    let config = BlockNetConfig::new(24, 10).with_hidden(48, 40, 32);
+    let model = BlockNet::new(&config, 19);
+    let mut r = rng::rng_for(19, "inference-allocs");
+    for rows in [300, 100] {
+        let features = init::normal(&mut r, rows, 24, 0.0, 1.0);
+        let labels: Vec<usize> = (0..rows).map(|i| i % 10).collect();
+        // Anything larger than one value a row is activation-sized: the
+        // narrowest activation, the logits, holds ten.
+        let per_row = std::mem::size_of::<f32>() * rows;
+        single_threaded(|| {
+            for freeze in FreezeLevel::all() {
+                let boundary = model.forward_frozen(freeze, &features).unwrap();
+                model.evaluate_from(freeze, &boundary, &labels).unwrap();
+
+                let (large, warm) =
+                    large_allocations(per_row, || model.forward_frozen(freeze, &features));
+                assert_eq!(warm.unwrap(), boundary);
+                assert_eq!(
+                    large,
+                    1,
+                    "{rows} rows at {freeze}: the result and {} more",
+                    large - 1
+                );
+                let (large, report) =
+                    large_allocations(per_row, || model.evaluate_from(freeze, &boundary, &labels));
+                assert_eq!(report.unwrap().samples, rows);
+                assert_eq!(large, 0, "{rows} rows at {freeze}: evaluation");
+            }
+        });
     }
 }

@@ -2,6 +2,20 @@
 
 use crate::{kernels, Result, TensorError};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+
+/// `rows * cols`, the element count of a shape.
+///
+/// # Panics
+///
+/// Panics, naming the shape, when the product overflows `usize`: the
+/// infallible constructors fail at construction, as `Vec` does on a capacity
+/// overflow, instead of returning a matrix whose buffer is shorter than its
+/// shape.
+fn element_count(rows: usize, cols: usize) -> usize {
+    rows.checked_mul(cols)
+        .unwrap_or_else(|| panic!("a {rows}x{cols} matrix has more elements than usize can count"))
+}
 
 /// A dense, row-major matrix of `f32` values.
 ///
@@ -52,20 +66,28 @@ impl Clone for Matrix {
 
 impl Matrix {
     /// Creates a matrix of the given shape filled with zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: vec![0.0; element_count(rows, cols)],
         }
     }
 
     /// Creates a matrix of the given shape filled with `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
         Matrix {
             rows,
             cols,
-            data: vec![value; rows * cols],
+            data: vec![value; element_count(rows, cols)],
         }
     }
 
@@ -270,8 +292,12 @@ impl Matrix {
     /// buffer when its capacity allows. This is how the `*_into` operations
     /// prepare their destination: repeated calls with same-shaped results
     /// allocate only the first time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
-        let len = rows * cols;
+        let len = element_count(rows, cols);
         if self.data.capacity() < len {
             // A fresh zeroed allocation, not a copy-and-fill of the old one.
             self.data = vec![0.0; len];
@@ -328,6 +354,63 @@ impl Matrix {
             &self.data,
             &other.data,
             &mut out.data,
+        );
+        Ok(())
+    }
+
+    /// The rows `rows` of [`Matrix::matmul`], written into `out`
+    /// (`rows.len() × other.cols()`, row-major) and read from this matrix in
+    /// place. Every element is the multiply-add chain the whole product
+    /// computes for it, so `out` equals those rows of `self.matmul(other)` bit
+    /// for bit; large ranges split across the worker pool like any product.
+    /// Every element of `out` is overwritten.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless
+    /// `self.cols() == other.rows()` — the error [`Matrix::matmul`] returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build profile, if `rows` is not a range of this
+    /// matrix's rows or `out` does not hold `rows.len() × other.cols()`
+    /// elements.
+    pub fn matmul_rows_into(
+        &self,
+        rows: Range<usize>,
+        other: &Matrix,
+        out: &mut [f32],
+    ) -> Result<()> {
+        if self.cols != other.rows {
+            return Err(TensorError::ShapeMismatch {
+                op: "matmul",
+                lhs: self.shape(),
+                rhs: other.shape(),
+            });
+        }
+        assert!(
+            rows.start <= rows.end && rows.end <= self.rows,
+            "row range {rows:?} of a matrix with {} rows",
+            self.rows
+        );
+        let m = rows.len();
+        assert!(
+            m.checked_mul(other.cols) == Some(out.len()),
+            "output of {} elements for {m} rows of {} columns",
+            out.len(),
+            other.cols
+        );
+        if self.cols == 0 {
+            // An empty reduction: the kernel writes nothing.
+            out.fill(0.0);
+        }
+        kernels::gemm_nn(
+            m,
+            self.cols,
+            other.cols,
+            &self.data[rows.start * self.cols..rows.end * self.cols],
+            &other.data,
+            out,
         );
         Ok(())
     }
@@ -726,6 +809,26 @@ mod tests {
         assert!(matches!(err, TensorError::InvalidDimensions { .. }));
     }
 
+    // A shape whose element count wraps to 0 in an unchecked release-build
+    // product used to build a matrix of that shape on an empty buffer.
+    #[test]
+    #[should_panic(expected = "a 4294967296x4294967296 matrix has more elements")]
+    fn zeros_panics_on_a_shape_whose_element_count_overflows() {
+        let _ = Matrix::zeros(1 << 32, 1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 4294967296x4294967296 matrix has more elements")]
+    fn full_panics_on_a_shape_whose_element_count_overflows() {
+        let _ = Matrix::full(1 << 32, 1 << 32, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 4294967296x4294967296 matrix has more elements")]
+    fn resize_zeroed_panics_on_a_shape_whose_element_count_overflows() {
+        Matrix::default().resize_zeroed(1 << 32, 1 << 32);
+    }
+
     #[test]
     fn from_rows_rejects_ragged() {
         let err = Matrix::from_rows(&[vec![1.0, 2.0], vec![1.0]]).unwrap_err();
@@ -814,6 +917,50 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         assert!(a.matmul(&b).is_err());
+    }
+
+    #[test]
+    fn a_row_range_product_equals_those_rows_of_the_whole_product_bit_for_bit() {
+        let mut r = crate::rng::rng_for(3, "matmul-rows");
+        // Row counts around the register slab and a product that splits
+        // across the pool (300·200·100 multiply-adds); widths no tile divides.
+        for (m, k, n) in [(1, 1, 1), (9, 7, 5), (40, 33, 17), (300, 200, 100)] {
+            let a = crate::init::normal(&mut r, m, k, 0.0, 1.0);
+            let b = crate::init::normal(&mut r, k, n, 0.0, 1.0);
+            let whole = a.matmul(&b).unwrap();
+            for rows in [0..m, 0..1, m - 1..m, m / 3..m / 2, m..m] {
+                let mut out = vec![f32::NAN; rows.len() * n];
+                a.matmul_rows_into(rows.clone(), &b, &mut out).unwrap();
+                let expected = &whole.as_slice()[rows.start * n..rows.end * n];
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(expected), "({m},{k},{n}) rows {rows:?}");
+            }
+        }
+        // An empty reduction overwrites the output with zeros.
+        let mut out = vec![f32::NAN; 6];
+        Matrix::zeros(4, 0)
+            .matmul_rows_into(1..3, &Matrix::zeros(0, 3), &mut out)
+            .unwrap();
+        assert_eq!(out, vec![0.0; 6]);
+    }
+
+    #[test]
+    fn a_row_range_product_of_mismatched_shapes_is_the_matmul_error() {
+        let (a, b) = (Matrix::zeros(4, 3), Matrix::zeros(2, 5));
+        let err = a.matmul_rows_into(0..2, &b, &mut [0.0; 10]).unwrap_err();
+        assert_eq!(err, a.matmul(&b).unwrap_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "row range 2..5 of a matrix with 4 rows")]
+    fn a_row_range_past_the_last_row_panics() {
+        let _ = Matrix::zeros(4, 3).matmul_rows_into(2..5, &Matrix::zeros(3, 2), &mut [0.0; 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "output of 5 elements for 2 rows of 3 columns")]
+    fn a_row_range_product_into_a_wrong_sized_output_panics() {
+        let _ = Matrix::zeros(4, 2).matmul_rows_into(0..2, &Matrix::zeros(2, 3), &mut [0.0; 5]);
     }
 
     #[test]
