@@ -1,20 +1,16 @@
-//! Cache-blocked, register-tiled matrix-product kernels.
+//! Register-tiled matrix-product kernels.
 //!
-//! All three public products on [`crate::Matrix`] (`NN`, `TᴺN`, `NTᵀ`) lower
-//! to one row-major GEMM core, [`gemm_nn`], which dispatches by shape: a
-//! product that is both large and at least
-//! [`crate::packed::PACKED_MIN_COLS`] columns wide goes through the
-//! packed-panel GEBP core in [`crate::packed`] (cache-blocked, runtime-tuned
-//! — see that module); small and thin ones stay on the direct kernel in this
-//! module. The direct core tiles the output into [`MR`]-row register blocks,
-//! [`WIDE`] columns across a full slab (8×32 on AVX-512, 8×16 elsewhere):
-//! each block's accumulators live in vector registers across the entire
-//! reduction (the row and lane loops have constant trip counts, so the
-//! compiler fully unrolls them and promotes the accumulator array out of
-//! memory), every loaded `B` vector is reused by all [`MR`] rows of the
-//! block, and on AVX-512 every broadcast `A` element by two `B` vectors.
-//! Against the naive triple loop this removes the per-step output
-//! reload/store and cuts `B` traffic by `MR`×.
+//! All three public products on [`crate::Matrix`] (`NN`, `TᴺN`, `NTᵀ`) lower to
+//! one row-major GEMM core, [`gemm_nn`], and it has one route for every shape:
+//! it streams `B` straight from the row-major operand and tiles the output into
+//! [`MR`]-row register blocks, [`WIDE`] columns across a full slab (8×32 on
+//! AVX-512, 8×16 elsewhere): each block's accumulators live in vector registers
+//! across the entire reduction (the row and lane loops have constant trip
+//! counts, so the compiler fully unrolls them and promotes the accumulator
+//! array out of memory), every loaded `B` vector is reused by all [`MR`] rows
+//! of the block, and on AVX-512 every broadcast `A` element by two `B` vectors.
+//! Against the naive triple loop this removes the per-step output reload/store
+//! and cuts `B` traffic by `MR`×.
 //!
 //! Partial tiles: there is no scalar path. A full slab runs [`WIDE`]-column
 //! tiles, then at most one [`NR`]-column tile, then its column remainder. A
@@ -31,23 +27,22 @@
 //! the result, whichever touches fewer elements, into per-thread scratch and
 //! run the one core.
 //!
-//! Determinism: every output element is one chain of multiply-adds from
-//! `+0.0` over its `k` terms in strictly ascending order — in a full tile, a
-//! padded one, the packed core, and in either form of a transposed product
-//! (a multiply-add is commutative in its factors) — and output rows are
-//! partitioned disjointly across threads, so results are byte-identical run
-//! to run, for any thread count and whichever route or side was taken. On
-//! FMA targets each product is rounded once (fused multiply-add), so results
-//! differ from the two-rounding naive reference only at the last-ulp level —
-//! and are slightly *more* accurate.
+//! Determinism: every output element is one chain of multiply-adds from `+0.0`
+//! over its `k` terms in strictly ascending order — in a full tile, a padded
+//! one, and in either form of a transposed product (a multiply-add is
+//! commutative in its factors) — and output rows are partitioned disjointly
+//! across threads, so results are byte-identical run to run, for any thread
+//! count and whichever side was moved. On FMA targets each product is rounded
+//! once (fused multiply-add), so results differ from the two-rounding naive
+//! reference only at the last-ulp level — and are slightly *more* accurate.
 //!
 //! Threading: on multi-core hosts, products above [`PARALLEL_FLOP_THRESHOLD`]
 //! multiply-adds split the output rows across the persistent worker pool
-//! ([`crate::pool`]) — parked threads woken per job instead of a fresh
-//! spawn per product ([`for_each_row_chunk`], shared with the packed core).
-//! Each chunk owns a disjoint `&mut` slice of the output buffer, handed off
-//! through a once-claimable slot, and chunk boundaries depend only on the
-//! requested worker count, so results are byte-identical at any pool size.
+//! ([`crate::pool`]) — parked threads woken per job instead of a fresh spawn
+//! per product ([`for_each_row_chunk`]). Each chunk owns a disjoint `&mut`
+//! slice of the output buffer, handed off through a once-claimable slot, and
+//! chunk boundaries depend only on the requested worker count, so results are
+//! byte-identical at any pool size.
 //!
 //! Code layout is part of the tuning. The direct loops are bound by the
 //! load ports, so how they are compiled decides their speed as much as what
@@ -105,9 +100,7 @@ const TRANSPOSE_TILE: usize = 16;
 thread_local! {
     /// Grow-only home of what [`gemm_tn`] / [`gemm_nt`] move: the transposed
     /// operand and, when the smaller side is the batch, the transposed
-    /// result. Its own cell, not [`crate::pool::with_scratch`]: the packed
-    /// core borrows that arena for `A` panels while the transposed operand
-    /// is still being read.
+    /// result.
     static TRANSPOSED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 
     /// Grow-only home of [`with_edge_panel`]'s panel. Its own cell: a
@@ -170,13 +163,11 @@ fn mac(acc: f32, s: f32, b: f32) -> f32 {
 /// Every element of `out` is overwritten when `k > 0`; an empty reduction
 /// writes nothing, so callers hand in a zero-filled `out` for that case.
 ///
-/// Dispatch: a product of at least [`crate::packed::PACKED_FLOP_THRESHOLD`]
-/// multiply-adds *and* at least [`crate::packed::PACKED_MIN_COLS`] columns
-/// routes through the packed-panel GEBP core ([`crate::packed`]), which
-/// repacks both operands into cache-blocked panels; everything else keeps
-/// the direct kernel below, whose dispatch cost is one branch. Both paths
-/// accumulate every output element in strictly ascending `k` order, so the
-/// choice never changes a single bit of the result.
+/// Register blocking only: each [`MR`]-row slab runs through
+/// [`gemm_row_block`], reading `B` from the row-major operand and its column
+/// remainder from the [`with_edge_panel`] panel; above
+/// [`PARALLEL_FLOP_THRESHOLD`] the slabs are split across the pool
+/// ([`for_each_row_chunk`]).
 ///
 /// # Panics
 ///
@@ -189,12 +180,24 @@ pub(crate) fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    let flops = m.saturating_mul(k).saturating_mul(n);
-    if flops >= crate::packed::PACKED_FLOP_THRESHOLD && n >= crate::packed::PACKED_MIN_COLS {
-        crate::packed::gemm_packed(m, k, n, a, b, out, max_threads(m, k, n));
-        return;
+    with_edge_panel(k, n, b, |edge| {
+        let threads = max_threads(m, k, n);
+        for_each_row_chunk(m, threads, a, k, out, n, |a_chunk, out_chunk| {
+            let slabs = a_chunk.chunks(MR * k).zip(out_chunk.chunks_mut(MR * n));
+            for (a_block, out_block) in slabs {
+                gemm_row_block(k, n, a_block, b, edge, out_block);
+            }
+        });
+    });
+}
+
+/// Resizes a grow-only scratch buffer. Contents are overwritten before use
+/// (by the transposes and the edge panel), so nothing is zeroed beyond what
+/// growing writes.
+fn ensure_len(buf: &mut Vec<f32>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
     }
-    gemm_nn_direct(m, k, n, a, b, out);
 }
 
 /// Writes the transpose of row-major `src` (`rows × cols`) into `dst`
@@ -231,7 +234,7 @@ fn with_transposed<R>(
 ) -> R {
     TRANSPOSED.with(|cell| {
         let buf = &mut *cell.borrow_mut();
-        crate::packed::ensure_len(buf, moved + result);
+        ensure_len(buf, moved + result);
         let (moved, rest) = buf.split_at_mut(moved);
         f(moved, &mut rest[..result])
     })
@@ -297,7 +300,7 @@ fn with_edge_panel<R>(k: usize, n: usize, b: &[f32], f: impl FnOnce(&[f32]) -> R
     }
     EDGE_PANEL.with(|cell| {
         let buf = &mut *cell.borrow_mut();
-        crate::packed::ensure_len(buf, k * NR);
+        ensure_len(buf, k * NR);
         let panel = &mut buf[..k * NR];
         for (dst, src) in panel.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
             dst[..cw].copy_from_slice(&src[n - cw..]);
@@ -307,36 +310,16 @@ fn with_edge_panel<R>(k: usize, n: usize, b: &[f32], f: impl FnOnce(&[f32]) -> R
     })
 }
 
-/// The direct (non-packing) kernel: register blocking only, `B` streamed
-/// from the row-major operand. Public within the crate so the packed core's
-/// bit-identity tests can pin packed ≡ direct explicitly.
-pub(crate) fn gemm_nn_direct(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    with_edge_panel(k, n, b, |edge| {
-        let threads = max_threads(m, k, n);
-        for_each_row_chunk(m, MR, threads, a, k, out, n, |a_chunk, out_chunk| {
-            let slabs = a_chunk.chunks(MR * k).zip(out_chunk.chunks_mut(MR * n));
-            for (a_block, out_block) in slabs {
-                gemm_row_block(k, n, a_block, b, edge, out_block);
-            }
-        });
-    });
-}
-
 /// Runs `body` on every `(A rows, C rows)` chunk of a row-partitioned
 /// product (`a` is `m × k`, `out` is `m × n`): the whole product inline for
 /// one thread, otherwise contiguous chunks of
 /// [`crate::pool::aligned_chunk_len`] rows — multiples of the register block
-/// `align`, so only the last chunk carries a remainder block — dispatched on
+/// [`MR`], so only the last chunk carries a short slab — dispatched on
 /// the persistent pool. Each chunk's disjoint operand and output slices sit
 /// in a once-claimable slot; the slot index is the chunk's row range divided
 /// by the (identical) pool chunk length.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn for_each_row_chunk(
+fn for_each_row_chunk(
     m: usize,
-    align: usize,
     threads: usize,
     a: &[f32],
     k: usize,
@@ -348,7 +331,7 @@ pub(crate) fn for_each_row_chunk(
         body(a, out);
         return;
     }
-    let chunk_rows = crate::pool::aligned_chunk_len(m, threads, align);
+    let chunk_rows = crate::pool::aligned_chunk_len(m, threads, MR);
     let slots: Vec<ChunkSlot> = out
         .chunks_mut(chunk_rows * n)
         .enumerate()
@@ -358,7 +341,7 @@ pub(crate) fn for_each_row_chunk(
             Mutex::new(Some((&a[row0 * k..(row0 + rows) * k], out_chunk)))
         })
         .collect();
-    crate::pool::run_aligned_chunks(m, threads, align, |rows| {
+    crate::pool::run_aligned_chunks(m, threads, MR, |rows| {
         let (a_chunk, out_chunk) = slots[rows.start / chunk_rows]
             .lock()
             .expect("row chunk slot lock")
@@ -590,7 +573,7 @@ mod tests {
         }
     }
 
-    /// The definition every route is held to: each element one chain of
+    /// The definition every tile is held to: each element one chain of
     /// [`mac`] steps from `+0.0` over ascending `k`, one element at a time.
     fn gemm_chain(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
@@ -649,15 +632,12 @@ mod tests {
 
     #[test]
     fn thin_and_routed_products_equal_the_scalar_chain_on_either_side_of_the_route() {
-        // All three are at or above `PACKED_FLOP_THRESHOLD`. The 10- and the
-        // 63-column product stay direct — full-rate padded tiles, counted —
-        // and the 64-column one is the narrowest the packed core takes.
-        for (m, k, n, direct) in [
-            (4200, 400, 10, true),
-            (1100, 256, 63, true),
-            (1100, 256, 64, false),
-        ] {
-            assert!(m * k * n >= crate::packed::PACKED_FLOP_THRESHOLD);
+        // Large products, each above the parallel threshold, from 10 columns
+        // to 64: one route serves them all. Single-threaded, each counts
+        // exactly its ⌈m/MR⌉·⌈n/NR⌉ register tiles, so no other kernel ran;
+        // pooled or not, every element is the scalar chain.
+        for (m, k, n) in [(4200, 400, 10), (1100, 256, 63), (1100, 256, 64)] {
+            assert!(m * k * n >= PARALLEL_FLOP_THRESHOLD);
             let a = pattern(m * k, 9);
             let b = pattern(k * n, 10);
             let expected = bits(&gemm_chain(m, k, n, &a, &b));
@@ -671,8 +651,7 @@ mod tests {
             let (single, tiles) =
                 crate::parallel::single_threaded(|| run_counting_tiles(m, k, n, &a, &b));
             assert_eq!(bits(&single), expected, "{context}, single-threaded");
-            let direct_tiles = m.div_ceil(MR) * n.div_ceil(NR);
-            assert_eq!(tiles, if direct { direct_tiles } else { 0 }, "{context}");
+            assert_eq!(tiles, m.div_ceil(MR) * n.div_ceil(NR), "{context}");
         }
     }
 

@@ -46,9 +46,7 @@
 mod error;
 mod kernels;
 mod matrix;
-mod packed;
 
-pub mod cache;
 pub mod init;
 pub mod parallel;
 pub mod pool;

@@ -8,7 +8,7 @@
 //! [`hardware_threads()`]` - 1` **parked** workers plus the calling thread:
 //! workers block on a condvar between jobs, so waking them costs a futex
 //! wake instead of a clone/mmap/schedule cycle, and their thread-local
-//! scratch arenas ([`with_scratch`]) survive from job to job.
+//! scratch buffers survive from job to job.
 //!
 //! # Lifecycle
 //!
@@ -63,7 +63,7 @@
 
 use crate::parallel;
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, OnceLock};
@@ -123,7 +123,7 @@ where
 
 /// [`run_chunks`] with chunk boundaries rounded to multiples of `align`
 /// (boundaries per [`aligned_chunk_len`]) — the shape the register-tiled
-/// GEMM cores need so only the last chunk carries a partial tile.
+/// GEMM core needs so only the last chunk carries a partial tile.
 ///
 /// # Panics
 ///
@@ -136,21 +136,7 @@ where
     run_with_chunk_len(n_items, aligned_chunk_len(n_items, max_workers, align), &f)
 }
 
-/// Grants access to this thread's grow-only `f32` scratch arena.
-///
-/// Pool workers are persistent, so an arena touched by one job is still
-/// warm (allocated, cache-resident) for the next — this is what lets the
-/// packed GEMM core's workers reuse their `A`-packing scratch across calls
-/// instead of allocating per spawn. The closure must not re-enter
-/// [`with_scratch`] (the arena is a `RefCell`).
-pub fn with_scratch<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
-    SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
-}
-
 thread_local! {
-    /// Per-thread grow-only scratch arena served by [`with_scratch`].
-    static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-
     /// `true` while this thread is executing inside a pool job — set
     /// permanently on workers, scoped on a dispatching caller. Nested
     /// `run_chunks` calls observe it and run inline, which keeps the
@@ -503,22 +489,6 @@ mod tests {
             let sum: usize = run_chunks(16, 4, |range| range.len()).into_iter().sum();
             assert_eq!(sum, 16);
         }
-    }
-
-    #[test]
-    fn scratch_arena_grows_only_and_is_reused() {
-        with_scratch(|buf| {
-            buf.clear();
-            buf.resize(1024, 1.0);
-        });
-        let capacity = with_scratch(|buf| buf.capacity());
-        assert!(capacity >= 1024);
-        with_scratch(|buf| buf.resize(64, 0.0));
-        assert_eq!(
-            with_scratch(|buf| buf.capacity()),
-            capacity,
-            "shrinking the length must not release the arena"
-        );
     }
 
     #[test]
