@@ -934,11 +934,22 @@ mod tests {
         let shards: Vec<Arc<Dataset>> = (0..10).map(|_| Arc::new(dataset(8))).collect();
         let p = ParticipationModel::new(0.3).unwrap();
         let before = p.sample_round(10, 0, 42);
-        for selection in [ClientSelection::TierAware, ClientSelection::SimilarityAware] {
+        // Each weighted draw's first rounds, pinned on its own stream.
+        let pinned = [
+            (
+                ClientSelection::TierAware,
+                [[0, 2, 6], [4, 6, 8], [2, 6, 7]],
+            ),
+            (
+                ClientSelection::SimilarityAware,
+                [[0, 1, 8], [4, 5, 6], [0, 8, 9]],
+            ),
+        ];
+        for (selection, rounds) in pinned {
             let policy = selection.policy(&[0.5; 10], &shards);
-            let ids = policy.sample_round(&p, 0, 42);
-            assert_eq!(ids.len(), 3);
-            assert!(ids.windows(2).all(|w| w[0] < w[1]));
+            for (round, expected) in rounds.iter().enumerate() {
+                assert_eq!(policy.sample_round(&p, round, 42), expected);
+            }
         }
         assert_eq!(p.sample_round(10, 0, 42), before);
         assert_eq!(before, vec![0, 2, 6], "pinned history must not move");

@@ -6,7 +6,8 @@
 //! configuration's [`RunResult::history_digest`] is pinned as a literal.
 //! Together the cases cover every execution backend, every freeze level,
 //! every data-selection strategy, FedProx, per-tier freezes under a deadline
-//! with an offline tier, a budgeted logical pool and bursty streaming. One
+//! with an offline tier, a budgeted logical pool, bursty streaming and a
+//! tier-weighted client draw. One
 //! more case, on a larger setup of its own, evaluates and scores inputs that
 //! span several of the inference pass's row blocks.
 //!
@@ -15,8 +16,8 @@
 //! the debug and the release profile alike.
 
 use fedft::core::{
-    ArrivalModel, DeviceTier, ExecutionBackend, FlConfig, HeterogeneityModel, Method, RunResult,
-    Simulation, StreamingParams,
+    ArrivalModel, ClientSelection, DeviceTier, ExecutionBackend, FlConfig, HeterogeneityModel,
+    Method, RunResult, Simulation, StreamingParams,
 };
 use fedft::data::federated::PartitionScheme;
 use fedft::data::{domains, FederatedDataset};
@@ -236,6 +237,19 @@ fn budgeted_logical_pool_with_shared_scores() {
         .with_worker_threads(2);
     let result = pinned(config, &fed, &model, 0x6fc9_122b_995d_d7bf);
     assert!(result.total_cache_evictions() > 0, "the budget never bit");
+}
+
+#[test]
+fn parallel_tier_aware_partial_participation() {
+    let (fed, model) = setup();
+    let config = Method::FedFtEds { pds: 0.5 }
+        .configure(base(3, 11))
+        .with_client_selection(ClientSelection::TierAware)
+        .with_heterogeneity(HeterogeneityModel::two_tier())
+        .with_participation(0.5)
+        .with_execution(ExecutionBackend::Parallel)
+        .with_worker_threads(2);
+    pinned(config, &fed, &model, 0xd786_9bc0_a410_1401);
 }
 
 /// A setup whose inference passes span several row blocks: 300 test rows,
