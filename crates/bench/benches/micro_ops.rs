@@ -41,11 +41,10 @@ fn bench_entropy_selection(c: &mut Criterion) {
     let model = BlockNet::new(&BlockNetConfig::new(48, 10).with_hidden(64, 64, 64), 1);
     let features = random_matrix(200, 48, 4);
     let dataset = Dataset::new(features, (0..200).map(|i| i % 10).collect(), 10).unwrap();
-    let policy = SelectionStrategy::Entropy {
+    let eds = SelectionStrategy::Entropy {
         fraction: 0.1,
         temperature: 0.1,
-    }
-    .policy();
+    };
     let freeze = FreezeLevel::Classifier;
     let mut suffix = model.trainable_suffix(freeze);
     // The uncached path: the frozen prefix runs inside every selection pass.
@@ -61,7 +60,7 @@ fn bench_entropy_selection(c: &mut Criterion) {
                 0,
                 0,
             );
-            policy.select(&mut ctx).unwrap()
+            eds.select(&mut ctx).unwrap()
         })
     });
 
@@ -72,7 +71,7 @@ fn bench_entropy_selection(c: &mut Criterion) {
         bencher.iter(|| {
             let mut ctx =
                 SelectionContext::with_boundary(&mut suffix, &boundary, dataset.labels(), 0, 0, 0);
-            policy.select(&mut ctx).unwrap()
+            eds.select(&mut ctx).unwrap()
         })
     });
 }

@@ -1,5 +1,5 @@
-//! Regenerates the policy-matrix report: the pluggable data-selection,
-//! client-selection and per-tier-freeze policies crossed with device
+//! Regenerates the policy-matrix report: the data-selection,
+//! client-selection and per-tier-freeze choices crossed with device
 //! heterogeneity mixes and execution backends, in a Table III-style grid.
 //!
 //! The first row is the paper's FedFT-EDS defaults (bit-identical to the

@@ -1,8 +1,8 @@
 //! Policy matrix — the policy-layer scenario study.
 //!
-//! Crosses the pluggable policy families introduced by the policy layer
-//! (data-selection policies, client-selection policies and per-tier freeze
-//! levels) with device-heterogeneity mixes and execution backends, and
+//! Crosses the selection rules of the policy layer (data-selection
+//! strategies, client-selection rules and per-tier freeze levels) with
+//! device-heterogeneity mixes and execution backends, and
 //! reports best accuracy per cell in a Table III-style grid.
 //!
 //! The first row of every grid is the **baseline**: the paper's FedFT-EDS

@@ -232,16 +232,15 @@ impl Client {
         global_model.refresh_suffix(freeze, suffix);
 
         // --- Data selection (Equations 2-3, hardened softmax Equation 6),
-        // through the pluggable policy layer. The context resolves boundary
-        // activations lazily: model-free policies (All/Random) never touch
-        // the model, score-based policies see either the cached boundary,
+        // by the configured strategy. The context resolves boundary
+        // activations lazily: model-free strategies (All/Random) never touch
+        // the model, score-based ones see either the cached boundary,
         // the raw features (no frozen prefix), or a one-off frozen forward
         // pass — the exact three paths the pre-policy dispatch took. A
         // client that took its boundary from the registry takes its scores
         // there too: the other clients of its shard that train on this model
         // version need the same ones.
         let selected_indices = {
-            let policy = config.selection.policy();
             let mut ctx = match &cached_boundary {
                 Some(boundary) => SelectionContext::with_boundary(
                     suffix,
@@ -276,7 +275,7 @@ impl Client {
                     config.seed,
                 ),
             };
-            policy.select(&mut ctx)?
+            config.selection.select(&mut ctx)?
         };
         selected_labels.clear();
         selected_labels.extend(selected_indices.iter().map(|&i| data.labels()[i]));

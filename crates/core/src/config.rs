@@ -61,8 +61,8 @@ pub struct FlConfig {
     pub participation: f64,
     /// How the participating subset is *chosen* when `participation < 1`:
     /// uniformly (the default, bit-identical to the pre-policy behaviour on
-    /// the `"participation"` stream) or weighted by a
-    /// [`crate::policy::ClientSelectionPolicy`] on its own named stream.
+    /// the `"participation"` stream) or weighted, each rule on its own named
+    /// stream ([`crate::ClientSampler::Weighted`]).
     pub client_selection: ClientSelection,
     /// Optional per-tier freeze levels, indexed like
     /// [`HeterogeneityModel::tiers`]: clients in tier `t` train at

@@ -336,7 +336,7 @@ impl HeterogeneityModel {
         local_samples: usize,
         config: &FlConfig,
     ) -> f64 {
-        let selected = config.selection.policy().selected_count(local_samples);
+        let selected = config.selection.selected_count(local_samples);
         let compute_seconds = config.cost.client_round_seconds(
             flops,
             local_samples,

@@ -112,7 +112,7 @@ pub use executor::{
 pub use methods::Method;
 pub use metrics::{RoundRecord, RunResult};
 pub use participation::ParticipationModel;
-pub use policy::{ClientSelection, ClientSelectionPolicy, DataSelectionPolicy, SelectionContext};
+pub use policy::{ClientSampler, ClientSelection, SelectionContext};
 pub use selection::SelectionStrategy;
 pub use server::Server;
 pub use simulation::{ClientPool, Simulation};

@@ -21,12 +21,39 @@ use crate::{FlError, Result};
 use fedft_tensor::rng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 
 /// Floor substituted for non-finite or non-positive weights in
-/// [`ParticipationModel::sample_round_weighted`], so a degenerate weight can
-/// never knock a client out of the pool entirely.
-const MIN_CLIENT_WEIGHT: f64 = 1e-12;
+/// [`weighted_order`], so a degenerate weight (a perfectly fit sample's loss
+/// of 0, a NaN compute multiplier) keeps a vanishing but non-zero chance of
+/// being drawn.
+const MIN_WEIGHT: f64 = 1e-12;
+
+/// Efraimidis–Spirakis weighted order without replacement: one uniform `u_i`
+/// per weight, drawn from `rng` in index order, keyed `u_i^{1/w_i}`; returns
+/// every index, largest key first, ties by ascending index. Keeping the
+/// first `k` is a weighted draw of `k` without replacement.
+pub(crate) fn weighted_order<R: Rng>(
+    rng: &mut R,
+    weights: impl IntoIterator<Item = f64>,
+) -> Vec<usize> {
+    let mut keyed: Vec<(f64, usize)> = weights
+        .into_iter()
+        .enumerate()
+        .map(|(i, raw)| {
+            let u: f64 = rng.gen();
+            let w = if raw.is_finite() && raw > 0.0 {
+                raw
+            } else {
+                MIN_WEIGHT
+            };
+            (u.powf(1.0 / w), i)
+        })
+        .collect();
+    // `u ∈ [0, 1)` and `1/w > 0`, so every key lies in `[0, 1]` and is never
+    // NaN or -0.0: `total_cmp` orders the keys exactly as `partial_cmp` would.
+    keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
 
 /// Selects which clients participate in each round.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -92,18 +119,17 @@ impl ParticipationModel {
         ids
     }
 
-    /// Chooses participating client ids for `round` with per-client weights,
-    /// via Efraimidis–Spirakis reservoir keys (`key_i = u_i^{1/w_i}`, keep
-    /// the `k` largest keys).
+    /// Chooses participating client ids for `round` with per-client weights
+    /// ([`weighted_order`], keeping the first `k`).
     ///
     /// One generator is created per round on the caller-supplied `stream`
     /// label and uniforms are drawn in client-id order, so the draw is
     /// deterministic in `(seed, stream, round)` and independent of every
-    /// other named stream — enabling a weighted client-selection policy
-    /// never perturbs the `"participation"` history of the uniform policy.
-    /// Non-finite or non-positive weights are floored to a tiny positive
-    /// value rather than rejected. Returned ids are sorted ascending.
-    pub fn sample_round_weighted(
+    /// other named stream — a weighted client-selection rule never perturbs
+    /// the `"participation"` history of uniform sampling. Non-finite or
+    /// non-positive weights are floored to a tiny positive value rather than
+    /// rejected. Returned ids are sorted ascending.
+    pub(crate) fn sample_round_weighted(
         &self,
         weights: &[f64],
         round: usize,
@@ -116,25 +142,8 @@ impl ParticipationModel {
             return (0..total).collect();
         }
         let mut r = rng::rng_for_indexed(seed, stream, round as u64);
-        let mut keyed: Vec<(f64, usize)> = weights
-            .iter()
-            .enumerate()
-            .map(|(id, &raw)| {
-                let u: f64 = r.gen();
-                let w = if raw.is_finite() && raw > 0.0 {
-                    raw
-                } else {
-                    MIN_CLIENT_WEIGHT
-                };
-                (u.powf(1.0 / w), id)
-            })
-            .collect();
-        keyed.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        let mut ids: Vec<usize> = keyed[..k].iter().map(|&(_, id)| id).collect();
+        let mut ids = weighted_order(&mut r, weights.iter().copied());
+        ids.truncate(k);
         ids.sort_unstable();
         ids
     }

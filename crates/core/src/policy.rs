@@ -1,73 +1,63 @@
-//! Pluggable policy layers for the two per-round decision points.
+//! The two per-round selection decisions.
 //!
-//! The simulation makes two policy decisions every round:
+//! The simulation makes two selection decisions every round:
 //!
 //! 1. **Data selection** — which local samples each participating client
-//!    trains on ([`DataSelectionPolicy`]). The paper's EDS is one member of
-//!    a family that also contains the all/random baselines and the
-//!    loss-proportional / gradient-norm rules of the paper's precursor
-//!    (Shi & Radu 2021).
-//! 2. **Client selection** — which clients participate at all
-//!    ([`ClientSelectionPolicy`]). Uniform sampling is one member of a
-//!    family that also contains tier-aware (bias toward slow tiers that
-//!    miss deadlines) and label-distribution-similarity-aware (Famá et
-//!    al. 2024) rules.
+//!    trains on: [`crate::SelectionStrategy::select`] over a
+//!    [`SelectionContext`]. The paper's EDS is one variant; the others are
+//!    the all/random baselines and the loss-proportional / gradient-norm
+//!    rules of the paper's precursor (Shi & Radu 2021).
+//! 2. **Client selection** — which clients participate at all:
+//!    [`ClientSelection`], resolved once per run into a [`ClientSampler`].
+//!    Uniform sampling is the default; the tier-aware (bias toward slow
+//!    tiers that miss deadlines) and label-distribution-similarity-aware
+//!    (Famá et al. 2024) rules draw with per-client weights.
 //!
-//! Both families are resolved from small serialisable descriptors
-//! ([`crate::SelectionStrategy`], [`ClientSelection`]) into trait objects,
-//! so report code can enumerate policies generically while configs stay
-//! plain data.
+//! Both are closed enums: a config carries its choice as plain data, and a
+//! new rule is a new variant with its arm in one `match`.
 //!
 //! # Bit-identity contract
 //!
-//! The default members of each family (`All`/`Random`/`Entropy` data
+//! The default variants of each decision (`All`/`Random`/`Entropy` data
 //! selection, `Uniform` client selection) run **exactly** the code that
 //! predates the policy layer, on the same named RNG streams
-//! (`"rds-client-{id}"`, `"participation"`). Every non-default policy draws
+//! (`"rds-client-{id}"`, `"participation"`). Every other variant draws
 //! from its own stream (`"lds-client-{id}"`, `"tier-participation"`,
-//! `"similarity-participation"`) or none at all, so enabling one policy
+//! `"similarity-participation"`) or none at all, so enabling one rule
 //! never perturbs the seeded history of another. This is pinned by the
 //! back-compat e2e suite.
 
 use crate::cache::{ScoreKind, ScoreSlot};
 use crate::entropy::{
-    rank_by_entropy, sample_entropies_from_boundary, sample_gradient_norms_from_boundary,
+    sample_entropies_from_boundary, sample_gradient_norms_from_boundary,
     sample_losses_from_boundary,
 };
 use crate::participation::ParticipationModel;
-use crate::selection::SelectionStrategy;
-use crate::{FlError, Result};
+use crate::Result;
 use fedft_data::Dataset;
 use fedft_nn::{BlockNet, FreezeLevel, SuffixNet};
-use fedft_tensor::{rng, Matrix};
-use rand::Rng;
+use fedft_tensor::Matrix;
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::sync::Arc;
 
-/// Floor substituted for non-finite or non-positive loss weights in
-/// loss-proportional sampling, so a perfectly-fit sample (loss 0) keeps a
-/// vanishing but non-zero chance of selection.
-const MIN_SCORE_WEIGHT: f64 = 1e-12;
-
 // ---------------------------------------------------------------------------
-// Data-selection policies
+// Data selection
 // ---------------------------------------------------------------------------
 
-/// Everything a data-selection policy may consult when picking this round's
-/// training subset for one client.
+/// Everything [`crate::SelectionStrategy::select`] may consult when picking
+/// this round's training subset for one client.
 ///
 /// The boundary activations (frozen-prefix output) are resolved lazily: a
-/// policy that never scores samples (`All`, `Random`) never triggers the
+/// strategy that never scores samples (`All`, `Random`) never triggers the
 /// frozen forward pass, preserving the cost profile of the pre-policy code.
 pub struct SelectionContext<'a> {
     suffix: &'a mut SuffixNet,
     labels: &'a [usize],
-    round: usize,
-    client_id: usize,
-    seed: u64,
+    pub(crate) round: usize,
+    pub(crate) client_id: usize,
+    pub(crate) seed: u64,
     boundary: BoundarySource<'a>,
     /// Where scores other clients of the shard computed under this model
     /// version are found and this client's are left, and the buffer they
@@ -155,14 +145,14 @@ impl<'a> SelectionContext<'a> {
     }
 
     /// Per-sample entropies under a hardened softmax (the EDS score).
-    pub fn entropies(&mut self, temperature: f32) -> Result<Cow<'_, [f32]>> {
+    pub(crate) fn entropies(&mut self, temperature: f32) -> Result<Cow<'_, [f32]>> {
         self.scores(ScoreKind::entropy(temperature), |suffix, boundary| {
             sample_entropies_from_boundary(suffix, boundary, temperature)
         })
     }
 
     /// Per-sample cross-entropy losses (the loss-proportional score).
-    pub fn losses(&mut self) -> Result<Cow<'_, [f32]>> {
+    pub(crate) fn losses(&mut self) -> Result<Cow<'_, [f32]>> {
         let labels = self.labels;
         self.scores(ScoreKind::Loss, |suffix, boundary| {
             sample_losses_from_boundary(suffix, boundary, labels)
@@ -170,7 +160,7 @@ impl<'a> SelectionContext<'a> {
     }
 
     /// Per-sample output-layer gradient norms (the gradient-norm score).
-    pub fn gradient_norms(&mut self) -> Result<Cow<'_, [f32]>> {
+    pub(crate) fn gradient_norms(&mut self) -> Result<Cow<'_, [f32]>> {
         let labels = self.labels;
         self.scores(ScoreKind::GradientNorm, |suffix, boundary| {
             sample_gradient_norms_from_boundary(suffix, boundary, labels)
@@ -197,12 +187,10 @@ impl<'a> SelectionContext<'a> {
                 freeze,
                 features,
                 built,
-            } => {
-                if built.is_none() {
-                    *built = Some(model.forward_frozen(*freeze, features)?);
-                }
-                built.as_ref().expect("boundary was just built")
-            }
+            } => match built {
+                Some(b) => b,
+                None => built.insert(model.forward_frozen(*freeze, features)?),
+            },
         };
         let computed = score(&mut *self.suffix, boundary)?;
         if let Some((slot, _)) = &self.shared {
@@ -222,247 +210,11 @@ impl Debug for SelectionContext<'_> {
     }
 }
 
-/// A member of the data-selection policy family: picks, per round and per
-/// client, which local sample indices to train on.
-pub trait DataSelectionPolicy: Debug + Send + Sync {
-    /// Short name used in reports (`all`, `rds`, `eds`, `lds`, `gns`).
-    fn short_name(&self) -> &'static str;
-
-    /// Fraction of local data the policy keeps.
-    fn fraction(&self) -> f64;
-
-    /// Whether the policy needs a forward pass over the whole local dataset
-    /// (and therefore incurs the cost model's selection overhead).
-    fn needs_inference_pass(&self) -> bool;
-
-    /// Selects the training subset for this round.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the context holds no samples or scoring fails.
-    fn select(&self, ctx: &mut SelectionContext<'_>) -> Result<Vec<usize>>;
-
-    /// Number of samples kept out of `available`:
-    /// `ceil(fraction · available)` clamped to `[1, available]`.
-    fn selected_count(&self, available: usize) -> usize {
-        if available == 0 {
-            return 0;
-        }
-        let keep = (self.fraction() * available as f64).ceil() as usize;
-        keep.clamp(1, available)
-    }
-}
-
-fn require_samples(ctx: &SelectionContext<'_>) -> Result<()> {
-    if ctx.num_samples() == 0 {
-        return Err(FlError::InvalidConfig {
-            what: format!("client {} has no local data to select from", ctx.client_id),
-        });
-    }
-    Ok(())
-}
-
-/// Train on every local sample (FedAvg, FedProx, FedFT-ALL).
-#[derive(Debug, Clone, Copy)]
-pub struct AllData;
-
-impl DataSelectionPolicy for AllData {
-    fn short_name(&self) -> &'static str {
-        "all"
-    }
-
-    fn fraction(&self) -> f64 {
-        1.0
-    }
-
-    fn needs_inference_pass(&self) -> bool {
-        false
-    }
-
-    fn select(&self, ctx: &mut SelectionContext<'_>) -> Result<Vec<usize>> {
-        require_samples(ctx)?;
-        Ok((0..ctx.num_samples()).collect())
-    }
-}
-
-/// Uniform random selection refreshed every round (the `-RDS` baselines).
-/// Draws from the `"rds-client-{id}"` stream — the exact stream and shuffle
-/// the pre-policy code used, so seeded histories are unchanged.
-#[derive(Debug, Clone, Copy)]
-pub struct RandomSubset {
-    /// Fraction `Pds ∈ (0, 1]` of local samples to keep.
-    pub fraction: f64,
-}
-
-impl DataSelectionPolicy for RandomSubset {
-    fn short_name(&self) -> &'static str {
-        "rds"
-    }
-
-    fn fraction(&self) -> f64 {
-        self.fraction
-    }
-
-    fn needs_inference_pass(&self) -> bool {
-        false
-    }
-
-    fn select(&self, ctx: &mut SelectionContext<'_>) -> Result<Vec<usize>> {
-        require_samples(ctx)?;
-        let n = ctx.num_samples();
-        Ok(rng::seeded_subset(
-            ctx.seed,
-            &format!("rds-client-{}", ctx.client_id),
-            ctx.round as u64,
-            n,
-            self.selected_count(n),
-        ))
-    }
-}
-
-/// The paper's EDS: keep the top-`Pds` highest-entropy samples under a
-/// hardened softmax. Deterministic given the model — no RNG stream.
-#[derive(Debug, Clone, Copy)]
-pub struct EntropyTopK {
-    /// Fraction `Pds ∈ (0, 1]` of local samples to keep.
-    pub fraction: f64,
-    /// Softmax temperature ρ; the paper uses `0.1`.
-    pub temperature: f32,
-}
-
-impl DataSelectionPolicy for EntropyTopK {
-    fn short_name(&self) -> &'static str {
-        "eds"
-    }
-
-    fn fraction(&self) -> f64 {
-        self.fraction
-    }
-
-    fn needs_inference_pass(&self) -> bool {
-        true
-    }
-
-    fn select(&self, ctx: &mut SelectionContext<'_>) -> Result<Vec<usize>> {
-        require_samples(ctx)?;
-        let entropies = ctx.entropies(self.temperature)?;
-        let mut ranked = rank_by_entropy(&entropies);
-        ranked.truncate(self.selected_count(entropies.len()));
-        Ok(ranked)
-    }
-}
-
-/// Loss-proportional selection (Shi & Radu 2021): draw without replacement
-/// with probability proportional to per-sample loss, via Efraimidis–Spirakis
-/// keys on the `"lds-client-{id}"` stream (indexed by round). Output is in
-/// descending key order (most important first), like the entropy ranking.
-#[derive(Debug, Clone, Copy)]
-pub struct LossProportionalSampling {
-    /// Fraction `Pds ∈ (0, 1]` of local samples to keep.
-    pub fraction: f64,
-}
-
-impl DataSelectionPolicy for LossProportionalSampling {
-    fn short_name(&self) -> &'static str {
-        "lds"
-    }
-
-    fn fraction(&self) -> f64 {
-        self.fraction
-    }
-
-    fn needs_inference_pass(&self) -> bool {
-        true
-    }
-
-    fn select(&self, ctx: &mut SelectionContext<'_>) -> Result<Vec<usize>> {
-        require_samples(ctx)?;
-        let mut r = rng::rng_for_indexed(
-            ctx.seed,
-            &format!("lds-client-{}", ctx.client_id),
-            ctx.round as u64,
-        );
-        let losses = ctx.losses()?;
-        let mut keyed: Vec<(f64, usize)> = losses
-            .iter()
-            .enumerate()
-            .map(|(i, &loss)| {
-                let u: f64 = r.gen();
-                let w = if loss.is_finite() && loss > 0.0 {
-                    f64::from(loss)
-                } else {
-                    MIN_SCORE_WEIGHT
-                };
-                (u.powf(1.0 / w), i)
-            })
-            .collect();
-        keyed.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        keyed.truncate(self.selected_count(losses.len()));
-        Ok(keyed.into_iter().map(|(_, i)| i).collect())
-    }
-}
-
-/// Gradient-norm selection (Shi & Radu 2021): keep the samples with the
-/// largest output-layer gradient norm. Deterministic top-k — no RNG stream.
-#[derive(Debug, Clone, Copy)]
-pub struct GradientNormTopK {
-    /// Fraction `Pds ∈ (0, 1]` of local samples to keep.
-    pub fraction: f64,
-}
-
-impl DataSelectionPolicy for GradientNormTopK {
-    fn short_name(&self) -> &'static str {
-        "gns"
-    }
-
-    fn fraction(&self) -> f64 {
-        self.fraction
-    }
-
-    fn needs_inference_pass(&self) -> bool {
-        true
-    }
-
-    fn select(&self, ctx: &mut SelectionContext<'_>) -> Result<Vec<usize>> {
-        require_samples(ctx)?;
-        let norms = ctx.gradient_norms()?;
-        let mut ranked = rank_by_entropy(&norms);
-        ranked.truncate(self.selected_count(norms.len()));
-        Ok(ranked)
-    }
-}
-
-impl SelectionStrategy {
-    /// Resolves the serialisable strategy descriptor into its policy-family
-    /// member.
-    pub fn policy(&self) -> Box<dyn DataSelectionPolicy> {
-        match *self {
-            SelectionStrategy::All => Box::new(AllData),
-            SelectionStrategy::Random { fraction } => Box::new(RandomSubset { fraction }),
-            SelectionStrategy::Entropy {
-                fraction,
-                temperature,
-            } => Box::new(EntropyTopK {
-                fraction,
-                temperature,
-            }),
-            SelectionStrategy::LossProportional { fraction } => {
-                Box::new(LossProportionalSampling { fraction })
-            }
-            SelectionStrategy::GradientNorm { fraction } => Box::new(GradientNormTopK { fraction }),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Client-selection policies
+// Client selection
 // ---------------------------------------------------------------------------
 
-/// Serialisable descriptor of the client-selection policy, stored in
+/// Serialisable descriptor of the client-selection rule, stored in
 /// [`crate::FlConfig::client_selection`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum ClientSelection {
@@ -491,108 +243,62 @@ impl ClientSelection {
         }
     }
 
-    /// Resolves the descriptor into its policy-family member for a concrete
-    /// client pool: `tiers` holds each client's tier compute multiplier and
+    /// Resolves the descriptor into its sampler for a concrete client pool:
+    /// `tier_compute` holds each client's tier compute multiplier and
     /// `shards` each client's data shard.
-    pub fn policy(
-        &self,
-        tier_compute: &[f64],
-        shards: &[Arc<Dataset>],
-    ) -> Box<dyn ClientSelectionPolicy> {
+    pub fn policy(&self, tier_compute: &[f64], shards: &[Arc<Dataset>]) -> ClientSampler {
         match self {
-            ClientSelection::Uniform => Box::new(UniformClientSelection {
+            ClientSelection::Uniform => ClientSampler::Uniform {
                 total: shards.len(),
-            }),
-            ClientSelection::TierAware => Box::new(WeightedClientSelection {
-                name: "tier",
+            },
+            ClientSelection::TierAware => ClientSampler::Weighted {
                 stream: "tier-participation",
                 weights: tier_aware_weights(tier_compute),
-            }),
-            ClientSelection::SimilarityAware => Box::new(WeightedClientSelection {
-                name: "sim",
+            },
+            ClientSelection::SimilarityAware => ClientSampler::Weighted {
                 stream: "similarity-participation",
                 weights: similarity_weights(shards),
-            }),
+            },
         }
     }
 }
 
-/// A member of the client-selection policy family: picks, per round, which
-/// client ids participate.
-pub trait ClientSelectionPolicy: Debug + Send + Sync {
-    /// Short name used in reports.
-    fn short_name(&self) -> &'static str;
+/// A client-selection rule resolved for one client pool
+/// ([`ClientSelection::policy`]): picks, per round, which client ids
+/// participate.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ClientSampler {
+    /// Uniform sampling over a pool of `total` clients, verbatim
+    /// [`ParticipationModel::sample_round`] on the `"participation"` stream.
+    Uniform {
+        /// Size of the client pool.
+        total: usize,
+    },
+    /// Efraimidis–Spirakis sampling with one weight per client, on its own
+    /// named `stream`.
+    Weighted {
+        /// The RNG stream label the draw uses.
+        stream: &'static str,
+        /// One weight per client id.
+        weights: Vec<f64>,
+    },
+}
 
+impl ClientSampler {
     /// Chooses the participating client ids for `round`. Returned ids are
     /// sorted ascending.
-    fn sample_round(
-        &self,
-        participation: &ParticipationModel,
-        round: usize,
-        seed: u64,
-    ) -> Vec<usize>;
-}
-
-/// The default uniform policy — delegates verbatim to
-/// [`ParticipationModel::sample_round`] on the `"participation"` stream.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformClientSelection {
-    /// Size of the client pool.
-    pub total: usize,
-}
-
-impl ClientSelectionPolicy for UniformClientSelection {
-    fn short_name(&self) -> &'static str {
-        "uniform"
-    }
-
-    fn sample_round(
+    pub fn sample_round(
         &self,
         participation: &ParticipationModel,
         round: usize,
         seed: u64,
     ) -> Vec<usize> {
-        participation.sample_round(self.total, round, seed)
-    }
-}
-
-/// A weighted policy — delegates to
-/// [`ParticipationModel::sample_round_weighted`] on its own named stream.
-#[derive(Debug, Clone)]
-pub struct WeightedClientSelection {
-    name: &'static str,
-    stream: &'static str,
-    weights: Vec<f64>,
-}
-
-impl WeightedClientSelection {
-    /// Builds a weighted policy from explicit weights and a stream label.
-    pub fn new(name: &'static str, stream: &'static str, weights: Vec<f64>) -> Self {
-        WeightedClientSelection {
-            name,
-            stream,
-            weights,
+        match self {
+            ClientSampler::Uniform { total } => participation.sample_round(*total, round, seed),
+            ClientSampler::Weighted { stream, weights } => {
+                participation.sample_round_weighted(weights, round, seed, stream)
+            }
         }
-    }
-
-    /// The per-client weights the policy samples with.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-}
-
-impl ClientSelectionPolicy for WeightedClientSelection {
-    fn short_name(&self) -> &'static str {
-        self.name
-    }
-
-    fn sample_round(
-        &self,
-        participation: &ParticipationModel,
-        round: usize,
-        seed: u64,
-    ) -> Vec<usize> {
-        participation.sample_round_weighted(&self.weights, round, seed, self.stream)
     }
 }
 
@@ -600,7 +306,7 @@ impl ClientSelectionPolicy for WeightedClientSelection {
 /// so a tier at 0.25× compute is sampled 4× as eagerly as a 1× tier. Slow
 /// tiers are exactly the ones that miss deadlines, so this counteracts the
 /// participation skew a deadline introduces.
-pub fn tier_aware_weights(tier_compute: &[f64]) -> Vec<f64> {
+fn tier_aware_weights(tier_compute: &[f64]) -> Vec<f64> {
     tier_compute
         .iter()
         .map(|&c| {
@@ -616,10 +322,12 @@ pub fn tier_aware_weights(tier_compute: &[f64]) -> Vec<f64> {
 /// Similarity weights à la Famá et al. 2024: one minus half the L1 distance
 /// between the shard's label distribution and the global label distribution
 /// (i.e. `1 − TV(p_shard, p_global)`), floored at `0.05` so dissimilar
-/// shards keep a small selection chance. Computed **once per distinct
-/// shard** — logical clients sharing an `Arc`'d shard share the weight.
-pub fn similarity_weights(shards: &[Arc<Dataset>]) -> Vec<f64> {
-    let num_classes = shards.first().map_or(0, |s| s.num_classes());
+/// shards keep a small selection chance. The global histogram spans the
+/// widest shard's classes; a class a shard does not declare counts zero
+/// there. Computed **once per distinct shard** — logical clients sharing an
+/// `Arc`'d shard share the weight.
+fn similarity_weights(shards: &[Arc<Dataset>]) -> Vec<f64> {
+    let num_classes = shards.iter().map(|s| s.num_classes()).max().unwrap_or(0);
     let mut global = vec![0.0f64; num_classes];
     let mut total = 0.0f64;
     for shard in shards {
@@ -651,10 +359,13 @@ fn shard_similarity(shard: &Dataset, global: &[f64]) -> f64 {
     if local_total <= 0.0 {
         return 0.05;
     }
-    let l1: f64 = counts
+    let l1: f64 = global
         .iter()
-        .zip(global)
-        .map(|(&c, &g)| (c as f64 / local_total - g).abs())
+        .enumerate()
+        .map(|(class, &g)| {
+            let c = counts.get(class).map_or(0.0, |&c| c as f64);
+            (c / local_total - g).abs()
+        })
         .sum();
     (1.0 - 0.5 * l1).max(0.05)
 }
@@ -662,6 +373,8 @@ fn shard_similarity(shard: &Dataset, global: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entropy::rank_by_entropy;
+    use crate::SelectionStrategy;
     use fedft_nn::BlockNetConfig;
 
     fn model() -> BlockNet {
@@ -692,7 +405,7 @@ mod tests {
             3,
             7,
         );
-        strategy.policy().select(&mut ctx).unwrap()
+        strategy.select(&mut ctx).unwrap()
     }
 
     #[test]
@@ -740,22 +453,19 @@ mod tests {
             SelectionStrategy::GradientNorm { fraction: 0.4 },
         ];
         for s in strategies {
-            let p = s.policy();
-            assert_eq!(p.short_name(), s.short_name());
-            assert_eq!(p.fraction(), s.fraction());
-            assert_eq!(p.needs_inference_pass(), s.needs_inference_pass());
+            assert_eq!(s.policy(), s);
             assert_eq!(
-                p.selected_count(10),
+                s.selected_count(10),
                 if s.fraction() < 1.0 { 4 } else { 10 }
             );
-            assert_eq!(p.selected_count(0), 0);
+            assert_eq!(s.selected_count(0), 0);
         }
         // ceil(fraction · n), at least one sample, at most all of them.
-        let tenth = RandomSubset { fraction: 0.1 };
+        let tenth = SelectionStrategy::Random { fraction: 0.1 };
         assert_eq!(tenth.selected_count(100), 10);
         assert_eq!(tenth.selected_count(5), 1);
         assert_eq!(tenth.selected_count(1), 1);
-        assert_eq!(AllData.selected_count(7), 7);
+        assert_eq!(SelectionStrategy::All.selected_count(7), 7);
     }
 
     #[test]
@@ -855,7 +565,7 @@ mod tests {
             0,
             0,
         );
-        assert!(AllData.select(&mut ctx).is_err());
+        assert!(SelectionStrategy::All.select(&mut ctx).is_err());
         assert_eq!(ctx.num_samples(), 0);
         assert!(format!("{ctx:?}").contains("SelectionContext"));
     }
@@ -872,6 +582,7 @@ mod tests {
     fn uniform_policy_is_bit_identical_to_participation_model() {
         let shards: Vec<Arc<Dataset>> = (0..10).map(|_| Arc::new(dataset(8))).collect();
         let policy = ClientSelection::Uniform.policy(&[1.0; 10], &shards);
+        assert_eq!(policy, ClientSampler::Uniform { total: 10 });
         let p = ParticipationModel::new(0.3).unwrap();
         assert_eq!(policy.sample_round(&p, 0, 42), vec![0, 2, 6]);
         assert_eq!(policy.sample_round(&p, 1, 42), vec![1, 2, 7]);
@@ -889,10 +600,13 @@ mod tests {
         // Slow clients get picked more often.
         let p = ParticipationModel::new(0.25).unwrap();
         let compute: Vec<f64> = (0..20).map(|i| if i < 10 { 0.1 } else { 1.0 }).collect();
-        let policy = WeightedClientSelection::new(
-            "tier",
-            "tier-participation",
-            tier_aware_weights(&compute),
+        let policy = ClientSelection::TierAware.policy(&compute, &[]);
+        assert_eq!(
+            policy,
+            ClientSampler::Weighted {
+                stream: "tier-participation",
+                weights: tier_aware_weights(&compute),
+            }
         );
         let mut slow_hits = 0usize;
         let mut total = 0usize;
@@ -927,6 +641,20 @@ mod tests {
         );
         assert_eq!(w[0], w[2], "shared Arc shards share one weight");
         assert!(w.iter().all(|&x| (0.05..=1.0).contains(&x)));
+    }
+
+    #[test]
+    fn similarity_weights_span_the_widest_shard() {
+        // Shards declaring 4 and 10 classes: the global histogram spans all
+        // 10, and the classes the narrow shard does not declare count zero
+        // there. Classes 0..8 hold one sample each, so each shard is at
+        // total-variation distance 1/2 from the global distribution.
+        let shard = |labels: Vec<usize>, classes: usize| {
+            let features = Matrix::from_vec(4, 6, vec![0.5; 24]).unwrap();
+            Arc::new(Dataset::new(features, labels, classes).unwrap())
+        };
+        let shards = vec![shard(vec![0, 1, 2, 3], 4), shard(vec![4, 5, 6, 7], 10)];
+        assert_eq!(similarity_weights(&shards), [0.5, 0.5]);
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Per-round local data selection strategies (paper §III-C and §IV-A3).
 
+use crate::entropy::rank_by_entropy;
+use crate::participation::weighted_order;
+use crate::policy::SelectionContext;
 use crate::{FlError, Result};
+use fedft_tensor::rng;
 use serde::{Deserialize, Serialize};
 
 /// How a client chooses which local samples to train on in a round: the
-/// serialisable tag an [`crate::FlConfig`] carries. The selection itself is
-/// its policy's ([`SelectionStrategy::policy`],
-/// [`crate::policy::DataSelectionPolicy::select`]).
+/// serialisable choice an [`crate::FlConfig`] carries, and the rule that
+/// makes it ([`SelectionStrategy::select`]).
 ///
 /// * [`SelectionStrategy::All`] — train on every local sample (FedAvg,
 ///   FedProx, FedFT-ALL).
@@ -108,6 +111,74 @@ impl SelectionStrategy {
             }
         }
         Ok(())
+    }
+
+    /// Number of samples kept out of `available`:
+    /// `ceil(fraction · available)` clamped to `[1, available]`.
+    pub fn selected_count(&self, available: usize) -> usize {
+        if available == 0 {
+            return 0;
+        }
+        let keep = (self.fraction() * available as f64).ceil() as usize;
+        keep.clamp(1, available)
+    }
+
+    /// Selects this round's training subset, most important sample first
+    /// for the score-based strategies:
+    ///
+    /// * `All` — every sample, in order.
+    /// * `Random` — a seeded subset on the `"rds-client-{id}"` stream
+    ///   indexed by round, the exact stream and shuffle of the pre-policy
+    ///   code.
+    /// * `Entropy` — the top entropies under the hardened softmax; no RNG.
+    /// * `LossProportional` — a draw without replacement with probability
+    ///   proportional to per-sample loss (Efraimidis–Spirakis keys on the
+    ///   `"lds-client-{id}"` stream indexed by round), in descending key
+    ///   order.
+    /// * `GradientNorm` — the largest output-layer gradient norms; no RNG.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the context holds no samples or scoring fails.
+    pub fn select(&self, ctx: &mut SelectionContext<'_>) -> Result<Vec<usize>> {
+        let available = ctx.num_samples();
+        if available == 0 {
+            return Err(FlError::InvalidConfig {
+                what: format!("client {} has no local data to select from", ctx.client_id),
+            });
+        }
+        let keep = self.selected_count(available);
+        let mut order = match *self {
+            SelectionStrategy::All => (0..available).collect(),
+            SelectionStrategy::Random { .. } => rng::seeded_subset(
+                ctx.seed,
+                &format!("rds-client-{}", ctx.client_id),
+                ctx.round as u64,
+                available,
+                keep,
+            ),
+            SelectionStrategy::Entropy { temperature, .. } => {
+                rank_by_entropy(&ctx.entropies(temperature)?)
+            }
+            SelectionStrategy::LossProportional { .. } => {
+                let mut r = rng::rng_for_indexed(
+                    ctx.seed,
+                    &format!("lds-client-{}", ctx.client_id),
+                    ctx.round as u64,
+                );
+                weighted_order(&mut r, ctx.losses()?.iter().map(|&l| f64::from(l)))
+            }
+            SelectionStrategy::GradientNorm { .. } => rank_by_entropy(&ctx.gradient_norms()?),
+        };
+        order.truncate(keep);
+        Ok(order)
+    }
+
+    /// The strategy itself. It stays only for callers that spell a
+    /// selection `config.selection.policy().select(..)`; new code calls
+    /// [`SelectionStrategy::select`].
+    pub fn policy(&self) -> SelectionStrategy {
+        *self
     }
 }
 
