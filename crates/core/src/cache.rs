@@ -1,5 +1,5 @@
-//! Shard-deduplicated, key-hash-**sharded** caching of frozen-prefix
-//! boundary activations, and of the selection scores computed from them.
+//! Shard-deduplicated caching of frozen-prefix boundary activations, and of
+//! the selection scores computed from them.
 //!
 //! A client's local dataset never changes, and the frozen backbone `ϕ` never
 //! changes during a federated run (the server only aggregates the trainable
@@ -13,18 +13,13 @@
 //! client that holds the same shard share one `Arc<Matrix>` of activations,
 //! so cache memory scales with **distinct shards**, not with clients.
 //!
-//! This revision shards the registry itself. A registry is a fixed
-//! power-of-two array of **lock shards**, each owning its own entry table,
-//! LRU clock and byte ledger behind its own mutex, with the shard picked by
-//! a hash of the entry key. A hit-path lookup therefore touches exactly one
-//! shard lock and never a global one — under the streaming churn scenario
-//! (100k logical clients, burst arrivals) and the parallel executors, N
-//! worker threads hammering N distinct data shards contend on nothing at
-//! all, and even same-shard traffic only serializes a two-word table scan.
+//! A registry is one mutex over its whole state: the entry table, the LRU
+//! clock, the counters, the byte ledger and the score tier. A lookup holds
+//! it for a short table scan and never across a build, and a pooled round
+//! hands all clients of one shard to one runner, so the lock is short and
+//! rarely contended.
 //!
 //! # Invariants
-//!
-//! The sharded registry preserves every contract of the single-lock one:
 //!
 //! * **Keying / aliasing guard.** Entries are keyed by
 //!   [`fedft_nn::BlockNet::frozen_fingerprint`], a hash over the frozen
@@ -33,45 +28,31 @@
 //!   features guarding against two *different* shards aliasing one entry
 //!   (exact for data shards up to 16 rows, sampled beyond — see
 //!   `source_checksum` in this module for the precise guarantee).
-//! * **Shard-local invalidation.** The lock shard is selected by hashing
-//!   only `(source_checksum, freeze_level)` — deliberately **excluding** the
-//!   backbone fingerprint — so every fingerprint an entry can ever be
-//!   superseded by lands in the *same* shard. A backbone change is then
-//!   invalidated entirely under one shard lock; no cross-shard scan exists
-//!   anywhere on the insert path.
-//! * **Evict-before-insert under a split budget.** A global byte budget
-//!   ([`CacheRegistry::sharded`]) is split across shards — `budget / shards`
-//!   each, remainder to the first shards, so the slices sum exactly to the
-//!   budget — and each shard evicts its own least-recently-used entries
-//!   *before* inserting. Per-shard peaks never
-//!   exceed the per-shard slice, hence the summed
-//!   [`CacheStats::peak_bytes`] never exceeds the global budget. An entry
-//!   larger than its shard's slice is built and served but never retained
-//!   (note the granularity: with `S` shards the largest retainable entry is
-//!   about `budget / S` bytes).
+//! * **Backbone invalidation.** Inserting an entry drops every entry of the
+//!   same `(source_checksum, freeze_level)` under another fingerprint: those
+//!   activations can never be asked for again.
+//! * **Evict-before-insert.** With a byte budget
+//!   ([`CacheRegistry::with_budget`]) the registry evicts its
+//!   least-recently-used entries *before* inserting, so
+//!   [`CacheStats::peak_bytes`] never exceeds the budget. An entry larger
+//!   than the whole budget is built and served but never retained.
 //! * **Bit-identity.** Cached rows are produced by the same kernels on the
 //!   same inputs as the uncached per-batch forward (and every kernel
 //!   accumulates in a row-partition-invariant order), so training from
 //!   cached rows is bit-identical to recomputing them — the contract
-//!   `tests/feature_cache_e2e.rs`, `tests/logical_pool_e2e.rs` and
-//!   `tests/sharded_registry_e2e.rs` pin end to end. Eviction only ever
-//!   forces a rebuild, never a different value, and the shard count only
-//!   redistributes entries across locks, so **neither budgets nor shard
-//!   counts can change results**.
-//! * **Coherent statistics.** Hit/miss counters are per-shard relaxed
-//!   atomics and the byte ledgers are per-shard fields, both only ever
-//!   mutated while that shard's lock is held. [`CacheRegistry::stats`]
-//!   acquires *all* shard locks (in index order) before reading any of
-//!   them, so a snapshot is one consistent cut of the registry: no lookup
-//!   or insert can interleave between the per-shard reads, and
-//!   [`CacheStats::delta_since`] between two snapshots of a live registry
-//!   counts every event exactly once. This is the guarantee the per-round
-//!   delta capture in [`crate::Simulation`]'s executor loop (the
+//!   `tests/feature_cache_e2e.rs` and `tests/logical_pool_e2e.rs` pin end to
+//!   end. Eviction only ever forces a rebuild, never a different value, so
+//!   **budgets cannot change results**.
+//! * **Coherent statistics.** Every counter and ledger is mutated under the
+//!   registry's lock, and [`CacheRegistry::stats`] reads them all under one
+//!   guard, so [`CacheStats::delta_since`] between two snapshots of a live
+//!   registry counts every event exactly once. This is the guarantee the
+//!   per-round delta capture in [`crate::Simulation`]'s executor loop (the
 //!   `cache_hits`/`cache_misses`/… fields of [`crate::RoundRecord`]) relies
-//!   on. Under sequential execution the counters are exactly deterministic
-//!   at any shard count; under concurrent execution only same-key build
-//!   races can wobble the totals (documented on
-//!   [`CacheRegistry::get_or_build`]), never the results.
+//!   on. Under sequential execution the counters are exactly deterministic;
+//!   under concurrent execution only same-key build races can wobble the
+//!   totals (documented on [`CacheRegistry::get_or_build`]), never the
+//!   results.
 //!
 //! # The score tier
 //!
@@ -79,7 +60,7 @@
 //! model, the shard and the score's kind — no client id, no round, no RNG
 //! stream — so the logical clients of one shard that train on one model
 //! version in one round all need the same scores. Beside (not inside) its
-//! entry table every lock shard therefore holds a second, tiny tier: per
+//! entry table the registry therefore holds a second, tiny tier: per
 //! `(shard key, freeze level)` one [`ScoreSlot`] with the **latest** scores
 //! computed there, valid for one `(parameter stamp, score kind)`.
 //!
@@ -102,7 +83,7 @@
 //!   budget on the `logical_pool` benchmark workload). A slot outlives the
 //!   update that filled it, so it is not allocated per update: a put
 //!   overwrites the slot's buffer in place and a reader copies out, under the
-//!   shard lock, into a buffer its thread keeps
+//!   registry's lock, into a buffer its thread keeps
 //!   ([`crate::ClientWorkspace`]).
 //! * **Bit-identity.** A served score is the stored output of the one
 //!   scoring path ([`crate::SelectionContext`] consults the slot before
@@ -125,7 +106,6 @@ use fedft_data::Dataset;
 use fedft_nn::{BlockNet, FreezeLevel};
 use fedft_tensor::Matrix;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identity of one cached activation matrix: which data, under which frozen
@@ -135,21 +115,6 @@ struct CacheKey {
     source_checksum: u64,
     fingerprint: u64,
     freeze: FreezeLevel,
-}
-
-/// The lock shard of a `(data key, freeze level)` pair, in either tier.
-///
-/// For the entry table the data key is the source checksum and **not** the
-/// fingerprint, so all backbone versions of one data shard land in the same
-/// lock shard and fingerprint invalidation stays shard-local. The data key
-/// is already an FNV-1a output, so a short remix suffices to spread it over
-/// a power-of-two shard count.
-fn lock_shard_index(data_key: u64, freeze: FreezeLevel, mask: usize) -> usize {
-    let mut hash = data_key ^ 0x9e37_79b9_7f4a_7c15;
-    hash ^= freeze.frozen_blocks() as u64;
-    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    hash ^= hash >> 32;
-    (hash as usize) & mask
 }
 
 /// One cached set of boundary activations.
@@ -295,7 +260,7 @@ pub struct ScoreStats {
 /// made for ([`CacheRegistry::score_slot`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ScoreSlot<'a> {
-    shard: &'a Shard,
+    registry: &'a CacheRegistry,
     key: u64,
     freeze: FreezeLevel,
     stamp: u64,
@@ -306,7 +271,7 @@ impl ScoreSlot<'_> {
     /// returns `true` when they are `kind` scores of this handle's model
     /// version; otherwise leaves `out` alone and returns `false`.
     pub fn read_into(&self, kind: ScoreKind, out: &mut Vec<f32>) -> bool {
-        let mut inner = lock_shard(self.shard);
+        let mut inner = self.registry.lock();
         let Some(entry) = inner
             .scores
             .iter()
@@ -324,7 +289,7 @@ impl ScoreSlot<'_> {
     /// model version, replacing whatever version or kind it held — in place:
     /// only a slot's first scores, or longer ones, allocate.
     pub fn store(&self, kind: ScoreKind, scores: &[f32]) {
-        let mut inner = lock_shard(self.shard);
+        let mut inner = self.registry.lock();
         inner.scores_computed += 1;
         match inner.scores.iter_mut().find(|e| self.owns(e)) {
             Some(entry) => {
@@ -357,9 +322,7 @@ fn matrix_bytes(m: &Matrix) -> usize {
 /// `hits`, `misses` and `evictions` are monotone over a registry's lifetime;
 /// `entries`/`current_bytes` describe the present content and `peak_bytes`
 /// the largest `current_bytes` ever reached — the number a byte budget
-/// bounds. For a sharded registry every field is the sum over its shards
-/// (so `peak_bytes` is the sum of per-shard peaks, each individually under
-/// its budget slice — still never above the global budget).
+/// bounds.
 ///
 /// # Examples
 ///
@@ -400,9 +363,9 @@ impl CacheStats {
     /// figures (`entries`, `current_bytes`, `peak_bytes`) are taken from
     /// `self`.
     ///
-    /// Both snapshots being consistent cuts (see [`CacheRegistry::stats`]),
-    /// the delta counts every hit/miss/eviction between them exactly once —
-    /// even on a registry that other threads keep mutating.
+    /// Each snapshot being read under the registry's lock, the delta counts
+    /// every hit/miss/eviction between them exactly once — even on a
+    /// registry that other threads keep mutating.
     pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits - earlier.hits,
@@ -415,51 +378,40 @@ impl CacheStats {
     }
 }
 
-/// Mutable state of one lock shard, guarded by the shard's mutex.
+/// A registry's state, all of it behind the registry's one mutex.
 #[derive(Debug, Default)]
-struct ShardInner {
+struct Inner {
     entries: Vec<CacheEntry>,
-    /// This shard's slice of the registry's byte budget.
     budget_bytes: Option<usize>,
-    /// Per-shard LRU clock (ticks are not comparable across shards — they
-    /// never need to be, eviction is shard-local).
+    /// The LRU clock.
     tick: u64,
+    hits: usize,
+    misses: usize,
     evictions: usize,
     current_bytes: usize,
     peak_bytes: usize,
-    /// The score tier's share of this lock shard: beside the entry table,
-    /// under the same lock, in none of the ledgers above.
+    /// The score tier: beside the entry table, in none of the ledgers above.
     scores: Vec<ScoreEntry>,
     scores_served: usize,
     scores_computed: usize,
 }
 
-impl ShardInner {
+impl Inner {
     fn remove_at(&mut self, index: usize) {
         let removed = self.entries.swap_remove(index);
         self.current_bytes -= removed.bytes;
         self.evictions += 1;
     }
-}
 
-/// One lock shard: its own entry table behind its own mutex, plus hit/miss
-/// counters as relaxed atomics. The atomics are only ever incremented while
-/// the shard's lock is held (the hit path holds it anyway to bump the LRU
-/// clock), so an all-locks snapshot reads them as part of a consistent cut;
-/// `Relaxed` suffices because the mutex provides the ordering.
-#[derive(Debug, Default)]
-struct Shard {
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    inner: Mutex<ShardInner>,
-}
-
-#[derive(Debug)]
-struct RegistryState {
-    shards: Box<[Shard]>,
-    /// `shards.len() - 1`; the shard count is a power of two so shard
-    /// selection is a mask, not a modulo.
-    mask: usize,
+    /// The entry under `key`, stamped as used at a new tick.
+    fn touch(&mut self, key: &CacheKey) -> Option<Arc<Matrix>> {
+        self.tick += 1;
+        let tick = self.tick;
+        self.entries.iter_mut().find(|e| e.key == *key).map(|e| {
+            e.last_used = tick;
+            Arc::clone(&e.features)
+        })
+    }
 }
 
 /// A process-wide, thread-safe registry of frozen-prefix boundary
@@ -468,20 +420,17 @@ struct RegistryState {
 /// Entries are keyed by `(source_checksum, frozen_fingerprint, freeze)`:
 /// any number of logical clients holding the same data shard under the same
 /// backbone resolve to the **same** `Arc<Matrix>`, so memory scales with
-/// distinct shards rather than with clients. Storage is split over a fixed
-/// power-of-two array of lock shards selected by key hash — a lookup takes
-/// exactly one shard lock, never a global one (see the module docs for the
+/// distinct shards rather than with clients (see the module docs for the
 /// full invariant list). An optional byte budget is enforced by
-/// least-recently-used eviction *before* insertion, per shard over an exact
-/// split of the budget, so [`CacheStats::peak_bytes`] never exceeds the
-/// budget; an entry larger than its shard's budget slice is built and
-/// served but never retained. Cloning a `CacheRegistry` shares the
-/// underlying storage and counters.
+/// least-recently-used eviction *before* insertion, so
+/// [`CacheStats::peak_bytes`] never exceeds the budget; an entry larger than
+/// the budget is built and served but never retained. Cloning a
+/// `CacheRegistry` shares the underlying storage and counters.
 ///
 /// # Examples
 ///
-/// Two handles onto one sharded registry deduplicate identical data shards
-/// — one build, then hits, one shared allocation:
+/// Two handles onto one registry deduplicate identical data shards — one
+/// build, then hits, one shared allocation:
 ///
 /// ```
 /// use fedft_core::CacheRegistry;
@@ -493,7 +442,7 @@ struct RegistryState {
 /// let model = BlockNet::new(&BlockNetConfig::new(4, 3).with_hidden(4, 4, 4), 1);
 /// let shard = Matrix::from_vec(2, 4, vec![0.5; 8])?;
 ///
-/// let registry = CacheRegistry::sharded(8, None); // 8 lock shards, unbounded
+/// let registry = CacheRegistry::new(); // unbounded
 /// let a = registry.get_or_build(&model, FreezeLevel::Moderate, &shard)?;
 /// let b = registry.clone().get_or_build(&model, FreezeLevel::Moderate, &shard)?;
 /// assert!(Arc::ptr_eq(&a, &b), "one entry, shared by every handle");
@@ -503,116 +452,40 @@ struct RegistryState {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CacheRegistry {
-    state: Arc<RegistryState>,
-}
-
-impl Default for CacheRegistry {
-    fn default() -> Self {
-        CacheRegistry::sharded(1, None)
-    }
+    inner: Arc<Mutex<Inner>>,
 }
 
 impl CacheRegistry {
-    /// Creates an empty, unbounded, **single-shard** registry — what a
-    /// client built outside a pool uses, where a shard array would only
-    /// waste memory. Run-wide shared registries are built with
-    /// [`CacheRegistry::sharded`].
+    /// Creates an empty, unbounded registry.
     pub fn new() -> Self {
         CacheRegistry::default()
     }
 
-    /// Creates an empty registry with `shards` lock shards and an optional
-    /// global byte budget.
-    ///
-    /// The budget is split exactly across shards (`budget / shards` each,
-    /// remainder distributed one byte at a time to the first shards), and
-    /// each shard runs evict-before-insert LRU against its own slice —
-    /// which is what keeps the summed peak under the global budget without
-    /// any cross-shard coordination. Use
-    /// [`CacheRegistry::auto_shard_count`] to derive a shard count from the
-    /// host's parallelism.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or not a power of two (shard selection is
-    /// a bit mask). [`crate::FlConfig::validate`] and
-    /// [`crate::ClientPool::build`] reject such values before they can reach
-    /// this constructor.
-    pub fn sharded(shards: usize, budget_bytes: Option<usize>) -> Self {
-        assert!(
-            shards.is_power_of_two(),
-            "cache registry shard count must be a power of two, got {shards}"
-        );
-        let shard_vec: Vec<Shard> = (0..shards)
-            .map(|index| {
-                let shard = Shard::default();
-                if let Some(budget) = budget_bytes {
-                    let base = budget / shards;
-                    let remainder = budget % shards;
-                    shard
-                        .inner
-                        .lock()
-                        .expect("fresh shard lock cannot be poisoned")
-                        .budget_bytes = Some(base + usize::from(index < remainder));
-                }
-                shard
-            })
-            .collect();
+    /// Creates an empty registry under an optional byte budget, enforced by
+    /// evict-before-insert LRU.
+    pub fn with_budget(budget_bytes: Option<usize>) -> Self {
         CacheRegistry {
-            state: Arc::new(RegistryState {
-                shards: shard_vec.into_boxed_slice(),
-                mask: shards - 1,
-            }),
+            inner: Arc::new(Mutex::new(Inner {
+                budget_bytes,
+                ..Inner::default()
+            })),
         }
-    }
-
-    /// [`CacheRegistry::sharded`]'s precondition as a typed error, for the
-    /// two places a configured count comes in.
-    pub(crate) fn check_shard_count(shards: usize) -> Result<()> {
-        if shards.is_power_of_two() {
-            return Ok(());
-        }
-        Err(crate::FlError::InvalidConfig {
-            what: format!(
-                "cache_shards must be a power of two (shard selection \
-                 is a bit mask), got {shards}"
-            ),
-        })
-    }
-
-    /// The shard count a run-wide registry gets when
-    /// [`crate::FlConfig::cache_shards`] is left on auto: the host's
-    /// hardware thread count ([`fedft_tensor::pool::hardware_threads`],
-    /// the same figure the worker pool is sized from) rounded up to the
-    /// next power of two, clamped to at most 64 (beyond the core count
-    /// extra shards only spread the hash, they cannot reduce lock
-    /// contention further).
-    pub fn auto_shard_count() -> usize {
-        fedft_tensor::pool::hardware_threads()
-            .next_power_of_two()
-            .min(64)
-    }
-
-    /// Number of lock shards.
-    pub fn shard_count(&self) -> usize {
-        self.state.shards.len()
     }
 
     /// Returns the cached boundary activations of `features` under
     /// `model`'s frozen prefix at `freeze`, computing them on a miss and
-    /// storing them unless that would overflow the shard's byte budget.
+    /// storing them unless that would overflow the byte budget.
     ///
-    /// Only the key's one lock shard is ever touched. The frozen forward
-    /// pass runs **outside** that lock — the build is the dominant cost,
-    /// and holding the lock across it would serialize same-shard builds on
-    /// the parallel executors. The price is that two threads racing on the
-    /// *same* key may both build (both count as misses); the insert path
-    /// re-checks and keeps the first entry, so they still return one shared
-    /// allocation and the values are identical either way. Counters are
-    /// exactly deterministic under the sequential executor at any shard
-    /// count; under parallel execution only the totals may wobble by such
+    /// The frozen forward pass runs **outside** the registry's lock — the
+    /// build is the dominant cost, and holding the lock across it would
+    /// serialize builds on the parallel executors. The price is that two
+    /// threads racing on the *same* key may both build (both count as
+    /// misses); the insert path re-checks and keeps the first entry, so they
+    /// still return one shared allocation and the values are identical
+    /// either way. Counters are exactly deterministic under the sequential
+    /// executor; under parallel execution only the totals may wobble by such
     /// races, never the results.
     ///
     /// # Errors
@@ -657,9 +530,8 @@ impl CacheRegistry {
         model: &BlockNet,
         freeze: FreezeLevel,
     ) -> ScoreSlot<'_> {
-        let index = lock_shard_index(key.labelled, freeze, self.state.mask);
         ScoreSlot {
-            shard: &self.state.shards[index],
+            registry: self,
             key: key.labelled,
             freeze,
             stamp: model.parameter_stamp(),
@@ -678,44 +550,29 @@ impl CacheRegistry {
             fingerprint: model.frozen_fingerprint(freeze),
             freeze,
         };
-        let index = lock_shard_index(source_checksum, freeze, self.state.mask);
-        let shard = &self.state.shards[index];
         {
-            let mut inner = lock_shard(shard);
-            inner.tick += 1;
-            let tick = inner.tick;
-            let hit = inner.entries.iter_mut().find(|e| e.key == key).map(|e| {
-                e.last_used = tick;
-                Arc::clone(&e.features)
-            });
-            if let Some(features) = hit {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
+            let mut inner = self.lock();
+            if let Some(features) = inner.touch(&key) {
+                inner.hits += 1;
                 return Ok(features);
             }
-            shard.misses.fetch_add(1, Ordering::Relaxed);
+            inner.misses += 1;
         }
         let boundary = Arc::new(model.forward_frozen(freeze, features)?);
         let bytes = matrix_bytes(&boundary);
 
-        let mut inner = lock_shard(shard);
-        inner.tick += 1;
-        let tick = inner.tick;
+        let mut inner = self.lock();
         // Re-check: another thread may have inserted this key while we
         // built. Serve the stored entry so equal shards keep sharing one
         // allocation (the duplicate build is discarded; its miss stands —
         // the work did happen).
-        let raced = inner.entries.iter_mut().find(|e| e.key == key).map(|e| {
-            e.last_used = tick;
-            Arc::clone(&e.features)
-        });
-        if let Some(features) = raced {
+        if let Some(features) = inner.touch(&key) {
             return Ok(features);
         }
         // A backbone change invalidates what was cached for this data shard
         // and freeze level: the old activations can never be asked for again
         // (their fingerprint is gone), so drop them instead of letting them
-        // squat in the budget. Shard selection ignores the fingerprint, so
-        // every stale generation is guaranteed to live in *this* shard.
+        // squat in the budget.
         while let Some(stale) = inner
             .entries
             .iter()
@@ -725,24 +582,26 @@ impl CacheRegistry {
         }
         if let Some(budget) = inner.budget_bytes {
             if bytes > budget {
-                // Larger than this shard's budget slice: serve the
-                // activations but never retain them, so the shard's peak —
-                // and therefore the summed peak — stays under budget.
+                // Larger than the whole budget: serve the activations but
+                // never retain them, so the peak stays under budget.
                 return Ok(boundary);
             }
             while inner.current_bytes + bytes > budget {
-                let lru = inner
+                let Some(lru) = inner
                     .entries
                     .iter()
                     .enumerate()
                     .min_by_key(|(_, e)| e.last_used)
                     .map(|(i, _)| i)
-                    .expect("over budget implies a non-empty cache");
+                else {
+                    break;
+                };
                 inner.remove_at(lru);
             }
         }
         inner.current_bytes += bytes;
         inner.peak_bytes = inner.peak_bytes.max(inner.current_bytes);
+        let tick = inner.tick;
         inner.entries.push(CacheEntry {
             key,
             features: Arc::clone(&boundary),
@@ -752,49 +611,36 @@ impl CacheRegistry {
         Ok(boundary)
     }
 
-    /// A snapshot of the registry's counters, summed over its shards.
-    ///
-    /// The snapshot is a **consistent cut**: all shard locks are acquired
-    /// (in index order, so concurrent snapshots cannot deadlock) before any
-    /// counter is read, and every counter is only mutated under its shard's
-    /// lock — so no concurrent lookup or insert can fall between the
-    /// per-shard reads. Differencing two such snapshots
-    /// ([`CacheStats::delta_since`]) therefore attributes every event to
-    /// exactly one interval, which is what makes the per-round cache
-    /// counters on [`crate::RoundRecord`] exact even while executors keep
-    /// the registry hot.
+    /// A snapshot of the registry's counters, read under one guard:
+    /// differencing two snapshots ([`CacheStats::delta_since`]) attributes
+    /// every event to exactly one interval, which is what makes the
+    /// per-round cache counters on [`crate::RoundRecord`] exact even while
+    /// executors keep the registry hot.
     pub fn stats(&self) -> CacheStats {
-        let guards = self.lock_all();
-        let mut total = CacheStats::default();
-        for (shard, inner) in self.state.shards.iter().zip(&guards) {
-            total.hits += shard.hits.load(Ordering::Relaxed);
-            total.misses += shard.misses.load(Ordering::Relaxed);
-            total.evictions += inner.evictions;
-            total.entries += inner.entries.len();
-            total.current_bytes += inner.current_bytes;
-            total.peak_bytes += inner.peak_bytes;
+        let inner = self.lock();
+        CacheStats {
+            hits: inner.hits,
+            misses: inner.misses,
+            evictions: inner.evictions,
+            entries: inner.entries.len(),
+            current_bytes: inner.current_bytes,
+            peak_bytes: inner.peak_bytes,
         }
-        total
     }
 
-    /// The score tier's counters, summed over the lock shards under the same
-    /// consistent cut as [`CacheRegistry::stats`].
+    /// The score tier's counters, read under one guard.
     pub fn score_stats(&self) -> ScoreStats {
-        let mut total = ScoreStats::default();
-        for inner in self.lock_all() {
-            total.served += inner.scores_served;
-            total.computed += inner.scores_computed;
-            total.slots += inner.scores.len();
+        let inner = self.lock();
+        ScoreStats {
+            served: inner.scores_served,
+            computed: inner.scores_computed,
+            slots: inner.scores.len(),
         }
-        total
     }
 
-    /// Number of entries currently cached (all shards).
+    /// Number of entries currently cached.
     pub fn len(&self) -> usize {
-        self.lock_all()
-            .iter()
-            .map(|inner| inner.entries.len())
-            .sum()
+        self.lock().entries.len()
     }
 
     /// Returns `true` when nothing is cached.
@@ -802,34 +648,25 @@ impl CacheRegistry {
         self.len() == 0
     }
 
-    /// Drops every cached entry and every score slot in every shard
-    /// (counters, including the peaks, are kept).
+    /// Drops every cached entry and every score slot (counters, including
+    /// the peak, are kept).
     pub fn clear(&self) {
-        for mut inner in self.lock_all() {
-            inner.entries.clear();
-            inner.current_bytes = 0;
-            inner.scores.clear();
-        }
+        let mut inner = self.lock();
+        inner.entries.clear();
+        inner.current_bytes = 0;
+        inner.scores.clear();
     }
 
-    /// Acquires every shard lock in index order and returns the guards.
-    /// Index order makes concurrent all-locks operations deadlock-free;
-    /// holding all guards at once is what turns multi-shard reads into one
-    /// consistent cut.
-    fn lock_all(&self) -> Vec<MutexGuard<'_, ShardInner>> {
-        self.state.shards.iter().map(lock_shard).collect()
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("cache registry lock poisoned")
     }
-}
-
-fn lock_shard(shard: &Shard) -> MutexGuard<'_, ShardInner> {
-    shard.inner.lock().expect("cache shard lock poisoned")
 }
 
 /// A client's handle onto a [`CacheRegistry`].
 ///
-/// [`FeatureCache::new`] wraps a fresh private single-shard registry (what
-/// a client built outside a pool gets); [`FeatureCache::shared`] wraps a
-/// registry shared across clients — typically a sharded one built by
+/// [`FeatureCache::new`] wraps a fresh private registry (what a client
+/// built outside a pool gets); [`FeatureCache::shared`] wraps a registry
+/// shared across clients — typically the one built by
 /// [`crate::ClientPool`] — which is what deduplicates entries between
 /// logical clients holding the same data shard. Cloning a `FeatureCache`
 /// shares the underlying registry either way.
@@ -842,7 +679,7 @@ fn lock_shard(shard: &Shard) -> MutexGuard<'_, ShardInner> {
 /// use fedft_tensor::Matrix;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let registry = CacheRegistry::sharded(4, None);
+/// let registry = CacheRegistry::new();
 /// let client_a = FeatureCache::shared(registry.clone());
 /// let client_b = FeatureCache::shared(registry.clone());
 ///
@@ -863,8 +700,7 @@ pub struct FeatureCache {
 }
 
 impl FeatureCache {
-    /// Creates a handle onto a fresh, private, unbounded, single-shard
-    /// registry.
+    /// Creates a handle onto a fresh, private, unbounded registry.
     pub fn new() -> Self {
         FeatureCache::default()
     }
@@ -922,12 +758,6 @@ mod tests {
 
     fn features() -> Matrix {
         Matrix::from_vec(6, 5, (0..30).map(|v| (v % 7) as f32 * 0.25 - 0.5).collect()).unwrap()
-    }
-
-    /// Each lock shard's slice of the byte budget.
-    fn shard_budgets(registry: &CacheRegistry) -> Vec<Option<usize>> {
-        let shards = registry.state.shards.iter();
-        shards.map(|shard| lock_shard(shard).budget_bytes).collect()
     }
 
     #[test]
@@ -1013,25 +843,6 @@ mod tests {
         let stats = cache.registry().stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (100, 2, 1));
         assert_eq!(cache.len(), 1, "stale entry evicted, not accumulated");
-    }
-
-    #[test]
-    fn backbone_invalidation_is_shard_local_at_any_shard_count() {
-        // Shard selection ignores the fingerprint, so the stale generation
-        // is always found and dropped whatever the shard count.
-        for shards in [1, 2, 8, 16] {
-            let registry = CacheRegistry::sharded(shards, None);
-            let freeze = FreezeLevel::Moderate;
-            let x = features();
-            registry.get_or_build(&model(1), freeze, &x).unwrap();
-            registry.get_or_build(&model(2), freeze, &x).unwrap();
-            let stats = registry.stats();
-            assert_eq!(
-                (stats.entries, stats.evictions),
-                (1, 1),
-                "stale entry must be replaced, not accumulated, at {shards} shards"
-            );
-        }
     }
 
     #[test]
@@ -1128,71 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_constructor_validates_and_reports_shape() {
-        let registry = CacheRegistry::sharded(8, None);
-        assert_eq!(registry.shard_count(), 8);
-        assert_eq!(shard_budgets(&registry), vec![None; 8]);
-        assert!(CacheRegistry::auto_shard_count().is_power_of_two());
-        assert!(CacheRegistry::auto_shard_count() >= 1);
-        assert!(CacheRegistry::auto_shard_count() <= 64);
-
-        let single = CacheRegistry::new();
-        assert_eq!(single.shard_count(), 1);
-
-        let caught = std::panic::catch_unwind(|| CacheRegistry::sharded(6, None));
-        assert!(caught.is_err(), "non-power-of-two shard counts must panic");
-        let caught = std::panic::catch_unwind(|| CacheRegistry::sharded(0, None));
-        assert!(caught.is_err(), "zero shards must panic");
-    }
-
-    #[test]
-    fn budget_split_is_exact_across_shards() {
-        // 1003 bytes over 4 shards: 250 each plus one extra byte to the
-        // first three — the slices must sum exactly to the global budget.
-        let registry = CacheRegistry::sharded(4, Some(1003));
-        let slices = shard_budgets(&registry);
-        assert_eq!(
-            slices,
-            vec![Some(251), Some(251), Some(251), Some(250)],
-            "base + remainder-to-the-first split"
-        );
-        assert_eq!(slices.iter().map(|s| s.unwrap()).sum::<usize>(), 1003);
-    }
-
-    #[test]
-    fn unbudgeted_stats_are_invariant_in_the_shard_count() {
-        // The same lookup sequence against 1/2/8-shard registries must
-        // produce identical totals — sharding only redistributes entries
-        // across locks.
-        let m = model(1);
-        let freeze = FreezeLevel::Moderate;
-        let shard = |offset: f32| {
-            Matrix::from_vec(
-                6,
-                5,
-                (0..30).map(|v| (v % 7) as f32 * 0.25 - offset).collect(),
-            )
-            .unwrap()
-        };
-        let inputs: Vec<Matrix> = (0..6).map(|i| shard(i as f32 * 0.125)).collect();
-        let run = |shards: usize| {
-            let registry = CacheRegistry::sharded(shards, None);
-            for _ in 0..3 {
-                for x in &inputs {
-                    registry.get_or_build(&m, freeze, x).unwrap();
-                }
-            }
-            registry.stats()
-        };
-        let reference = run(1);
-        assert_eq!(reference.misses, 6);
-        assert_eq!(reference.hits, 12);
-        for shards in [2, 8] {
-            assert_eq!(run(shards), reference, "stats diverged at {shards} shards");
-        }
-    }
-
-    #[test]
     fn budget_evicts_lru_and_rebuilds_bit_identically() {
         let m = model(1);
         let freeze = FreezeLevel::Moderate;
@@ -1206,8 +952,7 @@ mod tests {
         };
         let (a, b, c) = (shard(0.5), shard(0.25), shard(0.75));
         let entry_bytes = matrix_bytes(&m.forward_frozen(freeze, &a).unwrap());
-        // Single shard: the LRU order below is global, as pre-sharding.
-        let registry = CacheRegistry::sharded(1, Some(2 * entry_bytes));
+        let registry = CacheRegistry::with_budget(Some(2 * entry_bytes));
 
         let built_a = registry.get_or_build(&m, freeze, &a).unwrap();
         registry.get_or_build(&m, freeze, &b).unwrap();
@@ -1238,7 +983,7 @@ mod tests {
         let freeze = FreezeLevel::Moderate;
         let x = features();
         let entry_bytes = matrix_bytes(&m.forward_frozen(freeze, &x).unwrap());
-        let registry = CacheRegistry::sharded(1, Some(entry_bytes - 1));
+        let registry = CacheRegistry::with_budget(Some(entry_bytes - 1));
         let first = registry.get_or_build(&m, freeze, &x).unwrap();
         assert_eq!(*first, m.forward_frozen(freeze, &x).unwrap());
         assert!(registry.is_empty(), "oversized entry must not be stored");
@@ -1247,27 +992,6 @@ mod tests {
         let stats = registry.stats();
         assert_eq!((stats.hits, stats.misses), (0, 2));
         assert_eq!(stats.peak_bytes, 0, "peak never exceeded the budget");
-    }
-
-    #[test]
-    fn entries_oversized_for_their_shard_slice_are_served_but_never_retained() {
-        let m = model(1);
-        let freeze = FreezeLevel::Moderate;
-        let x = features();
-        let entry_bytes = matrix_bytes(&m.forward_frozen(freeze, &x).unwrap());
-        // The entry fits the *global* budget but not any per-shard slice:
-        // with 4 shards each slice is under one entry, so nothing is ever
-        // retained anywhere — the documented budget-split granularity.
-        let registry = CacheRegistry::sharded(4, Some(2 * entry_bytes));
-        for slice in shard_budgets(&registry) {
-            assert!(slice.unwrap() < entry_bytes);
-        }
-        let first = registry.get_or_build(&m, freeze, &x).unwrap();
-        assert_eq!(*first, m.forward_frozen(freeze, &x).unwrap());
-        assert!(registry.is_empty());
-        let stats = registry.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 1));
-        assert_eq!(stats.peak_bytes, 0);
     }
 
     #[test]
@@ -1298,11 +1022,11 @@ mod tests {
 
     #[test]
     fn concurrent_hammering_loses_no_counter_and_respects_shard_budgets() {
-        // A multi-thread stress over a budgeted sharded registry: every
-        // lookup must be counted exactly once (hits + misses = lookups),
-        // eviction accounting must balance (entries on hand are exactly
-        // the surviving inserts), and the byte ledgers must respect both
-        // the per-shard slices and the global budget at the peak.
+        // A multi-thread stress over a budgeted registry: every lookup must
+        // be counted exactly once (hits + misses = lookups), eviction
+        // accounting must balance (entries on hand are exactly the
+        // surviving inserts), and the byte ledger must respect the budget
+        // at the peak.
         let m = model(1);
         let freeze = FreezeLevel::Moderate;
         let shard = |offset: f32| {
@@ -1315,8 +1039,8 @@ mod tests {
         };
         let inputs: Vec<Matrix> = (0..16).map(|i| shard(i as f32 * 0.0625)).collect();
         let entry_bytes = matrix_bytes(&m.forward_frozen(freeze, &inputs[0]).unwrap());
-        // Budget below the 16-entry working set, so shards must evict.
-        let registry = CacheRegistry::sharded(4, Some(8 * entry_bytes));
+        // Budget below the 16-entry working set, so the registry must evict.
+        let registry = CacheRegistry::with_budget(Some(8 * entry_bytes));
         let threads = 4;
         let per_thread = 400;
         std::thread::scope(|scope| {
@@ -1340,21 +1064,8 @@ mod tests {
             "every lookup counted exactly once"
         );
         assert!(stats.evictions > 0, "a sub-working-set budget must evict");
-        assert!(
-            stats.peak_bytes <= 8 * entry_bytes,
-            "global peak under budget"
-        );
+        assert!(stats.peak_bytes <= 8 * entry_bytes, "peak under budget");
         assert_eq!(stats.current_bytes, stats.entries * entry_bytes);
-        for shard in registry.state.shards.iter() {
-            let inner = lock_shard(shard);
-            let slice = inner.budget_bytes.expect("a budgeted registry");
-            assert!(
-                inner.peak_bytes <= slice,
-                "shard peak {} exceeds its budget slice {slice}",
-                inner.peak_bytes
-            );
-            assert_eq!(inner.current_bytes, inner.entries.len() * entry_bytes);
-        }
         // Every cached value is still the right one after the churn.
         for x in &inputs {
             let rebuilt = registry.get_or_build(&m, freeze, x).unwrap();
@@ -1368,7 +1079,7 @@ mod tests {
 
     #[test]
     fn a_score_slot_serves_one_shard_level_version_and_kind_only() {
-        let registry = CacheRegistry::sharded(2, None);
+        let registry = CacheRegistry::new();
         let freeze = FreezeLevel::Moderate;
         let shard = ShardKey::of(&labelled(vec![0, 1, 2, 0, 1, 2]));
         let m = model(1);

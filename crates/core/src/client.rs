@@ -101,7 +101,7 @@ impl KeyedShard {
 
 impl Client {
     /// Creates a client owning its private data shard and a private
-    /// (unbounded, single-shard) cache.
+    /// (unbounded) cache.
     pub fn new(id: usize, data: Dataset) -> Self {
         Client::from_shard(id, Arc::new(data), FeatureCache::new())
     }
@@ -109,10 +109,7 @@ impl Client {
     /// Creates a client over a shared physical shard and an explicit cache
     /// handle — the constructor logical client pools use: clients of the
     /// same shard share the `Arc` (one copy of the data in memory) and,
-    /// with [`FeatureCache::shared`], one registry of boundary activations
-    /// (lock-sharded per [`FlConfig::cache_shards`] when built by
-    /// [`crate::simulation::ClientPool`], so concurrent executors contend
-    /// per key-hash shard, not on a global lock).
+    /// with [`FeatureCache::shared`], one registry of boundary activations.
     pub fn from_shard(id: usize, data: Arc<Dataset>, cache: FeatureCache) -> Self {
         Client::from_keyed_shard(id, KeyedShard::new(data), cache)
     }

@@ -1,6 +1,5 @@
 //! Simulation configuration.
 
-use crate::cache::CacheRegistry;
 use crate::device::HeterogeneityModel;
 use crate::executor::{ExecutionBackend, StreamingParams};
 use crate::policy::ClientSelection;
@@ -111,18 +110,6 @@ pub struct FlConfig {
     /// (results are unchanged — eviction only forces recomputation of the
     /// same values). `None` (the default) means unbounded.
     pub cache_budget_bytes: Option<usize>,
-    /// Number of lock shards of the shared [`crate::cache::CacheRegistry`]:
-    /// the registry's storage is split over a power-of-two array of shards
-    /// selected by key hash, so concurrent cache lookups contend per shard
-    /// instead of on one global lock. `None` (the default) sizes the array
-    /// from the host's parallelism
-    /// ([`crate::cache::CacheRegistry::auto_shard_count`]); `Some(n)` pins
-    /// it (must be a power of two — `Some(1)` reproduces the pre-sharding
-    /// single-lock registry exactly). The shard count cannot change results
-    /// or, under sequential execution, cache counters — it only
-    /// redistributes entries across locks (with a byte budget, it also sets
-    /// the budget-split granularity: each shard budgets `budget / n`).
-    pub cache_shards: Option<usize>,
     /// Size of the *logical* client pool: `Some(n)` simulates `n` clients
     /// mapped round-robin onto the federated dataset's physical shards
     /// (logical client `i` holds shard `i % num_shards`), so the simulated
@@ -173,7 +160,6 @@ impl Default for FlConfig {
             deadline_seconds: f64::INFINITY,
             feature_cache: false,
             cache_budget_bytes: None,
-            cache_shards: None,
             logical_clients: None,
             seed: 0,
             execution: ExecutionBackend::Parallel,
@@ -269,13 +255,6 @@ impl FlConfig {
         self
     }
 
-    /// Pins the shared cache registry to `n` lock shards (power of two;
-    /// `None`/default sizes it from the host's parallelism).
-    pub fn with_cache_shards(mut self, n: usize) -> Self {
-        self.cache_shards = Some(n);
-        self
-    }
-
     /// Simulates a pool of `n` logical clients mapped round-robin onto the
     /// dataset's physical shards.
     pub fn with_logical_clients(mut self, n: usize) -> Self {
@@ -351,8 +330,7 @@ impl FlConfig {
     /// parameters, a zero worker-thread cap, or a finite deadline combined
     /// with the async or streaming backend — those replace deadline drops
     /// with their own scheduling), or
-    /// invalid cache/pool knobs (zero logical clients, a zero byte budget,
-    /// a non-power-of-two shard count).
+    /// invalid cache/pool knobs (zero logical clients, a zero byte budget).
     pub fn validate(&self) -> Result<()> {
         self.validate_round_loop()?;
         self.validate_population()?;
@@ -506,8 +484,7 @@ impl FlConfig {
                     .into(),
             });
         }
-        self.cache_shards
-            .map_or(Ok(()), CacheRegistry::check_shard_count)
+        Ok(())
     }
 }
 
@@ -713,28 +690,6 @@ mod tests {
             .validate()
             .is_err());
         assert!(FlConfig::default().with_cache_budget(0).validate().is_err());
-    }
-
-    #[test]
-    fn cache_shards_knob_applies_and_validates() {
-        let c = FlConfig::default();
-        assert_eq!(c.cache_shards, None, "auto-sized by default");
-        for shards in [1, 2, 8, 64] {
-            let c = FlConfig::default().with_cache_shards(shards);
-            assert_eq!(c.cache_shards, Some(shards));
-            assert!(c.validate().is_ok());
-        }
-        // Shard selection is a bit mask: the count must be a power of two
-        // (and zero shards is meaningless).
-        for shards in [0, 3, 6, 12, 100] {
-            assert!(
-                FlConfig::default()
-                    .with_cache_shards(shards)
-                    .validate()
-                    .is_err(),
-                "{shards} shards must be rejected"
-            );
-        }
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //!   across rounds and model versions: only `θ` differs. Cached rounds
 //!   therefore replay uncached histories bit for bit on every backend
 //!   (`tests/feature_cache_e2e.rs`, `tests/logical_pool_e2e.rs`), at any
-//!   worker count and any [`FlConfig::cache_shards`] setting.
+//!   worker count.
 
 use crate::client::{Client, ClientUpdate, ClientWorkspace};
 use crate::comm::round_traffic;
@@ -1255,7 +1255,7 @@ mod tests {
     /// samples — client `i` holds shard `i % 3` — on one shared registry: a
     /// logical pool's cohort, where the clients of a shard form a unit.
     fn shared_cohort(n: usize) -> Vec<Client> {
-        let cache = FeatureCache::shared(CacheRegistry::sharded(4, None));
+        let cache = FeatureCache::shared(CacheRegistry::new());
         let shards: Vec<Arc<Dataset>> = [75, 9, 40]
             .into_iter()
             .enumerate()

@@ -60,7 +60,7 @@ pub struct RoundRecord {
     /// round, summed over the run's cache registries. Zero when
     /// [`crate::FlConfig::feature_cache`] is off. Per-round cache counters
     /// are deltas between consecutive registry snapshots; each snapshot is
-    /// a consistent cut over the registry's lock shards (see
+    /// read under the registry's one lock (see
     /// [`crate::CacheRegistry::stats`]), so every cache event of the run
     /// lands in exactly one round's record.
     pub cache_hits: usize,
@@ -84,8 +84,7 @@ impl RoundRecord {
     /// This record with the cache counters zeroed and the backend's flush
     /// bookkeeping cleared — the **learning-invariant view**: every
     /// remaining field must be bit-identical whichever way
-    /// [`crate::FlConfig::feature_cache`], the shard count or the byte
-    /// budget are set (the cache only changes how frozen activations are
+    /// [`crate::FlConfig::feature_cache`] or the byte budget are set (the cache only changes how frozen activations are
     /// obtained, never their values), and across backends that promise
     /// identical learning histories (the degenerate streaming configuration
     /// vs `Sequential` legitimately differ only in this bookkeeping). The
@@ -276,8 +275,7 @@ impl RunResult {
 
     /// The per-round history with cache counters zeroed (see
     /// [`RoundRecord::without_cache_counters`]): the view that must be
-    /// **bit-identical** across cache off/on, any shard count and any byte
-    /// budget — the comparison `tests/feature_cache_e2e.rs` and
+    /// **bit-identical** across cache off/on and any byte budget — the comparison `tests/feature_cache_e2e.rs` and
     /// `tests/logical_pool_e2e.rs` pin.
     pub fn learning_history(&self) -> Vec<RoundRecord> {
         self.rounds

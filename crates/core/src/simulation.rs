@@ -22,9 +22,7 @@ use std::sync::Arc;
 /// corpus — the regime where a cache per client would multiply the same
 /// boundary activations `N/M` times. The pool therefore hands every client
 /// a handle onto **one** [`CacheRegistry`] (budgeted by
-/// [`FlConfig::cache_budget_bytes`], lock-sharded per
-/// [`FlConfig::cache_shards`] — auto-sized from the host's parallelism when
-/// unset), so cache memory scales with `M`.
+/// [`FlConfig::cache_budget_bytes`]), so cache memory scales with `M`.
 #[derive(Debug, Clone)]
 pub struct ClientPool {
     clients: Vec<Client>,
@@ -36,10 +34,8 @@ impl ClientPool {
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::InvalidConfig`] for an invalid pool description
-    /// (zero logical clients, a non-power-of-two shard count) — re-checked
-    /// here so a pool built without [`FlConfig::validate`] errs instead of
-    /// panicking in the registry's constructor.
+    /// Returns [`FlError::InvalidConfig`] for zero logical clients —
+    /// re-checked here so a pool built without [`FlConfig::validate`] errs.
     pub fn build(data: &FederatedDataset, config: &FlConfig) -> Result<ClientPool> {
         let physical_shards = data.num_clients();
         let logical = config.logical_clients.unwrap_or(physical_shards);
@@ -48,11 +44,7 @@ impl ClientPool {
                 what: "logical_clients must be non-zero when set".into(),
             });
         }
-        let lock_shards = config
-            .cache_shards
-            .unwrap_or_else(CacheRegistry::auto_shard_count);
-        CacheRegistry::check_shard_count(lock_shards)?;
-        let registry = CacheRegistry::sharded(lock_shards, config.cache_budget_bytes);
+        let registry = CacheRegistry::with_budget(config.cache_budget_bytes);
         // Keyed here, once per physical shard, for every logical client of it.
         let shards: Vec<Arc<KeyedShard>> = data
             .clients()
@@ -359,28 +351,29 @@ mod tests {
         assert_eq!(plain.clients().len(), 3);
     }
 
+    /// The pool's budget is the registry's, whole: a boundary that fills it
+    /// exactly is kept, on any host, even with other shards in the pool.
     #[test]
-    fn client_pool_resolves_the_cache_shard_count() {
-        let (fed, _) = tiny_setup(2);
-        // Pinned: the registry gets exactly the configured shard count.
-        let pinned = quick_config(1)
+    fn a_budget_the_largest_boundary_fills_exactly_keeps_that_boundary() {
+        use fedft_nn::FreezeLevel;
+        let (fed, model) = tiny_setup(4);
+        let freeze = FreezeLevel::Moderate;
+        let largest = (0..4).max_by_key(|&i| fed.clients()[i].len()).unwrap();
+        let features = fed.clients()[largest].features();
+        let boundary = model.forward_frozen(freeze, features).unwrap();
+        let budget = boundary.rows() * boundary.cols() * std::mem::size_of::<f32>();
+        let config = quick_config(1)
             .with_feature_cache(true)
-            .with_cache_shards(8);
-        let pool = ClientPool::build(&fed, &pinned).unwrap();
-        let registry = pool.clients()[0].feature_cache().registry();
-        assert_eq!(registry.shard_count(), 8);
-        // Auto (the default): sized from the host's parallelism.
-        let auto = quick_config(1).with_feature_cache(true);
-        let pool = ClientPool::build(&fed, &auto).unwrap();
-        assert_eq!(
-            pool.clients()[0].feature_cache().registry().shard_count(),
-            CacheRegistry::auto_shard_count()
-        );
-        // The pool re-checks the knob even when `FlConfig::validate` was
-        // bypassed.
-        let mut bad = quick_config(1);
-        bad.cache_shards = Some(6);
-        assert!(ClientPool::build(&fed, &bad).is_err());
+            .with_cache_budget(budget);
+        let pool = ClientPool::build(&fed, &config).unwrap();
+        let cache = pool.clients()[largest].feature_cache();
+        for _ in 0..2 {
+            let served = cache.get_or_build(&model, freeze, features).unwrap();
+            assert_eq!(*served, boundary);
+        }
+        let stats = pool.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!(stats.peak_bytes, budget);
     }
 
     /// The score tier's `computed` count is exact on every synchronous

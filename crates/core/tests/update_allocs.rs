@@ -160,7 +160,7 @@ fn a_warm_score_slot_allocates_nothing_per_put_or_read() {
     let features = init::normal(&mut r, 20, 24, 0.0, 1.0);
     let shard = Dataset::new(features, (0..20).map(|i| i % 10).collect(), 10).unwrap();
     let key = ShardKey::of(&shard);
-    let registry = CacheRegistry::sharded(2, None);
+    let registry = CacheRegistry::new();
     let freeze = FreezeLevel::Moderate;
     let kind = ScoreKind::entropy(0.1);
     let mut out = Vec::new();
