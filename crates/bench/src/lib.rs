@@ -12,9 +12,9 @@
 //!   returns the rows/series the paper reports.
 //!
 //! The `src/bin/*` binaries are thin wrappers that run an experiment, print
-//! its tables and write CSV files under `results/`. The one Criterion bench,
-//! `benches/micro_ops.rs`, times the core primitives; whole-run wall clocks
-//! belong to `benchmarks/e2e`.
+//! its tables and write CSV files under `results/`. [`regression`] holds
+//! only the JSON parser `benchmarks/e2e` reads its documents with; every
+//! timing belongs to that benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

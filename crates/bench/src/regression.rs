@@ -1,25 +1,16 @@
-//! Bench-regression gate: compare a fresh `CRITERION_JSON` run against the
-//! committed `BENCH_micro_ops.json` baseline.
+//! A minimal JSON parser: [`parse_json`] and the [`Json`] value it returns.
 //!
-//! The criterion shim emits JSON Lines (one object per benchmark) and the
-//! committed baseline is a nested JSON document; the real `serde_json` is
-//! unavailable offline (the workspace `serde` shim is derive-only), so this
-//! module carries a minimal recursive-descent JSON parser — just enough for
-//! those two documents — plus the comparison logic the
-//! `bench_regression` binary runs in CI.
-//!
-//! The gate is deliberately *coarse*: CI hardware is shared and differs
-//! from the host that recorded the baseline, and the fast bench profile
-//! takes few samples, so only gross regressions (default threshold 3× the
-//! baseline `min_ns`) fail the job. A benchmark present in the baseline but
-//! missing from the fresh run also fails — silently skipped benches are
-//! precisely what the gate exists to catch.
+//! The workspace has no `serde_json` (its `serde` is a derive-only stand-in),
+//! so the end-to-end benchmark reads its own reports, `BENCHMARK.json` and
+//! its traces through this recursive-descent parser. The module holds
+//! nothing else; its name is pinned by the benchmark's import
+//! (`fedft_bench::regression::{parse_json, Json}`) until the parser moves
+//! into the benchmark itself.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// A parsed JSON value (the subset of JSON the bench artifacts use — which
-/// is all of JSON, minus any number-precision subtleties beyond `f64`).
+/// A parsed JSON value: all of JSON, minus any number-precision subtleties
+/// beyond `f64`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -32,8 +23,7 @@ pub enum Json {
     String(String),
     /// An array.
     Array(Vec<Json>),
-    /// An object; insertion order is irrelevant for the gate, so a sorted
-    /// map keeps reports deterministic.
+    /// An object; a sorted map keeps reports deterministic.
     Object(BTreeMap<String, Json>),
 }
 
@@ -63,16 +53,21 @@ impl Json {
     }
 }
 
+/// How many arrays and objects may enclose one another. The benchmark's
+/// documents nest 4–5 deep; an unoptimised build spends ~1.2 KB of stack a
+/// level, so a 2 MB test-thread stack overflows near 1,700 levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message (with byte offset) on malformed input
-/// or trailing non-whitespace.
+/// Returns a human-readable message (with byte offset) on malformed input,
+/// arrays and objects nested more than 128 deep, or trailing non-whitespace.
 pub fn parse_json(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(input, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -95,12 +90,20 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `depth` counts the arrays and objects that enclose the value.
+///
+/// Every parser below advances `pos` past whole ASCII tokens or whole
+/// string runs, so `pos` always sits on a character boundary of `input`.
+fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos).map(Json::String),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_object(input, pos, depth + 1),
+        Some(b'[') => parse_array(input, pos, depth + 1),
+        Some(b'"') => parse_string(input, pos).map(Json::String),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
@@ -131,7 +134,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("invalid number `{text}` at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(input: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     while *pos < bytes.len() {
@@ -158,8 +162,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             .ok_or_else(|| format!("truncated \\u escape at byte {}", *pos))?;
                         let code = u32::from_str_radix(hex, 16)
                             .map_err(|_| format!("invalid \\u escape `{hex}`"))?;
-                        // Surrogate pairs do not occur in bench names; map
-                        // lone surrogates to the replacement character.
+                        // Surrogate pairs do not occur in the benchmark's
+                        // documents; map lone surrogates to the replacement
+                        // character.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
@@ -168,19 +173,23 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             _ => {
-                // Multi-byte UTF-8 sequences pass through unchanged.
-                let ch_start = *pos;
-                let s = std::str::from_utf8(&bytes[ch_start..]).map_err(|e| e.to_string())?;
-                let ch = s.chars().next().ok_or("unexpected end of string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // piece. Both are ASCII, so the run ends on a character
+                // boundary and multi-byte characters pass through unchanged.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |run| *pos + run);
+                out.push_str(&input[*pos..end]);
+                *pos = end;
             }
         }
     }
     Err("unterminated string".into())
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(input: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -189,7 +198,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(input, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -202,7 +211,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(input: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -212,10 +222,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(input, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(input, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -229,199 +239,9 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// Extracts `bench name → min_ns` from a fresh `CRITERION_JSON` run (JSON
-/// Lines, one object per benchmark, as the criterion shim appends them).
-/// Re-runs of the same benchmark keep the *smallest* `min_ns` seen.
-///
-/// # Errors
-///
-/// Returns a message naming the offending line on malformed input.
-pub fn fresh_min_ns(jsonl: &str) -> Result<BTreeMap<String, f64>, String> {
-    let mut out = BTreeMap::new();
-    for (lineno, line) in jsonl.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let value = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let name = value
-            .get("bench")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing `bench` field", lineno + 1))?;
-        let min_ns = value
-            .get("min_ns")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("line {}: missing `min_ns` field", lineno + 1))?;
-        let entry = out.entry(name.to_string()).or_insert(min_ns);
-        *entry = entry.min(min_ns);
-    }
-    Ok(out)
-}
-
-/// Extracts `bench name → min_ns` from the committed baseline document
-/// (`BENCH_micro_ops.json`): the `"after"` object records the tuned
-/// kernels, which is what a fresh build is compared against.
-///
-/// # Errors
-///
-/// Returns a message on malformed input or a missing/invalid `after` block.
-pub fn baseline_min_ns(json: &str) -> Result<BTreeMap<String, f64>, String> {
-    let value = parse_json(json)?;
-    let after = value
-        .get("after")
-        .ok_or("baseline document has no `after` object")?;
-    let Json::Object(entries) = after else {
-        return Err("baseline `after` is not an object".into());
-    };
-    let mut out = BTreeMap::new();
-    for (name, stats) in entries {
-        let min_ns = stats
-            .get("min_ns")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("baseline bench `{name}` has no numeric min_ns"))?;
-        out.insert(name.clone(), min_ns);
-    }
-    Ok(out)
-}
-
-/// Verdict for one benchmark of the comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// Fresh time within the threshold of the baseline.
-    Ok,
-    /// Fresh time exceeded `threshold ×` the baseline `min_ns`.
-    Regressed,
-    /// Benchmark recorded in the baseline but absent from the fresh run.
-    MissingFresh,
-    /// Benchmark in the fresh run with no committed baseline (informational).
-    NewBench,
-}
-
-impl fmt::Display for Verdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Verdict::Ok => "ok",
-            Verdict::Regressed => "REGRESSED",
-            Verdict::MissingFresh => "MISSING",
-            Verdict::NewBench => "new (no baseline)",
-        };
-        f.write_str(s)
-    }
-}
-
-/// One row of the regression report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchComparison {
-    /// Benchmark id.
-    pub name: String,
-    /// Baseline `min_ns` (absent for new benches).
-    pub baseline_ns: Option<f64>,
-    /// Fresh `min_ns` (absent when the bench went missing).
-    pub fresh_ns: Option<f64>,
-    /// `fresh / baseline` when both sides exist.
-    pub ratio: Option<f64>,
-    /// The verdict for this benchmark.
-    pub verdict: Verdict,
-}
-
-/// Result of comparing a fresh run against the committed baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegressionReport {
-    /// Per-benchmark rows, sorted by name.
-    pub rows: Vec<BenchComparison>,
-    /// The `fresh / baseline` ratio above which a bench counts as regressed.
-    pub threshold: f64,
-}
-
-impl RegressionReport {
-    /// Whether the gate should fail CI: any regressed or missing benchmark.
-    pub fn failed(&self) -> bool {
-        self.rows
-            .iter()
-            .any(|r| matches!(r.verdict, Verdict::Regressed | Verdict::MissingFresh))
-    }
-
-    /// Renders the verdict as an aligned plain-text table plus a one-line
-    /// summary — the artifact CI uploads.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "bench-regression gate (fail when fresh min_ns > {:.1}x baseline)\n",
-            self.threshold
-        ));
-        out.push_str(&format!(
-            "{:<44} {:>14} {:>14} {:>8}  verdict\n",
-            "benchmark", "baseline_ns", "fresh_ns", "ratio"
-        ));
-        for row in &self.rows {
-            let fmt_ns = |v: Option<f64>| v.map_or("-".to_string(), |n| format!("{n:.1}"));
-            let ratio = row.ratio.map_or("-".to_string(), |r| format!("{r:.2}"));
-            out.push_str(&format!(
-                "{:<44} {:>14} {:>14} {:>8}  {}\n",
-                row.name,
-                fmt_ns(row.baseline_ns),
-                fmt_ns(row.fresh_ns),
-                ratio,
-                row.verdict
-            ));
-        }
-        let verdict = if self.failed() { "FAIL" } else { "PASS" };
-        out.push_str(&format!("verdict: {verdict}\n"));
-        out
-    }
-}
-
-/// Compares a fresh run against the baseline with the given ratio threshold.
-pub fn compare(
-    baseline: &BTreeMap<String, f64>,
-    fresh: &BTreeMap<String, f64>,
-    threshold: f64,
-) -> RegressionReport {
-    let mut rows = Vec::new();
-    for (name, &base_ns) in baseline {
-        match fresh.get(name) {
-            Some(&fresh_ns) => {
-                let ratio = fresh_ns / base_ns;
-                rows.push(BenchComparison {
-                    name: name.clone(),
-                    baseline_ns: Some(base_ns),
-                    fresh_ns: Some(fresh_ns),
-                    ratio: Some(ratio),
-                    verdict: if ratio > threshold {
-                        Verdict::Regressed
-                    } else {
-                        Verdict::Ok
-                    },
-                });
-            }
-            None => rows.push(BenchComparison {
-                name: name.clone(),
-                baseline_ns: Some(base_ns),
-                fresh_ns: None,
-                ratio: None,
-                verdict: Verdict::MissingFresh,
-            }),
-        }
-    }
-    for (name, &fresh_ns) in fresh {
-        if !baseline.contains_key(name) {
-            rows.push(BenchComparison {
-                name: name.clone(),
-                baseline_ns: None,
-                fresh_ns: Some(fresh_ns),
-                ratio: None,
-                verdict: Verdict::NewBench,
-            });
-        }
-    }
-    rows.sort_by(|a, b| a.name.cmp(&b.name));
-    RegressionReport { rows, threshold }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     #[test]
     fn parser_handles_the_artifact_shapes() {
@@ -445,98 +265,36 @@ mod tests {
     }
 
     #[test]
-    fn fresh_lines_keep_the_smallest_min() {
-        let jsonl = concat!(
-            "{\"bench\":\"matmul\",\"min_ns\":120.0,\"mean_ns\":130.0}\n",
-            "\n",
-            "{\"bench\":\"softmax\",\"min_ns\":55.5}\n",
-            "{\"bench\":\"matmul\",\"min_ns\":100.0}\n",
+    fn a_long_multibyte_string_round_trips() {
+        // 2-, 3- and 4-byte characters, with escapes between the runs. Long
+        // enough that re-validating the rest of the input per character,
+        // a quadratic walk, would take minutes.
+        let text: String = "é€𝄞".chars().cycle().take(200_000).collect();
+        let doc = format!("[\"{text}\", \"{text}\\n{text}\\\"\"]");
+        let Json::Array(items) = parse_json(&doc).unwrap() else {
+            panic!("not an array")
+        };
+        assert_eq!(items[0].as_str(), Some(text.as_str()));
+        assert_eq!(
+            items[1].as_str(),
+            Some(format!("{text}\n{text}\"").as_str())
         );
-        let fresh = fresh_min_ns(jsonl).unwrap();
-        assert_eq!(fresh["matmul"], 100.0);
-        assert_eq!(fresh["softmax"], 55.5);
-        assert!(fresh_min_ns("{\"min_ns\": 1}\n").is_err());
-        assert!(fresh_min_ns("not json\n").is_err());
     }
 
     #[test]
-    fn baseline_reads_the_after_block() {
-        let doc = r#"{
-            "method": "irrelevant",
-            "before": {"matmul": {"min_ns": 400.0}},
-            "after": {"matmul": {"min_ns": 100.0, "max_ns": 140.0},
-                      "softmax": {"min_ns": 50.0}}
-        }"#;
-        let base = baseline_min_ns(doc).unwrap();
-        assert_eq!(base.len(), 2);
-        assert_eq!(base["matmul"], 100.0);
-        assert!(baseline_min_ns("{}").is_err());
-    }
+    fn nesting_past_the_depth_limit_is_an_error() {
+        let err = parse_json(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
 
-    /// Every name `benches/micro_ops.rs` passes to `bench_function`, read
-    /// from its source; each is a plain string literal.
-    fn micro_ops_bench_names() -> BTreeSet<String> {
-        let src = include_str!("../benches/micro_ops.rs");
-        let mut names = BTreeSet::new();
-        for call in src.split("bench_function(").skip(1) {
-            let name = call
-                .trim_start()
-                .strip_prefix('"')
-                .and_then(|lit| lit.split_once('"'))
-                .expect("bench name is a string literal")
-                .0;
-            assert!(!name.contains('{'), "templated bench name {name}");
-            names.insert(name.to_string());
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        for nested in [arrays, objects] {
+            assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+            let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.starts_with("nesting deeper"), "{err}");
         }
-        names
-    }
-
-    #[test]
-    fn committed_baseline_document_parses() {
-        let doc = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_micro_ops.json"
-        ))
-        .expect("committed baseline readable");
-        let base = baseline_min_ns(&doc).unwrap();
-        // A bench added or deleted without touching the baseline (or the
-        // other way round) must fail here, not only in CI's bench-smoke
-        // job, where a dropped bench reads `MISSING` and an unrecorded one
-        // passes as `NewBench`.
-        let recorded: BTreeSet<String> = base.keys().cloned().collect();
-        assert_eq!(recorded, micro_ops_bench_names());
-        assert!(base.values().all(|&ns| ns > 0.0));
-    }
-
-    #[test]
-    fn compare_flags_regressions_and_missing_benches() {
-        let baseline = BTreeMap::from([("a".to_string(), 100.0), ("b".to_string(), 100.0)]);
-        let ok = BTreeMap::from([("a".to_string(), 250.0), ("b".to_string(), 90.0)]);
-        let report = compare(&baseline, &ok, 3.0);
-        assert!(!report.failed());
-        assert!(report.render().contains("PASS"));
-
-        let slow = BTreeMap::from([("a".to_string(), 301.0), ("b".to_string(), 90.0)]);
-        let report = compare(&baseline, &slow, 3.0);
-        assert!(report.failed());
-        assert_eq!(report.rows[0].verdict, Verdict::Regressed);
-        assert!(report.render().contains("REGRESSED"));
-
-        let missing = BTreeMap::from([("a".to_string(), 100.0)]);
-        let report = compare(&baseline, &missing, 3.0);
-        assert!(report.failed());
-        assert!(report.render().contains("MISSING"));
-
-        let extra = BTreeMap::from([
-            ("a".to_string(), 100.0),
-            ("b".to_string(), 100.0),
-            ("c".to_string(), 1.0),
-        ]);
-        let report = compare(&baseline, &extra, 3.0);
-        assert!(
-            !report.failed(),
-            "new benches are informational, not failures"
-        );
-        assert!(report.render().contains("new (no baseline)"));
     }
 }
