@@ -1,6 +1,6 @@
 //! Regenerates the policy-matrix report: the data-selection,
 //! client-selection and per-tier-freeze choices crossed with device
-//! heterogeneity mixes and execution backends, in a Table III-style grid.
+//! heterogeneity mixes, in a Table III-style grid.
 //!
 //! The first row is the paper's FedFT-EDS defaults (bit-identical to the
 //! pre-policy code path); every other row changes exactly one policy axis.
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = policy_matrix::run(&profile)?;
     let main_table = result.to_table();
     output::print_table(
-        "Policy matrix — best top-1 accuracy (%) per policy × (mix/backend)",
+        "Policy matrix — best top-1 accuracy (%) per policy × mix",
         &main_table,
     );
     let participation = result.participation_table();

@@ -2,8 +2,8 @@
 //!
 //! Crosses the selection rules of the policy layer (data-selection
 //! strategies, client-selection rules and per-tier freeze levels) with
-//! device-heterogeneity mixes and execution backends, and
-//! reports best accuracy per cell in a Table III-style grid.
+//! device-heterogeneity mixes on the parallel backend, and reports best
+//! accuracy per cell in a Table III-style grid.
 //!
 //! The first row of every grid is the **baseline**: the paper's FedFT-EDS
 //! defaults (entropy data selection, uniform client selection, one global
@@ -134,60 +134,26 @@ impl Mix {
     }
 }
 
-/// An execution backend of the matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Backend {
-    /// The plain parallel round executor (no drops).
-    Parallel,
-    /// The deadline executor with a calibrated round deadline (slow tiers
-    /// can miss it).
-    Deadline,
-}
-
-impl Backend {
-    /// Column label fragment.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Backend::Parallel => "parallel",
-            Backend::Deadline => "deadline",
-        }
-    }
-}
-
 /// The mixes of the default matrix.
 pub fn mix_lineup() -> Vec<Mix> {
     vec![Mix::TwoTier, Mix::ThreeTier]
 }
 
-/// The backends of the default matrix.
-pub fn backend_lineup() -> Vec<Backend> {
-    vec![Backend::Parallel, Backend::Deadline]
-}
-
-/// One cell of the matrix: a policy run under a (mix, backend) scenario.
+/// One cell of the matrix: a policy run under a heterogeneity mix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PolicyCell {
     /// Row label ([`PolicyVariant::label`]).
     pub policy: String,
     /// Heterogeneity-mix label.
     pub mix: String,
-    /// Execution-backend label.
-    pub backend: String,
     /// The simulation run of the cell.
     pub run: RunResult,
-}
-
-impl PolicyCell {
-    /// Column label of the cell's scenario.
-    pub fn scenario(&self) -> String {
-        format!("{}/{}", self.mix, self.backend)
-    }
 }
 
 /// Result of the policy-matrix experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PolicyMatrixResult {
-    /// Every (policy, mix, backend) cell, rows varying slowest.
+    /// Every (policy, mix) cell, rows varying slowest.
     pub cells: Vec<PolicyCell>,
 }
 
@@ -195,37 +161,36 @@ impl PolicyMatrixResult {
     /// Row/column labels in first-appearance order.
     fn axes(&self) -> (Vec<String>, Vec<String>) {
         let mut policies: Vec<String> = Vec::new();
-        let mut scenarios: Vec<String> = Vec::new();
+        let mut mixes: Vec<String> = Vec::new();
         for cell in &self.cells {
             if !policies.contains(&cell.policy) {
                 policies.push(cell.policy.clone());
             }
-            let scenario = cell.scenario();
-            if !scenarios.contains(&scenario) {
-                scenarios.push(scenario);
+            if !mixes.contains(&cell.mix) {
+                mixes.push(cell.mix.clone());
             }
         }
-        (policies, scenarios)
+        (policies, mixes)
     }
 
-    /// The cell for a (policy, scenario) pair, if present.
-    pub fn cell(&self, policy: &str, scenario: &str) -> Option<&PolicyCell> {
+    /// The cell for a (policy, mix) pair, if present.
+    pub fn cell(&self, policy: &str, mix: &str) -> Option<&PolicyCell> {
         self.cells
             .iter()
-            .find(|c| c.policy == policy && c.scenario() == scenario)
+            .find(|c| c.policy == policy && c.mix == mix)
     }
 
     /// Renders the Table III-style grid: one row per policy, one column per
-    /// (mix, backend) scenario, best accuracy per cell.
+    /// mix, best accuracy per cell.
     pub fn to_table(&self) -> Table {
-        let (policies, scenarios) = self.axes();
+        let (policies, mixes) = self.axes();
         let mut headers = vec!["Policy".to_string()];
-        headers.extend(scenarios.iter().cloned());
+        headers.extend(mixes.iter().cloned());
         let mut table = Table::new(headers);
         for policy in &policies {
             let mut row = vec![policy.clone()];
-            for scenario in &scenarios {
-                row.push(self.cell(policy, scenario).map_or("-".into(), |c| {
+            for mix in &mixes {
+                row.push(self.cell(policy, mix).map_or("-".into(), |c| {
                     report::pct(f64::from(c.run.best_accuracy()))
                 }));
             }
@@ -242,7 +207,6 @@ impl PolicyMatrixResult {
         let mut table = Table::new(vec![
             "policy".into(),
             "mix".into(),
-            "backend".into(),
             "best_accuracy_pct".into(),
             "mean_participants".into(),
             "dropped_total".into(),
@@ -252,7 +216,6 @@ impl PolicyMatrixResult {
             let _ = table.add_row(vec![
                 cell.policy.clone(),
                 cell.mix.clone(),
-                cell.backend.clone(),
                 report::pct(f64::from(cell.run.best_accuracy())),
                 format!("{:.1}", cell.run.mean_participants()),
                 cell.run.total_dropped_clients().to_string(),
@@ -263,7 +226,7 @@ impl PolicyMatrixResult {
     }
 }
 
-/// Runs the matrix over explicit policy/mix/backend lineups.
+/// Runs the matrix over explicit policy and mix lineups.
 ///
 /// # Errors
 ///
@@ -272,7 +235,6 @@ pub fn run_matrix(
     profile: &ExperimentProfile,
     policies: &[PolicyVariant],
     mixes: &[Mix],
-    backends: &[Backend],
 ) -> Result<PolicyMatrixResult, FlError> {
     let source = setup::source_bundle(profile)?;
     let target = setup::target_bundle(profile, Task::Cifar10)?;
@@ -284,46 +246,32 @@ pub fn run_matrix(
     for policy in policies {
         for &mix in mixes {
             let hetero = mix.model();
-            for &backend in backends {
-                let base = method
-                    .configure(setup::base_config(profile, profile.rounds_small))
-                    .with_participation(MATRIX_PARTICIPATION)
-                    .with_heterogeneity(hetero.clone());
-                let base = match backend {
-                    Backend::Parallel => base.with_execution(ExecutionBackend::Parallel),
-                    Backend::Deadline => {
-                        // Calibrated against the baseline workload: every
-                        // tier fits the default FedFT suffix, so deadline
-                        // drops are a property of the policy under test.
-                        let deadline =
-                            super::table3::calibrated_deadline(&fed, &pretrained, &base, 1.2);
-                        base.with_deadline(deadline)
-                            .with_execution(ExecutionBackend::Deadline)
-                    }
-                };
-                let config = policy.apply(base, hetero.num_tiers());
-                let label = format!("{} [{}/{}]", policy.label(), mix.label(), backend.label());
-                let run = Simulation::new(config)?.run_labelled(label, &fed, &pretrained)?;
-                cells.push(PolicyCell {
-                    policy: policy.label(),
-                    mix: mix.label().to_string(),
-                    backend: backend.label().to_string(),
-                    run,
-                });
-            }
+            let base = method
+                .configure(setup::base_config(profile, profile.rounds_small))
+                .with_participation(MATRIX_PARTICIPATION)
+                .with_heterogeneity(hetero.clone())
+                .with_execution(ExecutionBackend::Parallel);
+            let config = policy.apply(base, hetero.num_tiers());
+            let label = format!("{} [{}]", policy.label(), mix.label());
+            let run = Simulation::new(config)?.run_labelled(label, &fed, &pretrained)?;
+            cells.push(PolicyCell {
+                policy: policy.label(),
+                mix: mix.label().to_string(),
+                run,
+            });
         }
     }
     Ok(PolicyMatrixResult { cells })
 }
 
 /// Runs the full default matrix: every policy of [`policy_lineup`] under
-/// every (mix, backend) scenario.
+/// every mix.
 ///
 /// # Errors
 ///
 /// Propagates simulation errors.
 pub fn run(profile: &ExperimentProfile) -> Result<PolicyMatrixResult, FlError> {
-    run_matrix(profile, &policy_lineup(), &mix_lineup(), &backend_lineup())
+    run_matrix(profile, &policy_lineup(), &mix_lineup())
 }
 
 #[cfg(test)]
@@ -348,7 +296,6 @@ mod tests {
         assert!(client >= 2);
         assert!(policies.contains(&PolicyVariant::TierFreeze));
         assert_eq!(mix_lineup().len(), 2);
-        assert_eq!(backend_lineup().len(), 2);
     }
 
     #[test]
@@ -364,7 +311,6 @@ mod tests {
         );
         assert_eq!(PolicyVariant::TierFreeze.label(), "tier-freeze");
         assert_eq!(Mix::ThreeTier.label(), "3-tier");
-        assert_eq!(Backend::Deadline.label(), "deadline");
     }
 
     #[test]
@@ -390,15 +336,11 @@ mod tests {
             PolicyVariant::Client(ClientSelection::TierAware),
             PolicyVariant::TierFreeze,
         ];
-        let result =
-            run_matrix(&profile, &policies, &[Mix::TwoTier], &[Backend::Parallel]).unwrap();
+        let result = run_matrix(&profile, &policies, &[Mix::TwoTier]).unwrap();
         assert_eq!(result.cells.len(), 4);
-        let baseline = &result
-            .cell("eds (baseline)", "2-tier/parallel")
-            .unwrap()
-            .run;
+        let baseline = &result.cell("eds (baseline)", "2-tier").unwrap().run;
         for policy in ["data: gns", "client: tier", "tier-freeze"] {
-            let cell = &result.cell(policy, "2-tier/parallel").unwrap().run;
+            let cell = &result.cell(policy, "2-tier").unwrap().run;
             assert_ne!(
                 cell.learning_history(),
                 baseline.learning_history(),

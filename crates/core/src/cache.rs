@@ -657,6 +657,10 @@ impl CacheRegistry {
         inner.scores.clear();
     }
 
+    #[allow(
+        clippy::expect_used,
+        reason = "a holder that panicked may have left the byte count and the LRU order out of step"
+    )]
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().expect("cache registry lock poisoned")
     }

@@ -5,6 +5,7 @@ use crate::config::{FlConfig, LocalAlgorithm};
 use crate::policy::SelectionContext;
 use crate::{FlError, Result};
 use fedft_data::Dataset;
+use fedft_nn::flops::FlopsBreakdown;
 use fedft_nn::{BlockNet, ParamVector, ProximalTerm, Sgd, SuffixNet};
 use fedft_tensor::{rng, Matrix};
 use rand::seq::SliceRandom;
@@ -33,7 +34,8 @@ pub struct ClientUpdate {
     /// workload accounting: boundary activations served from a feature
     /// cache, so only the trainable suffix runs (steady state; the one-time
     /// cache build is amortised out — see
-    /// [`crate::CostModel::cached_client_round_seconds`]). Reported
+    /// [`crate::CostModel::client_round_seconds`], here applied with
+    /// `forward_frozen = 0`). Reported
     /// unconditionally, whatever [`FlConfig::feature_cache`] says, so both
     /// accountings are always available and histories stay independent of
     /// the knob.
@@ -329,24 +331,17 @@ impl Client {
             train_loss = epoch_loss / batches.max(1) as f32;
         }
 
-        // --- Cost accounting for the learning-efficiency metric. Both
-        // workload accountings are deterministic functions of the same
-        // inputs, so they are identical whether the cache actually ran.
+        // --- Cost accounting for the learning-efficiency metric, priced as
+        // the executor predicted it at admission. The cached accounting
+        // drops the frozen forward work, whether the cache actually ran.
         let flops = global_model.flops_per_sample(freeze);
-        let selection_pass = config.selection.needs_inference_pass();
-        let compute_seconds = config.cost.client_round_seconds(
-            &flops,
+        let compute_seconds = config.client_compute_seconds(&flops, data.len());
+        let cached_compute_seconds = config.client_compute_seconds(
+            &FlopsBreakdown {
+                forward_frozen: 0,
+                ..flops
+            },
             data.len(),
-            selected_indices.len(),
-            config.local_epochs,
-            selection_pass,
-        );
-        let cached_compute_seconds = config.cost.cached_client_round_seconds(
-            &flops,
-            data.len(),
-            selected_indices.len(),
-            config.local_epochs,
-            selection_pass,
         );
 
         Ok(ClientUpdate {

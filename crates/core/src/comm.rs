@@ -65,6 +65,45 @@ pub fn encode_update(update: &ClientUpdate) -> Vec<u8> {
     out
 }
 
+/// A cursor over an encoded update. Every read is bounds-checked and
+/// returns an error on a short buffer, so no input makes the decoder panic.
+struct WireReader<'a> {
+    rest: &'a [u8],
+    len: usize,
+}
+
+impl<'a> WireReader<'a> {
+    fn truncated(&self, needed: usize) -> FlError {
+        FlError::InvalidConfig {
+            what: format!(
+                "truncated update message: needed {needed} bytes at offset {}, have {}",
+                self.len - self.rest.len(),
+                self.len
+            ),
+        }
+    }
+
+    /// The next `n` bytes; `n` may come from a hostile length field.
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        let (head, tail) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or_else(|| self.truncated(n))?;
+        self.rest = tail;
+        Ok(head)
+    }
+
+    /// The next `N` bytes, as one fixed-size field.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let (head, tail) = self
+            .rest
+            .split_first_chunk()
+            .ok_or_else(|| self.truncated(N))?;
+        self.rest = tail;
+        Ok(*head)
+    }
+}
+
 /// Decodes a [`ClientUpdate`] previously encoded with [`encode_update`].
 ///
 /// # Errors
@@ -72,51 +111,33 @@ pub fn encode_update(update: &ClientUpdate) -> Vec<u8> {
 /// Returns [`FlError::InvalidConfig`] when the buffer is truncated or its
 /// declared length is inconsistent with the payload.
 pub fn decode_update(bytes: &[u8]) -> Result<ClientUpdate> {
-    let mut cursor = 0usize;
-    let mut take = |n: usize| -> Result<&[u8]> {
-        // Checked: `n` may come from a hostile length field.
-        let Some(end) = cursor.checked_add(n).filter(|&end| end <= bytes.len()) else {
-            return Err(FlError::InvalidConfig {
-                what: format!(
-                    "truncated update message: needed {} bytes at offset {cursor}, have {}",
-                    n,
-                    bytes.len()
-                ),
-            });
-        };
-        let slice = &bytes[cursor..end];
-        cursor = end;
-        Ok(slice)
+    let mut reader = WireReader {
+        rest: bytes,
+        len: bytes.len(),
     };
-
-    let client_id = u64::from_le_bytes(take(8)?.try_into().expect("slice length checked")) as usize;
-    let selected_samples =
-        u64::from_le_bytes(take(8)?.try_into().expect("slice length checked")) as usize;
-    let local_samples =
-        u64::from_le_bytes(take(8)?.try_into().expect("slice length checked")) as usize;
-    let train_loss = f32::from_le_bytes(take(4)?.try_into().expect("slice length checked"));
-    let compute_seconds = f64::from_le_bytes(take(8)?.try_into().expect("slice length checked"));
-    let cached_compute_seconds =
-        f64::from_le_bytes(take(8)?.try_into().expect("slice length checked"));
-    let theta_len = u64::from_le_bytes(take(8)?.try_into().expect("slice length checked")) as usize;
+    let client_id = u64::from_le_bytes(reader.take_array()?) as usize;
+    let selected_samples = u64::from_le_bytes(reader.take_array()?) as usize;
+    let local_samples = u64::from_le_bytes(reader.take_array()?) as usize;
+    let train_loss = f32::from_le_bytes(reader.take_array()?);
+    let compute_seconds = f64::from_le_bytes(reader.take_array()?);
+    let cached_compute_seconds = f64::from_le_bytes(reader.take_array()?);
+    let theta_len = u64::from_le_bytes(reader.take_array()?) as usize;
     // Saturating, not wrapping: a byte count past `usize::MAX` cannot fit
     // the buffer, and `take` rejects it.
-    let payload = take(theta_len.saturating_mul(BYTES_PER_PARAM))?;
-    if cursor != bytes.len() {
+    let payload = reader.take(theta_len.saturating_mul(BYTES_PER_PARAM))?;
+    if !reader.rest.is_empty() {
         return Err(FlError::InvalidConfig {
             what: format!(
                 "trailing {} bytes after the update payload",
-                bytes.len() - cursor
+                reader.rest.len()
             ),
         });
     }
-    let values = payload
-        .chunks_exact(BYTES_PER_PARAM)
-        .map(|chunk| f32::from_le_bytes(chunk.try_into().expect("chunk is 4 bytes")))
-        .collect();
+    // The payload is `theta_len` whole chunks, so the remainder is empty.
+    let (chunks, _) = payload.as_chunks::<BYTES_PER_PARAM>();
     Ok(ClientUpdate {
         client_id,
-        theta: ParamVector::from_values(values),
+        theta: ParamVector::from_values(chunks.iter().map(|&c| f32::from_le_bytes(c)).collect()),
         selected_samples,
         local_samples,
         train_loss,
@@ -178,12 +199,25 @@ mod tests {
     #[test]
     fn decode_rejects_truncated_and_padded_messages() {
         let bytes = encode_update(&update());
-        assert!(decode_update(&bytes[..bytes.len() - 1]).is_err());
-        assert!(decode_update(&bytes[..10]).is_err());
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(decode_update(&padded).is_err());
-        assert!(decode_update(&[]).is_err());
+        // Every proper prefix of a real encoding, the empty one included,
+        // is an error and not a panic.
+        for len in 0..bytes.len() {
+            let decoded = std::panic::catch_unwind(|| decode_update(&bytes[..len]))
+                .unwrap_or_else(|_| panic!("prefix of {len} bytes panicked"));
+            assert!(decoded.is_err(), "prefix of {len} bytes decoded");
+        }
+        // So is every single-bit flip of the `theta_len` field: each one
+        // declares a payload the buffer does not hold.
+        for bit in 0..64 {
+            let mut flipped = bytes.clone();
+            flipped[HEADER_BYTES - 8 + bit / 8] ^= 1 << (bit % 8);
+            let decoded = std::panic::catch_unwind(|| decode_update(&flipped))
+                .unwrap_or_else(|_| panic!("flipping theta_len bit {bit} panicked"));
+            assert!(decoded.is_err(), "flipping theta_len bit {bit} decoded");
+        }
     }
 
     #[test]

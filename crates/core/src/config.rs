@@ -5,6 +5,7 @@ use crate::executor::{ExecutionBackend, StreamingParams};
 use crate::policy::ClientSelection;
 use crate::selection::SelectionStrategy;
 use crate::{CostModel, FlError, Result};
+use fedft_nn::flops::FlopsBreakdown;
 use fedft_nn::{FreezeLevel, SgdConfig};
 use serde::{Deserialize, Serialize};
 
@@ -317,6 +318,27 @@ impl FlConfig {
         }
         let profile = self.heterogeneity.profile_for(client_id, self.seed);
         self.effective_freeze(profile.tier_index)
+    }
+
+    /// Simulated compute seconds of one client round over `local_samples`
+    /// samples at the per-sample cost `flops`: the round trains on
+    /// [`SelectionStrategy::selected_count`] of them for
+    /// [`FlConfig::local_epochs`] epochs, plus the selection pass when the
+    /// strategy needs one, priced by [`FlConfig::cost`].
+    ///
+    /// The one derivation of a round's work: the executor's admission-time
+    /// prediction ([`crate::HeterogeneityModel::predicted_seconds_from_parts`])
+    /// and the trained update's [`crate::ClientUpdate::compute_seconds`] and
+    /// [`crate::ClientUpdate::cached_compute_seconds`] all call it, so a
+    /// prediction is the duration by construction.
+    pub fn client_compute_seconds(&self, flops: &FlopsBreakdown, local_samples: usize) -> f64 {
+        self.cost.client_round_seconds(
+            flops,
+            local_samples,
+            self.selection.selected_count(local_samples),
+            self.local_epochs,
+            self.selection.needs_inference_pass(),
+        )
     }
 
     /// Validates the configuration, one concern at a time.

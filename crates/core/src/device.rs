@@ -300,14 +300,14 @@ impl HeterogeneityModel {
     }
 
     /// Predicted simulated round seconds for a client *before* training:
-    /// the same deterministic formula the cost accounting applies after
-    /// training, evaluated from the model's FLOP breakdown, the selection
-    /// strategy's sample count and the round traffic.
+    /// the compute seconds of [`FlConfig::client_compute_seconds`], which
+    /// the trained update's own cost accounting also calls, scaled by the
+    /// device and plus the round traffic.
     ///
     /// The round executor times every admitted client, and drops those that
     /// miss a deadline, with this before paying for their local updates; it
-    /// is exact (not an estimate) because every term of the cost model is a
-    /// deterministic function of the same inputs.
+    /// is exact (not an estimate) by construction, because the prediction
+    /// and the update price the round through the same function.
     pub fn predicted_client_seconds(
         &self,
         profile: &DeviceProfile,
@@ -336,14 +336,7 @@ impl HeterogeneityModel {
         local_samples: usize,
         config: &FlConfig,
     ) -> f64 {
-        let selected = config.selection.selected_count(local_samples);
-        let compute_seconds = config.cost.client_round_seconds(
-            flops,
-            local_samples,
-            selected,
-            config.local_epochs,
-            config.selection.needs_inference_pass(),
-        );
+        let compute_seconds = config.client_compute_seconds(flops, local_samples);
         self.simulated_round_seconds(profile, compute_seconds, traffic)
     }
 
@@ -877,6 +870,11 @@ mod tests {
                 let freeze = config.effective_freeze(profile.tier_index);
                 let traffic = round_traffic(&model, freeze);
                 let update = client.local_update(&model, config, 1).unwrap();
+                assert_eq!(
+                    update.selected_samples,
+                    config.selection.selected_count(client.num_samples()),
+                    "the priced sample count is the trained one"
+                );
                 let trained =
                     hetero.simulated_round_seconds(&profile, update.compute_seconds, &traffic);
                 let predicted = hetero.predicted_seconds_from_parts(

@@ -695,6 +695,10 @@ impl Executor {
             for (position, update) in per_unit.into_iter().flatten() {
                 placed[position] = Some(update);
             }
+            #[allow(
+                clippy::expect_used,
+                reason = "`shard_units` puts every position in exactly one unit, and every unit is run"
+            )]
             placed
                 .into_iter()
                 .collect::<Option<_>>()
@@ -982,6 +986,10 @@ fn hand_out<S: Send, T: Send>(
     let cursor = AtomicUsize::new(0);
     let per_runner = pool::run_chunks(workers, workers, |runner| {
         parallel::single_threaded(|| {
+            #[allow(
+                clippy::expect_used,
+                reason = "each runner is run once, so nothing else holds its slot's lock or poisoned it"
+            )]
             let mut state = slots[runner.start]
                 .lock()
                 .expect("a slot is locked once, by its runner");

@@ -24,9 +24,9 @@
 //!   [`ExecutionBackend::Async`] backend overlaps aggregation rounds instead
 //!   of dropping stragglers: clients train against the global-model version
 //!   available at dispatch (at most `max_staleness` versions behind) and
-//!   [`Server::aggregate_stale`] discounts stale updates; `max_staleness =
-//!   0` (with no offline probability) reproduces the synchronous backends
-//!   bit for bit.
+//!   [`Server::aggregate_stale`] discounts stale updates under the one
+//!   weight rule every aggregation uses; `max_staleness = 0` (with no
+//!   offline probability) reproduces the synchronous backends bit for bit.
 //! * **Streaming serving mode** — [`ExecutionBackend::Streaming`] turns
 //!   rounds into continuous update traffic: clients arrive per a pluggable
 //!   [`device::ArrivalModel`] (steady/burst/diurnal, on a dedicated seeded
@@ -76,6 +76,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod error;
 

@@ -27,7 +27,8 @@ impl Server {
         Server { _private: () }
     }
 
-    /// Aggregates client updates into the next global trainable parameters.
+    /// Aggregates client updates into the next global trainable parameters:
+    /// [`Server::aggregate_stale`] with every update fresh.
     ///
     /// # Errors
     ///
@@ -35,34 +36,36 @@ impl Server {
     /// `round` argument is only used for the error message), and an error if
     /// the uploaded parameter vectors disagree in length.
     pub fn aggregate(&self, updates: &[ClientUpdate], round: usize) -> Result<ParamVector> {
+        self.weighted_sum(updates, self.aggregation_weights(updates), round)
+    }
+
+    /// The aggregation weights that [`Server::aggregate`] would use, exposed
+    /// for reporting and tests: [`Server::staleness_weights`] at staleness
+    /// 0, i.e. proportional to `selected_samples`, or uniform for a round
+    /// where no client selected any sample.
+    pub fn aggregation_weights(&self, updates: &[ClientUpdate]) -> Vec<f32> {
+        self.staleness_weights(updates, &vec![0; updates.len()])
+    }
+
+    /// `Σ wᵢθᵢ` over `updates`, the one accumulation every aggregation of
+    /// full-length θ vectors runs. The uploaded vectors are borrowed
+    /// straight into the accumulation — cloning every client's θ here used
+    /// to double the memory traffic of the whole aggregation.
+    fn weighted_sum(
+        &self,
+        updates: &[ClientUpdate],
+        weights: Vec<f32>,
+        round: usize,
+    ) -> Result<ParamVector> {
         if updates.is_empty() {
             return Err(FlError::NoParticipants { round });
         }
-        // Borrow the uploaded vectors straight into the accumulation —
-        // cloning every client's θ here used to double the memory traffic of
-        // the whole aggregation. `aggregation_weights` covers both the
-        // proportional case and the uniform fallback for rounds where no
-        // client selected any sample.
-        let weights = self.aggregation_weights(updates);
         let entries: Vec<(&ParamVector, f32)> = updates
             .iter()
             .zip(weights)
             .map(|(u, w)| (&u.theta, w))
             .collect();
         ParamVector::weighted_average_refs(&entries).map_err(FlError::from)
-    }
-
-    /// The aggregation weights that [`Server::aggregate`] would use, exposed
-    /// for reporting and tests.
-    pub fn aggregation_weights(&self, updates: &[ClientUpdate]) -> Vec<f32> {
-        let total_selected: usize = updates.iter().map(|u| u.selected_samples).sum();
-        if total_selected == 0 {
-            return vec![1.0 / updates.len().max(1) as f32; updates.len()];
-        }
-        updates
-            .iter()
-            .map(|u| u.selected_samples as f32 / total_selected as f32)
-            .collect()
     }
 
     /// Aggregates client updates whose trainable vectors were produced at
@@ -144,13 +147,12 @@ impl Server {
     /// by the event backends, [`crate::ExecutionBackend::Async`] and
     /// [`crate::ExecutionBackend::Streaming`]).
     ///
-    /// Weights are proportional to `selected_samples ×`
-    /// [`Server::staleness_discount`], normalised over the participants —
-    /// a convex combination, like the synchronous path. When every update is
-    /// fresh (`staleness == 0` throughout, in particular for
-    /// `max_staleness = 0`), all discounts are `1` and the method delegates
-    /// to [`Server::aggregate`], so the result is **bit-identical** to
-    /// synchronous aggregation.
+    /// The weights are [`Server::staleness_weights`], the one weight rule,
+    /// and the sum is the one [`Server::aggregate`] runs. When every update
+    /// is fresh (`staleness == 0` throughout, in particular for
+    /// `max_staleness = 0`), every discount is `1` and the weights are
+    /// [`Server::aggregation_weights`], so the result is **bit-identical**
+    /// to synchronous aggregation.
     ///
     /// # Errors
     ///
@@ -163,9 +165,6 @@ impl Server {
         staleness: &[usize],
         round: usize,
     ) -> Result<ParamVector> {
-        if updates.is_empty() {
-            return Err(FlError::NoParticipants { round });
-        }
         if staleness.len() != updates.len() {
             return Err(FlError::InvalidConfig {
                 what: format!(
@@ -175,16 +174,7 @@ impl Server {
                 ),
             });
         }
-        if staleness.iter().all(|&s| s == 0) {
-            return self.aggregate(updates, round);
-        }
-        let weights = self.staleness_weights(updates, staleness);
-        let entries: Vec<(&ParamVector, f32)> = updates
-            .iter()
-            .zip(weights)
-            .map(|(u, w)| (&u.theta, w))
-            .collect();
-        ParamVector::weighted_average_refs(&entries).map_err(FlError::from)
+        self.weighted_sum(updates, self.staleness_weights(updates, staleness), round)
     }
 
     /// Aggregates one **flush** of the streaming backend's update buffer
@@ -196,12 +186,12 @@ impl Server {
     /// earlier flush interval the lag reflects the *actual* age at
     /// aggregation time, which may exceed the dispatch-time staleness bound.
     /// The weighting is therefore exactly the bounded-staleness rule: this
-    /// method delegates to [`Server::aggregate_stale`] (and through it to
-    /// [`Server::aggregate`] when the whole buffer is fresh, which is what
-    /// makes the degenerate streaming configuration bit-identical to the
-    /// synchronous path). The round loop calls [`Server::aggregate_stale`]
-    /// directly; this name is kept for the two callers that pin it,
-    /// `benchmarks/e2e/src/mirror.rs` and `tests/eval_boundary_e2e.rs`.
+    /// method is [`Server::aggregate_stale`], whose weights at staleness 0
+    /// are the synchronous ones (which is what makes the degenerate
+    /// streaming configuration bit-identical to the synchronous path). The
+    /// round loop calls [`Server::aggregate_stale`] directly; this name is
+    /// kept for the two callers that pin it, `benchmarks/e2e/src/mirror.rs`
+    /// and `tests/eval_boundary_e2e.rs`.
     ///
     /// # Errors
     ///
@@ -216,10 +206,17 @@ impl Server {
         self.aggregate_stale(updates, staleness, round)
     }
 
-    /// The convex weights [`Server::aggregate_stale`] uses: proportional to
-    /// `selected_samples × staleness_discount`, normalised to sum to one.
-    /// Falls back to discount-only weights when no update selected any
-    /// samples (mirroring the uniform fallback of the synchronous path).
+    /// The one weight rule of every aggregation (Equation 5 with a
+    /// staleness term): proportional to `selected_samples ×`
+    /// [`Server::staleness_discount`], normalised to sum to one — a convex
+    /// combination. Falls back to discount-only weights, uniform when every
+    /// update is fresh, when no update selected any samples.
+    ///
+    /// The total is summed in `f32`. At staleness 0 it equals the integer
+    /// total `Σ selected_samples` bit for bit only while that total is at
+    /// most 2²⁴ per round, the range in which every partial sum is an
+    /// exactly representable integer; every configured workload stays
+    /// orders of magnitude below it.
     pub fn staleness_weights(&self, updates: &[ClientUpdate], staleness: &[usize]) -> Vec<f32> {
         let raw: Vec<f32> = updates
             .iter()

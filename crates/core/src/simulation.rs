@@ -198,9 +198,9 @@ impl Simulation {
             let updates = &outcome.updates;
 
             if !updates.is_empty() {
-                // All-fresh rounds (every synchronous backend, and event
-                // ones that kept up) delegate to the plain path inside
-                // `aggregate_stale`, so this is bit-identical to the
+                // One weight rule for every backend: at staleness 0 (every
+                // synchronous backend, and event ones that kept up) its
+                // discounts are all 1, so this is bit-identical to the
                 // pre-async aggregation whenever no update is stale; a
                 // streaming flush is a batch of stale updates like any
                 // other.

@@ -10,6 +10,10 @@ use serde::{Deserialize, Serialize};
 
 /// FLOP counts for one sample processed by a model under a given freeze
 /// configuration.
+///
+/// The **cached** workload accounting, where a feature cache serves the
+/// frozen prefix's boundary activations, is the same sums with
+/// `forward_frozen` set to zero: only the trainable suffix runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FlopsBreakdown {
     /// Forward FLOPs through the frozen blocks (always paid, even when only
@@ -34,24 +38,6 @@ impl FlopsBreakdown {
     pub fn inference_flops(&self) -> u64 {
         self.forward_frozen + self.forward_trainable
     }
-
-    /// Total FLOPs for one training step on one sample when the boundary
-    /// activations of the frozen prefix are served from a feature cache:
-    /// only the trainable suffix runs, forward and backward.
-    ///
-    /// This is the **cached** workload accounting; [`FlopsBreakdown::
-    /// training_flops`] is the paper-faithful one that re-runs the frozen
-    /// prefix every step. The one-time cost of building the cache is one
-    /// frozen forward pass, [`FlopsBreakdown::forward_frozen`] per sample.
-    pub fn cached_training_flops(&self) -> u64 {
-        self.forward_trainable + self.backward_trainable
-    }
-
-    /// Total FLOPs for one inference pass on one sample from cached boundary
-    /// activations (e.g. the entropy-selection pass through the suffix).
-    pub fn cached_inference_flops(&self) -> u64 {
-        self.forward_trainable
-    }
 }
 
 #[cfg(test)]
@@ -67,27 +53,6 @@ mod tests {
         };
         assert_eq!(b.training_flops(), 270);
         assert_eq!(b.inference_flops(), 150);
-        assert_eq!(b.cached_training_flops(), 170);
-        assert_eq!(b.cached_inference_flops(), 50);
-    }
-
-    #[test]
-    fn cached_accounting_never_exceeds_the_paper_faithful_one() {
-        let b = FlopsBreakdown {
-            forward_frozen: 100,
-            forward_trainable: 50,
-            backward_trainable: 120,
-        };
-        assert!(b.cached_training_flops() <= b.training_flops());
-        assert!(b.cached_inference_flops() <= b.inference_flops());
-        // Without a frozen prefix the two accountings coincide.
-        let full = FlopsBreakdown {
-            forward_frozen: 0,
-            forward_trainable: 150,
-            backward_trainable: 120,
-        };
-        assert_eq!(full.cached_training_flops(), full.training_flops());
-        assert_eq!(full.cached_inference_flops(), full.inference_flops());
     }
 
     #[test]

@@ -574,25 +574,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Adds `scale * other` to `self` in place (an AXPY update).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn add_scaled_assign(&mut self, other: &Matrix, scale: f32) -> Result<()> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "add_scaled_assign",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += scale * b;
-        }
-        Ok(())
-    }
-
     /// Returns a copy with every element multiplied by `scale`.
     pub fn scale(&self, scale: f32) -> Matrix {
         self.map(|v| v * scale)
@@ -984,14 +965,6 @@ mod tests {
         let a = sample();
         let b = sample();
         assert_eq!(a.add(&b).unwrap().get(0, 0), 2.0);
-    }
-
-    #[test]
-    fn add_scaled_assign_axpy() {
-        let mut a = sample();
-        let b = sample();
-        a.add_scaled_assign(&b, -1.0).unwrap();
-        assert_eq!(a.sum(), 0.0);
     }
 
     #[test]

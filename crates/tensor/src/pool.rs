@@ -71,8 +71,8 @@ use std::sync::{Condvar, Mutex, OnceLock};
 /// The host's available parallelism, queried once per process.
 ///
 /// Every thread-count decision in the workspace (kernel row splits, the
-/// parallel executor's worker count, the cache registry's auto shard
-/// count) shares this cached value instead of re-reading
+/// row-block inference walk, the pooled aggregation, the parallel
+/// executor's worker count) shares this cached value instead of re-reading
 /// `std::thread::available_parallelism()` — which walks cgroup files on
 /// Linux — on every call.
 pub fn hardware_threads() -> usize {
