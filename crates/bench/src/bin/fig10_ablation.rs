@@ -17,20 +17,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run_all = !(wants("part") || wants("alpha") || wants("temperature"));
 
     println!("Figure 10 — ablations (profile: {})", profile.name);
+    let world = ablation::world(&profile)?;
 
     if run_all || wants("part") {
         let table =
-            ablation::finetuned_part_sweep(&profile, &paper_sweeps::FREEZE_LEVELS)?.to_table();
+            ablation::finetuned_part_sweep(&world, &paper_sweeps::FREEZE_LEVELS)?.to_table();
         output::print_table("Figure 10a — part of the model fine-tuned", &table);
         output::write_table_csv("fig10a_finetuned_part", &table)?;
     }
     if run_all || wants("alpha") {
-        let table = ablation::heterogeneity_sweep(&profile, &paper_sweeps::ALPHAS)?.to_table();
+        let table = ablation::heterogeneity_sweep(&world, &paper_sweeps::ALPHAS)?.to_table();
         output::print_table("Figure 10b — data heterogeneity", &table);
         output::write_table_csv("fig10b_heterogeneity", &table)?;
     }
     if run_all || wants("temperature") {
-        let table = ablation::temperature_sweep(&profile, &paper_sweeps::TEMPERATURES)?.to_table();
+        let table = ablation::temperature_sweep(&world, &paper_sweeps::TEMPERATURES)?.to_table();
         output::print_table("Figure 10c — hardened softmax temperature", &table);
         output::write_table_csv("fig10c_temperature", &table)?;
     }

@@ -5,23 +5,24 @@
 //! Usage: `cargo run --release -p fedft-bench --bin table2 [-- --profile fast|paper]`
 
 use fedft_bench::experiments::table2;
+use fedft_bench::scenario::{self, Scenario};
 use fedft_bench::{output, ExperimentProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = ExperimentProfile::from_env_and_args();
     println!("Table II / Figures 5-6 (profile: {})", profile.name);
-    let result = table2::run(&profile)?;
-    let main_table = result.to_table();
+    let scenarios = table2::run(&profile)?;
+    let main_table = scenario::accuracy_table(&scenarios, Scenario::heading, "Centralised");
     output::print_table(
         "Table II — global model top-1 accuracy (%), 10 clients, Pds = 10%",
         &main_table,
     );
-    let efficiency = result.efficiency_table();
+    let efficiency = scenario::efficiency_table(&scenarios, true);
     output::print_table("Figure 6 — learning efficiency", &efficiency);
 
     for (name, table) in [
         ("table2", &main_table),
-        ("fig5_learning_curves", &result.curves_table()),
+        ("fig5_learning_curves", &scenario::curves_table(&scenarios)),
         ("fig6_efficiency", &efficiency),
     ] {
         let path = output::write_table_csv(name, table)?;

@@ -8,7 +8,8 @@
 //! Usage: `cargo run --release -p fedft-bench --bin table3 [-- --profile fast|paper]`
 
 use fedft_bench::experiments::table3;
-use fedft_bench::{output, ExperimentProfile};
+use fedft_bench::scenario::{self, Scenario};
+use fedft_bench::{output, setup, ExperimentProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = ExperimentProfile::from_env_and_args();
@@ -17,30 +18,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         profile.name, profile.clients_large
     );
 
-    let result = table3::run(&profile)?;
-    let main_table = result.to_table();
+    let worlds = setup::image_worlds(&profile)?;
+    let accuracy_table =
+        |scenarios: &[Scenario]| scenario::accuracy_table(scenarios, Scenario::heading, "");
+
+    let scenarios = table3::run(&worlds)?;
+    let main_table = accuracy_table(&scenarios);
     output::print_table(
         "Table III — top-1 accuracy (%) with fixed-fraction stragglers",
         &main_table,
     );
-    let efficiency = result.efficiency_table();
+    let efficiency = scenario::efficiency_table(&scenarios, false);
     output::print_table("Figure 7 — learning efficiency (large pool)", &efficiency);
     for (name, table) in [
         ("table3", &main_table),
         ("fig7_efficiency", &efficiency),
-        ("fig8_9_learning_curves", &result.curves_table()),
+        (
+            "fig8_9_learning_curves",
+            &scenario::curves_table(&scenarios),
+        ),
     ] {
         let path = output::write_table_csv(name, table)?;
         println!("wrote {}", path.display());
     }
 
-    let result = table3::run_emergent(&profile)?;
-    let main_table = result.to_table();
+    let scenarios = table3::run_emergent(&worlds)?;
+    let main_table = accuracy_table(&scenarios);
     output::print_table(
         "Table III (emergent) — two-tier device mix under a round deadline",
         &main_table,
     );
-    let participation = result.participation_table();
+    let participation = scenario::participation_table(&scenarios);
     output::print_table(
         "Emergent straggler participation (mean clients / drops / wall clock)",
         &participation,
@@ -53,13 +61,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("wrote {}", path.display());
     }
 
-    let result = table3::run_async(&profile)?;
-    let main_table = result.to_table();
+    let scenarios = table3::run_async(&worlds)?;
+    let main_table = accuracy_table(&scenarios);
     output::print_table(
         "Table III (async) — accuracy vs max_staleness, two-tier mix",
         &main_table,
     );
-    let staleness = result.staleness_table();
+    let staleness = scenario::staleness_table(&scenarios);
     output::print_table(
         "Async staleness (mean / max / stale updates / wall clock)",
         &staleness,

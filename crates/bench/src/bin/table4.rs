@@ -4,13 +4,17 @@
 //! Usage: `cargo run --release -p fedft-bench --bin table4 [-- --profile fast|paper]`
 
 use fedft_bench::experiments::table4;
-use fedft_bench::{output, ExperimentProfile};
+use fedft_bench::{output, scenario, ExperimentProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = ExperimentProfile::from_env_and_args();
     println!("Table IV (profile: {})", profile.name);
     let result = table4::run(&profile)?;
-    let table = result.to_table();
+    let table = scenario::accuracy_table(
+        std::slice::from_ref(&result),
+        |_| "Top-1 Acc".into(),
+        "Centralised learning",
+    );
     output::print_table(
         &format!(
             "Table IV — top-1 accuracy (%) on GSC-like, Diri({})",

@@ -10,11 +10,11 @@
 //! selection so the gap between them can be read directly.
 
 use crate::profile::ExperimentProfile;
-use crate::setup::{self, Task};
+use crate::scenario::{RunSpec, Scenario};
+use crate::setup::{self, Task, World};
 use fedft_analysis::{report, Table};
-use fedft_core::{FlError, SelectionStrategy, Simulation};
-use fedft_data::FederatedDataset;
-use fedft_nn::{BlockNet, FreezeLevel};
+use fedft_core::{FlError, RunResult, SelectionStrategy};
+use fedft_nn::FreezeLevel;
 use serde::{Deserialize, Serialize};
 
 /// Selection proportion used throughout the ablation (paper: 50%).
@@ -60,36 +60,49 @@ impl AblationSweep {
     }
 }
 
-struct AblationContext {
-    fed: FederatedDataset,
-    pretrained: BlockNet,
+/// The world every sweep runs on: the CIFAR-100-like task.
+///
+/// # Errors
+///
+/// Propagates [`World::build`] errors.
+pub fn world(profile: &ExperimentProfile) -> Result<World, FlError> {
+    World::build(profile, Task::Cifar100)
 }
 
-fn context(profile: &ExperimentProfile, alpha: f64) -> Result<AblationContext, FlError> {
-    let source = setup::source_bundle(profile)?;
-    let target = setup::target_bundle(profile, Task::Cifar100)?;
-    let pretrained = setup::pretrained_model(profile, &source, &target)?;
-    let fed = setup::federate(&target, profile.clients_large, alpha, profile.seed)?;
-    Ok(AblationContext { fed, pretrained })
-}
-
-fn run_pair(
-    profile: &ExperimentProfile,
-    ctx: &AblationContext,
-    freeze: FreezeLevel,
-    temperature: f32,
-) -> Result<(f32, f32), FlError> {
-    let base = setup::base_config(profile, profile.rounds_large).with_freeze(freeze);
-    let eds_cfg = base.clone().with_selection(SelectionStrategy::Entropy {
+/// Entropy-based selection of `P_ds` at softmax temperature ρ.
+fn eds(temperature: f32) -> SelectionStrategy {
+    SelectionStrategy::Entropy {
         fraction: ABLATION_PDS,
         temperature,
-    });
-    let rds_cfg = base.with_selection(SelectionStrategy::Random {
-        fraction: ABLATION_PDS,
-    });
-    let eds = Simulation::new(eds_cfg)?.run_labelled("FedFT-EDS", &ctx.fed, &ctx.pretrained)?;
-    let rds = Simulation::new(rds_cfg)?.run_labelled("FedFT-RDS", &ctx.fed, &ctx.pretrained)?;
-    Ok((eds.best_accuracy(), rds.best_accuracy()))
+    }
+}
+
+/// Random selection of `P_ds`.
+const RDS: SelectionStrategy = SelectionStrategy::Random {
+    fraction: ABLATION_PDS,
+};
+
+/// Runs FedFT from the pretrained model at each (freeze level, selection)
+/// of `runs` on the world's Dirichlet(`alpha`) split of the large pool, and
+/// returns each run's best accuracy, in order.
+fn best_accuracies(
+    world: &World,
+    alpha: f64,
+    runs: &[(FreezeLevel, SelectionStrategy)],
+) -> Result<Vec<f32>, FlError> {
+    let profile = world.profile();
+    let scenario = Scenario::run(world, profile.clients_large, alpha, |_| {
+        runs.iter()
+            .map(|&(freeze, selection)| RunSpec {
+                label: format!("FedFT-{}", selection.short_name().to_uppercase()),
+                config: setup::base_config(profile, profile.rounds_large)
+                    .with_freeze(freeze)
+                    .with_selection(selection),
+                initial: world.pretrained(),
+            })
+            .collect()
+    })?;
+    Ok(scenario.runs.iter().map(RunResult::best_accuracy).collect())
 }
 
 /// Figure 10a: sweep over the fine-tuned part of the model.
@@ -98,19 +111,23 @@ fn run_pair(
 ///
 /// Propagates simulation errors.
 pub fn finetuned_part_sweep(
-    profile: &ExperimentProfile,
+    world: &World,
     levels: &[FreezeLevel],
 ) -> Result<AblationSweep, FlError> {
-    let ctx = context(profile, 0.1)?;
-    let mut points = Vec::new();
-    for &level in levels {
-        let (eds, rds) = run_pair(profile, &ctx, level, 0.1)?;
-        points.push(AblationPoint {
+    let runs: Vec<_> = levels
+        .iter()
+        .flat_map(|&level| [(level, eds(0.1)), (level, RDS)])
+        .collect();
+    let accuracies = best_accuracies(world, 0.1, &runs)?;
+    let points = levels
+        .iter()
+        .zip(accuracies.chunks(2))
+        .map(|(level, pair)| AblationPoint {
             setting: level.to_string(),
-            eds_accuracy: eds,
-            rds_accuracy: rds,
-        });
-    }
+            eds_accuracy: pair[0],
+            rds_accuracy: pair[1],
+        })
+        .collect();
     Ok(AblationSweep {
         name: "finetuned-part".into(),
         points,
@@ -122,18 +139,18 @@ pub fn finetuned_part_sweep(
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn heterogeneity_sweep(
-    profile: &ExperimentProfile,
-    alphas: &[f64],
-) -> Result<AblationSweep, FlError> {
+pub fn heterogeneity_sweep(world: &World, alphas: &[f64]) -> Result<AblationSweep, FlError> {
+    let pair = [
+        (FreezeLevel::Moderate, eds(0.1)),
+        (FreezeLevel::Moderate, RDS),
+    ];
     let mut points = Vec::new();
     for &alpha in alphas {
-        let ctx = context(profile, alpha)?;
-        let (eds, rds) = run_pair(profile, &ctx, FreezeLevel::Moderate, 0.1)?;
+        let accuracies = best_accuracies(world, alpha, &pair)?;
         points.push(AblationPoint {
             setting: format!("Diri({alpha})"),
-            eds_accuracy: eds,
-            rds_accuracy: rds,
+            eds_accuracy: accuracies[0],
+            rds_accuracy: accuracies[1],
         });
     }
     Ok(AblationSweep {
@@ -147,35 +164,24 @@ pub fn heterogeneity_sweep(
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn temperature_sweep(
-    profile: &ExperimentProfile,
-    temperatures: &[f32],
-) -> Result<AblationSweep, FlError> {
-    let ctx = context(profile, 0.1)?;
+pub fn temperature_sweep(world: &World, temperatures: &[f32]) -> Result<AblationSweep, FlError> {
     // RDS does not depend on the temperature; run it once as the baseline.
-    let base = setup::base_config(profile, profile.rounds_large).with_freeze(FreezeLevel::Moderate);
-    let rds_cfg = base.clone().with_selection(SelectionStrategy::Random {
-        fraction: ABLATION_PDS,
-    });
-    let rds = Simulation::new(rds_cfg)?
-        .run_labelled("FedFT-RDS", &ctx.fed, &ctx.pretrained)?
-        .best_accuracy();
-
-    let mut points = Vec::new();
-    for &temperature in temperatures {
-        let eds_cfg = base.clone().with_selection(SelectionStrategy::Entropy {
-            fraction: ABLATION_PDS,
-            temperature,
-        });
-        let eds = Simulation::new(eds_cfg)?
-            .run_labelled("FedFT-EDS", &ctx.fed, &ctx.pretrained)?
-            .best_accuracy();
-        points.push(AblationPoint {
+    let mut runs = vec![(FreezeLevel::Moderate, RDS)];
+    runs.extend(
+        temperatures
+            .iter()
+            .map(|&t| (FreezeLevel::Moderate, eds(t))),
+    );
+    let accuracies = best_accuracies(world, 0.1, &runs)?;
+    let points = temperatures
+        .iter()
+        .zip(&accuracies[1..])
+        .map(|(temperature, &eds)| AblationPoint {
             setting: format!("rho={temperature}"),
             eds_accuracy: eds,
-            rds_accuracy: rds,
-        });
-    }
+            rds_accuracy: accuracies[0],
+        })
+        .collect();
     Ok(AblationSweep {
         name: "temperature".into(),
         points,
@@ -205,10 +211,9 @@ mod tests {
 
     #[test]
     fn finetuned_part_sweep_runs_both_selectors() {
-        let profile = ExperimentProfile::tiny();
-        let sweep =
-            finetuned_part_sweep(&profile, &[FreezeLevel::Moderate, FreezeLevel::Classifier])
-                .unwrap();
+        let world = world(&ExperimentProfile::tiny()).unwrap();
+        let sweep = finetuned_part_sweep(&world, &[FreezeLevel::Moderate, FreezeLevel::Classifier])
+            .unwrap();
         assert_eq!(sweep.points.len(), 2);
         assert_eq!(sweep.to_table().len(), 2);
         for p in &sweep.points {
@@ -219,16 +224,16 @@ mod tests {
 
     #[test]
     fn temperature_sweep_uses_one_rds_baseline() {
-        let profile = ExperimentProfile::tiny();
-        let sweep = temperature_sweep(&profile, &[0.1, 5.0]).unwrap();
+        let world = world(&ExperimentProfile::tiny()).unwrap();
+        let sweep = temperature_sweep(&world, &[0.1, 5.0]).unwrap();
         assert_eq!(sweep.points.len(), 2);
         assert_eq!(sweep.points[0].rds_accuracy, sweep.points[1].rds_accuracy);
     }
 
     #[test]
     fn heterogeneity_sweep_runs() {
-        let profile = ExperimentProfile::tiny();
-        let sweep = heterogeneity_sweep(&profile, &[0.5]).unwrap();
+        let world = world(&ExperimentProfile::tiny()).unwrap();
+        let sweep = heterogeneity_sweep(&world, &[0.5]).unwrap();
         assert_eq!(sweep.points.len(), 1);
         assert!(sweep.points[0].setting.contains("0.5"));
     }

@@ -9,7 +9,7 @@
 //! feature extractor.
 
 use crate::profile::ExperimentProfile;
-use crate::setup::{self, Task};
+use crate::setup::{self, Task, World};
 use fedft_analysis::cka::{client_cka_matrix, mean_offdiagonal};
 use fedft_analysis::Table;
 use fedft_core::{FlConfig, FlError, Method};
@@ -39,16 +39,6 @@ pub struct CkaResult {
 }
 
 impl CkaResult {
-    /// Mean CKA for a given configuration, if present.
-    pub fn mean_cka(&self, pretrained: bool, alpha: f64, block: &str) -> Option<f64> {
-        self.cells
-            .iter()
-            .find(|c| {
-                c.pretrained == pretrained && (c.alpha - alpha).abs() < 1e-9 && c.block == block
-            })
-            .map(|c| c.mean_cka)
-    }
-
     /// Renders the Figure 4 summary (mean CKA per layer level).
     pub fn to_table(&self) -> Table {
         let mut table = Table::new(vec![
@@ -78,15 +68,12 @@ pub const BLOCKS: [BlockId; 3] = [BlockId::Low, BlockId::Mid, BlockId::Up];
 ///
 /// Propagates data generation, training and CKA errors.
 pub fn run(profile: &ExperimentProfile, alphas: &[f64]) -> Result<CkaResult, FlError> {
-    let source = setup::source_bundle(profile)?;
-    let target = setup::target_bundle(profile, Task::Cifar10)?;
-    let pretrained = setup::pretrained_model(profile, &source, &target)?;
-    let scratch = setup::scratch_model(profile, &target);
+    let world = World::build(profile, Task::Cifar10)?;
 
     let mut cells = Vec::new();
     for &alpha in alphas {
-        let fed = setup::federate(&target, profile.clients_small, alpha, profile.seed)?;
-        for (is_pretrained, initial) in [(false, &scratch), (true, &pretrained)] {
+        let fed = world.federate(profile.clients_small, alpha)?;
+        for (is_pretrained, initial) in [(false, world.scratch()), (true, world.pretrained())] {
             // One round of full-model local updates per client (FedAvg-style),
             // without aggregation: we want the *locally drifted* models.
             let config: FlConfig = Method::FedAvg.configure(setup::base_config(profile, 1));
@@ -129,8 +116,6 @@ mod tests {
             // The diagonal is exactly 1.
             assert!((cell.matrix[0][0] - 1.0).abs() < 1e-9);
         }
-        assert!(result.mean_cka(true, 0.5, "up").is_some());
-        assert!(result.mean_cka(true, 0.9, "up").is_none());
         assert_eq!(result.to_table().len(), 6);
     }
 }

@@ -6,12 +6,10 @@
 //! most uncertain samples easy to separate.
 
 use crate::profile::ExperimentProfile;
-use crate::setup::{self, Task};
+use crate::setup::{Task, World};
 use fedft_analysis::Table;
 use fedft_core::entropy::{sample_entropies, EntropyHistogram};
 use fedft_core::FlError;
-use fedft_data::federated::PartitionScheme;
-use fedft_data::FederatedDataset;
 use serde::{Deserialize, Serialize};
 
 /// Entropy histogram of one client's data at one temperature.
@@ -68,17 +66,9 @@ pub const BINS: usize = 10;
 ///
 /// Propagates generation, pretraining and inference errors.
 pub fn run(profile: &ExperimentProfile, temperatures: &[f32]) -> Result<EntropyFigResult, FlError> {
-    let source = setup::source_bundle(profile)?;
-    let target = setup::target_bundle(profile, Task::Cifar100)?;
-    let mut model = setup::pretrained_model(profile, &source, &target)?;
-
-    let fed = FederatedDataset::partition(
-        &target.train,
-        target.test.clone(),
-        profile.clients_small,
-        PartitionScheme::Dirichlet { alpha: 0.1 },
-        profile.seed,
-    )?;
+    let world = World::build(profile, Task::Cifar100)?;
+    let mut model = world.pretrained().clone();
+    let fed = world.federate(profile.clients_small, 0.1)?;
     let client_data = fed.client(0);
 
     let mut histograms = Vec::with_capacity(temperatures.len());

@@ -9,7 +9,7 @@
 //! | [`table3`] | Table III + Figures 7–9 — 100-client straggler scenario |
 //! | [`table4`] | Table IV — cross-domain (speech) evaluation |
 //! | [`ablation`] | Figure 10 — fine-tuned part, heterogeneity and temperature ablations |
-//! | [`policy_matrix`] | Policy layer — policy × heterogeneity mix × backend grid (not in the paper) |
+//! | [`policy_matrix`] | Policy layer — policy × heterogeneity mix grid (not in the paper) |
 
 pub mod ablation;
 pub mod cka_fig;

@@ -20,11 +20,12 @@
 //!   aggregation ([`fedft_core::Server::aggregate_mixed`]).
 
 use crate::profile::ExperimentProfile;
-use crate::setup::{self, Task};
+use crate::scenario::{RunSpec, Scenario};
+use crate::setup::{self, Task, World};
 use fedft_analysis::{report, Table};
 use fedft_core::{
     ClientSelection, ExecutionBackend, FlConfig, FlError, HeterogeneityModel, Method, RunResult,
-    SelectionStrategy, Simulation,
+    SelectionStrategy,
 };
 use fedft_nn::FreezeLevel;
 use serde::{Deserialize, Serialize};
@@ -89,7 +90,7 @@ impl PolicyVariant {
 
 /// The policy rows of the matrix: baseline first, then one row per policy
 /// change.
-pub fn policy_lineup() -> Vec<PolicyVariant> {
+fn policy_lineup() -> Vec<PolicyVariant> {
     vec![
         PolicyVariant::Baseline,
         PolicyVariant::Data(SelectionStrategy::Random {
@@ -135,7 +136,7 @@ impl Mix {
 }
 
 /// The mixes of the default matrix.
-pub fn mix_lineup() -> Vec<Mix> {
+fn mix_lineup() -> Vec<Mix> {
     vec![Mix::TwoTier, Mix::ThreeTier]
 }
 
@@ -227,44 +228,48 @@ impl PolicyMatrixResult {
 }
 
 /// Runs the matrix over explicit policy and mix lineups.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run_matrix(
+fn run_matrix(
     profile: &ExperimentProfile,
     policies: &[PolicyVariant],
     mixes: &[Mix],
 ) -> Result<PolicyMatrixResult, FlError> {
-    let source = setup::source_bundle(profile)?;
-    let target = setup::target_bundle(profile, Task::Cifar10)?;
-    let pretrained = setup::pretrained_model(profile, &source, &target)?;
-    let fed = setup::federate(&target, profile.clients_small, 0.5, profile.seed)?;
-
+    let world = World::build(profile, Task::Cifar10)?;
     let method = Method::FedFtEds { pds: MATRIX_PDS };
-    let mut cells = Vec::new();
-    for policy in policies {
-        for &mix in mixes {
-            let hetero = mix.model();
-            let base = method
-                .configure(setup::base_config(profile, profile.rounds_small))
-                .with_participation(MATRIX_PARTICIPATION)
-                .with_heterogeneity(hetero.clone())
-                .with_execution(ExecutionBackend::Parallel);
-            let config = policy.apply(base, hetero.num_tiers());
-            let label = format!("{} [{}]", policy.label(), mix.label());
-            let run = Simulation::new(config)?.run_labelled(label, &fed, &pretrained)?;
-            cells.push(PolicyCell {
-                policy: policy.label(),
-                mix: mix.label().to_string(),
-                run,
-            });
-        }
-    }
+    let cells: Vec<(&PolicyVariant, Mix)> = policies
+        .iter()
+        .flat_map(|policy| mixes.iter().map(move |&mix| (policy, mix)))
+        .collect();
+    let scenario = Scenario::run(&world, profile.clients_small, 0.5, |_| {
+        cells
+            .iter()
+            .map(|&(policy, mix)| {
+                let hetero = mix.model();
+                let base = method
+                    .configure(setup::base_config(profile, profile.rounds_small))
+                    .with_participation(MATRIX_PARTICIPATION)
+                    .with_heterogeneity(hetero.clone())
+                    .with_execution(ExecutionBackend::Parallel);
+                RunSpec {
+                    label: format!("{} [{}]", policy.label(), mix.label()),
+                    config: policy.apply(base, hetero.num_tiers()),
+                    initial: world.pretrained(),
+                }
+            })
+            .collect()
+    })?;
+    let cells = cells
+        .iter()
+        .zip(scenario.runs)
+        .map(|(&(policy, mix), run)| PolicyCell {
+            policy: policy.label(),
+            mix: mix.label().to_string(),
+            run,
+        })
+        .collect();
     Ok(PolicyMatrixResult { cells })
 }
 
-/// Runs the full default matrix: every policy of [`policy_lineup`] under
+/// Runs the full default matrix: every policy of the policy lineup under
 /// every mix.
 ///
 /// # Errors

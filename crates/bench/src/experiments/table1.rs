@@ -2,9 +2,10 @@
 //! task, with the largest gains under strong data heterogeneity.
 
 use crate::profile::ExperimentProfile;
-use crate::setup::{self, Task};
+use crate::scenario::{RunSpec, Scenario};
+use crate::setup::{self, Task, World};
 use fedft_analysis::{report, Table};
-use fedft_core::{FlError, Method, Simulation};
+use fedft_core::{FlError, Method};
 use fedft_data::domains;
 use serde::{Deserialize, Serialize};
 
@@ -71,47 +72,40 @@ pub fn run(profile: &ExperimentProfile) -> Result<Table1Result, FlError> {
 }
 
 /// Runs Table I for an explicit list of Dirichlet alphas.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run_with_alphas(
-    profile: &ExperimentProfile,
-    alphas: &[f64],
-) -> Result<Table1Result, FlError> {
-    let target = setup::target_bundle(profile, Task::Cifar10)?;
-    let scratch = setup::scratch_model(profile, &target);
-
-    // Pretraining source 1: the Small-ImageNet-like domain.
-    let imagenet_source = setup::source_bundle(profile)?;
-    let pretrained_imagenet = setup::pretrained_model(profile, &imagenet_source, &target)?;
+fn run_with_alphas(profile: &ExperimentProfile, alphas: &[f64]) -> Result<Table1Result, FlError> {
+    // Pretraining source 1, the world's own: the Small-ImageNet-like domain.
+    let world = World::build(profile, Task::Cifar10)?;
 
     // Pretraining source 2: a CIFAR-100-like domain used as the source.
     let cifar100_source = domains::cifar100_like()
         .with_samples_per_class(profile.samples_per_class_c100.max(4))
         .with_test_samples_per_class(profile.test_samples_per_class)
         .generate(profile.seed ^ 0xC1)?;
-    let pretrained_cifar100 = setup::pretrained_model(profile, &cifar100_source, &target)?;
+    let pretrained_cifar100 = setup::pretrained_model(profile, &cifar100_source, world.target())?;
 
+    let sources = [
+        ("none", world.scratch()),
+        ("CIFAR-100", &pretrained_cifar100),
+        ("Small ImageNet", world.pretrained()),
+    ];
     let mut rows = Vec::new();
     for &alpha in alphas {
-        let fed = setup::federate(&target, profile.clients_small, alpha, profile.seed)?;
-        let base = setup::base_config(profile, profile.rounds_small);
-        for (label, model) in [
-            ("none", &scratch),
-            ("CIFAR-100", &pretrained_cifar100),
-            ("Small ImageNet", &pretrained_imagenet),
-        ] {
-            let config = Method::FedAvg.configure(base.clone());
-            let result = Simulation::new(config)?.run_labelled(
-                format!("FedAvg (pretraining: {label})"),
-                &fed,
-                model,
-            )?;
+        let scenario = Scenario::run(&world, profile.clients_small, alpha, |_| {
+            let base = setup::base_config(profile, profile.rounds_small);
+            sources
+                .iter()
+                .map(|&(label, initial)| RunSpec {
+                    label: format!("FedAvg (pretraining: {label})"),
+                    config: Method::FedAvg.configure(base.clone()),
+                    initial,
+                })
+                .collect()
+        })?;
+        for (&(label, _), run) in sources.iter().zip(&scenario.runs) {
             rows.push(Table1Row {
                 pretraining: label.to_string(),
                 alpha,
-                accuracy: result.best_accuracy(),
+                accuracy: run.best_accuracy(),
             });
         }
     }

@@ -6,190 +6,41 @@
 //! learning-efficiency points of Figure 6.
 
 use crate::profile::ExperimentProfile;
-use crate::setup::{self, Task};
-use fedft_analysis::curves::{efficiency_points, EfficiencyPoint};
-use fedft_analysis::{report, Table};
-use fedft_core::baseline::centralised_baseline;
-use fedft_core::{FlError, Method, RunResult};
-use serde::{Deserialize, Serialize};
+use crate::scenario::{RunSpec, Scenario};
+use crate::setup::{self, World};
+use fedft_core::{FlError, Method};
 
 /// Selection proportion `P_ds` used by the selection-based methods in Table II.
 pub const TABLE2_PDS: f64 = 0.1;
 
-/// Results for one (task, alpha) scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioResult {
-    /// Target task label.
-    pub task: String,
-    /// Dirichlet concentration.
-    pub alpha: f64,
-    /// Federated runs, one per method (in Table II order).
-    pub runs: Vec<RunResult>,
-    /// Accuracy of the centralised upper bound.
-    pub centralised_accuracy: f32,
+/// The methods of Table II in presentation order, at a given selection
+/// proportion.
+pub fn lineup(pds: f64) -> Vec<Method> {
+    let mu = Method::DEFAULT_MU;
+    vec![
+        Method::FedAvgScratch,
+        Method::FedAvg,
+        Method::FedAvgRds { pds },
+        Method::FedProx { mu },
+        Method::FedProxRds { mu, pds },
+        Method::FedFtRds { pds },
+        Method::FedFtEds { pds },
+    ]
 }
 
-impl ScenarioResult {
-    /// Best accuracy of the run with the given label, if present.
-    pub fn best_accuracy_of(&self, label: &str) -> Option<f32> {
-        self.runs
-            .iter()
-            .find(|r| r.label == label)
-            .map(RunResult::best_accuracy)
-    }
-
-    /// Learning-efficiency points (Figure 6) for this scenario.
-    pub fn efficiency_points(&self) -> Vec<EfficiencyPoint> {
-        efficiency_points(&self.runs)
-    }
-}
-
-/// Result of the complete Table II experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Table2Result {
-    /// One entry per (task, alpha) combination.
-    pub scenarios: Vec<ScenarioResult>,
-}
-
-impl Table2Result {
-    /// Renders the paper's Table II: one row per method, one accuracy column
-    /// per scenario.
-    pub fn to_table(&self) -> Table {
-        let mut headers = vec!["Method".to_string()];
-        for s in &self.scenarios {
-            headers.push(format!("{} α={}", s.task, s.alpha));
-        }
-        let mut table = Table::new(headers);
-        if self.scenarios.is_empty() {
-            return table;
-        }
-        let method_labels: Vec<String> = self.scenarios[0]
-            .runs
-            .iter()
-            .map(|r| r.label.clone())
-            .collect();
-        for label in &method_labels {
-            let mut row = vec![label.clone()];
-            for scenario in &self.scenarios {
-                row.push(
-                    scenario
-                        .best_accuracy_of(label)
-                        .map_or("-".into(), |a| report::pct(f64::from(a))),
-                );
-            }
-            let _ = table.add_row(row);
-        }
-        let mut centralised_row = vec!["Centralised".to_string()];
-        for scenario in &self.scenarios {
-            centralised_row.push(report::pct(f64::from(scenario.centralised_accuracy)));
-        }
-        let _ = table.add_row(centralised_row);
-        table
-    }
-
-    /// Renders the Figure 5 learning curves as a long-format table
-    /// (scenario, method, round, accuracy).
-    pub fn curves_table(&self) -> Table {
-        let mut table = Table::new(vec![
-            "task".into(),
-            "alpha".into(),
-            "method".into(),
-            "round".into(),
-            "accuracy_pct".into(),
-        ]);
-        for scenario in &self.scenarios {
-            for run in &scenario.runs {
-                for record in &run.rounds {
-                    let _ = table.add_row(vec![
-                        scenario.task.clone(),
-                        format!("{}", scenario.alpha),
-                        run.label.clone(),
-                        record.round.to_string(),
-                        report::pct(f64::from(record.test_accuracy)),
-                    ]);
-                }
-            }
-        }
-        table
-    }
-
-    /// Renders the Figure 6 learning-efficiency points, under **both**
-    /// workload accountings: the paper-faithful one (frozen prefix
-    /// recomputed on every batch and selection pass, as on the paper's
-    /// devices) and the cached one (boundary activations memoised, only the
-    /// trainable suffix billed). The cached columns quantify the additional
-    /// efficiency headroom partial training offers a device that caches its
-    /// frozen features.
-    pub fn efficiency_table(&self) -> Table {
-        let mut table = Table::new(vec![
-            "task".into(),
-            "alpha".into(),
-            "method".into(),
-            "best_accuracy_pct".into(),
-            "efficiency_pct_per_s".into(),
-            "total_client_seconds".into(),
-            "cached_efficiency_pct_per_s".into(),
-            "total_client_seconds_cached".into(),
-        ]);
-        for scenario in &self.scenarios {
-            for point in scenario.efficiency_points() {
-                let _ = table.add_row(vec![
-                    scenario.task.clone(),
-                    format!("{}", scenario.alpha),
-                    point.label.clone(),
-                    format!("{:.2}", point.best_accuracy_pct),
-                    report::eff(point.efficiency),
-                    format!("{:.1}", point.total_client_seconds),
-                    report::eff(point.cached_efficiency),
-                    format!("{:.1}", point.total_client_seconds_cached),
-                ]);
-            }
-        }
-        table
-    }
-}
-
-/// Runs one (task, alpha) scenario with the Table II method lineup.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run_scenario(
-    profile: &ExperimentProfile,
-    task: Task,
-    alpha: f64,
-    pds: f64,
-) -> Result<ScenarioResult, FlError> {
-    let source = setup::source_bundle(profile)?;
-    let target = setup::target_bundle(profile, task)?;
-    let pretrained = setup::pretrained_model(profile, &source, &target)?;
-    let scratch = setup::scratch_model(profile, &target);
-    let fed = setup::federate(&target, profile.clients_small, alpha, profile.seed)?;
+/// Runs the Table II lineup on one (task, α) split of a world, with the
+/// centralised upper bound.
+fn run_scenario(world: &World, alpha: f64, pds: f64) -> Result<Scenario, FlError> {
+    let profile = world.profile();
     let base = setup::base_config(profile, profile.rounds_small);
-
-    let mut runs = Vec::new();
-    for method in Method::table2_lineup(pds) {
-        runs.push(setup::run_method(
-            method,
-            base.clone(),
-            &fed,
-            &pretrained,
-            &scratch,
-        )?);
-    }
-    let centralised = centralised_baseline(
-        &target,
-        &setup::model_config(profile, &target),
-        Some(&pretrained),
-        profile.centralised_epochs,
-        profile.seed,
-    )?;
-    Ok(ScenarioResult {
-        task: task.label().to_string(),
-        alpha,
-        runs,
-        centralised_accuracy: centralised.test_accuracy,
-    })
+    let mut scenario = Scenario::run(world, profile.clients_small, alpha, |_| {
+        lineup(pds)
+            .into_iter()
+            .map(|method| RunSpec::method(world, method, base.clone()))
+            .collect()
+    })?;
+    scenario.centralised = Some(world.centralised_accuracy()?);
+    Ok(scenario)
 }
 
 /// Runs the full Table II experiment: both tasks, both heterogeneity levels.
@@ -197,19 +48,24 @@ pub fn run_scenario(
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn run(profile: &ExperimentProfile) -> Result<Table2Result, FlError> {
-    let mut scenarios = Vec::new();
-    for task in [Task::Cifar10, Task::Cifar100] {
-        for alpha in [0.1, 0.5] {
-            scenarios.push(run_scenario(profile, task, alpha, TABLE2_PDS)?);
-        }
-    }
-    Ok(Table2Result { scenarios })
+pub fn run(profile: &ExperimentProfile) -> Result<Vec<Scenario>, FlError> {
+    Scenario::grid(
+        &setup::image_worlds(profile)?,
+        &[0.1, 0.5],
+        |world, alpha| run_scenario(world, alpha, TABLE2_PDS),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario;
+    use crate::setup::Task;
+
+    #[test]
+    fn table2_lineup_has_seven_methods() {
+        assert_eq!(lineup(0.1).len(), 7);
+    }
 
     #[test]
     fn scenario_runs_all_methods_with_paper_labels() {
@@ -218,7 +74,8 @@ mod tests {
         // the orderings themselves are asserted by the integration tests and
         // the fast-profile experiment runs recorded in EXPERIMENTS.md.
         let profile = ExperimentProfile::tiny();
-        let scenario = run_scenario(&profile, Task::Cifar10, 0.5, 0.5).unwrap();
+        let world = World::build(&profile, Task::Cifar10).unwrap();
+        let scenario = run_scenario(&world, 0.5, 0.5).unwrap();
         assert_eq!(scenario.runs.len(), 7);
         for label in [
             "FedAvg w/o pretraining",
@@ -234,27 +91,24 @@ mod tests {
                 "missing run for {label}"
             );
         }
-        assert!(scenario.centralised_accuracy > 0.0);
-        assert!(!scenario.efficiency_points().is_empty());
-        for point in scenario.efficiency_points() {
+        assert!(scenario.centralised.unwrap() > 0.0);
+        for run in &scenario.runs {
             // The cached accounting can only remove work (the frozen
             // forward), so cached efficiency dominates the paper-faithful
             // one — with equality for full-model training.
             assert!(
-                point.cached_efficiency >= point.efficiency,
+                run.cached_learning_efficiency() >= run.learning_efficiency(),
                 "{}: cached {} < paper {}",
-                point.label,
-                point.cached_efficiency,
-                point.efficiency
+                run.label,
+                run.cached_learning_efficiency(),
+                run.learning_efficiency()
             );
         }
 
-        let result = Table2Result {
-            scenarios: vec![scenario],
-        };
-        let table = result.to_table();
+        let scenarios = [scenario];
+        let table = scenario::accuracy_table(&scenarios, Scenario::heading, "Centralised");
         assert_eq!(table.len(), 8, "7 methods + centralised row");
-        assert!(!result.curves_table().is_empty());
-        assert_eq!(result.efficiency_table().len(), 7);
+        assert!(!scenario::curves_table(&scenarios).is_empty());
+        assert_eq!(scenario::efficiency_table(&scenarios, true).len(), 7);
     }
 }

@@ -1,38 +1,40 @@
 //! Table III + Figures 7–9 — the 100-client straggler scenario.
 //!
-//! Three straggler models are offered side by side:
+//! Three straggler models are offered side by side, each on the
+//! CIFAR-10-like and CIFAR-100-like worlds at two heterogeneity levels:
 //!
-//! * **Fixed-fraction** ([`lineup`] / [`run_scenario`]): FedAvg is run at
-//!   three participation fractions (`fn` ∈ {100%, 20%, 10%}) to model
-//!   stragglers dropping out under the heavy full-model workload, while the
-//!   FedFT variants assume full participation thanks to their reduced
-//!   workload. This mirrors the paper's Table III setup verbatim.
-//! * **Emergent** ([`emergent_methods`] / [`run_emergent_scenario`]): every
-//!   method is nominally offered the full client pool, but the pool is a
-//!   heterogeneous two-tier device mix running under a round deadline
-//!   ([`fedft_core::ExecutionBackend::Deadline`]). Slow-tier clients that cannot fit
-//!   the full-model round inside the deadline drop out *on their own* —
-//!   "FedAvg loses stragglers, FedFT keeps them" becomes a result of the
-//!   workload model instead of a configured fraction.
-//! * **Async bounded-staleness** ([`async_staleness_levels`] /
-//!   [`run_async_scenario`]): the third answer to stragglers — neither
-//!   shrink the pool nor drop the slow tier, but *overlap* rounds with
-//!   [`fedft_core::ExecutionBackend::Async`]. The same two-tier mix is swept over
-//!   `max_staleness` bounds; accuracy vs staleness (and the shrinking
-//!   simulated wall clock, see [`Table3Result::staleness_table`]) shows the
-//!   freshness/throughput trade-off next to the other two lineups.
+//! * **Fixed-fraction** ([`lineup`] / [`run`]): FedAvg is run at three
+//!   participation fractions (`fn` ∈ {100%, 20%, 10%}) to model stragglers
+//!   dropping out under the heavy full-model workload, while the FedFT
+//!   variants assume full participation thanks to their reduced workload.
+//!   This mirrors the paper's Table III setup verbatim.
+//! * **Emergent** ([`run_emergent`]): every method is nominally offered the
+//!   full client pool, but the pool is a heterogeneous two-tier device mix
+//!   running under a round deadline
+//!   ([`fedft_core::ExecutionBackend::Deadline`]). Slow-tier clients that
+//!   cannot fit the full-model round inside the deadline drop out *on their
+//!   own* — "FedAvg loses stragglers, FedFT keeps them" becomes a result of
+//!   the workload model instead of a configured fraction.
+//! * **Async bounded-staleness** ([`run_async`]): the third answer to
+//!   stragglers — neither shrink the pool nor drop the slow tier, but
+//!   *overlap* rounds with [`fedft_core::ExecutionBackend::Async`]. The same
+//!   two-tier mix is swept over `max_staleness` bounds; accuracy vs
+//!   staleness (and the shrinking simulated wall clock, see
+//!   [`crate::scenario::staleness_table`]) shows the freshness/throughput
+//!   trade-off next to the other two lineups.
 //!
 //! The same runs provide the learning-efficiency points of Figure 7 and the
 //! learning curves of Figures 8 and 9.
 
-use crate::profile::ExperimentProfile;
-use crate::setup::{self, Task};
-use fedft_analysis::curves::efficiency_points;
-use fedft_analysis::{report, Table};
-use fedft_core::{FlConfig, FlError, HeterogeneityModel, Method, RunResult, Simulation};
+use crate::scenario::{RunSpec, Scenario};
+use crate::setup::{self, World};
+use fedft_core::{FlConfig, FlError, HeterogeneityModel, Method};
 use fedft_data::FederatedDataset;
 use fedft_nn::BlockNet;
 use serde::{Deserialize, Serialize};
+
+/// The Dirichlet concentrations of every Table III lineup.
+const ALPHAS: [f64; 2] = [0.1, 0.5];
 
 /// A named entry of the Table III lineup: a method plus the participation
 /// fraction it runs with.
@@ -61,269 +63,63 @@ impl LineupEntry {
 
 /// The Table III lineup of methods.
 pub fn lineup() -> Vec<LineupEntry> {
+    let entry = |method, participation| LineupEntry {
+        method,
+        participation,
+    };
     vec![
-        LineupEntry {
-            method: Method::FedAvgScratch,
-            participation: 1.0,
-        },
-        LineupEntry {
-            method: Method::FedAvg,
-            participation: 1.0,
-        },
-        LineupEntry {
-            method: Method::FedAvg,
-            participation: 0.2,
-        },
-        LineupEntry {
-            method: Method::FedAvg,
-            participation: 0.1,
-        },
-        LineupEntry {
-            method: Method::FedFtRds { pds: 0.1 },
-            participation: 1.0,
-        },
-        LineupEntry {
-            method: Method::FedFtEds { pds: 0.1 },
-            participation: 1.0,
-        },
-        LineupEntry {
-            method: Method::FedFtAll,
-            participation: 1.0,
-        },
-        LineupEntry {
-            method: Method::FedFtRds { pds: 0.5 },
-            participation: 1.0,
-        },
-        LineupEntry {
-            method: Method::FedFtEds { pds: 0.5 },
-            participation: 1.0,
-        },
+        entry(Method::FedAvgScratch, 1.0),
+        entry(Method::FedAvg, 1.0),
+        entry(Method::FedAvg, 0.2),
+        entry(Method::FedAvg, 0.1),
+        entry(Method::FedFtRds { pds: 0.1 }, 1.0),
+        entry(Method::FedFtEds { pds: 0.1 }, 1.0),
+        entry(Method::FedFtAll, 1.0),
+        entry(Method::FedFtRds { pds: 0.5 }, 1.0),
+        entry(Method::FedFtEds { pds: 0.5 }, 1.0),
     ]
 }
 
-/// Results for one (task, alpha) scenario of Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StragglerScenario {
-    /// Target task label.
-    pub task: String,
-    /// Dirichlet concentration.
-    pub alpha: f64,
-    /// One run per lineup entry, labelled with [`LineupEntry::label`].
-    pub runs: Vec<RunResult>,
-}
-
-impl StragglerScenario {
-    /// Best accuracy of the run with the given label, if present.
-    pub fn best_accuracy_of(&self, label: &str) -> Option<f32> {
-        self.runs
+/// Runs the fixed-fraction Table III lineup (`entries`) on one (task, α)
+/// split of a world.
+fn run_scenario(world: &World, alpha: f64, entries: &[LineupEntry]) -> Result<Scenario, FlError> {
+    let profile = world.profile();
+    Scenario::run(world, profile.clients_large, alpha, |_| {
+        entries
             .iter()
-            .find(|r| r.label == label)
-            .map(RunResult::best_accuracy)
-    }
-}
-
-/// Result of the full Table III experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Table3Result {
-    /// One entry per (task, alpha) combination.
-    pub scenarios: Vec<StragglerScenario>,
-}
-
-impl Table3Result {
-    /// Renders the paper's Table III.
-    pub fn to_table(&self) -> Table {
-        let mut headers = vec!["Method".to_string()];
-        for s in &self.scenarios {
-            headers.push(format!("{} α={}", s.task, s.alpha));
-        }
-        let mut table = Table::new(headers);
-        if self.scenarios.is_empty() {
-            return table;
-        }
-        for label in self.scenarios[0].runs.iter().map(|r| r.label.clone()) {
-            let mut row = vec![label.clone()];
-            for scenario in &self.scenarios {
-                row.push(
-                    scenario
-                        .best_accuracy_of(&label)
-                        .map_or("-".into(), |a| report::pct(f64::from(a))),
-                );
-            }
-            let _ = table.add_row(row);
-        }
-        table
-    }
-
-    /// Renders the Figure 7 learning-efficiency points.
-    pub fn efficiency_table(&self) -> Table {
-        let mut table = Table::new(vec![
-            "task".into(),
-            "alpha".into(),
-            "method".into(),
-            "best_accuracy_pct".into(),
-            "efficiency_pct_per_s".into(),
-        ]);
-        for scenario in &self.scenarios {
-            for point in efficiency_points(&scenario.runs) {
-                let _ = table.add_row(vec![
-                    scenario.task.clone(),
-                    format!("{}", scenario.alpha),
-                    point.label,
-                    format!("{:.2}", point.best_accuracy_pct),
-                    report::eff(point.efficiency),
-                ]);
-            }
-        }
-        table
-    }
-
-    /// Renders a straggler-participation summary: per run, the mean number
-    /// of participants per round, total scheduler drops and the simulated
-    /// wall-clock time of the whole run. Most interesting for emergent
-    /// scenarios, where these columns are results rather than inputs.
-    pub fn participation_table(&self) -> Table {
-        let mut table = Table::new(vec![
-            "task".into(),
-            "alpha".into(),
-            "method".into(),
-            "mean_participants".into(),
-            "dropped_total".into(),
-            "wall_clock_s".into(),
-        ]);
-        for scenario in &self.scenarios {
-            for run in &scenario.runs {
-                let _ = table.add_row(vec![
-                    scenario.task.clone(),
-                    format!("{}", scenario.alpha),
-                    run.label.clone(),
-                    format!("{:.1}", run.mean_participants()),
-                    run.total_dropped_clients().to_string(),
-                    format!("{:.1}", run.total_wall_seconds()),
-                ]);
-            }
-        }
-        table
-    }
-
-    /// Renders a staleness summary: per run, the mean and maximum staleness
-    /// of aggregated updates, the share of stale updates and the simulated
-    /// wall clock. Only the async lineup produces non-zero staleness; the
-    /// wall-clock column shows what the overlap buys.
-    pub fn staleness_table(&self) -> Table {
-        let mut table = Table::new(vec![
-            "task".into(),
-            "alpha".into(),
-            "method".into(),
-            "mean_staleness".into(),
-            "max_staleness".into(),
-            "stale_updates".into(),
-            "wall_clock_s".into(),
-        ]);
-        for scenario in &self.scenarios {
-            for run in &scenario.runs {
-                let _ = table.add_row(vec![
-                    scenario.task.clone(),
-                    format!("{}", scenario.alpha),
-                    run.label.clone(),
-                    format!("{:.2}", run.mean_update_staleness()),
-                    run.max_update_staleness().to_string(),
-                    run.stale_update_count().to_string(),
-                    format!("{:.1}", run.total_wall_seconds()),
-                ]);
-            }
-        }
-        table
-    }
-
-    /// Renders the Figures 8/9 learning curves as a long-format table.
-    pub fn curves_table(&self) -> Table {
-        let mut table = Table::new(vec![
-            "task".into(),
-            "alpha".into(),
-            "method".into(),
-            "round".into(),
-            "accuracy_pct".into(),
-        ]);
-        for scenario in &self.scenarios {
-            for run in &scenario.runs {
-                for record in &run.rounds {
-                    let _ = table.add_row(vec![
-                        scenario.task.clone(),
-                        format!("{}", scenario.alpha),
-                        run.label.clone(),
-                        record.round.to_string(),
-                        report::pct(f64::from(record.test_accuracy)),
-                    ]);
+            .map(|entry| {
+                let base = setup::base_config(profile, profile.rounds_large)
+                    .with_participation(entry.participation);
+                RunSpec {
+                    label: entry.label(),
+                    ..RunSpec::method(world, entry.method, base)
                 }
-            }
-        }
-        table
-    }
-}
-
-/// Runs one (task, alpha) scenario with the Table III lineup.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run_scenario(
-    profile: &ExperimentProfile,
-    task: Task,
-    alpha: f64,
-    entries: &[LineupEntry],
-) -> Result<StragglerScenario, FlError> {
-    let source = setup::source_bundle(profile)?;
-    let target = setup::target_bundle(profile, task)?;
-    let pretrained = setup::pretrained_model(profile, &source, &target)?;
-    let scratch = setup::scratch_model(profile, &target);
-    let fed = setup::federate(&target, profile.clients_large, alpha, profile.seed)?;
-
-    let mut runs = Vec::new();
-    for entry in entries {
-        let base = setup::base_config(profile, profile.rounds_large)
-            .with_participation(entry.participation);
-        let config = entry.method.configure(base);
-        let initial = if entry.method.uses_pretraining() {
-            &pretrained
-        } else {
-            &scratch
-        };
-        runs.push(Simulation::new(config)?.run_labelled(entry.label(), &fed, initial)?);
-    }
-    Ok(StragglerScenario {
-        task: task.label().to_string(),
-        alpha,
-        runs,
+            })
+            .collect()
     })
 }
 
-/// Runs the full Table III experiment.
+/// Runs the full Table III experiment on the [`setup::image_worlds`].
 ///
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn run(profile: &ExperimentProfile) -> Result<Table3Result, FlError> {
+pub fn run(worlds: &[World]) -> Result<Vec<Scenario>, FlError> {
     let entries = lineup();
-    let mut scenarios = Vec::new();
-    for task in [Task::Cifar10, Task::Cifar100] {
-        for alpha in [0.1, 0.5] {
-            scenarios.push(run_scenario(profile, task, alpha, &entries)?);
-        }
-    }
-    Ok(Table3Result { scenarios })
+    Scenario::grid(worlds, &ALPHAS, |world, alpha| {
+        run_scenario(world, alpha, &entries)
+    })
 }
 
 /// The emergent-straggler lineup: every method is offered the full pool and
 /// the deadline decides who stays.
-pub fn emergent_methods() -> Vec<Method> {
-    vec![
-        Method::FedAvg,
-        Method::FedFtRds { pds: 0.1 },
-        Method::FedFtEds { pds: 0.1 },
-        Method::FedFtAll,
-        Method::FedFtEds { pds: 0.5 },
-    ]
-}
+const EMERGENT_METHODS: [Method; 5] = [
+    Method::FedAvg,
+    Method::FedFtRds { pds: 0.1 },
+    Method::FedFtEds { pds: 0.1 },
+    Method::FedFtAll,
+    Method::FedFtEds { pds: 0.5 },
+];
 
 /// Calibrates a round deadline from a reference configuration: the largest
 /// predicted round time any client in `fed` needs under `reference`, times
@@ -333,7 +129,7 @@ pub fn emergent_methods() -> Vec<Method> {
 /// one) yields a deadline every device tier can meet for the reduced
 /// workload while slow-tier clients overrun it for full-model FedAvg — the
 /// emergent version of the paper's straggler setting.
-pub fn calibrated_deadline(
+fn calibrated_deadline(
     fed: &FederatedDataset,
     model: &BlockNet,
     reference: &FlConfig,
@@ -350,131 +146,97 @@ pub fn calibrated_deadline(
 /// Runs one (task, alpha) scenario with the emergent-straggler lineup: a
 /// two-tier device mix under a deadline calibrated so that the FedFT-EDS
 /// reference workload fits on every tier.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run_emergent_scenario(
-    profile: &ExperimentProfile,
-    task: Task,
+fn run_emergent_scenario(
+    world: &World,
     alpha: f64,
     methods: &[Method],
-) -> Result<StragglerScenario, FlError> {
-    let source = setup::source_bundle(profile)?;
-    let target = setup::target_bundle(profile, task)?;
-    let pretrained = setup::pretrained_model(profile, &source, &target)?;
-    let scratch = setup::scratch_model(profile, &target);
-    let fed = setup::federate(&target, profile.clients_large, alpha, profile.seed)?;
-
+) -> Result<Scenario, FlError> {
+    let profile = world.profile();
     let hetero = HeterogeneityModel::two_tier();
     let base = setup::base_config(profile, profile.rounds_large);
-    let reference = Method::FedFtEds { pds: 0.1 }
-        .configure(base.clone())
-        .with_heterogeneity(hetero.clone());
-    let deadline = calibrated_deadline(&fed, &pretrained, &reference, 1.2);
-
-    let mut runs = Vec::new();
-    for &method in methods {
-        let config =
-            setup::deadline_config(method.configure(base.clone()), hetero.clone(), deadline);
-        let initial = if method.uses_pretraining() {
-            &pretrained
-        } else {
-            &scratch
-        };
-        let label = format!("{} (deadline)", method.name());
-        runs.push(Simulation::new(config)?.run_labelled(label, &fed, initial)?);
-    }
-    Ok(StragglerScenario {
-        task: task.label().to_string(),
-        alpha,
-        runs,
+    Scenario::run(world, profile.clients_large, alpha, |fed| {
+        let reference = Method::FedFtEds { pds: 0.1 }
+            .configure(base.clone())
+            .with_heterogeneity(hetero.clone());
+        let deadline = calibrated_deadline(fed, world.pretrained(), &reference, 1.2);
+        methods
+            .iter()
+            .map(|&method| {
+                let spec = RunSpec::method(world, method, base.clone());
+                RunSpec {
+                    label: format!("{} (deadline)", spec.label),
+                    config: setup::deadline_config(spec.config, hetero.clone(), deadline),
+                    ..spec
+                }
+            })
+            .collect()
     })
 }
 
-/// Runs the emergent-straggler variant of Table III over both image tasks.
+/// Runs the emergent-straggler variant of Table III on the
+/// [`setup::image_worlds`].
 ///
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn run_emergent(profile: &ExperimentProfile) -> Result<Table3Result, FlError> {
-    let methods = emergent_methods();
-    let mut scenarios = Vec::new();
-    for task in [Task::Cifar10, Task::Cifar100] {
-        for alpha in [0.1, 0.5] {
-            scenarios.push(run_emergent_scenario(profile, task, alpha, &methods)?);
-        }
-    }
-    Ok(Table3Result { scenarios })
+pub fn run_emergent(worlds: &[World]) -> Result<Vec<Scenario>, FlError> {
+    Scenario::grid(worlds, &ALPHAS, |world, alpha| {
+        run_emergent_scenario(world, alpha, &EMERGENT_METHODS)
+    })
 }
 
 /// The `max_staleness` bounds swept by the async lineup. `0` is the
 /// synchronous reference (bit-identical to the sequential backend); the
 /// larger bounds trade freshness for overlap.
-pub fn async_staleness_levels() -> Vec<usize> {
-    vec![0, 1, 2, 4]
-}
+const ASYNC_STALENESS_LEVELS: [usize; 4] = [0, 1, 2, 4];
 
 /// Runs one (task, alpha) scenario of the async bounded-staleness lineup:
 /// FedFT-EDS on a two-tier device mix with partial participation (so the
 /// straggler bottleneck rotates between rounds and overlap pays off), swept
 /// over `levels` staleness bounds. The `max_staleness = 0` run doubles as
 /// the synchronous baseline for both accuracy and wall clock.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run_async_scenario(
-    profile: &ExperimentProfile,
-    task: Task,
-    alpha: f64,
-    levels: &[usize],
-) -> Result<StragglerScenario, FlError> {
-    let source = setup::source_bundle(profile)?;
-    let target = setup::target_bundle(profile, task)?;
-    let pretrained = setup::pretrained_model(profile, &source, &target)?;
-    let fed = setup::federate(&target, profile.clients_large, alpha, profile.seed)?;
-
-    let hetero = HeterogeneityModel::two_tier();
+fn run_async_scenario(world: &World, alpha: f64, levels: &[usize]) -> Result<Scenario, FlError> {
+    let profile = world.profile();
     let method = Method::FedFtEds { pds: 0.1 };
-    let mut runs = Vec::new();
-    for &max_staleness in levels {
-        let config = method
-            .configure(setup::base_config(profile, profile.rounds_large))
-            .with_participation(0.5)
-            .with_heterogeneity(hetero.clone())
-            .with_async(max_staleness);
-        let label = format!("{} (async s≤{max_staleness})", method.name());
-        runs.push(Simulation::new(config)?.run_labelled(label, &fed, &pretrained)?);
-    }
-    Ok(StragglerScenario {
-        task: task.label().to_string(),
-        alpha,
-        runs,
+    Scenario::run(world, profile.clients_large, alpha, |_| {
+        levels
+            .iter()
+            .map(|&max_staleness| RunSpec {
+                label: format!("{} (async s≤{max_staleness})", method.name()),
+                config: method
+                    .configure(setup::base_config(profile, profile.rounds_large))
+                    .with_participation(0.5)
+                    .with_heterogeneity(HeterogeneityModel::two_tier())
+                    .with_async(max_staleness),
+                initial: world.pretrained(),
+            })
+            .collect()
     })
 }
 
-/// Runs the async bounded-staleness variant of Table III over both image
-/// tasks: accuracy vs `max_staleness` next to the fixed-fraction and
-/// emergent lineups.
+/// Runs the async bounded-staleness variant of Table III on the
+/// [`setup::image_worlds`]: accuracy vs `max_staleness` next to the
+/// fixed-fraction and emergent lineups.
 ///
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn run_async(profile: &ExperimentProfile) -> Result<Table3Result, FlError> {
-    let levels = async_staleness_levels();
-    let mut scenarios = Vec::new();
-    for task in [Task::Cifar10, Task::Cifar100] {
-        for alpha in [0.1, 0.5] {
-            scenarios.push(run_async_scenario(profile, task, alpha, &levels)?);
-        }
-    }
-    Ok(Table3Result { scenarios })
+pub fn run_async(worlds: &[World]) -> Result<Vec<Scenario>, FlError> {
+    Scenario::grid(worlds, &ALPHAS, |world, alpha| {
+        run_async_scenario(world, alpha, &ASYNC_STALENESS_LEVELS)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::ExperimentProfile;
+    use crate::scenario;
+    use crate::setup::Task;
+
+    fn tiny_world() -> World {
+        World::build(&ExperimentProfile::tiny(), Task::Cifar10).unwrap()
+    }
 
     #[test]
     fn lineup_matches_the_paper() {
@@ -487,7 +249,6 @@ mod tests {
 
     #[test]
     fn tiny_scenario_runs_a_reduced_lineup() {
-        let profile = ExperimentProfile::tiny();
         let entries = vec![
             LineupEntry {
                 method: Method::FedAvg,
@@ -498,23 +259,23 @@ mod tests {
                 participation: 1.0,
             },
         ];
-        let scenario = run_scenario(&profile, Task::Cifar10, 0.5, &entries).unwrap();
+        let scenario = run_scenario(&tiny_world(), 0.5, &entries).unwrap();
         assert_eq!(scenario.runs.len(), 2);
         assert!(scenario.best_accuracy_of("FedAvg, 50% c.p.").is_some());
-        let result = Table3Result {
-            scenarios: vec![scenario],
-        };
-        assert_eq!(result.to_table().len(), 2);
-        assert_eq!(result.efficiency_table().len(), 2);
-        assert!(!result.curves_table().is_empty());
-        assert_eq!(result.participation_table().len(), 2);
+        let scenarios = [scenario];
+        assert_eq!(
+            scenario::accuracy_table(&scenarios, Scenario::heading, "").len(),
+            2
+        );
+        assert_eq!(scenario::efficiency_table(&scenarios, false).len(), 2);
+        assert!(!scenario::curves_table(&scenarios).is_empty());
+        assert_eq!(scenario::participation_table(&scenarios).len(), 2);
     }
 
     #[test]
     fn emergent_scenario_produces_stragglers_for_fedavg_only() {
-        let profile = ExperimentProfile::tiny();
         let methods = vec![Method::FedAvg, Method::FedFtEds { pds: 0.1 }];
-        let scenario = run_emergent_scenario(&profile, Task::Cifar10, 0.5, &methods).unwrap();
+        let scenario = run_emergent_scenario(&tiny_world(), 0.5, &methods).unwrap();
         assert_eq!(scenario.runs.len(), 2);
         let fedavg = &scenario.runs[0];
         let fedft = &scenario.runs[1];
@@ -527,24 +288,19 @@ mod tests {
             "full-model FedAvg must lose slow-tier clients to the deadline"
         );
         assert!(fedavg.mean_participants() < fedft.mean_participants());
-        let result = Table3Result {
-            scenarios: vec![scenario],
-        };
-        assert_eq!(result.participation_table().len(), 2);
+        assert_eq!(scenario::participation_table(&[scenario]).len(), 2);
     }
 
     #[test]
     fn emergent_lineup_offers_the_full_pool() {
-        let methods = emergent_methods();
-        assert_eq!(methods.len(), 5);
-        assert!(methods.contains(&Method::FedAvg));
-        assert!(methods.contains(&Method::FedFtAll));
+        assert_eq!(EMERGENT_METHODS.len(), 5);
+        assert!(EMERGENT_METHODS.contains(&Method::FedAvg));
+        assert!(EMERGENT_METHODS.contains(&Method::FedFtAll));
     }
 
     #[test]
     fn async_scenario_sweeps_staleness_and_shrinks_wall_clock() {
-        let profile = ExperimentProfile::tiny();
-        let scenario = run_async_scenario(&profile, Task::Cifar10, 0.5, &[0, 2]).unwrap();
+        let scenario = run_async_scenario(&tiny_world(), 0.5, &[0, 2]).unwrap();
         assert_eq!(scenario.runs.len(), 2);
         let sync = &scenario.runs[0];
         let overlapped = &scenario.runs[1];
@@ -561,10 +317,7 @@ mod tests {
             overlapped.total_wall_seconds(),
             sync.total_wall_seconds()
         );
-        let result = Table3Result {
-            scenarios: vec![scenario],
-        };
-        assert_eq!(result.staleness_table().len(), 2);
-        assert_eq!(async_staleness_levels()[0], 0);
+        assert_eq!(scenario::staleness_table(&[scenario]).len(), 2);
+        assert_eq!(ASYNC_STALENESS_LEVELS[0], 0);
     }
 }

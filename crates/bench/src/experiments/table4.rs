@@ -6,48 +6,9 @@
 //! helps, and entropy-based selection still beats random selection.
 
 use crate::profile::ExperimentProfile;
-use crate::setup::{self, Task};
-use fedft_analysis::{report, Table};
-use fedft_core::baseline::centralised_baseline;
-use fedft_core::{FlError, Method, RunResult};
-use serde::{Deserialize, Serialize};
-
-/// Result of the Table IV experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Table4Result {
-    /// Federated runs, labelled with the method names of Table IV.
-    pub runs: Vec<RunResult>,
-    /// Accuracy of the centralised upper bound on the target task.
-    pub centralised_accuracy: f32,
-    /// Dirichlet concentration used for the client partition.
-    pub alpha: f64,
-}
-
-impl Table4Result {
-    /// Best accuracy of the run with the given label, if present.
-    pub fn best_accuracy_of(&self, label: &str) -> Option<f32> {
-        self.runs
-            .iter()
-            .find(|r| r.label == label)
-            .map(RunResult::best_accuracy)
-    }
-
-    /// Renders the paper's Table IV.
-    pub fn to_table(&self) -> Table {
-        let mut table = Table::new(vec!["Method".into(), "Top-1 Acc".into()]);
-        for run in &self.runs {
-            let _ = table.add_row(vec![
-                run.label.clone(),
-                report::pct(f64::from(run.best_accuracy())),
-            ]);
-        }
-        let _ = table.add_row(vec![
-            "Centralised learning".into(),
-            report::pct(f64::from(self.centralised_accuracy)),
-        ]);
-        table
-    }
-}
+use crate::scenario::{RunSpec, Scenario};
+use crate::setup::{self, Task, World};
+use fedft_core::{FlError, Method};
 
 /// The Table IV method lineup.
 pub fn lineup() -> Vec<Method> {
@@ -61,45 +22,19 @@ pub fn lineup() -> Vec<Method> {
     ]
 }
 
-/// Runs the Table IV experiment with a custom method list.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run_with_methods(
-    profile: &ExperimentProfile,
-    methods: &[Method],
-    alpha: f64,
-) -> Result<Table4Result, FlError> {
-    let source = setup::source_bundle(profile)?;
-    let target = setup::target_bundle(profile, Task::SpeechCommands)?;
-    let pretrained = setup::pretrained_model(profile, &source, &target)?;
-    let scratch = setup::scratch_model(profile, &target);
-    let fed = setup::federate(&target, profile.clients_large, alpha, profile.seed)?;
+/// Runs `methods` on one α split of the speech-commands-like world, with
+/// the centralised upper bound.
+fn run_scenario(world: &World, methods: &[Method], alpha: f64) -> Result<Scenario, FlError> {
+    let profile = world.profile();
     let base = setup::base_config(profile, profile.rounds_large);
-
-    let mut runs = Vec::new();
-    for &method in methods {
-        runs.push(setup::run_method(
-            method,
-            base.clone(),
-            &fed,
-            &pretrained,
-            &scratch,
-        )?);
-    }
-    let centralised = centralised_baseline(
-        &target,
-        &setup::model_config(profile, &target),
-        Some(&pretrained),
-        profile.centralised_epochs,
-        profile.seed,
-    )?;
-    Ok(Table4Result {
-        runs,
-        centralised_accuracy: centralised.test_accuracy,
-        alpha,
-    })
+    let mut scenario = Scenario::run(world, profile.clients_large, alpha, |_| {
+        methods
+            .iter()
+            .map(|&method| RunSpec::method(world, method, base.clone()))
+            .collect()
+    })?;
+    scenario.centralised = Some(world.centralised_accuracy()?);
+    Ok(scenario)
 }
 
 /// Runs the full Table IV experiment (Dirichlet(0.1), full lineup).
@@ -107,32 +42,36 @@ pub fn run_with_methods(
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn run(profile: &ExperimentProfile) -> Result<Table4Result, FlError> {
-    run_with_methods(profile, &lineup(), 0.1)
+pub fn run(profile: &ExperimentProfile) -> Result<Scenario, FlError> {
+    let world = World::build(profile, Task::SpeechCommands)?;
+    run_scenario(&world, &lineup(), 0.1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario;
 
     #[test]
     fn cross_domain_runs_and_pretraining_is_not_harmful() {
         let profile = ExperimentProfile::tiny();
+        let world = World::build(&profile, Task::SpeechCommands).unwrap();
         let methods = vec![
             Method::FedAvgScratch,
             Method::FedAvg,
             Method::FedFtEds { pds: 0.5 },
         ];
-        let result = run_with_methods(&profile, &methods, 0.5).unwrap();
+        let result = run_scenario(&world, &methods, 0.5).unwrap();
         assert_eq!(result.runs.len(), 3);
-        assert!(result.centralised_accuracy > 0.0);
+        assert!(result.centralised.unwrap() > 0.0);
         let scratch = result.best_accuracy_of("FedAvg w/o pretraining").unwrap();
         let pretrained = result.best_accuracy_of("FedAvg").unwrap();
         assert!(
             pretrained >= scratch - 0.1,
             "cross-domain pretraining should not be catastrophic ({pretrained} vs {scratch})"
         );
-        assert_eq!(result.to_table().len(), 4);
+        let table = scenario::accuracy_table(&[result], |_| "Top-1 Acc".into(), "");
+        assert_eq!(table.len(), 4);
         assert_eq!(lineup().len(), 6);
     }
 }

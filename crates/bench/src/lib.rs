@@ -1,13 +1,20 @@
 //! # fedft-bench
 //!
 //! Experiment harness regenerating every table and figure of the FedFT-EDS
-//! paper. The crate has three layers:
+//! paper. The crate has four layers:
 //!
-//! * [`profile`] — experiment scaling profiles (`fast` for CI-sized runs,
-//!   `paper` for paper-scale runs); every experiment is parameterised by a
-//!   profile so the same code produces both.
-//! * [`setup`] — shared plumbing: building the synthetic domains, pretraining
-//!   the global model, partitioning clients, and running named methods.
+//! * [`profile`] — experiment scaling profiles (`tiny` for the unit tests
+//!   and the CI smoke, `fast` for the default minutes-long runs, `paper` for
+//!   paper-scale runs); every experiment is parameterised by a profile so
+//!   the same code produces all three.
+//! * [`setup`] — the [`setup::World`] of one target task: its data, the
+//!   pretrained and scratch models and the centralised upper bound, built
+//!   once and split across clients at any Dirichlet α; plus the base
+//!   configurations.
+//! * [`scenario`] — the one runner: a lineup of labelled configurations,
+//!   each with its initial model, played on one (task, α) split of a world
+//!   into a [`scenario::Scenario`], and the long-format tables rendered from
+//!   a list of scenarios.
 //! * [`experiments`] — one module per table/figure with a `run` function that
 //!   returns the rows/series the paper reports.
 //!
@@ -23,6 +30,7 @@ pub mod experiments;
 pub mod output;
 pub mod profile;
 pub mod regression;
+pub mod scenario;
 pub mod setup;
 
 pub use profile::ExperimentProfile;

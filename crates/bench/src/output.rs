@@ -13,7 +13,7 @@ pub const RESULTS_DIR: &str = "results";
 /// # Errors
 ///
 /// Returns an I/O error if the directory cannot be created.
-pub fn results_dir() -> io::Result<PathBuf> {
+fn results_dir() -> io::Result<PathBuf> {
     let dir = Path::new(RESULTS_DIR).to_path_buf();
     std::fs::create_dir_all(&dir)?;
     Ok(dir)

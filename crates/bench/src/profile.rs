@@ -115,7 +115,7 @@ impl ExperimentProfile {
     }
 
     /// Resolves a profile by name (`fast`, `paper`, `tiny`).
-    pub fn by_name(name: &str) -> Option<Self> {
+    fn by_name(name: &str) -> Option<Self> {
         match name {
             "fast" => Some(Self::fast()),
             "paper" => Some(Self::paper()),

@@ -1,13 +1,14 @@
-//! Shared experiment plumbing: domains, pretraining, partitioning, runs.
+//! Shared experiment plumbing: the world of one target task, and the base
+//! configurations every experiment starts from.
 
 use crate::profile::ExperimentProfile;
+use fedft_core::baseline::centralised_baseline;
 use fedft_core::pretrain::pretrain_global_model;
-use fedft_core::{
-    ExecutionBackend, FlConfig, FlError, HeterogeneityModel, Method, RunResult, Simulation,
-};
+use fedft_core::{ExecutionBackend, FlConfig, FlError, HeterogeneityModel};
 use fedft_data::federated::PartitionScheme;
 use fedft_data::{domains, DomainBundle, FederatedDataset};
 use fedft_nn::{BlockNet, BlockNetConfig};
+use std::cell::Cell;
 
 /// The target task of an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +32,128 @@ impl Task {
     }
 }
 
+/// Everything an experiment on one target task needs that does not depend
+/// on how the task is split across clients: the target bundle, the model
+/// pretrained on the source domain, the model trained from scratch, and the
+/// centralised upper bound.
+///
+/// A world is built once per (profile, task) and serves every Dirichlet α
+/// and client count: [`World::federate`] is the experiments' only partition
+/// call. The centralised baseline is trained on first request, at most once.
+#[derive(Debug)]
+pub struct World {
+    profile: ExperimentProfile,
+    task: Task,
+    target: DomainBundle,
+    pretrained: BlockNet,
+    scratch: BlockNet,
+    centralised: Cell<Option<f32>>,
+}
+
+impl World {
+    /// Generates the source and target bundles and builds both initial
+    /// models.
+    ///
+    /// # Errors
+    ///
+    /// Propagates data generation and pretraining errors.
+    pub fn build(profile: &ExperimentProfile, task: Task) -> Result<World, FlError> {
+        let source = source_bundle(profile)?;
+        let target = target_bundle(profile, task)?;
+        let pretrained = pretrained_model(profile, &source, &target)?;
+        let scratch = BlockNet::new(&model_config(profile, &target), profile.seed ^ 0x11);
+        Ok(World {
+            profile: profile.clone(),
+            task,
+            target,
+            pretrained,
+            scratch,
+            centralised: Cell::new(None),
+        })
+    }
+
+    /// The profile the world was built under.
+    pub fn profile(&self) -> &ExperimentProfile {
+        &self.profile
+    }
+
+    /// The target task.
+    pub fn task(&self) -> Task {
+        self.task
+    }
+
+    /// The target task's train and test data.
+    pub fn target(&self) -> &DomainBundle {
+        &self.target
+    }
+
+    /// The global model pretrained on the source domain, head sized for the
+    /// target.
+    pub fn pretrained(&self) -> &BlockNet {
+        &self.pretrained
+    }
+
+    /// The randomly initialised ("from scratch") global model.
+    pub fn scratch(&self) -> &BlockNet {
+        &self.scratch
+    }
+
+    /// Partitions the target's training data across `clients` clients with
+    /// Dirichlet(`alpha`) label skew; every client shares the test set.
+    ///
+    /// # Errors
+    ///
+    /// Propagates partitioning errors.
+    pub fn federate(&self, clients: usize, alpha: f64) -> Result<FederatedDataset, FlError> {
+        FederatedDataset::partition(
+            &self.target.train,
+            self.target.test.clone(),
+            clients,
+            PartitionScheme::Dirichlet { alpha },
+            self.profile.seed,
+        )
+        .map_err(FlError::from)
+    }
+
+    /// Test accuracy of the centralised upper bound: the pretrained model
+    /// fine-tuned on the whole target training set. Trained on the first
+    /// call; later calls return the same value.
+    ///
+    /// # Errors
+    ///
+    /// Propagates training errors.
+    pub fn centralised_accuracy(&self) -> Result<f32, FlError> {
+        if let Some(accuracy) = self.centralised.get() {
+            return Ok(accuracy);
+        }
+        let accuracy = centralised_baseline(
+            &self.target,
+            &model_config(&self.profile, &self.target),
+            Some(&self.pretrained),
+            self.profile.centralised_epochs,
+            self.profile.seed,
+        )?
+        .test_accuracy;
+        self.centralised.set(Some(accuracy));
+        Ok(accuracy)
+    }
+}
+
+/// The CIFAR-10-like and CIFAR-100-like worlds, in that order: the two tasks
+/// Tables II and III sweep.
+///
+/// # Errors
+///
+/// Propagates [`World::build`] errors.
+pub fn image_worlds(profile: &ExperimentProfile) -> Result<Vec<World>, FlError> {
+    [Task::Cifar10, Task::Cifar100]
+        .into_iter()
+        .map(|task| World::build(profile, task))
+        .collect()
+}
+
 /// Generates the source (pretraining) domain bundle.
-pub fn source_bundle(profile: &ExperimentProfile) -> Result<DomainBundle, FlError> {
+fn source_bundle(profile: &ExperimentProfile) -> Result<DomainBundle, FlError> {
     domains::source_imagenet32()
         .with_samples_per_class(profile.samples_per_class_source)
         .with_test_samples_per_class(profile.test_samples_per_class)
@@ -41,7 +162,7 @@ pub fn source_bundle(profile: &ExperimentProfile) -> Result<DomainBundle, FlErro
 }
 
 /// Generates the bundle for a target task.
-pub fn target_bundle(profile: &ExperimentProfile, task: Task) -> Result<DomainBundle, FlError> {
+fn target_bundle(profile: &ExperimentProfile, task: Task) -> Result<DomainBundle, FlError> {
     let spec = match task {
         Task::Cifar10 => {
             domains::cifar10_like().with_samples_per_class(profile.samples_per_class_c10)
@@ -59,7 +180,7 @@ pub fn target_bundle(profile: &ExperimentProfile, task: Task) -> Result<DomainBu
 }
 
 /// The model configuration used for a target bundle under a profile.
-pub fn model_config(profile: &ExperimentProfile, bundle: &DomainBundle) -> BlockNetConfig {
+fn model_config(profile: &ExperimentProfile, bundle: &DomainBundle) -> BlockNetConfig {
     BlockNetConfig::new(bundle.train.feature_dim(), bundle.train.num_classes()).with_hidden(
         profile.hidden,
         profile.hidden,
@@ -67,12 +188,11 @@ pub fn model_config(profile: &ExperimentProfile, bundle: &DomainBundle) -> Block
     )
 }
 
-/// Builds a randomly initialised ("from scratch") global model for a task.
-pub fn scratch_model(profile: &ExperimentProfile, bundle: &DomainBundle) -> BlockNet {
-    BlockNet::new(&model_config(profile, bundle), profile.seed ^ 0x11)
-}
-
 /// Pretrains the global model on `source` and adapts its head to `target`.
+///
+/// # Errors
+///
+/// Propagates pretraining errors.
 pub fn pretrained_model(
     profile: &ExperimentProfile,
     source: &DomainBundle,
@@ -86,26 +206,9 @@ pub fn pretrained_model(
     )
 }
 
-/// Partitions a target bundle across `clients` clients with Dirichlet(alpha)
-/// label skew.
-pub fn federate(
-    bundle: &DomainBundle,
-    clients: usize,
-    alpha: f64,
-    seed: u64,
-) -> Result<FederatedDataset, FlError> {
-    FederatedDataset::partition(
-        &bundle.train,
-        bundle.test.clone(),
-        clients,
-        PartitionScheme::Dirichlet { alpha },
-        seed,
-    )
-    .map_err(FlError::from)
-}
-
 /// Base simulation configuration for a profile: rounds, local epochs, batch
-/// size, seed; method-specific fields are overridden by [`Method::configure`].
+/// size, seed; method-specific fields are overridden by
+/// [`fedft_core::Method::configure`].
 ///
 /// Experiments always run on the parallel round executor — results are
 /// identical to the sequential backend, only faster on multi-core hosts.
@@ -129,25 +232,6 @@ pub fn deadline_config(
     base.with_heterogeneity(heterogeneity)
         .with_deadline(deadline_seconds)
         .with_execution(ExecutionBackend::Deadline)
-}
-
-/// Runs a named method against a federated dataset, automatically choosing
-/// the pretrained or scratch initial model and attaching the method's name as
-/// the run label.
-pub fn run_method(
-    method: Method,
-    base: FlConfig,
-    data: &FederatedDataset,
-    pretrained: &BlockNet,
-    scratch: &BlockNet,
-) -> Result<RunResult, FlError> {
-    let config = method.configure(base);
-    let initial = if method.uses_pretraining() {
-        pretrained
-    } else {
-        scratch
-    };
-    Simulation::new(config)?.run_labelled(method.name(), data, initial)
 }
 
 #[cfg(test)]
@@ -174,27 +258,10 @@ mod tests {
 
     #[test]
     fn pretrained_and_scratch_models_share_the_architecture() {
-        let p = profile();
-        let source = source_bundle(&p).unwrap();
-        let target = target_bundle(&p, Task::Cifar10).unwrap();
-        let pre = pretrained_model(&p, &source, &target).unwrap();
-        let scratch = scratch_model(&p, &target);
+        let world = World::build(&profile(), Task::Cifar10).unwrap();
+        let (pre, scratch) = (world.pretrained(), world.scratch());
         assert_eq!(pre.num_classes(), scratch.num_classes());
         assert_eq!(pre.total_parameter_count(), scratch.total_parameter_count());
         assert_ne!(pre.full_vector(), scratch.full_vector());
-    }
-
-    #[test]
-    fn run_method_executes_end_to_end() {
-        let p = profile();
-        let source = source_bundle(&p).unwrap();
-        let target = target_bundle(&p, Task::Cifar10).unwrap();
-        let pre = pretrained_model(&p, &source, &target).unwrap();
-        let scratch = scratch_model(&p, &target);
-        let fed = federate(&target, p.clients_small, 0.5, p.seed).unwrap();
-        let base = base_config(&p, p.rounds_small);
-        let result = run_method(Method::FedFtEds { pds: 0.5 }, base, &fed, &pre, &scratch).unwrap();
-        assert_eq!(result.rounds.len(), p.rounds_small);
-        assert_eq!(result.label, "FedFT-EDS (50%)");
     }
 }

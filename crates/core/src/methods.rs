@@ -81,25 +81,6 @@ impl Method {
     /// specify one.
     pub const DEFAULT_MU: f32 = 0.01;
 
-    /// The methods of Table II in presentation order, at a given selection
-    /// proportion.
-    pub fn table2_lineup(pds: f64) -> Vec<Method> {
-        vec![
-            Method::FedAvgScratch,
-            Method::FedAvg,
-            Method::FedAvgRds { pds },
-            Method::FedProx {
-                mu: Self::DEFAULT_MU,
-            },
-            Method::FedProxRds {
-                mu: Self::DEFAULT_MU,
-                pds,
-            },
-            Method::FedFtRds { pds },
-            Method::FedFtEds { pds },
-        ]
-    }
-
     /// Human-readable name matching the paper's tables.
     pub fn name(&self) -> String {
         match self {
@@ -237,25 +218,27 @@ mod tests {
     #[test]
     fn configured_methods_are_valid() {
         let base = FlConfig::default().with_rounds(2);
-        for method in Method::table2_lineup(0.1) {
+        for method in [
+            Method::FedAvgScratch,
+            Method::FedAvg,
+            Method::FedAvgRds { pds: 0.1 },
+            Method::FedProx {
+                mu: Method::DEFAULT_MU,
+            },
+            Method::FedProxRds {
+                mu: Method::DEFAULT_MU,
+                pds: 0.1,
+            },
+            Method::FedFtRds { pds: 0.1 },
+            Method::FedFtEds { pds: 0.1 },
+            Method::FedFtAll,
+            Method::FedFtLds { pds: 0.1 },
+            Method::FedFtGns { pds: 0.1 },
+        ] {
             assert!(
                 method.configure(base.clone()).validate().is_ok(),
                 "{method}"
             );
         }
-        assert!(Method::FedFtAll.configure(base.clone()).validate().is_ok());
-        assert!(Method::FedFtLds { pds: 0.1 }
-            .configure(base.clone())
-            .validate()
-            .is_ok());
-        assert!(Method::FedFtGns { pds: 0.1 }
-            .configure(base)
-            .validate()
-            .is_ok());
-    }
-
-    #[test]
-    fn table2_lineup_has_seven_methods() {
-        assert_eq!(Method::table2_lineup(0.1).len(), 7);
     }
 }
