@@ -7,8 +7,23 @@
 //! drift less, which shows up as higher pairwise CKA.
 
 use fedft_core::FlError;
-use fedft_nn::{BlockId, BlockNet};
+use fedft_nn::{BlockId, BlockNet, FreezeLevel};
 use fedft_tensor::Matrix;
+
+/// `x` with each column centred to zero mean: the column sums, taken top to
+/// bottom, scaled by `1/rows` and subtracted from every row.
+fn center_columns(x: &Matrix) -> Matrix {
+    let mut means = Matrix::default();
+    x.sum_rows_into(&mut means);
+    means.scale_assign(1.0 / x.rows() as f32);
+    let mut out = x.clone();
+    for row in out.as_mut_slice().chunks_exact_mut(x.cols().max(1)) {
+        for (v, &mean) in row.iter_mut().zip(means.as_slice()) {
+            *v -= mean;
+        }
+    }
+    out
+}
 
 /// Computes the linear CKA similarity between two activation matrices with
 /// one sample per row.
@@ -36,8 +51,8 @@ fn linear_cka(x: &Matrix, y: &Matrix) -> Result<f64, FlError> {
             what: "CKA requires at least two samples".into(),
         });
     }
-    let xc = x.center_columns().map_err(FlError::from)?;
-    let yc = y.center_columns().map_err(FlError::from)?;
+    let xc = center_columns(x);
+    let yc = center_columns(y);
     // Cross and self Gram matrices in feature space (d_x × d_y etc.).
     let xty = xc.matmul_tn(&yc).map_err(FlError::from)?;
     let xtx = xc.matmul_tn(&xc).map_err(FlError::from)?;
@@ -95,7 +110,9 @@ pub fn mean_offdiagonal(matrix: &[Vec<f64>]) -> f64 {
     total / count as f64
 }
 
-/// Extracts the activation of `block` that `model` produces on `inputs`.
+/// Extracts the activation of `block` that `model` produces on `inputs`:
+/// the output of block `k` below the head is the boundary of the freeze
+/// level that freezes `k + 1` blocks, and the head's is the logits.
 ///
 /// # Errors
 ///
@@ -105,14 +122,11 @@ fn block_activation(
     inputs: &Matrix,
     block: BlockId,
 ) -> Result<Matrix, FlError> {
-    let activations = model.forward_collect(inputs).map_err(FlError::from)?;
-    activations
-        .into_iter()
-        .find(|(id, _)| *id == block)
-        .map(|(_, activation)| activation)
-        .ok_or_else(|| FlError::InvalidConfig {
-            what: format!("model produced no activation for block {block}"),
-        })
+    let activation = match FreezeLevel::all().get(block.index() + 1) {
+        Some(&freeze) => model.forward_frozen(freeze, inputs),
+        None => model.forward(inputs),
+    };
+    activation.map_err(FlError::from)
 }
 
 /// Computes the pairwise CKA matrix across `models` at the given block depth,
@@ -193,6 +207,16 @@ mod tests {
         let y = random_activations(12, 4, 9);
         assert!(linear_cka(&x, &y).is_err());
         assert!(linear_cka(&Matrix::zeros(1, 4), &Matrix::zeros(1, 4)).is_err());
+    }
+
+    #[test]
+    fn center_columns_zero_mean() {
+        let x = random_activations(7, 3, 12);
+        let centred = center_columns(&x);
+        for c in 0..3 {
+            let mean = (0..7).map(|r| centred.get(r, c)).sum::<f32>() / 7.0;
+            assert!(mean.abs() < 1e-6, "column {c} mean {mean}");
+        }
     }
 
     #[test]

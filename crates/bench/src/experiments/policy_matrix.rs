@@ -140,6 +140,33 @@ fn mix_lineup() -> Vec<Mix> {
     vec![Mix::TwoTier, Mix::ThreeTier]
 }
 
+/// The stderr warning for a mix that puts no client of a `clients`-client
+/// run under `seed` in some tier, with every tier's client count; `None`
+/// when every tier has one. A policy that acts on an empty tier (the
+/// tier-freeze row on the slowest) runs the baseline's configuration there.
+fn empty_tier_warning(mix: Mix, clients: usize, seed: u64) -> Option<String> {
+    let hetero = mix.model();
+    let mut counts = vec![0usize; hetero.num_tiers()];
+    for id in 0..clients {
+        counts[hetero.profile_for(id, seed).tier_index] += 1;
+    }
+    if !counts.contains(&0) {
+        return None;
+    }
+    let tiers: Vec<String> = hetero
+        .tier_names()
+        .iter()
+        .zip(&counts)
+        .map(|(name, count)| format!("{name} {count}"))
+        .collect();
+    Some(format!(
+        "policy matrix: the {} mix leaves a tier without clients ({} of {clients}); \
+         a policy acting on that tier changes nothing there",
+        mix.label(),
+        tiers.join(", ")
+    ))
+}
+
 /// One cell of the matrix: a policy run under a heterogeneity mix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PolicyCell {
@@ -234,6 +261,11 @@ fn run_matrix(
     mixes: &[Mix],
 ) -> Result<PolicyMatrixResult, FlError> {
     let world = World::build(profile, Task::Cifar10)?;
+    for &mix in mixes {
+        if let Some(warning) = empty_tier_warning(mix, profile.clients_small, profile.seed) {
+            eprintln!("{warning}");
+        }
+    }
     let method = Method::FedFtEds { pds: MATRIX_PDS };
     let cells: Vec<(&PolicyVariant, Mix)> = policies
         .iter()
@@ -328,6 +360,36 @@ mod tests {
             &vec![FreezeLevel::Moderate, FreezeLevel::Classifier]
         );
         assert!(config.validate().is_ok());
+    }
+
+    #[test]
+    fn a_mix_with_an_empty_tier_is_flagged() {
+        // The fast and paper profiles' 10 clients at seed 2025: the 3-tier
+        // mix puts none in the slowest tier, so tier-freeze re-runs the
+        // baseline there.
+        let paper = ExperimentProfile::paper();
+        let three = Mix::ThreeTier.model();
+        let tiers: Vec<usize> = (0..paper.clients_small)
+            .map(|id| three.profile_for(id, paper.seed).tier_index)
+            .collect();
+        assert_eq!(tiers, [1, 1, 1, 0, 1, 1, 1, 1, 1, 1]);
+        assert_eq!(
+            empty_tier_warning(Mix::ThreeTier, paper.clients_small, paper.seed).as_deref(),
+            Some(
+                "policy matrix: the 3-tier mix leaves a tier without clients \
+                 (high 1, mid 9, low 0 of 10); a policy acting on that tier changes nothing there"
+            )
+        );
+        // A mix that reaches every tier is not flagged.
+        let two = Mix::TwoTier.model();
+        let seen: Vec<usize> = (0..paper.clients_small)
+            .map(|id| two.profile_for(id, paper.seed).tier_index)
+            .collect();
+        assert!(seen.contains(&0) && seen.contains(&1));
+        assert_eq!(
+            empty_tier_warning(Mix::TwoTier, paper.clients_small, paper.seed),
+            None
+        );
     }
 
     #[test]

@@ -46,7 +46,11 @@ pub fn centralised_baseline(
         seed,
     })?;
     let train_loss = trainer.fit(&mut model, bundle.train.features(), bundle.train.labels())?;
-    let report = trainer.evaluate(&mut model, bundle.test.features(), bundle.test.labels())?;
+    let report = model.evaluate_from(
+        FreezeLevel::Full,
+        bundle.test.features(),
+        bundle.test.labels(),
+    )?;
     Ok(CentralisedResult {
         test_accuracy: report.accuracy,
         train_loss,

@@ -32,7 +32,7 @@
 //!   same `(source_checksum, freeze_level)` under another fingerprint: those
 //!   activations can never be asked for again.
 //! * **Evict-before-insert.** With a byte budget
-//!   ([`CacheRegistry::with_budget`]) the registry evicts its
+//!   ([`crate::FlConfig::cache_budget_bytes`]) the registry evicts its
 //!   least-recently-used entries *before* inserting, so
 //!   [`CacheStats::peak_bytes`] never exceeds the budget. An entry larger
 //!   than the whole budget is built and served but never retained.
@@ -45,8 +45,8 @@
 //!   **budgets cannot change results**.
 //! * **Coherent statistics.** Every counter and ledger is mutated under the
 //!   registry's lock, and [`CacheRegistry::stats`] reads them all under one
-//!   guard, so [`CacheStats::delta_since`] between two snapshots of a live
-//!   registry counts every event exactly once. This is the guarantee the
+//!   guard, so the difference between two snapshots of a live registry
+//!   counts every event exactly once. This is the guarantee the
 //!   per-round delta capture in [`crate::Simulation`]'s executor loop (the
 //!   `cache_hits`/`cache_misses`/… fields of [`crate::RoundRecord`]) relies
 //!   on. Under sequential execution the counters are exactly deterministic;
@@ -324,20 +324,33 @@ fn matrix_bytes(m: &Matrix) -> usize {
 /// the largest `current_bytes` ever reached — the number a byte budget
 /// bounds.
 ///
+/// Differencing two snapshots of the same registry isolates the activity in
+/// between: that is how the per-round cache counters on
+/// [`crate::RoundRecord`] are produced.
+///
 /// # Examples
 ///
-/// Differencing two snapshots of the same registry isolates the activity in
-/// between (this is how per-round cache counters on
-/// [`crate::RoundRecord`] are produced):
+/// A backbone change invalidates the entry built under the old one: the
+/// counters keep counting, the content figures describe what is held now.
 ///
 /// ```
-/// use fedft_core::CacheStats;
+/// use fedft_core::CacheRegistry;
+/// use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel};
+/// use fedft_tensor::Matrix;
 ///
-/// let before = CacheStats { hits: 10, misses: 4, ..CacheStats::default() };
-/// let after = CacheStats { hits: 25, misses: 5, entries: 5, ..CacheStats::default() };
-/// let round = after.delta_since(&before);
-/// assert_eq!((round.hits, round.misses), (15, 1));
-/// assert_eq!(round.entries, 5, "content fields describe the present");
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let config = BlockNetConfig::new(4, 3).with_hidden(4, 4, 4);
+/// let shard = Matrix::from_vec(2, 4, vec![0.5; 8])?;
+/// let registry = CacheRegistry::new();
+/// registry.get_or_build(&BlockNet::new(&config, 1), FreezeLevel::Moderate, &shard)?;
+/// registry.get_or_build(&BlockNet::new(&config, 2), FreezeLevel::Moderate, &shard)?;
+///
+/// let stats = registry.stats();
+/// assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 2, 1));
+/// assert_eq!(stats.entries, 1);
+/// assert_eq!(stats.current_bytes, 2 * 4 * 4, "two rows of four f32 boundary values");
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheStats {
@@ -366,7 +379,7 @@ impl CacheStats {
     /// Each snapshot being read under the registry's lock, the delta counts
     /// every hit/miss/eviction between them exactly once — even on a
     /// registry that other threads keep mutating.
-    pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
+    pub(crate) fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
@@ -465,7 +478,7 @@ impl CacheRegistry {
 
     /// Creates an empty registry under an optional byte budget, enforced by
     /// evict-before-insert LRU.
-    pub fn with_budget(budget_bytes: Option<usize>) -> Self {
+    pub(crate) fn with_budget(budget_bytes: Option<usize>) -> Self {
         CacheRegistry {
             inner: Arc::new(Mutex::new(Inner {
                 budget_bytes,
@@ -507,7 +520,7 @@ impl CacheRegistry {
     /// # Errors
     ///
     /// Propagates shape errors from the frozen forward pass.
-    pub fn get_or_build_keyed(
+    pub(crate) fn get_or_build_keyed(
         &self,
         key: ShardKey,
         model: &BlockNet,
@@ -612,10 +625,10 @@ impl CacheRegistry {
     }
 
     /// A snapshot of the registry's counters, read under one guard:
-    /// differencing two snapshots ([`CacheStats::delta_since`]) attributes
-    /// every event to exactly one interval, which is what makes the
-    /// per-round cache counters on [`crate::RoundRecord`] exact even while
-    /// executors keep the registry hot.
+    /// differencing two snapshots attributes every event to exactly one
+    /// interval, which is what makes the per-round cache counters on
+    /// [`crate::RoundRecord`] exact even while executors keep the registry
+    /// hot.
     pub fn stats(&self) -> CacheStats {
         let inner = self.lock();
         CacheStats {

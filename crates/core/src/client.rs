@@ -33,9 +33,8 @@ pub struct ClientUpdate {
     /// Simulated client compute time for this round under the **cached**
     /// workload accounting: boundary activations served from a feature
     /// cache, so only the trainable suffix runs (steady state; the one-time
-    /// cache build is amortised out — see
-    /// [`crate::CostModel::client_round_seconds`], here applied with
-    /// `forward_frozen = 0`). Reported
+    /// cache build is amortised out — the [`crate::cost`] model's price,
+    /// here applied with `forward_frozen = 0`). Reported
     /// unconditionally, whatever [`FlConfig::feature_cache`] says, so both
     /// accountings are always available and histories stay independent of
     /// the knob.
@@ -144,7 +143,7 @@ impl Client {
     }
 
     /// Number of local samples `|D_k|`.
-    pub fn num_samples(&self) -> usize {
+    pub(crate) fn num_samples(&self) -> usize {
         self.shard.data.len()
     }
 

@@ -37,7 +37,7 @@ pub struct RoundTraffic {
 /// Only the trainable parameters are exchanged; the frozen feature extractor
 /// is distributed once before federated learning starts and never again,
 /// exactly as in the paper's setup.
-pub fn round_traffic(model: &BlockNet, freeze: FreezeLevel) -> RoundTraffic {
+pub(crate) fn round_traffic(model: &BlockNet, freeze: FreezeLevel) -> RoundTraffic {
     let trainable = model.trainable_parameter_count(freeze);
     RoundTraffic {
         download_bytes: trainable * BYTES_PER_PARAM + HEADER_BYTES,

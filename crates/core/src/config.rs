@@ -4,7 +4,7 @@ use crate::device::HeterogeneityModel;
 use crate::executor::{ExecutionBackend, StreamingParams};
 use crate::policy::ClientSelection;
 use crate::selection::SelectionStrategy;
-use crate::{CostModel, FlError, Result};
+use crate::{cost, FlError, Result};
 use fedft_nn::flops::FlopsBreakdown;
 use fedft_nn::{FreezeLevel, SgdConfig};
 use serde::{Deserialize, Serialize};
@@ -75,8 +75,6 @@ pub struct FlConfig {
     /// combination with the async/streaming backends, whose staleness
     /// snapshots assume one uniform θ layout.
     pub tier_freeze: Option<Vec<FreezeLevel>>,
-    /// Cost model converting work to simulated client seconds.
-    pub cost: CostModel,
     /// Device-heterogeneity model of the client population: tiers with
     /// compute/network multipliers and per-round availability. The default
     /// is a single nominal tier (no heterogeneity). Used for the simulated
@@ -156,7 +154,6 @@ impl Default for FlConfig {
             participation: 1.0,
             client_selection: ClientSelection::Uniform,
             tier_freeze: None,
-            cost: CostModel::default(),
             heterogeneity: HeterogeneityModel::uniform(),
             deadline_seconds: f64::INFINITY,
             feature_cache: false,
@@ -299,7 +296,7 @@ impl FlConfig {
     /// The freeze level clients in tier `tier_index` train at: the per-tier
     /// override when [`FlConfig::tier_freeze`] is set, the global
     /// [`FlConfig::freeze`] otherwise (or for an out-of-range index).
-    pub fn effective_freeze(&self, tier_index: usize) -> FreezeLevel {
+    pub(crate) fn effective_freeze(&self, tier_index: usize) -> FreezeLevel {
         match &self.tier_freeze {
             Some(map) => map.get(tier_index).copied().unwrap_or(self.freeze),
             None => self.freeze,
@@ -324,15 +321,19 @@ impl FlConfig {
     /// samples at the per-sample cost `flops`: the round trains on
     /// [`SelectionStrategy::selected_count`] of them for
     /// [`FlConfig::local_epochs`] epochs, plus the selection pass when the
-    /// strategy needs one, priced by [`FlConfig::cost`].
+    /// strategy needs one, priced by the [`crate::cost`] model's constants.
     ///
     /// The one derivation of a round's work: the executor's admission-time
     /// prediction ([`crate::HeterogeneityModel::predicted_seconds_from_parts`])
     /// and the trained update's [`crate::ClientUpdate::compute_seconds`] and
     /// [`crate::ClientUpdate::cached_compute_seconds`] all call it, so a
     /// prediction is the duration by construction.
-    pub fn client_compute_seconds(&self, flops: &FlopsBreakdown, local_samples: usize) -> f64 {
-        self.cost.client_round_seconds(
+    pub(crate) fn client_compute_seconds(
+        &self,
+        flops: &FlopsBreakdown,
+        local_samples: usize,
+    ) -> f64 {
+        cost::client_round_seconds(
             flops,
             local_samples,
             self.selection.selected_count(local_samples),
@@ -362,7 +363,6 @@ impl FlConfig {
         self.validate_tier_freeze()?;
         self.sgd.validate().map_err(FlError::from)?;
         self.selection.validate()?;
-        self.cost.validate()?;
         self.heterogeneity.validate()?;
         Ok(())
     }

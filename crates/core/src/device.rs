@@ -40,9 +40,9 @@ use serde::{Deserialize, Serialize};
 
 /// One class of devices in the client population.
 ///
-/// Multipliers are relative to the nominal device of the
-/// [`crate::CostModel`] (compute) and the [`HeterogeneityModel`]'s nominal
-/// link rates (network): `1.0` is nominal, `0.25` is four times slower.
+/// Multipliers are relative to the nominal device of the [`crate::cost`]
+/// model (compute) and the [`HeterogeneityModel`]'s nominal link rates
+/// (network): `1.0` is nominal, `0.25` is four times slower.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceTier {
     /// Human-readable tier name used in reports.
@@ -136,7 +136,9 @@ pub struct DeviceProfile {
     pub tier: DeviceTier,
 }
 
-/// A population model: device tiers plus nominal network rates.
+/// A population model: device tiers over the nominal link rates
+/// [`HeterogeneityModel::UPLINK_BYTES_PER_SECOND`] and
+/// [`HeterogeneityModel::DOWNLINK_BYTES_PER_SECOND`].
 ///
 /// The default ([`HeterogeneityModel::uniform`]) is a single nominal tier
 /// with no drops, under which every simulated round time reduces to the
@@ -146,10 +148,6 @@ pub struct DeviceProfile {
 pub struct HeterogeneityModel {
     /// The device tiers making up the population.
     pub tiers: Vec<DeviceTier>,
-    /// Nominal uplink rate in bytes per second (client → server).
-    pub uplink_bytes_per_second: f64,
-    /// Nominal downlink rate in bytes per second (server → client).
-    pub downlink_bytes_per_second: f64,
 }
 
 impl Default for HeterogeneityModel {
@@ -159,18 +157,14 @@ impl Default for HeterogeneityModel {
 }
 
 impl HeterogeneityModel {
-    /// Nominal uplink of a constrained edge link: 1 MB/s.
-    pub const DEFAULT_UPLINK: f64 = 1.0e6;
-    /// Nominal downlink of a constrained edge link: 4 MB/s.
-    pub const DEFAULT_DOWNLINK: f64 = 4.0e6;
+    /// Nominal uplink of a constrained edge link (client → server): 1 MB/s.
+    pub const UPLINK_BYTES_PER_SECOND: f64 = 1.0e6;
+    /// Nominal downlink of a constrained edge link (server → client): 4 MB/s.
+    pub const DOWNLINK_BYTES_PER_SECOND: f64 = 4.0e6;
 
-    /// Builds a model from explicit tiers and the default link rates.
+    /// Builds a model from explicit tiers.
     pub fn from_tiers(tiers: Vec<DeviceTier>) -> Self {
-        HeterogeneityModel {
-            tiers,
-            uplink_bytes_per_second: Self::DEFAULT_UPLINK,
-            downlink_bytes_per_second: Self::DEFAULT_DOWNLINK,
-        }
+        HeterogeneityModel { tiers }
     }
 
     /// A homogeneous population of nominal devices (the default).
@@ -214,8 +208,8 @@ impl HeterogeneityModel {
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::InvalidConfig`] for an empty tier list, an invalid
-    /// tier, or non-positive link rates.
+    /// Returns [`FlError::InvalidConfig`] for an empty tier list or an
+    /// invalid tier.
     pub fn validate(&self) -> Result<()> {
         if self.tiers.is_empty() {
             return Err(FlError::InvalidConfig {
@@ -224,16 +218,6 @@ impl HeterogeneityModel {
         }
         for tier in &self.tiers {
             tier.validate()?;
-        }
-        for (what, value) in [
-            ("uplink_bytes_per_second", self.uplink_bytes_per_second),
-            ("downlink_bytes_per_second", self.downlink_bytes_per_second),
-        ] {
-            if !(value.is_finite() && value > 0.0) {
-                return Err(FlError::InvalidConfig {
-                    what: format!("{what} must be positive, got {value}"),
-                });
-            }
         }
         Ok(())
     }
@@ -275,7 +259,7 @@ impl HeterogeneityModel {
     /// `(seed, client_id, round)` and independent of call order, so
     /// availability histories never shift when other streams are added or
     /// consumed.
-    pub fn is_offline(&self, profile: &DeviceProfile, round: usize, seed: u64) -> bool {
+    pub(crate) fn is_offline(&self, profile: &DeviceProfile, round: usize, seed: u64) -> bool {
         if profile.tier.drop_probability <= 0.0 {
             return false;
         }
@@ -295,14 +279,14 @@ impl HeterogeneityModel {
     ) -> f64 {
         let tier = &profile.tier;
         compute_seconds / tier.compute
-            + traffic.download_bytes as f64 / (self.downlink_bytes_per_second * tier.downlink)
-            + traffic.upload_bytes as f64 / (self.uplink_bytes_per_second * tier.uplink)
+            + traffic.download_bytes as f64 / (Self::DOWNLINK_BYTES_PER_SECOND * tier.downlink)
+            + traffic.upload_bytes as f64 / (Self::UPLINK_BYTES_PER_SECOND * tier.uplink)
     }
 
     /// Predicted simulated round seconds for a client *before* training:
-    /// the compute seconds of [`FlConfig::client_compute_seconds`], which
-    /// the trained update's own cost accounting also calls, scaled by the
-    /// device and plus the round traffic.
+    /// the round's compute seconds, from the same function the trained
+    /// update's own cost accounting calls, scaled by the device and plus the
+    /// round traffic.
     ///
     /// The round executor times every admitted client, and drops those that
     /// miss a deadline, with this before paying for their local updates; it
@@ -328,7 +312,7 @@ impl HeterogeneityModel {
     /// client-invariant parts (FLOP breakdown, round traffic) precomputed —
     /// the form the executor uses inside its participant loop so the model
     /// is analysed once per round, not once per client.
-    pub fn predicted_seconds_from_parts(
+    pub(crate) fn predicted_seconds_from_parts(
         &self,
         profile: &DeviceProfile,
         flops: &FlopsBreakdown,
@@ -387,18 +371,6 @@ pub enum ArrivalModel {
         /// Mean arrival offset in simulated seconds (must be positive).
         mean_offset_seconds: f64,
     },
-    /// A day/night cycle compressed into one period: the monotone warp
-    /// `t(u) = P·u − s·(P/2π)·sin(2πu)` of a uniform draw `u` concentrates
-    /// arrivals around the cycle's peak — the wrapped instant at offsets
-    /// `≈ 0` and `≈ P` — and thins them out mid-period (the "night").
-    Diurnal {
-        /// Length of one activity cycle in simulated seconds (positive).
-        period_seconds: f64,
-        /// How strongly arrivals bunch at the peak, in `[0, 1)`: `0` is a
-        /// uniform spread over the period, values near `1` concentrate most
-        /// arrivals around the peak.
-        peak_sharpness: f64,
-    },
 }
 
 impl ArrivalModel {
@@ -407,7 +379,6 @@ impl ArrivalModel {
         match self {
             ArrivalModel::Steady => "steady",
             ArrivalModel::Burst { .. } => "burst",
-            ArrivalModel::Diurnal { .. } => "diurnal",
         }
     }
 
@@ -416,8 +387,7 @@ impl ArrivalModel {
     /// # Errors
     ///
     /// Returns [`FlError::InvalidConfig`] for a non-positive or non-finite
-    /// burst mean, a non-positive or non-finite diurnal period, or a peak
-    /// sharpness outside `[0, 1)` (the warp stops being monotone at `1`).
+    /// burst mean.
     pub fn validate(&self) -> Result<()> {
         match *self {
             ArrivalModel::Steady => Ok(()),
@@ -434,40 +404,17 @@ impl ArrivalModel {
                 }
                 Ok(())
             }
-            ArrivalModel::Diurnal {
-                period_seconds,
-                peak_sharpness,
-            } => {
-                if !(period_seconds.is_finite() && period_seconds > 0.0) {
-                    return Err(FlError::InvalidConfig {
-                        what: format!(
-                            "diurnal arrival model: period must be positive and finite, \
-                             got {period_seconds}"
-                        ),
-                    });
-                }
-                if !(peak_sharpness.is_finite() && (0.0..1.0).contains(&peak_sharpness)) {
-                    return Err(FlError::InvalidConfig {
-                        what: format!(
-                            "diurnal arrival model: peak sharpness must be in [0, 1), \
-                             got {peak_sharpness}"
-                        ),
-                    });
-                }
-                Ok(())
-            }
         }
     }
 
     /// The client's arrival offset for `round`, in simulated seconds after
     /// the round is announced. Always finite and non-negative; `Steady`
-    /// returns `0.0` without touching the RNG, and `Diurnal` offsets are
-    /// bounded by one period.
+    /// returns `0.0` without touching the RNG.
     ///
     /// One draw from the `"client-arrival"` stream indexed by
     /// `(client_id << 32) | round`: deterministic in
     /// `(seed, client_id, round)` and independent of call order.
-    pub fn arrival_offset_seconds(&self, client_id: usize, round: usize, seed: u64) -> f64 {
+    pub(crate) fn arrival_offset_seconds(&self, client_id: usize, round: usize, seed: u64) -> f64 {
         if matches!(self, ArrivalModel::Steady) {
             return 0.0;
         }
@@ -480,13 +427,6 @@ impl ArrivalModel {
             ArrivalModel::Burst {
                 mean_offset_seconds,
             } => -mean_offset_seconds * (1.0 - u).ln(),
-            ArrivalModel::Diurnal {
-                period_seconds,
-                peak_sharpness,
-            } => {
-                let two_pi = 2.0 * std::f64::consts::PI;
-                period_seconds * u - peak_sharpness * (period_seconds / two_pi) * (two_pi * u).sin()
-            }
         }
     }
 }
@@ -528,9 +468,6 @@ mod tests {
             DeviceTier::new("t", 1.0, 1.0).with_network(0.0, 1.0)
         ]);
         assert!(bad_net.validate().is_err());
-        let mut bad_link = HeterogeneityModel::uniform();
-        bad_link.uplink_bytes_per_second = 0.0;
-        assert!(bad_link.validate().is_err());
     }
 
     #[test]
@@ -634,37 +571,30 @@ mod tests {
 
     #[test]
     fn arrival_offsets_are_deterministic_in_seed_client_and_round() {
-        for model in [
-            ArrivalModel::Burst {
-                mean_offset_seconds: 5.0,
-            },
-            ArrivalModel::Diurnal {
-                period_seconds: 60.0,
-                peak_sharpness: 0.8,
-            },
-        ] {
-            let a: Vec<f64> = (0..64)
-                .map(|i| model.arrival_offset_seconds(i % 8, i / 8, 3))
-                .collect();
-            let b: Vec<f64> = (0..64)
-                .map(|i| model.arrival_offset_seconds(i % 8, i / 8, 3))
-                .collect();
-            assert_eq!(a, b, "{model:?} must be replayable");
-            let other_seed: Vec<f64> = (0..64)
-                .map(|i| model.arrival_offset_seconds(i % 8, i / 8, 4))
-                .collect();
-            assert_ne!(a, other_seed, "{model:?} must depend on the seed");
-            // Distinct (client, round) pairs draw from distinct stream
-            // indices, so offsets differ between clients and between rounds.
-            assert_ne!(
-                model.arrival_offset_seconds(0, 0, 3),
-                model.arrival_offset_seconds(1, 0, 3)
-            );
-            assert_ne!(
-                model.arrival_offset_seconds(0, 0, 3),
-                model.arrival_offset_seconds(0, 1, 3)
-            );
-        }
+        let model = ArrivalModel::Burst {
+            mean_offset_seconds: 5.0,
+        };
+        let a: Vec<f64> = (0..64)
+            .map(|i| model.arrival_offset_seconds(i % 8, i / 8, 3))
+            .collect();
+        let b: Vec<f64> = (0..64)
+            .map(|i| model.arrival_offset_seconds(i % 8, i / 8, 3))
+            .collect();
+        assert_eq!(a, b, "{model:?} must be replayable");
+        let other_seed: Vec<f64> = (0..64)
+            .map(|i| model.arrival_offset_seconds(i % 8, i / 8, 4))
+            .collect();
+        assert_ne!(a, other_seed, "{model:?} must depend on the seed");
+        // Distinct (client, round) pairs draw from distinct stream
+        // indices, so offsets differ between clients and between rounds.
+        assert_ne!(
+            model.arrival_offset_seconds(0, 0, 3),
+            model.arrival_offset_seconds(1, 0, 3)
+        );
+        assert_ne!(
+            model.arrival_offset_seconds(0, 0, 3),
+            model.arrival_offset_seconds(0, 1, 3)
+        );
     }
 
     #[test]
@@ -689,41 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_offsets_stay_inside_one_period_and_bunch_at_the_peak() {
-        let period = 100.0;
-        let flat = ArrivalModel::Diurnal {
-            period_seconds: period,
-            peak_sharpness: 0.0,
-        };
-        let peaked = ArrivalModel::Diurnal {
-            period_seconds: period,
-            peak_sharpness: 0.95,
-        };
-        let n = 2000;
-        // The peak is the wrapped instant at offsets ≈ 0 and ≈ P; measure
-        // the mass within a quarter-period of it on either side.
-        let near_peak = |m: &ArrivalModel| {
-            (0..n)
-                .filter(|&i| {
-                    let t = m.arrival_offset_seconds(i, 1, 2);
-                    assert!((0.0..=period).contains(&t), "offset {t} left [0, {period}]");
-                    t < period / 4.0 || t > 3.0 * period / 4.0
-                })
-                .count()
-        };
-        let flat_peak = near_peak(&flat) as f64 / n as f64;
-        let peaked_peak = near_peak(&peaked) as f64 / n as f64;
-        assert!(
-            (flat_peak - 0.5).abs() < 0.05,
-            "sharpness 0 must spread uniformly, got {flat_peak} near the peak"
-        );
-        assert!(
-            peaked_peak > flat_peak + 0.1,
-            "sharpness must concentrate arrivals at the peak ({peaked_peak} vs {flat_peak})"
-        );
-    }
-
-    #[test]
     fn arrival_validation_rejects_bad_parameters() {
         for bad in [
             ArrivalModel::Burst {
@@ -738,33 +633,11 @@ mod tests {
             ArrivalModel::Burst {
                 mean_offset_seconds: f64::INFINITY,
             },
-            ArrivalModel::Diurnal {
-                period_seconds: 0.0,
-                peak_sharpness: 0.5,
-            },
-            ArrivalModel::Diurnal {
-                period_seconds: 10.0,
-                peak_sharpness: 1.0,
-            },
-            ArrivalModel::Diurnal {
-                period_seconds: 10.0,
-                peak_sharpness: -0.1,
-            },
-            ArrivalModel::Diurnal {
-                period_seconds: f64::NAN,
-                peak_sharpness: 0.5,
-            },
         ] {
             assert!(bad.validate().is_err(), "{bad:?} must be rejected");
         }
         assert!(ArrivalModel::Burst {
             mean_offset_seconds: 3.0
-        }
-        .validate()
-        .is_ok());
-        assert!(ArrivalModel::Diurnal {
-            period_seconds: 60.0,
-            peak_sharpness: 0.0
         }
         .validate()
         .is_ok());
@@ -802,7 +675,7 @@ mod tests {
         let local_samples = 25;
         let predicted = m.predicted_client_seconds(&profile, &model, local_samples, &config);
         let flops = model.flops_per_sample(config.freeze);
-        let base = config.cost.client_round_seconds(&flops, 25, 25, 3, false);
+        let base = crate::cost::client_round_seconds(&flops, 25, 25, 3, false);
         let traffic = round_traffic(&model, config.freeze);
         let expected = m.simulated_round_seconds(&profile, base, &traffic);
         assert_eq!(predicted.to_bits(), expected.to_bits());

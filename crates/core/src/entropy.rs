@@ -48,7 +48,7 @@ pub fn sample_entropies(
 ///
 /// Returns an error when the boundary matrix is empty, the temperature is
 /// not a positive finite number, or shapes mismatch.
-pub fn sample_entropies_from_boundary(
+pub(crate) fn sample_entropies_from_boundary(
     suffix: &mut SuffixNet,
     boundary: &Matrix,
     temperature: f32,
@@ -70,7 +70,7 @@ pub fn sample_entropies_from_boundary(
 ///
 /// Returns an error for an empty boundary matrix, a label count that does not
 /// match the boundary rows, or an out-of-range label.
-pub fn sample_losses_from_boundary(
+pub(crate) fn sample_losses_from_boundary(
     suffix: &mut SuffixNet,
     boundary: &Matrix,
     labels: &[usize],
@@ -96,7 +96,7 @@ pub fn sample_losses_from_boundary(
 ///
 /// Returns an error for an empty boundary matrix, a label count that does not
 /// match the boundary rows, or an out-of-range label.
-pub fn sample_gradient_norms_from_boundary(
+pub(crate) fn sample_gradient_norms_from_boundary(
     suffix: &mut SuffixNet,
     boundary: &Matrix,
     labels: &[usize],

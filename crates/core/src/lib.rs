@@ -29,7 +29,7 @@
 //!   offline probability) reproduces the synchronous backends bit for bit.
 //! * **Streaming serving mode** — [`ExecutionBackend::Streaming`] turns
 //!   rounds into continuous update traffic: clients arrive per a pluggable
-//!   [`device::ArrivalModel`] (steady/burst/diurnal, on a dedicated seeded
+//!   [`device::ArrivalModel`] (steady/burst, on a dedicated seeded
 //!   RNG stream), train on the freshest model at dispatch, and the server
 //!   flushes its buffer FedBuff-style every `K` updates or `T` simulated
 //!   seconds ([`Server::aggregate_buffered`]); the degenerate configuration
@@ -103,7 +103,6 @@ pub use cache::{
 };
 pub use client::{Client, ClientUpdate, ClientWorkspace};
 pub use config::{FlConfig, LocalAlgorithm};
-pub use cost::CostModel;
 pub use device::{ArrivalModel, DeviceProfile, DeviceTier, HeterogeneityModel};
 pub use error::FlError;
 pub use executor::{

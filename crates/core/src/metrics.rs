@@ -90,7 +90,7 @@ impl RoundRecord {
     /// vs `Sequential` legitimately differ only in this bookkeeping). The
     /// counters themselves legitimately differ (off = all zero, a budget =
     /// more misses), which is why equality contracts compare this view.
-    pub fn without_cache_counters(&self) -> RoundRecord {
+    pub(crate) fn without_cache_counters(&self) -> RoundRecord {
         RoundRecord {
             cache_hits: 0,
             cache_misses: 0,
@@ -273,8 +273,8 @@ impl RunResult {
             .unwrap_or(0)
     }
 
-    /// The per-round history with cache counters zeroed (see
-    /// [`RoundRecord::without_cache_counters`]): the view that must be
+    /// The per-round history with the `cache_*` counters of every
+    /// [`RoundRecord`] zeroed: the view that must be
     /// **bit-identical** across cache off/on and any byte budget — the comparison `tests/feature_cache_e2e.rs` and
     /// `tests/logical_pool_e2e.rs` pin.
     pub fn learning_history(&self) -> Vec<RoundRecord> {

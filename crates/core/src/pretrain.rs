@@ -19,7 +19,7 @@ use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel, SgdConfig, Trainer, Traine
 /// # Errors
 ///
 /// Returns an error when the model configuration or training data is invalid.
-pub fn pretrain_source_model(
+pub(crate) fn pretrain_source_model(
     source: &DomainBundle,
     hidden: (usize, usize, usize),
     epochs: usize,
@@ -52,7 +52,7 @@ pub fn pretrain_source_model(
 ///
 /// Returns an error when the source and target configurations are
 /// structurally incompatible (different input dimension or hidden widths).
-pub fn adapt_head_to_task(
+pub(crate) fn adapt_head_to_task(
     source_model: &BlockNet,
     target_config: &BlockNetConfig,
     seed: u64,

@@ -70,7 +70,7 @@ impl SelectionStrategy {
     /// Returns `true` when the strategy needs a forward pass over the whole
     /// local dataset (and therefore incurs the selection overhead accounted
     /// for by the cost model).
-    pub fn needs_inference_pass(&self) -> bool {
+    pub(crate) fn needs_inference_pass(&self) -> bool {
         matches!(
             self,
             SelectionStrategy::Entropy { .. }
@@ -115,7 +115,7 @@ impl SelectionStrategy {
 
     /// Number of samples kept out of `available`:
     /// `ceil(fraction · available)` clamped to `[1, available]`.
-    pub fn selected_count(&self, available: usize) -> usize {
+    pub(crate) fn selected_count(&self, available: usize) -> usize {
         if available == 0 {
             return 0;
         }

@@ -116,7 +116,7 @@ impl Dataset {
     }
 
     /// Indices of all samples with the given label.
-    pub fn indices_of_class(&self, class: usize) -> Vec<usize> {
+    pub(crate) fn indices_of_class(&self, class: usize) -> Vec<usize> {
         self.labels
             .iter()
             .enumerate()

@@ -114,11 +114,6 @@ impl FederatedDataset {
         &self.test
     }
 
-    /// The partition scheme used to build the dataset.
-    pub fn scheme(&self) -> PartitionScheme {
-        self.scheme
-    }
-
     /// Total number of training samples across all clients.
     pub fn total_train_samples(&self) -> usize {
         self.client_shards.iter().map(Dataset::len).sum()

@@ -26,7 +26,11 @@ const MIN_SAMPLES_PER_CLIENT: usize = 2;
 ///
 /// Returns [`DataError::InvalidConfig`] for zero clients or more clients than
 /// samples, and [`DataError::EmptyDataset`] for an empty dataset.
-pub fn iid_partition(dataset: &Dataset, num_clients: usize, seed: u64) -> Result<Vec<Vec<usize>>> {
+pub(crate) fn iid_partition(
+    dataset: &Dataset,
+    num_clients: usize,
+    seed: u64,
+) -> Result<Vec<Vec<usize>>> {
     validate(dataset, num_clients)?;
     let mut order: Vec<usize> = (0..dataset.len()).collect();
     let mut r = rng::rng_for(seed, "iid-partition");

@@ -127,8 +127,7 @@ impl BlockNetConfig {
     }
 }
 
-/// Evaluation summary produced by [`BlockNet::evaluate_from`] and
-/// [`crate::Trainer::evaluate`].
+/// Evaluation summary produced by [`BlockNet::evaluate_from`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EvalReport {
     /// Top-1 accuracy in `[0, 1]`.
@@ -233,23 +232,6 @@ impl BlockNet {
         self.forward_from(FreezeLevel::Full, input)
     }
 
-    /// Inference forward pass that also returns the activation at the output
-    /// of every block, used by the CKA analysis.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input width differs from
-    /// [`BlockNet::input_dim`].
-    pub fn forward_collect(&mut self, input: &Matrix) -> Result<Vec<(BlockId, Matrix)>> {
-        let mut collected: Vec<(BlockId, Matrix)> = Vec::with_capacity(self.blocks.len());
-        for (id, block) in BlockId::all().into_iter().zip(&self.blocks) {
-            let current = collected.last().map_or(input, |(_, activation)| activation);
-            let activation = suffix::infer_blocks(std::slice::from_ref(block), current)?;
-            collected.push((id, activation));
-        }
-        Ok(collected)
-    }
-
     /// Top-1 accuracy on `(input, labels)`.
     ///
     /// # Errors
@@ -338,9 +320,9 @@ impl BlockNet {
     /// The backward pass stops at the freeze boundary: gradients never flow
     /// into frozen blocks, mirroring the compute saving of partial
     /// fine-tuning. Implemented as [`BlockNet::forward_frozen`] followed by
-    /// [`BlockNet::train_batch_cached`], so training from raw features and
-    /// training from (identically computed) cached boundary activations are
-    /// the same code path and bit-identical.
+    /// one step from those boundary activations, so training from raw
+    /// features and training from (identically computed) cached boundary
+    /// activations are the same code path and bit-identical.
     ///
     /// # Errors
     ///
@@ -372,7 +354,7 @@ impl BlockNet {
     ///
     /// Returns an error on shape mismatch, invalid labels, or optimiser
     /// misconfiguration.
-    pub fn train_batch_cached(
+    pub(crate) fn train_batch_cached(
         &mut self,
         boundary: &Matrix,
         labels: &[usize],
@@ -687,18 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_collect_returns_all_blocks() {
-        let mut net = BlockNet::new(&config(), 3);
-        let x = Matrix::zeros(2, 6);
-        let acts = net.forward_collect(&x).unwrap();
-        assert_eq!(acts.len(), 4);
-        assert_eq!(acts[0].0, BlockId::Low);
-        assert_eq!(acts[3].0, BlockId::Classifier);
-        assert_eq!(acts[0].1.shape(), (2, 8));
-        assert_eq!(acts[3].1.shape(), (2, 3));
-    }
-
-    #[test]
     fn flops_decrease_with_more_freezing() {
         let net = BlockNet::new(&config(), 1);
         let full = net.flops_per_sample(FreezeLevel::Full).training_flops();
@@ -738,22 +708,29 @@ mod tests {
         }
     }
 
+    /// The frozen prefix's output equals the activations of its blocks run
+    /// one at a time, each on the one before's output.
     #[test]
     fn forward_frozen_matches_prefix_of_forward_collect() {
-        let mut net = BlockNet::new(&config(), 9);
+        let net = BlockNet::new(&config(), 9);
         let x = Matrix::from_rows(&[
             vec![0.4, -0.2, 1.0, 0.0, -1.0, 0.6],
             vec![-0.4, 0.2, -1.0, 0.5, 1.0, -0.6],
         ])
         .unwrap();
-        let collected = net.forward_collect(&x).unwrap();
+        let mut collected: Vec<Matrix> = Vec::with_capacity(net.blocks.len());
+        for block in &net.blocks {
+            let current = collected.last().unwrap_or(&x);
+            let activation = suffix::infer_blocks(std::slice::from_ref(block), current).unwrap();
+            collected.push(activation);
+        }
         for freeze in [
             FreezeLevel::Large,
             FreezeLevel::Moderate,
             FreezeLevel::Classifier,
         ] {
             let boundary = net.forward_frozen(freeze, &x).unwrap();
-            assert_eq!(boundary, collected[freeze.frozen_blocks() - 1].1);
+            assert_eq!(boundary, collected[freeze.frozen_blocks() - 1]);
         }
         // No frozen prefix: the boundary is the input itself.
         assert_eq!(net.forward_frozen(FreezeLevel::Full, &x).unwrap(), x);

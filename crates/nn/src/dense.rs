@@ -432,7 +432,8 @@ pub(crate) mod tests {
             assert_eq!(bits(&inferred), bits(&reference_infer(&block, &x).unwrap()));
             assert_eq!(bits(&inferred), bits(&block.train_forward(&x).unwrap()));
             // A zero input gives the (zero) bias.
-            assert_eq!(infer(&block, &Matrix::zeros(2, 7)).unwrap().sum(), 0.0);
+            let zero = infer(&block, &Matrix::zeros(2, 7)).unwrap();
+            assert_eq!(zero.as_slice().iter().sum::<f32>(), 0.0);
         }
     }
 
@@ -467,7 +468,9 @@ pub(crate) mod tests {
                 pre.as_slice().iter().all(|z| z.abs() > 10.0 * eps),
                 "{pre:?}"
             );
-            let objective = |block: &DenseBlock, x: &Matrix| infer(block, x).unwrap().sum();
+            let objective = |block: &DenseBlock, x: &Matrix| {
+                infer(block, x).unwrap().as_slice().iter().sum::<f32>()
+            };
             let y = block.train_forward(&x).unwrap();
             let grad_input =
                 backward_full(&mut block, &Matrix::full(y.rows(), y.cols(), 1.0)).unwrap();

@@ -17,9 +17,8 @@ use fedft_tensor::Matrix;
 /// # fn main() -> Result<(), fedft_nn::NnError> {
 /// let loss = SoftmaxCrossEntropy::new();
 /// let logits = Matrix::from_rows(&[vec![5.0, 0.0], vec![0.0, 5.0]]).unwrap();
-/// let (value, grad) = loss.forward_backward(&logits, &[0, 1])?;
-/// assert!(value < 0.1);           // confident and correct -> small loss
-/// assert_eq!(grad.shape(), (2, 2));
+/// assert!(loss.loss(&logits, &[0, 1])? < 0.1); // confident and correct -> small loss
+/// assert!(loss.loss(&logits, &[1, 0])? > 1.0); // confident and wrong -> large loss
 /// # Ok(())
 /// # }
 /// ```
@@ -55,22 +54,11 @@ impl SoftmaxCrossEntropy {
         Ok(total / labels.len() as f32)
     }
 
-    /// Computes the loss value and the gradient with respect to the logits.
+    /// Computes the loss value and writes the gradient with respect to the
+    /// logits into `grad` (reshaped and overwritten, buffer reused).
     ///
     /// The gradient is already divided by the batch size, so downstream
     /// layers receive the gradient of the *mean* loss.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when shapes and labels are inconsistent.
-    pub fn forward_backward(&self, logits: &Matrix, labels: &[usize]) -> Result<(f32, Matrix)> {
-        let mut grad = Matrix::default();
-        let value = self.forward_backward_into(logits, labels, &mut grad)?;
-        Ok((value, grad))
-    }
-
-    /// [`SoftmaxCrossEntropy::forward_backward`] with the gradient written
-    /// into `grad` (reshaped and overwritten, buffer reused).
     ///
     /// One pass per row yields both outputs: the max-subtracted exponentials
     /// and their left-to-right sum are exactly what [`stats::softmax`]
@@ -83,7 +71,7 @@ impl SoftmaxCrossEntropy {
     /// # Errors
     ///
     /// Returns an error when shapes and labels are inconsistent.
-    pub fn forward_backward_into(
+    pub(crate) fn forward_backward_into(
         &self,
         logits: &Matrix,
         labels: &[usize],
@@ -173,12 +161,13 @@ mod tests {
     fn gradient_matches_softmax_minus_onehot() {
         let loss = SoftmaxCrossEntropy::new();
         let logits = Matrix::from_rows(&[vec![1.0, 2.0, 0.5]]).unwrap();
-        let (_, grad) = loss.forward_backward(&logits, &[1]).unwrap();
+        let mut grad = Matrix::default();
+        loss.forward_backward_into(&logits, &[1], &mut grad)
+            .unwrap();
         let probs = stats::softmax(&logits).unwrap();
         assert!((grad.get(0, 0) - probs.get(0, 0)).abs() < 1e-6);
         assert!((grad.get(0, 1) - (probs.get(0, 1) - 1.0)).abs() < 1e-6);
         // Gradient rows sum to zero.
-        assert!(grad.sum_rows().as_slice().iter().all(|_| true));
         assert!(grad.row(0).iter().sum::<f32>().abs() < 1e-6);
     }
 
@@ -187,7 +176,9 @@ mod tests {
         let loss = SoftmaxCrossEntropy::new();
         let logits = Matrix::from_rows(&[vec![0.3, -0.7, 1.2], vec![2.0, 0.0, -1.0]]).unwrap();
         let labels = [2, 0];
-        let (_, grad) = loss.forward_backward(&logits, &labels).unwrap();
+        let mut grad = Matrix::default();
+        loss.forward_backward_into(&logits, &labels, &mut grad)
+            .unwrap();
         let eps = 1e-2;
         for r in 0..2 {
             for c in 0..3 {

@@ -114,7 +114,7 @@ impl Sgd {
 
     /// Starts over under `config`: afterwards the optimiser steps exactly as
     /// [`Sgd::new`]`(config)` would — no momentum, no proximal term — but on
-    /// the velocity buffers it already has ([`Sgd::reset_state`]). This is
+    /// the velocity buffers it already has (zeroed in place). This is
     /// how one optimiser serves a runner's clients one after another.
     ///
     /// # Errors
@@ -212,7 +212,7 @@ impl Sgd {
     /// from a freshly downloaded global model). The velocity buffers stay,
     /// at zero, and the next step may be over a different set of tensors: it
     /// re-makes the velocity of any tensor whose shape is not the kept one's.
-    pub fn reset_state(&mut self) {
+    pub(crate) fn reset_state(&mut self) {
         for velocity in &mut self.velocities {
             velocity.as_mut_slice().fill(0.0);
         }

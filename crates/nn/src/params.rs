@@ -43,7 +43,7 @@ impl ParamVector {
     }
 
     /// Flattens a list of parameter tensors in order.
-    pub fn from_params(params: &[&Matrix]) -> Self {
+    pub(crate) fn from_params(params: &[&Matrix]) -> Self {
         Self::from_params_into(params, Vec::new())
     }
 
@@ -51,7 +51,7 @@ impl ParamVector {
     /// its contents are discarded, and it is grown only when its capacity
     /// is short of the parameters' total size — so an upload flattened into
     /// a recycled buffer allocates nothing.
-    pub fn from_params_into(params: &[&Matrix], mut values: Vec<f32>) -> Self {
+    pub(crate) fn from_params_into(params: &[&Matrix], mut values: Vec<f32>) -> Self {
         values.clear();
         values.reserve(params.iter().map(|p| p.len()).sum());
         for p in params {
@@ -87,7 +87,7 @@ impl ParamVector {
     ///
     /// Returns [`NnError::ParamLengthMismatch`] if the total size of `params`
     /// differs from the vector length.
-    pub fn write_to(&self, params: &mut [&mut Matrix]) -> Result<()> {
+    pub(crate) fn write_to(&self, params: &mut [&mut Matrix]) -> Result<()> {
         let expected: usize = params.iter().map(|p| p.len()).sum();
         if expected != self.values.len() {
             return Err(NnError::ParamLengthMismatch {

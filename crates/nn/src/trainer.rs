@@ -4,7 +4,7 @@
 //! the source domain before federated learning starts, and the "Centralised"
 //! upper-bound baseline of Tables II and IV.
 
-use crate::block::{BlockNet, EvalReport};
+use crate::block::BlockNet;
 use crate::freeze::FreezeLevel;
 use crate::optimizer::{Sgd, SgdConfig};
 use crate::{NnError, Result};
@@ -66,7 +66,7 @@ impl TrainerConfig {
 /// # Example
 ///
 /// ```
-/// use fedft_nn::{BlockNet, BlockNetConfig, Trainer, TrainerConfig};
+/// use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel, Trainer, TrainerConfig};
 /// use fedft_tensor::Matrix;
 ///
 /// # fn main() -> Result<(), fedft_nn::NnError> {
@@ -74,7 +74,7 @@ impl TrainerConfig {
 /// let x = Matrix::from_rows(&[vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 0.0, 0.0, 1.0]]).unwrap();
 /// let trainer = Trainer::new(TrainerConfig { epochs: 20, ..Default::default() })?;
 /// trainer.fit(&mut net, &x, &[0, 1])?;
-/// let report = trainer.evaluate(&mut net, &x, &[0, 1])?;
+/// let report = net.evaluate_from(FreezeLevel::Full, &x, &[0, 1])?;
 /// assert!(report.accuracy >= 0.5);
 /// # Ok(())
 /// # }
@@ -137,31 +137,6 @@ impl Trainer {
         }
         Ok(last_epoch_loss)
     }
-
-    /// Evaluates `model` on `(features, labels)` with one forward pass;
-    /// the model is only read.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the data is empty or inconsistent with the
-    /// model.
-    pub fn evaluate(
-        &self,
-        model: &mut BlockNet,
-        features: &Matrix,
-        labels: &[usize],
-    ) -> Result<EvalReport> {
-        if features.rows() == 0 || features.rows() != labels.len() {
-            return Err(NnError::InvalidConfig {
-                what: format!(
-                    "evaluation data mismatch: {} feature rows vs {} labels",
-                    features.rows(),
-                    labels.len()
-                ),
-            });
-        }
-        model.evaluate_from(FreezeLevel::Full, features, labels)
-    }
 }
 
 #[cfg(test)]
@@ -219,7 +194,7 @@ mod tests {
         })
         .unwrap();
         trainer.fit(&mut net, &x, &y).unwrap();
-        let report = trainer.evaluate(&mut net, &x, &y).unwrap();
+        let report = net.evaluate_from(FreezeLevel::Full, &x, &y).unwrap();
         assert!(report.accuracy > 0.9, "accuracy={}", report.accuracy);
         assert_eq!(report.samples, 80);
     }
@@ -249,7 +224,7 @@ mod tests {
         let mut net = BlockNet::new(&BlockNetConfig::new(4, 2).with_hidden(8, 8, 8), 1);
         let trainer = Trainer::new(TrainerConfig::default()).unwrap();
         assert!(trainer.fit(&mut net, &x, &[0, 1]).is_err());
-        assert!(trainer.evaluate(&mut net, &x, &[0]).is_err());
+        assert!(net.evaluate_from(FreezeLevel::Full, &x, &[0]).is_err());
         assert!(trainer.fit(&mut net, &Matrix::zeros(0, 4), &[]).is_err());
     }
 
@@ -265,7 +240,7 @@ mod tests {
         })
         .unwrap();
         trainer.fit(&mut net, &x, &y).unwrap();
-        let report = trainer.evaluate(&mut net, &x, &y).unwrap();
+        let report = net.evaluate_from(FreezeLevel::Full, &x, &y).unwrap();
         assert!(report.accuracy > 0.7, "accuracy={}", report.accuracy);
     }
 }

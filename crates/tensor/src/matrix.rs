@@ -634,49 +634,14 @@ impl Matrix {
         Ok(())
     }
 
-    /// Sums over rows, producing a 1×`cols` row vector.
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::default();
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// [`Matrix::sum_rows`] into a caller-provided matrix, which is reshaped
-    /// to 1×`cols` and overwritten; rows are added top to bottom.
+    /// Sums over rows into a caller-provided matrix, which is reshaped to
+    /// 1×`cols` and overwritten; rows are added top to bottom.
     pub fn sum_rows_into(&self, out: &mut Matrix) {
         out.resize_zeroed(1, self.cols);
         for row in self.data.chunks_exact(self.cols.max(1)) {
             for (o, &v) in out.data.iter_mut().zip(row) {
                 *o += v;
             }
-        }
-    }
-
-    /// Means over rows, producing a 1×`cols` row vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyMatrix`] when the matrix has no rows.
-    pub fn mean_rows(&self) -> Result<Matrix> {
-        if self.rows == 0 {
-            return Err(TensorError::EmptyMatrix { op: "mean_rows" });
-        }
-        let mut out = self.sum_rows();
-        out.scale_assign(1.0 / self.rows as f32);
-        Ok(out)
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Mean of all elements; `0.0` for an empty matrix.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
         }
     }
 
@@ -715,22 +680,6 @@ impl Matrix {
                 .all(|(a, b)| (a - b).abs() <= tol)
     }
 
-    /// Centres each column to zero mean (used by the CKA computation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyMatrix`] when the matrix has no rows.
-    pub fn center_columns(&self) -> Result<Matrix> {
-        let means = self.mean_rows()?;
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for c in 0..out.cols {
-                out.data[r * out.cols + c] -= means.data[c];
-            }
-        }
-        Ok(out)
-    }
-
     fn zip_with<F: Fn(f32, f32) -> f32>(
         &self,
         other: &Matrix,
@@ -757,12 +706,17 @@ mod tests {
         Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap()
     }
 
+    /// Sum of all elements.
+    fn total(m: &Matrix) -> f32 {
+        m.as_slice().iter().sum()
+    }
+
     #[test]
     fn zeros_and_full() {
         let z = Matrix::zeros(2, 2);
-        assert_eq!(z.sum(), 0.0);
+        assert_eq!(total(&z), 0.0);
         let f = Matrix::full(2, 2, 3.0);
-        assert_eq!(f.sum(), 12.0);
+        assert_eq!(total(&f), 12.0);
     }
 
     #[test]
@@ -771,7 +725,7 @@ mod tests {
         assert_eq!(i.get(0, 0), 1.0);
         assert_eq!(i.get(1, 1), 1.0);
         assert_eq!(i.get(0, 1), 0.0);
-        assert_eq!(i.sum(), 3.0);
+        assert_eq!(total(&i), 3.0);
     }
 
     #[test]
@@ -857,7 +811,7 @@ mod tests {
             .zip_with_into(&Matrix::zeros(3, 2), "add", &mut out, |a, b| a + b)
             .is_err());
         m.sum_rows_into(&mut out);
-        assert_eq!(out, m.sum_rows());
+        assert_eq!(out.as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(out.shape(), (1, 3));
         out.clone_from(&m);
         assert_eq!(out, m);
@@ -986,12 +940,8 @@ mod tests {
     #[test]
     fn reductions() {
         let m = sample();
-        assert_eq!(m.sum(), 21.0);
-        assert!((m.mean() - 3.5).abs() < 1e-6);
         assert_eq!(m.max(), 6.0);
         assert_eq!(m.min(), 1.0);
-        assert_eq!(m.sum_rows().as_slice(), &[5.0, 7.0, 9.0]);
-        assert_eq!(m.mean_rows().unwrap().as_slice(), &[2.5, 3.5, 4.5]);
     }
 
     #[test]
@@ -1028,23 +978,13 @@ mod tests {
     }
 
     #[test]
-    fn center_columns_zero_mean() {
-        let m = sample();
-        let c = m.center_columns().unwrap();
-        let means = c.mean_rows().unwrap();
-        for &v in means.as_slice() {
-            assert!(v.abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn map_and_scale() {
         let m = sample();
-        assert_eq!(m.map(|v| v * 2.0).sum(), 42.0);
-        assert_eq!(m.scale(0.0).sum(), 0.0);
+        assert_eq!(total(&m.map(|v| v * 2.0)), 42.0);
+        assert_eq!(total(&m.scale(0.0)), 0.0);
         let mut m2 = m.clone();
         m2.scale_assign(2.0);
-        assert_eq!(m2.sum(), 42.0);
+        assert_eq!(total(&m2), 42.0);
     }
 
     #[test]

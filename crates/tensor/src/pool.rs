@@ -22,9 +22,9 @@
 //! # Determinism contract
 //!
 //! [`run_chunks`] splits `n_items` into contiguous ranges of
-//! [`chunk_len`]`(n_items, max_workers)` items (or the
-//! [`aligned_chunk_len`] variant), **computed from the requested worker
-//! count alone** — never from how many workers happen to be parked or idle.
+//! [`chunk_len`]`(n_items, max_workers)` items (or of the tile-aligned
+//! variant the GEMM uses), **computed from the requested worker count
+//! alone** — never from how many workers happen to be parked or idle.
 //! Results are returned in chunk order. Which OS thread executes which
 //! chunk is scheduling noise by construction: chunks share nothing, so
 //! every caller observes byte-identical results at any pool size, including
@@ -95,7 +95,7 @@ pub fn chunk_len(n_items: usize, max_workers: usize) -> usize {
 /// This is the exact split the GEMM row partitioners computed before the
 /// pool existed (`align` = their register-tile height), so every product
 /// stays bit-identical.
-pub fn aligned_chunk_len(n_items: usize, max_workers: usize, align: usize) -> usize {
+pub(crate) fn aligned_chunk_len(n_items: usize, max_workers: usize, align: usize) -> usize {
     chunk_len(n_items, max_workers).next_multiple_of(align.max(1))
 }
 
@@ -128,7 +128,12 @@ where
 /// # Panics
 ///
 /// Re-raises the first panic any chunk raised, after all chunks finished.
-pub fn run_aligned_chunks<T, F>(n_items: usize, max_workers: usize, align: usize, f: F) -> Vec<T>
+pub(crate) fn run_aligned_chunks<T, F>(
+    n_items: usize,
+    max_workers: usize,
+    align: usize,
+    f: F,
+) -> Vec<T>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
