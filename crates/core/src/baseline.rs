@@ -111,6 +111,50 @@ mod tests {
         );
     }
 
+    /// Pretraining and both baselines, pinned as bits: a 64-bit FNV-1a
+    /// digest of the pretrained global model's full parameter vector (each
+    /// value's bits as four little-endian bytes) and the accuracy and loss
+    /// bits of a warm and a cold baseline. Nothing else pins the pretrained
+    /// parameters absolutely, so a change to the centralised training path
+    /// that moves a bit fails here.
+    #[test]
+    fn pretraining_and_the_baselines_are_pinned_bit_for_bit() {
+        let source = domains::source_imagenet32()
+            .with_samples_per_class(20)
+            .generate(2)
+            .unwrap();
+        let bundle = domains::cifar10_like()
+            .with_samples_per_class(20)
+            .with_test_samples_per_class(10)
+            .generate(1)
+            .unwrap();
+        let cfg = BlockNetConfig::new(bundle.train.feature_dim(), bundle.train.num_classes())
+            .with_hidden(24, 24, 24);
+        let pretrained = crate::pretrain::pretrain_global_model(&cfg, &source, 4, 9).unwrap();
+        let digest = pretrained
+            .full_vector()
+            .values()
+            .iter()
+            .flat_map(|value| value.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325_u64, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        let bits = |result: CentralisedResult| {
+            (result.test_accuracy.to_bits(), result.train_loss.to_bits())
+        };
+        let warm = centralised_baseline(&bundle, &cfg, Some(&pretrained), 3, 5).unwrap();
+        let cold = centralised_baseline(&bundle, &cfg, None, 3, 5).unwrap();
+        assert_eq!(
+            (digest, bits(warm), bits(cold)),
+            (
+                0x93f7_aabd_4f27_5ccc,
+                (0x3f00_0000, 0x3fcd_884e),
+                (0x3f02_8f5c, 0x3fd4_35a8)
+            ),
+            "pretrained digest, warm and cold (accuracy, loss) bits"
+        );
+    }
+
     #[test]
     fn invalid_epochs_error() {
         let bundle = domains::cifar10_like()
