@@ -2,7 +2,7 @@
 
 use crate::Result;
 use fedft_data::DomainBundle;
-use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel, SgdConfig, Trainer, TrainerConfig};
+use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel, SgdConfig};
 use serde::{Deserialize, Serialize};
 
 /// Result of the centralised baseline.
@@ -38,14 +38,15 @@ pub fn centralised_baseline(
         Some(model) => model.clone(),
         None => BlockNet::new(model_config, seed),
     };
-    let trainer = Trainer::new(TrainerConfig {
+    let (features, labels) = (bundle.train.features(), bundle.train.labels());
+    let train_loss = fedft_nn::fit(
+        &mut model,
+        features,
+        labels,
         epochs,
-        batch_size: 64,
-        sgd: SgdConfig::default(),
-        freeze: FreezeLevel::Full,
+        SgdConfig::default(),
         seed,
-    })?;
-    let train_loss = trainer.fit(&mut model, bundle.train.features(), bundle.train.labels())?;
+    )?;
     let report = model.evaluate_from(
         FreezeLevel::Full,
         bundle.test.features(),

@@ -849,10 +849,14 @@ mod tests {
         let stats = cache.registry().stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (100, 1, 0));
 
-        // One full-model training step moves ϕ in the same `BlockNet`.
+        // One full-model training step, written back, moves ϕ in the same
+        // `BlockNet`.
         let mut sgd = fedft_nn::Sgd::new(fedft_nn::SgdConfig::default()).unwrap();
-        m.train_batch(&x, &[0, 1, 2, 0, 1, 2], &mut sgd, FreezeLevel::Full)
+        let mut everything = m.trainable_suffix(FreezeLevel::Full);
+        everything
+            .train_batch(&x, &[0, 1, 2, 0, 1, 2], &mut sgd)
             .unwrap();
+        m.set_full_vector(&everything.trainable_vector()).unwrap();
         let rebuilt = cache.get_or_build(&m, freeze, &x).unwrap();
         assert!(!Arc::ptr_eq(&built, &rebuilt), "stale activations served");
         assert_eq!(*rebuilt, m.forward_frozen(freeze, &x).unwrap());

@@ -8,7 +8,7 @@
 
 use crate::Result;
 use fedft_data::DomainBundle;
-use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel, SgdConfig, Trainer, TrainerConfig};
+use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel, SgdConfig};
 
 /// Pretrains a fresh global model on the source domain.
 ///
@@ -28,18 +28,13 @@ pub(crate) fn pretrain_source_model(
     let source_cfg = BlockNetConfig::new(source.train.feature_dim(), source.train.num_classes())
         .with_hidden(hidden.0, hidden.1, hidden.2);
     let mut model = BlockNet::new(&source_cfg, seed);
-    let trainer = Trainer::new(TrainerConfig {
-        epochs,
-        batch_size: 64,
-        sgd: SgdConfig {
-            learning_rate: 0.05,
-            momentum: 0.9,
-            weight_decay: 1e-4,
-        },
-        freeze: FreezeLevel::Full,
-        seed,
-    })?;
-    trainer.fit(&mut model, source.train.features(), source.train.labels())?;
+    let sgd = SgdConfig {
+        learning_rate: 0.05,
+        momentum: 0.9,
+        weight_decay: 1e-4,
+    };
+    let (features, labels) = (source.train.features(), source.train.labels());
+    fedft_nn::fit(&mut model, features, labels, epochs, sgd, seed)?;
     Ok(model)
 }
 

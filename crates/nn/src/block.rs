@@ -1,12 +1,11 @@
 //! Block-structured network mirroring the paper's WRN layer groups.
 
-use crate::dense::{DenseBlock, Scratch};
+use crate::dense::DenseBlock;
 use crate::flops::FlopsBreakdown;
 use crate::freeze::FreezeLevel;
 use crate::loss::SoftmaxCrossEntropy;
-use crate::optimizer::Sgd;
 use crate::params::ParamVector;
-use crate::suffix::{self, StepWorkspace, SuffixNet};
+use crate::suffix::{self, SuffixNet};
 use crate::{NnError, Result};
 use fedft_tensor::{stats, Matrix};
 use serde::{Deserialize, Serialize};
@@ -144,24 +143,26 @@ pub struct EvalReport {
 /// The lower blocks play the role of the paper's pretrained feature extractor
 /// `ϕ`; the upper blocks are the trainable part `θ`. Which blocks belong to
 /// `θ` is decided per call through a [`FreezeLevel`], so the same model
-/// supports FedAvg (train everything), FedFT (train the upper part only) and
+/// serves FedAvg (`θ` is everything), FedFT (`θ` is the upper part only) and
 /// the Figure 10a ablation.
+///
+/// The model itself does not train: it holds the parameters, runs inference
+/// and fingerprints its frozen prefix. Training steps a
+/// [`BlockNet::trainable_suffix`] snapshot, and the trained `θ` comes back
+/// through [`BlockNet::set_trainable_vector`], the one parameter writer.
 #[derive(Debug, Clone)]
 pub struct BlockNet {
     config: BlockNetConfig,
     blocks: Vec<DenseBlock>,
-    loss: SoftmaxCrossEntropy,
-    workspace: Scratch<StepWorkspace>,
     /// [`BlockNet::frozen_fingerprint`] per freeze level, indexed by
     /// [`FreezeLevel::frozen_blocks`]; an empty slot is hashed on demand.
     /// `blocks` is private and written only by
-    /// [`BlockNet::set_trainable_vector`] and
-    /// [`BlockNet::train_batch_cached`], which empty the slots they
-    /// invalidate, so a filled slot always describes the current parameters
+    /// [`BlockNet::set_trainable_vector`], which empties the slots it
+    /// invalidates, so a filled slot always describes the current parameters
     /// — a clone's too, which is why cloning carries it.
     fingerprints: [OnceLock<u64>; 4],
     /// [`BlockNet::parameter_stamp`]: drawn at construction, re-drawn by the
-    /// same two writers, carried by a clone for the same reason.
+    /// same writer, carried by a clone for the same reason.
     stamp: u64,
 }
 
@@ -198,8 +199,6 @@ impl BlockNet {
         BlockNet {
             config: *config,
             blocks,
-            loss: SoftmaxCrossEntropy::new(),
-            workspace: Scratch::default(),
             fingerprints: Default::default(),
             stamp: draw_stamp(),
         }
@@ -249,7 +248,7 @@ impl BlockNet {
     /// Returns an error on shape mismatch or invalid labels.
     pub fn evaluate_loss(&mut self, input: &Matrix, labels: &[usize]) -> Result<f32> {
         let logits = self.forward(input)?;
-        self.loss.loss(&logits, labels)
+        SoftmaxCrossEntropy::new().loss(&logits, labels)
     }
 
     /// Inference forward pass through the **frozen prefix** only, producing
@@ -315,68 +314,12 @@ impl BlockNet {
         })
     }
 
-    /// Performs one training step on a batch and returns the batch loss.
-    ///
-    /// The backward pass stops at the freeze boundary: gradients never flow
-    /// into frozen blocks, mirroring the compute saving of partial
-    /// fine-tuning. Implemented as [`BlockNet::forward_frozen`] followed by
-    /// one step from those boundary activations, so training from raw
-    /// features and training from (identically computed) cached boundary
-    /// activations are the same code path and bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatch, invalid labels, or optimiser
-    /// misconfiguration.
-    pub fn train_batch(
-        &mut self,
-        input: &Matrix,
-        labels: &[usize],
-        optimizer: &mut Sgd,
-        freeze: FreezeLevel,
-    ) -> Result<f32> {
-        // With nothing frozen the boundary is the input itself: borrow it.
-        let frozen: Matrix;
-        let boundary = if freeze.frozen_blocks() == 0 {
-            input
-        } else {
-            frozen = self.forward_frozen(freeze, input)?;
-            &frozen
-        };
-        self.train_batch_cached(boundary, labels, optimizer, freeze)
-    }
-
-    /// One training step starting from precomputed boundary activations:
-    /// forward and backward run through the trainable suffix only, skipping
-    /// the frozen prefix entirely.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatch, invalid labels, or optimiser
-    /// misconfiguration.
-    pub(crate) fn train_batch_cached(
-        &mut self,
-        boundary: &Matrix,
-        labels: &[usize],
-        optimizer: &mut Sgd,
-        freeze: FreezeLevel,
-    ) -> Result<f32> {
-        self.about_to_write_above(freeze);
-        suffix::train_blocks(
-            &mut self.blocks[freeze.frozen_blocks()..],
-            &self.loss,
-            boundary,
-            labels,
-            optimizer,
-            &mut self.workspace,
-        )
-    }
-
     /// Clones the trainable suffix `θ` into a standalone [`SuffixNet`] —
     /// the `O(|θ|)` model snapshot a client needs for local training when
-    /// the frozen backbone is shared. `O(|θ|)` holds whatever the model has
-    /// been evaluated or trained on: inference never stores activations, and
-    /// those a training step stored are scratch that a clone leaves behind.
+    /// the frozen backbone is shared, and the one thing that trains: the
+    /// trained `θ` comes back through [`BlockNet::set_trainable_vector`].
+    /// `O(|θ|)` holds whatever the model has been evaluated on: inference
+    /// never stores activations.
     pub fn trainable_suffix(&self, freeze: FreezeLevel) -> SuffixNet {
         let mut suffix = SuffixNet::default();
         self.refresh_suffix(freeze, &mut suffix);
@@ -446,18 +389,6 @@ impl BlockNet {
         self.stamp
     }
 
-    /// What the two writers of parameters call before they write
-    /// `blocks[f..]` for `f = freeze.frozen_blocks()`: the parameters get a
-    /// new [`BlockNet::parameter_stamp`], and the memoised fingerprint of
-    /// every level whose frozen prefix reaches into the written blocks (the
-    /// levels that freeze more than `f` blocks) is emptied.
-    fn about_to_write_above(&mut self, freeze: FreezeLevel) {
-        self.stamp = draw_stamp();
-        for memo in &mut self.fingerprints[freeze.frozen_blocks() + 1..] {
-            memo.take();
-        }
-    }
-
     /// Number of trainable scalar parameters under a freeze level.
     pub fn trainable_parameter_count(&self, freeze: FreezeLevel) -> usize {
         self.blocks[freeze.frozen_blocks()..]
@@ -480,7 +411,14 @@ impl BlockNet {
         ParamVector::from_params(&params)
     }
 
-    /// Writes a flattened trainable vector (`θ`) back into the model.
+    /// Writes a flattened trainable vector (`θ`) back into the model: the
+    /// one writer of its parameters.
+    ///
+    /// Before it writes `blocks[f..]` for `f = freeze.frozen_blocks()`, the
+    /// parameters get a new [`BlockNet::parameter_stamp`], and the memoised
+    /// fingerprint of every level whose frozen prefix reaches into the
+    /// written blocks (the levels that freeze more than `f` blocks) is
+    /// emptied.
     ///
     /// # Errors
     ///
@@ -491,7 +429,10 @@ impl BlockNet {
         freeze: FreezeLevel,
         vector: &ParamVector,
     ) -> Result<()> {
-        self.about_to_write_above(freeze);
+        self.stamp = draw_stamp();
+        for memo in &mut self.fingerprints[freeze.frozen_blocks() + 1..] {
+            memo.take();
+        }
         let mut params: Vec<&mut Matrix> = self.blocks[freeze.frozen_blocks()..]
             .iter_mut()
             .flat_map(|b| b.params_mut().map(|(param, _)| param))
@@ -546,10 +487,28 @@ thread_local! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::SgdConfig;
+    use crate::optimizer::{Sgd, SgdConfig};
 
     fn config() -> BlockNetConfig {
         BlockNetConfig::new(6, 3).with_hidden(8, 8, 8)
+    }
+
+    /// One training step as every caller takes it: a snapshot of `θ` at
+    /// `freeze`, stepped on the batch's boundary activations and written
+    /// back. Returns the batch loss.
+    fn train_step(
+        net: &mut BlockNet,
+        x: &Matrix,
+        labels: &[usize],
+        sgd: &mut Sgd,
+        freeze: FreezeLevel,
+    ) -> f32 {
+        let boundary = net.forward_frozen(freeze, x).unwrap();
+        let mut suffix = net.trainable_suffix(freeze);
+        let loss = suffix.train_batch(&boundary, labels, sgd).unwrap();
+        net.set_trainable_vector(freeze, &suffix.trainable_vector())
+            .unwrap();
+        loss
     }
 
     #[test]
@@ -627,8 +586,7 @@ mod tests {
         let mut sgd = Sgd::new(SgdConfig::default()).unwrap();
         let x = Matrix::from_rows(&[vec![1.0, 0.0, 0.5, -0.5, 0.2, 0.1]]).unwrap();
         for _ in 0..10 {
-            net.train_batch(&x, &[1], &mut sgd, FreezeLevel::Moderate)
-                .unwrap();
+            train_step(&mut net, &x, &[1], &mut sgd, FreezeLevel::Moderate);
         }
         let frozen_after = {
             let params: Vec<&Matrix> = net.blocks[..2].iter().flat_map(|b| b.params()).collect();
@@ -660,8 +618,7 @@ mod tests {
         let labels = [0usize, 1, 2];
         let before = net.evaluate_loss(&x, &labels).unwrap();
         for _ in 0..100 {
-            net.train_batch(&x, &labels, &mut sgd, FreezeLevel::Full)
-                .unwrap();
+            train_step(&mut net, &x, &labels, &mut sgd, FreezeLevel::Full);
         }
         let after = net.evaluate_loss(&x, &labels).unwrap();
         assert!(after < before * 0.5, "loss {before} -> {after}");
@@ -761,8 +718,7 @@ mod tests {
         // Move θ off its initial value so the logits are not near-uniform.
         let mut sgd = Sgd::new(SgdConfig::default()).unwrap();
         for _ in 0..3 {
-            net.train_batch(&x, &labels, &mut sgd, FreezeLevel::Full)
-                .unwrap();
+            train_step(&mut net, &x, &labels, &mut sgd, FreezeLevel::Full);
         }
         let accuracy = net.evaluate_accuracy(&x, &labels).unwrap();
         let loss = net.evaluate_loss(&x, &labels).unwrap();
@@ -778,29 +734,6 @@ mod tests {
         assert!(net
             .evaluate_from(FreezeLevel::Classifier, &shallow, &labels)
             .is_err());
-    }
-
-    #[test]
-    fn train_batch_cached_is_bit_identical_to_train_batch() {
-        let freeze = FreezeLevel::Moderate;
-        let mut direct = BlockNet::new(&config(), 7);
-        let mut cached = BlockNet::new(&config(), 7);
-        let mut sgd_a = Sgd::new(SgdConfig::default()).unwrap();
-        let mut sgd_b = Sgd::new(SgdConfig::default()).unwrap();
-        let x = Matrix::from_rows(&[
-            vec![1.0, 0.0, 0.5, -0.5, 0.2, 0.1],
-            vec![0.0, 1.0, -0.5, 0.5, -0.2, 0.3],
-        ])
-        .unwrap();
-        let boundary = cached.forward_frozen(freeze, &x).unwrap();
-        for _ in 0..5 {
-            let a = direct.train_batch(&x, &[1, 2], &mut sgd_a, freeze).unwrap();
-            let b = cached
-                .train_batch_cached(&boundary, &[1, 2], &mut sgd_b, freeze)
-                .unwrap();
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(direct.full_vector(), cached.full_vector());
     }
 
     #[test]
@@ -853,9 +786,10 @@ mod tests {
                     net.set_full_vector(&all).unwrap();
                 }
                 2 => {
+                    // Train a snapshot at `level` and write it back.
                     let x = fedft_tensor::init::normal(&mut r, 2, 6, 0.0, 1.0);
                     let mut sgd = Sgd::new(SgdConfig::default()).unwrap();
-                    net.train_batch(&x, &[0, 2], &mut sgd, level).unwrap();
+                    train_step(&mut net, &x, &[0, 2], &mut sgd, level);
                 }
                 3 => net = net.clone(),
                 _ => {

@@ -6,8 +6,13 @@
 //! manual forward/backward passes —, an SGD optimiser with momentum and an
 //! optional FedProx proximal term, parameter (de)serialisation for
 //! client/server communication, FLOP accounting for the training-time cost
-//! model, and a centralised trainer used for pretraining and the
+//! model, and [`fit`], the centralised loop used for pretraining and the
 //! "Centralised" baseline.
+//!
+//! One thing trains: [`SuffixNet`], a snapshot of the blocks above a freeze
+//! boundary. [`BlockNet`] holds parameters, runs inference and fingerprints
+//! its frozen prefix; a trained snapshot goes back into it through
+//! [`BlockNet::set_trainable_vector`], its one parameter writer.
 //!
 //! The paper trains a WRN-16-1 on CIFAR with PyTorch; this substrate
 //! substitutes a pure-Rust block MLP, as documented in `ARCHITECTURE.md`. The
@@ -56,7 +61,7 @@ pub use loss::SoftmaxCrossEntropy;
 pub use optimizer::{ProximalTerm, Sgd, SgdConfig};
 pub use params::ParamVector;
 pub use suffix::SuffixNet;
-pub use trainer::{Trainer, TrainerConfig};
+pub use trainer::fit;
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, NnError>;

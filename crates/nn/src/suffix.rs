@@ -5,10 +5,13 @@
 //! boundary, so a client does not need its own copy of the backbone: it can
 //! share the server's model for the (read-only) frozen forward pass and keep
 //! a private [`SuffixNet`] — an `O(|θ|)` snapshot of just the trainable
-//! blocks — for local training. All suffix arithmetic lives in the
-//! crate-private helpers below, which [`crate::BlockNet`] delegates to as
-//! well, so the full-model and split paths are the *same code* on the same
-//! inputs and therefore produce bit-identical results.
+//! blocks — for local training. A [`SuffixNet`] is the only thing that
+//! trains: centralised training ([`crate::fit`]) steps a snapshot at
+//! [`FreezeLevel::Full`] the same way. All suffix arithmetic lives in the
+//! crate-private helpers below, whose inference half
+//! [`crate::BlockNet`] delegates to as well, so the full-model and split
+//! passes are the *same code* on the same inputs and therefore produce
+//! bit-identical results.
 
 use crate::dense::{DenseBlock, Scratch};
 use crate::freeze::FreezeLevel;
@@ -21,12 +24,12 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Mutex;
 
-/// The buffers one training step writes, kept between steps by whoever
-/// owns the trained blocks ([`SuffixNet`], [`crate::BlockNet`]): two
-/// ping-pong activation matrices, the loss gradient and two ping-pong
-/// back-propagated gradients. Same-shaped batches reuse them, so after the
-/// first step a step allocates nothing. Held as [`Scratch`], so model clones
-/// and snapshots start with an empty one.
+/// The buffers one training step writes, kept between steps by the
+/// [`SuffixNet`] that owns the trained blocks: two ping-pong activation
+/// matrices, the loss gradient and two ping-pong back-propagated gradients.
+/// Same-shaped batches reuse them, so after the first step a step allocates
+/// nothing. Held as [`Scratch`], so a clone of a suffix starts with an empty
+/// one.
 #[derive(Debug, Default)]
 pub(crate) struct StepWorkspace {
     activations: [Matrix; 2],
@@ -329,12 +332,10 @@ fn chain_into<'a, S>(
 /// [`FreezeLevel::Full`], `input` is the data. That is decided here, by
 /// position, for every caller.
 ///
-/// This is the single implementation of the suffix training step;
-/// [`crate::BlockNet::train_batch`] and [`SuffixNet::train_batch`] both
-/// lower to it, which is what pins their bit-identity.
-pub(crate) fn train_blocks(
+/// This is the single implementation of the training step, behind
+/// [`SuffixNet::train_batch`].
+fn train_blocks(
     blocks: &mut [DenseBlock],
-    loss: &SoftmaxCrossEntropy,
     input: &Matrix,
     labels: &[usize],
     optimizer: &mut Sgd,
@@ -348,7 +349,7 @@ pub(crate) fn train_blocks(
     let logits = chain_into(blocks.iter_mut(), input, activations, |block, x, out| {
         block.train_forward_into(x, out)
     })?;
-    let loss_value = loss.forward_backward_into(logits, labels, loss_grad)?;
+    let loss_value = SoftmaxCrossEntropy::new().forward_backward_into(logits, labels, loss_grad)?;
     let last_first = blocks.iter_mut().enumerate().rev();
     chain_into(last_first, loss_grad, grads, |(i, block), grad, out| {
         block.backward(grad, (i > 0).then_some(out))
@@ -382,7 +383,6 @@ pub(crate) fn train_blocks(
 pub struct SuffixNet {
     blocks: Vec<DenseBlock>,
     freeze: FreezeLevel,
-    loss: SoftmaxCrossEntropy,
     workspace: Scratch<StepWorkspace>,
 }
 
@@ -392,7 +392,6 @@ impl SuffixNet {
         SuffixNet {
             blocks,
             freeze,
-            loss: SoftmaxCrossEntropy::new(),
             workspace: Scratch::default(),
         }
     }
@@ -430,8 +429,8 @@ impl SuffixNet {
     }
 
     /// One training step on a batch of boundary activations; returns the
-    /// batch loss. Bit-identical to [`crate::BlockNet::train_batch`] on the
-    /// same boundary activations (both lower to the same implementation).
+    /// batch loss. At [`FreezeLevel::Full`] the boundary activations are the
+    /// raw features.
     ///
     /// # Errors
     ///
@@ -445,7 +444,6 @@ impl SuffixNet {
     ) -> Result<f32> {
         train_blocks(
             &mut self.blocks,
-            &self.loss,
             boundary,
             labels,
             optimizer,
@@ -478,7 +476,6 @@ impl SuffixNet {
 #[cfg(test)]
 fn reference_train_blocks(
     blocks: &mut [DenseBlock],
-    loss: &SoftmaxCrossEntropy,
     input: &Matrix,
     labels: &[usize],
     optimizer: &mut Sgd,
@@ -488,7 +485,8 @@ fn reference_train_blocks(
         logits = block.train_forward(&logits)?;
     }
     let mut grad = Matrix::default();
-    let loss_value = loss.forward_backward_into(&logits, labels, &mut grad)?;
+    let loss_value =
+        SoftmaxCrossEntropy::new().forward_backward_into(&logits, labels, &mut grad)?;
     for block in blocks.iter_mut() {
         block.zero_grads();
     }
@@ -548,28 +546,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn suffix_training_is_bit_identical_to_full_model_training() {
-        let freeze = FreezeLevel::Moderate;
-        let mut model = net();
-        let mut suffix = net().trainable_suffix(freeze);
-        let x = Matrix::from_rows(&[
-            vec![1.0, 0.0, 0.5, -0.5, 0.2, 0.1],
-            vec![0.0, 1.0, -0.5, 0.5, -0.2, 0.3],
-        ])
-        .unwrap();
-        let labels = [1usize, 2];
-        let mut sgd_a = Sgd::new(SgdConfig::default()).unwrap();
-        let mut sgd_b = Sgd::new(SgdConfig::default()).unwrap();
-        for _ in 0..5 {
-            let boundary = model.forward_frozen(freeze, &x).unwrap();
-            let loss_full = model.train_batch(&x, &labels, &mut sgd_a, freeze).unwrap();
-            let loss_suffix = suffix.train_batch(&boundary, &labels, &mut sgd_b).unwrap();
-            assert_eq!(loss_full.to_bits(), loss_suffix.to_bits());
-        }
-        assert_eq!(model.trainable_vector(freeze), suffix.trainable_vector());
-    }
-
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
     }
@@ -620,7 +596,6 @@ mod tests {
                     let loss = stepped.train_batch(&boundary, labels, &mut sgd).unwrap();
                     let loss_ref = reference_train_blocks(
                         &mut reference.blocks,
-                        &reference.loss,
                         &boundary,
                         labels,
                         &mut sgd_ref,
@@ -938,13 +913,14 @@ mod tests {
     #[test]
     fn snapshots_of_a_trained_model_hold_no_activations() {
         let (x, labels) = batch();
-        // Every block has stored a batch — the state of a run's global
-        // model, which is pretrained before the first round snapshots it.
+        // A model whose every block was trained — the state of a run's
+        // global model, which is pretrained before the first round
+        // snapshots it: a trained snapshot written back.
         let mut trained = net();
         let mut sgd = Sgd::new(SgdConfig::default()).unwrap();
-        trained
-            .train_batch(&x, &labels, &mut sgd, FreezeLevel::Full)
-            .unwrap();
+        let mut suffix = trained.trainable_suffix(FreezeLevel::Full);
+        suffix.train_batch(&x, &labels, &mut sgd).unwrap();
+        trained.set_full_vector(&suffix.trainable_vector()).unwrap();
         let mut never_trained = net();
         never_trained
             .set_full_vector(&trained.full_vector())

@@ -2,7 +2,9 @@
 //!
 //! Used in two places of the reproduction: pretraining the global model on
 //! the source domain before federated learning starts, and the "Centralised"
-//! upper-bound baseline of Tables II and IV.
+//! upper-bound baseline of Tables II and IV. Both train every parameter, so
+//! [`fit`] trains a [`FreezeLevel::Full`] snapshot — the same
+//! [`crate::SuffixNet`] step a federated client runs — and writes it back.
 
 use crate::block::BlockNet;
 use crate::freeze::FreezeLevel;
@@ -10,133 +12,85 @@ use crate::optimizer::{Sgd, SgdConfig};
 use crate::{NnError, Result};
 use fedft_tensor::{rng, Matrix};
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
-/// Configuration of the centralised trainer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TrainerConfig {
-    /// Number of passes over the training data.
-    pub epochs: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// Optimiser hyper-parameters.
-    pub sgd: SgdConfig,
-    /// Which part of the model to train.
-    pub freeze: FreezeLevel,
-    /// Seed controlling batch shuffling.
-    pub seed: u64,
-}
+/// Mini-batch size of [`fit`].
+pub const BATCH_SIZE: usize = 64;
 
-impl Default for TrainerConfig {
-    fn default() -> Self {
-        TrainerConfig {
-            epochs: 5,
-            batch_size: 32,
-            sgd: SgdConfig::default(),
-            freeze: FreezeLevel::Full,
-            seed: 0,
-        }
-    }
-}
-
-impl TrainerConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] for zero epochs or batch size, or
-    /// an invalid optimiser configuration.
-    pub fn validate(&self) -> Result<()> {
-        if self.epochs == 0 {
-            return Err(NnError::InvalidConfig {
-                what: "epochs must be non-zero".into(),
-            });
-        }
-        if self.batch_size == 0 {
-            return Err(NnError::InvalidConfig {
-                what: "batch_size must be non-zero".into(),
-            });
-        }
-        self.sgd.validate()
-    }
-}
-
-/// Mini-batch SGD trainer for a [`BlockNet`].
+/// Trains every parameter of `model` on `(features, labels)` for `epochs`
+/// passes of mini-batch SGD and returns the mean training loss of the final
+/// epoch. Each epoch visits the rows in an order shuffled from `seed`, in
+/// batches of [`BATCH_SIZE`].
+///
+/// The steps run on [`BlockNet::trainable_suffix`] at
+/// [`FreezeLevel::Full`], whose boundary is the batch itself, and the
+/// trained parameters are written back once, through
+/// [`BlockNet::set_trainable_vector`]; on an error `model` is unchanged.
 ///
 /// # Example
 ///
 /// ```
-/// use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel, Trainer, TrainerConfig};
+/// use fedft_nn::{fit, BlockNet, BlockNetConfig, FreezeLevel, SgdConfig};
 /// use fedft_tensor::Matrix;
 ///
 /// # fn main() -> Result<(), fedft_nn::NnError> {
 /// let mut net = BlockNet::new(&BlockNetConfig::new(4, 2).with_hidden(8, 8, 8), 0);
 /// let x = Matrix::from_rows(&[vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 0.0, 0.0, 1.0]]).unwrap();
-/// let trainer = Trainer::new(TrainerConfig { epochs: 20, ..Default::default() })?;
-/// trainer.fit(&mut net, &x, &[0, 1])?;
+/// fit(&mut net, &x, &[0, 1], 20, SgdConfig::default(), 0)?;
 /// let report = net.evaluate_from(FreezeLevel::Full, &x, &[0, 1])?;
 /// assert!(report.accuracy >= 0.5);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct Trainer {
-    config: TrainerConfig,
-}
-
-impl Trainer {
-    /// Creates a trainer after validating the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] when the configuration is invalid.
-    pub fn new(config: TrainerConfig) -> Result<Self> {
-        config.validate()?;
-        Ok(Trainer { config })
+///
+/// # Errors
+///
+/// Returns [`NnError::InvalidConfig`] for zero epochs, an invalid optimiser
+/// configuration, or data that is empty or has a label count other than
+/// its row count; a shape error when the data does not fit the model.
+pub fn fit(
+    model: &mut BlockNet,
+    features: &Matrix,
+    labels: &[usize],
+    epochs: usize,
+    sgd: SgdConfig,
+    seed: u64,
+) -> Result<f32> {
+    if epochs == 0 {
+        return Err(NnError::InvalidConfig {
+            what: "epochs must be non-zero".into(),
+        });
     }
-
-    /// The trainer configuration.
-    pub fn config(&self) -> &TrainerConfig {
-        &self.config
+    let mut optimizer = Sgd::new(sgd)?;
+    if features.rows() == 0 || features.rows() != labels.len() {
+        return Err(NnError::InvalidConfig {
+            what: format!(
+                "training data mismatch: {} feature rows vs {} labels",
+                features.rows(),
+                labels.len()
+            ),
+        });
     }
-
-    /// Trains `model` on `(features, labels)` and returns the mean training
-    /// loss of the final epoch.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the data is empty or inconsistent with the
-    /// model.
-    pub fn fit(&self, model: &mut BlockNet, features: &Matrix, labels: &[usize]) -> Result<f32> {
-        if features.rows() == 0 || features.rows() != labels.len() {
-            return Err(NnError::InvalidConfig {
-                what: format!(
-                    "training data mismatch: {} feature rows vs {} labels",
-                    features.rows(),
-                    labels.len()
-                ),
-            });
+    let mut suffix = model.trainable_suffix(FreezeLevel::Full);
+    let mut order: Vec<usize> = (0..features.rows()).collect();
+    let mut batch = Matrix::default();
+    let mut batch_labels = Vec::with_capacity(BATCH_SIZE);
+    let mut last_epoch_loss = 0.0;
+    for epoch in 0..epochs {
+        let mut shuffle_rng = rng::rng_for_indexed(seed, "trainer-shuffle", epoch as u64);
+        order.shuffle(&mut shuffle_rng);
+        let mut epoch_loss = 0.0;
+        let mut batches = 0;
+        for chunk in order.chunks(BATCH_SIZE) {
+            features.select_rows_into(chunk, &mut batch);
+            batch_labels.clear();
+            batch_labels.extend(chunk.iter().map(|&i| labels[i]));
+            epoch_loss += suffix.train_batch(&batch, &batch_labels, &mut optimizer)?;
+            batches += 1;
         }
-        let mut optimizer = Sgd::new(self.config.sgd)?;
-        let mut order: Vec<usize> = (0..features.rows()).collect();
-        let mut last_epoch_loss = 0.0;
-        for epoch in 0..self.config.epochs {
-            let mut shuffle_rng =
-                rng::rng_for_indexed(self.config.seed, "trainer-shuffle", epoch as u64);
-            order.shuffle(&mut shuffle_rng);
-            let mut epoch_loss = 0.0;
-            let mut batches = 0;
-            for chunk in order.chunks(self.config.batch_size) {
-                let batch_x = features.select_rows(chunk);
-                let batch_y: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-                epoch_loss +=
-                    model.train_batch(&batch_x, &batch_y, &mut optimizer, self.config.freeze)?;
-                batches += 1;
-            }
-            last_epoch_loss = epoch_loss / batches.max(1) as f32;
-        }
-        Ok(last_epoch_loss)
+        last_epoch_loss = epoch_loss / batches.max(1) as f32;
     }
+    model.set_trainable_vector(FreezeLevel::Full, &suffix.trainable_vector())?;
+    Ok(last_epoch_loss)
 }
 
 #[cfg(test)]
@@ -163,37 +117,22 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(TrainerConfig::default().validate().is_ok());
-        assert!(TrainerConfig {
-            epochs: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TrainerConfig {
-            batch_size: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(Trainer::new(TrainerConfig {
-            epochs: 0,
-            ..Default::default()
-        })
-        .is_err());
+        let (x, y) = toy_problem(5, 4, 1);
+        let mut net = BlockNet::new(&BlockNetConfig::new(4, 2).with_hidden(8, 8, 8), 1);
+        assert!(fit(&mut net, &x, &y, 1, SgdConfig::default(), 0).is_ok());
+        assert!(fit(&mut net, &x, &y, 0, SgdConfig::default(), 0).is_err());
+        let bad_sgd = SgdConfig {
+            learning_rate: 0.0,
+            ..SgdConfig::default()
+        };
+        assert!(fit(&mut net, &x, &y, 1, bad_sgd, 0).is_err());
     }
 
     #[test]
     fn fit_learns_separable_problem() {
         let (x, y) = toy_problem(40, 6, 3);
         let mut net = BlockNet::new(&BlockNetConfig::new(6, 2).with_hidden(16, 16, 16), 7);
-        let trainer = Trainer::new(TrainerConfig {
-            epochs: 10,
-            batch_size: 16,
-            ..Default::default()
-        })
-        .unwrap();
-        trainer.fit(&mut net, &x, &y).unwrap();
+        fit(&mut net, &x, &y, 10, SgdConfig::default(), 0).unwrap();
         let report = net.evaluate_from(FreezeLevel::Full, &x, &y).unwrap();
         assert!(report.accuracy > 0.9, "accuracy={}", report.accuracy);
         assert_eq!(report.samples, 80);
@@ -201,17 +140,11 @@ mod tests {
 
     #[test]
     fn fit_is_deterministic_for_same_seed() {
-        let (x, y) = toy_problem(20, 4, 5);
+        // 100 rows: two batches, whose members the seed decides.
+        let (x, y) = toy_problem(50, 4, 5);
         let run = |seed: u64| {
             let mut net = BlockNet::new(&BlockNetConfig::new(4, 2).with_hidden(8, 8, 8), 1);
-            let trainer = Trainer::new(TrainerConfig {
-                epochs: 3,
-                batch_size: 8,
-                seed,
-                ..Default::default()
-            })
-            .unwrap();
-            trainer.fit(&mut net, &x, &y).unwrap();
+            fit(&mut net, &x, &y, 3, SgdConfig::default(), seed).unwrap();
             net.full_vector()
         };
         assert_eq!(run(9), run(9));
@@ -222,25 +155,9 @@ mod tests {
     fn fit_rejects_mismatched_data() {
         let (x, _) = toy_problem(5, 4, 1);
         let mut net = BlockNet::new(&BlockNetConfig::new(4, 2).with_hidden(8, 8, 8), 1);
-        let trainer = Trainer::new(TrainerConfig::default()).unwrap();
-        assert!(trainer.fit(&mut net, &x, &[0, 1]).is_err());
+        let sgd = SgdConfig::default();
+        assert!(fit(&mut net, &x, &[0, 1], 5, sgd, 0).is_err());
         assert!(net.evaluate_from(FreezeLevel::Full, &x, &[0]).is_err());
-        assert!(trainer.fit(&mut net, &Matrix::zeros(0, 4), &[]).is_err());
-    }
-
-    #[test]
-    fn classifier_only_training_still_learns_something() {
-        let (x, y) = toy_problem(40, 6, 13);
-        let mut net = BlockNet::new(&BlockNetConfig::new(6, 2).with_hidden(16, 16, 16), 7);
-        let trainer = Trainer::new(TrainerConfig {
-            epochs: 15,
-            batch_size: 16,
-            freeze: FreezeLevel::Classifier,
-            ..Default::default()
-        })
-        .unwrap();
-        trainer.fit(&mut net, &x, &y).unwrap();
-        let report = net.evaluate_from(FreezeLevel::Full, &x, &y).unwrap();
-        assert!(report.accuracy > 0.7, "accuracy={}", report.accuracy);
+        assert!(fit(&mut net, &Matrix::zeros(0, 4), &[], 5, sgd, 0).is_err());
     }
 }
