@@ -698,9 +698,7 @@ mod tests {
         // Dataset with an empty shard.
         let empty_shard = Dataset::empty(fed.test().feature_dim(), 10);
         let shards = vec![fed.client(0).clone(), empty_shard];
-        let bad_fed =
-            FederatedDataset::from_shards(shards, fed.test().clone(), PartitionScheme::Iid)
-                .unwrap();
+        let bad_fed = FederatedDataset::from_shards(shards, fed.test().clone()).unwrap();
         assert!(sim.run(&bad_fed, &model).is_err());
     }
 
@@ -708,12 +706,7 @@ mod tests {
     fn mismatched_test_set_is_rejected_before_any_round_runs() {
         let (fed, model) = tiny_setup(2);
         let narrow_test = Dataset::new(Matrix::zeros(4, 5), vec![0, 1, 2, 3], 10).unwrap();
-        let bad_fed = FederatedDataset::from_shards(
-            fed.clients().to_vec(),
-            narrow_test,
-            PartitionScheme::Iid,
-        )
-        .unwrap();
+        let bad_fed = FederatedDataset::from_shards(fed.clients().to_vec(), narrow_test).unwrap();
         let err = Simulation::new(quick_config(1))
             .unwrap()
             .run(&bad_fed, &model)

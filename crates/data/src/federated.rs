@@ -18,22 +18,12 @@ pub enum PartitionScheme {
     },
 }
 
-impl std::fmt::Display for PartitionScheme {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PartitionScheme::Iid => write!(f, "iid"),
-            PartitionScheme::Dirichlet { alpha } => write!(f, "dirichlet({alpha})"),
-        }
-    }
-}
-
 /// A federated view of a dataset: one private shard per client plus the
 /// global held-out test set used to evaluate the global model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FederatedDataset {
     client_shards: Vec<Dataset>,
     test: Dataset,
-    scheme: PartitionScheme,
 }
 
 impl FederatedDataset {
@@ -64,7 +54,6 @@ impl FederatedDataset {
         Ok(FederatedDataset {
             client_shards,
             test,
-            scheme,
         })
     }
 
@@ -73,11 +62,7 @@ impl FederatedDataset {
     /// # Errors
     ///
     /// Returns [`DataError::InvalidConfig`] when no shards are provided.
-    pub fn from_shards(
-        client_shards: Vec<Dataset>,
-        test: Dataset,
-        scheme: PartitionScheme,
-    ) -> Result<Self> {
+    pub fn from_shards(client_shards: Vec<Dataset>, test: Dataset) -> Result<Self> {
         if client_shards.is_empty() {
             return Err(DataError::InvalidConfig {
                 what: "a federated dataset needs at least one client shard".into(),
@@ -86,7 +71,6 @@ impl FederatedDataset {
         Ok(FederatedDataset {
             client_shards,
             test,
-            scheme,
         })
     }
 
@@ -156,22 +140,11 @@ mod tests {
     #[test]
     fn from_shards_validates() {
         let (_, test) = train_and_test();
-        assert!(FederatedDataset::from_shards(vec![], test.clone(), PartitionScheme::Iid).is_err());
+        assert!(FederatedDataset::from_shards(vec![], test.clone()).is_err());
         let shard = Dataset::new(Matrix::zeros(3, 4), vec![0, 1, 2], 6).unwrap();
-        let fd =
-            FederatedDataset::from_shards(vec![shard.clone(), shard], test, PartitionScheme::Iid)
-                .unwrap();
+        let fd = FederatedDataset::from_shards(vec![shard.clone(), shard], test).unwrap();
         assert_eq!(fd.num_clients(), 2);
         assert_eq!(fd.client(0).len(), 3);
         assert_eq!(fd.clients().len(), 2);
-    }
-
-    #[test]
-    fn scheme_display() {
-        assert_eq!(PartitionScheme::Iid.to_string(), "iid");
-        assert_eq!(
-            PartitionScheme::Dirichlet { alpha: 0.1 }.to_string(),
-            "dirichlet(0.1)"
-        );
     }
 }
