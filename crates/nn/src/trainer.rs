@@ -89,6 +89,10 @@ pub fn fit(
         }
         last_epoch_loss = epoch_loss / batches.max(1) as f32;
     }
+    // Free the momentum before `θ` is flattened, so the model, the snapshot,
+    // the momentum and the flattened copy are never alive at once: that
+    // moment would be pretraining's memory peak.
+    drop(optimizer);
     model.set_trainable_vector(FreezeLevel::Full, &suffix.trainable_vector())?;
     Ok(last_epoch_loss)
 }
