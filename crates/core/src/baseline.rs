@@ -38,11 +38,10 @@ pub fn centralised_baseline(
         Some(model) => model.clone(),
         None => BlockNet::new(model_config, seed),
     };
-    let (features, labels) = (bundle.train.features(), bundle.train.labels());
     let train_loss = fedft_nn::fit(
         &mut model,
-        features,
-        labels,
+        bundle.train.features(),
+        bundle.train.labels(),
         epochs,
         SgdConfig::default(),
         seed,
