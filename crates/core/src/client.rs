@@ -585,6 +585,163 @@ mod tests {
         }
     }
 
+    /// FNV-1a over 64-bit words, the digest the golden histories pin.
+    fn fnv1a(words: &[u64]) -> u64 {
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &word| {
+            (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every data-selection path, pinned as literals: each strategy at each
+    /// freeze level and round, over a context that runs the frozen prefix
+    /// itself (cache off) and over the registry's boundary and score slot
+    /// (cache on, scored once and then served), followed by the update the
+    /// client trains with the cache off and on. The digest covers every
+    /// selected index in order and every bit of each update's `θ` and loss,
+    /// so a scoring or boundary change that moves one selection fails here.
+    #[test]
+    fn every_data_selection_path_is_pinned() {
+        use crate::cache::{CacheRegistry, ShardKey};
+        let data = client_dataset(40, 11);
+        let client = Client::new(2, data.clone());
+        let model = global_model();
+        let key = ShardKey::of(&data);
+        let pinned = [
+            (SelectionStrategy::All, 0x64a9_b99b_fcdd_e14f),
+            (
+                SelectionStrategy::Random { fraction: 0.3 },
+                0x631a_ba1c_5e59_b8df,
+            ),
+            (
+                SelectionStrategy::Entropy {
+                    fraction: 0.3,
+                    temperature: 1.0,
+                },
+                0x1067_9b0f_89f5_5617,
+            ),
+            (
+                SelectionStrategy::Entropy {
+                    fraction: 0.3,
+                    temperature: 0.1,
+                },
+                0x22cb_2421_e72f_063b,
+            ),
+            (
+                SelectionStrategy::LossProportional { fraction: 0.3 },
+                0x1306_b17d_755f_49d0,
+            ),
+            (
+                SelectionStrategy::GradientNorm { fraction: 0.3 },
+                0x621c_e3a4_75ed_b491,
+            ),
+        ];
+        let mut digests = Vec::new();
+        for (selection, _) in pinned {
+            let mut words = Vec::new();
+            for freeze in [
+                FreezeLevel::Full,
+                FreezeLevel::Moderate,
+                FreezeLevel::Classifier,
+            ] {
+                let registry = CacheRegistry::new();
+                let mut buffer = Vec::new();
+                for round in 0..2 {
+                    let mut lists = Vec::new();
+                    let mut suffix = model.trainable_suffix(freeze);
+                    let mut lazy = SelectionContext::with_lazy_boundary(
+                        &mut suffix,
+                        &model,
+                        freeze,
+                        data.features(),
+                        data.labels(),
+                        round,
+                        client.id(),
+                        7,
+                    );
+                    lists.push(selection.select(&mut lazy).unwrap());
+                    let boundary = registry
+                        .get_or_build(&model, freeze, data.features())
+                        .unwrap();
+                    for _ in 0..2 {
+                        let mut shared = SelectionContext::with_boundary(
+                            &mut suffix,
+                            &boundary,
+                            data.labels(),
+                            round,
+                            client.id(),
+                            7,
+                        )
+                        .with_score_slot(registry.score_slot(key, &model, freeze), &mut buffer);
+                        lists.push(selection.select(&mut shared).unwrap());
+                    }
+                    for list in lists {
+                        words.push(list.len() as u64);
+                        words.extend(list.iter().map(|&i| i as u64));
+                    }
+                    for cache in [false, true] {
+                        let config = quick_config()
+                            .with_seed(7)
+                            .with_freeze(freeze)
+                            .with_selection(selection)
+                            .with_feature_cache(cache);
+                        let update = client.local_update(&model, &config, round).unwrap();
+                        words.push(update.selected_samples as u64);
+                        words.push(u64::from(update.train_loss.to_bits()));
+                        words.extend(update.theta.values().iter().map(|v| u64::from(v.to_bits())));
+                    }
+                }
+            }
+            digests.push((selection.short_name(), fnv1a(&words)));
+        }
+        let expected: Vec<_> = pinned
+            .iter()
+            .map(|(s, digest)| (s.short_name(), *digest))
+            .collect();
+        assert_eq!(digests, expected);
+
+        // The score tier: two clients of one shard, one registry, one model
+        // version — the first computes each round's scores, the second is
+        // served them, and a model-free strategy never touches the tier.
+        let shard = Arc::new(data);
+        let mut counts = Vec::new();
+        for (selection, _) in pinned {
+            let registry = CacheRegistry::new();
+            let clients = [4, 9].map(|id| {
+                Client::from_shard(
+                    id,
+                    Arc::clone(&shard),
+                    FeatureCache::shared(registry.clone()),
+                )
+            });
+            let config = quick_config()
+                .with_feature_cache(true)
+                .with_selection(selection);
+            for round in 0..2 {
+                for client in &clients {
+                    client.local_update(&model, &config, round).unwrap();
+                }
+            }
+            let stats = registry.score_stats();
+            counts.push((
+                selection.short_name(),
+                stats.served,
+                stats.computed,
+                stats.slots,
+            ));
+        }
+        assert_eq!(
+            counts,
+            [
+                ("all", 0, 0, 0),
+                ("rds", 0, 0, 0),
+                ("eds", 3, 1, 1),
+                ("eds", 3, 1, 1),
+                ("lds", 3, 1, 1),
+                ("gns", 3, 1, 1),
+            ]
+        );
+    }
+
     #[test]
     fn classifier_only_update_is_cheaper_than_full_update() {
         let client = Client::new(0, client_dataset(30, 6));
