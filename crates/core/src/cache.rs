@@ -101,10 +101,10 @@
 //!   ([`crate::Executor`]). An event round training one shard on two model
 //!   versions may recompute, as the slot keeps only the latest.
 
-use crate::Result;
+use crate::{FlError, Result};
 use fedft_data::Dataset;
 use fedft_nn::{BlockNet, FreezeLevel};
-use fedft_tensor::Matrix;
+use fedft_tensor::{stats, Matrix};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -203,7 +203,8 @@ impl ShardKey {
 }
 
 /// Which per-sample selection score a slot of the score tier holds: the
-/// function applied to the logits, with every parameter it has.
+/// function applied to the logits ([`ScoreKind::score`]), with every
+/// parameter it has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScoreKind {
     /// Entropy under a softmax at the temperature with these bits
@@ -226,6 +227,70 @@ impl ScoreKind {
             temperature_bits: temperature.to_bits(),
         }
     }
+
+    /// The score of every row of `logits`, the suffix's output on a shard's
+    /// boundary activations, whose labels are `labels`:
+    ///
+    /// * `Entropy` — the Shannon entropy of the softmax at the kind's
+    ///   temperature (paper Equations 3 and 6), fused into one pass a row by
+    ///   [`stats::softmax_entropy_rows`] with no probability matrix; `labels`
+    ///   is not read.
+    /// * `Loss` — the cross-entropy `−ln max(p_y, f32::MIN_POSITIVE)` under
+    ///   the softmax at temperature 1.
+    /// * `GradientNorm` — the output-layer gradient norm
+    ///   `‖p − onehot(y)‖₂ = sqrt(max(0, Σ_j p_j² − 2·p_y + 1))`: the exact
+    ///   norm of the cross-entropy gradient with respect to the logits, a
+    ///   proxy for the per-sample gradient that needs no backward pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for empty logits or a temperature that is not
+    /// positive and finite, and, for the kinds that read labels, a label
+    /// count that is not the row count or a label out of range.
+    pub fn score(&self, logits: &Matrix, labels: &[usize]) -> Result<Vec<f32>> {
+        match *self {
+            ScoreKind::Entropy { temperature_bits } => Ok(stats::softmax_entropy_rows(
+                logits,
+                f32::from_bits(temperature_bits),
+            )?),
+            ScoreKind::Loss => {
+                labelled_rows(logits, labels, |p, y| -p[y].max(f32::MIN_POSITIVE).ln())
+            }
+            ScoreKind::GradientNorm => labelled_rows(logits, labels, |p, y| {
+                let sum_sq: f32 = p.iter().map(|&v| v * v).sum();
+                (sum_sq - 2.0 * p[y] + 1.0).max(0.0).sqrt()
+            }),
+        }
+    }
+}
+
+/// `score` of every row's temperature-1 softmax and label, after checking
+/// that there is one label a row and each names a class.
+fn labelled_rows(
+    logits: &Matrix,
+    labels: &[usize],
+    score: impl Fn(&[f32], usize) -> f32,
+) -> Result<Vec<f32>> {
+    if labels.len() != logits.rows() {
+        return Err(FlError::InvalidConfig {
+            what: format!(
+                "label count {} does not match sample count {}",
+                labels.len(),
+                logits.rows()
+            ),
+        });
+    }
+    if let Some(&bad) = labels.iter().find(|&&y| y >= logits.cols()) {
+        return Err(FlError::InvalidConfig {
+            what: format!("label {bad} out of range for {} classes", logits.cols()),
+        });
+    }
+    let proba = stats::softmax(logits)?;
+    Ok(labels
+        .iter()
+        .enumerate()
+        .map(|(row, &y)| score(proba.row(row), y))
+        .collect())
 }
 
 /// The latest scores computed for one `(shard, freeze level)`.

@@ -2,7 +2,7 @@
 
 use crate::cache::{FeatureCache, ShardKey};
 use crate::config::{FlConfig, LocalAlgorithm};
-use crate::policy::SelectionContext;
+use crate::policy::{BoundarySource, SelectionContext};
 use crate::{FlError, Result};
 use fedft_data::Dataset;
 use fedft_nn::flops::FlopsBreakdown;
@@ -201,18 +201,30 @@ impl Client {
                 what: format!("client {} has no local data to select from", self.id),
             });
         }
-        // At FreezeLevel::Full there is no frozen prefix: the boundary is
-        // the raw input, so caching it would only duplicate the dataset.
-        let use_cache = config.feature_cache && freeze.frozen_blocks() > 0;
-        let cached_boundary: Option<Arc<Matrix>> = if use_cache {
-            Some(self.cache.registry().get_or_build_keyed(
-                *key,
-                global_model,
-                freeze,
-                data.features(),
-            )?)
+        // Where this update's boundary activations come from, decided once
+        // for its selection and its local epochs. At FreezeLevel::Full there
+        // is no frozen prefix: the boundary is the raw input, so caching it
+        // would only duplicate the dataset. With the cache on, the other
+        // clients of the shard that train on this model version read the
+        // registry's boundary and need the same scores, so the selection
+        // takes its scores from the registry too.
+        let cached: Arc<Matrix>;
+        let (boundary, score_slot) = if freeze.frozen_blocks() == 0 {
+            (BoundarySource::Whole(data.features()), None)
+        } else if config.feature_cache {
+            let registry = self.cache.registry();
+            cached = registry.get_or_build_keyed(*key, global_model, freeze, data.features())?;
+            (
+                BoundarySource::Whole(&cached),
+                Some(registry.score_slot(*key, global_model, freeze)),
+            )
         } else {
-            None
+            let prefix = BoundarySource::Prefix {
+                model: global_model,
+                freeze,
+                features: data.features(),
+            };
+            (prefix, None)
         };
 
         let ClientWorkspace {
@@ -230,49 +242,15 @@ impl Client {
         global_model.refresh_suffix(freeze, suffix);
 
         // --- Data selection (Equations 2-3, hardened softmax Equation 6),
-        // by the configured strategy. The context resolves boundary
-        // activations lazily: model-free strategies (All/Random) never touch
-        // the model, score-based ones see either the cached boundary,
-        // the raw features (no frozen prefix), or a one-off frozen forward
-        // pass — the exact three paths the pre-policy dispatch took. A
-        // client that took its boundary from the registry takes its scores
-        // there too: the other clients of its shard that train on this model
-        // version need the same ones.
+        // by the configured strategy. A model-free strategy (All/Random)
+        // never touches the model; a score-based one runs the suffix once
+        // over the whole boundary, unless the score slot serves its scores.
         let selected_indices = {
-            let mut ctx = match &cached_boundary {
-                Some(boundary) => SelectionContext::with_boundary(
-                    suffix,
-                    boundary,
-                    data.labels(),
-                    round,
-                    self.id,
-                    config.seed,
-                )
-                .with_score_slot(
-                    self.cache.registry().score_slot(*key, global_model, freeze),
-                    scores,
-                ),
-                // No frozen prefix: the boundary is the raw features —
-                // score them directly instead of copying the dataset.
-                None if freeze.frozen_blocks() == 0 => SelectionContext::with_boundary(
-                    suffix,
-                    data.features(),
-                    data.labels(),
-                    round,
-                    self.id,
-                    config.seed,
-                ),
-                None => SelectionContext::with_lazy_boundary(
-                    suffix,
-                    global_model,
-                    freeze,
-                    data.features(),
-                    data.labels(),
-                    round,
-                    self.id,
-                    config.seed,
-                ),
-            };
+            let mut ctx =
+                SelectionContext::new(suffix, boundary, data.labels(), round, self.id, config.seed);
+            if let Some(slot) = score_slot {
+                ctx = ctx.with_score_slot(slot, scores);
+            }
             config.selection.select(&mut ctx)?
         };
         selected_labels.clear();
@@ -305,26 +283,11 @@ impl Client {
                 batch_labels.clear();
                 batch_labels.extend(chunk.iter().map(|&i| selected_labels[i]));
                 // Boundary activations for this batch: gathered from the
-                // cache, or recomputed through the shared frozen prefix.
-                // Both paths run the same kernels on the same per-row
-                // inputs, so the suffix sees bit-identical values.
-                let frozen_out: Matrix;
-                let boundary: &Matrix = match &cached_boundary {
-                    Some(all) => {
-                        all.select_rows_into(batch_rows, gather);
-                        &*gather
-                    }
-                    None if freeze.frozen_blocks() == 0 => {
-                        data.features().select_rows_into(batch_rows, gather);
-                        &*gather
-                    }
-                    None => {
-                        data.features().select_rows_into(batch_rows, gather);
-                        frozen_out = global_model.forward_frozen(freeze, gather)?;
-                        &frozen_out
-                    }
-                };
-                epoch_loss += suffix.train_batch(boundary, batch_labels, optimizer)?;
+                // whole boundary, or recomputed through the shared frozen
+                // prefix. Both paths run the same kernels on the same
+                // per-row inputs, so the suffix sees bit-identical values.
+                let boundary = boundary.rows(batch_rows, gather)?;
+                epoch_loss += suffix.train_batch(&boundary, batch_labels, optimizer)?;
                 batches += 1;
             }
             train_loss = epoch_loss / batches.max(1) as f32;

@@ -1,4 +1,5 @@
-//! Per-sample entropy scoring with the hardened softmax (paper §III-E).
+//! Per-sample entropy scoring with the hardened softmax (paper §III-E), and
+//! the ranking and histogram of selection scores.
 //!
 //! The entropy-based data selector performs one forward pass over a client's
 //! local data, converts the logits to probabilities with a temperature-scaled
@@ -6,9 +7,15 @@
 //! computes the Shannon entropy of each sample (Equation 3). High-entropy
 //! samples are the ones the model is most uncertain about and therefore the
 //! most valuable to train on.
+//!
+//! A selection score is a function of its [`crate::ScoreKind`]: entropy,
+//! loss and gradient norm are each one reduction of the suffix's logits on
+//! the client's boundary activations ([`crate::ScoreKind::score`]).
+//! [`sample_entropies`] is the entropy score of a whole model on raw
+//! features, for analyses that have no federated client.
 
 use crate::{FlError, Result};
-use fedft_nn::{BlockNet, SuffixNet};
+use fedft_nn::BlockNet;
 use fedft_tensor::{stats, Matrix};
 
 /// Default hardened-softmax temperature used by the paper (ρ = 0.1).
@@ -26,7 +33,6 @@ pub fn sample_entropies(
     features: &Matrix,
     temperature: f32,
 ) -> Result<Vec<f32>> {
-    validate_entropy_inputs(features, temperature)?;
     // Fused softmax+entropy on the logits: bit-identical to
     // `stats::softmax_with_temperature` + a per-row `shannon_entropy`, without
     // materialising the probability matrix (see `stats::softmax_entropy_rows`).
@@ -34,129 +40,13 @@ pub fn sample_entropies(
     Ok(stats::softmax_entropy_rows(&logits, temperature)?)
 }
 
-/// Computes per-sample entropies from **precomputed boundary activations**:
-/// only the trainable suffix runs, skipping the frozen prefix entirely.
-///
-/// `boundary` must be the output of
-/// [`fedft_nn::BlockNet::forward_frozen`] (or a cached copy of it) on the
-/// samples to score, under the freeze level the suffix was split at. The
-/// resulting entropies are bit-identical to [`sample_entropies`] on the raw
-/// features — the suffix runs the same kernels on the same intermediate
-/// values — which is what makes cached entropy selection safe.
-///
-/// # Errors
-///
-/// Returns an error when the boundary matrix is empty, the temperature is
-/// not a positive finite number, or shapes mismatch.
-pub(crate) fn sample_entropies_from_boundary(
-    suffix: &mut SuffixNet,
-    boundary: &Matrix,
-    temperature: f32,
-) -> Result<Vec<f32>> {
-    validate_entropy_inputs(boundary, temperature)?;
-    let logits = suffix.forward(boundary)?;
-    Ok(stats::softmax_entropy_rows(&logits, temperature)?)
-}
-
-/// Computes the per-sample cross-entropy loss `−ln softmax(z)[y]` (softmax at
-/// temperature 1) from **precomputed boundary activations**, the score behind
-/// the loss-proportional data-selection policy (Shi & Radu 2021).
-///
-/// Like [`sample_entropies_from_boundary`] this runs only the trainable
-/// suffix, so cached boundary features make the scoring pass as cheap as the
-/// entropy path.
-///
-/// # Errors
-///
-/// Returns an error for an empty boundary matrix, a label count that does not
-/// match the boundary rows, or an out-of-range label.
-pub(crate) fn sample_losses_from_boundary(
-    suffix: &mut SuffixNet,
-    boundary: &Matrix,
-    labels: &[usize],
-) -> Result<Vec<f32>> {
-    let proba = scored_probabilities(suffix, boundary, labels)?;
-    Ok(labels
-        .iter()
-        .enumerate()
-        .map(|(row, &y)| -proba.get(row, y).max(f32::MIN_POSITIVE).ln())
-        .collect())
-}
-
-/// Computes the per-sample output-layer gradient norm
-/// `‖softmax(z) − onehot(y)‖₂ = sqrt(Σ_j p_j² − 2·p_y + 1)` from
-/// **precomputed boundary activations**, the score behind the gradient-norm
-/// data-selection policy (Shi & Radu 2021).
-///
-/// This is the exact Euclidean norm of the cross-entropy gradient with
-/// respect to the logits — a cheap, last-layer proxy for the full per-sample
-/// gradient magnitude that needs no backward pass.
-///
-/// # Errors
-///
-/// Returns an error for an empty boundary matrix, a label count that does not
-/// match the boundary rows, or an out-of-range label.
-pub(crate) fn sample_gradient_norms_from_boundary(
-    suffix: &mut SuffixNet,
-    boundary: &Matrix,
-    labels: &[usize],
-) -> Result<Vec<f32>> {
-    let proba = scored_probabilities(suffix, boundary, labels)?;
-    Ok(labels
-        .iter()
-        .enumerate()
-        .map(|(row, &y)| {
-            let p = proba.row(row);
-            let sum_sq: f32 = p.iter().map(|&v| v * v).sum();
-            (sum_sq - 2.0 * p[y] + 1.0).max(0.0).sqrt()
-        })
-        .collect())
-}
-
-/// Shared inference pass for the label-aware scores: validates the inputs,
-/// runs the suffix in inference mode and returns the temperature-1 softmax
-/// probabilities.
-fn scored_probabilities(
-    suffix: &mut SuffixNet,
-    boundary: &Matrix,
-    labels: &[usize],
-) -> Result<Matrix> {
-    validate_entropy_inputs(boundary, 1.0)?;
-    if labels.len() != boundary.rows() {
-        return Err(FlError::InvalidConfig {
-            what: format!(
-                "label count {} does not match sample count {}",
-                labels.len(),
-                boundary.rows()
-            ),
-        });
-    }
-    let logits = suffix.forward(boundary)?;
-    if let Some(&bad) = labels.iter().find(|&&y| y >= logits.cols()) {
-        return Err(FlError::InvalidConfig {
-            what: format!("label {bad} out of range for {} classes", logits.cols()),
-        });
-    }
-    Ok(stats::softmax(&logits)?)
-}
-
-fn validate_entropy_inputs(features: &Matrix, temperature: f32) -> Result<()> {
-    if features.rows() == 0 {
-        return Err(FlError::InvalidConfig {
-            what: "cannot compute entropies of an empty feature matrix".into(),
-        });
-    }
-    if !(temperature.is_finite() && temperature > 0.0) {
-        return Err(FlError::InvalidConfig {
-            what: format!("softmax temperature must be positive, got {temperature}"),
-        });
-    }
-    Ok(())
-}
-
-/// Returns the indices of `entropies` sorted by decreasing entropy
+/// Returns the indices of `entropies` sorted by decreasing score
 /// (most-uncertain first). Ties are broken by the original index so the
 /// ordering is fully deterministic.
+///
+/// Any per-sample score ranks this way: EDS ranks entropies with it and the
+/// gradient-norm strategy ranks gradient norms
+/// ([`crate::SelectionStrategy::select`]).
 ///
 /// The comparison is [`f32::total_cmp`], a strict total order, so
 /// non-finite entropies (possible when logits overflow to `±∞` or `NaN`)
@@ -238,9 +128,20 @@ impl EntropyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedft_nn::BlockNetConfig;
+    use crate::ScoreKind;
+    use fedft_nn::{BlockNetConfig, SuffixNet};
     use fedft_tensor::rng;
     use rand::Rng;
+
+    /// One scoring pass: the suffix over `boundary`, reduced by `kind`.
+    fn score(
+        kind: ScoreKind,
+        suffix: &SuffixNet,
+        boundary: &Matrix,
+        labels: &[usize],
+    ) -> Result<Vec<f32>> {
+        kind.score(&suffix.forward(boundary)?, labels)
+    }
 
     fn model() -> BlockNet {
         BlockNet::new(&BlockNetConfig::new(8, 5).with_hidden(12, 12, 12), 3)
@@ -350,16 +251,16 @@ mod tests {
         let full = sample_entropies(&mut m, &x, 0.1).unwrap();
         for freeze in FreezeLevel::all() {
             let boundary = m.forward_frozen(freeze, &x).unwrap();
-            let mut suffix = m.trainable_suffix(freeze);
-            let cached = sample_entropies_from_boundary(&mut suffix, &boundary, 0.1).unwrap();
+            let suffix = m.trainable_suffix(freeze);
+            let cached = score(ScoreKind::entropy(0.1), &suffix, &boundary, &[]).unwrap();
             let as_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(as_bits(&full), as_bits(&cached), "freeze {freeze}");
         }
         // The boundary path validates its inputs like the full path does.
-        let mut suffix = m.trainable_suffix(FreezeLevel::Moderate);
-        assert!(sample_entropies_from_boundary(&mut suffix, &Matrix::zeros(0, 12), 0.1).is_err());
+        let suffix = m.trainable_suffix(FreezeLevel::Moderate);
+        assert!(score(ScoreKind::entropy(0.1), &suffix, &Matrix::zeros(0, 12), &[]).is_err());
         let boundary = m.forward_frozen(FreezeLevel::Moderate, &x).unwrap();
-        assert!(sample_entropies_from_boundary(&mut suffix, &boundary, 0.0).is_err());
+        assert!(score(ScoreKind::entropy(0.0), &suffix, &boundary, &[]).is_err());
     }
 
     #[test]
@@ -370,8 +271,8 @@ mod tests {
         let labels: Vec<usize> = (0..18).map(|i| i % 5).collect();
         for freeze in FreezeLevel::all() {
             let boundary = m.forward_frozen(freeze, &x).unwrap();
-            let mut suffix = m.trainable_suffix(freeze);
-            let losses = sample_losses_from_boundary(&mut suffix, &boundary, &labels).unwrap();
+            let suffix = m.trainable_suffix(freeze);
+            let losses = score(ScoreKind::Loss, &suffix, &boundary, &labels).unwrap();
             assert_eq!(losses.len(), 18);
             // Cross-entropy of a softmax is non-negative and finite here.
             assert!(losses.iter().all(|&l| l >= 0.0 && l.is_finite()));
@@ -391,8 +292,8 @@ mod tests {
         let labels: Vec<usize> = (0..14).map(|i| (i * 3) % 5).collect();
         let freeze = FreezeLevel::Moderate;
         let boundary = m.forward_frozen(freeze, &x).unwrap();
-        let mut suffix = m.trainable_suffix(freeze);
-        let norms = sample_gradient_norms_from_boundary(&mut suffix, &boundary, &labels).unwrap();
+        let suffix = m.trainable_suffix(freeze);
+        let norms = score(ScoreKind::GradientNorm, &suffix, &boundary, &labels).unwrap();
         let logits = suffix.forward(&boundary).unwrap();
         let proba = stats::softmax(&logits).unwrap();
         for (row, &y) in labels.iter().enumerate() {
@@ -421,14 +322,14 @@ mod tests {
         let m = model();
         let x = random_features(6, 8, 8);
         let boundary = m.forward_frozen(FreezeLevel::Moderate, &x).unwrap();
-        let mut suffix = m.trainable_suffix(FreezeLevel::Moderate);
+        let suffix = m.trainable_suffix(FreezeLevel::Moderate);
         // Mismatched label count.
-        assert!(sample_losses_from_boundary(&mut suffix, &boundary, &[0, 1]).is_err());
+        assert!(score(ScoreKind::Loss, &suffix, &boundary, &[0, 1]).is_err());
         // Out-of-range label (model has 5 classes).
         let bad = vec![0, 1, 2, 3, 4, 9];
-        assert!(sample_gradient_norms_from_boundary(&mut suffix, &boundary, &bad).is_err());
+        assert!(score(ScoreKind::GradientNorm, &suffix, &boundary, &bad).is_err());
         // Empty boundary.
-        assert!(sample_losses_from_boundary(&mut suffix, &Matrix::zeros(0, 12), &[]).is_err());
+        assert!(score(ScoreKind::Loss, &suffix, &Matrix::zeros(0, 12), &[]).is_err());
     }
 
     #[test]

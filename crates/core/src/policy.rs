@@ -28,10 +28,6 @@
 //! back-compat e2e suite.
 
 use crate::cache::{ScoreKind, ScoreSlot};
-use crate::entropy::{
-    sample_entropies_from_boundary, sample_gradient_norms_from_boundary,
-    sample_losses_from_boundary,
-};
 use crate::participation::ParticipationModel;
 use crate::Result;
 use fedft_data::Dataset;
@@ -49,9 +45,13 @@ use std::sync::Arc;
 /// Everything [`crate::SelectionStrategy::select`] may consult when picking
 /// this round's training subset for one client.
 ///
-/// The boundary activations (frozen-prefix output) are resolved lazily: a
-/// strategy that never scores samples (`All`, `Random`) never triggers the
-/// frozen forward pass, preserving the cost profile of the pre-policy code.
+/// A score is a function of its [`ScoreKind`] ([`ScoreKind::score`]) applied
+/// to the suffix's logits on the client's whole boundary, so a scoring pass
+/// is one suffix forward, or none when the score slot
+/// ([`SelectionContext::with_score_slot`]) serves the scores. A context built
+/// on the frozen prefix runs it at the first scoring pass and keeps the
+/// result: a strategy that never scores samples (`All`, `Random`) never runs
+/// it.
 pub struct SelectionContext<'a> {
     suffix: &'a mut SuffixNet,
     labels: &'a [usize],
@@ -59,30 +59,62 @@ pub struct SelectionContext<'a> {
     pub(crate) client_id: usize,
     pub(crate) seed: u64,
     boundary: BoundarySource<'a>,
+    /// The whole boundary a scoring pass built by running the frozen prefix.
+    built: Option<Matrix>,
     /// Where scores other clients of the shard computed under this model
     /// version are found and this client's are left, and the buffer they
     /// are copied out into.
     shared: Option<(ScoreSlot<'a>, &'a mut Vec<f32>)>,
 }
 
-enum BoundarySource<'a> {
-    /// Boundary activations already materialised — a cache hit, or the raw
-    /// features themselves when no block is frozen.
-    Ready(&'a Matrix),
-    /// Frozen prefix not yet run; computed on first use and memoised.
-    Lazy {
+/// Where one local update's boundary activations (the frozen prefix's
+/// output, the suffix's input) come from: decided once an update and read by
+/// both its selection and its local epochs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum BoundarySource<'a> {
+    /// The whole boundary, materialised: the registry's cached activations,
+    /// or the raw features when no block is frozen.
+    Whole(&'a Matrix),
+    /// The frozen prefix of `model` at `freeze`, run over the rows of
+    /// `features` that are needed: a batch at a time by training, all of
+    /// them once by a scoring pass.
+    Prefix {
         model: &'a BlockNet,
         freeze: FreezeLevel,
         features: &'a Matrix,
-        built: Option<Matrix>,
     },
 }
 
+impl BoundarySource<'_> {
+    /// The boundary rows `rows`, in order: gathered into `gather` from a
+    /// whole boundary, or the frozen prefix run over them.
+    pub(crate) fn rows<'g>(
+        &self,
+        rows: &[usize],
+        gather: &'g mut Matrix,
+    ) -> Result<Cow<'g, Matrix>> {
+        match *self {
+            BoundarySource::Whole(boundary) => {
+                boundary.select_rows_into(rows, gather);
+                Ok(Cow::Borrowed(gather))
+            }
+            BoundarySource::Prefix {
+                model,
+                freeze,
+                features,
+            } => {
+                features.select_rows_into(rows, gather);
+                Ok(Cow::Owned(model.forward_frozen(freeze, gather)?))
+            }
+        }
+    }
+}
+
 impl<'a> SelectionContext<'a> {
-    /// Context over already-materialised boundary activations.
-    pub fn with_boundary(
+    /// Context over `boundary`, however the update resolved it.
+    pub(crate) fn new(
         suffix: &'a mut SuffixNet,
-        boundary: &'a Matrix,
+        boundary: BoundarySource<'a>,
         labels: &'a [usize],
         round: usize,
         client_id: usize,
@@ -94,9 +126,23 @@ impl<'a> SelectionContext<'a> {
             round,
             client_id,
             seed,
-            boundary: BoundarySource::Ready(boundary),
+            boundary,
+            built: None,
             shared: None,
         }
+    }
+
+    /// Context over already-materialised boundary activations.
+    pub fn with_boundary(
+        suffix: &'a mut SuffixNet,
+        boundary: &'a Matrix,
+        labels: &'a [usize],
+        round: usize,
+        client_id: usize,
+        seed: u64,
+    ) -> Self {
+        let boundary = BoundarySource::Whole(boundary);
+        SelectionContext::new(suffix, boundary, labels, round, client_id, seed)
     }
 
     /// Context whose boundary activations are computed on demand by running
@@ -112,20 +158,12 @@ impl<'a> SelectionContext<'a> {
         client_id: usize,
         seed: u64,
     ) -> Self {
-        SelectionContext {
-            suffix,
-            labels,
-            round,
-            client_id,
-            seed,
-            boundary: BoundarySource::Lazy {
-                model,
-                freeze,
-                features,
-                built: None,
-            },
-            shared: None,
-        }
+        let boundary = BoundarySource::Prefix {
+            model,
+            freeze,
+            features,
+        };
+        SelectionContext::new(suffix, boundary, labels, round, client_id, seed)
     }
 
     /// Shares the context's scores through `slot`: a score the slot holds
@@ -144,35 +182,10 @@ impl<'a> SelectionContext<'a> {
         self.labels.len()
     }
 
-    /// Per-sample entropies under a hardened softmax (the EDS score).
-    pub(crate) fn entropies(&mut self, temperature: f32) -> Result<Cow<'_, [f32]>> {
-        self.scores(ScoreKind::entropy(temperature), |suffix, boundary| {
-            sample_entropies_from_boundary(suffix, boundary, temperature)
-        })
-    }
-
-    /// Per-sample cross-entropy losses (the loss-proportional score).
-    pub(crate) fn losses(&mut self) -> Result<Cow<'_, [f32]>> {
-        let labels = self.labels;
-        self.scores(ScoreKind::Loss, |suffix, boundary| {
-            sample_losses_from_boundary(suffix, boundary, labels)
-        })
-    }
-
-    /// Per-sample output-layer gradient norms (the gradient-norm score).
-    pub(crate) fn gradient_norms(&mut self) -> Result<Cow<'_, [f32]>> {
-        let labels = self.labels;
-        self.scores(ScoreKind::GradientNorm, |suffix, boundary| {
-            sample_gradient_norms_from_boundary(suffix, boundary, labels)
-        })
-    }
-
-    /// The one scoring path: borrowed from the shared buffer when the slot
-    /// answered, owned when `score` ran.
-    fn scores<F>(&mut self, kind: ScoreKind, score: F) -> Result<Cow<'_, [f32]>>
-    where
-        F: FnOnce(&mut SuffixNet, &Matrix) -> Result<Vec<f32>>,
-    {
+    /// The `kind` score of every sample: borrowed from the shared buffer
+    /// when the slot answered, otherwise one suffix forward over the whole
+    /// boundary reduced by [`ScoreKind::score`] and left in the slot.
+    pub(crate) fn scores(&mut self, kind: ScoreKind) -> Result<Cow<'_, [f32]>> {
         let served = match &mut self.shared {
             Some((slot, buffer)) => slot.read_into(kind, buffer),
             None => false,
@@ -180,19 +193,19 @@ impl<'a> SelectionContext<'a> {
         if let (true, Some((_, buffer))) = (served, &self.shared) {
             return Ok(Cow::Borrowed(buffer.as_slice()));
         }
-        let boundary: &Matrix = match &mut self.boundary {
-            BoundarySource::Ready(b) => b,
-            BoundarySource::Lazy {
-                model,
-                freeze,
-                features,
+        let boundary: &Matrix = match (self.boundary, &mut self.built) {
+            (BoundarySource::Whole(boundary), _) => boundary,
+            (_, Some(built)) => built,
+            (
+                BoundarySource::Prefix {
+                    model,
+                    freeze,
+                    features,
+                },
                 built,
-            } => match built {
-                Some(b) => b,
-                None => built.insert(model.forward_frozen(*freeze, features)?),
-            },
+            ) => built.insert(model.forward_frozen(freeze, features)?),
         };
-        let computed = score(&mut *self.suffix, boundary)?;
+        let computed = kind.score(&self.suffix.forward(boundary)?, self.labels)?;
         if let Some((slot, _)) = &self.shared {
             slot.store(kind, &computed);
         }
@@ -435,8 +448,10 @@ mod tests {
         };
         let via_policy = select_with(eds, &m, &d, freeze, 0);
         let boundary = m.forward_frozen(freeze, d.features()).unwrap();
-        let mut suffix = m.trainable_suffix(freeze);
-        let entropies = sample_entropies_from_boundary(&mut suffix, &boundary, 0.1).unwrap();
+        let suffix = m.trainable_suffix(freeze);
+        let entropies = ScoreKind::entropy(0.1)
+            .score(&suffix.forward(&boundary).unwrap(), &[])
+            .unwrap();
         assert_eq!(via_policy, rank_by_entropy(&entropies)[..6]);
     }
 
@@ -487,8 +502,10 @@ mod tests {
         // must be selected more often than the bottom-loss third.
         let freeze = FreezeLevel::Moderate;
         let boundary = m.forward_frozen(freeze, d.features()).unwrap();
-        let mut suffix = m.trainable_suffix(freeze);
-        let losses = sample_losses_from_boundary(&mut suffix, &boundary, d.labels()).unwrap();
+        let suffix = m.trainable_suffix(freeze);
+        let losses = ScoreKind::Loss
+            .score(&suffix.forward(&boundary).unwrap(), d.labels())
+            .unwrap();
         let ranked = rank_by_entropy(&losses);
         let top: Vec<usize> = ranked[..10].to_vec();
         let bottom: Vec<usize> = ranked[20..].to_vec();
@@ -520,9 +537,10 @@ mod tests {
         // The selected samples dominate the unselected ones in score.
         let freeze = FreezeLevel::Classifier;
         let boundary = m.forward_frozen(freeze, d.features()).unwrap();
-        let mut suffix = m.trainable_suffix(freeze);
-        let norms =
-            sample_gradient_norms_from_boundary(&mut suffix, &boundary, d.labels()).unwrap();
+        let suffix = m.trainable_suffix(freeze);
+        let norms = ScoreKind::GradientNorm
+            .score(&suffix.forward(&boundary).unwrap(), d.labels())
+            .unwrap();
         let min_sel = a.iter().map(|&i| norms[i]).fold(f32::INFINITY, f32::min);
         let max_unsel = (0..20)
             .filter(|i| !a.contains(i))

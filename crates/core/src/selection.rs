@@ -1,5 +1,6 @@
 //! Per-round local data selection strategies (paper §III-C and §IV-A3).
 
+use crate::cache::ScoreKind;
 use crate::entropy::rank_by_entropy;
 use crate::participation::weighted_order;
 use crate::policy::SelectionContext;
@@ -67,16 +68,22 @@ impl SelectionStrategy {
         }
     }
 
+    /// The score the strategy ranks or draws by, `None` for the model-free
+    /// strategies.
+    fn score_kind(&self) -> Option<ScoreKind> {
+        match *self {
+            SelectionStrategy::All | SelectionStrategy::Random { .. } => None,
+            SelectionStrategy::Entropy { temperature, .. } => Some(ScoreKind::entropy(temperature)),
+            SelectionStrategy::LossProportional { .. } => Some(ScoreKind::Loss),
+            SelectionStrategy::GradientNorm { .. } => Some(ScoreKind::GradientNorm),
+        }
+    }
+
     /// Returns `true` when the strategy needs a forward pass over the whole
     /// local dataset (and therefore incurs the selection overhead accounted
     /// for by the cost model).
     pub(crate) fn needs_inference_pass(&self) -> bool {
-        matches!(
-            self,
-            SelectionStrategy::Entropy { .. }
-                | SelectionStrategy::LossProportional { .. }
-                | SelectionStrategy::GradientNorm { .. }
-        )
+        self.score_kind().is_some()
     }
 
     /// Short name used in reports (`all`, `rds`, `eds`, `lds`, `gns`).
@@ -124,7 +131,9 @@ impl SelectionStrategy {
     }
 
     /// Selects this round's training subset, most important sample first
-    /// for the score-based strategies:
+    /// for the score-based strategies. A score-based strategy names its
+    /// [`ScoreKind`] and takes the scores from the context, so the strategy
+    /// chooses only how to order the samples:
     ///
     /// * `All` — every sample, in order.
     /// * `Random` — a seeded subset on the `"rds-client-{id}"` stream
@@ -148,27 +157,24 @@ impl SelectionStrategy {
             });
         }
         let keep = self.selected_count(available);
-        let mut order = match *self {
-            SelectionStrategy::All => (0..available).collect(),
-            SelectionStrategy::Random { .. } => rng::seeded_subset(
+        let mut order = match (self, self.score_kind()) {
+            (SelectionStrategy::Random { .. }, _) => rng::seeded_subset(
                 ctx.seed,
                 &format!("rds-client-{}", ctx.client_id),
                 ctx.round as u64,
                 available,
                 keep,
             ),
-            SelectionStrategy::Entropy { temperature, .. } => {
-                rank_by_entropy(&ctx.entropies(temperature)?)
-            }
-            SelectionStrategy::LossProportional { .. } => {
+            (_, None) => (0..available).collect(),
+            (SelectionStrategy::LossProportional { .. }, Some(kind)) => {
                 let mut r = rng::rng_for_indexed(
                     ctx.seed,
                     &format!("lds-client-{}", ctx.client_id),
                     ctx.round as u64,
                 );
-                weighted_order(&mut r, ctx.losses()?.iter().map(|&l| f64::from(l)))
+                weighted_order(&mut r, ctx.scores(kind)?.iter().map(|&l| f64::from(l)))
             }
-            SelectionStrategy::GradientNorm { .. } => rank_by_entropy(&ctx.gradient_norms()?),
+            (_, Some(kind)) => rank_by_entropy(&ctx.scores(kind)?),
         };
         order.truncate(keep);
         Ok(order)

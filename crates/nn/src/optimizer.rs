@@ -69,15 +69,16 @@ pub struct ProximalTerm {
     /// Proximal coefficient μ.
     pub mu: f32,
     /// Flattened reference parameters (the global model at the start of the
-    /// round), aligned with the parameters passed to [`Sgd::step`].
+    /// round), aligned with the parameters a training step updates, in its
+    /// order ([`crate::SuffixNet::train_batch`]).
     pub reference: ParamVector,
 }
 
 /// SGD optimiser with momentum.
 ///
-/// The optimiser keeps one velocity buffer per parameter tensor. The same
-/// parameter tensors (same count, same shapes, same order) must be passed to
-/// every [`Sgd::step`] call.
+/// The optimiser keeps one velocity buffer per parameter tensor. Every step
+/// between two restarts must update the same parameter tensors (same count,
+/// same shapes, same order), as [`crate::SuffixNet::train_batch`] does.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     config: SgdConfig,
@@ -145,7 +146,9 @@ impl Sgd {
         self.proximal.take()
     }
 
-    /// Applies one SGD update to `params` using `grads`.
+    /// Applies one SGD update to `params` using `grads`: [`Sgd::begin_step`]
+    /// over two slices, for the reference-step oracle in `suffix.rs` and the
+    /// optimiser's own tests. Training steps through `begin_step`.
     ///
     /// # Errors
     ///
@@ -153,7 +156,8 @@ impl Sgd {
     /// changes between calls, a tensor error if shapes are inconsistent, or
     /// [`NnError::ParamLengthMismatch`] if the proximal reference does not
     /// match the total parameter size.
-    pub fn step(&mut self, params: &mut [&mut Matrix], grads: &[&Matrix]) -> Result<()> {
+    #[cfg(test)]
+    pub(crate) fn step(&mut self, params: &mut [&mut Matrix], grads: &[&Matrix]) -> Result<()> {
         if params.len() != grads.len() {
             return Err(NnError::InvalidConfig {
                 what: format!(
@@ -174,9 +178,8 @@ impl Sgd {
     /// Opens one SGD update over `tensors` parameter tensors holding `total`
     /// scalars, checked against the optimiser's state before anything is
     /// written; the caller then feeds the tensors, in their fixed order, to
-    /// [`SgdStep::update`]. [`Sgd::step`] is this over two slices; the
-    /// training step drives it from `DenseBlock::params_mut`, which needs no
-    /// `Vec` of references.
+    /// [`SgdStep::update`]. The training step drives it from
+    /// `DenseBlock::params_mut`, which needs no `Vec` of references.
     pub(crate) fn begin_step(&mut self, tensors: usize, total: usize) -> Result<SgdStep<'_>> {
         let first = self.unstarted;
         if !first && self.velocities.len() != tensors {

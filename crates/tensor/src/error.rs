@@ -40,6 +40,11 @@ pub enum TensorError {
         /// Index of the offending row.
         row: usize,
     },
+    /// A softmax temperature that is not a positive finite number.
+    InvalidTemperature {
+        /// `f32::to_bits` of the temperature, so that the error stays `Eq`.
+        bits: u32,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -64,6 +69,11 @@ impl fmt::Display for TensorError {
             } => write!(
                 f,
                 "ragged rows: row {row} has length {found}, expected {expected}"
+            ),
+            TensorError::InvalidTemperature { bits } => write!(
+                f,
+                "softmax temperature must be positive and finite, got {}",
+                f32::from_bits(*bits)
             ),
         }
     }
@@ -113,6 +123,15 @@ mod tests {
             row: 3,
         };
         assert!(err.to_string().contains("row 3"));
+    }
+
+    #[test]
+    fn display_invalid_temperature() {
+        let err = TensorError::InvalidTemperature {
+            bits: (-1.0_f32).to_bits(),
+        };
+        assert!(err.to_string().contains("temperature"));
+        assert!(err.to_string().contains("-1"));
     }
 
     #[test]

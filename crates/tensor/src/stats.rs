@@ -16,16 +16,11 @@ use crate::{Matrix, Result, TensorError};
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::EmptyMatrix`] for an empty input.
-///
-/// # Panics
-///
-/// Panics if `temperature` is not strictly positive.
+/// Returns [`TensorError::InvalidTemperature`] when `temperature` is not a
+/// positive finite number, and [`TensorError::EmptyMatrix`] for an empty
+/// input.
 pub fn softmax_with_temperature(logits: &Matrix, temperature: f32) -> Result<Matrix> {
-    assert!(
-        temperature.is_finite() && temperature > 0.0,
-        "softmax temperature must be positive and finite, got {temperature}"
-    );
+    check_temperature(temperature)?;
     if logits.is_empty() {
         return Err(TensorError::EmptyMatrix { op: "softmax" });
     }
@@ -63,16 +58,11 @@ pub fn softmax_with_temperature(logits: &Matrix, temperature: f32) -> Result<Mat
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::EmptyMatrix`] for an empty input.
-///
-/// # Panics
-///
-/// Panics if `temperature` is not strictly positive.
+/// Returns [`TensorError::InvalidTemperature`] when `temperature` is not a
+/// positive finite number, and [`TensorError::EmptyMatrix`] for an empty
+/// input.
 pub fn softmax_entropy_rows(logits: &Matrix, temperature: f32) -> Result<Vec<f32>> {
-    assert!(
-        temperature.is_finite() && temperature > 0.0,
-        "softmax temperature must be positive and finite, got {temperature}"
-    );
+    check_temperature(temperature)?;
     if logits.is_empty() {
         return Err(TensorError::EmptyMatrix {
             op: "softmax_entropy",
@@ -102,6 +92,16 @@ pub fn softmax_entropy_rows(logits: &Matrix, temperature: f32) -> Result<Vec<f32
         entropies.push(h);
     }
     Ok(entropies)
+}
+
+fn check_temperature(temperature: f32) -> Result<()> {
+    if temperature.is_finite() && temperature > 0.0 {
+        Ok(())
+    } else {
+        Err(TensorError::InvalidTemperature {
+            bits: temperature.to_bits(),
+        })
+    }
 }
 
 /// Row-wise softmax at temperature 1.
@@ -269,9 +269,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "temperature")]
     fn softmax_rejects_zero_temperature() {
-        let _ = softmax_with_temperature(&logits(), 0.0);
+        assert_eq!(
+            softmax_with_temperature(&logits(), 0.0),
+            Err(TensorError::InvalidTemperature { bits: 0 })
+        );
     }
 
     #[test]
@@ -340,9 +342,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "temperature")]
     fn fused_softmax_entropy_rejects_zero_temperature() {
-        let _ = softmax_entropy_rows(&logits(), 0.0);
+        assert_eq!(
+            softmax_entropy_rows(&logits(), 0.0),
+            Err(TensorError::InvalidTemperature { bits: 0 })
+        );
+    }
+
+    #[test]
+    fn a_temperature_that_is_not_positive_and_finite_is_an_error_not_a_panic() {
+        for temperature in [0.0, -0.0, -1.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let expected = TensorError::InvalidTemperature {
+                bits: temperature.to_bits(),
+            };
+            let rejected = |result: Result<_>| result.err() == Some(expected.clone());
+            assert!(rejected(
+                softmax_with_temperature(&logits(), temperature).map(drop)
+            ));
+            assert!(rejected(
+                softmax_entropy_rows(&logits(), temperature).map(drop)
+            ));
+            // The temperature is checked before the input.
+            assert!(rejected(
+                softmax_entropy_rows(&Matrix::zeros(0, 0), temperature).map(drop)
+            ));
+        }
     }
 
     #[test]
