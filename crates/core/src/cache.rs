@@ -271,18 +271,13 @@ fn labelled_rows(
     labels: &[usize],
     score: impl Fn(&[f32], usize) -> f32,
 ) -> Result<Vec<f32>> {
-    if labels.len() != logits.rows() {
+    let (rows, classes) = logits.shape();
+    if labels.len() != rows || labels.iter().any(|&y| y >= classes) {
         return Err(FlError::InvalidConfig {
             what: format!(
-                "label count {} does not match sample count {}",
-                labels.len(),
-                logits.rows()
+                "{} labels do not fit {rows} rows of {classes} classes",
+                labels.len()
             ),
-        });
-    }
-    if let Some(&bad) = labels.iter().find(|&&y| y >= logits.cols()) {
-        return Err(FlError::InvalidConfig {
-            what: format!("label {bad} out of range for {} classes", logits.cols()),
         });
     }
     let proba = stats::softmax(logits)?;

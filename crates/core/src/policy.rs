@@ -6,7 +6,10 @@
 //!    trains on: [`crate::SelectionStrategy::select`] over a
 //!    [`SelectionContext`]. The paper's EDS is one variant; the others are
 //!    the all/random baselines and the loss-proportional / gradient-norm
-//!    rules of the paper's precursor (Shi & Radu 2021).
+//!    rules of the paper's precursor (Shi & Radu 2021). A score is a
+//!    function of its [`ScoreKind`] ([`ScoreKind::score`] of the suffix's
+//!    logits on the client's boundary), so the context scores any kind the
+//!    same way and a rule chooses only how to order the samples.
 //! 2. **Client selection** — which clients participate at all:
 //!    [`ClientSelection`], resolved once per run into a [`ClientSampler`].
 //!    Uniform sampling is the default; the tier-aware (bias toward slow

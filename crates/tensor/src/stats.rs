@@ -269,14 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rejects_zero_temperature() {
-        assert_eq!(
-            softmax_with_temperature(&logits(), 0.0),
-            Err(TensorError::InvalidTemperature { bits: 0 })
-        );
-    }
-
-    #[test]
     fn softmax_rejects_empty() {
         assert!(softmax(&Matrix::zeros(0, 0)).is_err());
     }
@@ -342,30 +334,19 @@ mod tests {
     }
 
     #[test]
-    fn fused_softmax_entropy_rejects_zero_temperature() {
-        assert_eq!(
-            softmax_entropy_rows(&logits(), 0.0),
-            Err(TensorError::InvalidTemperature { bits: 0 })
-        );
-    }
-
-    #[test]
     fn a_temperature_that_is_not_positive_and_finite_is_an_error_not_a_panic() {
         for temperature in [0.0, -0.0, -1.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let expected = TensorError::InvalidTemperature {
+            let expected = Some(TensorError::InvalidTemperature {
                 bits: temperature.to_bits(),
-            };
-            let rejected = |result: Result<_>| result.err() == Some(expected.clone());
-            assert!(rejected(
-                softmax_with_temperature(&logits(), temperature).map(drop)
-            ));
-            assert!(rejected(
-                softmax_entropy_rows(&logits(), temperature).map(drop)
-            ));
+            });
+            assert_eq!(
+                softmax_with_temperature(&logits(), temperature).err(),
+                expected
+            );
+            assert_eq!(softmax_entropy_rows(&logits(), temperature).err(), expected);
             // The temperature is checked before the input.
-            assert!(rejected(
-                softmax_entropy_rows(&Matrix::zeros(0, 0), temperature).map(drop)
-            ));
+            let empty = Matrix::zeros(0, 0);
+            assert_eq!(softmax_entropy_rows(&empty, temperature).err(), expected);
         }
     }
 
