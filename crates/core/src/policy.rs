@@ -196,17 +196,16 @@ impl<'a> SelectionContext<'a> {
         if let (true, Some((_, buffer))) = (served, &self.shared) {
             return Ok(Cow::Borrowed(buffer.as_slice()));
         }
-        let boundary: &Matrix = match (self.boundary, &mut self.built) {
-            (BoundarySource::Whole(boundary), _) => boundary,
-            (_, Some(built)) => built,
-            (
-                BoundarySource::Prefix {
-                    model,
-                    freeze,
-                    features,
-                },
-                built,
-            ) => built.insert(model.forward_frozen(freeze, features)?),
+        let boundary: &Matrix = match self.boundary {
+            BoundarySource::Whole(boundary) => boundary,
+            BoundarySource::Prefix {
+                model,
+                freeze,
+                features,
+            } => match &mut self.built {
+                Some(built) => built,
+                built => built.insert(model.forward_frozen(freeze, features)?),
+            },
         };
         let computed = kind.score(&self.suffix.forward(boundary)?, self.labels)?;
         if let Some((slot, _)) = &self.shared {
