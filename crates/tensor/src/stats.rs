@@ -269,6 +269,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "InvalidTemperature { bits: 0 }")]
+    fn softmax_rejects_zero_temperature() {
+        // The rejection is a typed error; unwrapping it is what panics.
+        softmax_with_temperature(&logits(), 0.0).unwrap();
+    }
+
+    #[test]
     fn softmax_rejects_empty() {
         assert!(softmax(&Matrix::zeros(0, 0)).is_err());
     }
@@ -331,6 +338,12 @@ mod tests {
     #[test]
     fn fused_softmax_entropy_validates_like_softmax() {
         assert!(softmax_entropy_rows(&Matrix::zeros(0, 0), 1.0).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "InvalidTemperature { bits: 0 }")]
+    fn fused_softmax_entropy_rejects_zero_temperature() {
+        softmax_entropy_rows(&logits(), 0.0).unwrap();
     }
 
     #[test]
