@@ -7,7 +7,9 @@
 //! Together the cases cover every execution backend, every freeze level,
 //! every data-selection strategy, FedProx, per-tier freezes under a deadline
 //! with an offline tier, a budgeted logical pool, bursty streaming and a
-//! tier-weighted client draw. One
+//! tier-weighted client draw. Two train stale model versions over a
+//! logical pool's shared boundaries and scores, under `Streaming` and
+//! `Async`. One
 //! more case, on a larger setup of its own, evaluates and scores inputs that
 //! span several of the inference pass's row blocks.
 //!
@@ -287,4 +289,49 @@ fn parallel_fedft_eds_moderate_across_row_blocks() {
         .with_execution(ExecutionBackend::Parallel)
         .with_worker_threads(2);
     pinned(config, &fed, &model, 0xae18_80a3_e886_6150);
+}
+
+/// Stale versions over the shared work of a logical pool: the feature cache
+/// on, a score-based strategy, and several logical clients a shard, so the
+/// clients of one shard that train one older version at one flush share its
+/// boundary and its score slot. A Streaming buffer of 4 against 12 arrivals
+/// a round carries dispatches into later flushes.
+#[test]
+fn streaming_eds_trains_carried_stale_dispatches_over_shared_scores() {
+    let (fed, model) = setup();
+    let config = Method::FedFtEds { pds: 0.5 }
+        .configure(base(5, 13))
+        .with_logical_clients(3 * CLIENTS)
+        .with_participation(0.5)
+        .with_heterogeneity(HeterogeneityModel::two_tier())
+        .with_feature_cache(true)
+        .with_streaming(StreamingParams::new(4))
+        .with_worker_threads(2);
+    let result = pinned(config, &fed, &model, 0x9b83_374b_4aab_6263);
+    assert!(result.total_carried_updates() > 0, "nothing was carried");
+    assert!(
+        result.max_update_staleness() >= 2,
+        "no flush reached two versions back"
+    );
+}
+
+/// The same shared work under `Async` at staleness bound 2: every dispatch
+/// drains in its own round, on one of the three newest versions.
+#[test]
+fn async_lds_at_staleness_two_over_shared_scores() {
+    let (fed, model) = setup();
+    let config = Method::FedFtLds { pds: 0.5 }
+        .configure(base(5, 14))
+        .with_logical_clients(3 * CLIENTS)
+        .with_participation(0.5)
+        .with_heterogeneity(flaky_two_tier())
+        .with_feature_cache(true)
+        .with_async(2)
+        .with_worker_threads(2);
+    let result = pinned(config, &fed, &model, 0x206b_c063_7ebc_1388);
+    assert_eq!(
+        result.max_update_staleness(),
+        2,
+        "no update was two versions old"
+    );
 }
