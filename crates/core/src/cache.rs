@@ -68,8 +68,11 @@
 //!   a process-unique number the two parameter writers re-draw and a clone
 //!   carries, so equal stamps imply equal parameters — `ϕ` and `θ` — and
 //!   nothing `θ`-sized is hashed. A stale version of an event round is a
-//!   clone with a stamp of its own; it shares among its own clients and
-//!   replaces the slot of whichever version scored there before. The data
+//!   `θ` snapshot on the live backbone, no model of its own: it keeps the
+//!   stamp the global model had when the event clock took the snapshot, so
+//!   its clients share its scores with each other and with the round that
+//!   trained on it live, and it replaces the slot of whichever version
+//!   scored there before. The data
 //!   side is [`ShardKey`]: the feature checksum of the entry table extended
 //!   over **every label**, because loss and gradient-norm scores read them
 //!   (shards equal in features and different in labels share a boundary and
@@ -603,11 +606,24 @@ impl CacheRegistry {
         model: &BlockNet,
         freeze: FreezeLevel,
     ) -> ScoreSlot<'_> {
+        self.score_slot_at(key, model.parameter_stamp(), freeze)
+    }
+
+    /// [`CacheRegistry::score_slot`] for the model version whose parameters
+    /// carried `stamp` ([`BlockNet::parameter_stamp`]): an older version an
+    /// event round trains from its `θ` snapshot, which is no model of its
+    /// own.
+    pub(crate) fn score_slot_at(
+        &self,
+        key: ShardKey,
+        stamp: u64,
+        freeze: FreezeLevel,
+    ) -> ScoreSlot<'_> {
         ScoreSlot {
             registry: self,
             key: key.labelled,
             freeze,
-            stamp: model.parameter_stamp(),
+            stamp,
         }
     }
 

@@ -10,6 +10,7 @@ use fedft_nn::{BlockNet, ParamVector, ProximalTerm, Sgd, SuffixNet};
 use fedft_tensor::{rng, Matrix};
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// The result of one client's local round, uploaded to the server.
@@ -46,8 +47,9 @@ pub struct ClientUpdate {
 /// (refreshed in place from each client's model, its training step's
 /// scratch staying warm), the optimiser (restarted, its velocities zeroed
 /// instead of re-made), FedProx's reference vector, and the index, label and
-/// batch-gather buffers of the local epochs, and the buffer selection scores
-/// shared through the registry are copied out into.
+/// batch-gather buffers of the local epochs, the buffer selection scores
+/// shared through the registry are copied out into, and the name of the
+/// epoch-shuffle stream.
 ///
 /// It carries nothing from one client into the next but capacity: an update
 /// computed in a used workspace equals one computed in a new one bit for
@@ -63,6 +65,37 @@ pub struct ClientWorkspace {
     batch_labels: Vec<usize>,
     gather: Matrix,
     scores: Vec<f32>,
+    shuffle_stream: String,
+}
+
+/// An older global-model version, kept by an event round's clock as its
+/// trainable part alone: `θ` flattened at [`FlConfig::freeze`], and the
+/// [`BlockNet::parameter_stamp`] the global model had when the snapshot was
+/// taken. Aggregation writes only above [`FlConfig::freeze`], so the live
+/// global model's frozen backbone `ϕ` is this version's, and the version is
+/// that backbone with this `θ`; equal stamps still mean equal parameters.
+#[derive(Debug)]
+pub(crate) struct ThetaSnapshot {
+    pub(crate) stamp: u64,
+    pub(crate) theta: ParamVector,
+}
+
+/// The model version one local update trains on: the live global model as
+/// backbone, and, for an older version, that version's [`ThetaSnapshot`]
+/// above it. No model is cloned for an older version.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ModelVersion<'a> {
+    pub(crate) backbone: &'a BlockNet,
+    pub(crate) snapshot: Option<&'a ThetaSnapshot>,
+}
+
+impl ModelVersion<'_> {
+    /// The version's [`BlockNet::parameter_stamp`]: what its score slot and
+    /// an executor's per-version bookkeeping key on.
+    pub(crate) fn stamp(&self) -> u64 {
+        self.snapshot
+            .map_or_else(|| self.backbone.parameter_stamp(), |s| s.stamp)
+    }
 }
 
 /// A federated client holding a (possibly shared) shard of data.
@@ -194,6 +227,33 @@ impl Client {
         config: &FlConfig,
         round: usize,
     ) -> Result<ClientUpdate> {
+        let version = ModelVersion {
+            backbone: global_model,
+            snapshot: None,
+        };
+        self.local_update_on(workspace, upload, version, config, round)
+    }
+
+    /// [`Client::local_update_in`] on `version`: the backbone's frozen
+    /// prefix (or the registry's boundary built from it) feeds the suffix,
+    /// which starts from the snapshot's `θ` when there is one and the
+    /// backbone's otherwise. The score slot is the version's. A snapshot is
+    /// taken at [`FlConfig::freeze`], so a client that trains at another
+    /// level cannot train an older version.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::local_update`], and [`FlError::Nn`] when the snapshot's
+    /// length is not the client's `|θ|`.
+    pub(crate) fn local_update_on(
+        &self,
+        workspace: &mut ClientWorkspace,
+        upload: Vec<f32>,
+        version: ModelVersion<'_>,
+        config: &FlConfig,
+        round: usize,
+    ) -> Result<ClientUpdate> {
+        let backbone = version.backbone;
         let freeze = config.freeze_for_client(self.id);
         let KeyedShard { data, key } = &*self.shard;
         if data.is_empty() {
@@ -207,20 +267,21 @@ impl Client {
         // would only duplicate the dataset. With the cache on, the other
         // clients of the shard that train on this model version read the
         // registry's boundary and need the same scores, so the selection
-        // takes its scores from the registry too.
+        // takes its scores from the registry too. Every version shares the
+        // backbone's prefix; the scores are the version's own.
         let cached: Arc<Matrix>;
         let (boundary, score_slot) = if freeze.frozen_blocks() == 0 {
             (BoundarySource::Whole(data.features()), None)
         } else if config.feature_cache {
             let registry = self.cache.registry();
-            cached = registry.get_or_build_keyed(*key, global_model, freeze, data.features())?;
+            cached = registry.get_or_build_keyed(*key, backbone, freeze, data.features())?;
             (
                 BoundarySource::Whole(&cached),
-                Some(registry.score_slot(*key, global_model, freeze)),
+                Some(registry.score_slot_at(*key, version.stamp(), freeze)),
             )
         } else {
             let prefix = BoundarySource::Prefix {
-                model: global_model,
+                model: backbone,
                 freeze,
                 features: data.features(),
             };
@@ -236,10 +297,14 @@ impl Client {
             batch_labels,
             gather,
             scores,
+            shuffle_stream,
         } = workspace;
-        // The client's private trainable part θ — an O(|θ|) snapshot; the
-        // backbone ϕ stays shared behind `global_model`.
-        global_model.refresh_suffix(freeze, suffix);
+        // The client's private trainable part θ — an O(|θ|) copy of the
+        // version's; the backbone ϕ stays shared behind `backbone`.
+        backbone.refresh_suffix(freeze, suffix);
+        if let Some(snapshot) = version.snapshot {
+            suffix.set_trainable_vector(&snapshot.theta)?;
+        }
 
         // --- Data selection (Equations 2-3, hardened softmax Equation 6),
         // by the configured strategy. A model-free strategy (All/Random)
@@ -270,10 +335,12 @@ impl Client {
         order.clear();
         order.extend(0..selected_indices.len());
         let mut train_loss = 0.0_f32;
-        // The RNG stream name only varies per (client, round).
-        let shuffle_stream = format!("client-{}-round-{round}-epoch", self.id);
+        // The RNG stream name only varies per (client, round). Writing into
+        // a `String` cannot fail.
+        shuffle_stream.clear();
+        let _ = write!(shuffle_stream, "client-{}-round-{round}-epoch", self.id);
         for epoch in 0..config.local_epochs {
-            let mut shuffle_rng = rng::rng_for_indexed(config.seed, &shuffle_stream, epoch as u64);
+            let mut shuffle_rng = rng::rng_for_indexed(config.seed, shuffle_stream, epoch as u64);
             order.shuffle(&mut shuffle_rng);
             let mut epoch_loss = 0.0_f32;
             let mut batches = 0usize;
@@ -296,7 +363,7 @@ impl Client {
         // --- Cost accounting for the learning-efficiency metric, priced as
         // the executor predicted it at admission. The cached accounting
         // drops the frozen forward work, whether the cache actually ran.
-        let flops = global_model.flops_per_sample(freeze);
+        let flops = backbone.flops_per_sample(freeze);
         let compute_seconds = config.client_compute_seconds(&flops, data.len());
         let cached_compute_seconds = config.client_compute_seconds(
             &FlopsBreakdown {

@@ -52,12 +52,12 @@
 //!   (`tests/feature_cache_e2e.rs`, `tests/logical_pool_e2e.rs`), at any
 //!   worker count.
 
-use crate::client::{Client, ClientUpdate, ClientWorkspace};
+use crate::client::{Client, ClientUpdate, ClientWorkspace, ModelVersion, ThetaSnapshot};
 use crate::comm::round_traffic;
 use crate::config::FlConfig;
 use crate::device::ArrivalModel;
 use crate::{FlError, Result};
-use fedft_nn::{BlockNet, FreezeLevel, ParamVector};
+use fedft_nn::{BlockNet, FreezeLevel};
 use fedft_tensor::{parallel, pool};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -451,10 +451,11 @@ struct Admitted<'c> {
 }
 
 /// One local update for [`Executor::train`]: the client, the model version
-/// it downloaded, and the round it was dispatched in — which names its RNG
+/// it downloaded (the live backbone and, for an older version, its `θ`
+/// snapshot), and the round it was dispatched in — which names its RNG
 /// streams, so a round that trains a carried dispatch at a later flush gets
 /// the update its dispatch round would have.
-type Job<'a> = (&'a Client, &'a BlockNet, usize);
+type Job<'a> = (&'a Client, ModelVersion<'a>, usize);
 
 impl Executor {
     /// Runs the local update of every admitted participant and reports the
@@ -620,13 +621,10 @@ impl Executor {
         let mut counted: Vec<(u64, FreezeLevel)> = Vec::new();
         let mut theta_len = 0;
         for (client, model, _) in jobs {
-            let version = (
-                model.parameter_stamp(),
-                config.freeze_for_client(client.id()),
-            );
+            let version = (model.stamp(), config.freeze_for_client(client.id()));
             if !counted.contains(&version) {
                 counted.push(version);
-                theta_len = theta_len.max(model.trainable_parameter_count(version.1));
+                theta_len = theta_len.max(model.backbone.trainable_parameter_count(version.1));
             }
         }
         {
@@ -642,7 +640,7 @@ impl Executor {
         }
         let run = |workspace: &mut ClientWorkspace, &(client, model, round): &Job<'_>| {
             let upload = lock(&self.uploads).pop().unwrap_or_default();
-            client.local_update_in(workspace, upload, model, config, round)
+            client.local_update_on(workspace, upload, model, config, round)
         };
         let workers = if self.backend == ExecutionBackend::Sequential {
             1
@@ -674,7 +672,7 @@ impl Executor {
                 .map(|(client, model, _)| {
                     (
                         client.shard_key(),
-                        model.parameter_stamp(),
+                        model.stamp(),
                         config.freeze_for_client(client.id()).frozen_blocks(),
                     )
                 })
@@ -851,39 +849,36 @@ impl Executor {
 
         // Train the flushed dispatches in one call, in flush order, each on
         // the version it downloaded and under its dispatch round: `round` is
-        // the model just passed in, and an older version is the current
-        // backbone plus that version's θ snapshot — built once per distinct
-        // older version flushed. The updates are the ones training at
-        // dispatch would have made; those never flushed are never trained.
-        let mut stale_models: Vec<(usize, BlockNet)> = Vec::new();
-        for p in &flushed {
-            if p.version == round || stale_models.iter().any(|(v, _)| *v == p.version) {
-                continue;
-            }
-            let snapshot = clock
-                .as_deref()
-                .and_then(|clock| clock.history.iter().find(|(v, _)| *v == p.version));
-            let Some((_, theta)) = snapshot else {
-                return Err(FlError::InvalidConfig {
-                    what: format!(
-                        "{} executor: round {round} holds no snapshot of model version {}",
-                        self.backend.short_name(),
-                        p.version
-                    ),
-                });
-            };
-            let mut model = global_model.clone();
-            model.set_trainable_vector(config.freeze, theta)?;
-            stale_models.push((p.version, model));
-        }
-        let jobs: Vec<_> = flushed
+        // the model just passed in, and an older version is that model as
+        // backbone with the version's θ snapshot from the clock — no model is
+        // cloned. The updates are the ones training at dispatch would have
+        // made; those never flushed are never trained.
+        let history = clock.as_deref().map_or(&[][..], |clock| &clock.history[..]);
+        let jobs = flushed
             .iter()
             .map(|p| {
-                let stale = stale_models.iter().find(|(v, _)| *v == p.version);
-                let model = stale.map_or(global_model, |(_, model)| model);
-                (&p.client, model, p.dispatch_round)
+                let snapshot = if p.version == round {
+                    None
+                } else {
+                    let kept = history.iter().find(|(v, _)| *v == p.version);
+                    let Some((_, snapshot)) = kept else {
+                        return Err(FlError::InvalidConfig {
+                            what: format!(
+                                "{} executor: round {round} holds no snapshot of model version {}",
+                                self.backend.short_name(),
+                                p.version
+                            ),
+                        });
+                    };
+                    Some(snapshot)
+                };
+                let version = ModelVersion {
+                    backbone: global_model,
+                    snapshot,
+                };
+                Ok((&p.client, version, p.dispatch_round))
             })
-            .collect();
+            .collect::<Result<Vec<_>>>()?;
         let updates = self.train(&jobs, config)?;
 
         // A plan without a clock drains: nothing remains for a next round.
@@ -1018,18 +1013,21 @@ fn hand_out<S: Send, T: Send>(
 /// **θ snapshot** of every version a later round may still dispatch on (the
 /// staleness window) or a buffered dispatch names — one per version, however
 /// many dispatches share it. Because only the trainable part is ever
-/// aggregated, the frozen backbone `ϕ` is identical across versions and an
-/// older model is reconstructed as (current backbone, snapshotted θ) — an
-/// `O(|θ|)` snapshot per version instead of a full `O(|ϕ| + |θ|)` model
-/// clone, mirroring what a real client downloads.
+/// aggregated, the frozen backbone `ϕ` is identical across versions, so an
+/// older version is the current model as backbone with the snapshotted θ
+/// ([`ThetaSnapshot`]): an `O(|θ|)` snapshot per version, and no model built
+/// from it at a flush — a dispatch's suffix is refreshed straight from the
+/// snapshot, mirroring what a real client downloads. The snapshot keeps the
+/// global model's [`BlockNet::parameter_stamp`], so the version's scores are
+/// shared under the stamp they were first computed with.
 #[derive(Debug, Default)]
 struct EventClock {
     /// Simulated opening time of every global-model version so far.
     version_open: Vec<f64>,
-    /// Retained `(version, θ)` snapshots, ascending by version: the versions
-    /// inside the next round's staleness window and those a pending entry
-    /// names.
-    history: Vec<(usize, ParamVector)>,
+    /// Retained `(version, θ snapshot)` pairs, ascending by version: the
+    /// versions inside the next round's staleness window and those a
+    /// pending entry names.
+    history: Vec<(usize, ThetaSnapshot)>,
     /// Absolute simulated time until which each client's device is busy
     /// training a previously dispatched round.
     busy_until: HashMap<usize, f64>,
@@ -1083,8 +1081,11 @@ impl EventClock {
         let needed = |v: usize| round - v < max_staleness || pending.iter().any(|p| p.version == v);
         self.history.retain(|&(v, _)| needed(v));
         if needed(round) {
-            self.history
-                .push((round, global_model.trainable_vector(config.freeze)));
+            let snapshot = ThetaSnapshot {
+                stamp: global_model.parameter_stamp(),
+                theta: global_model.trainable_vector(config.freeze),
+            };
+            self.history.push((round, snapshot));
         }
         self.version_open.push(round_open + round_wall);
         self.next_round = round + 1;
@@ -1951,8 +1952,11 @@ mod tests {
                 expected.dedup();
                 let held: Vec<usize> = clock.history.iter().map(|(v, _)| *v).collect();
                 assert_eq!(held, expected, "{case}, after round {round}");
-                for (version, theta) in &clock.history {
-                    assert_eq!(theta, &thetas[*version], "{case}, version {version}");
+                for (version, snapshot) in &clock.history {
+                    assert_eq!(
+                        snapshot.theta, thetas[*version],
+                        "{case}, version {version}"
+                    );
                 }
                 shared_a_snapshot |= clock.history.len() < clock.pending.len();
                 backlog.push(clock.pending.len());

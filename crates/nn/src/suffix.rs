@@ -451,6 +451,28 @@ impl SuffixNet {
         )
     }
 
+    /// Writes a flattened `θ`, in [`SuffixNet::trainable_vector`]'s order,
+    /// into the suffix's parameters. After
+    /// [`crate::BlockNet::refresh_suffix`]`(freeze, ..)` the suffix is then
+    /// a snapshot of the model that
+    /// [`crate::BlockNet::set_trainable_vector`]`(freeze, vector)` would
+    /// make, with no model cloned or written: how an older model version
+    /// trains on a live backbone when only its `θ` was kept.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::NnError::ParamLengthMismatch`], having written
+    /// nothing, when the length differs from the suffix's parameter count.
+    #[inline]
+    pub fn set_trainable_vector(&mut self, vector: &ParamVector) -> Result<()> {
+        let mut params: Vec<&mut Matrix> = self
+            .blocks
+            .iter_mut()
+            .flat_map(|b| b.params_mut().map(|(param, _)| param))
+            .collect();
+        vector.write_to(&mut params)
+    }
+
     /// Flattens the suffix parameters (`θ`) into a vector, in the same order
     /// as [`crate::BlockNet::trainable_vector`] at the matching freeze level.
     pub fn trainable_vector(&self) -> ParamVector {
@@ -1008,6 +1030,49 @@ mod tests {
                 "{kind}: every layer kind refreshes in place"
             );
         }
+    }
+
+    /// An older version kept as its `θ` alone trains, on the live model's
+    /// shapes, as a snapshot of that model written with the `θ` would.
+    #[test]
+    fn a_suffix_set_to_a_theta_is_a_snapshot_of_the_model_written_with_it() {
+        let (x, labels) = batch();
+        let model = net();
+        let mut kept = SuffixNet::default();
+        let mut kept_sgd = Sgd::default();
+        for freeze in [
+            FreezeLevel::Moderate,
+            FreezeLevel::Classifier,
+            FreezeLevel::Full,
+        ] {
+            let theta = BlockNet::new(model.config(), 29).trainable_vector(freeze);
+            model.refresh_suffix(freeze, &mut kept);
+            kept.set_trainable_vector(&theta).unwrap();
+            let mut written = model.clone();
+            written.set_trainable_vector(freeze, &theta).unwrap();
+            let mut fresh = written.trainable_suffix(freeze);
+            kept_sgd.restart(SgdConfig::default()).unwrap();
+            let mut fresh_sgd = Sgd::new(SgdConfig::default()).unwrap();
+            let boundary = model.forward_frozen(freeze, &x).unwrap();
+            for step in 0..2 {
+                assert_eq!(
+                    observe(&mut kept, &boundary, &labels, &mut kept_sgd),
+                    observe(&mut fresh, &boundary, &labels, &mut fresh_sgd),
+                    "{freeze}, step {step}"
+                );
+            }
+        }
+        // A θ of another level is refused, not written in part.
+        let head = model.trainable_vector(FreezeLevel::Classifier);
+        model.refresh_suffix(FreezeLevel::Moderate, &mut kept);
+        assert!(matches!(
+            kept.set_trainable_vector(&head),
+            Err(NnError::ParamLengthMismatch { .. })
+        ));
+        assert_eq!(
+            kept.trainable_vector(),
+            model.trainable_vector(FreezeLevel::Moderate)
+        );
     }
 
     #[test]
