@@ -1066,8 +1066,9 @@ impl EventClock {
     /// buffer. Keeps the θ snapshot of a version — `round`'s own, taken here
     /// from `global_model`, included — only while a later round may still
     /// dispatch on it (`round - v < max_staleness`, which cannot overflow
-    /// at an unbounded `usize::MAX`) or a buffered dispatch names it. At `max_staleness = 0` that is only the carried versions;
-    /// a round whose dispatches all flush snapshots nothing.
+    /// at an unbounded `usize::MAX`) or a buffered dispatch names it. At
+    /// `max_staleness = 0` that is only the carried versions; a round whose
+    /// dispatches all flush snapshots nothing.
     fn close_round(
         &mut self,
         round: usize,

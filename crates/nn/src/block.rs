@@ -435,7 +435,7 @@ impl BlockNet {
         }
         let mut params: Vec<&mut Matrix> = self.blocks[freeze.frozen_blocks()..]
             .iter_mut()
-            .flat_map(|b| b.params_mut().map(|(param, _)| param))
+            .flat_map(DenseBlock::params_mut)
             .collect();
         vector.write_to(&mut params)
     }

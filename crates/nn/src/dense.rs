@@ -5,40 +5,12 @@ use crate::{NnError, Result};
 use fedft_tensor::{init, rng, Matrix, TensorError};
 use std::ops::Range;
 
-/// What a training pass leaves behind for itself: the activations a block's
-/// training forward stores for its backward, the buffers a training step
-/// reuses.
-///
-/// Scratch has no identity, so a clone starts empty (`T::default()`): a model
-/// snapshot costs `O(parameters)` even when the model it is taken of has just
-/// trained on a batch. Everything else a block holds — parameters and
-/// gradients — is state and is cloned as usual. Dereferences to `T`.
+/// What one training step keeps for one block: the activations its training
+/// forward stores for its backward, and the parameter gradients that
+/// backward writes. One entry per trainable block lives in the suffix's
+/// step workspace ([`crate::SuffixNet`]); a block itself holds none.
 #[derive(Debug, Default)]
-pub(crate) struct Scratch<T>(T);
-
-impl<T: Default> Clone for Scratch<T> {
-    fn clone(&self) -> Self {
-        Scratch::default()
-    }
-}
-
-impl<T> std::ops::Deref for Scratch<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T> std::ops::DerefMut for Scratch<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
-/// What a training forward stores for the backward pass that follows it.
-#[derive(Debug, Default)]
-struct Trace {
+pub(crate) struct BlockStep {
     /// The block input `X`, for `dW = Xᵀ·dZ`.
     input: Matrix,
     /// `Z = X·W + b` of a ReLU block, whose sign is the ReLU mask; empty in
@@ -47,6 +19,18 @@ struct Trace {
     /// `dZ = dY ⊙ [Z > 0]` of a ReLU block, rewritten by every backward;
     /// empty in the head.
     grad_pre_activation: Matrix,
+    /// `dW`, rewritten by every backward.
+    grad_weight: Matrix,
+    /// `db`, rewritten by every backward.
+    grad_bias: Matrix,
+}
+
+impl BlockStep {
+    /// The parameter gradients the last backward pass wrote, in
+    /// [`DenseBlock::params`] order.
+    pub(crate) fn grads(&self) -> [&Matrix; 2] {
+        [&self.grad_weight, &self.grad_bias]
+    }
 }
 
 /// `Y = max(0, X·W + b)`, or `Y = X·W + b` for the classifier head, with a
@@ -58,19 +42,16 @@ struct Trace {
 /// the `θ` layout, block by block, which aggregation, `tier_freeze` suffix
 /// slicing, the pretrained head transfer and the frozen fingerprint all read.
 ///
-/// Inference never stores activations, so a block that has only been
-/// evaluated holds its parameters and gradient buffers and nothing else; and
-/// what a training forward stored is [`Scratch`], so cloning a block — which
-/// is what a model snapshot does — costs `O(parameters)` whatever it was
+/// A block is its parameters and nothing else: every pass reads it through a
+/// shared reference, and what a training step keeps — the trace and the
+/// gradients — goes into the [`BlockStep`] it is handed. So cloning a block,
+/// which is what a model snapshot does, costs `O(parameters)` whatever it was
 /// evaluated or trained on.
 #[derive(Clone)]
 pub(crate) struct DenseBlock {
     weight: Matrix,
     bias: Matrix,
-    grad_weight: Matrix,
-    grad_bias: Matrix,
     relu: bool,
-    trace: Scratch<Option<Trace>>,
 }
 
 impl std::fmt::Debug for DenseBlock {
@@ -101,10 +82,7 @@ impl DenseBlock {
         DenseBlock {
             weight: init::he_normal(&mut r, in_features, out_features),
             bias: Matrix::zeros(1, out_features),
-            grad_weight: Matrix::zeros(in_features, out_features),
-            grad_bias: Matrix::zeros(1, out_features),
             relu,
-            trace: Scratch::default(),
         }
     }
 
@@ -157,42 +135,40 @@ impl DenseBlock {
     /// The training forward, written into `out` (reshaped and overwritten;
     /// its buffer is reused, so a loop that hands the same `out` back every
     /// step stops allocating once warm). It is the only pass that stores
-    /// what [`DenseBlock::backward`] reads.
+    /// what [`DenseBlock::backward`] reads, into `step`, whose buffers are
+    /// reused the same way.
     ///
     /// # Errors
     ///
     /// Returns an error if the input width is not the block's.
-    pub(crate) fn train_forward_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<()> {
-        let DenseBlock {
-            weight,
-            bias,
-            relu,
-            trace,
-            ..
-        } = self;
-        let trace = trace.get_or_insert_with(Trace::default);
-        if *relu {
-            affine_into(weight, bias, input, &mut trace.pre_activation)?;
-            trace.pre_activation.map_into(out, rectify);
+    pub(crate) fn train_forward_into(
+        &self,
+        input: &Matrix,
+        step: &mut BlockStep,
+        out: &mut Matrix,
+    ) -> Result<()> {
+        if self.relu {
+            affine_into(&self.weight, &self.bias, input, &mut step.pre_activation)?;
+            step.pre_activation.map_into(out, rectify);
         } else {
-            affine_into(weight, bias, input, out)?;
+            affine_into(&self.weight, &self.bias, input, out)?;
         }
-        trace.input.clone_from(input);
+        step.input.clone_from(input);
         Ok(())
     }
 
     /// [`DenseBlock::train_forward_into`] into a fresh matrix: the forward
     /// of the reference training step.
     #[cfg(test)]
-    pub(crate) fn train_forward(&mut self, input: &Matrix) -> Result<Matrix> {
+    pub(crate) fn train_forward(&self, input: &Matrix, step: &mut BlockStep) -> Result<Matrix> {
         let mut out = Matrix::default();
-        self.train_forward_into(input, &mut out)?;
+        self.train_forward_into(input, step, &mut out)?;
         Ok(out)
     }
 
-    /// The backward pass for the most recent training forward. Overwrites
-    /// the parameter gradients with those of this call — it does not add to
-    /// what an earlier call left.
+    /// The backward pass for the training forward that last wrote `step`.
+    /// Overwrites the step's parameter gradients with those of this call —
+    /// it does not add to what an earlier call left.
     ///
     /// **The input-gradient rule.** The gradient of the loss with respect to
     /// the block input is computed only when the caller names a destination:
@@ -207,29 +183,24 @@ impl DenseBlock {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::BackwardBeforeForward`] when no training forward
-    /// has run (whether or not an input gradient was asked for), or a tensor
-    /// error when `grad_output` is not the shape of the forward's output.
+    /// Returns [`NnError::BackwardBeforeForward`] when no training forward of
+    /// this block has written `step` (whether or not an input gradient was
+    /// asked for), or a tensor error when `grad_output` is not the shape of
+    /// the forward's output.
     pub(crate) fn backward(
-        &mut self,
+        &self,
+        step: &mut BlockStep,
         grad_output: &Matrix,
         grad_input: Option<&mut Matrix>,
     ) -> Result<()> {
-        let layer = self.name();
-        let DenseBlock {
-            weight,
-            grad_weight,
-            grad_bias,
-            relu,
-            trace,
-            ..
-        } = self;
-        let trace = trace
-            .as_mut()
-            .ok_or(NnError::BackwardBeforeForward { layer })?;
+        // A forward leaves an input of the block's width; a new entry's is
+        // 0 × 0, and every block has inputs.
+        if step.input.cols() != self.weight.rows() {
+            return Err(NnError::BackwardBeforeForward { layer: self.name() });
+        }
         // Checked up front: `Xᵀ·dY` alone accepts any `dY` of the batch's
         // height and would reshape the gradient buffers to it.
-        let output_shape = (trace.input.rows(), weight.cols());
+        let output_shape = (step.input.rows(), self.weight.cols());
         if grad_output.shape() != output_shape {
             return Err(NnError::Tensor(TensorError::ShapeMismatch {
                 op: "dense_backward",
@@ -237,27 +208,26 @@ impl DenseBlock {
                 rhs: grad_output.shape(),
             }));
         }
-        let grad_pre_activation = if *relu {
+        let grad_pre_activation = if self.relu {
             // dZ = dY ⊙ [Z > 0], the mask applied as a factor (not a select)
             // so a masked entry keeps the product's signed zero and NaN.
-            trace.pre_activation.zip_with_into(
+            step.pre_activation.zip_with_into(
                 grad_output,
                 "relu_backward",
-                &mut trace.grad_pre_activation,
+                &mut step.grad_pre_activation,
                 |z, g| g * if z > 0.0 { 1.0 } else { 0.0 },
             )?;
-            &trace.grad_pre_activation
+            &step.grad_pre_activation
         } else {
             grad_output
         };
-        // dW = Xᵀ·dZ and db = Σ_rows dZ, written straight into the buffers.
-        trace
-            .input
-            .matmul_tn_into(grad_pre_activation, grad_weight)?;
-        grad_pre_activation.sum_rows_into(grad_bias);
+        // dW = Xᵀ·dZ and db = Σ_rows dZ, written straight into the step.
+        step.input
+            .matmul_tn_into(grad_pre_activation, &mut step.grad_weight)?;
+        grad_pre_activation.sum_rows_into(&mut step.grad_bias);
         // dX = dZ·Wᵀ, only for a caller that reads it.
         if let Some(grad_input) = grad_input {
-            grad_pre_activation.matmul_nt_into(weight, grad_input)?;
+            grad_pre_activation.matmul_nt_into(&self.weight, grad_input)?;
         }
         Ok(())
     }
@@ -267,29 +237,10 @@ impl DenseBlock {
         [&self.weight, &self.bias]
     }
 
-    /// `(parameter, its gradient)` pairs in [`DenseBlock::params`] order —
-    /// the one mutable walk: an optimiser step reads both halves, a write of
-    /// `θ` the first.
-    pub(crate) fn params_mut(&mut self) -> [(&mut Matrix, &Matrix); 2] {
-        [
-            (&mut self.weight, &self.grad_weight),
-            (&mut self.bias, &self.grad_bias),
-        ]
-    }
-
-    /// The parameter gradients the last backward pass wrote, in
-    /// [`DenseBlock::params`] order.
-    #[cfg(test)]
-    pub(crate) fn grads(&self) -> [&Matrix; 2] {
-        [&self.grad_weight, &self.grad_bias]
-    }
-
-    /// Sets every parameter gradient to zero, whatever it held — a
-    /// non-finite value included.
-    #[cfg(test)]
-    pub(crate) fn zero_grads(&mut self) {
-        self.grad_weight.as_mut_slice().fill(0.0);
-        self.grad_bias.as_mut_slice().fill(0.0);
+    /// [`DenseBlock::params`], mutably: the one walk that writes them, for
+    /// an optimiser step and for a write of `θ`.
+    pub(crate) fn params_mut(&mut self) -> [&mut Matrix; 2] {
+        [&mut self.weight, &mut self.bias]
     }
 
     /// Number of learnable scalars.
@@ -313,12 +264,9 @@ impl DenseBlock {
     }
 
     /// Takes over `source`'s parameters while keeping this block's buffers,
-    /// and returns `true`: every forward, backward and optimiser step on this
-    /// block then gives the bits it would give on `source.clone()`. Returns
-    /// `false`, having changed nothing, when `source` differs in shape or in
-    /// whether it ends in a ReLU — the caller clones instead. Gradients and
-    /// the trace are not carried: every training step writes them before it
-    /// reads them.
+    /// and returns `true`: the block is then equal to `source.clone()`.
+    /// Returns `false`, having changed nothing, when `source` differs in
+    /// shape or in whether it ends in a ReLU — the caller clones instead.
     pub(crate) fn refresh_from(&mut self, source: &DenseBlock) -> bool {
         if self.relu != source.relu || self.weight.shape() != source.weight.shape() {
             return false;
@@ -367,42 +315,49 @@ pub(crate) mod tests {
         Ok(out)
     }
 
-    fn backward_full(block: &mut DenseBlock, grad_output: &Matrix) -> Result<Matrix> {
+    fn backward_full(
+        block: &DenseBlock,
+        step: &mut BlockStep,
+        grad_output: &Matrix,
+    ) -> Result<Matrix> {
         let mut grad_input = Matrix::default();
-        block.backward(grad_output, Some(&mut grad_input))?;
+        block.backward(step, grad_output, Some(&mut grad_input))?;
         Ok(grad_input)
     }
 
     #[test]
     fn skipping_the_input_gradient_leaves_parameter_gradients_bit_identical() {
-        for (mut full, x) in one_of_each() {
-            let mut skipped = full.clone();
-            let y = full.train_forward(&x).unwrap();
-            assert_eq!(skipped.train_forward(&x).unwrap(), y);
-            let mut r = rng::rng_for(4, full.name());
+        for (block, x) in one_of_each() {
+            let (mut full, mut skipped) = (BlockStep::default(), BlockStep::default());
+            let y = block.train_forward(&x, &mut full).unwrap();
+            assert_eq!(block.train_forward(&x, &mut skipped).unwrap(), y);
+            let mut r = rng::rng_for(4, block.name());
             let grad_output = init::normal(&mut r, y.rows(), y.cols(), 0.0, 1.0);
 
-            let grad_input = backward_full(&mut full, &grad_output).unwrap();
-            assert_eq!(grad_input.shape(), x.shape(), "{}", full.name());
-            skipped.backward(&grad_output, None).unwrap();
+            let grad_input = backward_full(&block, &mut full, &grad_output).unwrap();
+            assert_eq!(grad_input.shape(), x.shape(), "{}", block.name());
+            block.backward(&mut skipped, &grad_output, None).unwrap();
 
             for (a, b) in full.grads().into_iter().zip(skipped.grads()) {
                 assert_eq!(a.shape(), b.shape());
-                assert_eq!(bits(a), bits(b), "{}", full.name());
+                assert_eq!(bits(a), bits(b), "{}", block.name());
             }
         }
     }
 
-    /// Either way: with or without an input gradient asked for.
+    /// Either way: with or without an input gradient asked for. Inference
+    /// writes no step entry, so after it the backward is still an error; a
+    /// training forward is what arms it.
     #[test]
     fn backward_before_a_training_forward_is_an_error_either_way() {
-        for (mut block, x) in one_of_each() {
+        for (block, x) in one_of_each() {
             let y = infer(&block, &x).unwrap();
             let grad_output = Matrix::zeros(y.rows(), y.cols());
+            let mut step = BlockStep::default();
             for wanted in [true, false] {
                 let mut grad_input = Matrix::default();
                 let err = block
-                    .backward(&grad_output, wanted.then_some(&mut grad_input))
+                    .backward(&mut step, &grad_output, wanted.then_some(&mut grad_input))
                     .unwrap_err();
                 assert!(
                     matches!(err, NnError::BackwardBeforeForward { layer } if layer == block.name()),
@@ -410,27 +365,19 @@ pub(crate) mod tests {
                     block.name()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn inference_stores_nothing_for_backward() {
-        for (mut block, x) in one_of_each() {
-            let y = infer(&block, &x).unwrap();
-            assert!(block.trace.is_none(), "{}", block.name());
-            // A training forward is what arms the backward pass.
-            block.train_forward(&x).unwrap();
-            assert!(backward_full(&mut block, &Matrix::zeros(y.rows(), y.cols())).is_ok());
+            block.train_forward(&x, &mut step).unwrap();
+            assert!(backward_full(&block, &mut step, &grad_output).is_ok());
         }
     }
 
     #[test]
     fn inference_equals_the_training_forward_bit_for_bit() {
-        for (mut block, x) in one_of_each() {
+        for (block, x) in one_of_each() {
             let inferred = infer(&block, &x).unwrap();
             assert_eq!(inferred.shape(), (5, 4));
             assert_eq!(bits(&inferred), bits(&reference_infer(&block, &x).unwrap()));
-            assert_eq!(bits(&inferred), bits(&block.train_forward(&x).unwrap()));
+            let trained = block.train_forward(&x, &mut BlockStep::default()).unwrap();
+            assert_eq!(bits(&inferred), bits(&trained));
             // A zero input gives the (zero) bias.
             let zero = infer(&block, &Matrix::zeros(2, 7)).unwrap();
             assert_eq!(zero.as_slice().iter().sum::<f32>(), 0.0);
@@ -441,12 +388,13 @@ pub(crate) mod tests {
     fn relu_clamps_and_masks_the_gradient() {
         let mut block = DenseBlock::new(3, 3, 1, true);
         block.weight = Matrix::identity(3);
+        let mut step = BlockStep::default();
         let x = Matrix::from_rows(&[vec![-1.0, 0.0, 2.0]]).unwrap();
-        let y = block.train_forward(&x).unwrap();
+        let y = block.train_forward(&x, &mut step).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
-        let g = backward_full(&mut block, &Matrix::full(1, 3, 1.0)).unwrap();
+        let g = backward_full(&block, &mut step, &Matrix::full(1, 3, 1.0)).unwrap();
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0]);
-        assert_eq!(block.grads()[1].as_slice(), &[0.0, 0.0, 1.0]);
+        assert_eq!(step.grads()[1].as_slice(), &[0.0, 0.0, 1.0]);
     }
 
     /// Central differences of `Σ infer(x)` against the analytic gradient of
@@ -457,7 +405,7 @@ pub(crate) mod tests {
         let eps = 1e-2;
         let x = Matrix::from_rows(&[vec![0.5, -1.0, 2.0], vec![1.5, 0.3, -0.7]]).unwrap();
         for relu in [true, false] {
-            let mut block = DenseBlock::new(3, 4, 3, relu);
+            let block = DenseBlock::new(3, 4, 3, relu);
             let kind = block.name();
             let without_relu = DenseBlock {
                 relu: false,
@@ -471,9 +419,10 @@ pub(crate) mod tests {
             let objective = |block: &DenseBlock, x: &Matrix| {
                 infer(block, x).unwrap().as_slice().iter().sum::<f32>()
             };
-            let y = block.train_forward(&x).unwrap();
+            let mut step = BlockStep::default();
+            let y = block.train_forward(&x, &mut step).unwrap();
             let grad_input =
-                backward_full(&mut block, &Matrix::full(y.rows(), y.cols(), 1.0)).unwrap();
+                backward_full(&block, &mut step, &Matrix::full(y.rows(), y.cols(), 1.0)).unwrap();
 
             for r in 0..x.rows() {
                 for c in 0..x.cols() {
@@ -490,12 +439,12 @@ pub(crate) mod tests {
                 }
             }
             for k in 0..2 {
-                let analytic = block.grads()[k].clone();
+                let analytic = step.grads()[k];
                 for r in 0..analytic.rows() {
                     for c in 0..analytic.cols() {
                         let nudged = |delta: f32| {
                             let mut probe = block.clone();
-                            let param = &mut probe.params_mut()[k].0;
+                            let param = &mut probe.params_mut()[k];
                             param.set(r, c, param.get(r, c) + delta);
                             objective(&probe, &x)
                         };
@@ -511,75 +460,58 @@ pub(crate) mod tests {
         }
     }
 
+    /// Every backward replaces the gradients the step entry held: a second
+    /// pass does not add to the first, and a non-finite gradient does not
+    /// outlive its pass — the next clean one leaves finite gradients.
     #[test]
-    fn backward_overwrites_gradients_and_zero_grads_clears_them() {
-        for (mut block, x) in one_of_each() {
-            let y = block.train_forward(&x).unwrap();
+    fn backward_overwrites_gradients_and_a_nan_does_not_outlive_its_pass() {
+        for (block, x) in one_of_each() {
+            let kind = block.name();
+            let mut step = BlockStep::default();
+            let y = block.train_forward(&x, &mut step).unwrap();
             let g = Matrix::full(y.rows(), y.cols(), 1.0);
-            backward_full(&mut block, &g).unwrap();
-            let first: Vec<Matrix> = block.grads().into_iter().cloned().collect();
+            backward_full(&block, &mut step, &g).unwrap();
+            let first: Vec<Matrix> = step.grads().into_iter().cloned().collect();
             // A second pass replaces what the first left; it does not add to
             // it. (Doubling is exact, so the products double bit for bit.)
-            block.train_forward(&x).unwrap();
-            backward_full(&mut block, &g.scale(2.0)).unwrap();
-            for (second, first) in block.grads().into_iter().zip(&first) {
-                assert_eq!(second, &first.scale(2.0), "{}", block.name());
+            block.train_forward(&x, &mut step).unwrap();
+            backward_full(&block, &mut step, &g.scale(2.0)).unwrap();
+            for (second, first) in step.grads().into_iter().zip(&first) {
+                assert_eq!(second, &first.scale(2.0), "{kind}");
             }
-            block.zero_grads();
-            assert!(block
-                .grads()
-                .iter()
-                .all(|g| g.as_slice().iter().all(|v| v.to_bits() == 0)));
-        }
-    }
 
-    /// One non-finite gradient must not outlive `zero_grads`: `NaN × 0` is
-    /// `NaN`, so zeroing by scaling kept it in the buffers (and in every
-    /// snapshot cloned from them) for good.
-    #[test]
-    fn a_nan_gradient_does_not_survive_zero_grads() {
-        for (mut block, x) in one_of_each() {
-            let kind = block.name();
-            let y = block.train_forward(&x).unwrap();
-            let mut poisoned = Matrix::full(y.rows(), y.cols(), 1.0);
+            let mut poisoned = g.clone();
             poisoned.set(0, 0, f32::NAN);
-            block.backward(&poisoned, None).unwrap();
-            let reached = block.grads().iter().any(|g| !g.is_finite());
+            block.backward(&mut step, &poisoned, None).unwrap();
+            let reached = step.grads().iter().any(|g| !g.is_finite());
             assert!(reached, "{kind}: the NaN reached the gradients");
-
-            block.zero_grads();
-            assert!(
-                block
-                    .grads()
-                    .iter()
-                    .all(|g| g.as_slice().iter().all(|v| v.to_bits() == 0)),
-                "{kind}: zero_grads leaves exact zeros"
-            );
-            block.train_forward(&x).unwrap();
-            let clean = Matrix::full(y.rows(), y.cols(), 1.0);
-            block.backward(&clean, None).unwrap();
-            let finite = block.grads().iter().all(|g| g.is_finite());
+            block.train_forward(&x, &mut step).unwrap();
+            block.backward(&mut step, &g, None).unwrap();
+            let finite = step.grads().iter().all(|g| g.is_finite());
             assert!(finite, "{kind}: the next clean step is finite");
+            assert!(step.grads().into_iter().eq(&first), "{kind}");
         }
     }
 
     #[test]
     fn a_gradient_of_the_wrong_shape_is_an_error_and_writes_nothing() {
-        for (mut block, x) in one_of_each() {
-            block.train_forward(&x).unwrap();
-            let grads_before: Vec<Matrix> = block.grads().into_iter().cloned().collect();
+        for (block, x) in one_of_each() {
+            let mut step = BlockStep::default();
+            block.train_forward(&x, &mut step).unwrap();
+            let grads_before: Vec<Matrix> = step.grads().into_iter().cloned().collect();
             // The output is 5 × 4: a wrong width, then a wrong height.
             for (rows, cols) in [(5, 3), (4, 4)] {
                 for wanted in [true, false] {
                     let mut grad_input = Matrix::default();
                     let grad_output = Matrix::zeros(rows, cols);
-                    let result = block.backward(&grad_output, wanted.then_some(&mut grad_input));
+                    let result =
+                        block.backward(&mut step, &grad_output, wanted.then_some(&mut grad_input));
                     assert!(
                         matches!(result, Err(NnError::Tensor(_))),
                         "{} {rows}×{cols}",
                         block.name()
                     );
-                    assert!(block.grads().into_iter().eq(&grads_before));
+                    assert!(step.grads().into_iter().eq(&grads_before));
                 }
             }
         }

@@ -15,7 +15,8 @@ pub enum NnError {
         /// Number of values provided.
         found: usize,
     },
-    /// `backward` was called on a block no training forward has run on.
+    /// `backward` was handed a step entry no training forward of the block
+    /// has written.
     BackwardBeforeForward {
         /// Name of the offending block (`dense+relu` or `dense`).
         layer: &'static str,

@@ -178,8 +178,9 @@ impl Sgd {
     /// Opens one SGD update over `tensors` parameter tensors holding `total`
     /// scalars, checked against the optimiser's state before anything is
     /// written; the caller then feeds the tensors, in their fixed order, to
-    /// [`SgdStep::update`]. The training step drives it from
-    /// `DenseBlock::params_mut`, which needs no `Vec` of references.
+    /// [`SgdStep::update`]. The training step drives it with each
+    /// parameter of `DenseBlock::params_mut` and that block's gradient from
+    /// its step-workspace entry, which needs no `Vec` of references.
     pub(crate) fn begin_step(&mut self, tensors: usize, total: usize) -> Result<SgdStep<'_>> {
         let first = self.unstarted;
         if !first && self.velocities.len() != tensors {

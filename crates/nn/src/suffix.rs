@@ -13,7 +13,7 @@
 //! passes are the *same code* on the same inputs and therefore produce
 //! bit-identical results.
 
-use crate::dense::{DenseBlock, Scratch};
+use crate::dense::{BlockStep, DenseBlock};
 use crate::freeze::FreezeLevel;
 use crate::loss::{log_probability, SoftmaxCrossEntropy};
 use crate::optimizer::Sgd;
@@ -24,17 +24,48 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Mutex;
 
-/// The buffers one training step writes, kept between steps by the
+/// What a training pass leaves behind for itself: the buffers a training
+/// step writes and reuses.
+///
+/// Scratch has no identity, so a clone starts empty (`T::default()`): a
+/// suffix snapshot costs `O(|θ|)` even when the suffix it is taken of has
+/// just trained on a batch. Dereferences to `T`.
+#[derive(Debug, Default)]
+struct Scratch<T>(T);
+
+impl<T: Default> Clone for Scratch<T> {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl<T> std::ops::Deref for Scratch<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for Scratch<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+/// Everything one training step writes, kept between steps by the
 /// [`SuffixNet`] that owns the trained blocks: two ping-pong activation
-/// matrices, the loss gradient and two ping-pong back-propagated gradients.
-/// Same-shaped batches reuse them, so after the first step a step allocates
-/// nothing. Held as [`Scratch`], so a clone of a suffix starts with an empty
-/// one.
+/// matrices, the loss gradient, two ping-pong back-propagated gradients, and
+/// per trained block its [`BlockStep`] — the trace its backward reads and the
+/// parameter gradients the optimiser reads. Same-shaped batches reuse them,
+/// so after the first step a step allocates nothing. Held as [`Scratch`], so
+/// a clone of a suffix starts with an empty one.
 #[derive(Debug, Default)]
 pub(crate) struct StepWorkspace {
     activations: [Matrix; 2],
     loss_grad: Matrix,
     grads: [Matrix; 2],
+    per_block: Vec<BlockStep>,
 }
 
 /// Rows per block of the inference walk ([`infer_blocks`],
@@ -324,7 +355,7 @@ fn chain_into<'a, S>(
 
 /// One training step on a run of blocks: forward from the boundary
 /// activations, loss, backward, optimiser step — each writing into
-/// `workspace` or into the blocks' own buffers, never into a fresh matrix.
+/// `workspace` or into the blocks' parameters, never into a fresh matrix.
 ///
 /// The backward pass stops at the boundary: the first block computes its
 /// parameter gradients but not the gradient with respect to `input`, which
@@ -345,19 +376,26 @@ fn train_blocks(
         activations,
         loss_grad,
         grads,
+        per_block,
     } = workspace;
-    let logits = chain_into(blocks.iter_mut(), input, activations, |block, x, out| {
-        block.train_forward_into(x, out)
+    per_block.resize_with(blocks.len(), BlockStep::default);
+    let stages = blocks.iter().zip(per_block.iter_mut());
+    let logits = chain_into(stages, input, activations, |(block, entry), x, out| {
+        block.train_forward_into(x, entry, out)
     })?;
     let loss_value = SoftmaxCrossEntropy::new().forward_backward_into(logits, labels, loss_grad)?;
-    let last_first = blocks.iter_mut().enumerate().rev();
-    chain_into(last_first, loss_grad, grads, |(i, block), grad, out| {
-        block.backward(grad, (i > 0).then_some(out))
-    })?;
+    let last_first = blocks.iter().zip(per_block.iter_mut()).enumerate().rev();
+    chain_into(
+        last_first,
+        loss_grad,
+        grads,
+        |(i, (block, entry)), grad, out| block.backward(entry, grad, (i > 0).then_some(out)),
+    )?;
 
     let params = blocks.iter().flat_map(DenseBlock::params);
     let mut step = optimizer.begin_step(params.clone().count(), params.map(Matrix::len).sum())?;
-    for (param, grad) in blocks.iter_mut().flat_map(DenseBlock::params_mut) {
+    let pairs = blocks.iter_mut().zip(per_block.iter());
+    for (param, grad) in pairs.flat_map(|(b, e)| b.params_mut().into_iter().zip(e.grads())) {
         step.update(param, grad)?;
     }
     Ok(loss_value)
@@ -468,7 +506,7 @@ impl SuffixNet {
         let mut params: Vec<&mut Matrix> = self
             .blocks
             .iter_mut()
-            .flat_map(|b| b.params_mut().map(|(param, _)| param))
+            .flat_map(DenseBlock::params_mut)
             .collect();
         vector.write_to(&mut params)
     }
@@ -491,40 +529,40 @@ impl SuffixNet {
 
 /// The training step as it was before it stopped at the boundary and went
 /// in place, kept as the oracle [`train_blocks`] must equal bit for bit:
-/// every block returns a fresh matrix, the backward pass runs through the
-/// first block too (its input gradient computed and dropped), gradients are
-/// cloned out of the blocks and the optimiser steps over `Vec`s of
-/// references.
+/// every block returns a fresh matrix and writes a fresh [`BlockStep`], the
+/// backward pass runs through the first block too (its input gradient
+/// computed and dropped), gradients are cloned out of the steps and the
+/// optimiser steps over `Vec`s of references. Returns the loss and the
+/// gradients, in `θ` order.
 #[cfg(test)]
 fn reference_train_blocks(
     blocks: &mut [DenseBlock],
     input: &Matrix,
     labels: &[usize],
     optimizer: &mut Sgd,
-) -> Result<f32> {
+) -> Result<(f32, Vec<Matrix>)> {
+    let mut per_block: Vec<BlockStep> = blocks.iter().map(|_| BlockStep::default()).collect();
     let mut logits = input.clone();
-    for block in blocks.iter_mut() {
-        logits = block.train_forward(&logits)?;
+    for (block, entry) in blocks.iter().zip(&mut per_block) {
+        logits = block.train_forward(&logits, entry)?;
     }
     let mut grad = Matrix::default();
     let loss_value =
         SoftmaxCrossEntropy::new().forward_backward_into(&logits, labels, &mut grad)?;
-    for block in blocks.iter_mut() {
-        block.zero_grads();
-    }
-    for block in blocks.iter_mut().rev() {
+    for (block, entry) in blocks.iter().zip(&mut per_block).rev() {
         let mut grad_input = Matrix::default();
-        block.backward(&grad, Some(&mut grad_input))?;
+        block.backward(entry, &grad, Some(&mut grad_input))?;
         grad = grad_input;
     }
-    let grads: Vec<Matrix> = blocks.iter().flat_map(|b| b.grads()).cloned().collect();
-    let mut params: Vec<&mut Matrix> = blocks
-        .iter_mut()
-        .flat_map(|b| b.params_mut().map(|(param, _)| param))
+    let grads: Vec<Matrix> = per_block
+        .iter()
+        .flat_map(BlockStep::grads)
+        .cloned()
         .collect();
+    let mut params: Vec<&mut Matrix> = blocks.iter_mut().flat_map(DenseBlock::params_mut).collect();
     let grad_refs: Vec<&Matrix> = grads.iter().collect();
     optimizer.step(&mut params, &grad_refs)?;
-    Ok(loss_value)
+    Ok((loss_value, grads))
 }
 
 #[cfg(test)]
@@ -616,7 +654,7 @@ mod tests {
                     let (x, labels) = &batches[step % batches.len()];
                     let boundary = model.forward_frozen(freeze, x).unwrap();
                     let loss = stepped.train_batch(&boundary, labels, &mut sgd).unwrap();
-                    let loss_ref = reference_train_blocks(
+                    let (loss_ref, grads_ref) = reference_train_blocks(
                         &mut reference.blocks,
                         &boundary,
                         labels,
@@ -630,15 +668,19 @@ mod tests {
                         bits(reference.trainable_vector().values()),
                         "theta at {at}"
                     );
-                    for (block, block_ref) in stepped.blocks.iter().zip(&reference.blocks) {
-                        for (g, g_ref) in block.grads().into_iter().zip(block_ref.grads()) {
-                            assert_eq!(g.shape(), g_ref.shape(), "gradient shape at {at}");
-                            assert_eq!(
-                                bits(g.as_slice()),
-                                bits(g_ref.as_slice()),
-                                "gradient at {at}"
-                            );
-                        }
+                    let grads = stepped
+                        .workspace
+                        .per_block
+                        .iter()
+                        .flat_map(BlockStep::grads);
+                    assert_eq!(grads.clone().count(), grads_ref.len(), "gradients at {at}");
+                    for (g, g_ref) in grads.zip(&grads_ref) {
+                        assert_eq!(g.shape(), g_ref.shape(), "gradient shape at {at}");
+                        assert_eq!(
+                            bits(g.as_slice()),
+                            bits(g_ref.as_slice()),
+                            "gradient at {at}"
+                        );
                     }
                 }
             }
@@ -856,19 +898,22 @@ mod tests {
             .train_batch(&boundary, &[0, 1, 2, 0], &mut sgd)
             .unwrap();
         assert!(!suffix.workspace.loss_grad.is_empty());
+        assert_eq!(suffix.workspace.per_block.len(), suffix.blocks.len());
         let copy = suffix.clone();
         assert!(copy.workspace.loss_grad.is_empty());
         assert!(copy.workspace.activations.iter().all(Matrix::is_empty));
         assert!(copy.workspace.grads.iter().all(Matrix::is_empty));
+        assert!(copy.workspace.per_block.is_empty());
         assert_eq!(copy.trainable_vector(), suffix.trainable_vector());
     }
 
-    /// Whether any block of `suffix` holds activations: a block's backward
-    /// pass succeeds only if a forward pass stored some.
+    /// Whether `suffix` holds activations for any of its blocks: a block's
+    /// backward pass succeeds only on a step entry a forward pass wrote.
     fn holds_activations(suffix: &mut SuffixNet, rows: usize) -> bool {
-        suffix.blocks.iter_mut().any(|block| {
+        let per_block = suffix.workspace.per_block.iter_mut();
+        suffix.blocks.iter().zip(per_block).any(|(block, entry)| {
             let width = block.params()[1].cols();
-            match block.backward(&Matrix::zeros(rows, width), None) {
+            match block.backward(entry, &Matrix::zeros(rows, width), None) {
                 Ok(_) => true,
                 Err(crate::NnError::BackwardBeforeForward { .. }) => false,
                 Err(other) => panic!("unexpected backward error: {other}"),

@@ -1,7 +1,8 @@
 //! Allocation guards: once its buffers are warm, a
 //! [`SuffixNet::train_batch`] on batches of the sizes it has seen — a full
-//! one and a client's short last one — allocates nothing, and an inference
-//! pass allocates nothing activation-sized besides the matrix it returns.
+//! one and a client's short last one — allocates nothing, an inference
+//! pass allocates nothing activation-sized besides the matrix it returns,
+//! and a model copy allocates its parameters and nothing else.
 //!
 //! These are the `malloc` twins of the inference-side guard
 //! `suffix::snapshots_of_an_evaluated_model_hold_no_activations`: that one
@@ -166,5 +167,58 @@ fn a_warm_inference_pass_allocates_nothing_activation_sized_but_its_result() {
                 assert_eq!(large, 0, "{rows} rows at {freeze}: evaluation");
             }
         });
+    }
+}
+
+#[test]
+fn a_model_copy_allocates_its_parameters_and_nothing_else() {
+    // A model in a run's state: evaluated, and written back from a trained
+    // `Full` suffix, as pretraining leaves the global model.
+    let config = BlockNetConfig::new(24, 10).with_hidden(48, 40, 32);
+    let mut model = BlockNet::new(&config, 23);
+    let mut r = rng::rng_for(23, "copy-allocs");
+    let features = init::normal(&mut r, 32, 24, 0.0, 1.0);
+    let labels: Vec<usize> = (0..32).map(|i| i % 10).collect();
+    model.evaluate_accuracy(&features, &labels).unwrap();
+    let mut suffix = model.trainable_suffix(FreezeLevel::Full);
+    let mut optimizer = Sgd::new(SgdConfig::default()).unwrap();
+    suffix
+        .train_batch(&features, &labels, &mut optimizer)
+        .unwrap();
+    model.set_full_vector(&suffix.trainable_vector()).unwrap();
+
+    // Each block's weight and bias byte sizes, low block first.
+    let widths = [24, 48, 40, 32, 10];
+    let f32_bytes = std::mem::size_of::<f32>();
+    let tensors: Vec<[usize; 2]> = widths
+        .windows(2)
+        .map(|w| [w[0] * w[1] * f32_bytes, w[1] * f32_bytes])
+        .collect();
+    let smallest_weight = tensors.iter().map(|[weight, _]| *weight).min().unwrap();
+    // Allocations at or above the smallest weight's size: one per parameter
+    // tensor at least that large, in the blocks copied.
+    let bound = |blocks: &[[usize; 2]]| {
+        blocks
+            .iter()
+            .flatten()
+            .filter(|&&bytes| bytes >= smallest_weight)
+            .count()
+    };
+
+    let (large, copy) = large_allocations(smallest_weight - 1, || model.clone());
+    assert_eq!(copy.full_vector(), model.full_vector());
+    assert!(
+        large <= bound(&tensors),
+        "a model clone: {large} allocations of at least {smallest_weight} bytes"
+    );
+    for freeze in FreezeLevel::all() {
+        let trainable = &tensors[freeze.frozen_blocks()..];
+        let (large, snapshot) =
+            large_allocations(smallest_weight - 1, || model.trainable_suffix(freeze));
+        assert_eq!(snapshot.trainable_vector(), model.trainable_vector(freeze));
+        assert!(
+            large <= bound(trainable),
+            "a snapshot at {freeze}: {large} allocations of at least {smallest_weight} bytes"
+        );
     }
 }
