@@ -14,7 +14,10 @@
 //! the `K`-th buffered completion, the flush timer, or — when neither can
 //! fire — the last completion in flight → train what the flush took, each on
 //! the version it downloaded, at the one place a local update
-//! ([`Client::local_update_in`]) runs.
+//! ([`Client::local_update_in`]) runs. The flush decision is a pure function
+//! of the buffered dispatches' times, and the clock a plan that carries
+//! state keeps — its versions, busy devices, buffer and `θ` snapshots — is
+//! its own type; both live in the crate-private `clock` module.
 //!
 //! A backend is a plan for that body: `Async { s }` is the last-completion
 //! (drain) case at staleness bound `s`, `Sequential` and `Parallel` the
@@ -53,6 +56,7 @@
 //!   worker count.
 
 use crate::client::{Client, ClientUpdate, ClientWorkspace, ModelVersion, ThetaSnapshot};
+use crate::clock::{self, DispatchTime, EventClock, PendingUpdate};
 use crate::comm::round_traffic;
 use crate::config::FlConfig;
 use crate::device::ArrivalModel;
@@ -61,7 +65,6 @@ use fedft_nn::{BlockNet, FreezeLevel};
 use fedft_tensor::{parallel, pool};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -385,12 +388,14 @@ impl RoundOutcome {
 ///
 /// `Async` at a positive staleness bound and `Streaming` (but for its drain
 /// at bound 0) keep a cumulative clock: `run_round` must be called once per
-/// round, in round order, with the aggregated global model of the previous
-/// rounds — the order [`crate::Simulation`] guarantees. Successive models
-/// may differ only in their trainable part `θ`, which is all the server
-/// ever aggregates and all the clock snapshots per version. Round 0 resets
-/// the clock (dropping any buffered updates), so one executor can serve
-/// consecutive runs. The other backends' rounds run in any order.
+/// round, in round order and inside the run (`round < config.rounds`), with
+/// the aggregated global model of the previous rounds — the order
+/// [`crate::Simulation`] guarantees. Successive models may differ only in
+/// their trainable part `θ`, which is all the server ever aggregates and all
+/// the clock snapshots per version; it holds a snapshot only while a later
+/// round of the run can still train on it. Round 0 resets the clock
+/// (dropping any buffered updates), so one executor can serve consecutive
+/// runs. The other backends' rounds run in any order.
 ///
 /// An executor also keeps the memory its rounds train in — a free list of
 /// `θ` upload buffers, fed by [`Executor::recycle`], and one
@@ -466,12 +471,15 @@ impl Executor {
     /// Returns [`FlError::NoParticipants`] for an empty participant set,
     /// [`FlError::InvalidConfig`] for a zero worker cap, invalid
     /// [`StreamingParams`], a round out of order on a backend that keeps a
-    /// clock, or the first client error in the order the round trains: flush
-    /// order, which is participant order whenever the cohort flushes within
-    /// its own round. A round trains a dispatch at the flush that aggregates
-    /// it, so a client's error surfaces in that round, which under
-    /// `Streaming` may be a later one than its dispatch; an update still in
-    /// flight when the run ends is never computed, and never errs.
+    /// clock, a round at or past `config.rounds` on such a backend (its clock
+    /// keeps `θ` snapshots only for the flushes left inside the run, so the
+    /// round is refused before any work), or the first client error in the
+    /// order the round trains: flush order, which is participant order
+    /// whenever the cohort flushes within its own round. A round trains a
+    /// dispatch at the flush that aggregates it, so a client's error surfaces
+    /// in that round, which under `Streaming` may be a later one than its
+    /// dispatch; an update still in flight when the run ends is never
+    /// computed, and never errs.
     pub fn run_round(
         &self,
         participants: &[&Client],
@@ -738,7 +746,7 @@ impl Executor {
             })
         };
         let round_open = clock.as_deref_mut().map_or(Ok(0.0), |clock| {
-            clock.open_round(self.backend.short_name(), round)
+            clock.open_round(self.backend.short_name(), round, config.rounds)
         })?;
         let (admitted, drops) = self.admit(plan, participants, global_model, config, round);
 
@@ -757,81 +765,53 @@ impl Executor {
         let arrivals = admitted.len();
         for (position, a) in admitted.iter().enumerate() {
             let id = a.client.id();
-            let (mut dispatch_at, mut version) = (round_open, round);
-            if let Some(clock) = clock.as_deref_mut() {
-                let arrival_offset = params
-                    .arrival
-                    .arrival_offset_seconds(id, round, config.seed);
-                let free_at = clock.busy_until.get(&id).copied().unwrap_or(0.0);
-                dispatch_at = (clock.version_open[earliest_version] + arrival_offset).max(free_at);
-                clock
-                    .busy_until
-                    .insert(id, dispatch_at + a.predicted_seconds);
-                // The freshest version published by then. Dispatch never
-                // happens before `earliest_version` opens, so the search
-                // cannot fail and staleness never exceeds the bound.
-                version = (earliest_version..=round)
-                    .rfind(|&v| clock.version_open[v] <= dispatch_at)
-                    .unwrap_or(earliest_version);
-            }
+            let (dispatch_at, version) = match clock.as_deref_mut() {
+                Some(clock) => {
+                    let arrival = params
+                        .arrival
+                        .arrival_offset_seconds(id, round, config.seed);
+                    clock.dispatch(id, round, earliest_version, arrival, a.predicted_seconds)
+                }
+                None => (round_open, round),
+            };
             buffer.push(PendingUpdate {
                 client: a.client.clone(),
                 dispatch_round: round,
-                round_open,
                 position,
                 version,
-                dispatch_offset: dispatch_at - round_open,
-                duration: a.predicted_seconds,
+                time: DispatchTime {
+                    round_open,
+                    offset: dispatch_at - round_open,
+                    duration: a.predicted_seconds,
+                },
             });
         }
 
-        // Decide the flush time, in offsets relative to this round's
-        // opening. An entry dispatched in an earlier round is rebased
-        // through the gap between the two openings; an entry dispatched
-        // *this* round contributes `dispatch_offset + duration` with no
-        // rebasing (the gap is exactly 0.0), so a round whose cohort all
-        // starts at its opening lasts exactly its slowest duration. The
-        // flush fires at the K-th earliest buffered completion, the flush
-        // timer, or (when neither can fire) the last completion in flight.
-        // Ties go to the buffer condition.
-        let rebase = |p: &PendingUpdate| p.round_open - round_open;
-        let completion_offset = |p: &PendingUpdate| rebase(p) + (p.dispatch_offset + p.duration);
+        // Flush every buffered update completed by the flush time, in
+        // dispatch order (round, then position): deterministic, and when the
+        // whole cohort flushes within its own round exactly participant
+        // order.
+        let times: Vec<DispatchTime> = buffer.iter().map(|p| p.time).collect();
+        let decision = clock::decide_flush(
+            &times,
+            round_open,
+            params.buffer_size,
+            params.flush_seconds,
+            plan.deadline.filter(|_| !drops.is_empty()),
+        );
+        let round_wall_seconds = decision.round_wall_seconds;
         let buffer_fill = buffer.len();
-        let mut completions: Vec<f64> = buffer.iter().map(completion_offset).collect();
-        completions.sort_by(f64::total_cmp);
-        let buffer_ready_at = completions.get(params.buffer_size - 1).copied();
-        let timeout_at = params
-            .flush_seconds
-            .is_finite()
-            .then_some(params.flush_seconds);
-        let (flush_offset, trigger) = match (buffer_ready_at, timeout_at) {
-            (Some(b), Some(t)) if t < b => (t, FlushTrigger::Timeout),
-            (Some(b), _) => (b, FlushTrigger::BufferFull),
-            (None, Some(t)) => (t, FlushTrigger::Timeout),
-            (None, None) => (
-                completions.last().copied().unwrap_or(0.0),
-                FlushTrigger::Drain,
-            ),
-        };
-        // The server cannot flush before the round opened (updates that
-        // completed even earlier are simply included), and time never runs
-        // back. A server that drops late clients cannot tell an offline
-        // device from a straggler: any drop under a finite deadline means it
-        // waited the deadline out.
-        let round_wall_seconds = match plan.deadline {
-            Some(deadline) if deadline.is_finite() && !drops.is_empty() => deadline,
-            _ => flush_offset.max(0.0),
-        };
-
-        // Flush every buffered update completed by then, in dispatch order
-        // (round, then position): deterministic, and when the whole cohort
-        // flushes within its own round exactly participant order.
-        let (mut flushed, remaining): (Vec<_>, Vec<_>) = buffer
-            .into_iter()
-            .partition(|p| completion_offset(p) <= round_wall_seconds);
+        let (mut flushed, mut remaining) = (Vec::new(), Vec::new());
+        for (p, taken) in buffer.into_iter().zip(decision.flushed) {
+            if taken {
+                flushed.push(p);
+            } else {
+                remaining.push(p);
+            }
+        }
         flushed.sort_by_key(|p| (p.dispatch_round, p.position));
         let flush = FlushRecord {
-            trigger,
+            trigger: decision.trigger,
             buffer_fill,
             carried: flushed.iter().filter(|p| p.dispatch_round < round).count(),
             arrivals,
@@ -842,8 +822,8 @@ impl Executor {
             .map(|p| UpdateTiming {
                 client_id: p.client.id(),
                 staleness: round - p.version,
-                dispatch_offset_seconds: rebase(p) + p.dispatch_offset,
-                simulated_seconds: p.duration,
+                dispatch_offset_seconds: p.time.start(round_open),
+                simulated_seconds: p.time.duration,
             })
             .collect();
 
@@ -853,15 +833,14 @@ impl Executor {
         // backbone with the version's θ snapshot from the clock — no model is
         // cloned. The updates are the ones training at dispatch would have
         // made; those never flushed are never trained.
-        let history = clock.as_deref().map_or(&[][..], |clock| &clock.history[..]);
         let jobs = flushed
             .iter()
             .map(|p| {
                 let snapshot = if p.version == round {
                     None
                 } else {
-                    let kept = history.iter().find(|(v, _)| *v == p.version);
-                    let Some((_, snapshot)) = kept else {
+                    let kept = clock.as_deref().and_then(|clock| clock.snapshot(p.version));
+                    let Some(snapshot) = kept else {
                         return Err(FlError::InvalidConfig {
                             what: format!(
                                 "{} executor: round {round} holds no snapshot of model version {}",
@@ -883,14 +862,16 @@ impl Executor {
 
         // A plan without a clock drains: nothing remains for a next round.
         if let Some(clock) = clock.as_deref_mut() {
-            clock.pending = remaining;
             clock.close_round(
                 round,
-                round_open,
                 round_wall_seconds,
-                params.max_staleness,
-                global_model,
-                config,
+                remaining,
+                params,
+                config.rounds,
+                || ThetaSnapshot {
+                    stamp: global_model.parameter_stamp(),
+                    theta: global_model.trainable_vector(config.freeze),
+                },
             );
         }
         Ok(RoundOutcome {
@@ -1002,134 +983,17 @@ fn hand_out<S: Send, T: Send>(
     placed.into_iter().map(|(_, result)| result).collect()
 }
 
-/// The simulated timeline of a plan that carries state between rounds,
-/// advanced once per round.
-///
-/// Version `v` is the global model after `v` aggregations; `version_open[v]`
-/// is the simulated time at which it became available (`version_open[0] =
-/// 0.0`). The server-side buffer holds *dispatches*, not trained updates: a
-/// [`PendingUpdate`] names its client and the version it downloaded, and is
-/// trained by the flush that aggregates it. The clock therefore keeps a
-/// **θ snapshot** of every version a later round may still dispatch on (the
-/// staleness window) or a buffered dispatch names — one per version, however
-/// many dispatches share it. Because only the trainable part is ever
-/// aggregated, the frozen backbone `ϕ` is identical across versions, so an
-/// older version is the current model as backbone with the snapshotted θ
-/// ([`ThetaSnapshot`]): an `O(|θ|)` snapshot per version, and no model built
-/// from it at a flush — a dispatch's suffix is refreshed straight from the
-/// snapshot, mirroring what a real client downloads. The snapshot keeps the
-/// global model's [`BlockNet::parameter_stamp`], so the version's scores are
-/// shared under the stamp they were first computed with.
-#[derive(Debug, Default)]
-struct EventClock {
-    /// Simulated opening time of every global-model version so far.
-    version_open: Vec<f64>,
-    /// Retained `(version, θ snapshot)` pairs, ascending by version: the
-    /// versions inside the next round's staleness window and those a
-    /// pending entry names.
-    history: Vec<(usize, ThetaSnapshot)>,
-    /// Absolute simulated time until which each client's device is busy
-    /// training a previously dispatched round.
-    busy_until: HashMap<usize, f64>,
-    /// The round index the executor expects next (rounds must be executed
-    /// in order — the clock is cumulative).
-    next_round: usize,
-    /// The server-side buffer of dispatches still awaiting their flush; a
-    /// draining round (every `Async` round) leaves it empty.
-    pending: Vec<PendingUpdate>,
-}
-
-impl EventClock {
-    /// Opens `round` on the clock and returns its simulated opening time.
-    /// Round 0 resets the clock (dropping any buffered dispatches and
-    /// snapshots of a previous run); any other round must be the one the
-    /// clock expects next. The round's own version is the model passed in,
-    /// so it needs no snapshot until [`EventClock::close_round`].
-    fn open_round(&mut self, executor: &'static str, round: usize) -> Result<f64> {
-        if round == 0 {
-            *self = EventClock::default();
-            self.version_open.push(0.0);
-        } else if round != self.next_round {
-            return Err(FlError::InvalidConfig {
-                what: format!(
-                    "{executor} executor expected round {}, got {round}: event-clock \
-                     rounds must run in order on one executor",
-                    self.next_round
-                ),
-            });
-        }
-        Ok(self.version_open[round])
-    }
-
-    /// Closes `round` after `round_wall` simulated seconds, publishing
-    /// version `round + 1`, once the flush has taken its entries out of the
-    /// buffer. Keeps the θ snapshot of a version — `round`'s own, taken here
-    /// from `global_model`, included — only while a later round may still
-    /// dispatch on it (`round - v < max_staleness`, which cannot overflow
-    /// at an unbounded `usize::MAX`) or a buffered dispatch names it. At
-    /// `max_staleness = 0` that is only the carried versions; a round whose
-    /// dispatches all flush snapshots nothing.
-    fn close_round(
-        &mut self,
-        round: usize,
-        round_open: f64,
-        round_wall: f64,
-        max_staleness: usize,
-        global_model: &BlockNet,
-        config: &FlConfig,
-    ) {
-        let pending = &self.pending;
-        let needed = |v: usize| round - v < max_staleness || pending.iter().any(|p| p.version == v);
-        self.history.retain(|&(v, _)| needed(v));
-        if needed(round) {
-            let snapshot = ThetaSnapshot {
-                stamp: global_model.parameter_stamp(),
-                theta: global_model.trainable_vector(config.freeze),
-            };
-            self.history.push((round, snapshot));
-        }
-        self.version_open.push(round_open + round_wall);
-        self.next_round = round + 1;
-    }
-}
-
-/// One dispatch queued in the event clock's buffer, in flight or completed:
-/// what its flush needs to train it — the client, the version it downloaded
-/// and its dispatch round — and to decide when it completes.
-///
-/// Times are kept as offsets relative to the *dispatch round's* opening
-/// (not absolute): entries dispatched in the flushing round then enter the
-/// flush arithmetic without ever adding and re-subtracting the round's
-/// absolute opening time, which keeps a round whose cohort all starts at its
-/// opening exactly as long as its slowest duration.
-#[derive(Debug)]
-struct PendingUpdate {
-    /// The dispatched client: an id and two shared handles.
-    client: Client,
-    /// Round the client was sampled in (its dispatch round).
-    dispatch_round: usize,
-    /// Simulated opening time of the dispatch round.
-    round_open: f64,
-    /// Dispatch index within its round, for deterministic flush ordering.
-    position: usize,
-    /// Model version the client downloaded.
-    version: usize,
-    /// Dispatch time relative to the dispatch round's opening.
-    dispatch_offset: f64,
-    /// Simulated training + transfer duration.
-    duration: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock;
     use crate::device::HeterogeneityModel;
     use crate::{CacheRegistry, FeatureCache, Method};
     use fedft_data::Dataset;
     use fedft_nn::{BlockNet, BlockNetConfig};
     use fedft_tensor::{init, rng};
     use rand::seq::SliceRandom;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::{Arc, Condvar};
     use std::time::Duration;
@@ -1322,7 +1186,7 @@ mod tests {
         // in the round that dispatched it, so `update_staleness()` is the lag
         // of the version each job trained on.
         let params = StreamingParams::new(usize::MAX).with_max_staleness(2);
-        let c = config();
+        let c = config().with_rounds(5);
         for n in COHORTS {
             let clients = mixed_cohort(n);
             let refs: Vec<&Client> = clients.iter().collect();
@@ -1694,7 +1558,7 @@ mod tests {
         let clients: Vec<Client> = (0..2).map(|id| client(id, 10)).collect();
         let refs: Vec<&Client> = clients.iter().collect();
         let m = model();
-        let c = config();
+        let c = config().with_rounds(3);
         let executor = async_inline(1);
         executor.run_round(&refs, &m, &c, 0).unwrap();
         let err = executor.run_round(&refs, &m, &c, 2).unwrap_err();
@@ -1805,6 +1669,7 @@ mod tests {
         let refs: Vec<&Client> = clients.iter().collect();
         let m = model();
         let c = config()
+            .with_rounds(2)
             .with_heterogeneity(HeterogeneityModel::two_tier())
             .with_seed(3);
         let executor = streaming_inline(StreamingParams::new(4));
@@ -1852,6 +1717,7 @@ mod tests {
         // EDS over a shared registry: every local update looks its shard's
         // scores up exactly once, so the score tier counts the updates run.
         let c = shared_config()
+            .with_rounds(4)
             .with_heterogeneity(HeterogeneityModel::two_tier())
             .with_seed(3);
         for cap in [Some(1), Some(2)] {
@@ -1889,6 +1755,7 @@ mod tests {
         // flush decision reads do not depend on the width.
         let m = model();
         let c = config()
+            .with_rounds(8)
             .with_heterogeneity(HeterogeneityModel::two_tier())
             .with_seed(3);
         let cohort = |width: usize| -> Vec<Client> {
@@ -1926,43 +1793,88 @@ mod tests {
     }
 
     #[test]
-    fn the_clock_holds_one_snapshot_per_version_the_window_or_a_dispatch_needs() {
+    fn the_clock_holds_one_snapshot_per_version_the_window_or_a_dispatch_that_can_still_flush_needs(
+    ) {
         let clients: Vec<Client> = (0..8).map(|id| client(id, 10 + id)).collect();
         let refs: Vec<&Client> = clients.iter().collect();
+        let rounds = 6;
         let c = config()
+            .with_rounds(rounds)
             .with_heterogeneity(HeterogeneityModel::two_tier())
             .with_seed(3);
         for max_staleness in [0, 2] {
             let case = format!("max_staleness {max_staleness}");
-            let executor =
-                streaming_inline(StreamingParams::new(4).with_max_staleness(max_staleness));
+            let params = StreamingParams::new(4).with_max_staleness(max_staleness);
+            let executor = streaming_inline(params);
             let mut global = model();
             let mut thetas = Vec::new();
+            // Per round: the versions held after it, and the older versions
+            // its flush trained.
+            let (mut held, mut trained) = (Vec::new(), Vec::new());
             let mut backlog = Vec::new();
-            let mut shared_a_snapshot = false;
-            for round in 0..6 {
+            let (mut shared_a_snapshot, mut dropped_a_pending_snapshot) = (false, false);
+            for round in 0..rounds {
                 thetas.push(global.trainable_vector(c.freeze));
                 let outcome = executor.run_round(&refs, &global, &c, round).unwrap();
+                let lags = outcome.update_staleness().into_iter().filter(|&s| s > 0);
+                trained.push(lags.map(|s| round - s).collect::<HashSet<_>>());
                 advance(&mut global, &outcome, round, &c);
                 let clock = executor.clock.lock().unwrap();
+                let flushes = rounds - round - 1;
+                let times: Vec<_> = clock.pending.iter().map(|p| p.time).collect();
+                let reached = clock::reachable(&times, clock.opening(round + 1), 4, flushes);
+                let reachable_versions: Vec<usize> = clock
+                    .pending
+                    .iter()
+                    .zip(&reached)
+                    .filter_map(|(p, &reached)| reached.then_some(p.version))
+                    .collect();
                 let mut expected: Vec<usize> = (0..=round)
-                    .filter(|v| v + max_staleness > round)
-                    .chain(clock.pending.iter().map(|p| p.version))
+                    .filter(|v| flushes > 0 && v + max_staleness > round)
+                    .chain(reachable_versions.iter().copied())
                     .collect();
                 expected.sort_unstable();
                 expected.dedup();
-                let held: Vec<usize> = clock.history.iter().map(|(v, _)| *v).collect();
-                assert_eq!(held, expected, "{case}, after round {round}");
-                for (version, snapshot) in &clock.history {
+                let versions: Vec<usize> = clock.history().iter().map(|(v, _)| *v).collect();
+                assert_eq!(versions, expected, "{case}, after round {round}");
+                for (version, snapshot) in clock.history() {
                     assert_eq!(
                         snapshot.theta, thetas[*version],
                         "{case}, version {version}"
                     );
                 }
-                shared_a_snapshot |= clock.history.len() < clock.pending.len();
+                shared_a_snapshot |= reachable_versions.iter().collect::<HashSet<_>>().len()
+                    < reachable_versions.len();
+                // The entry stays (the flush record counts it); only its
+                // snapshot goes.
+                dropped_a_pending_snapshot |=
+                    flushes > 0 && clock.pending.iter().any(|p| !versions.contains(&p.version));
                 backlog.push(clock.pending.len());
+                held.push(versions);
             }
-            assert!(backlog[5] > backlog[0], "{case}: the backlog grows");
+            // Every older version a later flush trained was held until then.
+            for (round, versions) in held.iter().enumerate() {
+                for later in &trained[round + 1..] {
+                    for version in later.iter().filter(|&&v| v <= round) {
+                        assert!(
+                            versions.contains(version),
+                            "{case}: version {version} after round {round}"
+                        );
+                    }
+                }
+            }
+            assert!(
+                backlog[rounds - 1] > backlog[0],
+                "{case}: the backlog grows"
+            );
+            assert!(
+                held[rounds - 1].is_empty(),
+                "{case}: the last round leaves no snapshot"
+            );
+            assert!(
+                dropped_a_pending_snapshot,
+                "{case}: a round before the last drops a pending dispatch's snapshot"
+            );
             assert!(
                 shared_a_snapshot,
                 "{case}: dispatches share a version's snapshot"
@@ -1971,11 +1883,46 @@ mod tests {
     }
 
     #[test]
+    fn a_clock_keeping_plan_refuses_a_round_past_the_run_before_any_work() {
+        let clients: Vec<Client> = (0..3).map(|id| client(id, 10)).collect();
+        let refs: Vec<&Client> = clients.iter().collect();
+        // A shard no model of width 6 can read: any round that trains it errs.
+        let unreadable = Client::new(3, data_of_width(3, 10, 5));
+        let m = model();
+        let c = config().with_rounds(2);
+        for backend in [
+            ExecutionBackend::Streaming(StreamingParams::new(2)),
+            ExecutionBackend::Async { max_staleness: 2 },
+        ] {
+            let executor = inline(backend);
+            for round in 0..2 {
+                executor.run_round(&refs, &m, &c, round).unwrap();
+            }
+            for executor in [executor, inline(backend)] {
+                let err = executor.run_round(&[&unreadable], &m, &c, 2).unwrap_err();
+                assert!(
+                    matches!(&err, FlError::InvalidConfig { what } if what.contains("2-round run")),
+                    "{backend:?}: {err}"
+                );
+            }
+        }
+        // A plan that keeps no clock runs any round.
+        for backend in [
+            ExecutionBackend::Sequential,
+            ExecutionBackend::Parallel,
+            ExecutionBackend::Deadline,
+            ExecutionBackend::Async { max_staleness: 0 },
+        ] {
+            inline(backend).run_round(&refs, &m, &c, 2).unwrap();
+        }
+    }
+
+    #[test]
     fn streaming_timeout_flush_can_close_an_empty_round() {
         let clients: Vec<Client> = (0..5).map(|id| client(id, 10)).collect();
         let refs: Vec<&Client> = clients.iter().collect();
         let m = model();
-        let c = config();
+        let c = config().with_rounds(2);
         // Timer far below any device duration and a buffer nobody can fill:
         // the flush fires on the timer with nothing completed yet.
         let params = StreamingParams::new(100).with_flush_seconds(1e-12);
@@ -2052,7 +1999,7 @@ mod tests {
         let clients: Vec<Client> = (0..2).map(|id| client(id, 10)).collect();
         let refs: Vec<&Client> = clients.iter().collect();
         let m = model();
-        let c = config();
+        let c = config().with_rounds(3);
         let executor = streaming_inline(StreamingParams::new(2));
         executor.run_round(&refs, &m, &c, 0).unwrap();
         let err = executor.run_round(&refs, &m, &c, 2).unwrap_err();
@@ -2164,7 +2111,7 @@ mod tests {
         let clients: Vec<Client> = (0..2).map(|id| client(id, 10)).collect();
         let refs: Vec<&Client> = clients.iter().collect();
         let m = model();
-        let c = config();
+        let c = config().with_rounds(3);
         let executor = async_inline(1);
         executor.run_round(&refs, &m, &c, 0).unwrap();
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -78,6 +78,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod clock;
 mod error;
 
 pub mod baseline;
