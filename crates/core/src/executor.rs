@@ -62,7 +62,7 @@ use crate::config::FlConfig;
 use crate::device::ArrivalModel;
 use crate::{FlError, Result};
 use fedft_nn::{BlockNet, FreezeLevel};
-use fedft_tensor::{parallel, pool};
+use fedft_tensor::pool;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -690,25 +690,20 @@ impl Executor {
                 .map(|(client, _, _)| client.num_samples())
                 .collect();
             let units = shard_units(&keys, &work, workers);
-            let order: Vec<usize> = (0..units.len()).collect();
-            let per_unit = hand_out(&order, &mut workspaces[..workers], |workspace, unit| {
-                units[unit]
-                    .iter()
-                    .map(|&position| (position, run(workspace, &jobs[position])))
-                    .collect::<Vec<_>>()
-            });
-            let mut placed: Vec<Option<Result<ClientUpdate>>> = jobs.iter().map(|_| None).collect();
-            for (position, update) in per_unit.into_iter().flatten() {
-                placed[position] = Some(update);
-            }
-            #[allow(
-                clippy::expect_used,
-                reason = "`shard_units` puts every position in exactly one unit, and every unit is run"
-            )]
-            placed
-                .into_iter()
-                .collect::<Option<_>>()
-                .expect("every position is in exactly one unit")
+            let trained = hand_out(
+                units.len(),
+                &mut workspaces[..workers],
+                |workspace, unit| {
+                    units[unit]
+                        .iter()
+                        .map(|&position| (position, run(workspace, &jobs[position])))
+                        .collect::<Vec<_>>()
+                },
+            );
+            // Every position is in exactly one unit, and every unit is run.
+            let mut placed: Vec<_> = trained.into_iter().flatten().collect();
+            placed.sort_unstable_by_key(|&(position, _)| position);
+            placed.into_iter().map(|(_, update)| update).collect()
         };
         *lock(&self.workspaces) = workspaces;
         updates
@@ -927,60 +922,43 @@ fn shard_units<K: Ord>(keys: &[K], work: &[usize], workers: usize) -> Vec<Vec<us
     units
 }
 
-/// Runs `body(state, position)` for every position in `order` on one pool
-/// runner per entry of `states` — `workers` of them below — and returns the
-/// results indexed by position (`order` must be a permutation of
-/// `0..order.len()`). A runner has its state to itself from its first
-/// position to its last.
+/// Runs `body(state, unit)` for every unit in `0..units` on one pool runner
+/// per entry of `states` — `workers` of them below — and returns the
+/// results in no particular order: runner by runner, each in the order it
+/// took its units. A runner has its state to itself from its first unit to
+/// its last.
 ///
 /// Exactly `workers` runners start on the persistent pool
-/// ([`fedft_tensor::pool`]), each taking the next unclaimed entry of `order`
-/// from one shared cursor until none is left. Each runs under
-/// [`parallel::single_threaded`]: a runner owns one core, so the tensor
-/// kernels must not fan out a second level of pool jobs underneath — which
-/// is also what makes `workers` a cap on the threads a round uses. A runner
-/// the pool gets to late (more runners than pool threads, or a single-core
-/// host, where the pool runs them one after another on the caller) finds the
-/// cursor exhausted and returns at once.
+/// ([`pool::run_parts`]), one per state, each taking the next unclaimed unit
+/// from one shared cursor until none is left. A pool job runs
+/// single-threaded: a runner owns one core, so the tensor kernels do not fan
+/// out a second level of pool jobs underneath — which is also what makes
+/// `workers` a cap on the threads a round uses. A runner the pool gets to
+/// late (more runners than pool threads, or a single-core host, where the
+/// pool runs them one after another on the caller) finds the cursor
+/// exhausted and returns at once.
 ///
 /// # Panics
 ///
 /// A panicking `body` ends its runner; the others finish the remaining
-/// positions, and the pool then re-raises the first panic here.
+/// units, and the pool then re-raises the first panic here.
 fn hand_out<S: Send, T: Send>(
-    order: &[usize],
+    units: usize,
     states: &mut [S],
     body: impl Fn(&mut S, usize) -> T + Sync,
 ) -> Vec<T> {
-    let workers = states.len();
-    // Runner `i` is the only one to lock slot `i`: the mutex is how safe
-    // code hands a `Sync` closure its own `&mut`.
-    let slots: Vec<Mutex<&mut S>> = states.iter_mut().map(Mutex::new).collect();
-    // Relaxed: the cursor only decides who takes which entry. What a runner
-    // produces reaches this thread through `run_chunks`' own
-    // synchronisation.
+    // Relaxed: the cursor only decides who takes which unit. What a runner
+    // produces reaches this thread through the pool's own synchronisation.
     let cursor = AtomicUsize::new(0);
-    let per_runner = pool::run_chunks(workers, workers, |runner| {
-        parallel::single_threaded(|| {
-            #[allow(
-                clippy::expect_used,
-                reason = "each runner is run once, so nothing else holds its slot's lock or poisoned it"
-            )]
-            let mut state = slots[runner.start]
-                .lock()
-                .expect("a slot is locked once, by its runner");
-            let mut done = Vec::new();
-            while let Some(&position) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                done.push((position, body(&mut state, position)));
-            }
-            done
-        })
-    });
-    // Every position was claimed by exactly one runner.
-    let mut placed: Vec<(usize, T)> = per_runner.into_iter().flatten().collect();
-    debug_assert_eq!(placed.len(), order.len());
-    placed.sort_unstable_by_key(|&(position, _)| position);
-    placed.into_iter().map(|(_, result)| result).collect()
+    pool::run_parts(states, |state| {
+        std::iter::from_fn(|| Some(cursor.fetch_add(1, Ordering::Relaxed)))
+            .take_while(|&unit| unit < units)
+            .map(|unit| body(state, unit))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]
@@ -1330,14 +1308,14 @@ mod tests {
 
     #[test]
     fn hand_out_runs_every_position_once_on_no_more_threads_than_the_cap() {
-        let order: Vec<usize> = (0..40).rev().collect();
         for cap in [2, 3, 7] {
             // A runner's state: the thread behind each call it made.
             let mut states = vec![Vec::new(); cap];
-            let results = hand_out(&order, &mut states, |calls, position| {
+            let mut results = hand_out(40, &mut states, |calls, position| {
                 calls.push(std::thread::current().id());
                 position * 10
             });
+            results.sort_unstable();
             assert_eq!(results, (0..40).map(|p| p * 10).collect::<Vec<_>>());
             let calls: usize = states.iter().map(Vec::len).sum();
             assert_eq!(calls, 40, "cap {cap}");
@@ -1360,14 +1338,13 @@ mod tests {
         // Forced, not probable: the first job handed out refuses to finish
         // until a job has been entered on another thread, which can only be
         // a second runner taking the next entry.
-        let order = [3, 1, 0, 2];
         let entered: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
         let another_entered = Condvar::new();
-        hand_out(&order, &mut [(); 2], |(), position| {
+        hand_out(4, &mut [(); 2], |(), position| {
             let mut threads = entered.lock().unwrap();
             threads.insert(std::thread::current().id());
             another_entered.notify_all();
-            if position == order[0] {
+            if position == 0 {
                 let (_threads, wait) = another_entered
                     .wait_timeout_while(threads, Duration::from_secs(30), |t| t.len() < 2)
                     .unwrap();

@@ -4,8 +4,6 @@
 use crate::{NnError, Result};
 use fedft_tensor::{pool, Matrix};
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
-use std::sync::Mutex;
 
 /// A flattened view of a set of parameter tensors.
 ///
@@ -167,37 +165,23 @@ impl ParamVector {
         // Below this much accumulation work the pool wake costs more than
         // the loop; 200 clients × a 10k-parameter head clears it easily.
         const PARALLEL_WORK_THRESHOLD: usize = 1 << 20;
-        let workers = pool::hardware_threads().min(len);
-        // One accumulation loop, over the whole output or over one range of
-        // it.
-        let accumulate = |out: &mut [f32], range: Range<usize>| {
+        let workers = if entries.len().saturating_mul(len) >= PARALLEL_WORK_THRESHOLD {
+            pool::hardware_threads()
+        } else {
+            1
+        };
+        // Every range of the output is one part: its own slice of the one
+        // output, allocated here, and the offset of its first element.
+        let chunk = pool::chunk_len(len, workers);
+        let mut out = vec![0.0_f32; len];
+        pool::run_parts(out.chunks_mut(chunk).enumerate(), |(index, out)| {
+            let start = index * chunk;
             for &(vector, weight) in entries {
-                for (o, &v) in out.iter_mut().zip(&vector.values[range.clone()]) {
+                for (o, &v) in out.iter_mut().zip(&vector.values[start..]) {
                     *o += weight * v;
                 }
             }
-        };
-        let mut out = vec![0.0_f32; len];
-        if entries.len().saturating_mul(len) >= PARALLEL_WORK_THRESHOLD && workers > 1 {
-            // Every range writes its own slice of the one output, allocated
-            // here: `chunks_mut` by the pool's chunk length cuts the slices
-            // exactly where `run_chunks` cuts the ranges, and the mutex is
-            // how safe code hands each (once-run) range its `&mut`.
-            let chunk = pool::chunk_len(len, workers);
-            let slices: Vec<Mutex<&mut [f32]>> = out.chunks_mut(chunk).map(Mutex::new).collect();
-            pool::run_chunks(len, workers, |range| {
-                #[allow(
-                    clippy::expect_used,
-                    reason = "each range is run once, so nothing else holds its lock or poisoned it"
-                )]
-                let mut slice = slices[range.start / chunk]
-                    .lock()
-                    .expect("a slice is locked once, by its range");
-                accumulate(&mut slice, range);
-            });
-        } else {
-            accumulate(&mut out, 0..len);
-        }
+        });
         Ok(ParamVector { values: out })
     }
 }

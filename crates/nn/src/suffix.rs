@@ -19,10 +19,9 @@ use crate::loss::{log_probability, SoftmaxCrossEntropy};
 use crate::optimizer::Sgd;
 use crate::params::ParamVector;
 use crate::{NnError, Result};
-use fedft_tensor::{parallel, pool, stats, Matrix, TensorError};
+use fedft_tensor::{pool, stats, Matrix, TensorError};
 use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::Mutex;
 
 /// What a training pass leaves behind for itself: the buffers a training
 /// step writes and reuses.
@@ -170,8 +169,8 @@ fn walk_rows(
 /// with its rows of `out` (`per_row` values a row), and returns what each
 /// run returned, in row order. A pass of one block is one run on the caller,
 /// whose products keep the kernels' own row split; a pass of several hands
-/// the runs out over the worker pool, one per pool chunk, and every product
-/// inside a run is inline. Inside a
+/// each run, with its rows of `out`, to the worker pool as one part, and a
+/// pool job's products are inline. Inside a
 /// [`fedft_tensor::parallel::single_threaded`] scope every run is inline.
 fn on_row_blocks<T: Send>(
     rows: usize,
@@ -183,30 +182,15 @@ fn on_row_blocks<T: Send>(
     if blocks <= 1 {
         return Ok(vec![body(0..rows, out)?]);
     }
-    let workers = pool::hardware_threads();
-    let run_blocks = pool::chunk_len(blocks, workers);
-    let slots: Vec<Mutex<Option<_>>> =
-        with_rows(cut(0..rows, run_blocks * ROW_BLOCK), out, per_row)
-            .map(|run| Mutex::new(Some(run)))
-            .collect();
-    pool::run_chunks(blocks, workers, |run| {
-        #[allow(
-            clippy::expect_used,
-            reason = "the slots are the pool's chunks, each claimed once"
-        )]
-        let (run_rows, run_out) = slots[run.start / run_blocks]
-            .lock()
-            .expect("row block slot lock")
-            .take()
-            .expect("each run of row blocks is claimed once");
-        parallel::single_threaded(|| body(run_rows, run_out))
-    })
-    .into_iter()
-    .collect()
+    let run_rows = pool::chunk_len(blocks, pool::hardware_threads()) * ROW_BLOCK;
+    let runs = with_rows(cut(0..rows, run_rows), out, per_row);
+    pool::run_parts(runs, |(rows, out)| body(rows, out))
+        .into_iter()
+        .collect()
 }
 
 /// `rows` cut into consecutive ranges of `len` rows, the last one short.
-fn cut(rows: Range<usize>, len: usize) -> impl Iterator<Item = Range<usize>> {
+fn cut(rows: Range<usize>, len: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
     let end = rows.end;
     rows.step_by(len)
         .map(move |start| start..(start + len).min(end))
@@ -215,10 +199,10 @@ fn cut(rows: Range<usize>, len: usize) -> impl Iterator<Item = Range<usize>> {
 /// Pairs each of the consecutive row ranges `ranges`, the first starting at
 /// `out`'s first row, with its rows of `out` (`per_row` values a row).
 fn with_rows(
-    ranges: impl Iterator<Item = Range<usize>>,
+    ranges: impl ExactSizeIterator<Item = Range<usize>>,
     mut out: &mut [f32],
     per_row: usize,
-) -> impl Iterator<Item = (Range<usize>, &mut [f32])> {
+) -> impl ExactSizeIterator<Item = (Range<usize>, &mut [f32])> {
     ranges.map(move |range| {
         let (rows_out, rest) = std::mem::take(&mut out).split_at_mut(range.len() * per_row);
         out = rest;
@@ -570,6 +554,7 @@ mod tests {
     use super::*;
     use crate::block::{BlockNet, BlockNetConfig};
     use crate::optimizer::{ProximalTerm, SgdConfig};
+    use fedft_tensor::parallel;
 
     fn net() -> BlockNet {
         BlockNet::new(&BlockNetConfig::new(6, 3).with_hidden(8, 8, 8), 11)

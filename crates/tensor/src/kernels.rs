@@ -39,10 +39,11 @@
 //! Threading: on multi-core hosts, products above [`PARALLEL_FLOP_THRESHOLD`]
 //! multiply-adds split the output rows across the persistent worker pool
 //! ([`crate::pool`]) — parked threads woken per job instead of a fresh spawn
-//! per product ([`for_each_row_chunk`]). Each chunk owns a disjoint `&mut`
-//! slice of the output buffer, handed off through a once-claimable slot, and
-//! chunk boundaries depend only on the requested worker count, so results are
-//! byte-identical at any pool size.
+//! per product ([`for_each_row_chunk`]). Each chunk is handed its own rows
+//! of `A` and its disjoint `&mut` rows of the output as one part, and chunk
+//! boundaries depend only on the requested worker count, so results are
+//! byte-identical at any pool size. A product inside a pool job, which runs
+//! single-threaded, is not split again.
 //!
 //! Code layout is part of the tuning. The direct loops are bound by the
 //! load ports, so how they are compiled decides their speed as much as what
@@ -90,7 +91,6 @@
 //! [`mac`]'s FMA fold; nothing selects it at run time.
 
 use std::cell::RefCell;
-use std::sync::Mutex;
 
 /// Edge of the square tiles [`transpose_into`] moves: 16 `f32` are one
 /// 64-byte cache line, so a tile reads 16 source lines and fills 16
@@ -311,13 +311,12 @@ fn with_edge_panel<R>(k: usize, n: usize, b: &[f32], f: impl FnOnce(&[f32]) -> R
 }
 
 /// Runs `body` on every `(A rows, C rows)` chunk of a row-partitioned
-/// product (`a` is `m × k`, `out` is `m × n`): the whole product inline for
-/// one thread, otherwise contiguous chunks of
-/// [`crate::pool::aligned_chunk_len`] rows — multiples of the register block
-/// [`MR`], so only the last chunk carries a short slab — dispatched on
-/// the persistent pool. Each chunk's disjoint operand and output slices sit
-/// in a once-claimable slot; the slot index is the chunk's row range divided
-/// by the (identical) pool chunk length.
+/// product (`a` is `m × k`, `out` is `m × n`, `k` and `n` non-zero): one
+/// part per chunk of [`crate::pool::chunk_len`]`(m, threads)` rows rounded
+/// up to a multiple of the register block [`MR`], so only the last chunk
+/// carries a short slab, handed over to the persistent pool
+/// ([`crate::pool::run_parts`]). At one thread that is the whole product,
+/// inline.
 fn for_each_row_chunk(
     m: usize,
     threads: usize,
@@ -327,38 +326,16 @@ fn for_each_row_chunk(
     n: usize,
     body: impl Fn(&[f32], &mut [f32]) + Sync,
 ) {
-    if threads <= 1 {
-        body(a, out);
-        return;
-    }
-    let chunk_rows = crate::pool::aligned_chunk_len(m, threads, MR);
-    let slots: Vec<ChunkSlot> = out
-        .chunks_mut(chunk_rows * n)
-        .enumerate()
-        .map(|(chunk_idx, out_chunk)| {
-            let row0 = chunk_idx * chunk_rows;
-            let rows = out_chunk.len() / n;
-            Mutex::new(Some((&a[row0 * k..(row0 + rows) * k], out_chunk)))
-        })
-        .collect();
-    crate::pool::run_aligned_chunks(m, threads, MR, |rows| {
-        let (a_chunk, out_chunk) = slots[rows.start / chunk_rows]
-            .lock()
-            .expect("row chunk slot lock")
-            .take()
-            .expect("each row chunk is claimed exactly once");
-        body(a_chunk, out_chunk);
-    });
+    let rows = crate::pool::chunk_len(m, threads).next_multiple_of(MR);
+    let chunks = a.chunks(rows * k).zip(out.chunks_mut(rows * n));
+    crate::pool::run_parts(chunks, |(a_chunk, out_chunk)| body(a_chunk, out_chunk));
 }
-
-/// A once-claimable `(A rows, C rows)` slice pair for one pool chunk of a
-/// row-partitioned product.
-type ChunkSlot<'a> = Mutex<Option<(&'a [f32], &'a mut [f32])>>;
 
 /// Decides the worker count for a product of the given shape.
 fn max_threads(m: usize, k: usize, n: usize) -> usize {
     if crate::parallel::is_single_threaded() {
-        // A caller (e.g. a parallel round executor) already owns the cores.
+        // A pool job, or a caller that parallelises above the pool,
+        // already owns the cores.
         return 1;
     }
     let flops = m.saturating_mul(k).saturating_mul(n);

@@ -2,14 +2,17 @@
 //! already parallelise above it.
 //!
 //! The blocked matmul kernels split large products across the persistent
-//! worker pool ([`crate::pool`]). When a caller (e.g. `fedft-core`'s
-//! parallel round executor) is already running one task per core, letting
-//! every task fan out its own kernel chunks would oversubscribe the machine
-//! quadratically. Callers mark their worker tasks with [`single_threaded`],
-//! and both the kernels' thread-count decision and the pool's dispatcher
-//! ([`crate::pool::run_chunks`]) stay sequential inside such a scope.
-//! Results are unaffected either way — the kernels are deterministic for
-//! any thread count.
+//! worker pool ([`crate::pool`]). When a caller is already running one task
+//! per core, letting every task fan out its own kernel chunks would
+//! oversubscribe the machine quadratically. [`single_threaded`] is the one
+//! flag that says "run inline on this thread": inside its scope the
+//! kernels' thread-count decision and the pool's dispatcher
+//! ([`crate::pool::run_parts`]) stay sequential. Every pool job runs in
+//! that scope — the pool's workers run their whole loop in one, and the
+//! dispatcher each chunk it claims — and callers that parallelise above the
+//! pool on threads of their own can mark their tasks with it too. Results
+//! are unaffected either way — the kernels are deterministic for any thread
+//! count.
 
 use std::cell::Cell;
 

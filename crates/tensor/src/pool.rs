@@ -12,31 +12,35 @@
 //!
 //! # Lifecycle
 //!
-//! The pool is lazily initialised on the first parallel [`run_chunks`] call
+//! The pool is lazily initialised on the first parallel [`run_parts`] call
 //! and lives for the remainder of the process; workers are never torn down.
-//! A host with a single core (or a pool asked for a single chunk) never
-//! spawns anything — the calling thread runs every chunk inline. One job
-//! runs at a time; concurrent dispatchers queue on the dispatch lock in
-//! arrival order.
+//! A host with a single core (or a job of a single part) never spawns
+//! anything — the calling thread runs every part inline. One job runs at a
+//! time; concurrent dispatchers queue on the dispatch lock in arrival order.
 //!
 //! # Determinism contract
 //!
-//! [`run_chunks`] splits `n_items` into contiguous ranges of
-//! [`chunk_len`]`(n_items, max_workers)` items (or of the tile-aligned
-//! variant the GEMM uses), **computed from the requested worker count
-//! alone** — never from how many workers happen to be parked or idle.
-//! Results are returned in chunk order. Which OS thread executes which
-//! chunk is scheduling noise by construction: chunks share nothing, so
-//! every caller observes byte-identical results at any pool size, including
-//! zero workers. The executor- and GEMM-level bit-identity suites pin this.
+//! [`run_parts`] runs one chunk per part and returns the results in part
+//! order; the caller cuts the parts — contiguous ranges, disjoint `&mut`
+//! pieces of one output, one state per runner — **from the requested worker
+//! count alone** ([`chunk_len`]), never from how many workers happen to be
+//! parked or idle. [`run_chunks`] is `run_parts` over the ranges of
+//! [`chunk_len`]`(n_items, max_workers)` items. Each part is moved into the
+//! one chunk that runs it: the pool's claim cursor hands every chunk out
+//! once, and the chunk's slot holds its part until then and its result
+//! after. Which OS thread executes which chunk is scheduling noise by
+//! construction: chunks share nothing, so every caller observes
+//! byte-identical results at any pool size, including zero workers. The
+//! executor- and GEMM-level bit-identity suites pin this.
 //!
 //! # `single_threaded` interplay
 //!
-//! Inside a [`crate::parallel::single_threaded`] scope, and inside a pool
-//! job itself (workers, or the caller while it participates), `run_chunks`
-//! degrades to running every chunk inline on the current thread in chunk
-//! order. Nesting therefore cannot oversubscribe the machine or deadlock
-//! the single-job pool.
+//! Every pool job runs in a [`crate::parallel::single_threaded`] scope: a
+//! worker runs its whole loop in one, and the dispatcher runs each chunk it
+//! claims in one. Inside such a scope `run_parts` runs every part inline on
+//! the current thread in part order, so nesting cannot oversubscribe the
+//! machine or deadlock the single-job pool, and the kernels inside a chunk
+//! do not split their products.
 //!
 //! # Panic policy
 //!
@@ -63,7 +67,6 @@
 
 use crate::parallel;
 use std::any::Any;
-use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, OnceLock};
@@ -90,25 +93,9 @@ pub fn chunk_len(n_items: usize, max_workers: usize) -> usize {
     n_items.div_ceil(max_workers.max(1)).max(1)
 }
 
-/// Chunk length [`run_aligned_chunks`] uses: [`chunk_len`] rounded up to a
-/// multiple of `align`, so only the final chunk can carry a partial block.
-/// This is the exact split the GEMM row partitioners computed before the
-/// pool existed (`align` = their register-tile height), so every product
-/// stays bit-identical.
-pub(crate) fn aligned_chunk_len(n_items: usize, max_workers: usize, align: usize) -> usize {
-    chunk_len(n_items, max_workers).next_multiple_of(align.max(1))
-}
-
 /// Runs `f` over `0..n_items` split into at most `max_workers` contiguous
 /// chunks (boundaries per [`chunk_len`]), returning the per-chunk results
-/// in chunk order.
-///
-/// Chunks execute on the pool's parked workers plus the calling thread;
-/// inside a [`crate::parallel::single_threaded`] scope, inside another pool
-/// job, with a single chunk, or on a single-core host, they all run inline
-/// on the calling thread instead. Either way the chunk boundaries and the
-/// result order are identical — parallelism here is purely a wall-clock
-/// knob.
+/// in chunk order: [`run_parts`] over those ranges.
 ///
 /// # Panics
 ///
@@ -118,42 +105,51 @@ where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    run_with_chunk_len(n_items, chunk_len(n_items, max_workers), &f)
+    run_parts(ranges(n_items, chunk_len(n_items, max_workers)), f)
 }
 
-/// [`run_chunks`] with chunk boundaries rounded to multiples of `align`
-/// (boundaries per [`aligned_chunk_len`]) — the shape the register-tiled
-/// GEMM core needs so only the last chunk carries a partial tile.
+/// `0..n_items` cut into consecutive ranges of `chunk` items, the last one
+/// short.
+fn ranges(n_items: usize, chunk: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+    (0..n_items)
+        .step_by(chunk)
+        .map(move |start| start..(start + chunk).min(n_items))
+}
+
+/// Runs `f` on every part of `parts` (a `Vec` or any exact-size iterator),
+/// one pool chunk per part, and returns the results in part order. Each
+/// part is moved into the one chunk that runs it, so a part can be a
+/// disjoint `&mut` piece of an output the caller cut.
+///
+/// Chunks execute on the pool's parked workers plus the calling thread,
+/// each inside a [`crate::parallel::single_threaded`] scope. With one part,
+/// on a single-core host, or inside such a scope (every pool job is one)
+/// they all run inline on the calling thread instead, in part order. Either
+/// way the parts and the result order are the caller's — parallelism here
+/// is purely a wall-clock knob.
 ///
 /// # Panics
 ///
 /// Re-raises the first panic any chunk raised, after all chunks finished.
-pub(crate) fn run_aligned_chunks<T, F>(
-    n_items: usize,
-    max_workers: usize,
-    align: usize,
-    f: F,
-) -> Vec<T>
+pub fn run_parts<P, T, I>(parts: I, f: impl Fn(P) -> T + Sync) -> Vec<T>
 where
+    P: Send,
     T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
+    I: IntoIterator<Item = P>,
+    I::IntoIter: ExactSizeIterator,
 {
-    run_with_chunk_len(n_items, aligned_chunk_len(n_items, max_workers, align), &f)
-}
-
-thread_local! {
-    /// `true` while this thread is executing inside a pool job — set
-    /// permanently on workers, scoped on a dispatching caller. Nested
-    /// `run_chunks` calls observe it and run inline, which keeps the
-    /// single-job pool deadlock-free under re-entrancy.
-    static IN_POOL_JOB: Cell<bool> = const { Cell::new(false) };
+    let parts = parts.into_iter();
+    if parts.len() <= 1 || hardware_threads() <= 1 || parallel::is_single_threaded() {
+        return parts.map(f).collect();
+    }
+    run_on(global(), parts, &f)
 }
 
 /// A dispatched job: a type-erased chunk runner plus its chunk count.
 ///
 /// `task` points at a `dyn Fn(usize) + Sync` that lives in the dispatching
-/// [`run_with_chunk_len`] frame. The pointer is only dereferenced between
-/// job publication and the dispatcher observing completion; the dispatcher
+/// [`run_on`] frame. The pointer is only dereferenced between job
+/// publication and the dispatcher observing completion; the dispatcher
 /// blocks until then, which is what makes the erasure sound.
 #[derive(Clone, Copy)]
 struct Job {
@@ -220,84 +216,81 @@ fn global() -> &'static Pool {
 }
 
 /// Claims and runs chunks of the current job until it is exhausted, then
-/// parks. Runs forever; panics inside chunks are caught and recorded, so a
-/// worker is never lost.
+/// parks. Runs forever, single-threaded: a chunk's own `run_parts` calls
+/// run inline. Panics inside chunks are caught and recorded, so a worker is
+/// never lost.
 fn worker_loop(pool: &'static Pool) {
-    IN_POOL_JOB.with(|flag| flag.set(true));
-    let mut state = pool.state.lock().expect("pool state lock");
-    loop {
-        let claim = match state.job {
-            Some(job) if state.next_chunk < job.chunks => {
-                state.next_chunk += 1;
-                state.active += 1;
-                Some((job, state.next_chunk - 1))
+    parallel::single_threaded(|| {
+        let mut state = pool.state.lock().expect("pool state lock");
+        loop {
+            let claim = match state.job {
+                Some(job) if state.next_chunk < job.chunks => {
+                    state.next_chunk += 1;
+                    state.active += 1;
+                    Some((job, state.next_chunk - 1))
+                }
+                _ => None,
+            };
+            let Some((job, chunk)) = claim else {
+                state = pool.work.wait(state).expect("pool state lock");
+                continue;
+            };
+            drop(state);
+            // SAFETY: the dispatcher that published `job` is blocked in
+            // `dispatch` until `active` returns to zero for an exhausted
+            // claim cursor, so the frame owning the pointee is still on its
+            // stack.
+            let task = unsafe { &*job.task };
+            let result = catch_unwind(AssertUnwindSafe(|| task(chunk)));
+            state = pool.state.lock().expect("pool state lock");
+            state.active -= 1;
+            if let Err(payload) = result {
+                state.panic.get_or_insert(payload);
             }
-            _ => None,
-        };
-        let Some((job, chunk)) = claim else {
-            state = pool.work.wait(state).expect("pool state lock");
-            continue;
-        };
-        drop(state);
-        // SAFETY: the dispatcher that published `job` is blocked in
-        // `dispatch` until `active` returns to zero for an exhausted claim
-        // cursor, so the frame owning the pointee is still on its stack.
-        let task = unsafe { &*job.task };
-        let result = catch_unwind(AssertUnwindSafe(|| task(chunk)));
-        state = pool.state.lock().expect("pool state lock");
-        state.active -= 1;
-        if let Err(payload) = result {
-            state.panic.get_or_insert(payload);
+            if state.next_chunk >= job.chunks && state.active == 0 {
+                pool.done.notify_all();
+            }
         }
-        if state.next_chunk >= job.chunks && state.active == 0 {
-            pool.done.notify_all();
-        }
-    }
+    });
 }
 
-fn run_with_chunk_len<T, F>(n_items: usize, chunk: usize, f: &F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    if n_items == 0 {
-        return Vec::new();
-    }
-    let chunks = n_items.div_ceil(chunk);
-    let inline = chunks <= 1
-        || hardware_threads() <= 1
-        || parallel::is_single_threaded()
-        || IN_POOL_JOB.with(Cell::get);
-    if inline {
-        return (0..chunks)
-            .map(|index| f(index * chunk..((index + 1) * chunk).min(n_items)))
-            .collect();
-    }
-    run_on(global(), n_items, chunk, f)
+/// What one chunk's slot holds: its part until the chunk claims it, then
+/// its result.
+enum Slot<P, T> {
+    Part(P),
+    Claimed,
+    Done(T),
 }
 
-/// The parallel branch of [`run_with_chunk_len`], against an explicit pool
-/// so tests can drive the dispatch machinery with a fixed worker count on
-/// any host.
-fn run_on<T, F>(pool: &'static Pool, n_items: usize, chunk: usize, f: &F) -> Vec<T>
+/// The parallel branch of [`run_parts`], against an explicit pool so tests
+/// can drive the dispatch machinery with a fixed worker count on any host.
+fn run_on<P, T>(
+    pool: &'static Pool,
+    parts: impl Iterator<Item = P>,
+    f: &(impl Fn(P) -> T + Sync),
+) -> Vec<T>
 where
+    P: Send,
     T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
 {
-    let chunks = n_items.div_ceil(chunk);
-    let range_of = |index: usize| index * chunk..((index + 1) * chunk).min(n_items);
-    let results: Vec<Mutex<Option<T>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Slot<P, T>>> = parts.map(|part| Mutex::new(Slot::Part(part))).collect();
     let runner = |index: usize| {
-        let value = f(range_of(index));
-        *results[index].lock().expect("pool result slot lock") = Some(value);
+        let slot = &slots[index];
+        let claimed = std::mem::replace(&mut *slot.lock().expect("pool slot lock"), Slot::Claimed);
+        let Slot::Part(part) = claimed else {
+            unreachable!("the claim cursor hands every chunk out once");
+        };
+        let result = f(part);
+        *slot.lock().expect("pool slot lock") = Slot::Done(result);
     };
-    dispatch(pool, chunks, &runner);
-    results
+    dispatch(pool, slots.len(), &runner);
+    slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("pool result slot lock")
-                .expect("every chunk stores its result before the job completes")
+        .map(|slot| match slot.into_inner().expect("pool slot lock") {
+            Slot::Done(result) => result,
+            Slot::Part(_) | Slot::Claimed => {
+                unreachable!("dispatch returns once every chunk has stored its result")
+            }
         })
         .collect()
 }
@@ -305,20 +298,6 @@ where
 /// Publishes a job, participates in it from the calling thread, and blocks
 /// until every chunk has finished; re-raises the first recorded panic.
 fn dispatch(pool: &'static Pool, chunks: usize, task: &(dyn Fn(usize) + Sync)) {
-    // Mark the caller as inside the job for the duration (restored on exit,
-    // including on unwind) so re-entrant `run_chunks` calls run inline.
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            IN_POOL_JOB.with(|flag| flag.set(self.0));
-        }
-    }
-    let _scope = IN_POOL_JOB.with(|flag| {
-        let previous = flag.get();
-        flag.set(true);
-        Restore(previous)
-    });
-
     let turn = pool.dispatch.lock().expect("pool dispatch lock");
     // SAFETY: erasing the borrow to publish it to 'static workers. The
     // barrier below keeps this frame alive until no worker can hold the
@@ -341,7 +320,8 @@ fn dispatch(pool: &'static Pool, chunks: usize, task: &(dyn Fn(usize) + Sync)) {
     pool.work.notify_all();
 
     // The calling thread is a full participant: claim chunks like a worker
-    // until the cursor is exhausted.
+    // until the cursor is exhausted, running each single-threaded as a
+    // worker does.
     loop {
         let claimed = {
             let mut state = pool.state.lock().expect("pool state lock");
@@ -354,7 +334,9 @@ fn dispatch(pool: &'static Pool, chunks: usize, task: &(dyn Fn(usize) + Sync)) {
             }
         };
         let Some(chunk) = claimed else { break };
-        let result = catch_unwind(AssertUnwindSafe(|| task(chunk)));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            parallel::single_threaded(|| task(chunk))
+        }));
         let mut state = pool.state.lock().expect("pool state lock");
         state.active -= 1;
         if let Err(payload) = result {
@@ -401,10 +383,6 @@ mod tests {
             5,
             "a zero worker request behaves like one worker"
         );
-        // The GEMM split: div_ceil rounded to the register-tile height.
-        assert_eq!(aligned_chunk_len(100, 8, 12), 24);
-        assert_eq!(aligned_chunk_len(67, 2, 12), 36);
-        assert_eq!(aligned_chunk_len(64, 4, 8), 16);
     }
 
     #[test]
@@ -516,7 +494,7 @@ mod tests {
     fn parked_workers_execute_chunks_and_results_stay_ordered() {
         let pool = test_pool();
         for _ in 0..50 {
-            let parts = run_on(pool, 100, 13, &|range: Range<usize>| range.clone());
+            let parts = run_on(pool, ranges(100, 13), &|range: Range<usize>| range.clone());
             assert_eq!(parts.len(), 8);
             let mut expected_start = 0;
             for part in &parts {
@@ -536,7 +514,7 @@ mod tests {
         // worker wakes and claims a chunk, however loaded the host is.
         let entered: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
         let another_entered = Condvar::new();
-        run_on(pool, 4, 1, &|range: Range<usize>| {
+        run_on(pool, ranges(4, 1), &|range: Range<usize>| {
             let mut threads = entered.lock().unwrap();
             threads.insert(std::thread::current().id());
             another_entered.notify_all();
@@ -557,16 +535,116 @@ mod tests {
         let pool = test_pool();
         for _ in 0..20 {
             let result = catch_unwind(AssertUnwindSafe(|| {
-                run_on(pool, 8, 1, &|range: Range<usize>| {
+                run_on(pool, ranges(8, 1), &|range: Range<usize>| {
                     panic!("worker boom {}", range.start);
                 })
             }));
             assert!(result.is_err(), "the panic must reach the dispatcher");
-            let sum: usize = run_on(pool, 8, 1, &|range: Range<usize>| range.len())
+            let sum: usize = run_on(pool, ranges(8, 1), &|range: Range<usize>| range.len())
                 .into_iter()
                 .sum();
             assert_eq!(sum, 8, "the pool must stay usable after a panic");
         }
+    }
+
+    #[test]
+    fn mut_parts_reach_one_chunk_each_and_results_keep_part_order() {
+        let pool = test_pool();
+        let mut buffer = [0.0_f32; 23];
+        for job in 1..=50_u8 {
+            // Every element gains its part's number once per job: a part
+            // run twice, or run on another part's slice, shows in the sums.
+            let lens = run_on(
+                pool,
+                buffer.chunks_mut(5).enumerate(),
+                &|(index, part): (usize, &mut [f32])| {
+                    part.iter_mut().for_each(|x| *x += (index + 1) as f32);
+                    (index, part.len())
+                },
+            );
+            assert_eq!(lens, [(0, 5), (1, 5), (2, 5), (3, 5), (4, 3)]);
+            for (at, &x) in buffer.iter().enumerate() {
+                assert_eq!(
+                    x,
+                    f32::from(job) * (at / 5 + 1) as f32,
+                    "job {job}, at {at}"
+                );
+            }
+        }
+
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_on(
+                pool,
+                buffer.chunks_mut(5).enumerate(),
+                &|(index, part): (usize, &mut [f32])| {
+                    if index == 2 {
+                        panic!("part boom");
+                    }
+                    part.fill(-1.0);
+                },
+            )
+        }));
+        let payload = result.expect_err("the part's panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("part boom"));
+        // The pool must come back clean for the next job.
+        let lens = run_on(pool, buffer.chunks_mut(5), &|part: &mut [f32]| {
+            part.fill(1.0);
+            part.len()
+        });
+        assert_eq!(lens, [5, 5, 5, 5, 3]);
+        assert!(buffer.iter().all(|&x| x == 1.0));
+    }
+
+    /// Runs four chunks on the test pool, each waiting until all four have
+    /// been entered — so all four run at once, on the three workers and the
+    /// dispatcher — and then running `then`. Records the thread of each
+    /// chunk and whether it ran single-threaded.
+    fn four_at_once(entered: &Mutex<Vec<(std::thread::ThreadId, bool)>>, then: impl Fn() + Sync) {
+        let all_entered = Condvar::new();
+        run_on(test_pool(), 0..4, &|_part: usize| {
+            let mut seen = entered.lock().unwrap();
+            seen.push((std::thread::current().id(), parallel::is_single_threaded()));
+            all_entered.notify_all();
+            let (seen, wait) = all_entered
+                .wait_timeout_while(seen, Duration::from_secs(30), |seen| seen.len() < 4)
+                .unwrap();
+            drop(seen);
+            assert!(
+                !wait.timed_out(),
+                "four chunks did not run at once within 30 s"
+            );
+            then();
+        });
+    }
+
+    #[test]
+    fn pool_jobs_run_single_threaded_on_workers_and_the_dispatcher() {
+        let caller = std::thread::current().id();
+        let check = |entered: Mutex<Vec<(std::thread::ThreadId, bool)>>, at: &str| {
+            let entered = entered.into_inner().unwrap();
+            assert!(entered.iter().all(|&(_, flag)| flag), "{at}: {entered:?}");
+            let threads: HashSet<_> = entered.iter().map(|&(thread, _)| thread).collect();
+            assert_eq!(threads.len(), 4, "{at}");
+            assert!(
+                threads.contains(&caller),
+                "{at}: the dispatcher ran a chunk"
+            );
+            assert!(
+                !parallel::is_single_threaded(),
+                "{at}: the dispatcher's flag is restored"
+            );
+        };
+
+        let entered = Mutex::new(Vec::new());
+        four_at_once(&entered, || {});
+        check(entered, "a job");
+
+        let entered = Mutex::new(Vec::new());
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            four_at_once(&entered, || panic!("every chunk panics"));
+        }));
+        assert!(result.is_err(), "the panic must reach the dispatcher");
+        check(entered, "a panicked job");
     }
 
     #[test]
@@ -580,9 +658,11 @@ mod tests {
                         for round in 0..25 {
                             let n = 17 + (seed * 7 + round) % 90;
                             let total: usize =
-                                run_on(pool, n, 5, &|range: Range<usize>| range.sum::<usize>())
-                                    .into_iter()
-                                    .sum();
+                                run_on(pool, ranges(n, 5), &|range: Range<usize>| {
+                                    range.sum::<usize>()
+                                })
+                                .into_iter()
+                                .sum();
                             totals.push((n, total));
                         }
                         totals
