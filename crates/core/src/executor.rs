@@ -61,7 +61,7 @@ use crate::comm::round_traffic;
 use crate::config::FlConfig;
 use crate::device::ArrivalModel;
 use crate::{FlError, Result};
-use fedft_nn::{BlockNet, FreezeLevel};
+use fedft_nn::BlockNet;
 use fedft_tensor::pool;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -623,18 +623,12 @@ impl Executor {
         // `run_round`, and glibc returns a freed block to the arena of the
         // thread that allocated it — buffers born on the workers would pile
         // up in arenas this thread cannot reuse them from.
-        // The longest θ of the round, counted once per distinct model
-        // version and freeze level: a round has one to a handful of those
-        // and hundreds of jobs.
-        let mut counted: Vec<(u64, FreezeLevel)> = Vec::new();
-        let mut theta_len = 0;
-        for (client, model, _) in jobs {
-            let version = (model.stamp(), config.freeze_for_client(client.id()));
-            if !counted.contains(&version) {
-                counted.push(version);
-                theta_len = theta_len.max(model.backbone.trainable_parameter_count(version.1));
-            }
-        }
+        // The longest θ of the round: every job trains on the one backbone,
+        // an older version's θ snapshot is taken at `config.freeze`, and a
+        // tier's freeze level is never shallower than it.
+        let theta_len = jobs.first().map_or(0, |(_, model, _)| {
+            model.backbone.trainable_parameter_count(config.freeze)
+        });
         {
             let mut free = lock(&self.uploads);
             let kept = free.len();

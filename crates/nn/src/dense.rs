@@ -1,28 +1,31 @@
 //! The one building block of every model in the crate: a dense layer,
-//! followed by a ReLU in all but the classifier head.
+//! followed by a ReLU in all but the classifier head; and what a training
+//! step keeps per trained block ([`BlockStep`]), which both passes of the
+//! ReLU rewrite in place.
 
 use crate::{NnError, Result};
 use fedft_tensor::{init, rng, Matrix, TensorError};
 use std::ops::Range;
 
-/// What one training step keeps for one block: the activations its training
-/// forward stores for its backward, and the parameter gradients that
-/// backward writes. One entry per trainable block lives in the suffix's
-/// step workspace ([`crate::SuffixNet`]); a block itself holds none.
+/// What one training step keeps for one block: its output, the gradient of
+/// the loss at that output, and the parameter gradients its backward writes.
+/// One entry per trained block lives in the suffix's step workspace
+/// ([`crate::SuffixNet`]), and the entries chain: a block reads its input
+/// from the `output` of the entry below it (the first block from the
+/// caller's batch), and its backward writes the input gradient into that
+/// entry's `grad_output`. A block itself holds none of it.
 #[derive(Debug, Default)]
 pub(crate) struct BlockStep {
-    /// The block input `X`, for `dW = Xᵀ·dZ`.
-    input: Matrix,
-    /// `Z = X·W + b` of a ReLU block, whose sign is the ReLU mask; empty in
-    /// the head.
-    pre_activation: Matrix,
-    /// `dZ = dY ⊙ [Z > 0]` of a ReLU block, rewritten by every backward;
-    /// empty in the head.
-    grad_pre_activation: Matrix,
+    /// `Y`, written by every training forward; the sign of a ReLU block's
+    /// `Y` is its mask.
+    pub(crate) output: Matrix,
+    /// `dY`, written by the loss or by the backward of the block above, and
+    /// turned into `dZ` in place by this block's backward.
+    pub(crate) grad_output: Matrix,
     /// `dW`, rewritten by every backward.
-    grad_weight: Matrix,
+    pub(crate) grad_weight: Matrix,
     /// `db`, rewritten by every backward.
-    grad_bias: Matrix,
+    pub(crate) grad_bias: Matrix,
 }
 
 impl BlockStep {
@@ -132,43 +135,31 @@ impl DenseBlock {
         self.weight.shape()
     }
 
-    /// The training forward, written into `out` (reshaped and overwritten;
-    /// its buffer is reused, so a loop that hands the same `out` back every
-    /// step stops allocating once warm). It is the only pass that stores
-    /// what [`DenseBlock::backward`] reads, into `step`, whose buffers are
-    /// reused the same way.
+    /// The training forward of `input`, written into `step.output`
+    /// (reshaped and overwritten; its buffer is reused, so a loop that hands
+    /// the same `step` back every step stops allocating once warm): the
+    /// product, then the bias and the ReLU in place.
     ///
     /// # Errors
     ///
     /// Returns an error if the input width is not the block's.
-    pub(crate) fn train_forward_into(
-        &self,
-        input: &Matrix,
-        step: &mut BlockStep,
-        out: &mut Matrix,
-    ) -> Result<()> {
+    pub(crate) fn train_forward_into(&self, input: &Matrix, step: &mut BlockStep) -> Result<()> {
+        affine_into(&self.weight, &self.bias, input, &mut step.output)?;
         if self.relu {
-            affine_into(&self.weight, &self.bias, input, &mut step.pre_activation)?;
-            step.pre_activation.map_into(out, rectify);
-        } else {
-            affine_into(&self.weight, &self.bias, input, out)?;
+            for v in step.output.as_mut_slice() {
+                *v = rectify(*v);
+            }
         }
-        step.input.clone_from(input);
         Ok(())
     }
 
-    /// [`DenseBlock::train_forward_into`] into a fresh matrix: the forward
-    /// of the reference training step.
-    #[cfg(test)]
-    pub(crate) fn train_forward(&self, input: &Matrix, step: &mut BlockStep) -> Result<Matrix> {
-        let mut out = Matrix::default();
-        self.train_forward_into(input, step, &mut out)?;
-        Ok(out)
-    }
-
-    /// The backward pass for the training forward that last wrote `step`.
-    /// Overwrites the step's parameter gradients with those of this call —
-    /// it does not add to what an earlier call left.
+    /// The backward pass for the training forward of `input` that last
+    /// wrote `step`. Reads `dY` from `step.grad_output` and turns it into
+    /// `dZ` there, in place; overwrites the step's parameter gradients with
+    /// those of this call — it does not add to what an earlier call left.
+    ///
+    /// A ReLU block masks with `[Y > 0]`, the mask `[Z > 0]` would be:
+    /// `max(0, z) > 0` exactly when `z > 0`, NaN included.
     ///
     /// **The input-gradient rule.** The gradient of the loss with respect to
     /// the block input is computed only when the caller names a destination:
@@ -183,51 +174,43 @@ impl DenseBlock {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::BackwardBeforeForward`] when no training forward of
-    /// this block has written `step` (whether or not an input gradient was
-    /// asked for), or a tensor error when `grad_output` is not the shape of
-    /// the forward's output.
+    /// Returns [`NnError::BackwardBeforeForward`] when `step.output` is not
+    /// `input.rows() ×` the block's width — no training forward of this
+    /// block on a batch of that height wrote it — whether or not an input
+    /// gradient was asked for; or, having written nothing, a tensor error
+    /// when `input` is not the block's width or `step.grad_output` is not
+    /// the shape of the output.
     pub(crate) fn backward(
         &self,
+        input: &Matrix,
         step: &mut BlockStep,
-        grad_output: &Matrix,
         grad_input: Option<&mut Matrix>,
     ) -> Result<()> {
-        // A forward leaves an input of the block's width; a new entry's is
-        // 0 × 0, and every block has inputs.
-        if step.input.cols() != self.weight.rows() {
+        let (inputs, outputs) = self.weight.shape();
+        if step.output.shape() != (input.rows(), outputs) {
             return Err(NnError::BackwardBeforeForward { layer: self.name() });
         }
-        // Checked up front: `Xᵀ·dY` alone accepts any `dY` of the batch's
-        // height and would reshape the gradient buffers to it.
-        let output_shape = (step.input.rows(), self.weight.cols());
-        if grad_output.shape() != output_shape {
-            return Err(NnError::Tensor(TensorError::ShapeMismatch {
-                op: "dense_backward",
-                lhs: output_shape,
-                rhs: grad_output.shape(),
-            }));
+        // Checked up front: `Xᵀ·dZ` alone accepts any `X` and `dZ` of the
+        // batch's height and would reshape the gradient buffers to them.
+        let expected = [(input.rows(), inputs), step.output.shape()];
+        let found = [input.shape(), step.grad_output.shape()];
+        if let Some((lhs, rhs)) = expected.into_iter().zip(found).find(|(e, f)| e != f) {
+            let op = "dense_backward";
+            return Err(NnError::Tensor(TensorError::ShapeMismatch { op, lhs, rhs }));
         }
-        let grad_pre_activation = if self.relu {
-            // dZ = dY ⊙ [Z > 0], the mask applied as a factor (not a select)
+        let grad = &mut step.grad_output;
+        if self.relu {
+            // dZ = dY ⊙ [Y > 0], the mask applied as a factor (not a select)
             // so a masked entry keeps the product's signed zero and NaN.
-            step.pre_activation.zip_with_into(
-                grad_output,
-                "relu_backward",
-                &mut step.grad_pre_activation,
-                |z, g| g * if z > 0.0 { 1.0 } else { 0.0 },
-            )?;
-            &step.grad_pre_activation
-        } else {
-            grad_output
-        };
+            let pairs = grad.as_mut_slice().iter_mut().zip(step.output.as_slice());
+            pairs.for_each(|(g, &y)| *g *= if y > 0.0 { 1.0 } else { 0.0 });
+        }
         // dW = Xᵀ·dZ and db = Σ_rows dZ, written straight into the step.
-        step.input
-            .matmul_tn_into(grad_pre_activation, &mut step.grad_weight)?;
-        grad_pre_activation.sum_rows_into(&mut step.grad_bias);
+        input.matmul_tn_into(grad, &mut step.grad_weight)?;
+        grad.sum_rows_into(&mut step.grad_bias);
         // dX = dZ·Wᵀ, only for a caller that reads it.
         if let Some(grad_input) = grad_input {
-            grad_pre_activation.matmul_nt_into(&self.weight, grad_input)?;
+            grad.matmul_nt_into(&self.weight, grad_input)?;
         }
         Ok(())
     }
@@ -315,13 +298,26 @@ pub(crate) mod tests {
         Ok(out)
     }
 
-    fn backward_full(
+    /// The training forward of `block` on `x` into `step`, and a copy of
+    /// its output.
+    fn forward(block: &DenseBlock, x: &Matrix, step: &mut BlockStep) -> Result<Matrix> {
+        block.train_forward_into(x, step)?;
+        Ok(step.output.clone())
+    }
+
+    /// The backward of `block` for its forward of `x`, from `dY =
+    /// grad_output`, with the input gradient asked for when `wanted`;
+    /// returns that gradient (empty when not asked for).
+    fn backward(
         block: &DenseBlock,
+        x: &Matrix,
         step: &mut BlockStep,
         grad_output: &Matrix,
+        wanted: bool,
     ) -> Result<Matrix> {
+        step.grad_output.clone_from(grad_output);
         let mut grad_input = Matrix::default();
-        block.backward(step, grad_output, Some(&mut grad_input))?;
+        block.backward(x, step, wanted.then_some(&mut grad_input))?;
         Ok(grad_input)
     }
 
@@ -329,14 +325,14 @@ pub(crate) mod tests {
     fn skipping_the_input_gradient_leaves_parameter_gradients_bit_identical() {
         for (block, x) in one_of_each() {
             let (mut full, mut skipped) = (BlockStep::default(), BlockStep::default());
-            let y = block.train_forward(&x, &mut full).unwrap();
-            assert_eq!(block.train_forward(&x, &mut skipped).unwrap(), y);
+            let y = forward(&block, &x, &mut full).unwrap();
+            assert_eq!(forward(&block, &x, &mut skipped).unwrap(), y);
             let mut r = rng::rng_for(4, block.name());
             let grad_output = init::normal(&mut r, y.rows(), y.cols(), 0.0, 1.0);
 
-            let grad_input = backward_full(&block, &mut full, &grad_output).unwrap();
+            let grad_input = backward(&block, &x, &mut full, &grad_output, true).unwrap();
             assert_eq!(grad_input.shape(), x.shape(), "{}", block.name());
-            block.backward(&mut skipped, &grad_output, None).unwrap();
+            backward(&block, &x, &mut skipped, &grad_output, false).unwrap();
 
             for (a, b) in full.grads().into_iter().zip(skipped.grads()) {
                 assert_eq!(a.shape(), b.shape());
@@ -347,7 +343,7 @@ pub(crate) mod tests {
 
     /// Either way: with or without an input gradient asked for. Inference
     /// writes no step entry, so after it the backward is still an error; a
-    /// training forward is what arms it.
+    /// training forward is what arms it, for a batch of its height only.
     #[test]
     fn backward_before_a_training_forward_is_an_error_either_way() {
         for (block, x) in one_of_each() {
@@ -355,18 +351,18 @@ pub(crate) mod tests {
             let grad_output = Matrix::zeros(y.rows(), y.cols());
             let mut step = BlockStep::default();
             for wanted in [true, false] {
-                let mut grad_input = Matrix::default();
-                let err = block
-                    .backward(&mut step, &grad_output, wanted.then_some(&mut grad_input))
-                    .unwrap_err();
+                let err = backward(&block, &x, &mut step, &grad_output, wanted).unwrap_err();
                 assert!(
                     matches!(err, NnError::BackwardBeforeForward { layer } if layer == block.name()),
                     "{}: {err}",
                     block.name()
                 );
             }
-            block.train_forward(&x, &mut step).unwrap();
-            assert!(backward_full(&block, &mut step, &grad_output).is_ok());
+            forward(&block, &x.select_rows(&[0, 1, 2]), &mut step).unwrap();
+            let err = backward(&block, &x, &mut step, &grad_output, true).unwrap_err();
+            assert!(matches!(err, NnError::BackwardBeforeForward { .. }));
+            forward(&block, &x, &mut step).unwrap();
+            assert!(backward(&block, &x, &mut step, &grad_output, true).is_ok());
         }
     }
 
@@ -376,7 +372,7 @@ pub(crate) mod tests {
             let inferred = infer(&block, &x).unwrap();
             assert_eq!(inferred.shape(), (5, 4));
             assert_eq!(bits(&inferred), bits(&reference_infer(&block, &x).unwrap()));
-            let trained = block.train_forward(&x, &mut BlockStep::default()).unwrap();
+            let trained = forward(&block, &x, &mut BlockStep::default()).unwrap();
             assert_eq!(bits(&inferred), bits(&trained));
             // A zero input gives the (zero) bias.
             let zero = infer(&block, &Matrix::zeros(2, 7)).unwrap();
@@ -390,9 +386,9 @@ pub(crate) mod tests {
         block.weight = Matrix::identity(3);
         let mut step = BlockStep::default();
         let x = Matrix::from_rows(&[vec![-1.0, 0.0, 2.0]]).unwrap();
-        let y = block.train_forward(&x, &mut step).unwrap();
+        let y = forward(&block, &x, &mut step).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
-        let g = backward_full(&block, &mut step, &Matrix::full(1, 3, 1.0)).unwrap();
+        let g = backward(&block, &x, &mut step, &Matrix::full(1, 3, 1.0), true).unwrap();
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0]);
         assert_eq!(step.grads()[1].as_slice(), &[0.0, 0.0, 1.0]);
     }
@@ -420,9 +416,9 @@ pub(crate) mod tests {
                 infer(block, x).unwrap().as_slice().iter().sum::<f32>()
             };
             let mut step = BlockStep::default();
-            let y = block.train_forward(&x, &mut step).unwrap();
-            let grad_input =
-                backward_full(&block, &mut step, &Matrix::full(y.rows(), y.cols(), 1.0)).unwrap();
+            let y = forward(&block, &x, &mut step).unwrap();
+            let ones = Matrix::full(y.rows(), y.cols(), 1.0);
+            let grad_input = backward(&block, &x, &mut step, &ones, true).unwrap();
 
             for r in 0..x.rows() {
                 for c in 0..x.cols() {
@@ -468,44 +464,46 @@ pub(crate) mod tests {
         for (block, x) in one_of_each() {
             let kind = block.name();
             let mut step = BlockStep::default();
-            let y = block.train_forward(&x, &mut step).unwrap();
+            let y = forward(&block, &x, &mut step).unwrap();
             let g = Matrix::full(y.rows(), y.cols(), 1.0);
-            backward_full(&block, &mut step, &g).unwrap();
+            backward(&block, &x, &mut step, &g, true).unwrap();
             let first: Vec<Matrix> = step.grads().into_iter().cloned().collect();
             // A second pass replaces what the first left; it does not add to
             // it. (Doubling is exact, so the products double bit for bit.)
-            block.train_forward(&x, &mut step).unwrap();
-            backward_full(&block, &mut step, &g.scale(2.0)).unwrap();
+            forward(&block, &x, &mut step).unwrap();
+            backward(&block, &x, &mut step, &g.scale(2.0), true).unwrap();
             for (second, first) in step.grads().into_iter().zip(&first) {
                 assert_eq!(second, &first.scale(2.0), "{kind}");
             }
 
             let mut poisoned = g.clone();
             poisoned.set(0, 0, f32::NAN);
-            block.backward(&mut step, &poisoned, None).unwrap();
+            backward(&block, &x, &mut step, &poisoned, false).unwrap();
             let reached = step.grads().iter().any(|g| !g.is_finite());
             assert!(reached, "{kind}: the NaN reached the gradients");
-            block.train_forward(&x, &mut step).unwrap();
-            block.backward(&mut step, &g, None).unwrap();
+            forward(&block, &x, &mut step).unwrap();
+            backward(&block, &x, &mut step, &g, false).unwrap();
             let finite = step.grads().iter().all(|g| g.is_finite());
             assert!(finite, "{kind}: the next clean step is finite");
             assert!(step.grads().into_iter().eq(&first), "{kind}");
         }
     }
 
+    /// A `dY` that is not the output's shape, or an input that is not the
+    /// block's width, is refused before anything is written.
     #[test]
     fn a_gradient_of_the_wrong_shape_is_an_error_and_writes_nothing() {
         for (block, x) in one_of_each() {
             let mut step = BlockStep::default();
-            block.train_forward(&x, &mut step).unwrap();
+            forward(&block, &x, &mut step).unwrap();
             let grads_before: Vec<Matrix> = step.grads().into_iter().cloned().collect();
-            // The output is 5 × 4: a wrong width, then a wrong height.
-            for (rows, cols) in [(5, 3), (4, 4)] {
+            let narrow = Matrix::zeros(5, 6);
+            // The output is 5 × 4: a wrong width, a wrong height, then the
+            // right `dY` for an input one column short.
+            for (input, rows, cols) in [(&x, 5, 3), (&x, 4, 4), (&narrow, 5, 4)] {
                 for wanted in [true, false] {
-                    let mut grad_input = Matrix::default();
                     let grad_output = Matrix::zeros(rows, cols);
-                    let result =
-                        block.backward(&mut step, &grad_output, wanted.then_some(&mut grad_input));
+                    let result = backward(&block, input, &mut step, &grad_output, wanted);
                     assert!(
                         matches!(result, Err(NnError::Tensor(_))),
                         "{} {rows}×{cols}",

@@ -12,6 +12,11 @@
 //! [`crate::BlockNet`] delegates to as well, so the full-model and split
 //! passes are the *same code* on the same inputs and therefore produce
 //! bit-identical results.
+//!
+//! A training step's state is one `BlockStep` per trained block — the
+//! block's output and the gradient at it, and its parameter gradients —
+//! kept by the suffix between steps: each block reads the output of the one
+//! below in place, and nothing else is stored beside the entries.
 
 use crate::dense::{BlockStep, DenseBlock};
 use crate::freeze::FreezeLevel;
@@ -50,21 +55,6 @@ impl<T> std::ops::DerefMut for Scratch<T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.0
     }
-}
-
-/// Everything one training step writes, kept between steps by the
-/// [`SuffixNet`] that owns the trained blocks: two ping-pong activation
-/// matrices, the loss gradient, two ping-pong back-propagated gradients, and
-/// per trained block its [`BlockStep`] — the trace its backward reads and the
-/// parameter gradients the optimiser reads. Same-shaped batches reuse them,
-/// so after the first step a step allocates nothing. Held as [`Scratch`], so
-/// a clone of a suffix starts with an empty one.
-#[derive(Debug, Default)]
-pub(crate) struct StepWorkspace {
-    activations: [Matrix; 2],
-    loss_grad: Matrix,
-    grads: [Matrix; 2],
-    per_block: Vec<BlockStep>,
 }
 
 /// Rows per block of the inference walk ([`infer_blocks`],
@@ -316,36 +306,20 @@ fn grown(buffer: &mut Vec<f32>, len: usize) -> &mut [f32] {
     &mut buffer[..len]
 }
 
-/// Threads `input` through `stages` in order, every stage writing into one
-/// of the two reused buffers in `bufs` while reading the other (the borrowed
-/// `input` for the first stage), so a loop that hands the same `bufs` back
-/// every step allocates only while they grow.
-fn chain_into<'a, S>(
-    stages: impl IntoIterator<Item = S>,
-    input: &'a Matrix,
-    bufs: &'a mut [Matrix; 2],
-    mut step: impl FnMut(S, &Matrix, &mut Matrix) -> Result<()>,
-) -> Result<&'a Matrix> {
-    let [a, b] = bufs;
-    let (mut src, mut dst) = (a, b);
-    let mut any = false;
-    for stage in stages {
-        step(stage, if any { &*src } else { input }, dst)?;
-        std::mem::swap(&mut src, &mut dst);
-        any = true;
-    }
-    Ok(if any { src } else { input })
-}
-
 /// One training step on a run of blocks: forward from the boundary
-/// activations, loss, backward, optimiser step — each writing into
-/// `workspace` or into the blocks' parameters, never into a fresh matrix.
+/// activations, loss, backward, optimiser step — each writing into `steps`,
+/// one [`BlockStep`] per block, or into the blocks' parameters, never into a
+/// fresh matrix.
 ///
-/// The backward pass stops at the boundary: the first block computes its
-/// parameter gradients but not the gradient with respect to `input`, which
-/// nothing reads — the blocks below are frozen, or, at
+/// The entries chain: block `i` reads the batch (`i = 0`) or entry `i − 1`'s
+/// output in place, the loss writes the gradient at the last output into the
+/// last entry, and each block's backward writes the gradient at its input
+/// into the entry below. The backward pass stops at the boundary: the first
+/// block computes its parameter gradients but not the gradient with respect
+/// to `input`, which nothing reads — the blocks below are frozen, or, at
 /// [`FreezeLevel::Full`], `input` is the data. That is decided here, by
-/// position, for every caller.
+/// position, for every caller. With no blocks the step is the loss of
+/// `input`.
 ///
 /// This is the single implementation of the training step, behind
 /// [`SuffixNet::train_batch`].
@@ -354,31 +328,31 @@ fn train_blocks(
     input: &Matrix,
     labels: &[usize],
     optimizer: &mut Sgd,
-    workspace: &mut StepWorkspace,
+    steps: &mut Vec<BlockStep>,
 ) -> Result<f32> {
-    let StepWorkspace {
-        activations,
-        loss_grad,
-        grads,
-        per_block,
-    } = workspace;
-    per_block.resize_with(blocks.len(), BlockStep::default);
-    let stages = blocks.iter().zip(per_block.iter_mut());
-    let logits = chain_into(stages, input, activations, |(block, entry), x, out| {
-        block.train_forward_into(x, entry, out)
-    })?;
-    let loss_value = SoftmaxCrossEntropy::new().forward_backward_into(logits, labels, loss_grad)?;
-    let last_first = blocks.iter().zip(per_block.iter_mut()).enumerate().rev();
-    chain_into(
-        last_first,
-        loss_grad,
-        grads,
-        |(i, (block, entry)), grad, out| block.backward(entry, grad, (i > 0).then_some(out)),
-    )?;
+    steps.resize_with(blocks.len(), BlockStep::default);
+    let mut x = input;
+    for (block, step) in blocks.iter().zip(steps.iter_mut()) {
+        block.train_forward_into(x, step)?;
+        x = &step.output;
+    }
+    let loss = SoftmaxCrossEntropy::new();
+    let loss_value = match steps.last_mut() {
+        Some(last) => loss.forward_backward_into(&last.output, labels, &mut last.grad_output)?,
+        None => loss.loss(input, labels)?,
+    };
+    for (i, block) in blocks.iter().enumerate().rev() {
+        let (below, from_here) = steps.split_at_mut(i);
+        let step = &mut from_here[0];
+        match below.last_mut() {
+            Some(prev) => block.backward(&prev.output, step, Some(&mut prev.grad_output))?,
+            None => block.backward(input, step, None)?,
+        }
+    }
 
     let params = blocks.iter().flat_map(DenseBlock::params);
     let mut step = optimizer.begin_step(params.clone().count(), params.map(Matrix::len).sum())?;
-    let pairs = blocks.iter_mut().zip(per_block.iter());
+    let pairs = blocks.iter_mut().zip(steps.iter());
     for (param, grad) in pairs.flat_map(|(b, e)| b.params_mut().into_iter().zip(e.grads())) {
         step.update(param, grad)?;
     }
@@ -393,7 +367,8 @@ fn train_blocks(
 /// Inference never stores activations and a clone leaves behind those a
 /// training step stored, so a snapshot is `O(|θ|)` whatever the global model
 /// was evaluated or trained on, and stays so when a whole shard is scored
-/// with [`SuffixNet::forward`]; only a training step keeps its mini-batch.
+/// with [`SuffixNet::forward`]; only a training step keeps activations, a
+/// block output and the gradient at it per trained block.
 /// Its inputs are **boundary activations** — the output of
 /// [`crate::BlockNet::forward_frozen`] on raw features (or a cached copy of
 /// it), never the raw features themselves (except at
@@ -405,7 +380,7 @@ fn train_blocks(
 pub struct SuffixNet {
     blocks: Vec<DenseBlock>,
     freeze: FreezeLevel,
-    workspace: Scratch<StepWorkspace>,
+    workspace: Scratch<Vec<BlockStep>>,
 }
 
 impl SuffixNet {
@@ -513,11 +488,12 @@ impl SuffixNet {
 
 /// The training step as it was before it stopped at the boundary and went
 /// in place, kept as the oracle [`train_blocks`] must equal bit for bit:
-/// every block returns a fresh matrix and writes a fresh [`BlockStep`], the
-/// backward pass runs through the first block too (its input gradient
-/// computed and dropped), gradients are cloned out of the steps and the
-/// optimiser steps over `Vec`s of references. Returns the loss and the
-/// gradients, in `θ` order.
+/// every block writes a fresh [`BlockStep`] and hands the next a copy of its
+/// output, the inputs are kept in a list of their own, the backward pass runs
+/// through the first block too (its input gradient computed and dropped),
+/// each gradient at an output is a fresh matrix, gradients are cloned out of
+/// the steps and the optimiser steps over `Vec`s of references. Returns the
+/// loss and the gradients, in `θ` order.
 #[cfg(test)]
 fn reference_train_blocks(
     blocks: &mut [DenseBlock],
@@ -526,16 +502,21 @@ fn reference_train_blocks(
     optimizer: &mut Sgd,
 ) -> Result<(f32, Vec<Matrix>)> {
     let mut per_block: Vec<BlockStep> = blocks.iter().map(|_| BlockStep::default()).collect();
-    let mut logits = input.clone();
+    // Every block's input, then the logits.
+    let mut inputs = vec![input.clone()];
     for (block, entry) in blocks.iter().zip(&mut per_block) {
-        logits = block.train_forward(&logits, entry)?;
+        block.train_forward_into(&inputs[inputs.len() - 1], entry)?;
+        inputs.push(entry.output.clone());
     }
+    let logits = inputs.pop().expect("the input is in the list");
     let mut grad = Matrix::default();
     let loss_value =
         SoftmaxCrossEntropy::new().forward_backward_into(&logits, labels, &mut grad)?;
-    for (block, entry) in blocks.iter().zip(&mut per_block).rev() {
+    let traced = blocks.iter().zip(&mut per_block).zip(&inputs);
+    for ((block, entry), x) in traced.rev() {
+        entry.grad_output = grad;
         let mut grad_input = Matrix::default();
-        block.backward(entry, &grad, Some(&mut grad_input))?;
+        block.backward(x, entry, Some(&mut grad_input))?;
         grad = grad_input;
     }
     let grads: Vec<Matrix> = per_block
@@ -653,11 +634,7 @@ mod tests {
                         bits(reference.trainable_vector().values()),
                         "theta at {at}"
                     );
-                    let grads = stepped
-                        .workspace
-                        .per_block
-                        .iter()
-                        .flat_map(BlockStep::grads);
+                    let grads = stepped.workspace.iter().flat_map(BlockStep::grads);
                     assert_eq!(grads.clone().count(), grads_ref.len(), "gradients at {at}");
                     for (g, g_ref) in grads.zip(&grads_ref) {
                         assert_eq!(g.shape(), g_ref.shape(), "gradient shape at {at}");
@@ -882,23 +859,57 @@ mod tests {
         suffix
             .train_batch(&boundary, &[0, 1, 2, 0], &mut sgd)
             .unwrap();
-        assert!(!suffix.workspace.loss_grad.is_empty());
-        assert_eq!(suffix.workspace.per_block.len(), suffix.blocks.len());
+        assert_eq!(suffix.workspace.len(), suffix.blocks.len());
+        assert!(suffix.workspace.iter().all(|e| !e.grad_output.is_empty()));
         let copy = suffix.clone();
-        assert!(copy.workspace.loss_grad.is_empty());
-        assert!(copy.workspace.activations.iter().all(Matrix::is_empty));
-        assert!(copy.workspace.grads.iter().all(Matrix::is_empty));
-        assert!(copy.workspace.per_block.is_empty());
+        assert!(copy.workspace.is_empty());
         assert_eq!(copy.trainable_vector(), suffix.trainable_vector());
     }
 
+    /// The step's memory account: after warm steps at every freeze level the
+    /// workspace is one entry per trained block, and an entry is the block's
+    /// output and the gradient at it (`rows × out`), `dW` (`in × out`) and
+    /// `db` (`1 × out`). The pattern names every field, so it stops
+    /// compiling if an entry grows another.
+    #[test]
+    fn a_warm_step_holds_an_output_and_three_gradients_per_trained_block() {
+        let model = net();
+        let (x, labels) = batch();
+        for freeze in FreezeLevel::all() {
+            let mut suffix = model.trainable_suffix(freeze);
+            let boundary = model.forward_frozen(freeze, &x).unwrap();
+            let mut sgd = Sgd::new(SgdConfig::default()).unwrap();
+            for _ in 0..2 {
+                suffix.train_batch(&boundary, &labels, &mut sgd).unwrap();
+            }
+            // Four blocks, the frozen ones below the boundary.
+            let trained = 4 - freeze.frozen_blocks();
+            assert_eq!(suffix.workspace.len(), trained, "{freeze}");
+            for (block, entry) in suffix.blocks.iter().zip(suffix.workspace.iter()) {
+                let (inputs, outputs) = block.shape();
+                let BlockStep {
+                    output,
+                    grad_output,
+                    grad_weight,
+                    grad_bias,
+                } = entry;
+                assert_eq!(output.shape(), (x.rows(), outputs), "{freeze}");
+                assert_eq!(grad_output.shape(), (x.rows(), outputs), "{freeze}");
+                assert_eq!(grad_weight.shape(), (inputs, outputs), "{freeze}");
+                assert_eq!(grad_bias.shape(), (1, outputs), "{freeze}");
+            }
+        }
+    }
+
     /// Whether `suffix` holds activations for any of its blocks: a block's
-    /// backward pass succeeds only on a step entry a forward pass wrote.
+    /// backward pass succeeds only on a step entry a forward pass on a
+    /// batch of `rows` rows wrote.
     fn holds_activations(suffix: &mut SuffixNet, rows: usize) -> bool {
-        let per_block = suffix.workspace.per_block.iter_mut();
-        suffix.blocks.iter().zip(per_block).any(|(block, entry)| {
-            let width = block.params()[1].cols();
-            match block.backward(entry, &Matrix::zeros(rows, width), None) {
+        let entries = suffix.workspace.iter_mut();
+        suffix.blocks.iter().zip(entries).any(|(block, entry)| {
+            let (inputs, outputs) = block.shape();
+            entry.grad_output = Matrix::zeros(rows, outputs);
+            match block.backward(&Matrix::zeros(rows, inputs), entry, None) {
                 Ok(_) => true,
                 Err(crate::NnError::BackwardBeforeForward { .. }) => false,
                 Err(other) => panic!("unexpected backward error: {other}"),
@@ -946,7 +957,7 @@ mod tests {
                 bits(fresh.trainable_vector().values()),
                 "theta at {freeze}"
             );
-            // Those steps stored their batch in the snapshot; a copy of it
+            // Those steps stored their activations in the snapshot; a copy of it
             // starts empty again.
             assert!(!holds_activations(&mut snapshot.clone(), 2));
             assert!(holds_activations(&mut snapshot, 2), "trained at {freeze}");

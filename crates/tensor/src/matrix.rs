@@ -542,36 +542,19 @@ impl Matrix {
     ///
     /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
     pub fn add(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, "add", |a, b| a + b)
-    }
-
-    /// Writes `f(self[i], other[i])` for every element into `out`, which is
-    /// reshaped to this matrix's shape and reuses its buffer. `op` names the
-    /// operation in the error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn zip_with_into<F: Fn(f32, f32) -> f32>(
-        &self,
-        other: &Matrix,
-        op: &'static str,
-        out: &mut Matrix,
-        f: F,
-    ) -> Result<()> {
         if self.shape() != other.shape() {
             return Err(TensorError::ShapeMismatch {
-                op,
+                op: "add",
                 lhs: self.shape(),
                 rhs: other.shape(),
             });
         }
-        out.data.clear();
-        out.data
-            .extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
-        out.rows = self.rows;
-        out.cols = self.cols;
-        Ok(())
+        let data = self.data.iter().zip(&other.data).map(|(a, b)| a + b);
+        Ok(Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: data.collect(),
+        })
     }
 
     /// Returns a copy with every element multiplied by `scale`.
@@ -588,18 +571,11 @@ impl Matrix {
 
     /// Returns a copy with `f` applied to every element.
     pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Matrix {
-        let mut out = Matrix::default();
-        self.map_into(&mut out, f);
-        out
-    }
-
-    /// Writes `f` of every element into `out`, which is reshaped to this
-    /// matrix's shape and reuses its buffer.
-    pub fn map_into<F: Fn(f32) -> f32>(&self, out: &mut Matrix, f: F) {
-        out.data.clear();
-        out.data.extend(self.data.iter().map(|&v| f(v)));
-        out.rows = self.rows;
-        out.cols = self.cols;
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.iter().map(|&v| f(v)).collect(),
+        }
     }
 
     /// Adds a 1×`cols` row vector to every row (broadcasting).
@@ -678,17 +654,6 @@ impl Matrix {
                 .iter()
                 .zip(other.data.iter())
                 .all(|(a, b)| (a - b).abs() <= tol)
-    }
-
-    fn zip_with<F: Fn(f32, f32) -> f32>(
-        &self,
-        other: &Matrix,
-        op: &'static str,
-        f: F,
-    ) -> Result<Matrix> {
-        let mut out = Matrix::default();
-        self.zip_with_into(other, op, &mut out, f)?;
-        Ok(out)
     }
 }
 
@@ -803,13 +768,6 @@ mod tests {
         let mut out = Matrix::full(4, 4, f32::NAN);
         let buffer = out.as_slice().as_ptr();
 
-        m.map_into(&mut out, |v| v * 2.0);
-        assert_eq!(out, m.scale(2.0));
-        m.zip_with_into(&m, "add", &mut out, |a, b| a + b).unwrap();
-        assert_eq!(out, m.add(&m).unwrap());
-        assert!(m
-            .zip_with_into(&Matrix::zeros(3, 2), "add", &mut out, |a, b| a + b)
-            .is_err());
         m.sum_rows_into(&mut out);
         assert_eq!(out.as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(out.shape(), (1, 3));
@@ -919,6 +877,7 @@ mod tests {
         let a = sample();
         let b = sample();
         assert_eq!(a.add(&b).unwrap().get(0, 0), 2.0);
+        assert!(a.add(&Matrix::zeros(3, 2)).is_err());
     }
 
     #[test]
