@@ -11,7 +11,7 @@ use fedft_bench::experiments::ablation::{self, paper_sweeps};
 use fedft_bench::{output, ExperimentProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let profile = ExperimentProfile::from_env_and_args();
+    let profile = ExperimentProfile::from_args();
     let args: Vec<String> = std::env::args().collect();
     let wants = |name: &str| args.iter().any(|a| a == name);
     let run_all = !(wants("part") || wants("alpha") || wants("temperature"));

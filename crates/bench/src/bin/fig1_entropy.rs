@@ -7,7 +7,7 @@ use fedft_bench::experiments::entropy_fig;
 use fedft_bench::{output, ExperimentProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let profile = ExperimentProfile::from_env_and_args();
+    let profile = ExperimentProfile::from_args();
     println!(
         "Figure 1 — entropy distribution (profile: {})",
         profile.name

@@ -9,7 +9,7 @@ use fedft_bench::experiments::cka_fig;
 use fedft_bench::{output, ExperimentProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let profile = ExperimentProfile::from_env_and_args();
+    let profile = ExperimentProfile::from_args();
     println!("Figures 2-4 — CKA similarity (profile: {})", profile.name);
     let result = cka_fig::run(&profile, &[0.1, 0.5])?;
 

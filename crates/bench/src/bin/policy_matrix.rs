@@ -11,7 +11,7 @@ use fedft_bench::experiments::policy_matrix;
 use fedft_bench::{output, ExperimentProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let profile = ExperimentProfile::from_env_and_args();
+    let profile = ExperimentProfile::from_args();
     println!(
         "Policy matrix (profile: {}, {} clients, {} rounds)",
         profile.name, profile.clients_small, profile.rounds_small

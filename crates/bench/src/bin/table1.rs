@@ -6,7 +6,7 @@ use fedft_bench::experiments::table1;
 use fedft_bench::{output, ExperimentProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let profile = ExperimentProfile::from_env_and_args();
+    let profile = ExperimentProfile::from_args();
     println!("Table I (profile: {})", profile.name);
     let table = table1::run(&profile)?.to_table();
     output::print_table(

@@ -9,7 +9,7 @@ use fedft_bench::scenario::{self, Scenario};
 use fedft_bench::{output, ExperimentProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let profile = ExperimentProfile::from_env_and_args();
+    let profile = ExperimentProfile::from_args();
     println!("Table II / Figures 5-6 (profile: {})", profile.name);
     let scenarios = table2::run(&profile)?;
     let main_table = scenario::accuracy_table(&scenarios, Scenario::heading, "Centralised");

@@ -12,7 +12,7 @@ use fedft_bench::scenario::{self, Scenario};
 use fedft_bench::{output, setup, ExperimentProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let profile = ExperimentProfile::from_env_and_args();
+    let profile = ExperimentProfile::from_args();
     println!(
         "Table III / Figures 7-9 (profile: {}, {} clients)",
         profile.name, profile.clients_large

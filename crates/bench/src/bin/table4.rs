@@ -7,7 +7,7 @@ use fedft_bench::experiments::table4;
 use fedft_bench::{output, scenario, ExperimentProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let profile = ExperimentProfile::from_env_and_args();
+    let profile = ExperimentProfile::from_args();
     println!("Table IV (profile: {})", profile.name);
     let result = table4::run(&profile)?;
     let table = scenario::accuracy_table(

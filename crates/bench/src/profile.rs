@@ -124,46 +124,37 @@ impl ExperimentProfile {
         }
     }
 
-    /// Resolves the profile from command-line arguments (`--profile NAME`)
-    /// falling back to the `FEDFT_PROFILE` environment variable and then to
-    /// [`ExperimentProfile::fast`].
+    /// Resolves the profile from the command line (`--profile NAME`), or
+    /// [`ExperimentProfile::fast`] without the flag.
     ///
     /// This is the experiment binaries' entry point: a name that is not a
     /// profile, or `--profile` without a value, prints the accepted names
     /// and exits with status 2 instead of running another experiment.
-    pub fn from_env_and_args() -> Self {
+    pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let env = std::env::var("FEDFT_PROFILE").ok();
-        Self::resolve(&args, env.as_deref()).unwrap_or_else(|err| {
+        Self::resolve(&args).unwrap_or_else(|err| {
             eprintln!("{err}");
             std::process::exit(2);
         })
     }
 
-    /// The parsing behind [`ExperimentProfile::from_env_and_args`]: an
-    /// explicit `--profile` wins over the environment, and neither may name
-    /// a profile that does not exist.
-    fn resolve(args: &[String], env: Option<&str>) -> Result<Self, ProfileError> {
-        let name = match args.iter().position(|a| a == "--profile") {
-            Some(pos) => match args.get(pos + 1) {
-                Some(name) => name.as_str(),
-                None => return Err(ProfileError::MissingValue),
-            },
-            None => match env {
-                Some(name) => name,
-                None => return Ok(Self::fast()),
-            },
+    /// The parsing behind [`ExperimentProfile::from_args`]: the profile
+    /// `--profile` names, which must exist, or `fast` without the flag.
+    fn resolve(args: &[String]) -> Result<Self, ProfileError> {
+        let Some(pos) = args.iter().position(|a| a == "--profile") else {
+            return Ok(Self::fast());
         };
-        Self::by_name(name).ok_or_else(|| ProfileError::Unknown(name.to_string()))
+        let name = args.get(pos + 1).ok_or(ProfileError::MissingValue)?;
+        Self::by_name(name).ok_or_else(|| ProfileError::Unknown(name.clone()))
     }
 }
 
-/// Why no profile could be resolved from the command line or environment.
+/// Why no profile could be resolved from the command line.
 #[derive(Debug, PartialEq)]
 enum ProfileError {
     /// `--profile` was the last argument.
     MissingValue,
-    /// `--profile` or `FEDFT_PROFILE` named no profile.
+    /// `--profile` named no profile.
     Unknown(String),
 }
 
@@ -209,35 +200,36 @@ mod tests {
 
     #[test]
     fn resolve_takes_a_known_profile_from_the_arguments() {
-        let profile = ExperimentProfile::resolve(&args(&["--profile", "paper"]), None);
+        let profile = ExperimentProfile::resolve(&args(&["--profile", "paper"]));
         assert_eq!(profile, Ok(ExperimentProfile::paper()));
-        // An explicit flag wins over the environment.
-        let profile = ExperimentProfile::resolve(&args(&["--profile", "tiny"]), Some("paper"));
+        // The flag is found among other arguments.
+        let profile = ExperimentProfile::resolve(&args(&["--verbose", "--profile", "tiny"]));
         assert_eq!(profile, Ok(ExperimentProfile::tiny()));
     }
 
     #[test]
     fn resolve_rejects_an_unknown_profile_name() {
-        let err = ExperimentProfile::resolve(&args(&["--profile", "papr"]), None).unwrap_err();
+        let err = ExperimentProfile::resolve(&args(&["--profile", "papr"])).unwrap_err();
         assert_eq!(err, ProfileError::Unknown("papr".to_string()));
         assert!(err.to_string().contains("fast, paper, tiny"));
-        // A mistyped environment value is an error too, not a silent `fast`.
-        let err = ExperimentProfile::resolve(&[], Some("Paper")).unwrap_err();
+        // Names are case-sensitive: a mistyped one is an error, not a silent
+        // `fast`.
+        let err = ExperimentProfile::resolve(&args(&["--profile", "Paper"])).unwrap_err();
         assert_eq!(err, ProfileError::Unknown("Paper".to_string()));
     }
 
     #[test]
     fn resolve_rejects_a_profile_flag_without_a_value() {
-        let err = ExperimentProfile::resolve(&args(&["--profile"]), Some("paper")).unwrap_err();
+        let err = ExperimentProfile::resolve(&args(&["--profile"])).unwrap_err();
         assert_eq!(err, ProfileError::MissingValue);
     }
 
     #[test]
-    fn resolve_falls_back_to_the_environment_and_then_to_fast() {
-        let profile = ExperimentProfile::resolve(&args(&["--verbose"]), Some("tiny"));
-        assert_eq!(profile, Ok(ExperimentProfile::tiny()));
+    fn resolve_falls_back_to_fast() {
+        let profile = ExperimentProfile::resolve(&args(&["--verbose"]));
+        assert_eq!(profile, Ok(ExperimentProfile::fast()));
         assert_eq!(
-            ExperimentProfile::resolve(&[], None),
+            ExperimentProfile::resolve(&[]),
             Ok(ExperimentProfile::fast())
         );
     }

@@ -2,7 +2,7 @@
 //! the experiment or a CSV fails, 2 when the profile name is not one.
 //!
 //! `fig1_entropy` stands in for all eight: they share one `main` shape (the
-//! profile from `ExperimentProfile::from_env_and_args`, every failure
+//! profile from `ExperimentProfile::from_args`, every failure
 //! returned with `?`), and it is the fastest at the tiny profile.
 
 use std::path::{Path, PathBuf};
@@ -20,7 +20,6 @@ fn fresh_dir(case: &str) -> PathBuf {
 fn fig1_entropy(cwd: &Path, profile: &str) -> ExitStatus {
     Command::new(env!("CARGO_BIN_EXE_fig1_entropy"))
         .args(["--profile", profile])
-        .env_remove("FEDFT_PROFILE")
         .current_dir(cwd)
         .output()
         .unwrap()

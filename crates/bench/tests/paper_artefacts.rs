@@ -37,7 +37,6 @@ fn check(bin: &str, exe: &str, stdout: u64, csvs: &[(&str, u64)]) {
     let dir = fresh_dir(bin);
     let output = Command::new(exe)
         .args(["--profile", "tiny"])
-        .env_remove("FEDFT_PROFILE")
         .current_dir(&dir)
         .output()
         .unwrap();

@@ -9,6 +9,33 @@ use fedft_nn::flops::FlopsBreakdown;
 use fedft_nn::{FreezeLevel, SgdConfig};
 use serde::{Deserialize, Serialize};
 
+/// The largest logical client pool ([`FlConfig::logical_clients`]) a run
+/// may ask for: 4,194,304 ids. The pool holds one 24-byte `Client` per id,
+/// 96 MiB at the bound, and a partial-participation round shuffles a
+/// `Vec<usize>` of every id ([`fedft_tensor::rng::seeded_subset`]), 32 MiB.
+/// The largest pool anything in the workspace builds is 100,000 clients.
+/// Without the bound a size like `usize::MAX` panics with a capacity
+/// overflow in [`crate::ClientPool::build`], and `1_000_000_000` aborts the
+/// process on a failed allocation, instead of returning an error.
+pub const MAX_LOGICAL_CLIENTS: usize = 1 << 22;
+
+/// Checks a logical pool size: non-zero and at most [`MAX_LOGICAL_CLIENTS`].
+/// Both [`FlConfig::validate`] and [`crate::ClientPool::build`], before it
+/// allocates anything, run it.
+pub(crate) fn check_logical_clients(n: usize) -> Result<()> {
+    if n == 0 {
+        return Err(FlError::InvalidConfig {
+            what: "logical_clients must be non-zero when set".into(),
+        });
+    }
+    if n > MAX_LOGICAL_CLIENTS {
+        return Err(FlError::InvalidConfig {
+            what: format!("logical_clients must be at most {MAX_LOGICAL_CLIENTS}, got {n}"),
+        });
+    }
+    Ok(())
+}
+
 /// The local objective optimised on clients.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum LocalAlgorithm {
@@ -114,7 +141,8 @@ pub struct FlConfig {
     /// (logical client `i` holds shard `i % num_shards`), so the simulated
     /// cohort size scales independently of data (and, with the shared
     /// cache registry, of memory). `None` (the default) runs one client
-    /// per physical shard, exactly as before.
+    /// per physical shard, exactly as before. At most
+    /// [`MAX_LOGICAL_CLIENTS`].
     pub logical_clients: Option<usize>,
     /// Master seed controlling every stochastic component of the run.
     pub seed: u64,
@@ -397,12 +425,7 @@ impl FlConfig {
                 ),
             });
         }
-        if self.logical_clients == Some(0) {
-            return Err(FlError::InvalidConfig {
-                what: "logical_clients must be non-zero when set".into(),
-            });
-        }
-        Ok(())
+        self.logical_clients.map_or(Ok(()), check_logical_clients)
     }
 
     /// The local objective optimised on clients.
@@ -712,6 +735,18 @@ mod tests {
             .validate()
             .is_err());
         assert!(FlConfig::default().with_cache_budget(0).validate().is_err());
+    }
+
+    #[test]
+    fn a_logical_pool_above_the_bound_is_invalid() {
+        let validate = |n| FlConfig::default().with_logical_clients(n).validate();
+        assert!(validate(MAX_LOGICAL_CLIENTS).is_ok());
+        for n in [MAX_LOGICAL_CLIENTS + 1, 1_000_000_000, usize::MAX] {
+            assert!(
+                matches!(validate(n), Err(FlError::InvalidConfig { .. })),
+                "{n} logical clients"
+            );
+        }
     }
 
     #[test]

@@ -599,7 +599,7 @@ impl Executor {
     /// Trains every [`Job`] and returns the updates in the order of `jobs` —
     /// the one place a local update runs.
     ///
-    /// With more than one worker the jobs are handed out by **shard unit**
+    /// Every round hands the jobs out by **shard unit**
     /// ([`shard_units`], [`hand_out`]): the clients of one shard that train
     /// one model version at one freeze level share one boundary and one
     /// score slot, so one runner trains them one after another and the
@@ -611,7 +611,11 @@ impl Executor {
     /// reaches every worker (two units of a shard cut that way may both
     /// build and score it). Each result is put back at its job's position,
     /// so the output — and the error reported, the first in `jobs` order —
-    /// is the same whichever thread ran which client.
+    /// is the same whichever thread ran which client. One runner
+    /// (`Sequential`, a worker cap of 1, a one-core host) takes the same
+    /// hand-out: the pool runs it inline on this thread and outside any
+    /// single-threaded scope, so the tensor kernels still fan out underneath
+    /// a lone update.
     ///
     /// The round's memory is the executor's: every update is written into a
     /// buffer of the upload free list, which this thread tops up first, and
@@ -658,47 +662,38 @@ impl Executor {
         if workspaces.len() < workers {
             workspaces.resize_with(workers, ClientWorkspace::default);
         }
-        let updates = if workers == 1 {
-            // Inline, in `jobs` order (which keeps `Sequential`'s cache
-            // counters exact), and not single-threaded: with the pool idle
-            // the tensor kernels are free to fan out underneath a lone
-            // update.
-            let workspace = &mut workspaces[0];
-            jobs.iter().map(|job| run(workspace, job)).collect()
-        } else {
-            // The score tier's key, the freeze level as its block count (which
-            // sorts): a unit's clients find one boundary and one slot, which
-            // the unit's first client fills for the rest.
-            let keys: Vec<_> = jobs
-                .iter()
-                .map(|(client, model, _)| {
-                    (
-                        client.shard_key(),
-                        model.stamp(),
-                        config.freeze_for_client(client.id()).frozen_blocks(),
-                    )
-                })
-                .collect();
-            let work: Vec<usize> = jobs
-                .iter()
-                .map(|(client, _, _)| client.num_samples())
-                .collect();
-            let units = shard_units(&keys, &work, workers);
-            let trained = hand_out(
-                units.len(),
-                &mut workspaces[..workers],
-                |workspace, unit| {
-                    units[unit]
-                        .iter()
-                        .map(|&position| (position, run(workspace, &jobs[position])))
-                        .collect::<Vec<_>>()
-                },
-            );
-            // Every position is in exactly one unit, and every unit is run.
-            let mut placed: Vec<_> = trained.into_iter().flatten().collect();
-            placed.sort_unstable_by_key(|&(position, _)| position);
-            placed.into_iter().map(|(_, update)| update).collect()
-        };
+        // The score tier's key, the freeze level as its block count (which
+        // sorts): a unit's clients find one boundary and one slot, which the
+        // unit's first client fills for the rest.
+        let keys: Vec<_> = jobs
+            .iter()
+            .map(|(client, model, _)| {
+                (
+                    client.shard_key(),
+                    model.stamp(),
+                    config.freeze_for_client(client.id()).frozen_blocks(),
+                )
+            })
+            .collect();
+        let work: Vec<usize> = jobs
+            .iter()
+            .map(|(client, _, _)| client.num_samples())
+            .collect();
+        let units = shard_units(&keys, &work, workers);
+        let trained = hand_out(
+            units.len(),
+            &mut workspaces[..workers],
+            |workspace, unit| {
+                units[unit]
+                    .iter()
+                    .map(|&position| (position, run(workspace, &jobs[position])))
+                    .collect::<Vec<_>>()
+            },
+        );
+        // Every position is in exactly one unit, and every unit is run.
+        let mut placed: Vec<_> = trained.into_iter().flatten().collect();
+        placed.sort_unstable_by_key(|&(position, _)| position);
+        let updates = placed.into_iter().map(|(_, update)| update).collect();
         *lock(&self.workspaces) = workspaces;
         updates
     }
@@ -881,7 +876,7 @@ fn lock<T>(list: &Mutex<Vec<T>>) -> MutexGuard<'_, Vec<T>> {
     list.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The hand-out units of a pooled round ([`Executor::train`]): the positions
+/// The hand-out units of a round ([`Executor::train`]): the positions
 /// of `keys` grouped by equal key — in a round, the clients that share one
 /// boundary and one score slot — each group in position order and cut into
 /// consecutive pieces of at most ⌈n / (2·workers)⌉ positions, listed by
@@ -1006,7 +1001,7 @@ mod tests {
         backend.executor_with_workers(None)
     }
 
-    /// `backend` training inline, one client after another.
+    /// `backend` training inline, one shard unit after another.
     fn inline(backend: ExecutionBackend) -> Executor {
         backend.executor_with_workers(Some(1))
     }
@@ -1179,7 +1174,7 @@ mod tests {
                     .collect()
             };
             // No synchronous round trains on stale versions; the reference
-            // is the same backend training inline, in dispatch order.
+            // is the same backend training inline, on one runner.
             let reference = run(Some(1));
             if n >= 7 {
                 assert!(

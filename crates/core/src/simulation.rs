@@ -3,7 +3,7 @@
 
 use crate::cache::{CacheRegistry, CacheStats, FeatureCache};
 use crate::client::{Client, KeyedShard};
-use crate::config::FlConfig;
+use crate::config::{check_logical_clients, FlConfig};
 use crate::metrics::{RoundRecord, RunResult};
 use crate::participation::ParticipationModel;
 use crate::server::Server;
@@ -34,16 +34,14 @@ impl ClientPool {
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::InvalidConfig`] for zero logical clients —
-    /// re-checked here so a pool built without [`FlConfig::validate`] errs.
+    /// Returns [`FlError::InvalidConfig`] for zero logical clients or more
+    /// than [`crate::config::MAX_LOGICAL_CLIENTS`] — re-checked here, before
+    /// anything is allocated, so a pool built without [`FlConfig::validate`]
+    /// errs.
     pub fn build(data: &FederatedDataset, config: &FlConfig) -> Result<ClientPool> {
         let physical_shards = data.num_clients();
         let logical = config.logical_clients.unwrap_or(physical_shards);
-        if logical == 0 {
-            return Err(FlError::InvalidConfig {
-                what: "logical_clients must be non-zero when set".into(),
-            });
-        }
+        check_logical_clients(logical)?;
         let registry = CacheRegistry::with_budget(config.cache_budget_bytes);
         // Keyed here, once per physical shard, for every logical client of it.
         let shards: Vec<Arc<KeyedShard>> = data
@@ -322,6 +320,22 @@ mod tests {
             .with_local_epochs(1)
             .with_batch_size(16)
             .serial()
+    }
+
+    #[test]
+    fn a_pool_above_the_logical_bound_is_refused_before_it_is_allocated() {
+        let (fed, _) = tiny_setup(3);
+        for n in [1_000_000_000, usize::MAX] {
+            // Unvalidated: the pool's own check is what stops it.
+            let config = quick_config(1).with_logical_clients(n);
+            assert!(
+                matches!(
+                    ClientPool::build(&fed, &config),
+                    Err(FlError::InvalidConfig { .. })
+                ),
+                "{n} logical clients"
+            );
+        }
     }
 
     #[test]

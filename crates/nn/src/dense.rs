@@ -66,16 +66,6 @@ impl std::fmt::Debug for DenseBlock {
     }
 }
 
-/// `out = input·W + b`: the one arithmetic behind every forward path.
-fn affine_into(weight: &Matrix, bias: &Matrix, input: &Matrix, out: &mut Matrix) -> Result<()> {
-    input.matmul_into(weight, out)?;
-    Ok(out.add_row_broadcast_assign(bias)?)
-}
-
-fn rectify(v: f32) -> f32 {
-    v.max(0.0)
-}
-
 impl DenseBlock {
     /// A block with `in_features` inputs and `out_features` outputs,
     /// initialised deterministically from `seed`; `relu` is `false` for the
@@ -118,16 +108,23 @@ impl DenseBlock {
         out: &mut [f32],
     ) -> Result<()> {
         input.matmul_rows_into(rows, &self.weight, out)?;
+        self.add_bias_and_activate(out);
+        Ok(())
+    }
+
+    /// The epilogue of both forwards: adds the bias to every row of `out`
+    /// (the product `X·W`, the block's width a row) and, in a ReLU block,
+    /// clamps at zero in the same pass, while the row is still in cache.
+    fn add_bias_and_activate(&self, out: &mut [f32]) {
         let bias = self.bias.as_slice();
         for row in out.chunks_exact_mut(bias.len()) {
             let pairs = row.iter_mut().zip(bias);
             if self.relu {
-                pairs.for_each(|(v, &b)| *v = rectify(*v + b));
+                pairs.for_each(|(v, &b)| *v = (*v + b).max(0.0));
             } else {
                 pairs.for_each(|(v, &b)| *v += b);
             }
         }
-        Ok(())
     }
 
     /// The weight's `(inputs, outputs)`.
@@ -138,18 +135,15 @@ impl DenseBlock {
     /// The training forward of `input`, written into `step.output`
     /// (reshaped and overwritten; its buffer is reused, so a loop that hands
     /// the same `step` back every step stops allocating once warm): the
-    /// product, then the bias and the ReLU in place.
+    /// product, then the bias and the ReLU in one pass in place — the
+    /// epilogue [`DenseBlock::infer_rows_into`] runs.
     ///
     /// # Errors
     ///
     /// Returns an error if the input width is not the block's.
     pub(crate) fn train_forward_into(&self, input: &Matrix, step: &mut BlockStep) -> Result<()> {
-        affine_into(&self.weight, &self.bias, input, &mut step.output)?;
-        if self.relu {
-            for v in step.output.as_mut_slice() {
-                *v = rectify(*v);
-            }
-        }
+        input.matmul_into(&self.weight, &mut step.output)?;
+        self.add_bias_and_activate(step.output.as_mut_slice());
         Ok(())
     }
 
@@ -288,14 +282,14 @@ pub(crate) mod tests {
     /// product over the whole input into a fresh matrix, then the bias over
     /// all of it, then the ReLU over all of it.
     pub(crate) fn reference_infer(block: &DenseBlock, input: &Matrix) -> Result<Matrix> {
-        let mut out = Matrix::default();
-        affine_into(&block.weight, &block.bias, input, &mut out)?;
-        if block.relu {
-            for v in out.as_mut_slice() {
-                *v = rectify(*v);
-            }
-        }
-        Ok(out)
+        let out = input
+            .matmul(&block.weight)?
+            .add_row_broadcast(&block.bias)?;
+        Ok(if block.relu {
+            out.map(|v| v.max(0.0))
+        } else {
+            out
+        })
     }
 
     /// The training forward of `block` on `x` into `step`, and a copy of

@@ -170,14 +170,13 @@ impl ParamVector {
         } else {
             1
         };
-        // Every range of the output is one part: its own slice of the one
-        // output, allocated here, and the offset of its first element.
-        let chunk = pool::chunk_len(len, workers);
+        // Every range of the output is one part, with its own slice of the
+        // one output, allocated here.
         let mut out = vec![0.0_f32; len];
-        pool::run_parts(out.chunks_mut(chunk).enumerate(), |(index, out)| {
-            let start = index * chunk;
+        let runs = pool::row_runs(0..len, pool::chunk_len(len, workers), &mut out, 1);
+        pool::run_parts(runs, |(range, out)| {
             for &(vector, weight) in entries {
-                for (o, &v) in out.iter_mut().zip(&vector.values[start..]) {
+                for (o, &v) in out.iter_mut().zip(&vector.values[range.clone()]) {
                     *o += weight * v;
                 }
             }

@@ -17,6 +17,11 @@
 //! block's output and the gradient at it, and its parameter gradients —
 //! kept by the suffix between steps: each block reads the output of the one
 //! below in place, and nothing else is stored beside the entries.
+//!
+//! Inference is one walk over 128-row blocks. The worker pool
+//! cuts it at both levels ([`fedft_tensor::pool::row_runs`]): runs of whole
+//! blocks, one per core, go to [`fedft_tensor::pool::run_parts`], which
+//! decides whether they run inline, and each run loops over its blocks.
 
 use crate::dense::{BlockStep, DenseBlock};
 use crate::freeze::FreezeLevel;
@@ -155,49 +160,23 @@ fn walk_rows(
     last.infer_rows_into(from, from_rows, out)
 }
 
-/// Runs `body` over `0..rows` in contiguous runs of whole row blocks, each
-/// with its rows of `out` (`per_row` values a row), and returns what each
-/// run returned, in row order. A pass of one block is one run on the caller,
-/// whose products keep the kernels' own row split; a pass of several hands
-/// each run, with its rows of `out`, to the worker pool as one part, and a
-/// pool job's products are inline. Inside a
-/// [`fedft_tensor::parallel::single_threaded`] scope every run is inline.
+/// Runs `body` over `0..rows` in contiguous runs of whole row blocks, one
+/// per core, each with its rows of `out` (`per_row` values a row), and
+/// returns what each run returned, in row order. The runs are the pool's
+/// parts ([`pool::row_runs`], [`pool::run_parts`]): a pass of one block is
+/// one run on the caller, whose products keep the kernels' own row split,
+/// and a run the pool hands a thread has its products inline.
 fn on_row_blocks<T: Send>(
     rows: usize,
     out: &mut [f32],
     per_row: usize,
     body: impl Fn(Range<usize>, &mut [f32]) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
-    let blocks = rows.div_ceil(ROW_BLOCK);
-    if blocks <= 1 {
-        return Ok(vec![body(0..rows, out)?]);
-    }
-    let run_rows = pool::chunk_len(blocks, pool::hardware_threads()) * ROW_BLOCK;
-    let runs = with_rows(cut(0..rows, run_rows), out, per_row);
+    let run_rows = pool::chunk_len(rows.div_ceil(ROW_BLOCK), pool::hardware_threads()) * ROW_BLOCK;
+    let runs = pool::row_runs(0..rows, run_rows, out, per_row);
     pool::run_parts(runs, |(rows, out)| body(rows, out))
         .into_iter()
         .collect()
-}
-
-/// `rows` cut into consecutive ranges of `len` rows, the last one short.
-fn cut(rows: Range<usize>, len: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
-    let end = rows.end;
-    rows.step_by(len)
-        .map(move |start| start..(start + len).min(end))
-}
-
-/// Pairs each of the consecutive row ranges `ranges`, the first starting at
-/// `out`'s first row, with its rows of `out` (`per_row` values a row).
-fn with_rows(
-    ranges: impl ExactSizeIterator<Item = Range<usize>>,
-    mut out: &mut [f32],
-    per_row: usize,
-) -> impl ExactSizeIterator<Item = (Range<usize>, &mut [f32])> {
-    ranges.map(move |range| {
-        let (rows_out, rest) = std::mem::take(&mut out).split_at_mut(range.len() * per_row);
-        out = rest;
-        (range, rows_out)
-    })
 }
 
 /// Inference pass through a run of blocks via a shared reference: the one
@@ -222,7 +201,7 @@ pub(crate) fn infer_blocks(blocks: &[DenseBlock], input: &Matrix) -> Result<Matr
     let mut result = Matrix::zeros(input.rows(), width);
     on_row_blocks(input.rows(), result.as_mut_slice(), width, |rows, out| {
         WALK.with_borrow_mut(|walk| {
-            for (block_rows, block_out) in with_rows(cut(rows, ROW_BLOCK), out, width) {
+            for (block_rows, block_out) in pool::row_runs(rows, ROW_BLOCK, out, width) {
                 walk_rows(blocks, input, block_rows, &mut walk.activations, block_out)?;
             }
             Ok(())
@@ -277,7 +256,7 @@ pub(crate) fn evaluate_blocks(
                 logits,
             } = walk;
             let mut hits = 0_usize;
-            for (block_rows, block_terms) in with_rows(cut(rows, ROW_BLOCK), terms, 1) {
+            for (block_rows, block_terms) in pool::row_runs(rows, ROW_BLOCK, terms, 1) {
                 let logits = grown(logits, block_rows.len() * classes);
                 let block_labels = &labels[block_rows.clone()];
                 walk_rows(blocks, input, block_rows, activations, logits)?;

@@ -36,14 +36,16 @@
 //! once (fused multiply-add), so results differ from the two-rounding naive
 //! reference only at the last-ulp level — and are slightly *more* accurate.
 //!
-//! Threading: on multi-core hosts, products above [`PARALLEL_FLOP_THRESHOLD`]
-//! multiply-adds split the output rows across the persistent worker pool
-//! ([`crate::pool`]) — parked threads woken per job instead of a fresh spawn
-//! per product ([`for_each_row_chunk`]). Each chunk is handed its own rows
-//! of `A` and its disjoint `&mut` rows of the output as one part, and chunk
-//! boundaries depend only on the requested worker count, so results are
-//! byte-identical at any pool size. A product inside a pool job, which runs
-//! single-threaded, is not split again.
+//! Threading: products above [`PARALLEL_FLOP_THRESHOLD`] multiply-adds cut
+//! their output rows into runs of whole register slabs
+//! ([`crate::pool::row_runs`]), one per core, and hand them to the
+//! persistent worker pool ([`crate::pool::run_parts`]) — parked threads woken
+//! per job instead of a fresh spawn per product. Each run reads its own rows
+//! of `A` and writes its disjoint `&mut` rows of the output, and the cut
+//! depends only on the requested worker count, so results are byte-identical
+//! at any pool size. The pool decides where the runs execute: on a one-core
+//! host, or for a product inside a pool job, they run inline on the calling
+//! thread, over the same slabs and tiles.
 //!
 //! Code layout is part of the tuning. The direct loops are bound by the
 //! load ports, so how they are compiled decides their speed as much as what
@@ -166,8 +168,8 @@ fn mac(acc: f32, s: f32, b: f32) -> f32 {
 /// Register blocking only: each [`MR`]-row slab runs through
 /// [`gemm_row_block`], reading `B` from the row-major operand and its column
 /// remainder from the [`with_edge_panel`] panel; above
-/// [`PARALLEL_FLOP_THRESHOLD`] the slabs are split across the pool
-/// ([`for_each_row_chunk`]).
+/// [`PARALLEL_FLOP_THRESHOLD`] the slabs are split across the pool in runs
+/// of [`crate::pool::row_runs`].
 ///
 /// # Panics
 ///
@@ -181,10 +183,12 @@ pub(crate) fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &
         return;
     }
     with_edge_panel(k, n, b, |edge| {
-        let threads = max_threads(m, k, n);
-        for_each_row_chunk(m, threads, a, k, out, n, |a_chunk, out_chunk| {
-            let slabs = a_chunk.chunks(MR * k).zip(out_chunk.chunks_mut(MR * n));
-            for (a_block, out_block) in slabs {
+        // Runs of whole register slabs, so only the last carries a short one.
+        let rows = crate::pool::chunk_len(m, max_threads(m, k, n)).next_multiple_of(MR);
+        let runs = crate::pool::row_runs(0..m, rows, out, n);
+        crate::pool::run_parts(runs, |(run, out_run)| {
+            let a_run = &a[run.start * k..run.end * k];
+            for (a_block, out_block) in a_run.chunks(MR * k).zip(out_run.chunks_mut(MR * n)) {
                 gemm_row_block(k, n, a_block, b, edge, out_block);
             }
         });
@@ -310,34 +314,8 @@ fn with_edge_panel<R>(k: usize, n: usize, b: &[f32], f: impl FnOnce(&[f32]) -> R
     })
 }
 
-/// Runs `body` on every `(A rows, C rows)` chunk of a row-partitioned
-/// product (`a` is `m × k`, `out` is `m × n`, `k` and `n` non-zero): one
-/// part per chunk of [`crate::pool::chunk_len`]`(m, threads)` rows rounded
-/// up to a multiple of the register block [`MR`], so only the last chunk
-/// carries a short slab, handed over to the persistent pool
-/// ([`crate::pool::run_parts`]). At one thread that is the whole product,
-/// inline.
-fn for_each_row_chunk(
-    m: usize,
-    threads: usize,
-    a: &[f32],
-    k: usize,
-    out: &mut [f32],
-    n: usize,
-    body: impl Fn(&[f32], &mut [f32]) + Sync,
-) {
-    let rows = crate::pool::chunk_len(m, threads).next_multiple_of(MR);
-    let chunks = a.chunks(rows * k).zip(out.chunks_mut(rows * n));
-    crate::pool::run_parts(chunks, |(a_chunk, out_chunk)| body(a_chunk, out_chunk));
-}
-
 /// Decides the worker count for a product of the given shape.
 fn max_threads(m: usize, k: usize, n: usize) -> usize {
-    if crate::parallel::is_single_threaded() {
-        // A pool job, or a caller that parallelises above the pool,
-        // already owns the cores.
-        return 1;
-    }
     let flops = m.saturating_mul(k).saturating_mul(n);
     if flops < PARALLEL_FLOP_THRESHOLD {
         return 1;

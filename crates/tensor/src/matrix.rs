@@ -584,17 +584,6 @@ impl Matrix {
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless `bias` is 1×`self.cols()`.
     pub fn add_row_broadcast(&self, bias: &Matrix) -> Result<Matrix> {
-        let mut out = self.clone();
-        out.add_row_broadcast_assign(bias)?;
-        Ok(out)
-    }
-
-    /// Adds a 1×`cols` row vector to every row in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] unless `bias` is 1×`self.cols()`.
-    pub fn add_row_broadcast_assign(&mut self, bias: &Matrix) -> Result<()> {
         if bias.rows != 1 || bias.cols != self.cols {
             return Err(TensorError::ShapeMismatch {
                 op: "add_row_broadcast",
@@ -602,12 +591,13 @@ impl Matrix {
                 rhs: bias.shape(),
             });
         }
-        for row in self.data.chunks_exact_mut(self.cols.max(1)) {
+        let mut out = self.clone();
+        for row in out.data.chunks_exact_mut(self.cols.max(1)) {
             for (v, &b) in row.iter_mut().zip(&bias.data) {
                 *v += b;
             }
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Sums over rows into a caller-provided matrix, which is reshaped to
@@ -773,14 +763,6 @@ mod tests {
         assert_eq!(out.shape(), (1, 3));
         out.clone_from(&m);
         assert_eq!(out, m);
-        out.add_row_broadcast_assign(&Matrix::row_vector(&[1.0, 0.0, -1.0]))
-            .unwrap();
-        assert_eq!(
-            out,
-            m.add_row_broadcast(&Matrix::row_vector(&[1.0, 0.0, -1.0]))
-                .unwrap()
-        );
-        assert!(out.add_row_broadcast_assign(&Matrix::zeros(1, 2)).is_err());
         out.resize_zeroed(2, 5);
         assert_eq!(out, Matrix::zeros(2, 5));
         // Sixteen floats were enough for all of it: one buffer throughout.

@@ -1,17 +1,18 @@
 //! Coordination between the crate's internal parallelism and callers that
 //! already parallelise above it.
 //!
-//! The blocked matmul kernels split large products across the persistent
+//! The blocked matmul kernels, the inference walk and the pooled
+//! aggregation cut their work into parts and hand them to the persistent
 //! worker pool ([`crate::pool`]). When a caller is already running one task
-//! per core, letting every task fan out its own kernel chunks would
-//! oversubscribe the machine quadratically. [`single_threaded`] is the one
-//! flag that says "run inline on this thread": inside its scope the
-//! kernels' thread-count decision and the pool's dispatcher
-//! ([`crate::pool::run_parts`]) stay sequential. Every pool job runs in
-//! that scope — the pool's workers run their whole loop in one, and the
-//! dispatcher each chunk it claims — and callers that parallelise above the
-//! pool on threads of their own can mark their tasks with it too. Results
-//! are unaffected either way — the kernels are deterministic for any thread
+//! per core, letting every task fan its parts out again would oversubscribe
+//! the machine quadratically. [`single_threaded`] is the one flag that says
+//! "run inline on this thread", and the pool's dispatcher
+//! ([`crate::pool::run_parts`]) is the one place that reads it: inside its
+//! scope every job's parts run on the calling thread, in part order. Every
+//! chunk the pool runs is in that scope, on a worker or on the dispatcher,
+//! and callers that parallelise above the pool on threads of their own can
+//! mark their tasks with it too. Results are unaffected either way — the
+//! parts are cut the same, and the kernels are deterministic for any thread
 //! count.
 
 use std::cell::Cell;

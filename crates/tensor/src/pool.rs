@@ -21,10 +21,11 @@
 //! # Determinism contract
 //!
 //! [`run_parts`] runs one chunk per part and returns the results in part
-//! order; the caller cuts the parts — contiguous ranges, disjoint `&mut`
-//! pieces of one output, one state per runner — **from the requested worker
-//! count alone** ([`chunk_len`]), never from how many workers happen to be
-//! parked or idle. [`run_chunks`] is `run_parts` over the ranges of
+//! order; the parts are cut **from the requested worker count alone**
+//! ([`chunk_len`]), never from how many workers happen to be parked or
+//! idle. A pass over rows is cut here, by [`row_runs`] (contiguous runs of
+//! rows, each with its disjoint `&mut` rows of the one output);
+//! [`run_chunks`] is `run_parts` over the ranges of
 //! [`chunk_len`]`(n_items, max_workers)` items. Each part is moved into the
 //! one chunk that runs it: the pool's claim cursor hands every chunk out
 //! once, and the chunk's slot holds its part until then and its result
@@ -33,14 +34,16 @@
 //! byte-identical results at any pool size, including zero workers. The
 //! executor- and GEMM-level bit-identity suites pin this.
 //!
-//! # `single_threaded` interplay
+//! # Inline runs and `single_threaded` interplay
 //!
-//! Every pool job runs in a [`crate::parallel::single_threaded`] scope: a
-//! worker runs its whole loop in one, and the dispatcher runs each chunk it
-//! claims in one. Inside such a scope `run_parts` runs every part inline on
-//! the current thread in part order, so nesting cannot oversubscribe the
-//! machine or deadlock the single-job pool, and the kernels inside a chunk
-//! do not split their products.
+//! [`run_parts`] is the one place that decides whether a job runs inline:
+//! with one part, on a single-core host, or inside a
+//! [`crate::parallel::single_threaded`] scope, and no caller keeps a branch
+//! of its own for those cases. Every chunk the pool runs — on a worker or
+//! on the dispatcher, through one claim step — runs in that scope, so
+//! nesting cannot oversubscribe the machine or deadlock the single-job
+//! pool: a product inside a chunk is still cut into its parts, and they
+//! run inline.
 //!
 //! # Panic policy
 //!
@@ -58,18 +61,18 @@
 //! reference outlives the job because the dispatcher blocks until the job
 //! is done". The crate-wide lint is therefore `deny(unsafe_code)` with an
 //! allowance for this module only, and the erasure is confined to two
-//! places: sending the job pointer (`Job`) and dereferencing it in the
-//! worker loop. Soundness rests on one invariant, stated at both sites:
-//! **the dispatcher does not return until every claimed chunk of its job
-//! has finished executing**, so the erased reference never outlives the
-//! frame that owns it.
+//! places: sending the job pointer (`Job`) and dereferencing it in the one
+//! claim step (`run_claimed`). Soundness rests on one invariant, stated at
+//! both sites: **the dispatcher does not return until every claimed chunk
+//! of its job has finished executing**, so the erased reference never
+//! outlives the frame that owns it.
 #![allow(unsafe_code)]
 
 use crate::parallel;
 use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 
 /// The host's available parallelism, queried once per process.
 ///
@@ -105,15 +108,32 @@ where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    run_parts(ranges(n_items, chunk_len(n_items, max_workers)), f)
+    run_parts(ranges(0..n_items, chunk_len(n_items, max_workers)), f)
 }
 
-/// `0..n_items` cut into consecutive ranges of `chunk` items, the last one
-/// short.
-fn ranges(n_items: usize, chunk: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
-    (0..n_items)
-        .step_by(chunk)
-        .map(move |start| start..(start + chunk).min(n_items))
+/// `rows` cut into consecutive ranges of `len` rows, the last one short.
+fn ranges(rows: Range<usize>, len: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+    let end = rows.end;
+    rows.step_by(len)
+        .map(move |start| start..(start + len).min(end))
+}
+
+/// The parts of a pass over `rows` that writes `per_row` values a row into
+/// `out`, whose first row is `rows.start`: `rows` cut into consecutive runs
+/// of `len` rows, the last one short, each paired with its disjoint rows of
+/// `out`, for [`run_parts`] — or to walk one run in smaller steps. `len`
+/// must be non-zero.
+pub fn row_runs(
+    rows: Range<usize>,
+    len: usize,
+    mut out: &mut [f32],
+    per_row: usize,
+) -> impl ExactSizeIterator<Item = (Range<usize>, &mut [f32])> {
+    ranges(rows, len).map(move |run| {
+        let (run_out, rest) = std::mem::take(&mut out).split_at_mut(run.len() * per_row);
+        out = rest;
+        (run, run_out)
+    })
 }
 
 /// Runs `f` on every part of `parts` (a `Vec` or any exact-size iterator),
@@ -124,9 +144,10 @@ fn ranges(n_items: usize, chunk: usize) -> impl ExactSizeIterator<Item = Range<u
 /// Chunks execute on the pool's parked workers plus the calling thread,
 /// each inside a [`crate::parallel::single_threaded`] scope. With one part,
 /// on a single-core host, or inside such a scope (every pool job is one)
-/// they all run inline on the calling thread instead, in part order. Either
-/// way the parts and the result order are the caller's — parallelism here
-/// is purely a wall-clock knob.
+/// they all run inline on the calling thread instead, in part order; a lone
+/// part outside such a scope stays outside it, so its products still split.
+/// Either way the parts and the result order are the caller's —
+/// parallelism here is purely a wall-clock knob.
 ///
 /// # Panics
 ///
@@ -216,42 +237,57 @@ fn global() -> &'static Pool {
 }
 
 /// Claims and runs chunks of the current job until it is exhausted, then
-/// parks. Runs forever, single-threaded: a chunk's own `run_parts` calls
-/// run inline. Panics inside chunks are caught and recorded, so a worker is
-/// never lost.
+/// parks. Runs forever; panics inside chunks are caught and recorded, so a
+/// worker is never lost.
 fn worker_loop(pool: &'static Pool) {
-    parallel::single_threaded(|| {
-        let mut state = pool.state.lock().expect("pool state lock");
-        loop {
-            let claim = match state.job {
-                Some(job) if state.next_chunk < job.chunks => {
-                    state.next_chunk += 1;
-                    state.active += 1;
-                    Some((job, state.next_chunk - 1))
-                }
-                _ => None,
-            };
-            let Some((job, chunk)) = claim else {
-                state = pool.work.wait(state).expect("pool state lock");
-                continue;
-            };
-            drop(state);
-            // SAFETY: the dispatcher that published `job` is blocked in
-            // `dispatch` until `active` returns to zero for an exhausted
-            // claim cursor, so the frame owning the pointee is still on its
-            // stack.
-            let task = unsafe { &*job.task };
-            let result = catch_unwind(AssertUnwindSafe(|| task(chunk)));
-            state = pool.state.lock().expect("pool state lock");
-            state.active -= 1;
-            if let Err(payload) = result {
-                state.panic.get_or_insert(payload);
-            }
-            if state.next_chunk >= job.chunks && state.active == 0 {
-                pool.done.notify_all();
-            }
-        }
-    });
+    let mut state = pool.state.lock().expect("pool state lock");
+    loop {
+        state = match claim(&mut state) {
+            Some(claimed) => run_claimed(pool, state, claimed),
+            None => pool.work.wait(state).expect("pool state lock"),
+        };
+    }
+}
+
+/// Hands out the next chunk of the current job, if one is left, and counts
+/// its runner as active. Workers and the dispatcher claim through here.
+fn claim(state: &mut State) -> Option<(Job, usize)> {
+    let job = state.job?;
+    if state.next_chunk >= job.chunks {
+        return None;
+    }
+    state.next_chunk += 1;
+    state.active += 1;
+    Some((job, state.next_chunk - 1))
+}
+
+/// Runs a chunk [`claim`] handed out: unlocks the state, runs the chunk
+/// single-threaded under `catch_unwind` (so its own `run_parts` calls run
+/// inline), relocks, records any panic, and wakes the dispatcher when the
+/// job's last chunk ends. Returns the relocked state.
+fn run_claimed<'p>(
+    pool: &'p Pool,
+    state: MutexGuard<'p, State>,
+    (job, chunk): (Job, usize),
+) -> MutexGuard<'p, State> {
+    drop(state);
+    // SAFETY: the dispatcher that published `job` is blocked in `dispatch`
+    // until `active` returns to zero for an exhausted claim cursor — or is
+    // the thread running this chunk — so the frame owning the pointee is
+    // still on its stack.
+    let task = unsafe { &*job.task };
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        parallel::single_threaded(|| task(chunk))
+    }));
+    let mut state = pool.state.lock().expect("pool state lock");
+    state.active -= 1;
+    if let Err(payload) = result {
+        state.panic.get_or_insert(payload);
+    }
+    if state.next_chunk >= job.chunks && state.active == 0 {
+        pool.done.notify_all();
+    }
+    state
 }
 
 /// What one chunk's slot holds: its part until the chunk claims it, then
@@ -306,46 +342,24 @@ fn dispatch(pool: &'static Pool, chunks: usize, task: &(dyn Fn(usize) + Sync)) {
     let erased = unsafe {
         std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(task)
     };
-    {
-        let mut state = pool.state.lock().expect("pool state lock");
-        debug_assert!(state.job.is_none(), "the dispatch lock serialises jobs");
-        state.job = Some(Job {
-            task: erased,
-            chunks,
-        });
-        state.next_chunk = 0;
-        state.active = 0;
-        state.panic = None;
-    }
+    let mut state = pool.state.lock().expect("pool state lock");
+    debug_assert!(state.job.is_none(), "the dispatch lock serialises jobs");
+    state.job = Some(Job {
+        task: erased,
+        chunks,
+    });
+    state.next_chunk = 0;
+    state.active = 0;
+    state.panic = None;
     pool.work.notify_all();
 
-    // The calling thread is a full participant: claim chunks like a worker
-    // until the cursor is exhausted, running each single-threaded as a
-    // worker does.
-    loop {
-        let claimed = {
-            let mut state = pool.state.lock().expect("pool state lock");
-            if state.next_chunk < chunks {
-                state.next_chunk += 1;
-                state.active += 1;
-                Some(state.next_chunk - 1)
-            } else {
-                None
-            }
-        };
-        let Some(chunk) = claimed else { break };
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            parallel::single_threaded(|| task(chunk))
-        }));
-        let mut state = pool.state.lock().expect("pool state lock");
-        state.active -= 1;
-        if let Err(payload) = result {
-            state.panic.get_or_insert(payload);
-        }
+    // The calling thread is a full participant: it claims and runs chunks
+    // exactly as a worker does until the cursor is exhausted.
+    while let Some(claimed) = claim(&mut state) {
+        state = run_claimed(pool, state, claimed);
     }
 
     // Completion barrier: no return while any worker is inside a chunk.
-    let mut state = pool.state.lock().expect("pool state lock");
     while state.active > 0 {
         state = pool.done.wait(state).expect("pool state lock");
     }
@@ -494,7 +508,9 @@ mod tests {
     fn parked_workers_execute_chunks_and_results_stay_ordered() {
         let pool = test_pool();
         for _ in 0..50 {
-            let parts = run_on(pool, ranges(100, 13), &|range: Range<usize>| range.clone());
+            let parts = run_on(pool, ranges(0..100, 13), &|range: Range<usize>| {
+                range.clone()
+            });
             assert_eq!(parts.len(), 8);
             let mut expected_start = 0;
             for part in &parts {
@@ -514,7 +530,7 @@ mod tests {
         // worker wakes and claims a chunk, however loaded the host is.
         let entered: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
         let another_entered = Condvar::new();
-        run_on(pool, ranges(4, 1), &|range: Range<usize>| {
+        run_on(pool, ranges(0..4, 1), &|range: Range<usize>| {
             let mut threads = entered.lock().unwrap();
             threads.insert(std::thread::current().id());
             another_entered.notify_all();
@@ -535,12 +551,12 @@ mod tests {
         let pool = test_pool();
         for _ in 0..20 {
             let result = catch_unwind(AssertUnwindSafe(|| {
-                run_on(pool, ranges(8, 1), &|range: Range<usize>| {
+                run_on(pool, ranges(0..8, 1), &|range: Range<usize>| {
                     panic!("worker boom {}", range.start);
                 })
             }));
             assert!(result.is_err(), "the panic must reach the dispatcher");
-            let sum: usize = run_on(pool, ranges(8, 1), &|range: Range<usize>| range.len())
+            let sum: usize = run_on(pool, ranges(0..8, 1), &|range: Range<usize>| range.len())
                 .into_iter()
                 .sum();
             assert_eq!(sum, 8, "the pool must stay usable after a panic");
@@ -593,6 +609,60 @@ mod tests {
         });
         assert_eq!(lens, [5, 5, 5, 5, 3]);
         assert!(buffer.iter().all(|&x| x == 1.0));
+    }
+
+    /// What [`row_runs`] cut: each run's rows and the length of its slice
+    /// of `out`.
+    fn cut_rows(rows: Range<usize>, len: usize, per_row: usize) -> Vec<(Range<usize>, usize)> {
+        let mut out = vec![0.0_f32; rows.len() * per_row];
+        let runs = row_runs(rows, len, &mut out, per_row);
+        let count = runs.len();
+        let cut: Vec<_> = runs.map(|(run, out)| (run, out.len())).collect();
+        assert_eq!(cut.len(), count, "the exact size is the run count");
+        cut
+    }
+
+    #[test]
+    fn row_runs_cut_consecutive_runs_each_with_its_rows_of_the_output() {
+        // From a non-zero start, the last run short, three values a row.
+        assert_eq!(
+            cut_rows(5..15, 4, 3),
+            [(5..9, 12), (9..13, 12), (13..15, 6)]
+        );
+        // Runs that divide the range evenly, one value a row.
+        assert_eq!(cut_rows(0..6, 3, 1), [(0..3, 3), (3..6, 3)]);
+        // A run longer than the range is the whole range.
+        assert_eq!(cut_rows(7..10, 128, 2), [(7..10, 6)]);
+        // An empty range has no run.
+        assert!(cut_rows(4..4, 3, 5).is_empty());
+        assert!(cut_rows(0..0, 1, 1).is_empty());
+    }
+
+    #[test]
+    fn row_runs_on_the_pool_write_every_row_exactly_once() {
+        let pool = test_pool();
+        let per_row = 3;
+        let mut out = vec![0.0_f32; 23 * per_row];
+        for job in 1..=50_u8 {
+            // Every value gains its row's number once per job: a run taken
+            // twice, or written through another run's slice, shows.
+            let runs = run_on(
+                pool,
+                row_runs(10..33, 5, &mut out, per_row),
+                &|(run, out): (Range<usize>, &mut [f32])| {
+                    assert_eq!(out.len(), run.len() * per_row);
+                    for (row, values) in run.clone().zip(out.chunks_exact_mut(per_row)) {
+                        values.iter_mut().for_each(|x| *x += row as f32);
+                    }
+                    run
+                },
+            );
+            assert_eq!(runs, [10..15, 15..20, 20..25, 25..30, 30..33]);
+            for (at, &x) in out.iter().enumerate() {
+                let row = 10 + at / per_row;
+                assert_eq!(x, f32::from(job) * row as f32, "job {job}, at {at}");
+            }
+        }
     }
 
     /// Runs four chunks on the test pool, each waiting until all four have
@@ -658,7 +728,7 @@ mod tests {
                         for round in 0..25 {
                             let n = 17 + (seed * 7 + round) % 90;
                             let total: usize =
-                                run_on(pool, ranges(n, 5), &|range: Range<usize>| {
+                                run_on(pool, ranges(0..n, 5), &|range: Range<usize>| {
                                     range.sum::<usize>()
                                 })
                                 .into_iter()
